@@ -1,0 +1,1 @@
+"""Dedup benchmark: seeded workloads, end-to-end and per-layer metrics."""
