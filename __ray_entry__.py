@@ -1225,29 +1225,30 @@ def q_lm_perplexity(sf_dir: str):
 
 def q_lm_perplexity_ngram(sf_dir: str):
     """CCNet's operative filter shape, reference-free: interpolated
-    Kneser-Ney BIGRAM perplexity (stages/lmscore.py lm_perplexity_kn)
-    — bigram census combiner -> one-task model fold (contexts,
-    continuation counts, discount 0.75) -> broadcast -> stateless
-    vectorized scorer.  Twin computes the identical model in SQL."""
+    Kneser-Ney BIGRAM perplexity (stages/lmscore.py lm_perplexity_kn,
+    order=2) — bigram census combiner -> one-task model fold
+    (contexts, continuation counts, discount 0.75) -> broadcast ->
+    stateless vectorized scorer.  Twin computes the identical model
+    in SQL."""
     from nxsearch_ray.stages.lmscore import lm_perplexity_kn
 
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    return lm_perplexity_kn(ds)
+    return lm_perplexity_kn(ds, order=2)
 
 
 def q_lm_perplexity_trigram(sf_dir: str):
     """One order closer to CCNet's 5-gram KenLM: interpolated
     Kneser-Ney TRIGRAM perplexity (stages/lmscore.py
-    lm_perplexity_kn3) — trigram census combiner -> one-task model
-    fold (Chen-Goodman continuation counts all derived from trigram
-    types, discount 0.75) -> broadcast -> stateless vectorized
-    scorer.  Twin computes the identical model in SQL."""
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn3
+    lm_perplexity_kn, order=3) — trigram census combiner -> one-task
+    model fold (Chen-Goodman continuation counts all derived from
+    trigram types, discount 0.75) -> broadcast -> stateless
+    vectorized scorer.  Twin computes the identical model in SQL."""
+    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
 
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    return lm_perplexity_kn3(ds)
+    return lm_perplexity_kn(ds, order=3)
 
 
 class _SeenGuard:
@@ -1336,14 +1337,15 @@ def q_url_seen_guard(sf_dir: str):
 def q_lm_perplexity_quadgram(sf_dir: str):
     """One order below CCNet's operative 5-gram KenLM: interpolated
     Kneser-Ney 4-GRAM perplexity (stages/lmscore.py
-    lm_perplexity_kn4), every lower order's continuation counts
-    derived from the next order's types — same census -> fold ->
-    broadcast -> score dataflow as the bigram/trigram members."""
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn4
+    lm_perplexity_kn, order=4), every lower order's continuation
+    counts derived from the next order's types — the same order-n
+    census -> fold -> broadcast -> score dataflow as the bigram and
+    trigram queries."""
+    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
 
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    return lm_perplexity_kn4(ds)
+    return lm_perplexity_kn(ds, order=4)
 
 
 def q_url_cardinality(sf_dir: str):

@@ -20,8 +20,8 @@ Scale plan:
   build  — one remote task per input block computes a partial bitmap
            over zero-copy Arrow string buffers (hash_strings is the
            repo's vectorized FNV+splitmix kernel); partials are
-           OR-folded in a FAN_IN-ary task tree, so the driver holds
-           nothing and peak memory per task is FAN_IN bitmaps.  The
+           OR-folded in ``tree_fold``'s 8-ary task tree, so the driver
+           holds nothing and peak memory per task is 8 bitmaps.  The
            bitmap is sized by the caller (m_bits); at 10^11 prior
            keys and 1% FP the bitmap is ~120 GB and would instead be
            SHARDED by key-hash prefix (each worker fetches only the
@@ -46,7 +46,18 @@ from nxsearch_ray.functions.hashing import (hash_strings, splitmix64,
                                             string_buffers)
 
 _U64 = np.uint64
-FAN_IN = 8
+
+
+def tree_fold(parts: list, merge_remote):
+    """Fold a non-empty list of ObjectRefs down to one through a tree
+    of ``merge_remote`` tasks (an associative merge: OR, max, ...).
+    The driver holds only task handles, and no task takes more than
+    eight inputs."""
+    fan_in = 8
+    while len(parts) > 1:
+        parts = [merge_remote.remote(*parts[i:i + fan_in])
+                 for i in range(0, len(parts), fan_in)]
+    return parts[0]
 
 
 def bloom_positions(h: np.ndarray, m_bits: int, k: int) -> np.ndarray:
@@ -79,7 +90,7 @@ def _partial_bitmap(block: pa.Table, col: str, m_bits: int, k: int,
 def bloom_build_ref(ds, col: str, *, m_bits: int = 1 << 20,
                     k: int = 5, seed: int = 0):
     """ObjectRef to the uint64 word array of a Bloom filter over
-    ``ds[col]`` — per-block partials, FAN_IN-ary OR-fold tree."""
+    ``ds[col]`` — per-block partials, OR-folded by ``tree_fold``."""
     import ray
 
     @ray.remote
@@ -94,10 +105,7 @@ def bloom_build_ref(ds, col: str, *, m_bits: int = 1 << 20,
              for b in ds.select_columns([col]).to_arrow_refs()]
     if not parts:
         return ray.put(np.zeros((m_bits + 63) // 64, dtype=_U64))
-    while len(parts) > 1:
-        parts = [_orr.remote(*parts[i:i + FAN_IN])
-                 for i in range(0, len(parts), FAN_IN)]
-    return parts[0]
+    return tree_fold(parts, _orr)
 
 
 def bloom_probe(words: np.ndarray, values, *, m_bits: int, k: int,
@@ -222,14 +230,11 @@ def bloom_build_sharded(ds, col: str, *, shards: int = 16,
                  for b in blocks]
     refs = []
     for s in range(shards):
-        parts = [pb[s] for pb in per_block]
-        while len(parts) > 1:
-            parts = [_fold_shard.remote(*parts[i:i + FAN_IN])
-                     for i in range(0, len(parts), FAN_IN)]
         # final fold even for a single part: partials use a 0-length
         # array as the "no keys in this shard" sentinel, which the
         # fold normalizes to a full-width zero bitmap
-        refs.append(_fold_shard.remote(parts[0]))
+        refs.append(_fold_shard.remote(
+            tree_fold([pb[s] for pb in per_block], _fold_shard)))
     return refs
 
 

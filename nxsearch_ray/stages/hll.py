@@ -5,7 +5,7 @@ have?" answered exactly is a full all-to-all `unique` exchange; at
 10^12 rows the standard answer is HyperLogLog (Flajolet, Fusy,
 Gandouet, Meunier 2007, public): a 2^p-register sketch whose
 per-block partials MERGE BY ELEMENTWISE MAX, so the whole corpus
-folds through the same FAN_IN-ary task tree the Bloom guard uses —
+folds through the same ``tree_fold`` task tree the Bloom guard uses —
 no shuffle, bounded memory, ~1.04/sqrt(2^p) relative error.
 
 Mirrors the reference's global doc/token counters
@@ -27,9 +27,9 @@ import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.functions.hashing import hash_strings, string_buffers
+from nxsearch_ray.stages.bloom import tree_fold
 
 _U64 = np.uint64
-FAN_IN = 8
 
 # byte-popcount LUT for the vectorized clz
 _POP8 = np.array([bin(i).count("1") for i in range(256)],
@@ -89,7 +89,7 @@ def hll_estimate(regs: np.ndarray) -> float:
 
 def hll_build_ref(ds, col: str, *, p: int = 12, seed: int = 0):
     """ObjectRef to the merged register array over ``ds[col]`` —
-    per-block partials, FAN_IN-ary max-fold tree (the driver never
+    per-block partials, max-folded by ``tree_fold`` (the driver never
     holds more than task handles)."""
     import ray
 
@@ -107,10 +107,7 @@ def hll_build_ref(ds, col: str, *, p: int = 12, seed: int = 0):
              for b in ds.select_columns([col]).to_arrow_refs()]
     if not parts:
         return ray.put(np.zeros(1 << p, dtype=np.uint8))
-    while len(parts) > 1:
-        parts = [_fold.remote(*parts[i:i + FAN_IN])
-                 for i in range(0, len(parts), FAN_IN)]
-    return parts[0]
+    return tree_fold(parts, _fold)
 
 
 def hll_count(ds, col: str, *, p: int = 12, seed: int = 0) -> float:

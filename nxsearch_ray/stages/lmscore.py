@@ -1,36 +1,37 @@
 """Language-model quality scoring (CCNet-style): unigram MLE and
-interpolated Kneser-Ney bigram + trigram perplexity.
+interpolated Kneser-Ney perplexity of any order n >= 2.
 
 CCNet (Wenzek et al., "CCNet: Extracting high quality monolingual
 datasets from web crawl data", arXiv:1911.00359, public) ranks web
 documents by LM perplexity and keeps the low-perplexity head.  The
-full pipeline uses a 5-gram KenLM; a KenLM binary is library-bound in
-this container, so this stage implements three members of the family
-exactly: the corpus's own maximum-likelihood UNIGRAM model, and
-interpolated KNESER-NEY BIGRAM and TRIGRAM models (Kneser & Ney 1995;
-Chen & Goodman 1998 — CCNet's operative filter shape).  All are fully
-SQL-twinnable and run the identical Ray dataflow a KenLM scorer
-needs (census/model build -> broadcast -> streaming lookup); a real
-KenLM swap replaces only the per-batch lookup kernel.
+full pipeline uses a 5-gram KenLM; KenLM is a native library this
+project does not depend on, so this stage implements the family
+exactly: the corpus's own maximum-likelihood UNIGRAM model, and one order-n
+interpolated KNESER-NEY model (Kneser & Ney 1995; Chen & Goodman 1998
+— CCNet's operative filter shape; order 5 is CCNet's).  Both are
+SQL-twinnable (the oracle twins orders 2, 3 and 4) and run the
+identical Ray dataflow a KenLM scorer needs (census/model build ->
+broadcast -> streaming lookup); a real KenLM swap replaces only the
+per-batch lookup kernel.
 
 Tokenization matches the repo's WORD_RE census convention
 (stages/textstats.py WORD_RE = \\S+ over lowercased text), i.e.
 DuckDB ``regexp_extract_all(lower(text), '\\S+')``.
 
 Scale plan (100 TB):
-  1. census — map_batches pre-aggregates per-batch word counts (the
+  1. census — map_batches pre-aggregates per-batch gram counts (the
      combiner) so the groupby shuffles VOCABULARY rows, not token
      rows; one native groupby sum.
   2. model — ONE remote task folds the census blocks into sorted
-     (word, logp) arrays; optional ``vocab_cap`` keeps the top-V
-     words by (count desc, word asc) — deterministic — and OOV
-     tokens fall back to an add-one floor.  The model is MBs at any
-     corpus size once capped, broadcast via ray.put.
-  3. score — stateless task pool: per batch, one vectorized
-     searchsorted lookup + segmented mean.  No shuffle.
+     lookup tables; an optional cap keeps the top rows by (count
+     desc, key asc) — deterministic — and misses fall back to a
+     floor (unigram) or the backoff term (KN).  The model is
+     broadcast via ray.put.
+  3. score — stateless task pool: per batch, vectorized searchsorted
+     lookups + segmented mean.  No shuffle.
 
 log p(w) is computed as ``ln(n_w / N)`` (divide THEN log, matching
-the SQL twin bit-for-bit); per-doc logloss = mean over tokens of
+the SQL twin bit-for-bit); per-doc logloss = mean over grams of
 ``-ln p``; perplexity = ``exp(logloss)``.
 """
 
@@ -39,11 +40,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-SCORE_SCHEMA = pa.schema([("doc_id", pa.int64()),
-                          ("n_tokens", pa.int64()),
-                          ("logloss", pa.float64()),
-                          ("perplexity", pa.float64())])
 
 
 def _tokens(batch: pa.Table, text_col: str):
@@ -56,6 +52,87 @@ def _tokens(batch: pa.Table, text_col: str):
     nonempty = pc.not_equal(flat, "")
     return (pc.filter(parents, nonempty).to_numpy(),
             pc.filter(flat, nonempty))
+
+
+def _grams(batch: pa.Table, text_col: str, n: int):
+    """(doc_row, [w1..wn]) for every within-doc window of n adjacent
+    tokens.  Token order inside a doc is the split order, so the
+    windows are exactly the doc's n-gram sequence."""
+    parents, toks = _tokens(batch, text_col)
+    tok = np.asarray(toks.to_pylist(), dtype=np.str_)
+    k = max(len(tok) - n + 1, 0)
+    same = np.ones(k, dtype=bool)
+    for i in range(1, n):
+        same &= parents[i:i + k] == parents[i - 1:i - 1 + k]
+    return (parents[n - 1:n - 1 + k][same],
+            [tok[i:i + k][same] for i in range(n)])
+
+
+def _ngram_key(*ws: np.ndarray) -> np.ndarray:
+    """Collision-free combined key ``"{len(w1)}:...:{len(w_{n-1})}:
+    {w1...wn}"``: a \\S+ token can contain ANY non-whitespace byte
+    (separator chars included), so a separator-joined key could merge
+    distinct grams; the length prefix disambiguates unconditionally.
+    The key of a single word is the word itself.
+
+    Built with Arrow kernels — an ``np.char.add`` chain costs ~1 s
+    per 260k strings (per-element PyUnicode concat) vs ~0.1 s for
+    ``binary_join_element_wise``; ``utf8_length`` counts codepoints,
+    matching Python ``len`` on the numpy unicode tokens."""
+    if len(ws) == 1 or not len(ws[0]):
+        return ws[0]
+    arrs = [pa.array(w) for w in ws]
+    parts: list = []
+    for a in arrs[:-1]:
+        parts += [pc.cast(pc.utf8_length(a), pa.string()), ":"]
+    key = pc.binary_join_element_wise(*parts, *arrs, "")
+    return np.asarray(key.to_pylist(), dtype=np.str_)
+
+
+def _lookup(sorted_keys: np.ndarray, probe: np.ndarray, *vals,
+            default: float = 0.0) -> list:
+    """Vectorized exact-match lookup of every ``vals`` array on a
+    sorted string array.  The probe keeps its own itemsize (casting
+    to the model's would TRUNCATE longer unseen strings into false
+    hits)."""
+    if not len(sorted_keys):
+        return [np.full(len(probe), default) for _ in vals]
+    pos = np.clip(np.searchsorted(sorted_keys, probe), 0,
+                  len(sorted_keys) - 1)
+    hit = sorted_keys[pos] == probe
+    return [np.where(hit, v[pos], default) for v in vals]
+
+
+def _per_doc(batch: pa.Table, id_col: str, doc: np.ndarray,
+             neglog: np.ndarray, count_col: str) -> pa.Table:
+    """Segmented mean of ``neglog`` per doc row; docs with no grams
+    are omitted (no defined perplexity), matching the SQL twins'
+    inner joins."""
+    ids = batch.column(id_col).to_numpy()
+    n = np.bincount(doc, minlength=batch.num_rows).astype(np.int64)
+    sums = np.bincount(doc, weights=neglog, minlength=batch.num_rows)
+    has = n > 0
+    logloss = np.divide(sums, n, out=np.zeros_like(sums), where=has)
+    return pa.Table.from_arrays(
+        [pa.array(ids[has], type=pa.int64()), pa.array(n[has]),
+         pa.array(logloss[has], type=pa.float64()),
+         pa.array(np.exp(logloss[has]), type=pa.float64())],
+        names=["doc_id", count_col, "logloss", "perplexity"])
+
+
+def _census_table(blocks, cols: list) -> pa.Table:
+    """Concatenate census blocks (empty ones carry no columns)."""
+    tbs = [t for t in blocks if t.num_columns]
+    if tbs:
+        return pa.concat_tables(tbs)
+    s = pa.array([], type=pa.string())
+    return pa.table({**{c: s for c in cols},
+                     "n": pa.array([], type=pa.int64())})
+
+
+def _counts(t: pa.Table) -> np.ndarray:
+    return t.column("sum(n)" if "sum(n)" in t.column_names
+                    else "n").to_numpy().astype(np.float64)
 
 
 def unigram_census(docs_ds, *, text_col: str = "text"):
@@ -77,17 +154,11 @@ def unigram_model_ref(census_ds, *, vocab_cap: int | None = None):
     Built in a remote task — the driver never holds the vocabulary."""
     import ray
 
-    refs = census_ds.to_arrow_refs()
-
     @ray.remote
     def _build(*blocks):
-        tbs = [t for t in blocks if t.num_columns]
-        t = pa.concat_tables(tbs) if tbs else pa.table(
-            {"word": pa.array([], type=pa.string()),
-             "n": pa.array([], type=pa.int64())})
+        t = _census_table(blocks, ["word"])
         words = np.asarray(t.column("word").to_pylist(), dtype=object)
-        n = t.column("sum(n)" if "sum(n)" in t.column_names
-                     else "n").to_numpy().astype(np.float64)
+        n = _counts(t)
         total = n.sum()
         vsize = len(words)
         if vocab_cap is not None and vsize > vocab_cap:
@@ -100,735 +171,166 @@ def unigram_model_ref(census_ds, *, vocab_cap: int | None = None):
         return {"words": words.astype(np.str_), "logp": logp,
                 "floor": floor}
 
-    return _build.remote(*refs)
+    return _build.remote(*census_ds.to_arrow_refs())
 
 
-class UnigramScorer:
-    """Task-pool kernel: model fetched once per worker (plasma,
-    zero-copy for the float array), vectorized lookup + segmented
-    mean per batch."""
-
-    def __init__(self, model_ref, id_col: str = "doc_id",
-                 text_col: str = "text"):
-        import ray
-        m = ray.get(model_ref) if not isinstance(model_ref, dict) \
-            else model_ref
-        self.words = m["words"]
-        self.logp = m["logp"]
-        self.floor = m["floor"]
-        self.id_col = id_col
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_numpy()
-        parents, toks = _tokens(batch, self.text_col)
-        # dtype=np.str_ keeps each token's full width — casting to the
-        # model's itemsize would TRUNCATE longer OOV tokens into false
-        # vocabulary hits; numpy compares unicode arrays of different
-        # itemsize correctly
-        tok_np = np.asarray(toks.to_pylist(), dtype=np.str_)
-        if len(self.words):
-            pos = np.searchsorted(self.words, tok_np)
-            pos_c = np.clip(pos, 0, len(self.words) - 1)
-            hit = self.words[pos_c] == tok_np
-            lp = np.where(hit, self.logp[pos_c], self.floor)
-        else:
-            lp = np.full(len(tok_np), self.floor)
-        n_tok = np.bincount(parents, minlength=batch.num_rows) \
-            .astype(np.int64)
-        sums = np.bincount(parents, weights=-lp,
-                           minlength=batch.num_rows)
-        has = n_tok > 0
-        logloss = np.divide(sums, n_tok, out=np.zeros_like(sums),
-                            where=has)
-        out = pa.Table.from_arrays(
-            [pa.array(ids[has], type=pa.int64()),
-             pa.array(n_tok[has]),
-             pa.array(logloss[has], type=pa.float64()),
-             pa.array(np.exp(logloss[has]), type=pa.float64())],
-            schema=SCORE_SCHEMA)
-        return out
-
-
-KN_SCHEMA = pa.schema([("doc_id", pa.int64()),
-                       ("n_transitions", pa.int64()),
-                       ("logloss", pa.float64()),
-                       ("perplexity", pa.float64())])
-
-
-def _transitions(batch: pa.Table, id_col: str, text_col: str):
-    """(doc_row, w1, w2) for every within-doc adjacent token pair.
-    Token order inside a doc is the split order (positional), so the
-    transition stream is exactly the doc's bigram sequence."""
-    parents, toks = _tokens(batch, text_col)
-    tok_np = np.asarray(toks.to_pylist(), dtype=np.str_)
-    if len(tok_np) < 2:
-        e = np.empty(0, dtype=np.int64)
-        s = np.empty(0, dtype=tok_np.dtype if len(tok_np)
-                     else np.dtype("<U1"))
-        return e, s, s
-    m = parents[1:] == parents[:-1]
-    return parents[1:][m], tok_np[:-1][m], tok_np[1:][m]
-
-
-def _bigram_key(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Collision-free combined key ``"{len(w1)}:{w1}{w2}"``: a \\S+
-    token can contain ANY non-whitespace byte (separator chars
-    included), so a separator-joined key could merge distinct pairs;
-    the length prefix disambiguates unconditionally.
-
-    Built with Arrow kernels — an ``np.char.add`` chain costs ~1 s
-    per 260k strings (per-element PyUnicode concat) vs ~0.1 s for
-    ``binary_join_element_wise``; ``utf8_length`` counts codepoints,
-    matching Python ``len`` on the numpy unicode tokens."""
-    if not len(w1):
-        return w1
-    a1, a2 = pa.array(w1), pa.array(w2)
-    l1 = pc.cast(pc.utf8_length(a1), pa.string())
-    key = pc.binary_join_element_wise(l1, ":", a1, a2, "")
-    return np.asarray(key.to_pylist(), dtype=np.str_)
-
-
-def bigram_census(docs_ds, *, id_col: str = "doc_id",
-                  text_col: str = "text"):
-    """(w1, w2, n) corpus bigram census with a per-batch combiner —
-    the groupby shuffles BIGRAM-VOCABULARY rows, not token rows."""
+def ngram_census(docs_ds, order: int, *, text_col: str = "text"):
+    """(w1..wn, n) corpus n-gram census with a per-batch combiner —
+    the groupby shuffles N-GRAM-VOCABULARY rows, not token rows."""
+    cols = [f"w{i}" for i in range(1, order + 1)]
 
     def partial(batch: pa.Table) -> pa.Table:
-        _, w1, w2 = _transitions(batch, id_col, text_col)
-        if not len(w1):
-            return pa.table({"w1": pa.array([], type=pa.string()),
-                             "w2": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=pa.int64())})
-        key = _bigram_key(w1, w2)
-        _, idx, counts = np.unique(key, return_index=True,
+        _, ws = _grams(batch, text_col, order)
+        if not len(ws[0]):
+            return _census_table([], cols)
+        _, idx, counts = np.unique(_ngram_key(*ws), return_index=True,
                                    return_counts=True)
-        return pa.table({"w1": pa.array(w1[idx]),
-                         "w2": pa.array(w2[idx]),
+        return pa.table({**{c: pa.array(w[idx]) for c, w in zip(cols, ws)},
                          "n": pa.array(counts.astype(np.int64))})
 
     return docs_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["w1", "w2"]).sum("n")
+        .groupby(cols).sum("n")
 
 
-def kn_bigram_model_ref(census_ds, *, discount: float = 0.75,
-                        bigram_cap: int | None = None):
-    """Fold the bigram census into ONE object-store Kneser-Ney model.
+def kn_model_ref(census_ds, order: int, *, discount: float = 0.75,
+                 cap: int | None = None):
+    """Fold the order-n census into ONE object-store interpolated
+    Kneser-Ney model (Chen & Goodman 1998, public).  Every lower order
+    is a continuation-count model derived from the TYPES of the order
+    above, so the whole model comes out of the order-n census alone:
 
-    Interpolated KN (Kneser & Ney 1995; Chen & Goodman 1998, public):
-      p(w2|w1) = max(c12 - d, 0)/c1 + d·N1+(w1·)/c1 · Pcont(w2)
-      Pcont(w2) = N1+(·w2) / B,  B = distinct bigram types.
+      p_n(wn|w1..w(n-1)) = max(c(w1..wn)-d,0)/c(w1..w(n-1)·)
+                           + d·N1+(w1..w(n-1)·)/c(w1..w(n-1)·) · p_(n-1)
+      p_m(wn|ctx)        = max(N1+(·ctx wn)-d,0)/N1+(·ctx·)
+                           + d·N1+(ctx·)/N1+(·ctx·) · p_(m-1)
+      p_1(wn)            = N1+(·wn) / B,   B = |T_2|
 
-    The context table (c1, fanout) and continuation table are
-    VOCABULARY-sized and kept whole; only the bigram-count table is
-    subject to ``bigram_cap`` (top-K by count desc, key asc — a missed
-    lookup falls back to the formula with c12 = 0, i.e. the pure
-    backoff term, the standard capped-LM behavior).  Built in one
-    remote task; the driver never holds the vocabulary."""
+    where T_n is the census and T_m (m = n-1 .. 2) is the set of
+    distinct last-m suffixes of T_(m+1): N1+(·ctx wn) counts T_(m+1)
+    rows per suffix, N1+(·ctx·) T_(m+1) rows per middle key and
+    N1+(ctx·) T_m rows per prefix.  Only the top count table is
+    subject to ``cap`` (top-K by count desc, key asc — a missed lookup
+    falls back to the pure backoff term, the standard capped-LM
+    behaviour); the derived tables are vocabulary-sized and kept
+    whole.  Built in one remote task; the driver never holds the
+    census."""
     import ray
 
-    refs = census_ds.to_arrow_refs()
+    if order < 2:
+        raise ValueError("Kneser-Ney needs order >= 2")
+    cols = [f"w{i}" for i in range(1, order + 1)]
 
     @ray.remote
     def _build(*blocks):
-        tbs = [t for t in blocks if t.num_columns]
-        t = pa.concat_tables(tbs) if tbs else pa.table(
-            {"w1": pa.array([], type=pa.string()),
-             "w2": pa.array([], type=pa.string()),
-             "n": pa.array([], type=pa.int64())})
-        ncol = "sum(n)" if "sum(n)" in t.column_names else "n"
-        w1 = np.asarray(t.column("w1").to_pylist(), dtype=np.str_)
-        w2 = np.asarray(t.column("w2").to_pylist(), dtype=np.str_)
-        c12 = t.column(ncol).to_numpy().astype(np.float64)
-        B = float(len(w1))
-        # context totals + fanout over the FULL census
-        ctx_w, ctx_inv = np.unique(w1, return_inverse=True) \
-            if len(w1) else (w1, np.empty(0, np.int64))
-        c1 = np.bincount(ctx_inv, weights=c12,
-                         minlength=len(ctx_w))
-        fan1 = np.bincount(ctx_inv,
-                           minlength=len(ctx_w)).astype(np.float64)
-        cont_w, cont_n = np.unique(w2, return_counts=True) \
-            if len(w2) else (w2, np.empty(0, np.int64))
-        if bigram_cap is not None and len(w1) > bigram_cap:
-            keep = np.lexsort((_bigram_key(w1, w2), -c12))[:bigram_cap]
-            w1, w2, c12 = w1[keep], w2[keep], c12[keep]
-        key = _bigram_key(w1, w2)
-        order = np.argsort(key)
-        return {"key": key[order], "c12": c12[order],
-                "ctx_w": ctx_w, "c1": c1, "fan1": fan1,
-                "cont_w": cont_w,
+        t = _census_table(blocks, cols)
+        ws = [np.asarray(t.column(c).to_pylist(), dtype=np.str_)
+              for c in cols]
+        c = _counts(t)
+        # top level: context totals + fan-out over w1..w(n-1)
+        ctx, inv = np.unique(_ngram_key(*ws[:-1]), return_inverse=True)
+        top_ctx = (ctx, np.bincount(inv, weights=c, minlength=len(ctx)),
+                   np.bincount(inv, minlength=len(ctx)).astype(np.float64))
+        # one level per order m = 2..n, bottom-up: (gram keys,
+        # numerator, context keys, denominator, fan-out), keys sorted
+        levels = []
+        tm = ws                                   # rows of T_(m+1)
+        for m in range(order - 1, 1, -1):
+            suf, first, inv = np.unique(_ngram_key(*tm[-m:]),
+                                        return_index=True,
+                                        return_inverse=True)
+            num = np.bincount(inv, minlength=len(suf)).astype(np.float64)
+            mid, inv = np.unique(_ngram_key(*tm[-m:-1]),
+                                 return_inverse=True)
+            den = np.bincount(inv, minlength=len(mid)).astype(np.float64)
+            tm = [w[first] for w in tm[-m:]]      # T_m
+            fan = np.bincount(np.searchsorted(mid, _ngram_key(*tm[:-1])),
+                              minlength=len(mid)).astype(np.float64)
+            levels.insert(0, (suf, num, mid, den, fan))
+        cont_w, cont_n = np.unique(tm[-1], return_counts=True)
+        key = _ngram_key(*ws)
+        if cap is not None and len(key) > cap:
+            keep = np.lexsort((key, -c))[:cap]
+            key, c = key[keep], c[keep]
+        o = np.argsort(key)
+        levels.append((key[o], c[o], *top_ctx))
+        return {"levels": levels, "cont_w": cont_w,
                 "cont_n": cont_n.astype(np.float64),
-                "B": B, "d": float(discount)}
+                "B": float(len(tm[0])), "d": float(discount)}
 
-    return _build.remote(*refs)
-
-
-def _sorted_lookup(sorted_keys: np.ndarray, vals: np.ndarray,
-                   probe: np.ndarray, default: float) -> np.ndarray:
-    """Vectorized exact-match lookup on a sorted string array.  The
-    probe keeps its own itemsize (casting to the model's would
-    TRUNCATE longer unseen strings into false hits)."""
-    if not len(sorted_keys):
-        return np.full(len(probe), default)
-    pos = np.searchsorted(sorted_keys, probe)
-    pos_c = np.clip(pos, 0, len(sorted_keys) - 1)
-    hit = sorted_keys[pos_c] == probe
-    return np.where(hit, vals[pos_c], default)
+    return _build.remote(*census_ds.to_arrow_refs())
 
 
-class KNBigramScorer:
-    """Task-pool kernel: model fetched once per worker, vectorized
-    searchsorted lookups + segmented mean per batch.  The probability
-    expression mirrors the SQL twin term-for-term (same operation
-    order) for float parity."""
+class _Scorer:
+    """Task-pool kernel base: the model is fetched once per worker
+    (plasma, zero-copy for the float arrays)."""
 
     def __init__(self, model_ref, id_col: str = "doc_id",
                  text_col: str = "text"):
         import ray
-        m = ray.get(model_ref) if not isinstance(model_ref, dict) \
+        self.m = ray.get(model_ref) if not isinstance(model_ref, dict) \
             else model_ref
-        self.m = m
         self.id_col = id_col
         self.text_col = text_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = self.m
-        ids = batch.column(self.id_col).to_numpy()
-        doc, w1, w2 = _transitions(batch, self.id_col, self.text_col)
-        if len(w1):
-            key = _bigram_key(w1, w2)
-            c12 = _sorted_lookup(m["key"], m["c12"], key, 0.0)
-            c1 = _sorted_lookup(m["ctx_w"], m["c1"], w1, 0.0)
-            fan1 = _sorted_lookup(m["ctx_w"], m["fan1"], w1, 0.0)
-            n1p = _sorted_lookup(m["cont_w"], m["cont_n"], w2, 0.0)
-            B = m["B"]
-            d = m["d"]
-            pcont = n1p / B if B else np.zeros_like(n1p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p = np.where(
-                    c1 > 0,
-                    np.maximum(c12 - d, 0.0) / np.where(c1 > 0, c1, 1.0)
-                    + d * fan1 / np.where(c1 > 0, c1, 1.0) * pcont,
-                    pcont)
-            # self-trained uncapped models never hit this floor; a
-            # capped model can (unseen continuation after an unseen
-            # context) — add-one-style smallest mass
-            floor = 1.0 / (B + len(m["cont_w"]) + 1.0)
-            p = np.where(p > 0, p, floor)
-            neglog = -np.log(p)
-        else:
-            neglog = np.empty(0, dtype=np.float64)
-        n_tr = np.bincount(doc, minlength=batch.num_rows) \
-            .astype(np.int64)
-        sums = np.bincount(doc, weights=neglog,
-                           minlength=batch.num_rows)
-        has = n_tr > 0
-        logloss = np.divide(sums, n_tr, out=np.zeros_like(sums),
-                            where=has)
-        return pa.Table.from_arrays(
-            [pa.array(ids[has], type=pa.int64()),
-             pa.array(n_tr[has]),
-             pa.array(logloss[has], type=pa.float64()),
-             pa.array(np.exp(logloss[has]), type=pa.float64())],
-            schema=KN_SCHEMA)
 
-
-def _transitions3(batch: pa.Table, id_col: str, text_col: str):
-    """(doc_row, w1, w2, w3) for every within-doc adjacent token
-    triple — the trigram stream, positional like ``_transitions``."""
-    parents, toks = _tokens(batch, text_col)
-    tok_np = np.asarray(toks.to_pylist(), dtype=np.str_)
-    if len(tok_np) < 3:
-        e = np.empty(0, dtype=np.int64)
-        s = np.empty(0, dtype=tok_np.dtype if len(tok_np)
-                     else np.dtype("<U1"))
-        return e, s, s, s
-    m = (parents[2:] == parents[1:-1]) & (parents[1:-1] == parents[:-2])
-    return (parents[2:][m], tok_np[:-2][m], tok_np[1:-1][m],
-            tok_np[2:][m])
-
-
-def _trigram_key(w1: np.ndarray, w2: np.ndarray,
-                 w3: np.ndarray) -> np.ndarray:
-    """Collision-free combined key ``"{len(w1)}:{len(w2)}:{w1w2w3}"``
-    (same length-prefix rationale and Arrow-kernel construction as
-    ``_bigram_key``)."""
-    if not len(w1):
-        return w1
-    a1, a2, a3 = pa.array(w1), pa.array(w2), pa.array(w3)
-    l1 = pc.cast(pc.utf8_length(a1), pa.string())
-    l2 = pc.cast(pc.utf8_length(a2), pa.string())
-    key = pc.binary_join_element_wise(l1, ":", l2, ":", a1, a2, a3,
-                                      "")
-    return np.asarray(key.to_pylist(), dtype=np.str_)
-
-
-def trigram_census(docs_ds, *, id_col: str = "doc_id",
-                   text_col: str = "text"):
-    """(w1, w2, w3, n) corpus trigram census with a per-batch
-    combiner — the groupby shuffles TRIGRAM-VOCABULARY rows."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        _, w1, w2, w3 = _transitions3(batch, id_col, text_col)
-        if not len(w1):
-            s = pa.array([], type=pa.string())
-            return pa.table({"w1": s, "w2": s, "w3": s,
-                             "n": pa.array([], type=pa.int64())})
-        key = _trigram_key(w1, w2, w3)
-        _, idx, counts = np.unique(key, return_index=True,
-                                   return_counts=True)
-        return pa.table({"w1": pa.array(w1[idx]),
-                         "w2": pa.array(w2[idx]),
-                         "w3": pa.array(w3[idx]),
-                         "n": pa.array(counts.astype(np.int64))})
-
-    return docs_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["w1", "w2", "w3"]).sum("n")
-
-
-def kn_trigram_model_ref(census_ds, *, discount: float = 0.75,
-                         trigram_cap: int | None = None):
-    """Fold the trigram census into ONE object-store interpolated
-    Kneser-Ney TRIGRAM model (Chen & Goodman 1998 — all lower-order
-    statistics are the standard continuation counts derived from
-    higher-order n-gram TYPES, so the whole model comes out of the
-    trigram census alone):
-
-      p(w3|w1,w2) = max(c123-d,0)/c12 + d·N1+(w1w2·)/c12 · pmid
-      pmid(w3|w2) = max(N1+(·w2w3)-d,0)/N1+(·w2·)
-                    + d·N1+(w2·)/N1+(·w2·) · Pcont(w3)
-      Pcont(w3)   = N1+(·w3) / B,  B = |{(w2,w3) types}|
-
-    where c12/fan12 come from the trigram census grouped by (w1,w2),
-    N1+(·w2w3) is the census row count per (w2,w3), N1+(·w2·) the
-    row count per w2, N1+(w2·) the distinct-(w2,w3)-type count per
-    w2, and N1+(·w3) the type count per w3.  Only the trigram-count
-    table is subject to ``trigram_cap`` (top-K by count desc, key
-    asc); every derived table is vocabulary-sized and kept whole.
-    Built in one remote task; the driver never holds the census."""
-    import ray
-
-    refs = census_ds.to_arrow_refs()
-
-    @ray.remote
-    def _build(*blocks):
-        tbs = [t for t in blocks if t.num_columns]
-        s = pa.array([], type=pa.string())
-        t = pa.concat_tables(tbs) if tbs else pa.table(
-            {"w1": s, "w2": s, "w3": s,
-             "n": pa.array([], type=pa.int64())})
-        ncol = "sum(n)" if "sum(n)" in t.column_names else "n"
-        w1 = np.asarray(t.column("w1").to_pylist(), dtype=np.str_)
-        w2 = np.asarray(t.column("w2").to_pylist(), dtype=np.str_)
-        w3 = np.asarray(t.column("w3").to_pylist(), dtype=np.str_)
-        c123 = t.column(ncol).to_numpy().astype(np.float64)
-        # context table over (w1, w2): totals + fanout N1+(w1w2·)
-        ctx_keys, ctx_inv = (np.unique(_bigram_key(w1, w2),
-                                       return_inverse=True)
-                             if len(w1) else (w1, np.empty(0, np.int64)))
-        c12 = np.bincount(ctx_inv, weights=c123, minlength=len(ctx_keys))
-        fan12 = np.bincount(ctx_inv,
-                            minlength=len(ctx_keys)).astype(np.float64)
-        # (w2, w3) type table: N1+(·w2w3) = rows per (w2, w3)
-        if len(w2):
-            key23 = _bigram_key(w2, w3)
-            t2_keys, t2_first, t2_inv = np.unique(
-                key23, return_index=True, return_inverse=True)
-            n1p23 = np.bincount(t2_inv,
-                                minlength=len(t2_keys)).astype(np.float64)
-            t2_w2, t2_w3 = w2[t2_first], w3[t2_first]
-            # middle-word tables: N1+(·w2·) rows per w2 over the census,
-            # N1+(w2·) distinct (w2, w3) types per w2
-            mid_w, mid_inv = np.unique(w2, return_inverse=True)
-            n1pmid = np.bincount(mid_inv,
-                                 minlength=len(mid_w)).astype(np.float64)
-            fanmid = np.bincount(np.searchsorted(mid_w, t2_w2),
-                                 minlength=len(mid_w)).astype(np.float64)
-            cont_w = np.unique(t2_w3)
-            n1p3 = np.bincount(np.searchsorted(cont_w, t2_w3),
-                               minlength=len(cont_w)).astype(np.float64)
-            B = float(len(t2_keys))
-        else:
-            t2_keys = mid_w = cont_w = w2
-            n1p23 = n1pmid = fanmid = n1p3 = np.empty(0, np.float64)
-            B = 0.0
-        if trigram_cap is not None and len(w1) > trigram_cap:
-            keep = np.lexsort((_trigram_key(w1, w2, w3),
-                               -c123))[:trigram_cap]
-            w1, w2, w3, c123 = w1[keep], w2[keep], w3[keep], c123[keep]
-        key = _trigram_key(w1, w2, w3)
-        order = np.argsort(key)
-        return {"key": key[order], "c123": c123[order],
-                "ctx_keys": ctx_keys, "c12": c12, "fan12": fan12,
-                "t2_keys": t2_keys, "n1p23": n1p23,
-                "mid_w": mid_w, "n1pmid": n1pmid, "fanmid": fanmid,
-                "cont_w": cont_w, "n1p3": n1p3,
-                "B": B, "d": float(discount)}
-
-    return _build.remote(*refs)
-
-
-class KNTrigramScorer:
-    """Task-pool kernel for the trigram model — same shape as
-    ``KNBigramScorer``; the probability expression mirrors the SQL
-    twin term-for-term (same operation order) for float parity."""
-
-    def __init__(self, model_ref, id_col: str = "doc_id",
-                 text_col: str = "text"):
-        import ray
-        m = ray.get(model_ref) if not isinstance(model_ref, dict) \
-            else model_ref
-        self.m = m
-        self.id_col = id_col
-        self.text_col = text_col
+class UnigramScorer(_Scorer):
+    """Vectorized vocabulary lookup + segmented mean per batch."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         m = self.m
-        ids = batch.column(self.id_col).to_numpy()
-        doc, w1, w2, w3 = _transitions3(batch, self.id_col,
-                                        self.text_col)
-        if len(w1):
-            c123 = _sorted_lookup(m["key"], m["c123"],
-                                  _trigram_key(w1, w2, w3), 0.0)
-            key12 = _bigram_key(w1, w2)
-            c12 = _sorted_lookup(m["ctx_keys"], m["c12"], key12, 0.0)
-            fan12 = _sorted_lookup(m["ctx_keys"], m["fan12"], key12,
-                                   0.0)
-            n1p23 = _sorted_lookup(m["t2_keys"], m["n1p23"],
-                                   _bigram_key(w2, w3), 0.0)
-            n1pmid = _sorted_lookup(m["mid_w"], m["n1pmid"], w2, 0.0)
-            fanmid = _sorted_lookup(m["mid_w"], m["fanmid"], w2, 0.0)
-            n1p3 = _sorted_lookup(m["cont_w"], m["n1p3"], w3, 0.0)
-            B, d = m["B"], m["d"]
-            pcont = n1p3 / B if B else np.zeros_like(n1p3)
-            mid_den = np.where(n1pmid > 0, n1pmid, 1.0)
-            pmid = np.where(
-                n1pmid > 0,
-                np.maximum(n1p23 - d, 0.0) / mid_den
-                + d * fanmid / mid_den * pcont,
-                pcont)
-            den12 = np.where(c12 > 0, c12, 1.0)
-            p = np.where(
-                c12 > 0,
-                np.maximum(c123 - d, 0.0) / den12
-                + d * fan12 / den12 * pmid,
-                pmid)
-            # self-trained uncapped models never hit this floor; a
-            # capped model can (unseen trigram after an unseen
-            # context) — add-one-style smallest mass
-            floor = 1.0 / (B + len(m["cont_w"]) + 1.0)
-            p = np.where(p > 0, p, floor)
-            neglog = -np.log(p)
-        else:
-            neglog = np.empty(0, dtype=np.float64)
-        n_tr = np.bincount(doc, minlength=batch.num_rows) \
-            .astype(np.int64)
-        sums = np.bincount(doc, weights=neglog,
-                           minlength=batch.num_rows)
-        has = n_tr > 0
-        logloss = np.divide(sums, n_tr, out=np.zeros_like(sums),
-                            where=has)
-        return pa.Table.from_arrays(
-            [pa.array(ids[has], type=pa.int64()),
-             pa.array(n_tr[has]),
-             pa.array(logloss[has], type=pa.float64()),
-             pa.array(np.exp(logloss[has]), type=pa.float64())],
-            schema=KN_SCHEMA)
+        doc, (tok,) = _grams(batch, self.text_col, 1)
+        lp, = _lookup(m["words"], tok, m["logp"], default=m["floor"])
+        return _per_doc(batch, self.id_col, doc, -lp, "n_tokens")
 
 
-def lm_perplexity_kn3(docs_ds, *, id_col: str = "doc_id",
-                      text_col: str = "text", discount: float = 0.75,
-                      trigram_cap: int | None = None, model_ref=None,
-                      concurrency=(1, 8)):
-    """Per-document interpolated Kneser-Ney TRIGRAM perplexity — one
-    order closer to CCNet's operative 5-gram KenLM, in the identical
-    census → one-task model fold → broadcast → stateless-scorer
-    dataflow (a KenLM swap replaces only the lookup kernel).
-    Documents with fewer than 3 tokens have no trigram transitions
-    and are omitted, matching the SQL twin's joins."""
-    if model_ref is None:
-        model_ref = kn_trigram_model_ref(
-            trigram_census(docs_ds, id_col=id_col, text_col=text_col),
-            discount=discount, trigram_cap=trigram_cap)
+class KNScorer(_Scorer):
+    """Order-n KN scorer (the order is the model's): applies the
+    levels bottom-up with the SQL twins' exact operation order, so
+    results are float-identical to them."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        m = self.m
+        levels, B, d = m["levels"], m["B"], m["d"]
+        doc, ws = _grams(batch, self.text_col, len(levels) + 1)
+        n1p, = _lookup(m["cont_w"], ws[-1], m["cont_n"])
+        p = n1p / B if B else np.zeros_like(n1p)
+        for k, (keys, nums, ctx, dens, fans) in enumerate(levels, start=2):
+            num, = _lookup(keys, _ngram_key(*ws[-k:]), nums)
+            den, fan = _lookup(ctx, _ngram_key(*ws[-k:-1]), dens, fans)
+            den_ = np.where(den > 0, den, 1.0)
+            p = np.where(den > 0, np.maximum(num - d, 0.0) / den_
+                         + d * fan / den_ * p, p)
+        # self-trained uncapped models never hit this floor; a capped
+        # or foreign model can (unseen gram after an unseen context) —
+        # add-one-style smallest mass
+        p = np.where(p > 0, p, 1.0 / (B + len(m["cont_w"]) + 1.0))
+        return _per_doc(batch, self.id_col, doc, -np.log(p),
+                        "n_transitions")
+
+
+def _score(docs_ds, scorer, model_ref, id_col, text_col, concurrency):
     return docs_ds.map_batches(
-        KNTrigramScorer, fn_constructor_args=(model_ref, id_col,
-                                              text_col),
+        scorer, fn_constructor_args=(model_ref, id_col, text_col),
         batch_format="pyarrow", batch_size=1024,
         concurrency=concurrency, num_cpus=1)
 
 
-def _transitions4(batch: pa.Table, id_col: str, text_col: str):
-    """(doc_row, w1, w2, w3, w4) for every within-doc adjacent token
-    quadruple — the 4-gram stream."""
-    parents, toks = _tokens(batch, text_col)
-    tok_np = np.asarray(toks.to_pylist(), dtype=np.str_)
-    if len(tok_np) < 4:
-        e = np.empty(0, dtype=np.int64)
-        s = np.empty(0, dtype=tok_np.dtype if len(tok_np)
-                     else np.dtype("<U1"))
-        return e, s, s, s, s
-    m = ((parents[3:] == parents[2:-1])
-         & (parents[2:-1] == parents[1:-2])
-         & (parents[1:-2] == parents[:-3]))
-    return (parents[3:][m], tok_np[:-3][m], tok_np[1:-2][m],
-            tok_np[2:-1][m], tok_np[3:][m])
-
-
-def _ngram_key(*ws: np.ndarray) -> np.ndarray:
-    """Collision-free combined key for any n-gram:
-    ``"{len(w1)}:...:{len(w_{n-1})}:{w1...wn}"`` — Arrow-kernel
-    construction like ``_bigram_key``."""
-    if not len(ws[0]):
-        return ws[0]
-    arrs = [pa.array(w) for w in ws]
-    parts: list = []
-    for a in arrs[:-1]:
-        parts += [pc.cast(pc.utf8_length(a), pa.string()), ":"]
-    key = pc.binary_join_element_wise(*parts, *arrs, "")
-    return np.asarray(key.to_pylist(), dtype=np.str_)
-
-
-def quadgram_census(docs_ds, *, id_col: str = "doc_id",
-                    text_col: str = "text"):
-    """(w1..w4, n) corpus 4-gram census with a per-batch combiner."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        _, w1, w2, w3, w4 = _transitions4(batch, id_col, text_col)
-        if not len(w1):
-            s = pa.array([], type=pa.string())
-            return pa.table({"w1": s, "w2": s, "w3": s, "w4": s,
-                             "n": pa.array([], type=pa.int64())})
-        key = _ngram_key(w1, w2, w3, w4)
-        _, idx, counts = np.unique(key, return_index=True,
-                                   return_counts=True)
-        return pa.table({"w1": pa.array(w1[idx]),
-                         "w2": pa.array(w2[idx]),
-                         "w3": pa.array(w3[idx]),
-                         "w4": pa.array(w4[idx]),
-                         "n": pa.array(counts.astype(np.int64))})
-
-    return docs_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["w1", "w2", "w3", "w4"]).sum("n")
-
-
-def kn_quadgram_model_ref(census_ds, *, discount: float = 0.75,
-                          quadgram_cap: int | None = None):
-    """Fold the 4-gram census into ONE interpolated Kneser-Ney
-    4-GRAM model (Chen & Goodman 1998 continuation counts, every
-    lower order derived from the next order's TYPES — the whole
-    model comes out of the 4-gram census alone):
-
-      p4(w4|w1w2w3) = max(c1234-d,0)/c123 + d·N1+(w1w2w3·)/c123 · p3
-      p3(w4|w2w3)   = max(N1+(·w2w3w4)-d,0)/N1+(·w2w3·)
-                      + d·N1+(w2w3·)/N1+(·w2w3·) · p2
-      p2(w4|w3)     = max(N1+(··w3w4)-d,0)/N1+(··w3·)
-                      + d·N1+(w3·)/N1+(··w3·) · Pcont(w4)
-      Pcont(w4)     = N1+(·w4) / B,  B = |{(w3,w4) types}|
-
-    Only the 4-gram count table is subject to ``quadgram_cap``; the
-    derived tables are vocabulary-sized and kept whole."""
-    import ray
-
-    refs = census_ds.to_arrow_refs()
-
-    @ray.remote
-    def _build(*blocks):
-        tbs = [t for t in blocks if t.num_columns]
-        s = pa.array([], type=pa.string())
-        t = pa.concat_tables(tbs) if tbs else pa.table(
-            {"w1": s, "w2": s, "w3": s, "w4": s,
-             "n": pa.array([], type=pa.int64())})
-        ncol = "sum(n)" if "sum(n)" in t.column_names else "n"
-        w1 = np.asarray(t.column("w1").to_pylist(), dtype=np.str_)
-        w2 = np.asarray(t.column("w2").to_pylist(), dtype=np.str_)
-        w3 = np.asarray(t.column("w3").to_pylist(), dtype=np.str_)
-        w4 = np.asarray(t.column("w4").to_pylist(), dtype=np.str_)
-        c1234 = t.column(ncol).to_numpy().astype(np.float64)
-        if not len(w1):
-            z = np.empty(0, np.float64)
-            return {"key": w1, "c1234": z, "ctx_keys": w1, "c123": z,
-                    "fan123": z, "t3_keys": w1, "n1p234": z,
-                    "m23_keys": w1, "n1pm23": z, "fanm23": z,
-                    "t2_keys": w1, "n1p34": z, "m3_w": w1,
-                    "n1pm3": z, "fanm3": z, "cont_w": w1, "n1p4": z,
-                    "B": 0.0, "d": float(discount)}
-        # level-4 context table over (w1, w2, w3)
-        ctx_keys, ctx_inv = np.unique(_ngram_key(w1, w2, w3),
-                                      return_inverse=True)
-        c123 = np.bincount(ctx_inv, weights=c1234,
-                           minlength=len(ctx_keys))
-        fan123 = np.bincount(ctx_inv,
-                             minlength=len(ctx_keys)).astype(np.float64)
-        # T3 = distinct (w2, w3, w4) types; N1+(·w2w3w4)
-        k234 = _ngram_key(w2, w3, w4)
-        t3_keys, t3_first, t3_inv = np.unique(
-            k234, return_index=True, return_inverse=True)
-        n1p234 = np.bincount(t3_inv,
-                             minlength=len(t3_keys)).astype(np.float64)
-        t3_w2, t3_w3, t3_w4 = w2[t3_first], w3[t3_first], w4[t3_first]
-        # middle tables over (w2, w3): rows of census / rows of T3
-        m23_keys, m23_inv = np.unique(_ngram_key(w2, w3),
-                                      return_inverse=True)
-        n1pm23 = np.bincount(m23_inv,
-                             minlength=len(m23_keys)).astype(np.float64)
-        fanm23 = np.bincount(
-            np.searchsorted(m23_keys, _ngram_key(t3_w2, t3_w3)),
-            minlength=len(m23_keys)).astype(np.float64)
-        # T2 = distinct (w3, w4) from T3; N1+(··w3w4)
-        k34 = _ngram_key(t3_w3, t3_w4)
-        t2_keys, t2_first, t2_inv = np.unique(
-            k34, return_index=True, return_inverse=True)
-        n1p34 = np.bincount(t2_inv,
-                            minlength=len(t2_keys)).astype(np.float64)
-        t2_w3, t2_w4 = t3_w3[t2_first], t3_w4[t2_first]
-        # middle tables over w3: rows of T3 / rows of T2
-        m3_w, m3_inv = np.unique(t3_w3, return_inverse=True)
-        n1pm3 = np.bincount(m3_inv,
-                            minlength=len(m3_w)).astype(np.float64)
-        fanm3 = np.bincount(np.searchsorted(m3_w, t2_w3),
-                            minlength=len(m3_w)).astype(np.float64)
-        cont_w = np.unique(t2_w4)
-        n1p4 = np.bincount(np.searchsorted(cont_w, t2_w4),
-                           minlength=len(cont_w)).astype(np.float64)
-        B = float(len(t2_keys))
-        if quadgram_cap is not None and len(w1) > quadgram_cap:
-            keep = np.lexsort((_ngram_key(w1, w2, w3, w4),
-                               -c1234))[:quadgram_cap]
-            w1, w2, w3, w4 = w1[keep], w2[keep], w3[keep], w4[keep]
-            c1234 = c1234[keep]
-        key = _ngram_key(w1, w2, w3, w4)
-        order = np.argsort(key)
-        return {"key": key[order], "c1234": c1234[order],
-                "ctx_keys": ctx_keys, "c123": c123, "fan123": fan123,
-                "t3_keys": t3_keys, "n1p234": n1p234,
-                "m23_keys": m23_keys, "n1pm23": n1pm23,
-                "fanm23": fanm23,
-                "t2_keys": t2_keys, "n1p34": n1p34,
-                "m3_w": m3_w, "n1pm3": n1pm3, "fanm3": fanm3,
-                "cont_w": cont_w, "n1p4": n1p4,
-                "B": B, "d": float(discount)}
-
-    return _build.remote(*refs)
-
-
-class KNQuadgramScorer:
-    """Task-pool kernel for the 4-gram model; the probability
-    expression mirrors the SQL twin term-for-term."""
-
-    def __init__(self, model_ref, id_col: str = "doc_id",
-                 text_col: str = "text"):
-        import ray
-        m = ray.get(model_ref) if not isinstance(model_ref, dict) \
-            else model_ref
-        self.m = m
-        self.id_col = id_col
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = self.m
-        ids = batch.column(self.id_col).to_numpy()
-        doc, w1, w2, w3, w4 = _transitions4(batch, self.id_col,
-                                            self.text_col)
-        if len(w1):
-            c1234 = _sorted_lookup(m["key"], m["c1234"],
-                                   _ngram_key(w1, w2, w3, w4), 0.0)
-            k123 = _ngram_key(w1, w2, w3)
-            c123 = _sorted_lookup(m["ctx_keys"], m["c123"], k123, 0.0)
-            fan123 = _sorted_lookup(m["ctx_keys"], m["fan123"], k123,
-                                    0.0)
-            n1p234 = _sorted_lookup(m["t3_keys"], m["n1p234"],
-                                    _ngram_key(w2, w3, w4), 0.0)
-            k23 = _ngram_key(w2, w3)
-            n1pm23 = _sorted_lookup(m["m23_keys"], m["n1pm23"], k23,
-                                    0.0)
-            fanm23 = _sorted_lookup(m["m23_keys"], m["fanm23"], k23,
-                                    0.0)
-            n1p34 = _sorted_lookup(m["t2_keys"], m["n1p34"],
-                                   _ngram_key(w3, w4), 0.0)
-            n1pm3 = _sorted_lookup(m["m3_w"], m["n1pm3"], w3, 0.0)
-            fanm3 = _sorted_lookup(m["m3_w"], m["fanm3"], w3, 0.0)
-            n1p4 = _sorted_lookup(m["cont_w"], m["n1p4"], w4, 0.0)
-            B, d = m["B"], m["d"]
-            pcont = n1p4 / B if B else np.zeros_like(n1p4)
-            den3 = np.where(n1pm3 > 0, n1pm3, 1.0)
-            p2 = np.where(
-                n1pm3 > 0,
-                np.maximum(n1p34 - d, 0.0) / den3
-                + d * fanm3 / den3 * pcont,
-                pcont)
-            den23 = np.where(n1pm23 > 0, n1pm23, 1.0)
-            p3 = np.where(
-                n1pm23 > 0,
-                np.maximum(n1p234 - d, 0.0) / den23
-                + d * fanm23 / den23 * p2,
-                p2)
-            den123 = np.where(c123 > 0, c123, 1.0)
-            p = np.where(
-                c123 > 0,
-                np.maximum(c1234 - d, 0.0) / den123
-                + d * fan123 / den123 * p3,
-                p3)
-            floor = 1.0 / (B + len(m["cont_w"]) + 1.0)
-            p = np.where(p > 0, p, floor)
-            neglog = -np.log(p)
-        else:
-            neglog = np.empty(0, dtype=np.float64)
-        n_tr = np.bincount(doc, minlength=batch.num_rows) \
-            .astype(np.int64)
-        sums = np.bincount(doc, weights=neglog,
-                           minlength=batch.num_rows)
-        has = n_tr > 0
-        logloss = np.divide(sums, n_tr, out=np.zeros_like(sums),
-                            where=has)
-        return pa.Table.from_arrays(
-            [pa.array(ids[has], type=pa.int64()),
-             pa.array(n_tr[has]),
-             pa.array(logloss[has], type=pa.float64()),
-             pa.array(np.exp(logloss[has]), type=pa.float64())],
-            schema=KN_SCHEMA)
-
-
-def lm_perplexity_kn4(docs_ds, *, id_col: str = "doc_id",
-                      text_col: str = "text", discount: float = 0.75,
-                      quadgram_cap: int | None = None, model_ref=None,
-                      concurrency=(1, 8)):
-    """Per-document interpolated Kneser-Ney 4-GRAM perplexity — one
-    order below CCNet's operative 5-gram KenLM, same dataflow as the
-    bigram/trigram members.  Documents with fewer than 4 tokens have
-    no transitions and are omitted, matching the SQL twin's joins."""
-    if model_ref is None:
-        model_ref = kn_quadgram_model_ref(
-            quadgram_census(docs_ds, id_col=id_col,
-                            text_col=text_col),
-            discount=discount, quadgram_cap=quadgram_cap)
-    return docs_ds.map_batches(
-        KNQuadgramScorer, fn_constructor_args=(model_ref, id_col,
-                                               text_col),
-        batch_format="pyarrow", batch_size=1024,
-        concurrency=concurrency, num_cpus=1)
-
-
-def lm_perplexity_kn(docs_ds, *, id_col: str = "doc_id",
+def lm_perplexity_kn(docs_ds, *, order: int = 2, id_col: str = "doc_id",
                      text_col: str = "text", discount: float = 0.75,
-                     bigram_cap: int | None = None, model_ref=None,
+                     cap: int | None = None, model_ref=None,
                      concurrency=(1, 8)):
-    """Per-document interpolated Kneser-Ney BIGRAM perplexity against
-    the corpus's own bigram statistics — the n-gram member of the
-    CCNet filter family (the unigram twin is ``lm_perplexity``; a
-    KenLM 5-gram is library-bound here, but the dataflow — census
-    combiner → one-task model fold → broadcast → stateless scorer —
-    is order-independent).  Documents with fewer than 2 tokens have
-    no transitions and are omitted, matching the SQL twin's joins."""
+    """Per-document interpolated Kneser-Ney ORDER-n perplexity against
+    the corpus's own n-gram statistics (or a prebuilt ``model_ref``,
+    which carries its own order) — census combiner -> one-task model
+    fold -> broadcast -> stateless scorer.  Documents with fewer than
+    n tokens have no n-gram windows and are omitted, matching the SQL
+    twins' joins."""
     if model_ref is None:
-        model_ref = kn_bigram_model_ref(
-            bigram_census(docs_ds, id_col=id_col, text_col=text_col),
-            discount=discount, bigram_cap=bigram_cap)
-    return docs_ds.map_batches(
-        KNBigramScorer, fn_constructor_args=(model_ref, id_col,
-                                             text_col),
-        batch_format="pyarrow", batch_size=1024,
-        concurrency=concurrency, num_cpus=1)
+        model_ref = kn_model_ref(
+            ngram_census(docs_ds, order, text_col=text_col), order,
+            discount=discount, cap=cap)
+    return _score(docs_ds, KNScorer, model_ref, id_col, text_col,
+                  concurrency)
 
 
 def lm_perplexity(docs_ds, *, id_col: str = "doc_id",
@@ -843,8 +345,5 @@ def lm_perplexity(docs_ds, *, id_col: str = "doc_id",
         model_ref = unigram_model_ref(
             unigram_census(docs_ds, text_col=text_col),
             vocab_cap=vocab_cap)
-    return docs_ds.map_batches(
-        UnigramScorer, fn_constructor_args=(model_ref, id_col,
-                                            text_col),
-        batch_format="pyarrow", batch_size=1024,
-        concurrency=concurrency, num_cpus=1)
+    return _score(docs_ds, UnigramScorer, model_ref, id_col, text_col,
+                  concurrency)

@@ -41,6 +41,7 @@ import shutil
 import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from nxsearch_ray.config import PipelineConfig
@@ -59,6 +60,36 @@ _FILTER_NAME_RE = re.compile(r"[A-Za-z0-9]+\Z")  # name:match("%W") guard
 def _dirlevels(doc_id: int) -> str:
     """storage.lua get_dirlevels: '%x/%02x' of id%16, (id//16)%256."""
     return f"{doc_id % 16:x}/{(doc_id // 16) % 256:02x}"
+
+
+def _replace_atomic(path: str, write) -> None:
+    """Create or replace ``path`` by ``write(tmp)`` to a temp name no
+    listing matches, then an atomic rename: a concurrent reader sees
+    the old file or the whole new one, never a partial write."""
+    tmp = f"{path}.{threading.get_ident()}.tmp"
+    write(tmp)
+    os.replace(tmp, path)
+
+
+class _FifoLock:
+    """A lock granted in arrival order: ``threading.Lock`` promises
+    none, so a request queued behind a long line of searches could
+    otherwise wait for every later one too."""
+
+    def __init__(self):
+        self._cv = threading.Condition()
+        self._next = self._serving = 0
+
+    def __enter__(self):
+        with self._cv:
+            ticket = self._next
+            self._next += 1
+            self._cv.wait_for(lambda: self._serving == ticket)
+
+    def __exit__(self, *exc):
+        with self._cv:
+            self._serving += 1
+            self._cv.notify_all()
 
 
 class IndexStore:
@@ -94,8 +125,11 @@ class IndexStore:
         # streaming executors from several driver threads can deadlock
         # reserving resources for their actor pools on a small session
         # (the reference's per-request mmap reads have no analogue of
-        # this).  HTTP threads queue here; add/fetch stay lock-free.
-        self._job_slot = threading.Lock()
+        # this).  HTTP threads queue here, served in arrival order;
+        # add/fetch stay lock-free.
+        self._job_slot = _FifoLock()
+        # serializes the generation counter's read-increment-write
+        self._gen_lock = threading.Lock()
 
     # -- paths ---------------------------------------------------------
     def index_dir(self, name: str) -> str:
@@ -133,10 +167,13 @@ class IndexStore:
         return os.path.join(self.index_dir(name), "generation")
 
     def _bump(self, name: str) -> None:
-        """Invalidate cached state after any mutation."""
-        g = self.generation(name) + 1
-        with open(self._gen_path(name), "w") as f:
-            f.write(str(g))
+        """Invalidate cached state after any mutation.  The lock
+        keeps concurrent bumps from being lost; the atomic replace
+        keeps ``generation`` from reading a half-written file."""
+        with self._gen_lock:
+            g = self.generation(name) + 1
+            _replace_atomic(self._gen_path(name),
+                            lambda tmp: Path(tmp).write_text(str(g)))
         with self._open_lock:
             self._open.pop(name, None)
 
@@ -180,7 +217,8 @@ class IndexStore:
         t = pa.table({"doc_id": pa.array([doc_id], pa.int64()),
                       "text": pa.array([text], pa.string()),
                       "lang": pa.array([lang], pa.string())})
-        pq.write_table(t, path)
+        # a concurrent search lists whole parts only
+        _replace_atomic(path, lambda tmp: pq.write_table(t, tmp))
         self._bump(name)
         if store_raw:
             raw = self._raw_path(name, doc_id)

@@ -168,7 +168,7 @@ def _kn_oracle(docs, d=0.75):
 def _score_kn(ds, **kw):
     import ray
     from nxsearch_ray.stages.lmscore import lm_perplexity_kn
-    tbs = [t for t in ray.get(lm_perplexity_kn(ds, **kw)
+    tbs = [t for t in ray.get(lm_perplexity_kn(ds, order=2, **kw)
                               .to_arrow_refs()) if t.num_columns]
     tb = pa.concat_tables(tbs)
     return dict(zip(tb.column("doc_id").to_pylist(),
@@ -196,7 +196,7 @@ def test_kn_single_token_doc_omitted(ray_session):
 def test_kn_bigram_cap_backoff(ray_session):
     """A capped bigram table must route missed lookups through the
     pure-backoff term (c12 = 0), never crash or emit p <= 0."""
-    got = _score_kn(_ds(), bigram_cap=3)
+    got = _score_kn(_ds(), cap=3)
     full = _score_kn(_ds())
     assert set(got) == set(full)
     # capped probabilities can only shrink -> logloss only grows
@@ -261,8 +261,8 @@ def _kn3_oracle(docs, d=0.75):
 
 def _score_kn3(ds, **kw):
     import ray
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn3
-    tbs = [t for t in ray.get(lm_perplexity_kn3(ds, **kw)
+    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
+    tbs = [t for t in ray.get(lm_perplexity_kn(ds, order=3, **kw)
                               .to_arrow_refs()) if t.num_columns]
     tb = pa.concat_tables(tbs)
     return dict(zip(tb.column("doc_id").to_pylist(),
@@ -292,7 +292,7 @@ def test_kn3_trigram_cap_backoff(ray_session):
     """A capped trigram table routes missed lookups through the
     pure-backoff term (c123 = 0) — never crashes, never emits
     p <= 0, and probabilities can only shrink."""
-    got = _score_kn3(_ds(), trigram_cap=2)
+    got = _score_kn3(_ds(), cap=2)
     full = _score_kn3(_ds())
     assert set(got) == set(full)
     for k in got:
@@ -319,9 +319,8 @@ def test_kn3_cross_corpus_model_reuse(ray_session):
     deployment shape) — unseen contexts back off, p stays > 0."""
     import ray
     import ray.data as rd
-    from nxsearch_ray.stages.lmscore import (kn_trigram_model_ref,
-                                             trigram_census)
-    model = kn_trigram_model_ref(trigram_census(_ds()))
+    from nxsearch_ray.stages.lmscore import kn_model_ref, ngram_census
+    model = kn_model_ref(ngram_census(_ds(), 3), 3)
     new = rd.from_arrow(pa.table({
         "doc_id": pa.array([100, 101], type=pa.int64()),
         "text": pa.array(["the cat sat on the mat",
@@ -329,8 +328,8 @@ def test_kn3_cross_corpus_model_reuse(ray_session):
     got = {}
     for t in ray.get(__import__(
             "nxsearch_ray.stages.lmscore",
-            fromlist=["lm_perplexity_kn3"]).lm_perplexity_kn3(
-                new, model_ref=model).to_arrow_refs()):
+            fromlist=["lm_perplexity_kn"]).lm_perplexity_kn(
+                new, order=3, model_ref=model).to_arrow_refs()):
         if t.num_columns:
             got.update(zip(t.column("doc_id").to_pylist(),
                            t.column("logloss").to_pylist()))
@@ -389,8 +388,8 @@ def _kn4_oracle(docs, d=0.75):
 
 def _score_kn4(ds, **kw):
     import ray
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn4
-    tbs = [t for t in ray.get(lm_perplexity_kn4(ds, **kw)
+    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
+    tbs = [t for t in ray.get(lm_perplexity_kn(ds, order=4, **kw)
                               .to_arrow_refs()) if t.num_columns]
     tb = pa.concat_tables(tbs)
     return dict(zip(tb.column("doc_id").to_pylist(),
@@ -415,7 +414,7 @@ def test_kn4_short_docs_omitted(ray_session):
 
 
 def test_kn4_cap_backoff(ray_session):
-    got = _score_kn4(_ds(), quadgram_cap=2)
+    got = _score_kn4(_ds(), cap=2)
     full = _score_kn4(_ds())
     assert set(got) == set(full)
     for k in got:
@@ -426,17 +425,117 @@ def test_kn4_cap_backoff(ray_session):
 def test_kn4_cross_corpus_unseen_backs_off(ray_session):
     import ray
     import ray.data as rd
-    from nxsearch_ray.stages.lmscore import (kn_quadgram_model_ref,
-                                             lm_perplexity_kn4,
-                                             quadgram_census)
-    model = kn_quadgram_model_ref(quadgram_census(_ds()))
+    from nxsearch_ray.stages.lmscore import (kn_model_ref,
+                                             lm_perplexity_kn,
+                                             ngram_census)
+    model = kn_model_ref(ngram_census(_ds(), 4), 4)
     new = rd.from_arrow(pa.table({
         "doc_id": pa.array([9], type=pa.int64()),
         "text": pa.array(["zz yy xx ww vv"])}))
     got = {}
-    for t in ray.get(lm_perplexity_kn4(
-            new, model_ref=model).to_arrow_refs()):
+    for t in ray.get(lm_perplexity_kn(
+            new, order=4, model_ref=model).to_arrow_refs()):
         if t.num_columns:
             got.update(zip(t.column("doc_id").to_pylist(),
                            t.column("logloss").to_pylist()))
     assert math.isfinite(got[9]) and got[9] > 0
+
+
+# ---------------- Kneser-Ney 5-gram tier (CCNet's order) ------------
+
+# repeated phrases under different left contexts, so every level's
+# denominator N1+(.ctx.) and fan-out N1+(ctx.) differ somewhere
+DOCS5 = DOCS + [(5, "the cat sat on the mat and the cat sat"),
+                (6, "a dog sat on the mat and a cat sat on the mat")]
+
+
+def _knn_oracle(docs, n, d=0.75):
+    """Order-n restatement of interpolated KN, written independently
+    of the engine: T_n is the n-gram census, T_m the distinct last-m
+    suffixes of T_(m+1); level m scores with
+    max(N1+(.suffix)-d,0)/N1+(.ctx.) + d*N1+(ctx.)/N1+(.ctx.) * p_(m-1)
+    (raw counts at the top level) over a continuation unigram
+    N1+(.w)/|T_2|."""
+    from collections import Counter
+    grams = []
+    for doc_id, text in docs:
+        toks = _re2_tokens(text)
+        grams += [(doc_id, tuple(toks[i:i + n]))
+                  for i in range(len(toks) - n + 1)]
+    counts = {n: Counter(g for _, g in grams)}
+    for m in range(n - 1, 1, -1):
+        counts[m] = Counter(g[1:] for g in counts[m + 1])
+    cont = Counter(g[-1] for g in counts[2])
+    B = len(counts[2])
+    ctx_tot, ctx_fan = {}, {}
+    for m in range(2, n + 1):
+        tot, fan = Counter(), Counter()
+        for g, c in counts[m].items():
+            fan[g[:-1]] += 1
+            if m == n:                    # raw context totals on top
+                tot[g[:-1]] += c
+        for g in counts.get(m + 1, ()):   # N1+(.ctx.) below
+            tot[g[1:-1]] += 1
+        ctx_tot[m], ctx_fan[m] = tot, fan
+    out = {}
+    for doc_id, g in grams:
+        p = cont[g[-1]] / B
+        for m in range(2, n + 1):
+            s = g[-m:]
+            den = ctx_tot[m][s[:-1]]
+            p = (max(counts[m][s] - d, 0.0) / den
+                 + d * ctx_fan[m][s[:-1]] / den * p)
+        out.setdefault(doc_id, []).append(-math.log(p))
+    return {k: sum(v) / len(v) for k, v in out.items()}
+
+
+def _rd_from(docs):
+    import ray.data as rd
+    return rd.from_arrow(pa.table({
+        "doc_id": pa.array([d for d, _ in docs], type=pa.int64()),
+        "text": pa.array([t for _, t in docs])})).repartition(3)
+
+
+def _score_kn5(ds, **kw):
+    import ray
+    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
+    tbs = [t for t in ray.get(lm_perplexity_kn(ds, order=5, **kw)
+                              .to_arrow_refs()) if t.num_columns]
+    tb = pa.concat_tables(tbs)
+    return dict(zip(tb.column("doc_id").to_pylist(),
+                    tb.column("logloss").to_pylist()))
+
+
+def test_knn_oracle_agrees_with_hand_written_orders():
+    """The order-n oracle restates the hand-written bigram, trigram
+    and 4-gram references before it stands in for order 5."""
+    for n, ref in ((2, _kn_oracle), (3, _kn3_oracle), (4, _kn4_oracle)):
+        got, want = _knn_oracle(DOCS5, n), ref(DOCS5)
+        assert set(got) == set(want)
+        for k in want:
+            assert got[k] == pytest.approx(want[k], rel=1e-12), (n, k)
+
+
+def test_kn5_matches_python_oracle(ray_session):
+    got = _score_kn5(_rd_from(DOCS5))
+    want = _knn_oracle(DOCS5, 5)
+    assert set(got) == set(want) == {0, 2, 5, 6}
+    for k in want:
+        assert got[k] == pytest.approx(want[k], rel=1e-12), k
+
+
+def test_kn5_short_docs_omitted(ray_session):
+    ds = _rd_from([(0, "only four words here"),
+                   (1, "now there are five words")])
+    got = _score_kn5(ds)
+    assert set(got) == {1}
+
+
+def test_kn5_cap_backoff(ray_session):
+    got = _score_kn5(_rd_from(DOCS5), cap=2)
+    full = _score_kn5(_rd_from(DOCS5))
+    assert set(got) == set(full)
+    for k in got:
+        assert got[k] >= full[k] - 1e-12
+        assert math.isfinite(got[k])
+

@@ -272,6 +272,81 @@ def test_svc_concurrent_search_add_race(svc):
     _req(f"{url}/{idx}", "DELETE")
 
 
+def test_svc_generation_bump_loses_no_update(tmp_path):
+    """Concurrent mutations each bump the generation exactly once: the
+    counter ends at the number of bumps, and a concurrent reader never
+    sees it go backwards (an unlocked or truncating write would)."""
+    import sys
+
+    from nxsearch_ray.svc import IndexStore
+
+    store = IndexStore(str(tmp_path))
+    store.create("gen", {})
+    start = store.generation("gen")
+    n_threads, per_thread = 16, 50
+    drops: list[tuple[int, int]] = []
+    stop = threading.Event()
+
+    def reader():
+        last = start
+        while not stop.is_set():
+            g = store.generation("gen")
+            if g < last:
+                drops.append((last, g))
+            last = g
+
+    def bumper():
+        for _ in range(per_thread):
+            store._bump("gen")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = threading.Thread(target=reader)
+        r.start()
+        ts = [threading.Thread(target=bumper) for _ in range(n_threads)]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join(timeout=120)
+        stop.set()
+        r.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not r.is_alive() and not any(t.is_alive() for t in ts)
+    assert store.generation("gen") == start + n_threads * per_thread
+    assert drops == []
+
+
+def test_svc_job_slot_serves_in_arrival_order():
+    """Searches queued on the job slot run in the order they arrived,
+    so none waits behind requests that came after it."""
+    import time
+
+    from nxsearch_ray.svc import _FifoLock
+
+    slot = _FifoLock()
+    order: list[int] = []
+    ts = []
+
+    def search(i: int):
+        with slot:
+            order.append(i)
+
+    with slot:
+        for i in range(8):
+            t = threading.Thread(target=search, args=(i,))
+            t.start()
+            ts.append(t)
+            deadline = time.monotonic() + 30
+            while slot._next < i + 2 and time.monotonic() < deadline:
+                time.sleep(0.001)          # wait until i has its ticket
+    for t in ts:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in ts)
+    assert order == list(range(8))
+
+
 def test_svc_open_cache_lru_semantics(svc):
     """The open-index cache is a true LRU under concurrent puts:
     accessed entries survive eviction, the least-recently-used entry
