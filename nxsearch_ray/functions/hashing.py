@@ -394,10 +394,3 @@ def md5_hex(s: str) -> str:
     """md5 hex digest — DuckDB-reproducible content hash (``md5(text)``),
     used wherever an oracle SQL must recompute the same key."""
     return hashlib.md5(s.encode("utf-8")).hexdigest()
-
-
-def doc_id_from_url(url: str) -> int:
-    """uint64 doc id = top 8 bytes of md5(url): the compact analogue of the
-    caller-assigned nxs_doc_id_t (reference src/core/nxs.h:21) when keys are
-    URLs.  Reproducible in SQL via substr(md5(url),1,16)."""
-    return int(hashlib.md5(url.encode("utf-8")).hexdigest()[:16], 16)

@@ -124,10 +124,6 @@ def _is_short(word: str) -> bool:
     return r1 >= len(word) and _ends_short_syllable(word)
 
 
-def _has_vowel(word: str, end: int) -> bool:
-    return any(c in _VOWELS for c in word[:end])
-
-
 def stem(word: str) -> str:
     """Stem one lowercase token with the Porter2 algorithm."""
     if len(word) <= 2:

@@ -57,7 +57,7 @@ _CLEAN_SCHEMA = pa.schema([("page_id", pa.int64()),
 @dataclass
 class CorpusResult:
     decisions: "object"        # Dataset: page_id, drop_tier, dup_of
-    clusters: "object"         # near-dup clusters (pa.Table | Dataset)
+    clusters: "object"         # near-dup clusters (Dataset)
     stats: dict = field(default_factory=dict)
 
 
@@ -145,13 +145,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     ndir = os.path.join(out_dir, "neardup") if out_dir else None
     nd = run_dedup(clean, cfg, out_dir=ndir, verify_mode=verify_mode,
                    cc_mode=cc_mode)
-    clusters = nd.clusters          # page_id, cluster_id (= comp min)
-    if isinstance(clusters, pa.Table):
-        import ray.data as rd
-
-        clusters_ds = rd.from_arrow(clusters)
-    else:
-        clusters_ds = clusters
+    clusters_ds = nd.clusters       # page_id, cluster_id (= comp min)
     stats.update({f"neardup_{k}": v for k, v in nd.stats.items()})
     stats["wall_neardup"] = round(_t() - t0, 2)
 

@@ -3,31 +3,39 @@
 End-to-end dataflow (physical plan in SURVEY.md §4):
 
   pages (url, warc_ts, html, text, lang)
-    → extract_text            [map_batches, html dropped immediately]
-    → canonicalize            [actor pool: tokenizer + filter chain]
-    → signatures              [actor pool: shingles → MinHash/SimHash/
-                               bottom-k/anchors]
-    → 3 candidate passes      [explode keys → groupby shuffle → pairs]:
-        minhash: LSH bands      simhash: Hamming chunks
-        suffix:  anchor shingles
-    → union + exact pair dedup (source sets)      [groupby (a,b)]
-    → verification            [bucketed hash joins (default, scale
-                               path) or broadcast signature index]
-    → exact suffix-automaton verify for screen-only survivors
-    → connected components    [tree-reduce union-find (default) |
-                               label propagation | driver union-find]
+    → extract + canonicalize + signatures
+                              [one actor pool: tokenizer + filter chain
+                               → shingles → MinHash/SimHash/bottom-k/
+                               anchors; the table keeps token_ids]
+    → 4 candidate passes in ONE exchange
+                              [explode keys → hash repartition → pairs]:
+        exact: sequence hash    minhash: LSH bands
+        simhash: Hamming chunks suffix: anchor shingles
+    → union + exact pair dedup (source sets)  [hash repartition (a,b)]
+    → verification            [broadcast signature index, or bucketed
+                               pair-payload join; one kernel]
+    → exact suffix-automaton adjudication of screen-only survivors
+                              [same plan as verification; one kernel]
+    → connected components    [star-edge leaf, then tree-reduce
+                               union-find or label propagation]
     → clusters (page_id, cluster_id)
 
-Materialization policy: `canonical` and `signatures` are consumed by
-several downstream passes, so they are pinned once — to Parquet
-checkpoints when ``out_dir`` is given (resumable, with lineage
-manifests), else to the object store (``materialize()``).  Everything
-else streams.  All hashing is seeded from the config; output is
-invariant to parallelism and retries.
+Each 'auto' plan choice is made by size against one per-task byte
+budget (``TASK_BYTES_BUDGET``), and ``stats`` records the bytes that
+decided it.
+
+Materialization policy: `signatures` is consumed by several
+downstream passes, so it is pinned once — to a Parquet checkpoint
+when ``out_dir`` is given (resumable, with a lineage manifest that
+records the config and input fingerprint), else to the object store
+(``materialize()``).  Everything else streams, apart from the scored
+pairs (read by both tiers).  All hashing is seeded from the config;
+output is invariant to parallelism and retries.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -35,10 +43,9 @@ import pyarrow as pa
 from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.stages.cc import (
     _cc_tree_reduce,
-    _star_edges,
-    cc_driver_unionfind,
     cc_label_propagation,
     cc_tree_unionfind,
+    star_edges,
 )
 from nxsearch_ray.stages.pairs import (
     multi_candidate_pairs,
@@ -47,240 +54,242 @@ from nxsearch_ray.stages.pairs import (
 from nxsearch_ray.stages.signatures import canonsig_stage
 from nxsearch_ray.stages.suffix import (
     build_token_index_ref,
-    collect_token_index,
     suffix_verify_broadcast,
     suffix_verify_bucketed,
 )
 from nxsearch_ray.stages.verify import (
     build_signature_index_ref,
-    collect_signature_index,
     verify_pairs_broadcast,
     verify_pairs_bucketed,
 )
-from nxsearch_ray.state.lineage import checkpoint, is_complete, load_stage
+from nxsearch_ray.state.lineage import (
+    FINGERPRINT,
+    checkpoint,
+    input_fingerprint,
+    is_complete,
+    load_stage,
+    read_manifest,
+    stage_bytes,
+)
+
+# the bytes one task may hold: the broadcast indices (verify and
+# suffix) and the tree-reduce CC root are each built in one task
+TASK_BYTES_BUDGET = 1 << 30
+# a star edge is two int64 page ids
+STAR_EDGE_BYTES = 16
 
 
 @dataclass
 class DedupResult:
-    clusters: "object"            # Dataset | pa.Table: page_id, cluster_id
+    clusters: "object"            # Dataset: page_id, cluster_id
     verified_pairs: "object"      # Dataset: a, b, source
     stats: dict = field(default_factory=dict)
 
 
-def pin_blocks(ds, target_blocks: int | None = None):
+def pin_blocks(ds):
     """Materialize AND sever lineage: a MaterializedDataset handle
     keeps its upstream actor pool's minimum actors alive (reserved
     CPUs starve later stages); re-wrapping the block refs in a fresh
     Dataset drops the plan so the pool shuts down, while the refs keep
-    the blocks alive in the object store.
-
-    ``target_blocks`` coalesces fragmented outputs (unions of filters
-    produce hundreds of near-empty blocks whose per-task overhead then
-    dominates every downstream stage)."""
+    the blocks alive in the object store."""
     import ray.data as rd
 
-    if target_blocks is not None:
-        ds = ds.repartition(target_blocks)
-    mat = ds.materialize()
-    return rd.from_arrow_refs(mat.to_arrow_refs())
+    return rd.from_arrow_refs(ds.materialize().to_arrow_refs())
 
 
-def _pin(ds_factory, out_dir, stage, cfg, stats):
-    """Checkpoint to parquet (resumable) or pin in the object store."""
-    if out_dir is not None:
-        ds, skipped = checkpoint(ds_factory, out_dir, stage, cfg)
-        stats[f"{stage}_resumed"] = skipped
-        return ds
-    return pin_blocks(ds_factory())
+def _split_direct(t: pa.Table) -> pa.Table:
+    """Scored pairs confirmed outright."""
+    return t.filter(t.column("keep_minsim")).select(["a", "b", "source"])
+
+
+def _split_exact(t: pa.Table) -> pa.Table:
+    """Scored pairs the screen routes to exact adjudication."""
+    import pyarrow.compute as pc
+
+    m = pc.and_(pc.invert(t.column("keep_minsim")),
+                t.column("keep_exact_screen"))
+    return t.filter(m).select(["a", "b", "source"])
 
 
 def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
               out_dir: str | None = None,
               verify_mode: str = "auto",
-              cc_mode: str = "auto",
-              enable_suffix_pass: bool = True,
-              cc_tree_max_rows: int = 50_000_000,
-              broadcast_max_rows: int = 2_000_000) -> DedupResult:
+              cc_mode: str = "auto") -> DedupResult:
     """Run the full near-dup pipeline over a pages Dataset.
 
+    ``out_dir`` — checkpoint every stage there (lineage manifests,
+    resumable).  A checkpoint is reused only for the same config and
+    the same input (``state.lineage.input_fingerprint``); ``pages_ds``
+    may be None when the ``signatures`` checkpoint is valid.
+
     ``verify_mode`` — how candidate pairs meet their signatures:
-      * 'auto' (default): broadcast while the signature table fits
-        comfortably on one executor (≤ ``broadcast_max_rows`` rows,
-        ~500 B/row → ~1 GB at the default 2M), else bucketed — the
-        same size-based join selection Spark applies with
-        autoBroadcastJoinThreshold.  Neither plan touches the driver.
+      * 'auto' (default): broadcast while the pinned signature table
+        fits one task's byte budget (``TASK_BYTES_BUDGET``, 1 GiB; the
+        bytes come from block metadata, or from the manifest when
+        checkpointed), else bucketed — the same size-based join
+        selection Spark applies with autoBroadcastJoinThreshold.
+        Neither plan touches the driver.
       * 'bucketed' (the 10^12-doc plan): fused pair-payload hash join
         (stages/join.pair_join); nothing is ever collected to one
         process.
       * 'broadcast': a signature index built in ONE remote task and
-        read zero-copy by every verify actor — the small-side-broadcast
+        read zero-copy by every verify task — the small-side-broadcast
         plan; valid while the signature table fits one node.
+    The exact-adjudication (suffix) tier follows the same plan.
 
     ``cc_mode`` — connected components over the verified pairs:
       * 'auto' (default): collapse each pair block to star edges
-        (vectorized per-block union-find), count the survivors, then
-        tree-reduce when they fit one task (≤ ``cc_tree_max_rows``)
-        else distributed min-label propagation.  Fully distributed
-        either way; no driver-side collect.
-      * 'tree' / 'labelprop' / 'driver': force one plan ('driver'
-        streams pairs to the driver — small-scale/debug only).
-    """
-    import time as _time
+        (vectorized per-block union-find), then tree-reduce while the
+        star edges (16 B each) fit the same byte budget, else
+        distributed min-label propagation over those star edges.
+        Fully distributed either way; no driver-side collect.
+      * 'tree' / 'labelprop': force one plan.
 
-    import ray
-
+    ``stats`` records each auto choice (``verify_plan``, ``cc_plan``)
+    next to the byte figure that decided it and the budget."""
     cfg = cfg or PipelineConfig()
-    stats: dict = {}
-    _t = _time.monotonic
+    stats: dict = {"task_bytes_budget": TASK_BYTES_BUDGET}
+
+    # the input every checkpoint of this run must match; a run without
+    # pages (run_dedup_remove) takes the signatures checkpoint's own
+    fp = None
+    if out_dir is not None:
+        fp = (input_fingerprint(pages_ds) if pages_ds is not None
+              else (read_manifest(out_dir, "signatures") or {})
+              .get(FINGERPRINT))
 
     # ---------------- resume shortcuts (ADVICE r01): a valid
     # verified_pairs / clusters checkpoint skips ALL upstream work —
     # nothing is built (or materialized) just to be discarded.
     if out_dir is not None and is_complete(out_dir, "verified_pairs",
-                                           cfg):
+                                           cfg, fp):
         all_pairs = load_stage(out_dir, "verified_pairs")
         stats["verified_pairs_resumed"] = True
         # upstream stages are skipped entirely; report whether their
         # checkpoints are also present (they are, after a clean run)
         stats["signatures_resumed"] = is_complete(out_dir, "signatures",
-                                                  cfg)
+                                                  cfg, fp)
     else:
-        all_pairs = None
+        all_pairs = _verified_pairs(pages_ds, cfg, out_dir, fp,
+                                    verify_mode, stats)
 
-    if all_pairs is None:
-        # fused extract→canonicalize→signature: the signatures table
-        # carries token_ids, so no separate canonical materialization
-        t0 = _t()
-        signatures = _pin(
-            lambda: canonsig_stage(pages_ds, cfg),
-            out_dir, "signatures", cfg, stats)
-        stats["wall_signatures"] = round(_t() - t0, 2)
-
-        t0 = _t()
-        candidates = union_pair_sources(
-            multi_candidate_pairs(signatures, cfg),
-            min_suffix_hits=cfg.min_anchor_hits)
-        stats["wall_candidates"] = round(_t() - t0, 2)
-
-        if verify_mode == "auto":
-            # signatures is materialized/checkpointed → count() is
-            # metadata, not an execution
-            n_sigs = signatures.count()
-            verify_mode = ("broadcast" if n_sigs <= broadcast_max_rows
-                           else "bucketed")
-            stats["verify_plan"] = verify_mode
-        t0 = _t()
-        if verify_mode == "broadcast":
-            sig_idx_ref = build_signature_index_ref(signatures, cfg)
-            scored = verify_pairs_broadcast(candidates, sig_idx_ref, cfg)
-        elif verify_mode == "bucketed":
-            # barrier: the bucketed plan adds TWO more hash exchanges
-            # (pair_join), and a fully-streaming DAG runs all four
-            # shuffle operators' aggregator pools CONCURRENTLY with
-            # the map operators — measured 2× the stage-by-stage wall
-            # at 8 cpus (oversubscribed aggregators thrash the
-            # scheduler).  Candidates are tiny after the in-bucket
-            # Hamming filter (~0.2 rows/page), so pinning them here
-            # costs nothing and halves the live shuffle-op count.
-            candidates = pin_blocks(candidates)
-            scored = verify_pairs_bucketed(candidates, signatures, cfg)
-        else:
-            raise ValueError(f"unknown verify_mode {verify_mode!r}")
-        stats["wall_verify_setup"] = round(_t() - t0, 2)
-
-        def split_direct(t: pa.Table) -> pa.Table:
-            return t.filter(t.column("keep_minsim")) \
-                .select(["a", "b", "source"])
-
-        direct = scored.map_batches(split_direct, batch_format="pyarrow")
-
-        if enable_suffix_pass:
-            t0 = _t()
-            # no repartition before the pin: the hash exchange already
-            # bounded the block count (one per partition)
-            scored = pin_blocks(scored)
-            stats["wall_verify"] = round(_t() - t0, 2)
-            direct = scored.map_batches(split_direct,
-                                        batch_format="pyarrow")
-
-            def split_exact(t: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-                m = pc.and_(pc.invert(t.column("keep_minsim")),
-                            t.column("keep_exact_screen"))
-                return t.filter(m).select(["a", "b", "source"])
-
-            need_exact = scored.map_batches(split_exact,
-                                            batch_format="pyarrow")
-            t0 = _t()
-            if verify_mode == "bucketed":
-                exact = suffix_verify_bucketed(need_exact, signatures,
-                                               cfg)
-            else:
-                tok_idx_ref = build_token_index_ref(signatures)
-                exact = suffix_verify_broadcast(need_exact, tok_idx_ref,
-                                                cfg)
-            from nxsearch_ray.stages.shuffle import adopt_hash_context
-
-            all_pairs = adopt_hash_context(direct.union(
-                exact.select_columns(["a", "b", "source"])))
-            if out_dir is None:
-                all_pairs = pin_blocks(all_pairs)
-            stats["wall_exact"] = round(_t() - t0, 2)
-        else:
-            all_pairs = direct
-
-        if out_dir is not None:
-            # checkpoint() writes (its own materialization) and
-            # re-reads — no pin_blocks first, one barrier not two
-            all_pairs, _ = checkpoint(lambda: all_pairs, out_dir,
-                                      "verified_pairs", cfg)
-            stats["verified_pairs_resumed"] = False
-
-    if out_dir is not None and is_complete(out_dir, "clusters", cfg):
+    if out_dir is not None and is_complete(out_dir, "clusters", cfg, fp):
         clusters = load_stage(out_dir, "clusters")
         stats["clusters_resumed"] = True
         return DedupResult(clusters=clusters, verified_pairs=all_pairs,
                            stats=stats)
 
-    t0 = _t()
-    if cc_mode == "driver":
-        clusters = cc_driver_unionfind(all_pairs)  # pa.Table
-        stats["wall_cc"] = round(_t() - t0, 2)
-        if out_dir is not None:
-            import ray.data as rd
-
-            tbl = clusters
-            clusters, _ = checkpoint(lambda: rd.from_arrow(tbl),
-                                     out_dir, "clusters", cfg)
-        return DedupResult(clusters=clusters, verified_pairs=all_pairs,
-                           stats=stats)
-
-    if cc_mode == "tree":
-        clusters = cc_tree_unionfind(all_pairs)
-        stats["cc_plan"] = "tree"
-    elif cc_mode == "labelprop":
-        clusters = cc_label_propagation(all_pairs)
-        stats["cc_plan"] = "labelprop"
-    elif cc_mode == "auto":
-        star = all_pairs.select_columns(["a", "b"]).map_batches(
-            _star_edges, batch_format="pyarrow").materialize()
-        n_star = star.count()
-        stats["cc_star_edges"] = n_star
-        if n_star <= cc_tree_max_rows:
-            clusters = _cc_tree_reduce(star)
-            stats["cc_plan"] = "tree"
-        else:
-            clusters = cc_label_propagation(all_pairs)
-            stats["cc_plan"] = "labelprop"
-    else:
-        raise ValueError(f"unknown cc_mode {cc_mode!r}")
-    stats["wall_cc"] = round(_t() - t0, 2)
+    t0 = time.monotonic()
+    clusters = _components(all_pairs, cc_mode, stats)
+    stats["wall_cc"] = round(time.monotonic() - t0, 2)
     if out_dir is not None:
-        clusters, _ = checkpoint(lambda: clusters, out_dir,
-                                 "clusters", cfg)
-
+        clusters, _ = checkpoint(lambda: clusters, out_dir, "clusters",
+                                 cfg, fingerprint=fp)
     return DedupResult(clusters=clusters, verified_pairs=all_pairs,
                        stats=stats)
+
+
+def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
+    """signatures → candidates → verify → exact adjudication: the
+    verified (a, b, source) pairs, checkpointed or pinned."""
+    from nxsearch_ray.stages.shuffle import adopt_hash_context
+
+    # fused extract→canonicalize→signature: the signatures table
+    # carries token_ids, so no separate canonical materialization
+    t0 = time.monotonic()
+    if out_dir is not None:
+        signatures, stats["signatures_resumed"] = checkpoint(
+            lambda: canonsig_stage(pages_ds, cfg), out_dir, "signatures",
+            cfg, fingerprint=fp)
+    else:
+        signatures = pin_blocks(canonsig_stage(pages_ds, cfg))
+    stats["wall_signatures"] = round(time.monotonic() - t0, 2)
+
+    t0 = time.monotonic()
+    candidates = union_pair_sources(
+        multi_candidate_pairs(signatures, cfg),
+        min_suffix_hits=cfg.min_anchor_hits)
+    stats["wall_candidates"] = round(time.monotonic() - t0, 2)
+
+    if verify_mode == "auto":
+        # no pass over the data: the checkpoint's stored bytes, or the
+        # pinned blocks' metadata — in memory the table bounds both
+        # broadcast indices (each is a column subset)
+        sig_bytes = (stage_bytes(out_dir, "signatures")
+                     if out_dir is not None else signatures.size_bytes())
+        stats["verify_sig_bytes"] = sig_bytes
+        verify_mode = ("broadcast" if sig_bytes <= TASK_BYTES_BUDGET
+                       else "bucketed")
+    stats["verify_plan"] = verify_mode
+    t0 = time.monotonic()
+    if verify_mode == "broadcast":
+        scored = verify_pairs_broadcast(
+            candidates, build_signature_index_ref(signatures, cfg), cfg)
+    elif verify_mode == "bucketed":
+        # barrier: the bucketed plan adds TWO more hash exchanges
+        # (pair_join), and a fully-streaming DAG runs all four
+        # shuffle operators' aggregator pools CONCURRENTLY with
+        # the map operators — measured 2× the stage-by-stage wall
+        # at 8 cpus (oversubscribed aggregators thrash the
+        # scheduler).  Candidates are tiny after the in-bucket
+        # Hamming filter (~0.2 rows/page), so pinning them here
+        # costs nothing and halves the live shuffle-op count.
+        candidates = pin_blocks(candidates)
+        scored = verify_pairs_bucketed(candidates, signatures, cfg)
+    else:
+        raise ValueError(f"unknown verify_mode {verify_mode!r}")
+    stats["wall_verify_setup"] = round(time.monotonic() - t0, 2)
+
+    t0 = time.monotonic()
+    # no repartition before the pin: the hash exchange already
+    # bounded the block count (one per partition)
+    scored = pin_blocks(scored)
+    stats["wall_verify"] = round(time.monotonic() - t0, 2)
+    direct = scored.map_batches(_split_direct, batch_format="pyarrow")
+    need_exact = scored.map_batches(_split_exact, batch_format="pyarrow")
+
+    t0 = time.monotonic()
+    if verify_mode == "bucketed":
+        exact = suffix_verify_bucketed(need_exact, signatures, cfg)
+    else:
+        exact = suffix_verify_broadcast(
+            need_exact, build_token_index_ref(signatures), cfg)
+    all_pairs = adopt_hash_context(direct.union(
+        exact.select_columns(["a", "b", "source"])))
+    if out_dir is None:
+        all_pairs = pin_blocks(all_pairs)
+    else:
+        # checkpoint() writes (its own materialization) and re-reads —
+        # no pin_blocks first, one barrier not two
+        all_pairs, stats["verified_pairs_resumed"] = checkpoint(
+            lambda: all_pairs, out_dir, "verified_pairs", cfg,
+            fingerprint=fp)
+    stats["wall_exact"] = round(time.monotonic() - t0, 2)
+    return all_pairs
+
+
+def _components(all_pairs, cc_mode, stats):
+    """Connected components over the verified pairs (see run_dedup's
+    ``cc_mode``)."""
+    if cc_mode == "tree":
+        stats["cc_plan"] = "tree"
+        return cc_tree_unionfind(all_pairs)
+    if cc_mode == "labelprop":
+        stats["cc_plan"] = "labelprop"
+        return cc_label_propagation(all_pairs)
+    if cc_mode != "auto":
+        raise ValueError(f"unknown cc_mode {cc_mode!r}")
+    star = star_edges(all_pairs)
+    n_star = star.count()
+    stats["cc_star_edges"] = n_star
+    stats["cc_star_bytes"] = n_star * STAR_EDGE_BYTES
+    if n_star * STAR_EDGE_BYTES <= TASK_BYTES_BUDGET:
+        stats["cc_plan"] = "tree"
+        return _cc_tree_reduce(star)
+    # star edges keep every component and its min id, so label
+    # propagation over them gives the same clusters as over all pairs
+    stats["cc_plan"] = "labelprop"
+    return cc_label_propagation(star)
 
 
 def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
@@ -301,54 +310,36 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
     chain policy, where a new member changes which pairs a bucket
     emits.)
 
-    The known-id set is built in one remote task and broadcast via the
-    object store (8 B/doc; the driver never holds it); beyond
-    single-node memory, swap the anti-join for the bucketed pair_join
-    on page_id."""
-    import shutil
-
-    import numpy as np
+    The rewritten checkpoint takes ``pages_ds``' input fingerprint and
+    records the one it extended.  The known-id set is built in one
+    remote task and broadcast via the object store (8 B/doc; the
+    driver never holds it); beyond single-node memory, swap the
+    anti-join for the bucketed pair_join on page_id."""
     import ray
+
+    from nxsearch_ray.stages.join import anti_join, id_set_ref
 
     cfg = cfg or PipelineConfig()
     if not is_complete(out_dir, "signatures", cfg):
         # nothing to resume from — plain full run
         return run_dedup(pages_ds, cfg, out_dir=out_dir, **run_kw)
 
+    prior_fp = read_manifest(out_dir, "signatures").get(FINGERPRINT)
     prior = load_stage(out_dir, "signatures")
-    id_refs = prior.select_columns(["page_id"]).to_arrow_refs()
-
-    @ray.remote
-    def _known_ids(*blocks):
-        blocks = [b for b in blocks if b.num_columns > 0]
-        if not blocks:
-            return np.empty(0, np.int64)
-        return np.unique(np.concatenate(
-            [b.column("page_id").to_numpy() for b in blocks]))
-
-    known_ref = _known_ids.remote(*id_refs)
+    known_ref = id_set_ref(prior, ["page_id"])
     n_known = int(ray.get(
         ray.remote(lambda a: len(a)).remote(known_ref)))
-
-    from nxsearch_ray.stages.join import anti_join
-
-    new_pages = anti_join(pages_ds, "page_id", known_ref)
-    new_sigs = canonsig_stage(new_pages, cfg)
+    new_sigs = canonsig_stage(anti_join(pages_ds, "page_id", known_ref),
+                              cfg)
     combined = pin_blocks(prior.union(new_sigs))
-    n_total = combined.count()
-
-    # overwrite the signatures checkpoint (combined is pinned in the
-    # object store, so clearing the directory first is safe), and
-    # drop the now-stale downstream checkpoints
-    from nxsearch_ray.state.lineage import stage_dir, write_stage
-
-    for stage in ("verified_pairs", "clusters"):
-        shutil.rmtree(stage_dir(out_dir, stage), ignore_errors=True)
-    write_stage(combined, out_dir, "signatures", cfg)
+    n_new = combined.count() - n_known
+    _replace_signatures(combined, out_dir, cfg, {
+        FINGERPRINT: input_fingerprint(pages_ds),
+        "extended_from": prior_fp, "pages_added": n_new})
 
     result = run_dedup(pages_ds, cfg, out_dir=out_dir, **run_kw)
     result.stats["incremental_known_pages"] = n_known
-    result.stats["incremental_new_pages"] = int(n_total - n_known)
+    result.stats["incremental_new_pages"] = n_new
     return result
 
 
@@ -368,14 +359,19 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
     required for exactness: under the hot-bucket chain policy a
     member's removal changes which pairs its bucket emits (a chain
     through a removed doc must be re-stitched), and cluster ids are
-    min-page_ids that may themselves be removed.
+    min-page_ids that may themselves be removed.  The rewritten
+    checkpoint's fingerprint derives from the prior one and the
+    removed id set, and records both.
 
     ``removed_page_ids`` — iterable of int64 page ids, or an
     ``ObjectRef`` to a sorted unique int64 array built off-driver."""
-    import shutil
+    import hashlib
 
     import numpy as np
     import ray
+
+    from nxsearch_ray.stages.join import anti_join
+    from nxsearch_ray.state.lineage import id_hash
 
     cfg = cfg or PipelineConfig()
     if not is_complete(out_dir, "signatures", cfg):
@@ -383,19 +379,14 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
             f"no valid signatures checkpoint under {out_dir!r} for "
             "this config — deletion needs a prior run to delete from")
 
-    from nxsearch_ray.stages.join import anti_join
-    from nxsearch_ray.state.lineage import stage_dir, write_stage
+    removed_ref = removed_page_ids
+    if not isinstance(removed_ref, ray.ObjectRef):
+        removed_ref = ray.put(np.unique(np.asarray(
+            list(removed_page_ids), dtype=np.int64)))
+    n_requested, removed_hash = ray.get(ray.remote(
+        lambda a: (len(a), id_hash(a))).remote(removed_ref))
 
-    if isinstance(removed_page_ids, ray.ObjectRef):
-        removed_ref = removed_page_ids
-        n_requested = int(ray.get(
-            ray.remote(lambda a: len(a)).remote(removed_ref)))
-    else:
-        removed = np.unique(np.asarray(list(removed_page_ids),
-                                       dtype=np.int64))
-        n_requested = len(removed)
-        removed_ref = ray.put(removed)
-
+    prior_fp = read_manifest(out_dir, "signatures").get(FINGERPRINT)
     prior = load_stage(out_dir, "signatures")
     n_prior = prior.count()          # parquet metadata, no execution
     surviving = pin_blocks(anti_join(prior, "page_id", removed_ref))
@@ -407,17 +398,35 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
             "deletion would remove every page — clear the output "
             "directory and re-ingest instead")
 
-    for stage in ("verified_pairs", "clusters"):
-        shutil.rmtree(stage_dir(out_dir, stage), ignore_errors=True)
-    write_stage(surviving, out_dir, "signatures", cfg)
+    removed = f"{n_requested}:{removed_hash:016x}"
+    digest = hashlib.sha256(f"{prior_fp}|{removed}".encode()).hexdigest()
+    _replace_signatures(surviving, out_dir, cfg, {
+        FINGERPRINT: "removed:" + digest[:32],
+        "removed_from": prior_fp, "removed_ids": removed,
+        "pages_removed": int(n_prior - n_after)})
 
     # the freshly written signatures checkpoint is valid by
     # construction, so run_dedup never invokes its pages factory —
     # deletion has no pages input
     result = run_dedup(None, cfg, out_dir=out_dir, **run_kw)
-    result.stats["removed_requested"] = n_requested
+    result.stats["removed_requested"] = int(n_requested)
     result.stats["removed_found"] = int(n_prior - n_after)
     return result
+
+
+def _replace_signatures(sigs, out_dir: str, cfg: PipelineConfig,
+                        record: dict) -> None:
+    """Overwrite the signatures checkpoint with the pinned ``sigs``
+    (clearing its directory first is safe: the blocks live in the
+    object store) under a new input record, and drop the now-stale
+    downstream checkpoints."""
+    import shutil
+
+    from nxsearch_ray.state.lineage import stage_dir, write_stage
+
+    for stage in ("verified_pairs", "clusters"):
+        shutil.rmtree(stage_dir(out_dir, stage), ignore_errors=True)
+    write_stage(sigs, out_dir, "signatures", cfg, record)
 
 
 def clusters_as_table(result: DedupResult) -> pa.Table:
@@ -425,12 +434,10 @@ def clusters_as_table(result: DedupResult) -> pa.Table:
 
     from nxsearch_ray.stages.cc import CLUSTER_SCHEMA
 
-    c = result.clusters
-    if not isinstance(c, pa.Table):
-        batches = list(c.iter_batches(batch_size=65536,
-                                      batch_format="pyarrow"))
-        c = (pa.concat_tables(batches) if batches
-             else CLUSTER_SCHEMA.empty_table())
+    batches = list(result.clusters.iter_batches(batch_size=65536,
+                                                batch_format="pyarrow"))
+    c = (pa.concat_tables(batches) if batches
+         else CLUSTER_SCHEMA.empty_table())
     if c.num_rows == 0:
         return c
     order = np.argsort(c.column("page_id").to_numpy(), kind="stable")

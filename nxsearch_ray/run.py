@@ -126,9 +126,13 @@ def main(argv=None) -> int:
     p.add_argument("--semdedup-eps", type=float, default=0.93,
                    help="corpus pipeline: SemDeDup cosine threshold")
     p.add_argument("--verify-mode", default="auto",
-                   choices=["auto", "broadcast", "bucketed"])
+                   choices=["auto", "broadcast", "bucketed"],
+                   help="verify/suffix plan; auto picks by the bytes "
+                        "of the pinned signatures")
     p.add_argument("--cc-mode", default="auto",
-                   choices=["auto", "tree", "labelprop", "driver"])
+                   choices=["auto", "tree", "labelprop"],
+                   help="connected-components plan; auto picks by the "
+                        "bytes of the star edges")
     p.add_argument("--incremental", action="store_true",
                    help="append-only ingest against existing checkpoints")
     p.add_argument("--remove-ids", metavar="FILE",

@@ -3,24 +3,23 @@
 Cluster id = min page_id of the component (deterministic, independent
 of edge order / parallelism — SURVEY.md §7 "determinism").
 
-Two physical plans, one semantic:
+Every plan starts from the same leaf: each pair block collapsed to
+star edges (node → block-local component min) by the vectorized
+min-hooking kernel (state/unionfind.py).  Two plans, one semantic:
 
-  * **driver union-find** (default): verified pairs are a tiny fraction
-    of the corpus (dup rate ≪ 1), so streaming them through
-    ``iter_batches`` into a union-find on the driver is both exact and
-    fast.  The stream never materializes the full dataset — batches
-    arrive with backpressure.
-  * **distributed min-label propagation** (scale path): the classic
-    hash-hash iteration — each round attaches every node's current
-    label to both edge endpoints (partitioned hash join), takes
-    per-node min over (own label ∪ neighbor labels) via groupby, and
-    stops when no label changed.  Converges in O(diameter) rounds
-    (near-dup clusters are shallow; boilerplate chains from the skew
-    cap bound the diameter by the chain length — capped rounds +
-    convergence check).  Label skew for giant components is the BTS
-    (ICDE 2024) concern; min-label with per-round rehashing avoids a
-    single hot reducer because the groupby key is the node id, not the
-    label.
+  * **tree-reduce union-find** (``cc_tree_unionfind``; the flagship's
+    choice while the star edges fit one task): star-edge blocks are
+    re-collapsed ``TREE_FANIN`` at a time until one block remains.
+    No shuffle and no driver-side collect.
+  * **distributed min-label propagation** (``cc_label_propagation``;
+    the scale path): the classic hash-hash iteration — each round
+    sends every changed node label to its neighbours' partitions and
+    folds per-node minima, stopping when no label changed.  Converges
+    in O(diameter) rounds (near-dup clusters are shallow; boilerplate
+    chains from the skew cap are star-collapsed in their block first).
+    Label skew for giant components is the BTS (ICDE 2024) concern;
+    min-label with per-round rehashing avoids a single hot reducer
+    because the partition key is the node id, not the label.
 """
 
 from __future__ import annotations
@@ -32,83 +31,71 @@ CLUSTER_SCHEMA = pa.schema([("page_id", pa.int64()),
                             ("cluster_id", pa.int64())])
 
 
-def cc_driver_unionfind(pairs_ds) -> pa.Table:
-    """Stream (a, b) batches to the driver and solve components with
-    the vectorized min-hooking kernel; returns the clusters table
-    (only nodes that appear in ≥1 pair).  Small-scale plan — the
-    flagship default is ``cc_tree`` (distributed, no driver collect)."""
-    from nxsearch_ray.state.unionfind import min_label_components
-
-    a_parts, b_parts = [], []
-    for batch in pairs_ds.select_columns(["a", "b"]).iter_batches(
-            batch_size=1 << 20, batch_format="pyarrow"):
-        a_parts.append(batch.column("a").to_numpy())
-        b_parts.append(batch.column("b").to_numpy())
-    if not a_parts:
-        return CLUSTER_SCHEMA.empty_table()
-    nodes, labs = min_label_components(np.concatenate(a_parts),
-                                       np.concatenate(b_parts))
-    return pa.Table.from_arrays([pa.array(nodes), pa.array(labs)],
-                                schema=CLUSTER_SCHEMA)
+# star-edge blocks merged per tree-reduce task
+TREE_FANIN = 8
+# label-propagation safety cap; convergence normally stops far sooner
+LABELPROP_MAX_ROUNDS = 50
 
 
-def _star_edges(t: pa.Table, a_col: str = "a", b_col: str = "b"
-                ) -> pa.Table:
+def _star_edges(t: pa.Table) -> pa.Table:
     """Collapse one block's edges to star edges (node → component-min
     label seen inside this block), dropping self rows.  Associative:
     re-running over a union of star-edge blocks merges components, so
-    this is both the leaf step and the combine step of the tree
-    reduction."""
+    this is the leaf step and the combine step of the tree reduction,
+    and label propagation's per-block combiner."""
     from nxsearch_ray.state.unionfind import min_label_components
 
-    nodes, labs = min_label_components(t.column(a_col).to_numpy(),
-                                       t.column(b_col).to_numpy())
+    nodes, labs = min_label_components(t.column("a").to_numpy(),
+                                       t.column("b").to_numpy())
     keep = nodes != labs
     return pa.Table.from_arrays(
         [pa.array(nodes[keep]), pa.array(labs[keep])],
         names=["a", "b"])
 
 
-def cc_tree_unionfind(pairs_ds, *, fanin: int = 8):
-    """Distributed connected components by tree-reduce union-find — the
-    flagship default.  No driver-side collect and no per-row Python:
+def star_edges(pairs_ds):
+    """The shared leaf: every pair block collapsed to star edges,
+    materialized (so ``count()`` is metadata)."""
+    return pairs_ds.select_columns(["a", "b"]).map_batches(
+        _star_edges, batch_format="pyarrow").materialize()
 
-      1. leaf: every pair block is collapsed to star edges (node →
-         block-local component min) by the vectorized min-hooking
-         kernel — output rows ≤ distinct nodes in the block, so dup-
-         heavy blocks shrink massively;
-      2. reduce: repartition coalesces ``fanin`` star-edge blocks into
-         one and re-collapses, log_fanin(B) rounds of narrow (non-
-         shuffling) repartitions;
+
+def cc_tree_unionfind(pairs_ds):
+    """Distributed connected components by tree-reduce union-find.  No
+    driver-side collect and no per-row Python:
+
+      1. leaf: ``star_edges`` — output rows ≤ distinct nodes in the
+         block, so dup-heavy blocks shrink massively;
+      2. reduce: repartition coalesces ``TREE_FANIN`` star-edge blocks
+         into one and re-collapses, log_fanin(B) rounds of narrow
+         (non-shuffling) repartitions;
       3. root: the single surviving block holds one star edge per
          non-min dup node; a final pass emits (page_id, cluster_id)
          with the min nodes' self rows restored.
 
     Memory bound: the root task holds O(distinct dup nodes) rows
-    (16 B/row).  ``run_dedup(cc_mode='auto')`` counts the collapsed
-    edges after the leaf pass and falls back to label propagation when
-    they exceed ``cfg.cc_tree_max_rows`` — the 10^12-doc escape hatch.
+    (16 B/row).  ``run_dedup(cc_mode='auto')`` sizes the star edges
+    after the leaf pass and switches to label propagation when they
+    exceed the per-task byte budget — the 10^12-doc escape hatch.
     Returns a Ray Dataset with CLUSTER_SCHEMA."""
-    ds = pairs_ds.select_columns(["a", "b"]).map_batches(
-        _star_edges, batch_format="pyarrow").materialize()
-    return _cc_tree_reduce(ds, fanin=fanin)
+    return _cc_tree_reduce(star_edges(pairs_ds))
 
 
-def _cc_tree_reduce(star_ds, *, fanin: int = 8):
+def _cc_tree_reduce(star_ds):
     """Reduce a materialized star-edge Dataset to the clusters table."""
     import math
 
-    nblocks = star_ds.num_blocks()
-    while nblocks > 1:
-        target = max(1, math.ceil(nblocks / fanin))
-        star_ds = star_ds.repartition(target).map_batches(
+    def merge(ds, nblocks):
+        return ds.repartition(nblocks).map_batches(
             _star_edges, batch_format="pyarrow",
             batch_size=None).materialize()
+
+    nblocks = star_ds.num_blocks()
+    while nblocks > 1:
+        star_ds = merge(star_ds, math.ceil(nblocks / TREE_FANIN))
         new_n = star_ds.num_blocks()
         if new_n >= nblocks:      # safeguard: force the root merge
-            star_ds = star_ds.repartition(1).map_batches(
-                _star_edges, batch_format="pyarrow",
-                batch_size=None).materialize()
+            star_ds = merge(star_ds, 1)
             break
         nblocks = new_n
 
@@ -130,8 +117,7 @@ def _cc_tree_reduce(star_ds, *, fanin: int = 8):
                                batch_size=None)
 
 
-def cc_label_propagation(pairs_ds, *, max_rounds: int = 50,
-                         num_partitions: int | None = None):
+def cc_label_propagation(pairs_ds):
     """Distributed min-label propagation as a BSP loop over raw Ray
     tasks (the Pregel pattern); returns a Ray Dataset with
     CLUSTER_SCHEMA columns.
@@ -150,9 +136,10 @@ def cc_label_propagation(pairs_ds, *, max_rounds: int = 50,
     O(diameter) rounds over star-collapsed edges.
 
     Partitioning assumptions, stated: P should scale with the edge
-    count (default: cluster CPUs / 2); P² message objects per round
-    are tiny but their count grows quadratically — at very large P,
-    batch messages per destination WORKER rather than per partition.
+    count (here: shuffle.default_num_partitions, half the cluster
+    CPUs); P² message objects per round are tiny but their count
+    grows quadratically — at very large P, batch messages per
+    destination WORKER rather than per partition.
     Determinism: labels evolve by min() folds only, so the fixed
     point is independent of scheduling order."""
     import ray
@@ -163,7 +150,7 @@ def cc_label_propagation(pairs_ds, *, max_rounds: int = 50,
         hash_partitioned,
     )
 
-    P = num_partitions or default_num_partitions()
+    P = default_num_partitions()
 
     def to_edges(t: pa.Table) -> pa.Table:
         """Per-block union-find combiner: collapse every component
@@ -173,12 +160,9 @@ def cc_label_propagation(pairs_ds, *, max_rounds: int = 50,
         land in one block, so this turns O(chain length) global rounds
         into O(1).  Vectorized (min-hooking kernel) — no per-edge
         Python."""
-        from nxsearch_ray.state.unionfind import min_label_components
-
-        node, root = min_label_components(t.column("a").to_numpy(),
-                                          t.column("b").to_numpy())
-        keep = node != root
-        node, root = node[keep], root[keep]
+        star = _star_edges(t)
+        node = star.column("a").to_numpy()
+        root = star.column("b").to_numpy()
         both_n = np.concatenate([node, root])
         both_d = np.concatenate([root, node])
         pcol = (splitmix64(both_n.astype(np.uint64))
@@ -272,7 +256,7 @@ def cc_label_propagation(pairs_ds, *, max_rounds: int = 50,
     # (labels0 from _prep); later rounds emit only changed labels
     label_refs: list = [preps[bi][1] for bi in range(B)]
     msg_refs = [[None] * B for _ in range(B)]   # [src][dst]
-    for rnd in range(max_rounds):
+    for rnd in range(LABELPROP_MAX_ROUNDS):
         outs = {}
         for bi in live:
             inbox = [msg_refs[q][bi] for q in live

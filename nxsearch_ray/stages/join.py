@@ -15,14 +15,20 @@ exactly once, with right payload columns suffixed.
 
 This is the engine's join operator (the distributed analogue of the
 reference's token→term hash-lookup semi-join ``tokenset_resolve``,
-reference src/core/tokenizer.c:160-199).  Small-side joins should use
-broadcast lookups instead (see stages/verify.py).
+reference src/core/tokenizer.c:160-199).  Small-side joins use a
+broadcast instead: a key set (``semi_join`` / ``anti_join``) or a
+lookup index built once and read by every task (``index_ref`` +
+``broadcast_map``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+
+PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                         ("source", pa.string())])
 
 
 def _key_filter(ds, key: str, key_values, keep_matches: bool):
@@ -33,7 +39,7 @@ def _key_filter(ds, key: str, key_values, keep_matches: bool):
 
     ``key_values`` may also be an ``ObjectRef`` to a SORTED UNIQUE
     int64 array built off-driver (the driver then never holds the
-    set)."""
+    set) — ``id_set_ref`` builds one."""
     import ray
 
     if isinstance(key_values, ray.ObjectRef):
@@ -63,6 +69,71 @@ def anti_join(ds, key: str, key_values):
     — e.g. removing already-clustered docs on resume (SURVEY.md §2.4
     J4)."""
     return _key_filter(ds, key, key_values, False)
+
+
+def id_set_ref(ds, cols: list[str]):
+    """ObjectRef to the sorted unique int64 values of ``cols`` across
+    ``ds`` — the key set a semi/anti join broadcasts (8 B per id).  It
+    is built in ONE remote task from the dataset's blocks, not in the
+    calling process."""
+    import ray
+
+    @ray.remote
+    def _ids(*blocks):
+        chunks = [b.column(c).to_numpy() for b in blocks
+                  if b.num_columns > 0 for c in cols]
+        return (np.unique(np.concatenate(chunks)) if chunks
+                else np.empty(0, np.int64))
+
+    return _ids.remote(*ds.select_columns(cols).to_arrow_refs())
+
+
+# ---------------------------------------------------- broadcast lookups
+
+def index_ref(ds, schema: pa.Schema, from_table):
+    """ObjectRef to a lookup index ``from_table(table)`` over the
+    ``schema`` columns of ``ds``, built in ONE remote task: the calling
+    process never holds the index, it only hands the ref to the lookup
+    tasks (which read it zero-copy from the object store).  Empty input
+    builds the index of ``schema.empty_table()``."""
+    import ray
+
+    @ray.remote
+    def _build(*blocks):
+        blocks = [b for b in blocks if b.num_columns > 0]
+        return from_table(pa.concat_tables(blocks) if blocks
+                          else schema.empty_table())
+
+    return _build.remote(*ds.select_columns(schema.names).to_arrow_refs())
+
+
+# per-worker-process cache of broadcast indices, one entry per index
+# kind (so the verify and suffix indices never evict each other): a
+# task-pool stage re-enters its kernel many times in one worker, and
+# the plasma get is zero-copy but the unpickle is worth skipping
+_INDEX_CACHE: dict = {}
+
+
+def _cached_index(kind: str, idx_ref):
+    import ray
+
+    hit = _INDEX_CACHE.get(kind)
+    if hit is None or hit[0] != idx_ref.hex():
+        hit = _INDEX_CACHE[kind] = (idx_ref.hex(), ray.get(idx_ref))
+    return hit[1]
+
+
+def broadcast_map(pairs_ds, idx_ref, cfg, kernel, batch_size: int):
+    """Broadcast-lookup join: ``kernel(batch, index, cfg)`` over every
+    ``batch_size``-row batch of ``pairs_ds``, the index fetched once
+    per worker process from ``idx_ref``."""
+    kind = kernel.__name__
+
+    def fn(batch: pa.Table) -> pa.Table:
+        return kernel(batch, _cached_index(kind, idx_ref), cfg)
+
+    return pairs_ds.map_batches(fn, batch_format="pyarrow",
+                                batch_size=batch_size)
 
 
 def pair_join(pairs_ds, right_ds, *, right_key: str,

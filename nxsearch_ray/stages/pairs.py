@@ -1,11 +1,12 @@
-"""Candidate-pair generation: LSH banding, SimHash Hamming bucketing,
-anchor buckets — all the "explode keys → shuffle → pair within group"
-passes, plus pair union/dedup.
+"""Candidate-pair generation: exact sequence hashes, LSH banding,
+SimHash Hamming bucketing and anchor buckets ride ONE exchange
+(explode every pass's keys → key-disjoint hash repartition → pairs
+within each bucket), then one pair union/dedup exchange.
 
 The shuffle-by-key pattern replaces the reference's shared in-memory
 reverse index (term → doc bitmap, reference src/core/nxs.c:48-55):
 what nxsearch surfaces as posting-list overlap we surface as co-located
-rows after a `groupby` (SURVEY.md §2.3 ST5, §2.4 J1-J3).
+rows after a hash exchange (SURVEY.md §2.3 ST5, §2.4 J1-J3).
 
 Skew policy (SURVEY.md §4 "Skew / stragglers"): inside a bucket of n
 docs we emit all C(n,2) pairs only while n ≤ ``hot_bucket_cap``;
@@ -46,76 +47,6 @@ def pairs_within(ids: np.ndarray, cap: int,
         return ids[iu[0]], ids[iu[1]]
     # spanning chain: connectivity-preserving, linear in n
     return ids[:-1], ids[1:]
-
-
-# ---------------------------------------------------------------- explode
-
-def explode_minhash_bands(cfg_json: str):
-    """map_batches fn factory: signatures → (bucket_key, page_id) rows,
-    one row per LSH band."""
-    cfg = PipelineConfig.from_json(cfg_json)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        sig_flat, _ = list_column_numpy(batch.column("minhash"))
-        ndocs = batch.num_rows
-        sig = sig_flat.reshape(ndocs, cfg.num_perms)
-        keys = H.band_keys(sig, cfg.lsh_bands, cfg.lsh_rows, cfg.seed)
-        page = batch.column("page_id").to_numpy()
-        return pa.Table.from_arrays(
-            [pa.array(keys.reshape(-1), type=pa.uint64()),
-             pa.array(np.repeat(page, cfg.lsh_bands), type=pa.int64())],
-            names=["bucket_key", "page_id"])
-
-    return fn
-
-
-def explode_simhash_chunks(cfg_json: str):
-    """SimHash Hamming bucketing (Manku et al. 2007): split the 64-bit
-    fingerprint into ``hamming+1`` chunks — any pair within Hamming
-    distance d shares at least one exact chunk (pigeonhole).  Key =
-    (chunk index, chunk bits) mixed into one uint64."""
-    cfg = PipelineConfig.from_json(cfg_json)
-    nchunks = cfg.simhash_hamming + 1
-    width = cfg.simhash_bits // nchunks
-
-    def fn(batch: pa.Table) -> pa.Table:
-        sim = batch.column("simhash").to_numpy().astype(_U64)
-        page = batch.column("page_id").to_numpy()
-        keys = np.empty((len(sim), nchunks), dtype=_U64)
-        mask = _U64((1 << width) - 1)
-        for c in range(nchunks):
-            chunk = (sim >> _U64(c * width)) & mask
-            keys[:, c] = H.splitmix64(chunk ^ H.splitmix64(
-                np.array(c + 0x5151, dtype=_U64)))
-        return pa.Table.from_arrays(
-            [pa.array(keys.reshape(-1), type=pa.uint64()),
-             pa.array(np.repeat(page, nchunks), type=pa.int64())],
-            names=["bucket_key", "page_id"])
-
-    return fn
-
-
-def explode_seq_hash(batch: pa.Table) -> pa.Table:
-    """Exact-duplicate pass: one key per doc — the order-sensitive hash
-    of the full canonical token sequence.  Guarantees exact-copy recall
-    independent of signature quality (degenerate short/empty docs
-    included); the distributed form of the reference's identical-
-    tokenset case (same text ⇒ same tokenset, src/core/tokenizer.c)."""
-    return pa.Table.from_arrays(
-        [batch.column("seq_hash"), batch.column("page_id")],
-        names=["bucket_key", "page_id"])
-
-
-def explode_anchors(batch: pa.Table) -> pa.Table:
-    """signatures → (bucket_key=anchor shingle, page_id) for the
-    containment/suffix pass."""
-    a_flat, a_off = list_column_numpy(batch.column("anchors"))
-    page = batch.column("page_id").to_numpy()
-    counts = a_off[1:] - a_off[:-1]
-    return pa.Table.from_arrays(
-        [pa.array(a_flat, type=pa.uint64()),
-         pa.array(np.repeat(page, counts), type=pa.int64())],
-        names=["bucket_key", "page_id"])
 
 
 SRC_NAMES = ("exact", "minhash", "simhash", "suffix")
@@ -198,8 +129,7 @@ def explode_all(cfg_json: str):
     return fn
 
 
-def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig, *,
-                          num_partitions: int | None = None):
+def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
     """All candidate passes in ONE exchange: explode_all →
     key-disjoint hash repartition (stages/shuffle.py) → per-block
     local sort + vectorized run scan.  Every (bucket_key, src) run is
@@ -210,7 +140,7 @@ def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig, *,
 
     keyed = signatures_ds.map_batches(explode_all(cfg.to_json()),
                                       batch_format="pyarrow")
-    parts = hash_partitioned(keyed, ["bucket_key"], num_partitions)
+    parts = hash_partitioned(keyed, ["bucket_key"])
     cap = cfg.hot_bucket_cap
     skip_by_src = {3: cfg.anchor_bucket_max}
     SIMHASH_CODE = SRC_NAMES.index("simhash")
@@ -298,109 +228,9 @@ def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig, *,
                              batch_size=None)
 
 
-# ------------------------------------------------------- pairs from keys
-
-def _block_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(run_starts, run_counts) of equal-key runs in a sorted array."""
-    n = len(keys)
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    change = np.nonzero(keys[1:] != keys[:-1])[0] + 1
-    starts = np.concatenate(([0], change))
-    counts = np.diff(np.concatenate((starts, [n])))
-    return starts, counts
-
-
-def candidate_pairs(keyed_ds, cfg: PipelineConfig, source: str,
-                    skip_over: int | None = None):
-    """(bucket_key, page_id) Dataset → candidate pair Dataset
-    (a, b, source).
-
-    Physical plan: global ``sort(bucket_key)`` (the shuffle), then a
-    vectorized per-block pass over key runs — Python only ever touches
-    runs with ≥2 members, so the millions of singleton buckets cost a
-    couple of numpy ops total instead of one `map_groups` call each.
-    Runs touching a block edge may continue in the neighboring block;
-    their rows are routed to a tiny groupby fallback (≤ 2 keys per
-    block) so no pair is missed or double-emitted.
-
-    Pairs may repeat across buckets — dedup happens once, in
-    ``union_pair_sources`` (one shuffle instead of one per source)."""
-    cap = cfg.hot_bucket_cap
-    out_schema = pa.schema([
-        ("a", pa.int64()), ("b", pa.int64()), ("source", pa.string()),
-        ("pending_key", pa.uint64()), ("pending_id", pa.int64())])
-
-    def block_fn(t: pa.Table) -> pa.Table:
-        keys = t.column("bucket_key").to_numpy()
-        ids = t.column("page_id").to_numpy()
-        starts, counts = _block_runs(keys)
-        a_out: list[np.ndarray] = []
-        b_out: list[np.ndarray] = []
-        pend_mask = np.zeros(len(keys), dtype=bool)
-        if len(starts):
-            # first + last run may continue in neighbor blocks
-            pend_mask[:counts[0]] = True
-            pend_mask[starts[-1]:] = True
-            # python loop over MULTI-member interior runs only — the
-            # singleton majority never leaves numpy
-            multi = np.nonzero(counts >= 2)[0]
-            for r in multi:
-                if r == 0 or r == len(starts) - 1:
-                    continue
-                s, c = starts[r], counts[r]
-                a, b = pairs_within(ids[s:s + c], cap, skip_over)
-                a_out.append(a)
-                b_out.append(b)
-        a_all = np.concatenate(a_out) if a_out else np.empty(0, np.int64)
-        b_all = np.concatenate(b_out) if b_out else np.empty(0, np.int64)
-        npairs = len(a_all)
-        npend = int(pend_mask.sum())
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate([a_all, np.zeros(npend, np.int64)])),
-             pa.array(np.concatenate([b_all, np.zeros(npend, np.int64)])),
-             pa.array([source] * npairs + [""] * npend,
-                      type=pa.string()),
-             pa.array(np.concatenate(
-                 [np.zeros(npairs, np.uint64), keys[pend_mask]]),
-                 type=pa.uint64()),
-             pa.array(np.concatenate(
-                 [np.full(npairs, -1, np.int64), ids[pend_mask]]))],
-            schema=out_schema)
-
-    mixed = keyed_ds.sort("bucket_key").map_batches(
-        block_fn, batch_format="pyarrow", batch_size=None)
-    mixed = mixed.materialize()
-
-    done = mixed.map_batches(
-        lambda t: t.filter(
-            pa.compute.equal(t.column("pending_id"), -1))
-        .select(["a", "b", "source"]),
-        batch_format="pyarrow")
-
-    pending = mixed.map_batches(
-        lambda t: t.filter(
-            pa.compute.not_equal(t.column("pending_id"), -1))
-        .select(["pending_key", "pending_id"])
-        .rename_columns(["bucket_key", "page_id"]),
-        batch_format="pyarrow")
-
-    def emit(group: pa.Table) -> pa.Table:
-        a, b = pairs_within(group.column("page_id").to_numpy(), cap,
-                            skip_over)
-        return pa.Table.from_arrays(
-            [pa.array(a, type=pa.int64()), pa.array(b, type=pa.int64()),
-             pa.array([source] * len(a), type=pa.string())],
-            names=["a", "b", "source"])
-
-    fallback = pending.groupby("bucket_key").map_groups(
-        emit, batch_format="pyarrow")
-    return done.union(fallback)
-
-
-def union_pair_sources(*pair_datasets, min_suffix_hits: int = 1,
-                       num_partitions: int | None = None):
-    """minhash ∪ simhash ∪ suffix candidate pairs → one row per (a, b)
+def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):
+    """``multi_candidate_pairs``' (a, b, src, aux) sightings from every
+    pass (exact ∪ minhash ∪ simhash ∪ suffix) → one row per (a, b)
     carrying the sorted, comma-joined *set* of proposing sources
     (deterministic; verification checks each source's rule).  This is
     the exact pair dedup — the distributed analogue of the reference's
@@ -413,10 +243,6 @@ def union_pair_sources(*pair_datasets, min_suffix_hits: int = 1,
     no fallback pass exists and the stage streams into verification."""
     from nxsearch_ray.stages.shuffle import hash_partitioned
 
-    ds = pair_datasets[0]
-    for other in pair_datasets[1:]:
-        ds = ds.union(other)
-
     SUFFIX_CODE = SRC_NAMES.index("suffix")
     # mask → "exact,minhash,..." (SRC_NAMES happens to be sorted)
     MASK_LUT = np.array(
@@ -425,7 +251,7 @@ def union_pair_sources(*pair_datasets, min_suffix_hits: int = 1,
     out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                             ("source", pa.string())])
 
-    parts = hash_partitioned(ds, ["a", "b"], num_partitions)
+    parts = hash_partitioned(pairs_ds, ["a", "b"])
 
     def block_fn(t: pa.Table) -> pa.Table:
         n = t.num_rows

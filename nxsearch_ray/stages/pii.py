@@ -384,16 +384,3 @@ def pii_scrub_sql_ctes(src: str) -> tuple[str, str]:
         f"pii_out AS (SELECT page_id, {', '.join(done)},"
         f" t AS clean_text FROM {prev})")
     return ",\n".join(ctes), "pii_out"
-
-
-def pii_select_sql(text_expr: str) -> str:
-    """DuckDB select-list twin of ``scrub_pii`` over ``text_expr``:
-    n_email/n_phone/n_ip counts + clean_text."""
-    counts = ", ".join(
-        f"len(regexp_extract_all({text_expr}, '{pat}'))::BIGINT"
-        f" AS n_{name}" for name, pat, _ in PII_RULES)
-    redacted = text_expr
-    for _, pat, token in PII_RULES:
-        redacted = (f"regexp_replace({redacted}, '{pat}',"
-                    f" '{token}', 'g')")
-    return f"{counts}, {redacted} AS clean_text"

@@ -150,17 +150,15 @@ class CanonSigActor:
         return self.sig(self.canon(batch))
 
 
-def canonsig_stage(ds, cfg: PipelineConfig, *, concurrency=None):
+def canonsig_stage(ds, cfg: PipelineConfig):
     from nxsearch_ray.stages.shuffle import actor_pool_size, \
         stage_num_cpus
 
-    if concurrency is None:
-        # pool sized to the cluster with a modest pre-warm floor
-        concurrency = actor_pool_size()
+    # pool sized to the cluster with a modest pre-warm floor
     return ds.map_batches(
         CanonSigActor, fn_constructor_args=(cfg.to_json(),),
         batch_format="pyarrow", batch_size=cfg.batch_size,
-        concurrency=concurrency, num_cpus=stage_num_cpus())
+        concurrency=actor_pool_size(), num_cpus=stage_num_cpus())
 
 
 def signature_stage(ds, cfg: PipelineConfig, *,

@@ -1,14 +1,16 @@
 """Suffix/containment pass: exact long-span substring verification.
 
-Candidate generation is the anchor-bucket shuffle (stages/pairs.py
-``explode_anchors``: content-defined anchor shingles, h % anchor_mod ==
-0, shared by containing and contained documents).  Survivors of the
-bottom-k containment screen are verified *exactly* with a suffix
-automaton over canonical token-id sequences (functions/suffix.py).
+Candidate generation is the anchor pass of the candidate exchange
+(stages/pairs.py ``explode_all``: content-defined anchor shingles,
+h % anchor_mod == 0, shared by containing and contained documents).
+Survivors of the bottom-k containment screen are verified *exactly*
+with a suffix automaton over canonical token-id sequences
+(functions/suffix.py).
 
-The token sequences are fetched by broadcast lookup (test scale) —
-at 10^12 docs this becomes the bucketed hash-join plan exactly like
-stages/verify.py; both paths share the per-pair math.
+The token sequences reach each pair by broadcast lookup (test scale)
+or, at 10^12 docs, by the bucketed pair join exactly like
+stages/verify.py; both plans then call the one decision kernel
+``adjudicate_pairs``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ SUFFIX_PAIR_SCHEMA = pa.schema([
 
 @dataclass
 class TokenIndex:
-    """page_id → canonical token-id sequence, broadcast via ray.put."""
+    """page_id → canonical token-id sequence, broadcast through the
+    object store."""
 
     page_ids: np.ndarray     # (n,) int64 sorted
     tok_flat: np.ndarray     # uint64 concatenated
@@ -43,12 +46,6 @@ class TokenIndex:
         t = t.take(pa.array(order, type=pa.int64()))
         flat, off = list_column_numpy(t.column("token_ids"))
         return cls(page_ids=page[order], tok_flat=flat, tok_offsets=off)
-
-    def tokens_for(self, pid: int) -> np.ndarray:
-        pos = int(np.searchsorted(self.page_ids, pid))
-        if pos >= len(self.page_ids) or self.page_ids[pos] != pid:
-            raise KeyError(pid)
-        return self.tok_flat[self.tok_offsets[pos]:self.tok_offsets[pos + 1]]
 
     def gather(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized multi-doc lookup: (flat token ids, offsets) in
@@ -74,32 +71,16 @@ class TokenIndex:
         return self.tok_flat[_seg_arange(starts, counts)], offsets
 
 
-def collect_token_index(canonical_ds) -> TokenIndex:
-    t = pa.concat_tables(
-        b for b in canonical_ds.select_columns(["page_id", "token_ids"])
-        .iter_batches(batch_size=8192, batch_format="pyarrow"))
-    return TokenIndex.from_table(t)
+TOKEN_SCHEMA = pa.schema([("page_id", pa.int64()),
+                          ("token_ids", pa.list_(pa.uint64()))])
 
 
 def build_token_index_ref(canonical_ds):
-    """Build the broadcast TokenIndex in ONE remote task (driver never
-    holds it); returns the ObjectRef — see
-    verify.build_signature_index_ref for the rationale."""
-    import ray
+    """ObjectRef to the broadcast TokenIndex, built in ONE remote task
+    (stages/join.index_ref)."""
+    from nxsearch_ray.stages.join import index_ref
 
-    refs = canonical_ds.select_columns(
-        ["page_id", "token_ids"]).to_arrow_refs()
-    if not refs:
-        return ray.put(TokenIndex(
-            page_ids=np.empty(0, np.int64),
-            tok_flat=np.empty(0, np.uint64),
-            tok_offsets=np.zeros(1, np.int64)))
-
-    @ray.remote
-    def _build(*blocks):
-        return TokenIndex.from_table(pa.concat_tables(blocks))
-
-    return _build.remote(*refs)
+    return index_ref(canonical_ds, TOKEN_SCHEMA, TokenIndex.from_table)
 
 
 def exact_adjudicate(ta: np.ndarray, tb: np.ndarray, cfg: PipelineConfig
@@ -212,150 +193,76 @@ def exact_shingle_jaccard(ta: np.ndarray, tb: np.ndarray,
     return inter / (len(sa) + len(sb) - inter)
 
 
-def exact_containment_table(pairs: pa.Table, idx: TokenIndex,
-                            cfg: PipelineConfig) -> pa.Table:
-    """Per-pair exact adjudication (shared with the oracle): keeps a
-    pair when its exact suffix-automaton containment ≥
-    containment_threshold OR its exact shingle Jaccard ≥
-    jaccard_threshold (the borderline-est_j rescue)."""
-    a = pairs.column("a").to_numpy()
-    b = pairs.column("b").to_numpy()
-    ta_flat, ta_off = idx.gather(a)
-    tb_flat, tb_off = idx.gather(b)
+def adjudicate_pairs(pairs: pa.Table, ta_flat: np.ndarray,
+                     ta_off: np.ndarray, tb_flat: np.ndarray,
+                     tb_off: np.ndarray, cfg: PipelineConfig) -> pa.Table:
+    """The one exact decision: given each pair's two token sequences
+    (flat + offsets, in pair order), keep a pair when its exact
+    suffix-automaton containment ≥ containment_threshold OR its exact
+    shingle Jaccard ≥ jaccard_threshold (the borderline-est_j rescue).
+    Both plans gather into this — the broadcast plan from the token
+    index, the bucketed plan from the joined list columns."""
+    if pairs.num_rows == 0:
+        return SUFFIX_PAIR_SCHEMA.empty_table()
     lcs, con, jac = batch_exact_adjudicate(
         ta_flat, ta_off, tb_flat, tb_off, cfg)
     keep = (con >= cfg.containment_threshold) | \
         (jac >= cfg.jaccard_threshold)
-    src = (pairs.column("source").cast(pa.string())
-           if "source" in pairs.column_names
-           else pa.array(["suffix"] * len(a), type=pa.string()))
     out = pa.Table.from_arrays(
-        [pairs.column("a"), pairs.column("b"), src,
+        [pairs.column("a"), pairs.column("b"),
+         pairs.column("source").cast(pa.string()),
          pa.array(lcs), pa.array(con), pa.array(jac)],
         schema=SUFFIX_PAIR_SCHEMA)
     return out.filter(pa.array(keep))
 
 
-class SuffixVerifyActor:
-    def __init__(self, idx_ref, cfg_json: str):
-        import ray
-        self.idx = ray.get(idx_ref) if not isinstance(
-            idx_ref, TokenIndex) else idx_ref
-        self.cfg = PipelineConfig.from_json(cfg_json)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return exact_containment_table(batch, self.idx, self.cfg)
+def exact_containment_table(pairs: pa.Table, idx: TokenIndex,
+                            cfg: PipelineConfig) -> pa.Table:
+    """Broadcast gather: both endpoints' tokens from the index."""
+    return adjudicate_pairs(pairs,
+                            *idx.gather(pairs.column("a").to_numpy()),
+                            *idx.gather(pairs.column("b").to_numpy()), cfg)
 
 
-# per-worker-process cache (same rationale as verify._BCAST_CACHE:
-# plasma get is zero-copy, tasks need no warm state worth an actor
-# pool's ramp + coarse per-block task granularity)
-_TOKIDX_CACHE: dict = {}
+def adjudicate_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
+    """Bucketed gather: the ``token_ids_a`` / ``token_ids_b`` columns
+    the pair join attached."""
+    return adjudicate_pairs(t, *list_column_numpy(t.column("token_ids_a")),
+                            *list_column_numpy(t.column("token_ids_b")),
+                            cfg)
 
 
-def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig,
-                            concurrency=None):
-    key = (idx_ref.hex() if hasattr(idx_ref, "hex") else id(idx_ref),
-           cfg.config_hash())
-    cfg_json = cfg.to_json()
+def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
+    """Task-pool exact adjudication against the broadcast token index
+    (same plan shape as verify.verify_pairs_broadcast)."""
+    from nxsearch_ray.stages.join import broadcast_map
 
-    def adjudicate_batch(batch: pa.Table) -> pa.Table:
-        import ray
-
-        cached = _TOKIDX_CACHE.get(key)
-        if cached is None:
-            idx = ray.get(idx_ref) if not isinstance(
-                idx_ref, TokenIndex) else idx_ref
-            cached = (idx, PipelineConfig.from_json(cfg_json))
-            _TOKIDX_CACHE.clear()
-            _TOKIDX_CACHE[key] = cached
-        return exact_containment_table(batch, cached[0], cached[1])
-
-    kwargs = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return pairs_ds.map_batches(
-        adjudicate_batch, batch_format="pyarrow", batch_size=4096,
-        **kwargs)
+    return broadcast_map(pairs_ds, idx_ref, cfg, exact_containment_table,
+                         batch_size=4096)
 
 
-def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig,
-                           num_partitions: int | None = None):
+def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig):
     """Scale path for the exact-adjudication stage: attach both docs'
     token sequences via the fused pair-payload join (no driver-side
-    token index), then a stateless per-pair exact decision.  Decision
-    math identical to the broadcast path (shared ``exact_adjudicate``).
+    token index), then the shared ``adjudicate_pairs``.
 
-    Exchange width sized to the screen-pair stream (the payload side
-    is semi-join-pruned to ≤ 2 rows per pair); token_ids payloads are
-    heavy, so the per-partition row target is small."""
-    from nxsearch_ray.stages.join import pair_join
+    Semi-join reduction first: only a tiny fraction of docs appear in
+    screen-passing pairs, so the needed page-id SET (ids only — tiny
+    even when payloads are not) is broadcast and prunes the canonical
+    side before the payload-carrying exchange.  Exchange width sized
+    to the screen-pair stream (the payload side is pruned to ≤ 2 rows
+    per pair); token_ids payloads are heavy, so the per-partition row
+    target is small."""
+    from nxsearch_ray.stages.join import (PAIR_SCHEMA, id_set_ref,
+                                          pair_join, semi_join)
     from nxsearch_ray.stages.shuffle import sized_num_partitions
-    from nxsearch_ray.stages.signatures import list_column_numpy
 
-    import ray
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                             ("source", pa.string())])
-    tok_schema = pa.schema([("page_id", pa.int64()),
-                            ("token_ids", pa.list_(pa.uint64()))])
-
-    # semi-join: only a tiny fraction of docs appear in screen-passing
-    # pairs, so broadcast the needed page-id SET (ids only — tiny even
-    # when payloads are not) and prune the canonical side before the
-    # payload-carrying sort.  Classic semi-join reduction.  The set is
-    # built in ONE remote task (the driver never holds it) and read
-    # zero-copy from the object store by every prune task.
     pairs_ds = pairs_ds.materialize()
-    id_refs = pairs_ds.select_columns(["a", "b"]).to_arrow_refs()
-
-    @ray.remote
-    def _needed_ids(*blocks):
-        blocks = [b for b in blocks if b.num_columns > 0]
-        if not blocks:
-            return np.empty(0, np.int64)
-        chunks = [np.concatenate([t.column("a").to_numpy(),
-                                  t.column("b").to_numpy()])
-                  for t in blocks]
-        return np.unique(np.concatenate(chunks))
-
-    needed_ref = _needed_ids.remote(*id_refs)
-
-    def prune(t: pa.Table) -> pa.Table:
-        ids = t.column("page_id").to_numpy()
-        want = ray.get(needed_ref)
-        pos = np.searchsorted(want, ids)
-        pos = np.clip(pos, 0, max(len(want) - 1, 0))
-        hit = (len(want) > 0) & (want[pos] == ids)
-        return t.filter(pa.array(hit))
-
-    tok_slim = canonical_ds.select_columns(["page_id", "token_ids"]) \
-        .map_batches(prune, batch_format="pyarrow")
-    if num_partitions is None:
-        # pairs_ds was materialized above — count() is metadata
-        num_partitions = sized_num_partitions(
-            2 * pairs_ds.count(), rows_per_partition=8192)
-    j2 = pair_join(pairs_ds, tok_slim, right_key="page_id",
-                   pair_schema=pair_schema, right_schema=tok_schema,
-                   num_partitions=num_partitions)
-
-    cfg_json = cfg.to_json()
-
-    def adjudicate(t: pa.Table) -> pa.Table:
-        c = PipelineConfig.from_json(cfg_json)
-        if t.num_rows == 0:
-            return SUFFIX_PAIR_SCHEMA.empty_table()
-        ta_flat, ta_off = list_column_numpy(t.column("token_ids_a"))
-        tb_flat, tb_off = list_column_numpy(t.column("token_ids_b"))
-        lcs, con, jac = batch_exact_adjudicate(
-            ta_flat, ta_off, tb_flat, tb_off, c)
-        keep = (con >= c.containment_threshold) | \
-            (jac >= c.jaccard_threshold)
-        out = pa.Table.from_arrays(
-            [t.column("a"), t.column("b"),
-             t.column("source").cast(pa.string()),
-             pa.array(lcs), pa.array(con), pa.array(jac)],
-            schema=SUFFIX_PAIR_SCHEMA)
-        return out.filter(pa.array(keep))
-
-    return j2.map_batches(adjudicate, batch_format="pyarrow")
+    tok_slim = semi_join(canonical_ds.select_columns(TOKEN_SCHEMA.names),
+                         "page_id", id_set_ref(pairs_ds, ["a", "b"]))
+    joined = pair_join(pairs_ds, tok_slim, right_key="page_id",
+                       pair_schema=PAIR_SCHEMA, right_schema=TOKEN_SCHEMA,
+                       num_partitions=sized_num_partitions(
+                           2 * pairs_ds.count(), rows_per_partition=8192))
+    return joined.map_batches(lambda t: adjudicate_joined_table(t, cfg),
+                              batch_format="pyarrow")

@@ -3,14 +3,17 @@
 Semantics donor is the reference's query path: anything compared must
 go through identical canonicalization first (reference
 src/query/query.c:75-115), and the decision math runs over the derived
-signatures.  Two physical plans, one semantic:
+signatures.  Two physical plans differ only in how a pair gets its
+endpoints' signatures; both then call the one decision kernel
+``score_pairs``:
 
   * **broadcast** (default at test scale; per-node at cluster scale):
-    the signature table is put in the object store once (`ray.put`) and
-    every verify task reads it zero-copy — no shuffle.  This is the
+    a signature index is built once in the object store and every
+    verify task reads it zero-copy — no shuffle.  This is the
     "broadcast the small side" join rule.
-  * **bucketed** (the 10^12-doc path): two partitioned hash joins
-    (pairs⋈sig on `a`, then on `b`) via stages/join.py.
+  * **bucketed** (the 10^12-doc path): one fused pair-payload hash
+    join (stages/join.pair_join) attaches both endpoints' packed
+    signatures to each pair.
 
 A candidate pair carries the *set* of sources that proposed it
 (comma-joined, sorted — see stages/pairs.union_pair_sources); the
@@ -43,11 +46,11 @@ SCORED_SCHEMA = pa.schema([
 
 @dataclass
 class SignatureIndex:
-    """Driver-materialized signature lookup, broadcast via ray.put.
-
-    Arrays are sorted by page_id; lookups are vectorized searchsorted.
-    At 10^12 docs this index does not fit on one node and the bucketed
-    plan applies (verify_pairs_bucketed)."""
+    """Signature rows as arrays: the broadcast lookup index (sorted by
+    page_id; lookups are vectorized searchsorted) and, unsorted, the
+    bucketed plan's per-batch view of the joined payloads.  At 10^12
+    docs the index does not fit on one node and the bucketed plan
+    applies (verify_pairs_bucketed)."""
 
     page_ids: np.ndarray       # (n,) int64 sorted
     mh_res: np.ndarray         # (n, P) uint8 MinHash residues
@@ -78,47 +81,21 @@ class SignatureIndex:
         return pos
 
 
-def collect_signature_index(sig_ds, cfg: PipelineConfig) -> SignatureIndex:
-    """Gather the signature table to the driver.  For a MATERIALIZED
-    dataset ``to_arrow_refs`` hands back the existing blocks and
-    ``ray.get`` maps them zero-copy from the object store — much faster
-    than re-batching through ``iter_batches``."""
-    import ray
-
-    cols = ["page_id", "mh_res", "simhash", "bottomk"]
-    try:
-        blocks = ray.get(sig_ds.to_arrow_refs())
-        t = pa.concat_tables(b.select(cols) for b in blocks)
-    except Exception:
-        t = pa.concat_tables(
-            sig_ds.select_columns(cols)
-            .iter_batches(batch_size=8192, batch_format="pyarrow"))
-    return SignatureIndex.from_table(t, cfg.num_perms)
-
-
 def build_signature_index_ref(sig_ds, cfg: PipelineConfig):
-    """Build the broadcast SignatureIndex in ONE remote task — the
-    driver never holds the index; it only passes the ObjectRef to the
-    verify actors (which ray.get it zero-copy from plasma).  Removes
-    the driver-serial collect+argsort from the critical path."""
-    import ray
+    """ObjectRef to the broadcast SignatureIndex, built in ONE remote
+    task (stages/join.index_ref)."""
+    from nxsearch_ray.stages.join import index_ref
 
-    cols = ["page_id", "mh_res", "simhash", "bottomk"]
-    refs = sig_ds.select_columns(cols).to_arrow_refs()
-    if not refs:
-        return ray.put(SignatureIndex.from_table(
-            pa.schema([("page_id", pa.int64()),
-                       ("mh_res", pa.list_(pa.uint8(), cfg.num_perms)),
-                       ("simhash", pa.uint64()),
-                       ("bottomk", pa.list_(pa.uint32()))]).empty_table(),
-            cfg.num_perms))
+    P = cfg.num_perms
+    return index_ref(sig_ds, _sig_schema(P),
+                     lambda t: SignatureIndex.from_table(t, P))
 
-    @ray.remote
-    def _build(num_perms, *blocks):
-        return SignatureIndex.from_table(pa.concat_tables(blocks),
-                                         num_perms)
 
-    return _build.remote(cfg.num_perms, *refs)
+def _sig_schema(num_perms: int) -> pa.Schema:
+    return pa.schema([("page_id", pa.int64()),
+                      ("mh_res", pa.list_(pa.uint8(), num_perms)),
+                      ("simhash", pa.uint64()),
+                      ("bottomk", pa.list_(pa.uint32()))])
 
 
 def _padded_gather(flat: np.ndarray, offsets: np.ndarray,
@@ -231,20 +208,19 @@ def apply_rules(sources: list[str], est_j: np.ndarray, ham: np.ndarray,
     return keep_minsim, keep_screen
 
 
-def score_pairs_table(pairs: pa.Table, idx: SignatureIndex,
-                      cfg: PipelineConfig) -> pa.Table:
-    """Score one pair batch against the signature index; returns only
-    surviving pairs (any rule passed)."""
+def score_pairs(pairs: pa.Table, sigs: SignatureIndex, ia: np.ndarray,
+                ib: np.ndarray, cfg: PipelineConfig) -> pa.Table:
+    """The one verify decision: score each pair from its endpoints'
+    signature rows ``sigs[ia]`` / ``sigs[ib]`` and return only the
+    surviving pairs (any rule passed).  Both plans gather into this —
+    the broadcast plan by page-id lookup, the bucketed plan from the
+    joined payload blobs — so their outputs are identical."""
     if pairs.num_rows == 0:
         return SCORED_SCHEMA.empty_table()
-    a = pairs.column("a").to_numpy()
-    b = pairs.column("b").to_numpy()
-    ia = idx.rows_for(a)
-    ib = idx.rows_for(b)
-    est_j = (idx.mh_res[ia] == idx.mh_res[ib]).mean(axis=1)
-    ham = H.hamming64(idx.simhash[ia], idx.simhash[ib])
+    est_j = (sigs.mh_res[ia] == sigs.mh_res[ib]).mean(axis=1)
+    ham = H.hamming64(sigs.simhash[ia], sigs.simhash[ib])
     jac_bk, con_bk = bottomk_pair_scores(
-        idx.bk_flat, idx.bk_offsets, ia, ib, cfg.bottomk)
+        sigs.bk_flat, sigs.bk_offsets, ia, ib, cfg.bottomk)
     src = pairs.column("source").to_pylist()
     keep_minsim, keep_screen = apply_rules(src, est_j, ham, con_bk, cfg)
     keep = keep_minsim | keep_screen
@@ -260,28 +236,29 @@ def score_pairs_table(pairs: pa.Table, idx: SignatureIndex,
     return out.filter(pa.array(keep))
 
 
-class VerifyBroadcastActor:
-    """Verify stage callable: ray.get the broadcast SignatureIndex
-    once per worker (zero-copy numpy views over plasma)."""
-
-    def __init__(self, idx_ref, cfg_json: str):
-        import ray
-        self.idx = ray.get(idx_ref) if not isinstance(
-            idx_ref, SignatureIndex) else idx_ref
-        self.cfg = PipelineConfig.from_json(cfg_json)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return score_pairs_table(batch, self.idx, self.cfg)
+def score_pairs_table(pairs: pa.Table, idx: SignatureIndex,
+                      cfg: PipelineConfig) -> pa.Table:
+    """Broadcast gather: look both endpoints up in the index."""
+    return score_pairs(pairs, idx,
+                       idx.rows_for(pairs.column("a").to_numpy()),
+                       idx.rows_for(pairs.column("b").to_numpy()), cfg)
 
 
-# per-worker-process cache for the broadcast index: a TASK-pool stage
-# re-enters score_batch many times in one worker; the plasma get is
-# zero-copy but the dataclass unwrap + config parse are worth caching
-_BCAST_CACHE: dict = {}
+def score_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
+    """Bucketed gather: unpack the ``blob_a`` / ``blob_b`` payloads the
+    pair join attached (rows 0..n-1 are the a-sides, n..2n-1 the
+    b-sides) into one index-shaped view."""
+    n = t.num_rows
+    blobs = pa.chunked_array(t.column("blob_a").chunks
+                             + t.column("blob_b").chunks, type=pa.binary())
+    ids = np.concatenate([t.column("a").to_numpy(),
+                          t.column("b").to_numpy()])
+    sigs = SignatureIndex(ids, *_unpack_blobs(blobs, cfg.num_perms))
+    rows = np.arange(n)
+    return score_pairs(t, sigs, rows, rows + n, cfg)
 
 
-def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig,
-                           concurrency=None):
+def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
     """Task-pool verify (NOT an actor pool): the only per-worker state
     is the broadcast index, and ``ray.get`` of plasma-backed numpy is
     zero-copy — tasks need no warm state worth reserving CPUs for.
@@ -291,28 +268,10 @@ def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig,
     8 cpus and 49-55 s at 2 — 3x faster AND better-scaling, because
     batch_size-granular tasks keep every CPU busy and worker processes
     are already warm."""
-    key = (idx_ref.hex() if hasattr(idx_ref, "hex") else id(idx_ref),
-           cfg.config_hash())
-    cfg_json = cfg.to_json()
+    from nxsearch_ray.stages.join import broadcast_map
 
-    def score_batch(batch: pa.Table) -> pa.Table:
-        import ray
-
-        cached = _BCAST_CACHE.get(key)
-        if cached is None:
-            idx = ray.get(idx_ref) if not isinstance(
-                idx_ref, SignatureIndex) else idx_ref
-            cached = (idx, PipelineConfig.from_json(cfg_json))
-            _BCAST_CACHE.clear()
-            _BCAST_CACHE[key] = cached
-        return score_pairs_table(batch, cached[0], cached[1])
-
-    kwargs = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return pairs_ds.map_batches(
-        score_batch, batch_format="pyarrow", batch_size=32768,
-        **kwargs)
+    return broadcast_map(pairs_ds, idx_ref, cfg, score_pairs_table,
+                         batch_size=32768)
 
 
 def _pack_payload(t: pa.Table, num_perms: int) -> pa.Table:
@@ -385,13 +344,11 @@ def _unpack_blobs(col, num_perms: int):
     return mh, sim, bk_flat, bk_off
 
 
-def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig,
-                          num_partitions: int | None = None):
+def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig):
     """Scale path: one fused pair-payload join (stages/join.pair_join —
     the signature payload rides each of its two shuffles exactly once,
     packed into a single binary blob per endpoint, see
-    ``_pack_payload``) then a stateless score.  Decision math
-    identical to the broadcast path (shared helpers).
+    ``_pack_payload``) then the shared ``score_pairs``.
 
     Exchange width is sized to the DATA (shuffle.sized_num_partitions)
     — round 4's full-width (one partition per cluster CPU) choice was
@@ -401,58 +358,17 @@ def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig,
     fixed coordination cost.  ``sig_ds`` must be materialized /
     checkpointed (run_dedup pins it) so ``count()`` is metadata, not
     an execution."""
-    from nxsearch_ray.stages.join import pair_join
+    from nxsearch_ray.stages.join import PAIR_SCHEMA, pair_join
     from nxsearch_ray.stages.shuffle import sized_num_partitions
 
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                             ("source", pa.string())])
-    sig_schema = pa.schema([("page_id", pa.int64()),
-                            ("blob", pa.binary())])
-
-    if num_partitions is None:
-        num_partitions = sized_num_partitions(sig_ds.count())
-
     P = cfg.num_perms
-    packed = sig_ds.select_columns(
-        ["page_id", "mh_res", "simhash", "bottomk"]) \
+    packed = sig_ds.select_columns(_sig_schema(P).names) \
         .map_batches(lambda t: _pack_payload(t, P),
                      batch_format="pyarrow")
-    j2 = pair_join(pairs_ds, packed, right_key="page_id",
-                   pair_schema=pair_schema, right_schema=sig_schema,
-                   num_partitions=num_partitions)
-
-    cfg_json = cfg.to_json()
-
-    def score(t: pa.Table) -> pa.Table:
-        c = PipelineConfig.from_json(cfg_json)
-        if t.num_rows == 0:
-            return SCORED_SCHEMA.empty_table()
-        n = t.num_rows
-        mh_a, sim_a, bka_flat, bka_off = _unpack_blobs(
-            t.column("blob_a"), c.num_perms)
-        mh_b, sim_b, bkb_flat, bkb_off = _unpack_blobs(
-            t.column("blob_b"), c.num_perms)
-        est_j = (mh_a == mh_b).mean(axis=1)
-        ham = H.hamming64(sim_a, sim_b)
-        # stack both docs' sketches into one flat+offsets layout so the
-        # shared bottom-k helper applies
-        flat = np.concatenate([bka_flat, bkb_flat])
-        off = np.concatenate([bka_off, bka_off[-1] + bkb_off[1:]])
-        ia = np.arange(n)
-        ib = np.arange(n) + n
-        jac_bk, con_bk = bottomk_pair_scores(flat, off, ia, ib, c.bottomk)
-        src = t.column("source").to_pylist()
-        keep_minsim, keep_screen = apply_rules(src, est_j, ham, con_bk, c)
-        keep = keep_minsim | keep_screen
-        out = pa.Table.from_arrays(
-            [t.column("a"), t.column("b"),
-             pa.array(src, type=pa.string()),
-             pa.array(est_j, type=pa.float64()),
-             pa.array(ham.astype(np.int32)),
-             pa.array(jac_bk, type=pa.float64()),
-             pa.array(con_bk, type=pa.float64()),
-             pa.array(keep_minsim), pa.array(keep_screen)],
-            schema=SCORED_SCHEMA)
-        return out.filter(pa.array(keep))
-
-    return j2.map_batches(score, batch_format="pyarrow")
+    joined = pair_join(pairs_ds, packed, right_key="page_id",
+                       pair_schema=PAIR_SCHEMA,
+                       right_schema=pa.schema([("page_id", pa.int64()),
+                                               ("blob", pa.binary())]),
+                       num_partitions=sized_num_partitions(sig_ds.count()))
+    return joined.map_batches(lambda t: score_joined_table(t, cfg),
+                              batch_format="pyarrow")

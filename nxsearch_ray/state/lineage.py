@@ -10,9 +10,13 @@ only its in-flight doc.  The batch-pipeline analogue (north rule:
   * a ``manifest.json`` is written LAST (atomic rename) recording the
     config hash, row count, per-file lineage (path, rows, bytes) and
     wall time — its presence is the ``_SUCCESS`` marker,
+  * a stage may also record the fingerprint of the input it was
+    computed from (``input_fingerprint``), so a checkpoint is never
+    resumed against a different input,
   * on re-run, a stage whose manifest exists *and* matches the current
-    config hash is loaded with ``read_parquet`` instead of recomputed;
-    everything downstream re-derives from it.
+    config hash (and input fingerprint, when the caller gives one) is
+    loaded with ``read_parquet`` instead of recomputed; everything
+    downstream re-derives from it.
 
 Stage output directories are independent, so a run that died between
 stage k and k+1 resumes at k+1 — the batch equivalent of replaying
@@ -21,13 +25,17 @@ from a consumed offset.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 
+import numpy as np
+
 from nxsearch_ray.config import PipelineConfig
 
 MANIFEST = "manifest.json"
+FINGERPRINT = "input_fingerprint"
 
 
 def stage_dir(out_dir: str, stage: str) -> str:
@@ -38,21 +46,70 @@ def manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(stage_dir(out_dir, stage), MANIFEST)
 
 
-def is_complete(out_dir: str, stage: str, cfg: PipelineConfig) -> bool:
-    path = manifest_path(out_dir, stage)
-    if not os.path.exists(path):
-        return False
+def read_manifest(out_dir: str, stage: str) -> dict | None:
     try:
-        with open(path) as f:
-            m = json.load(f)
+        with open(manifest_path(out_dir, stage)) as f:
+            return json.load(f)
     except (OSError, json.JSONDecodeError):
-        return False
-    return m.get("config_hash") == cfg.config_hash()
+        return None
+
+
+def is_complete(out_dir: str, stage: str, cfg: PipelineConfig,
+                fingerprint: str | None = None) -> bool:
+    """A valid checkpoint exists for ``cfg`` — and, when
+    ``fingerprint`` is given, for that input."""
+    m = read_manifest(out_dir, stage)
+    return (m is not None and m.get("config_hash") == cfg.config_hash()
+            and (fingerprint is None
+                 or m.get(FINGERPRINT) == fingerprint))
+
+
+def stage_bytes(out_dir: str, stage: str) -> int:
+    """Stored bytes of a complete stage, from its manifest."""
+    return sum(p["bytes"] for p in read_manifest(out_dir, stage)
+               ["partitions"])
+
+
+def id_hash(ids) -> int:
+    """Order-free 64-bit hash of an int64 id multiset (wrapping sum of
+    splitmix64), so partial hashes of blocks add up."""
+    from nxsearch_ray.functions.hashing import splitmix64
+
+    h = splitmix64(np.asarray(ids, dtype=np.int64).astype(np.uint64))
+    return int(h.sum(dtype=np.uint64))
+
+
+def input_fingerprint(ds) -> str:
+    """What a stage is computed from.  A dataset that is a plain file
+    read: its sorted input files with their sizes and mtimes.  Anything
+    else (in-memory, derived, ``limit``-ed, ...): its row count plus an
+    order-free hash of its ``page_id`` column — one pass over that
+    column."""
+    import pyarrow as pa
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    files = ds.input_files() if isinstance(ds._logical_plan.dag, Read) \
+        else []
+    if files:
+        h = hashlib.sha256()
+        for path in sorted(files):
+            st = os.stat(path)
+            h.update(f"{path}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
+        return "files:" + h.hexdigest()[:32]
+
+    def part(t: pa.Table) -> pa.Table:
+        ids = t.column("page_id").to_numpy() if t.num_rows else []
+        return pa.table({"n": [t.num_rows],
+                         "h": pa.array([id_hash(ids)], pa.uint64())})
+
+    rows = ds.select_columns(["page_id"]).map_batches(
+        part, batch_format="pyarrow", batch_size=None).take_all()
+    n = sum(r["n"] for r in rows)
+    digest = sum(r["h"] for r in rows) % (1 << 64)
+    return f"rows:{n}:{digest:016x}"
 
 
 def load_stage(out_dir: str, stage: str):
-    import ray.data
-
     from nxsearch_ray.sources.io import read_parquet_clean
 
     return read_parquet_clean(stage_dir(out_dir, stage),
@@ -108,13 +165,16 @@ def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
 
 
 def checkpoint(ds_factory, out_dir: str | None, stage: str,
-               cfg: PipelineConfig, extra: dict | None = None):
+               cfg: PipelineConfig, fingerprint: str | None = None):
     """Resume-or-compute: returns (dataset, skipped: bool).
 
-    ``ds_factory`` is only called when the checkpoint is absent/stale;
-    with ``out_dir=None`` checkpointing is disabled (pure streaming)."""
+    ``ds_factory`` is only called when the checkpoint is absent/stale
+    (another config, or another ``fingerprint`` when one is given — it
+    is then recorded in the manifest); with ``out_dir=None``
+    checkpointing is disabled (pure streaming)."""
     if out_dir is None:
         return ds_factory(), False
-    if is_complete(out_dir, stage, cfg):
+    if is_complete(out_dir, stage, cfg, fingerprint):
         return load_stage(out_dir, stage), True
+    extra = None if fingerprint is None else {FINGERPRINT: fingerprint}
     return write_stage(ds_factory(), out_dir, stage, cfg, extra), False

@@ -276,3 +276,53 @@ def test_remove_docs(ray_session, corpus, corpus_dir, oracle, tmp_path):
         run_dedup_remove(sorted(corpus.column("page_id").to_pylist()),
                          cfg, out_dir=out)
     shutil.rmtree(out, ignore_errors=True)
+
+
+def test_byte_budget_forces_scale_plans(ray_session, corpus_dir, oracle,
+                                        monkeypatch):
+    """With a per-task byte budget of 1 KiB, one auto run must pick
+    the bucketed verify and label-propagation CC plans, record the
+    bytes that decided each, and still equal the oracle."""
+    import nxsearch_ray.pipelines.dedup as D
+
+    labels, opairs = oracle
+    monkeypatch.setattr(D, "TASK_BYTES_BUDGET", 1024)
+    res = run_dedup(_pages_ds(corpus_dir), PipelineConfig())
+    st = res.stats
+    assert st["verify_plan"] == "bucketed"
+    assert st["cc_plan"] == "labelprop"
+    assert st["task_bytes_budget"] == 1024
+    assert st["verify_sig_bytes"] > 1024
+    assert st["cc_star_bytes"] == 16 * st["cc_star_edges"] > 1024
+    assert _cluster_dict(res) == labels
+    assert _pair_set(res) == opairs
+
+
+def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
+                                      tmp_path):
+    """Same config and out_dir, but a ``limit``-ed input: nothing may
+    resume, and the clusters are those of the limited pages."""
+    import json
+
+    from nxsearch_ray.state.lineage import load_stage
+
+    out = str(tmp_path / "fp")
+    cfg = PipelineConfig()
+    run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
+    r = run_dedup(_pages_ds(corpus_dir).limit(100), cfg, out_dir=out)
+    assert not r.stats["signatures_resumed"]
+    assert not r.stats["verified_pairs_resumed"]
+    assert "clusters_resumed" not in r.stats
+    # every stage records the input it was derived from
+    fps = {json.load(open(f"{out}/{s}/manifest.json"))["input_fingerprint"]
+           for s in ("signatures", "verified_pairs", "clusters")}
+    assert len(fps) == 1 and fps.pop().startswith("rows:100:")
+
+    ids = set(load_stage(out, "signatures").select_columns(["page_id"])
+              .to_pandas()["page_id"])
+    assert len(ids) == 100
+    keep = pa.array([pid in ids
+                     for pid in corpus.column("page_id").to_pylist()])
+    exp_labels, _ = oracle_clusters(corpus.filter(keep), cfg)
+    assert _cluster_dict(r) == exp_labels
+    shutil.rmtree(out, ignore_errors=True)

@@ -1,6 +1,8 @@
 """Quick per-plan profiling of the flagship (not part of the bench
 contract): python tools/profile_dedup.py [n_pages] [verify_mode]
-[cc_mode] [num_cpus]."""
+[cc_mode] [num_cpus], with verify_mode one of auto|broadcast|bucketed
+(default bucketed) and cc_mode one of auto|tree|labelprop (default
+auto)."""
 import os
 import sys
 import time
