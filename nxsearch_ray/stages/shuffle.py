@@ -66,8 +66,14 @@ def stage_num_cpus() -> float:
     tiny clusters (≤4 CPUs) so a multi-operator streaming DAG (map
     task + shuffle aggregators + actor pool) can co-schedule at all —
     with integral demands a 2-CPU session deadlocks (verify actor
-    pending forever behind a running map task + aggregator pool)."""
-    return 1.0 if cluster_cpus() > 4 else 0.5
+    pending forever behind a running map task + aggregator pool).
+    Below 2 CPUs the demand is 0: a long-lived actor holding any
+    fraction of the only CPU leaves every 1-CPU task (the read, the
+    exchange's map) unschedulable for good."""
+    cpus = cluster_cpus()
+    if cpus < 2:
+        return 0.0
+    return 1.0 if cpus > 4 else 0.5
 
 
 def actor_pool_size(frac: float = 1.0,
@@ -106,9 +112,11 @@ def adopt_hash_context(ds):
     # up to 300 s for the FULL pool before degrading — on a small
     # cluster (num_partitions > CPUs) that is a hard stall.  Fractional
     # CPUs let the whole pool schedule anywhere; the aggregators only
-    # concat+emit, so oversubscription is harmless.
-    ds.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    ds.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
+    # concat+emit, so oversubscription is harmless.  On a 1-CPU
+    # cluster any fraction starves the 1-CPU map tasks, so they take 0.
+    agg_cpus = 0.05 if cluster_cpus() >= 2 else 0.0
+    ds.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = agg_cpus
+    ds.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = agg_cpus
     ds.context.min_hash_shuffle_aggregator_wait_time_in_s = 10
     return ds
 

@@ -40,14 +40,14 @@ def test_expected_query_inventory():
         "lang_counts", "ngram_jaccard", "fingerprint", "ann_topk",
         "ann_topk_lsh", "ann_topk_ivf", "dedup_pairs",
         "cluster_sizes", "langid",
-        "image_features", "audio_features", "video_frames",
         "embedding_dups", "embedding_dups_lsh",
         "query_probe", "bucket_census",
         "dedup_exact_verify", "signatures_plain", "canonicalize_plain",
         "ann_lsh_recall", "ann_ivf_recall", "ann_recall_report",
         "pii_scrub", "decontaminate", "gopher_quality", "url_blocklist",
-        "image_features_real", "web_clean",
-        "lm_perplexity", "lm_perplexity_ngram", "semantic_dedup",
+        "web_clean", "url_seen_guard", "url_cardinality",
+        "lm_perplexity", "lm_perplexity_ngram", "lm_perplexity_trigram",
+        "lm_perplexity_quadgram", "lm_perplexity_kn5", "semantic_dedup",
         "semdedup_clustered_verify", "dedup_cascade",
     }
     missing = expected - q
@@ -77,6 +77,14 @@ def test_sql_twinned_queries_precede_no_oracle():
                 "entry")
         else:
             seen_rows_only = True
+
+
+def test_every_oracled_query_is_graded():
+    """Every SQL-twinned query sits inside the driver's 50-entry graded
+    window: a twin past the cap is never checked by the driver."""
+    head = set(list(entry_mod.queries())[:50])
+    beyond = set(entry_mod.oracle_sql()) - head
+    assert not beyond, f"oracled queries past the graded 50: {beyond}"
 
 
 def test_entry_smoke(ray_session):

@@ -1,5 +1,5 @@
-"""Operator-level tests: sources, setsim, ANN, text stats, multimodal,
-join, query probe, diagnostics."""
+"""Operator-level tests: sources, setsim, ANN, text stats, join,
+query probe, diagnostics."""
 
 from __future__ import annotations
 
@@ -442,276 +442,6 @@ def test_fingerprint_deterministic():
     assert roll[0] == roll[2] != roll[1]
 
 
-# ----------------------------------------------------------- multimodal
-
-def test_image_features_fake_decode(ray_session):
-    import ray.data as rd
-
-    from nxsearch_ray.stages.multimodal import (
-        IMAGE_FEATURES_SCHEMA,
-        image_features_stage,
-    )
-
-    t = pa.table({"page_id": [1, 2], "payload": [b"fakejpeg1", b"x"]})
-    out = image_features_stage(rd.from_arrow(t),
-                               deterministic_fake=True)
-    got = pa.concat_tables(out.iter_batches(batch_size=10,
-                                            batch_format="pyarrow"))
-    assert got.schema.equals(IMAGE_FEATURES_SCHEMA)
-    rows = got.to_pylist()
-    assert {r["page_id"] for r in rows} == {1, 2}
-    assert all(16 <= r["width"] <= 1935 for r in rows)
-    assert all(len(r["features"]) == 8 for r in rows)
-
-
-def test_image_features_real_decode_uncompressed(ray_session):
-    """Real decode path: PPM/PGM/BMP payloads produce true dimensions
-    and channel statistics through the distributed stage (pure-numpy
-    codec, no Pillow needed)."""
-    import ray.data as rd
-
-    from nxsearch_ray.functions.imagecodec import encode_ppm
-    from nxsearch_ray.stages.multimodal import image_features_stage
-
-    rgb = np.zeros((4, 6, 3), dtype=np.uint8)
-    rgb[:, :, 0] = 255                       # pure red
-    gray = np.full((3, 5), 128, dtype=np.uint8)
-    # hand-built 2x2 24-bit BMP, bottom-up rows, BGR, stride padded to 8
-    # pixels: top row (red, green), bottom row (blue, white)
-    def px(r, g, b):
-        return bytes([b, g, r])
-    rows = [px(0, 0, 255) + px(255, 255, 255) + b"\x00\x00",  # bottom
-            px(255, 0, 0) + px(0, 255, 0) + b"\x00\x00"]      # top
-    pixel_data = b"".join(rows)
-    bmp = (b"BM" + (54 + len(pixel_data)).to_bytes(4, "little")
-           + b"\x00\x00\x00\x00" + (54).to_bytes(4, "little")
-           + (40).to_bytes(4, "little")
-           + (2).to_bytes(4, "little", signed=True)
-           + (2).to_bytes(4, "little", signed=True)
-           + (1).to_bytes(2, "little") + (24).to_bytes(2, "little")
-           + (0).to_bytes(4, "little") + bytes(20) + pixel_data)
-
-    t = pa.table({"page_id": [1, 2, 3],
-                  "payload": [encode_ppm(rgb), encode_ppm(gray), bmp]})
-    out = image_features_stage(rd.from_arrow(t))
-    rows_out = {r["page_id"]: r for r in pa.concat_tables(
-        out.iter_batches(batch_size=10, batch_format="pyarrow")
-    ).to_pylist()}
-    r1 = rows_out[1]
-    assert (r1["width"], r1["height"], r1["channels"]) == (6, 4, 3)
-    assert r1["features"][0] == pytest.approx(1.0)       # mean R
-    assert r1["features"][1] == pytest.approx(0.0)       # mean G
-    r2 = rows_out[2]
-    assert (r2["width"], r2["height"], r2["channels"]) == (5, 3, 1)
-    assert r2["features"][0] == pytest.approx(128 / 255, abs=1e-6)
-    r3 = rows_out[3]
-    assert (r3["width"], r3["height"], r3["channels"]) == (2, 2, 3)
-    # 4 pixels: red+green+blue+white → each channel mean = 2/4
-    assert r3["features"][0] == pytest.approx(0.5)
-    assert r3["features"][1] == pytest.approx(0.5)
-    assert r3["features"][2] == pytest.approx(0.5)
-
-
-def test_image_resize_real_roundtrip():
-    """Nearest-neighbor resize on a decoded PPM: upscale 2x2 checker to
-    4x4 keeps exact pixel blocks; output re-decodes to the target."""
-    from nxsearch_ray.functions.imagecodec import (
-        decode_image,
-        encode_ppm,
-    )
-    from nxsearch_ray.stages.multimodal import ImageResizeActor
-
-    img = np.zeros((2, 2, 3), dtype=np.uint8)
-    img[0, 0] = (255, 0, 0)
-    img[1, 1] = (0, 0, 255)
-    actor = ImageResizeActor(4, 4)
-    t = pa.table({"page_id": [9], "payload": [encode_ppm(img)]})
-    out = actor(t)
-    resized = decode_image(out.column("payload")[0].as_py())
-    assert resized.shape == (4, 4, 3)
-    assert tuple(resized[0, 0]) == (255, 0, 0)
-    assert tuple(resized[3, 3]) == (0, 0, 255)
-    assert tuple(resized[0, 3]) == (0, 0, 0)
-
-
-def test_image_decode_unsupported_format_is_stubbed():
-    """Compressed formats still need a codec library: without Pillow
-    the real path must raise loudly, not mis-decode."""
-    try:
-        import PIL  # noqa: F401
-        pytest.skip("Pillow available — stub not exercised")
-    except ImportError:
-        pass
-    from nxsearch_ray.stages.multimodal import ImageFeatureActor
-
-    actor = ImageFeatureActor(deterministic_fake=False)
-    t = pa.table({"page_id": [1],
-                  "payload": [b"RIFF\x00\x00\x00\x00WEBPVP8 "]})
-    with pytest.raises(NotImplementedError):
-        actor(t)
-    # PNG and JPEG decode for real now — a malformed payload is a
-    # data error (ValueError), not a missing-codec stub
-    for payload in (b"\x89PNG\r\n\x1a\nnotreallyapng",
-                    b"\xff\xd8\xff\xe0notreallyajpeg"):
-        t2 = pa.table({"page_id": [1], "payload": [payload]})
-        with pytest.raises(ValueError):
-            actor(t2)
-
-
-def test_image_resize_fake(ray_session):
-    import ray.data as rd
-
-    from nxsearch_ray.stages.multimodal import (
-        IMAGE_RESIZE_SCHEMA,
-        image_resize_stage,
-    )
-
-    t = pa.table({"page_id": [1, 2],
-                  "payload": [b"jpegbytes" * 100, b"y"]})
-    out = image_resize_stage(rd.from_arrow(t), 8, 6,
-                             deterministic_fake=True)
-    got = pa.concat_tables(out.iter_batches(batch_size=10,
-                                            batch_format="pyarrow"))
-    assert got.schema.equals(IMAGE_RESIZE_SCHEMA)
-    rows = sorted(got.to_pylist(), key=lambda r: r["page_id"])
-    # every output payload is exactly the target buffer size,
-    # regardless of input size (even 1-byte inputs)
-    assert all(len(r["payload"]) == 8 * 6 * 3 for r in rows)
-    assert rows[1]["payload"] == b"y" * (8 * 6 * 3)
-    # deterministic: same input -> same output
-    got2 = pa.concat_tables(
-        image_resize_stage(rd.from_arrow(t), 8, 6,
-                           deterministic_fake=True)
-        .iter_batches(batch_size=10, batch_format="pyarrow"))
-    assert got.sort_by("page_id").equals(got2.sort_by("page_id"))
-
-
-def test_audio_features_real_wav(ray_session):
-    """Real WAV decode: a 440 Hz sine at 16 kHz must yield the true
-    sample rate/duration, RMS ≈ A/√2, ZCR ≈ 2f/sr and a spectral
-    centroid at ≈ f/Nyquist — actual DSP, not payload hashing."""
-    import ray.data as rd
-
-    from nxsearch_ray.functions.audiocodec import encode_wav
-    from nxsearch_ray.stages.multimodal import audio_features_stage
-
-    sr, f, amp, secs = 16000, 440.0, 0.5, 1.0
-    ts = np.arange(int(sr * secs)) / sr
-    sine = amp * np.sin(2 * np.pi * f * ts)
-    silence = np.zeros(800)
-    t = pa.table({"page_id": [1, 2],
-                  "payload": [encode_wav(sine, sr),
-                              encode_wav(silence, 8000)]})
-    out = audio_features_stage(rd.from_arrow(t))
-    rows = {r["page_id"]: r for r in pa.concat_tables(
-        out.iter_batches(batch_size=10, batch_format="pyarrow")
-    ).to_pylist()}
-    r1 = rows[1]
-    assert r1["sample_rate"] == sr
-    assert r1["duration_s"] == pytest.approx(secs, abs=1e-4)
-    rms, zcr, _, peak, centroid = r1["features"][:5]
-    assert rms == pytest.approx(amp / np.sqrt(2), rel=0.01)
-    assert zcr == pytest.approx(2 * f / sr, rel=0.05)
-    assert peak == pytest.approx(amp, rel=0.01)
-    assert centroid == pytest.approx(f / (sr / 2), rel=0.05)
-    r2 = rows[2]
-    assert r2["sample_rate"] == 8000
-    assert r2["duration_s"] == pytest.approx(0.1)
-    assert r2["features"][0] == 0.0        # silent RMS
-
-
-def test_audio_features_fake(ray_session):
-    import ray.data as rd
-
-    from nxsearch_ray.stages.multimodal import (
-        AUDIO_FEATURES_SCHEMA,
-        audio_features_stage,
-    )
-
-    t = pa.table({"page_id": [7, 8],
-                  "payload": [b"\x01\x02" * 16000, b""]})
-    out = audio_features_stage(rd.from_arrow(t),
-                               deterministic_fake=True)
-    got = pa.concat_tables(out.iter_batches(batch_size=10,
-                                            batch_format="pyarrow"))
-    assert got.schema.equals(AUDIO_FEATURES_SCHEMA)
-    rows = sorted(got.to_pylist(), key=lambda r: r["page_id"])
-    assert rows[0]["duration_s"] == pytest.approx(1.0)  # 32000 B @ s16/16k
-    assert rows[1]["duration_s"] == 0.0
-    assert all(len(r["features"]) == 8 for r in rows)
-
-
-def test_video_frame_sample_real_y4m(ray_session):
-    """Real Y4M parse: 8 planted 4x4 C420 frames at 10 fps, sample 4 —
-    frame bytes must be the planted frames 0/2/4/6 and pts exact."""
-    import ray.data as rd
-
-    from nxsearch_ray.functions.videocodec import encode_y4m
-    from nxsearch_ray.stages.multimodal import video_frame_sample_stage
-
-    fsize = int(4 * 4 * 1.5)
-    planted = [bytes([i]) * fsize for i in range(8)]
-    y4m = encode_y4m(planted, 4, 4, fps_num=10, fps_den=1)
-    t = pa.table({"page_id": [5], "payload": [y4m]})
-    out = video_frame_sample_stage(rd.from_arrow(t), 4)
-    rows = sorted(pa.concat_tables(
-        out.iter_batches(batch_size=100, batch_format="pyarrow")
-    ).to_pylist(), key=lambda r: r["frame_idx"])
-    assert [r["frame_idx"] for r in rows] == [0, 1, 2, 3]
-    assert [r["frame"] for r in rows] == [planted[i]
-                                          for i in (0, 2, 4, 6)]
-    assert [r["pts_s"] for r in rows] == [0.0, 0.2, 0.4, 0.6]
-
-
-def test_video_frame_sample_fake(ray_session):
-    import ray.data as rd
-
-    from nxsearch_ray.stages.multimodal import (
-        VIDEO_FRAMES_SCHEMA,
-        video_frame_sample_stage,
-    )
-
-    t = pa.table({"page_id": [3], "payload": [bytes(range(256)) * 64]})
-    out = video_frame_sample_stage(rd.from_arrow(t), 4, frame_bytes=128,
-                                   deterministic_fake=True)
-    got = pa.concat_tables(out.iter_batches(batch_size=100,
-                                            batch_format="pyarrow"))
-    assert got.schema.equals(VIDEO_FRAMES_SCHEMA)
-    rows = sorted(got.to_pylist(), key=lambda r: r["frame_idx"])
-    assert [r["frame_idx"] for r in rows] == [0, 1, 2, 3]
-    assert all(len(r["frame"]) == 128 for r in rows)
-    assert all(r["page_id"] == 3 for r in rows)
-    # pts strictly increasing, starting at 0
-    pts = [r["pts_s"] for r in rows]
-    assert pts[0] == 0.0 and all(b > a for a, b in zip(pts, pts[1:]))
-
-
-def test_multimodal_stages_require_lib_without_fake():
-    from nxsearch_ray.stages.multimodal import (
-        AudioFeatureActor,
-        ImageResizeActor,
-        VideoFrameSampleActor,
-    )
-
-    # each modality's real path handles its uncompressed format via
-    # the built-in codecs; a COMPRESSED payload hits the stub contract
-    audio = AudioFeatureActor(deterministic_fake=False)
-    ta = pa.table({"page_id": [1], "payload": [b"ID3\x03mp3bytes"]})
-    with pytest.raises(NotImplementedError):
-        audio(ta)
-    video = VideoFrameSampleActor(4, deterministic_fake=False)
-    tv = pa.table({"page_id": [1],
-                   "payload": [b"\x00\x00\x00\x18ftypmp42fakemp4"]})
-    with pytest.raises(NotImplementedError):
-        video(tv)
-    # image resize constructs (built-in codec) but a non-PPM/BMP
-    # payload hits the stub contract
-    actor = ImageResizeActor(8, 6, deterministic_fake=False)
-    t = pa.table({"page_id": [1], "payload": [b"notanimage"]})
-    with pytest.raises(NotImplementedError):
-        actor(t)
-
-
 # ----------------------------------------------------------------- join
 
 def test_hash_join_correct(ray_session):
@@ -818,60 +548,3 @@ def test_ngram_jaccard_sharded_plan_equivalence(ray_session):
     four = run(4)
     assert one.num_rows > 0          # the corpus must exercise pairs
     assert four.equals(one)
-
-
-
-def test_multimodal_optional_library_probes():
-    """The optional-library route is probed ONCE in __init__ (actor
-    pattern) on every modality; in this container the libraries are
-    absent so the probes must be None and the stub contract holds."""
-    from nxsearch_ray.stages.multimodal import (
-        AudioFeatureActor,
-        ImageFeatureActor,
-        ImageResizeActor,
-        VideoFrameSampleActor,
-    )
-
-    img = ImageFeatureActor(deterministic_fake=False)
-    rsz = ImageResizeActor(4, 4, deterministic_fake=False)
-    aud = AudioFeatureActor(deterministic_fake=False)
-    vid = VideoFrameSampleActor(2, deterministic_fake=False)
-    assert hasattr(img, "_pil") and hasattr(rsz, "_pil")
-    assert hasattr(aud, "_sf") and hasattr(vid, "_iio")
-    # fake-mode actors never probe (no import cost per constructor)
-    assert ImageResizeActor(4, 4, deterministic_fake=True)._pil is None
-
-
-def test_multimodal_pillow_route_if_available():
-    """Where Pillow exists, WebP decodes through the SAME actor
-    interface (skipped in this container — the probe test above pins
-    the absent case)."""
-    pytest.importorskip("PIL")
-    import io
-
-    from PIL import Image
-
-    from nxsearch_ray.stages.multimodal import ImageFeatureActor
-
-    buf = io.BytesIO()
-    Image.new("RGB", (10, 8), (200, 10, 10)).save(buf, format="WEBP")
-    actor = ImageFeatureActor(deterministic_fake=False)
-    out = actor(pa.table({"page_id": [1], "payload": [buf.getvalue()]}))
-    assert out.column("width").to_pylist() == [10]
-    assert out.column("height").to_pylist() == [8]
-
-
-def test_audio_soundfile_route_if_available():
-    pytest.importorskip("soundfile")
-    import io
-
-    import soundfile as sf
-
-    from nxsearch_ray.stages.multimodal import AudioFeatureActor
-
-    buf = io.BytesIO()
-    sf.write(buf, np.zeros(1600, dtype=np.float32), 16000,
-             format="FLAC")
-    actor = AudioFeatureActor(deterministic_fake=False)
-    out = actor(pa.table({"page_id": [1], "payload": [buf.getvalue()]}))
-    assert out.column("sample_rate").to_pylist() == [16000]

@@ -326,3 +326,55 @@ def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
     exp_labels, _ = oracle_clusters(corpus.filter(keep), cfg)
     assert _cluster_dict(r) == exp_labels
     shutil.rmtree(out, ignore_errors=True)
+
+
+_ONE_CPU_RUN = r"""
+import json, sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import ray.data as rd
+from nxsearch_ray.config import PipelineConfig
+from nxsearch_ray.pipelines.dedup import clusters_as_table, run_dedup
+ds = rd.read_parquet(sys.argv[1], columns=["page_id", "url", "warc_ts",
+                                           "html", "lang"])
+res = run_dedup(ds, PipelineConfig(), **json.loads(sys.argv[2]))
+t = clusters_as_table(res)
+print(json.dumps({"plans": [res.stats["verify_plan"],
+                            res.stats["cc_plan"]],
+                  "clusters": [t.column("page_id").to_pylist(),
+                               t.column("cluster_id").to_pylist()]}))
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("plans", [
+    {},
+    {"verify_mode": "bucketed", "cc_mode": "labelprop"},
+])
+def test_one_cpu_session_completes(tmp_path, plans):
+    """A 1-CPU Ray session must finish ``run_dedup`` on both plan sets:
+    long-lived actors (signature pool, hash-shuffle aggregators) may
+    not hold the fractional CPU that every 1-CPU task then waits for."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    corpus = synth_pages(200, seed=SEED)
+    pq.write_table(corpus, tmp_path / "part-0.parquet")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_RUN, str(tmp_path),
+         json.dumps(plans)],
+        capture_output=True, text=True, timeout=240, cwd=repo)
+    assert r.returncode == 0, r.stderr[-2000:]
+    out = json.loads(r.stdout.strip().splitlines()[-1])
+    if plans:
+        assert out["plans"] == ["bucketed", "labelprop"]
+    labels, _ = oracle_clusters(corpus, PipelineConfig())
+    assert dict(zip(*out["clusters"])) == labels

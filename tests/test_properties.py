@@ -137,57 +137,3 @@ def test_pii_redaction_idempotent(texts):
         text_col="text2")
     assert twice.column("clean_text").to_pylist() == \
         once.column("clean_text").to_pylist()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=24),
-       st.integers(min_value=1, max_value=24),
-       st.sampled_from([1, 3]),
-       st.integers(min_value=0, max_value=2**31 - 1))
-def test_png_roundtrip_lossless_property(h, w, c, seed):
-    """encode_png → decode_image is exactly lossless for every
-    shape/channel/content combination."""
-    from nxsearch_ray.functions.imagecodec import (decode_image,
-                                                   encode_png)
-
-    img = np.random.default_rng(seed).integers(
-        0, 256, size=(h, w, c), dtype=np.uint8)
-    assert np.array_equal(decode_image(encode_png(img)), img)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=8, max_value=40),
-       st.integers(min_value=8, max_value=40),
-       st.booleans(),
-       st.integers(min_value=0, max_value=2**31 - 1))
-def test_jpeg_structural_property(h, w, sub, seed):
-    """JPEG round-trip preserves shape/dtype for every geometry, and
-    the decoded mean stays near the source mean (DC fidelity)."""
-    from nxsearch_ray.functions.jpegcodec import (decode_jpeg,
-                                                  encode_jpeg)
-
-    rng = np.random.default_rng(seed)
-    base = rng.integers(30, 226)
-    img = np.clip(base + rng.normal(0, 12, size=(h, w, 3)),
-                  0, 255).astype(np.uint8)
-    out = decode_jpeg(encode_jpeg(img, subsample=sub))
-    assert out.shape == img.shape and out.dtype == np.uint8
-    assert abs(out.astype(float).mean() - img.astype(float).mean()) \
-        < 4.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=-1.0, max_value=1.0,
-                          allow_nan=False), min_size=1, max_size=400),
-       st.sampled_from(["ulaw", "alaw"]))
-def test_g711_quantization_error_bound(samples, law):
-    """Companding error is bounded by the local step size: G.711
-    guarantees |err| <= max(1/32, |x|/8) in normalized units."""
-    from nxsearch_ray.functions.audiocodec import (decode_wav,
-                                                   encode_wav_g711)
-
-    x = np.asarray(samples, dtype=np.float64)
-    out, _ = decode_wav(encode_wav_g711(x, 8000, law=law))
-    err = np.abs(out - x)
-    bound = np.maximum(np.abs(x) / 8.0, 1.0 / 32.0)
-    assert np.all(err <= bound)

@@ -192,43 +192,3 @@ def test_warc_ingest_file_granular_resume(ray_session, tmp_path):
     assert s3["parsed"] == 1 and s3["skipped"] == 2
     assert read_parquet_clean(
         idir, file_extensions=["parquet"]).count() == 11
-
-
-def test_jsonl_gz_documents_source(ray_session, tmp_path):
-    """JSONL.gz shards ingest to the documents shape; field_map
-    handles Dolma-style key names; ids are stable across re-reads."""
-    import gzip
-    import json
-
-    from nxsearch_ray.sources.jsonl import (
-        documents_from_jsonl,
-        jsonl_bytes_to_documents,
-    )
-
-    recs = [{"id": f"doc-{i}", "text": f"text number {i} with words",
-             "metadata_lang": "en"} for i in range(25)]
-    shard = b"\n".join(json.dumps(r).encode() for r in recs)
-    fm = {"doc_id": "id", "lang": "metadata_lang"}
-
-    p1 = tmp_path / "shard-0.jsonl.gz"
-    p1.write_bytes(gzip.compress(shard[:len(shard) // 2]
-                                 .rsplit(b"\n", 1)[0]))
-    p2 = tmp_path / "shard-1.jsonl"
-    p2.write_bytes(shard[len(shard) // 2:].split(b"\n", 1)[1])
-
-    ds = documents_from_jsonl([str(p1), str(p2)], field_map=fm)
-    t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
-    assert t.num_rows == 24          # one record straddles the split
-    assert set(t.schema.names) == {"doc_id", "text", "lang", "source"}
-    assert set(t.column("lang").to_pylist()) == {"en"}
-
-    a = jsonl_bytes_to_documents(shard, field_map=fm)
-    b = jsonl_bytes_to_documents(shard, field_map=fm)
-    assert a.column("doc_id").to_pylist() == \
-        b.column("doc_id").to_pylist()       # stable hash ids
-    assert len(set(a.column("doc_id").to_pylist())) == 25
-
-    # integer ids pass through untouched
-    t2 = jsonl_bytes_to_documents(
-        b'{"doc_id": 42, "text": "x"}\n\n{"doc_id": 7, "text": "y"}')
-    assert t2.column("doc_id").to_pylist() == [42, 7]
