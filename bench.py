@@ -67,25 +67,6 @@ def run_benchmarks() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    # Every UDF in this repo emits schema-carrying (possibly empty)
-    # tables, but Ray 2.49's hash-shuffle operator materializes EMPTY
-    # exchange partitions as RefBundle(schema=None) (ray/data/_internal/
-    # execution/operators/hash_shuffle.py:616) and zero-row bundles
-    # BYPASS downstream map UDFs entirely, so the executor's cosmetic
-    # "RefBundle with a different schema" warning is unfixable from
-    # user code when a keyed exchange has fewer keys than partitions
-    # (e.g. top-k over 5 event types).  Drop exactly that message.
-    import logging
-
-    class _DropSchemalessEmptyBundleWarning(logging.Filter):
-        def filter(self, rec: logging.LogRecord) -> bool:
-            return ("RefBundle with a different schema"
-                    not in rec.getMessage())
-
-    logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state"
-    ).addFilter(_DropSchemalessEmptyBundleWarning())
-
     from nxsearch_ray.sources.io import read_parquet_clean
 
     from nxsearch_ray.config import PipelineConfig

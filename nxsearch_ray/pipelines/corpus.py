@@ -188,15 +188,9 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
         surv = j.map_batches(survivors, batch_format="pyarrow")
         # Pin/checkpoint the survivor embeddings BEFORE the semantic
-        # tier: (a) semdedup re-reads its input once per pass (census /
-        # sub-train / final) — unpinned, each pass would re-execute the
-        # whole upstream join; (b) the join lineage carries the scoped
-        # hash-shuffle context (stages/shuffle.adopt_hash_context),
-        # under which semdedup's own groupbys would run Ray's native
-        # hash-shuffle aggregation (64 × 0.2-CPU aggregators) and
-        # deadlock a small session.  Severing the lineage restores the
-        # default sort-based aggregation and makes each pass a cheap
-        # re-read.
+        # tier: semdedup re-reads its input once per pass (census /
+        # sub-train / final) — unpinned, each pass would re-run the
+        # join's per-block scans; pinned, each pass is a cheap re-read.
         surv_params = _StageParams({
             "stage": "semantic_survivors",
             "clean": clean_params.config_hash(),
@@ -222,9 +216,8 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
         t3 = dec.map_batches(t3_decide, batch_format="pyarrow")
         if out_dir is None:
-            # same lineage-severing as above: without a checkpoint the
-            # fold join would re-trigger semdedup's groupbys under the
-            # join's scoped hash-shuffle context
+            # finish the semantic tier's lazy tail here (timed as
+            # wall_semantic), not inside the fold join's exchange
             t3 = pin_blocks(t3)
         stats["wall_semantic"] = round(_t() - t0, 2)
 

@@ -28,8 +28,10 @@ Materialization policy: `signatures` is consumed by several
 downstream passes, so it is pinned once — to a Parquet checkpoint
 when ``out_dir`` is given (resumable, with a lineage manifest that
 records the config and input fingerprint), else to the object store
-(``materialize()``).  Everything else streams, apart from the scored
-pairs (read by both tiers).  All hashing is seeded from the config;
+(``materialize()``).  Each keyed exchange (stages/shuffle.py) runs
+when it is called and hands on its output blocks; the per-block scans
+between exchanges stream, and the scored pairs (read by both tiers)
+are pinned.  All hashing is seeded from the config;
 output is invariant to parallelism and retries.
 """
 
@@ -192,8 +194,6 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
 def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
     """signatures → candidates → verify → exact adjudication: the
     verified (a, b, source) pairs, checkpointed or pinned."""
-    from nxsearch_ray.stages.shuffle import adopt_hash_context
-
     # fused extract→canonicalize→signature: the signatures table
     # carries token_ids, so no separate canonical materialization
     t0 = time.monotonic()
@@ -226,15 +226,6 @@ def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
         scored = verify_pairs_broadcast(
             candidates, build_signature_index_ref(signatures, cfg), cfg)
     elif verify_mode == "bucketed":
-        # barrier: the bucketed plan adds TWO more hash exchanges
-        # (pair_join), and a fully-streaming DAG runs all four
-        # shuffle operators' aggregator pools CONCURRENTLY with
-        # the map operators — measured 2× the stage-by-stage wall
-        # at 8 cpus (oversubscribed aggregators thrash the
-        # scheduler).  Candidates are tiny after the in-bucket
-        # Hamming filter (~0.2 rows/page), so pinning them here
-        # costs nothing and halves the live shuffle-op count.
-        candidates = pin_blocks(candidates)
         scored = verify_pairs_bucketed(candidates, signatures, cfg)
     else:
         raise ValueError(f"unknown verify_mode {verify_mode!r}")
@@ -254,8 +245,7 @@ def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
     else:
         exact = suffix_verify_broadcast(
             need_exact, build_token_index_ref(signatures), cfg)
-    all_pairs = adopt_hash_context(direct.union(
-        exact.select_columns(["a", "b", "source"])))
+    all_pairs = direct.union(exact.select_columns(["a", "b", "source"]))
     if out_dir is None:
         all_pairs = pin_blocks(all_pairs)
     else:

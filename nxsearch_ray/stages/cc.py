@@ -123,34 +123,28 @@ def cc_label_propagation(pairs_ds):
     CLUSTER_SCHEMA columns.
 
     Why raw tasks and not Dataset ops: an iterative algorithm run as
-    per-round Dataset stages pays a full stage launch + exchange
-    (aggregator pool spin-up, plan compile) every round — measured
-    ~5 s/round at sandbox scale for data measured in kilobytes.  Here
-    the edge set is partitioned ONCE (star-collapsed per block by the
-    vectorized union-find combiner, exploded to both directions,
-    hash-exchanged on an explicit partition column we can recompute
-    for any destination id), and each round is P plain tasks passing
-    P×P small message arrays through the object store — delta
-    propagation, so a round's traffic is proportional to the labels
-    that actually changed, and convergence (no change anywhere) is
-    O(diameter) rounds over star-collapsed edges.
+    per-round Dataset stages pays a plan compile and an executor
+    start-up every round, fixed cost that dwarfs rounds over data
+    measured in kilobytes.  Here the edge set is partitioned ONCE
+    (star-collapsed per block by the vectorized union-find combiner,
+    exploded to both directions, one ``hash_partitioned`` exchange on
+    ``node``), and each round is P plain tasks passing P×P small
+    message arrays through the object store.  Messages are routed by
+    the exchange's own ``key_hash``, so a destination id's partition is
+    recomputed anywhere without a lookup table.  Delta propagation: a
+    round's traffic is proportional to the labels that actually
+    changed, and convergence (no change anywhere) is O(diameter) rounds
+    over star-collapsed edges.
 
-    Partitioning assumptions, stated: P should scale with the edge
-    count (here: shuffle.default_num_partitions, half the cluster
-    CPUs); P² message objects per round are tiny but their count
-    grows quadratically — at very large P, batch messages per
-    destination WORKER rather than per partition.
-    Determinism: labels evolve by min() folds only, so the fixed
-    point is independent of scheduling order."""
+    Partitioning assumptions, stated: P is the exchange's data-sized
+    width (``shuffle.partition_width``); P² message objects per round
+    are tiny but their count grows quadratically — at very large P,
+    batch messages per destination WORKER rather than per partition.
+    Determinism: labels evolve by min() folds only, so the fixed point
+    is independent of scheduling order."""
     import ray
 
-    from nxsearch_ray.functions.hashing import splitmix64
-    from nxsearch_ray.stages.shuffle import (
-        default_num_partitions,
-        hash_partitioned,
-    )
-
-    P = default_num_partitions()
+    from nxsearch_ray.stages.shuffle import hash_partitioned, key_hash
 
     def to_edges(t: pa.Table) -> pa.Table:
         """Per-block union-find combiner: collapse every component
@@ -163,31 +157,24 @@ def cc_label_propagation(pairs_ds):
         star = _star_edges(t)
         node = star.column("a").to_numpy()
         root = star.column("b").to_numpy()
-        both_n = np.concatenate([node, root])
-        both_d = np.concatenate([root, node])
-        pcol = (splitmix64(both_n.astype(np.uint64))
-                % np.uint64(P)).astype(np.int64)
         return pa.Table.from_arrays(
-            [pa.array(both_n, type=pa.int64()),
-             pa.array(both_d, type=pa.int64()),
-             pa.array(pcol, type=pa.int64())],
-            names=["node", "dst", "pcol"])
+            [pa.array(np.concatenate([node, root]), type=pa.int64()),
+             pa.array(np.concatenate([root, node]), type=pa.int64())],
+            names=["node", "dst"])
 
     edges = pairs_ds.select_columns(["a", "b"]).map_batches(
         to_edges, batch_format="pyarrow")
-    blocks = [b for b in hash_partitioned(edges, ["pcol"], P)
-              .materialize().to_arrow_refs()]
+    blocks = hash_partitioned(edges, ["node"]).to_arrow_refs()
 
     @ray.remote
     def _prep(block):
         """Per-partition state: node-sorted edge arrays, the sorted
         unique node ids, and initial labels = min(node, local min
-        neighbor).  Returns (state, labels0, pcols)."""
-        if block.num_columns == 0 or block.num_rows == 0:
-            return None, np.empty(0, np.int64), np.empty(0, np.int64)
+        neighbor).  Returns (state, labels0)."""
+        if block.num_rows == 0:
+            return None, np.empty(0, np.int64)
         node = block.column("node").to_numpy()
         dst = block.column("dst").to_numpy()
-        pcols = np.unique(block.column("pcol").to_numpy())
         order = np.argsort(node, kind="stable")
         node, dst = node[order], dst[order]
         nodes, starts = np.unique(node, return_index=True)
@@ -195,23 +182,14 @@ def cc_label_propagation(pairs_ds):
         labels = np.minimum(nodes, local_min)
         eidx = np.searchsorted(nodes, node)   # edge row → node slot
         state = {"nodes": nodes, "eidx": eidx, "dst": dst}
-        return state, labels, pcols
+        return state, labels
 
-    preps = [_prep.options(num_returns=3).remote(b) for b in blocks]
+    preps = [_prep.options(num_returns=2).remote(b) for b in blocks]
     state_refs = [p[0] for p in preps]
-    pcol_lists = ray.get([p[2] for p in preps])
     B = len(blocks)
-    pcol2blk = np.full(P, -1, dtype=np.int64)
-    for bi, pl in enumerate(pcol_lists):
-        pcol2blk[pl] = bi
-    live = [bi for bi, pl in enumerate(pcol_lists) if len(pl)]
-    if not live:
-        import ray.data as rd
-
-        return rd.from_arrow(CLUSTER_SCHEMA.empty_table())
 
     @ray.remote
-    def _round(state, labels, first, pcol2blk_, nblocks, *inbox):
+    def _round(state, labels, first, nblocks, *inbox):
         """One BSP superstep: fold inbox minima into labels, emit the
         changed labels along local out-edges grouped by destination
         block.  Returns (labels, changed_count, msg_0, ..., msg_B-1);
@@ -240,8 +218,8 @@ def cc_label_propagation(pairs_ds):
         sel = emit_mask[eidx]
         dsel = state["dst"][sel]
         lsel = lab[eidx[sel]]
-        dblk = pcol2blk_[(splitmix64(dsel.astype(np.uint64))
-                          % np.uint64(len(pcol2blk_))).astype(np.int64)]
+        dblk = (key_hash(pa.table({"node": dsel}), ["node"])
+                % np.uint64(nblocks)).astype(np.int64)
         order = np.argsort(dblk, kind="stable")
         dblk, dsel, lsel = dblk[order], dsel[order], lsel[order]
         bounds = np.searchsorted(dblk, np.arange(nblocks + 1))
@@ -258,14 +236,13 @@ def cc_label_propagation(pairs_ds):
     msg_refs = [[None] * B for _ in range(B)]   # [src][dst]
     for rnd in range(LABELPROP_MAX_ROUNDS):
         outs = {}
-        for bi in live:
-            inbox = [msg_refs[q][bi] for q in live
+        for bi in range(B):
+            inbox = [msg_refs[q][bi] for q in range(B)
                      if msg_refs[q][bi] is not None]
             outs[bi] = _round.options(num_returns=2 + B).remote(
-                state_refs[bi], label_refs[bi], rnd == 0,
-                pcol2blk, B, *inbox)
+                state_refs[bi], label_refs[bi], rnd == 0, B, *inbox)
         changed_refs = []
-        for bi in live:
+        for bi in range(B):
             r = outs[bi]
             label_refs[bi] = r[0]
             changed_refs.append(r[1])
@@ -288,5 +265,5 @@ def cc_label_propagation(pairs_ds):
     import ray.data as rd
 
     tables = [_to_table.remote(state_refs[bi], label_refs[bi])
-              for bi in live]
+              for bi in range(B)]
     return rd.from_arrow_refs(tables)

@@ -53,10 +53,7 @@ def census_over_keys(keyed_ds, names: tuple[str, ...]):
       hash exchange on bucket_key (each key lands in exactly one
       block) → vectorized per-block run count + histogram → second
       SMALL key-disjoint exchange on the histogram keys + per-block
-      sum (NOT ``.groupby()`` — a groupby derived from the hash-scoped
-      lineage inherits HASH_SHUFFLE with Ray's default
-      num_partitions=200, a 200-aggregator-actor pool that stalls any
-      small session).
+      sum.
 
     ONE all-to-all exchange over the exploded keys — the same
     shape/cost as the candidate-pair census any 10^12-doc run needs

@@ -338,8 +338,7 @@ def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
         """Per-block (key-complete) run scan: gather each key's single
         right-side row (sorts last within its run) onto its left rows."""
         n = t.num_rows
-        if n == 0 or t.num_columns == 0:
-            # hash-shuffle repartition can emit zero-column empties
+        if n == 0:
             return out_schema.empty_table()
         keys = t.column("__key").to_numpy()
         side = t.column("__side").to_numpy()

@@ -125,12 +125,9 @@ def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
     pairs = embedding_dup_pairs_blocked(
         emb_ds, threshold=eps, id_col=id_col, emb_col=emb_col,
         block_rows=block_rows)
-    # pin the dup map before the exchange join: same discipline as the
-    # flagship's candidate pin (pipelines/dedup.py) — running the
-    # groupby's shuffle concurrently with the join's hash exchange
-    # stacks aggregator pools and can starve a small cluster, and the
-    # intermediate is tiny (two int64s per DROPPED doc, object-store
-    # resident — never on the driver)
+    # pin the dup map before the exchange join: the intermediate is
+    # tiny (two int64s per DROPPED doc, object-store resident — never
+    # on the driver)
     dups = pairs.groupby("b").min("a").materialize()
 
     joined = hash_join(

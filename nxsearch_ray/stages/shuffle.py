@@ -1,61 +1,46 @@
 """Key-disjoint hash repartitioning — the engine's core exchange.
 
-Ray 2.49's hash-shuffle strategy can repartition a Dataset by key
-columns so that EVERY row of a given key lands in exactly one output
-block (verified empirically: block key sets are disjoint).  That
-property removes the whole block-edge machinery the sort-based plans
-need (pending rows, fallback groupby, the materialize that feeds the
-done/pending split): a per-block vectorized scan after a local sort
-sees every key run in full, so the stage STREAMS — one exchange, no
-barrier materialization, no second shuffle for stragglers.
+``hash_partitioned`` sends every row to the partition its key hashes
+to, so EVERY row of a given key lands in exactly one output block.
+That property removes the whole block-edge machinery the sort-based
+plans need (pending rows, fallback groupby, a done/pending split): a
+per-block vectorized scan after a local sort sees every key run in
+full — one exchange, no fallback pass, no second shuffle for
+stragglers.
 
-The strategy is scoped to the lineage (not the global DataContext):
-``repartition(keys=...)`` reads ``shuffle_strategy`` from the
-dataset's captured context at execution time, so we give the derived
-dataset a private context copy and flip only that one.  Aggregations
-elsewhere keep the default sort-based shuffle (hash-shuffle
-aggregations spin up an aggregator actor pool that costs seconds at
-small scale).
+The exchange is two waves of plain Ray tasks over the input's block
+refs: one ``_split`` per block hashes the key columns and returns its
+P pieces (``num_returns=P``), then one ``_merge`` per partition
+concatenates the pieces addressed to it.  A task costs milliseconds
+to schedule, where an exchange on Ray Data's hash-shuffle operator
+started a pool of aggregator actors — seconds of fixed cost per
+exchange at benchmark scale.  The exchange runs when called (it needs
+the input's block refs and their metadata), so its cost lands at the
+call site; the result is a materialized Dataset whose block i holds
+the rows with ``key_hash(...) % P == i``.
 """
 
 from __future__ import annotations
 
-import copy
+import numpy as np
+import ray
+
+# a partition's byte target (Ray Data's default target block size):
+# past one partition per CPU, the width grows with the data's bytes
+PARTITION_BYTES = 128 << 20
 
 
-def default_num_partitions() -> int:
-    """Half a partition per cluster CPU (min 8): each hash-shuffle
-    partition spins up an aggregator actor, and actor start-up is the
-    dominant fixed cost of the exchange at small scale (measured:
-    8 partitions → 2.3 s, 32 partitions → 6.0 s for the same 26k-page
-    candidate+union pass on 32 CPUs); the per-block scans downstream
-    are cheap enough that half-width parallelism never binds."""
-    return max(2, min(cluster_cpus(), max(8, cluster_cpus() // 2)))
-
-
-def sized_num_partitions(n_rows: int,
-                         rows_per_partition: int = 65536) -> int:
-    """Exchange width proportional to the DATA, clamped to
-    [8, cluster_cpus() // 2].
-
-    Measured (round 5, 32-cpu session, bucketed verify pair_join):
-    at 26k pages 32 partitions ran 24.7 s vs 2.2 s at 8; at 520k
-    pages 32 ran 40.1 s vs 6.3 s at 8 — each hash-shuffle partition
-    is an aggregator actor whose fixed coordination cost (~2.6 s
-    remote wall apiece when ≥32 actors contend on one node) dwarfs
-    the per-row work until partitions hold ~64k rows.  The cap keeps
-    a single node out of the pathological regime while still letting
-    width grow with the data on a real multi-node cluster (where
-    cluster_cpus() is hundreds and aggregators spread across
-    nodes)."""
-    want = max(8, -(-int(n_rows) // rows_per_partition))
-    return min(want, max(8, cluster_cpus() // 2))
+def partition_width(n_rows: int, n_bytes: int) -> int:
+    """Exchange width sized by the data: one partition per cluster CPU
+    (the per-block scans downstream keep every CPU busy) but never more
+    partitions than rows, and more partitions once one would pass
+    ``PARTITION_BYTES``."""
+    return max(1, min(cluster_cpus(), n_rows),
+               -(-n_bytes // PARTITION_BYTES))
 
 
 def cluster_cpus() -> int:
     try:
-        import ray
-
         return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         return 8
@@ -63,13 +48,12 @@ def cluster_cpus() -> int:
 
 def stage_num_cpus() -> float:
     """Per-actor CPU demand for stateful stages: 1.0 normally, 0.5 on
-    tiny clusters (≤4 CPUs) so a multi-operator streaming DAG (map
-    task + shuffle aggregators + actor pool) can co-schedule at all —
-    with integral demands a 2-CPU session deadlocks (verify actor
-    pending forever behind a running map task + aggregator pool).
-    Below 2 CPUs the demand is 0: a long-lived actor holding any
-    fraction of the only CPU leaves every 1-CPU task (the read, the
-    exchange's map) unschedulable for good."""
+    tiny clusters (≤4 CPUs) so the actor pool and the map tasks feeding
+    it can co-schedule — with integral demands a 2-CPU session can
+    leave the pool's actors holding every CPU while the read task that
+    feeds them waits.  Below 2 CPUs the demand is 0: a long-lived actor
+    holding any fraction of the only CPU leaves every 1-CPU task (the
+    read, the exchange's split and merge) unschedulable for good."""
     cpus = cluster_cpus()
     if cpus < 2:
         return 0.0
@@ -94,38 +78,91 @@ def actor_pool_size(frac: float = 1.0,
 
 
 def adopt_hash_context(ds):
-    """Re-scope ``ds`` so its execution runs under the hash-shuffle
-    strategy.  The planner applies ONE DataContext — the top-level
-    dataset's — to every operator in the DAG, and ``union`` adopts its
-    LEFT operand's context; a union whose right branch contains a
-    keyed repartition therefore needs this applied to the union
-    result, or planning fails."""
-    from ray.data.context import ShuffleStrategy
-
-    try:
-        ds._plan._context = copy.deepcopy(ds.context)
-    except AttributeError:
-        pass
-    ds.context.use_push_based_shuffle = False
-    ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    # aggregator actors default to 1 CPU each and the operator waits
-    # up to 300 s for the FULL pool before degrading — on a small
-    # cluster (num_partitions > CPUs) that is a hard stall.  Fractional
-    # CPUs let the whole pool schedule anywhere; the aggregators only
-    # concat+emit, so oversubscription is harmless.  On a 1-CPU
-    # cluster any fraction starves the 1-CPU map tasks, so they take 0.
-    agg_cpus = 0.05 if cluster_cpus() >= 2 else 0.0
-    ds.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = agg_cpus
-    ds.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = agg_cpus
-    ds.context.min_hash_shuffle_aggregator_wait_time_in_s = 10
+    """Identity: the task exchange needs no scoped Dataset context."""
     return ds
+
+
+def key_hash(t, keys) -> np.ndarray:
+    """uint64 hash per row of ``t``'s ``keys`` columns: integer keys
+    (any width or sign) through splitmix64, string keys by their full
+    content (``content_hash128``; a prefix hash would pile URLs of one
+    host into one partition), several columns folded in order.  Equal
+    key tuples hash equal."""
+    import pyarrow as pa
+
+    from nxsearch_ray.functions.hashing import (
+        content_hash128,
+        splitmix64,
+        string_buffers,
+    )
+
+    h = None
+    for k in keys:
+        col = t.column(k)
+        if pa.types.is_string(col.type) or pa.types.is_large_string(
+                col.type):
+            hc = content_hash128(*string_buffers(col))[0].view(np.uint64)
+        else:
+            hc = splitmix64(col.to_numpy().astype(np.uint64))
+        h = hc if h is None else splitmix64(h) ^ hc
+    return h
+
+
+@ray.remote
+def _split(block, keys, P):
+    """One input block → its P pieces, piece i holding the rows whose
+    key hash is i mod P.  An empty block (a union with an empty side
+    yields zero-column ones) is every piece."""
+    import pyarrow as pa
+
+    if not isinstance(block, pa.Table):
+        from ray.data.block import BlockAccessor
+
+        block = BlockAccessor.for_block(block).to_arrow()
+    if block.num_rows == 0:
+        return (block,) * P if P > 1 else block
+    part = (key_hash(block, keys) % np.uint64(P)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    block = block.take(order)
+    bounds = np.searchsorted(part[order], np.arange(P + 1))
+    pieces = tuple(block.slice(bounds[i], bounds[i + 1] - bounds[i])
+                   for i in range(P))
+    return pieces if P > 1 else pieces[0]
+
+
+@ray.remote
+def _merge(*pieces):
+    """One partition's pieces → its block.  Empty pieces are dropped
+    unless nothing else is left (their schema may be zero-column)."""
+    import pyarrow as pa
+
+    full = [p for p in pieces if p.num_rows]
+    if not full:
+        return max(pieces, key=lambda p: p.num_columns,
+                   default=pa.table({}))
+    return pa.concat_tables(full, promote_options="default")
 
 
 def hash_partitioned(ds, keys, num_partitions: int | None = None):
     """Repartition ``ds`` so each value of ``keys`` occupies exactly
-    one block.  Returns the repartitioned (lazy) Dataset whose lineage
-    runs under the hash-shuffle strategy; everything derived from it
-    inherits the scoped context."""
-    n = num_partitions or default_num_partitions()
-    return adopt_hash_context(ds.repartition(n, keys=list(keys),
-                                             sort=False))
+    one block.  Runs the exchange now and returns a materialized
+    Dataset of exactly P blocks (``num_partitions``, else
+    ``partition_width`` of the input's block metadata), block i holding
+    the rows with ``key_hash % P == i``."""
+    import ray.data as rd
+
+    keys = list(keys)
+    blocks = [b for bundle in ds.iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    P = num_partitions or partition_width(
+        sum(m.num_rows or 0 for _, m in blocks),
+        sum(m.size_bytes or 0 for _, m in blocks))
+    split = _split.options(num_returns=P)
+    pieces = [split.remote(ref, keys, P) for ref, _ in blocks]
+    if P == 1:
+        pieces = [[p] for p in pieces]
+    # only the splits hold the input now: each block is freed as its
+    # split finishes, not when the merges do
+    del blocks
+    return rd.from_arrow_refs(
+        [_merge.remote(*[p[i] for p in pieces]) for i in range(P)])

@@ -249,20 +249,16 @@ def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig):
     Semi-join reduction first: only a tiny fraction of docs appear in
     screen-passing pairs, so the needed page-id SET (ids only — tiny
     even when payloads are not) is broadcast and prunes the canonical
-    side before the payload-carrying exchange.  Exchange width sized
-    to the screen-pair stream (the payload side is pruned to ≤ 2 rows
-    per pair); token_ids payloads are heavy, so the per-partition row
-    target is small."""
+    side before the payload-carrying exchange.  Each exchange sizes
+    itself from its input's rows and bytes (shuffle.partition_width),
+    so the heavy token_ids payload widens it by bytes, not rows."""
     from nxsearch_ray.stages.join import (PAIR_SCHEMA, id_set_ref,
                                           pair_join, semi_join)
-    from nxsearch_ray.stages.shuffle import sized_num_partitions
 
     pairs_ds = pairs_ds.materialize()
     tok_slim = semi_join(canonical_ds.select_columns(TOKEN_SCHEMA.names),
                          "page_id", id_set_ref(pairs_ds, ["a", "b"]))
     joined = pair_join(pairs_ds, tok_slim, right_key="page_id",
-                       pair_schema=PAIR_SCHEMA, right_schema=TOKEN_SCHEMA,
-                       num_partitions=sized_num_partitions(
-                           2 * pairs_ds.count(), rows_per_partition=8192))
+                       pair_schema=PAIR_SCHEMA, right_schema=TOKEN_SCHEMA)
     return joined.map_batches(lambda t: adjudicate_joined_table(t, cfg),
                               batch_format="pyarrow")

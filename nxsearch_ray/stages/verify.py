@@ -348,18 +348,10 @@ def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig):
     """Scale path: one fused pair-payload join (stages/join.pair_join —
     the signature payload rides each of its two shuffles exactly once,
     packed into a single binary blob per endpoint, see
-    ``_pack_payload``) then the shared ``score_pairs``.
-
-    Exchange width is sized to the DATA (shuffle.sized_num_partitions)
-    — round 4's full-width (one partition per cluster CPU) choice was
-    a measured regression at every tested scale on a single node
-    (24.7 s vs 2.2 s at 26k pages, 40 s vs 6.3 s at 520k): each extra
-    hash-shuffle partition is an aggregator actor with seconds of
-    fixed coordination cost.  ``sig_ds`` must be materialized /
-    checkpointed (run_dedup pins it) so ``count()`` is metadata, not
-    an execution."""
+    ``_pack_payload``) then the shared ``score_pairs``.  Each of the
+    join's two exchanges takes its width from its own input's block
+    metadata (shuffle.partition_width)."""
     from nxsearch_ray.stages.join import PAIR_SCHEMA, pair_join
-    from nxsearch_ray.stages.shuffle import sized_num_partitions
 
     P = cfg.num_perms
     packed = sig_ds.select_columns(_sig_schema(P).names) \
@@ -368,7 +360,6 @@ def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig):
     joined = pair_join(pairs_ds, packed, right_key="page_id",
                        pair_schema=PAIR_SCHEMA,
                        right_schema=pa.schema([("page_id", pa.int64()),
-                                               ("blob", pa.binary())]),
-                       num_partitions=sized_num_partitions(sig_ds.count()))
+                                               ("blob", pa.binary())]))
     return joined.map_batches(lambda t: score_joined_table(t, cfg),
                               batch_format="pyarrow")

@@ -8,8 +8,9 @@ only its in-flight doc.  The batch-pipeline analogue (north rule:
   * every stage can materialize to ``{out_dir}/{stage}/`` as a
     directory of Parquet part files,
   * a ``manifest.json`` is written LAST (atomic rename) recording the
-    config hash, row count, per-file lineage (path, rows, bytes) and
-    wall time — its presence is the ``_SUCCESS`` marker,
+    config hash, row count, per-file lineage (path, rows, stored and
+    uncompressed bytes) and wall time — its presence is the
+    ``_SUCCESS`` marker,
   * a stage may also record the fingerprint of the input it was
     computed from (``input_fingerprint``), so a checkpoint is never
     resumed against a different input,
@@ -65,9 +66,13 @@ def is_complete(out_dir: str, stage: str, cfg: PipelineConfig,
 
 
 def stage_bytes(out_dir: str, stage: str) -> int:
-    """Stored bytes of a complete stage, from its manifest."""
-    return sum(p["bytes"] for p in read_manifest(out_dir, stage)
-               ["partitions"])
+    """Uncompressed bytes of a complete stage, from its manifest (the
+    Parquet row groups' ``total_byte_size``, metadata only) — the
+    quantity an in-memory ``Dataset.size_bytes()`` measures, not the
+    smaller stored (compressed) one.  A manifest written before that
+    figure was recorded holds only the stored bytes."""
+    return sum(p.get("uncompressed_bytes", p["bytes"])
+               for p in read_manifest(out_dir, stage)["partitions"])
 
 
 def id_hash(ids) -> int:
@@ -146,7 +151,10 @@ def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
         fpath = os.path.join(sdir, name)
         md = pq.ParquetFile(fpath).metadata
         files.append({"file": name, "rows": md.num_rows,
-                      "bytes": os.path.getsize(fpath)})
+                      "bytes": os.path.getsize(fpath),
+                      "uncompressed_bytes": sum(
+                          md.row_group(i).total_byte_size
+                          for i in range(md.num_row_groups))})
         rows += md.num_rows
 
     manifest = {

@@ -328,6 +328,43 @@ def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
     shutil.rmtree(out, ignore_errors=True)
 
 
+def test_resume_sizes_verify_plan_like_memory(ray_session, corpus_dir,
+                                              tmp_path, monkeypatch):
+    """The verify auto-plan reads uncompressed bytes on resume: with
+    the budget between a signatures checkpoint's stored (compressed)
+    and uncompressed bytes, an in-memory run and a run resumed from
+    that checkpoint must pick the same plan."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    import nxsearch_ray.pipelines.dedup as D
+    from nxsearch_ray.state.lineage import stage_dir
+
+    out = str(tmp_path / "ck")
+    cfg = PipelineConfig()
+    run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
+    files = glob.glob(os.path.join(stage_dir(out, "signatures"),
+                                   "*.parquet"))
+    stored = sum(os.path.getsize(f) for f in files)
+    raw = sum(md.row_group(i).total_byte_size
+              for md in (pq.ParquetFile(f).metadata for f in files)
+              for i in range(md.num_row_groups))
+    assert stored < raw
+    monkeypatch.setattr(D, "TASK_BYTES_BUDGET", (stored + raw) // 2)
+    fresh = run_dedup(_pages_ds(corpus_dir), cfg)
+    # keep the signatures checkpoint, recompute everything after it
+    for stage in ("verified_pairs", "clusters"):
+        shutil.rmtree(stage_dir(out, stage))
+    resumed = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
+    assert resumed.stats["signatures_resumed"]
+    assert resumed.stats["verify_plan"] == fresh.stats["verify_plan"] \
+        == "bucketed"
+    assert _cluster_dict(resumed) == _cluster_dict(fresh)
+    shutil.rmtree(out, ignore_errors=True)
+
+
 _ONE_CPU_RUN = r"""
 import json, sys
 import ray
