@@ -914,20 +914,6 @@ def q_langid(sf_dir: str):
                           concurrency=(1, 4)).drop_columns(["text"])
 
 
-def _corpus_vectors(sf_dir: str) -> dict:
-    import pyarrow.parquet as pq
-
-    from nxsearch_ray.stages.signatures import list_column_numpy
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
-    dim = int(off[1] - off[0])
-    return {"ids": t.column("vec_id").to_numpy(),
-            "vectors": flat.reshape(-1, dim)}
-
-
 def q_embedding_dups(sf_dir: str):
     """Exact embedding near-dup pairs via the BLOCKED all-pairs plan
     (block-pair tasks, no full-matrix broadcast — the scale-safe exact
@@ -951,7 +937,7 @@ _SEMDEDUP_EPS = 0.4     # sandbox embeddings are near-random (max
 def q_semantic_dedup(sf_dir: str):
     """SemDeDup keep/drop decisions (arXiv:2303.09540, min-id
     representative) — EXACT plan: blocked all-pairs -> native groupby
-    min -> streaming left join of flags onto the corpus.  The
+    min -> partition-wise left join of flags onto the corpus.  The
     clustered scale plan is `semantic_dedup_clustered` below; its
     drops are gated as a sound subset of this plan's in tests."""
     from nxsearch_ray.stages.semdedup import semantic_dedup_exact
@@ -981,7 +967,7 @@ def q_semdedup_clustered_verify(sf_dir: str):
     pairs are missed, so full output equality is not SQL-expressible —
     but every DROP must be justified: dup_of < id and
     cos(id, dup_of) >= eps (minus the float32 kernel's rounding,
-    1e-5).  Two streaming hash joins fetch each decision's own and
+    1e-5).  Two partition-wise hash joins fetch each decision's own and
     dup embeddings; the emitted (id, dup_valid) must be all-true,
     which is exactly the SQL twin — any unjustified drop, dangling
     dup_of, or dup_of >= id hash-mismatches."""
@@ -1036,9 +1022,9 @@ def q_dedup_cascade(sf_dir: str):
     embeddings, vec_id == doc_id).  One row per doc:
     (doc_id, drop_tier ∈ {0 kept, 1 exact, 2 semantic}, dup_of).
 
-    Dataflow: one groupby for tier 1; one streaming hash join ships
+    Dataflow: one groupby for tier 1; one partition-wise hash join ships
     tier-1 flags onto the embeddings; the survivor slice runs the
-    blocked semantic plan; one streaming left join folds tier-2 flags
+    blocked semantic plan; one partition-wise left join folds tier-2 flags
     back.  No driver materialization, no O(n) broadcast."""
     from nxsearch_ray.functions.hashing import (content_hash128,
                                                 string_buffers)

@@ -24,12 +24,13 @@ same code its standalone query uses):
      ``n_quality_dropped``).
 
 Every stage boundary is a lineage-manifest checkpoint
-(state/lineage.py) when ``out_dir`` is set: a re-run resumes from the
-last completed stage, and per-stage walls are recorded in
+(state/lineage.py) when ``out_dir`` is set: a re-run over the same
+pages (``input_fingerprint``) resumes from the last completed stage,
+and per-stage walls are recorded in
 ``CorpusResult.stats`` (``wall_clean`` / ``wall_neardup`` /
 ``wall_semantic`` / ``wall_final``) so a bench can attribute cost.
 
-Scale notes: stages 1 and 4 are map-only / key-disjoint hash joins;
+Scale notes: stages 1 and 4 are map-only / partition-wise hash joins;
 stage 2/3 scale notes live with their own pipelines.  The tier-2 and
 tier-3 decision tables are a few int64s per DUPLICATE (not per page),
 so the fold joins ship far less than the corpus.
@@ -44,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.config import PipelineConfig
-from nxsearch_ray.state.lineage import checkpoint
+from nxsearch_ray.state.lineage import checkpoint, input_fingerprint
 
 DECISION_SCHEMA = pa.schema([("page_id", pa.int64()),
                              ("drop_tier", pa.int8()),
@@ -103,6 +104,8 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     cfg = cfg or PipelineConfig()
     stats: dict = {}
     _t = time.monotonic
+    # every corpus checkpoint is reused only for the same pages
+    fp = input_fingerprint(pages_ds) if out_dir is not None else None
 
     # ---------------- stage 1: clean (map-only) ----------------
     clean_params = _StageParams({
@@ -132,7 +135,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
     t0 = _t()
     clean, skipped = checkpoint(clean_factory, out_dir, "clean_pages",
-                                clean_params)
+                                clean_params, fp)
     if out_dir is None:
         clean = pin_blocks(clean)
     stats["clean_pages_resumed"] = skipped
@@ -197,7 +200,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
             "cfg": cfg.config_hash(), "version": 1})
         if out_dir is not None:
             surv, sk = checkpoint(lambda: surv, out_dir,
-                                  "semantic_survivors", surv_params)
+                                  "semantic_survivors", surv_params, fp)
             stats["semantic_survivors_resumed"] = sk
         else:
             surv = pin_blocks(surv)
@@ -270,7 +273,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         return f.map_batches(fold, batch_format="pyarrow")
 
     decisions, skipped = checkpoint(final_factory, out_dir,
-                                    "corpus_final", final_params)
+                                    "corpus_final", final_params, fp)
     stats["corpus_final_resumed"] = skipped
     if out_dir is None:
         decisions = pin_blocks(decisions)

@@ -12,8 +12,9 @@ End-to-end dataflow (physical plan in SURVEY.md §4):
         exact: sequence hash    minhash: LSH bands
         simhash: Hamming chunks suffix: anchor shingles
     → union + exact pair dedup (source sets)  [hash repartition (a,b)]
-    → verification            [broadcast signature index, or bucketed
-                               pair-payload join; one kernel]
+    → verification            [broadcast signature index, or a
+                               partition-wise hash join per endpoint;
+                               one kernel]
     → exact suffix-automaton adjudication of screen-only survivors
                               [same plan as verification; one kernel]
     → connected components    [star-edge leaf, then tree-reduce
@@ -131,9 +132,9 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
         checkpointed), else bucketed — the same size-based join
         selection Spark applies with autoBroadcastJoinThreshold.
         Neither plan touches the driver.
-      * 'bucketed' (the 10^12-doc plan): fused pair-payload hash join
-        (stages/join.pair_join); nothing is ever collected to one
-        process.
+      * 'bucketed' (the 10^12-doc plan): a partition-wise hash join
+        attaches each endpoint's signatures (stages/join.pair_join);
+        nothing is ever collected to one process.
       * 'broadcast': a signature index built in ONE remote task and
         read zero-copy by every verify task — the small-side-broadcast
         plan; valid while the signature table fits one node.

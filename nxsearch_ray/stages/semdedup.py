@@ -22,7 +22,7 @@ Two plans, same output schema ``(id, dup_of, keep)``:
   hold two O(block_rows·dim) blocks, so memory is flat in corpus
   size; the O(n²) work is inherent to exactness.  ``dup_of`` is a
   native groupby min over the pair stream; keep flags reach the full
-  corpus through the key-disjoint streaming left join
+  corpus through the partition-wise left hash join
   (stages/join.py:hash_join how='left') — no driver materialization,
   no broadcast of an O(n) side.  This is the verification /
   small-corpus plan and the SQL-oracle twin.
@@ -118,8 +118,8 @@ def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
                          emb_col: str = "embedding",
                          block_rows: int = 8192,
                          num_partitions: int | None = None):
-    """Exact plan: global pairs -> per-victim min -> streaming left
-    join of keep flags onto the corpus ids."""
+    """Exact plan: global pairs -> per-victim min -> partition-wise
+    left join of keep flags onto the corpus ids."""
     from nxsearch_ray.stages.join import hash_join
 
     pairs = embedding_dup_pairs_blocked(

@@ -18,6 +18,11 @@ exchange at benchmark scale.  The exchange runs when called (it needs
 the input's block refs and their metadata), so its cost lands at the
 call site; the result is a materialized Dataset whose block i holds
 the rows with ``key_hash(...) % P == i``.
+
+``co_partitioned`` runs the same exchange over several inputs at one
+width, so partition i of each input holds the same keys: a
+partition-wise (Grace) hash join then joins each partition pair in
+one task (stages/join.hash_join).
 """
 
 from __future__ import annotations
@@ -84,10 +89,10 @@ def adopt_hash_context(ds):
 
 def key_hash(t, keys) -> np.ndarray:
     """uint64 hash per row of ``t``'s ``keys`` columns: integer keys
-    (any width or sign) through splitmix64, string keys by their full
-    content (``content_hash128``; a prefix hash would pile URLs of one
-    host into one partition), several columns folded in order.  Equal
-    key tuples hash equal."""
+    (any width or sign) through splitmix64, string (or binary) keys by
+    their full content (``content_hash128``; a prefix hash would pile
+    URLs of one host into one partition), several columns folded in
+    order.  Equal key tuples hash equal."""
     import pyarrow as pa
 
     from nxsearch_ray.functions.hashing import (
@@ -99,8 +104,8 @@ def key_hash(t, keys) -> np.ndarray:
     h = None
     for k in keys:
         col = t.column(k)
-        if pa.types.is_string(col.type) or pa.types.is_large_string(
-                col.type):
+        if (pa.types.is_string(col.type) or pa.types.is_binary(col.type)
+                or pa.types.is_large_string(col.type)):
             hc = content_hash128(*string_buffers(col))[0].view(np.uint64)
         else:
             hc = splitmix64(col.to_numpy().astype(np.uint64))
@@ -143,26 +148,36 @@ def _merge(*pieces):
     return pa.concat_tables(full, promote_options="default")
 
 
+def co_partitioned(sides, num_partitions: int | None = None):
+    """Run one exchange over several ``(ds, keys)`` sides with one width
+    P: returns, per side, the P merged block refs, partition i of every
+    side holding the rows with ``key_hash(keys) % P == i``, so rows of
+    equal keys meet in partition i of each side (a partition-wise join
+    pairs them up).  P is ``num_partitions``, else ``partition_width``
+    of all sides' block metadata taken together."""
+    sides = [([b for bundle in ds.iter_internal_ref_bundles()
+               for b in bundle.blocks], list(keys)) for ds, keys in sides]
+    metas = [m for blocks, _ in sides for _, m in blocks]
+    P = num_partitions or partition_width(
+        sum(m.num_rows or 0 for m in metas),
+        sum(m.size_bytes or 0 for m in metas))
+    split = _split.options(num_returns=P)
+    pieces = [[split.remote(ref, keys, P) for ref, _ in blocks]
+              for blocks, keys in sides]
+    if P == 1:
+        pieces = [[[p] for p in side] for side in pieces]
+    # only the splits hold the input now: each block is freed as its
+    # split finishes, not when the merges do
+    del sides
+    return [[_merge.remote(*[p[i] for p in side]) for i in range(P)]
+            for side in pieces]
+
+
 def hash_partitioned(ds, keys, num_partitions: int | None = None):
     """Repartition ``ds`` so each value of ``keys`` occupies exactly
     one block.  Runs the exchange now and returns a materialized
-    Dataset of exactly P blocks (``num_partitions``, else
-    ``partition_width`` of the input's block metadata), block i holding
-    the rows with ``key_hash % P == i``."""
+    Dataset of exactly P blocks (``co_partitioned`` with one side)."""
     import ray.data as rd
 
-    keys = list(keys)
-    blocks = [b for bundle in ds.iter_internal_ref_bundles()
-              for b in bundle.blocks]
-    P = num_partitions or partition_width(
-        sum(m.num_rows or 0 for _, m in blocks),
-        sum(m.size_bytes or 0 for _, m in blocks))
-    split = _split.options(num_returns=P)
-    pieces = [split.remote(ref, keys, P) for ref, _ in blocks]
-    if P == 1:
-        pieces = [[p] for p in pieces]
-    # only the splits hold the input now: each block is freed as its
-    # split finishes, not when the merges do
-    del blocks
     return rd.from_arrow_refs(
-        [_merge.remote(*[p[i] for p in pieces]) for i in range(P)])
+        co_partitioned([(ds, keys)], num_partitions)[0])

@@ -8,9 +8,9 @@ with a suffix automaton over canonical token-id sequences
 (functions/suffix.py).
 
 The token sequences reach each pair by broadcast lookup (test scale)
-or, at 10^12 docs, by the bucketed pair join exactly like
-stages/verify.py; both plans then call the one decision kernel
-``adjudicate_pairs``.
+or, at 10^12 docs, by the bucketed pair join (a partition-wise hash
+join per endpoint) exactly like stages/verify.py; both plans then call
+the one decision kernel ``adjudicate_pairs``.
 """
 
 from __future__ import annotations
@@ -243,14 +243,14 @@ def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
 
 def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig):
     """Scale path for the exact-adjudication stage: attach both docs'
-    token sequences via the fused pair-payload join (no driver-side
-    token index), then the shared ``adjudicate_pairs``.
+    token sequences with the pair join (stages/join.pair_join, no
+    driver-side token index), then the shared ``adjudicate_pairs``.
 
     Semi-join reduction first: only a tiny fraction of docs appear in
     screen-passing pairs, so the needed page-id SET (ids only — tiny
     even when payloads are not) is broadcast and prunes the canonical
-    side before the payload-carrying exchange.  Each exchange sizes
-    itself from its input's rows and bytes (shuffle.partition_width),
+    side before the payload-carrying exchanges.  Each exchange sizes
+    itself from its inputs' rows and bytes (shuffle.partition_width),
     so the heavy token_ids payload widens it by bytes, not rows."""
     from nxsearch_ray.stages.join import (PAIR_SCHEMA, id_set_ref,
                                           pair_join, semi_join)

@@ -11,9 +11,9 @@ endpoints' signatures; both then call the one decision kernel
     a signature index is built once in the object store and every
     verify task reads it zero-copy — no shuffle.  This is the
     "broadcast the small side" join rule.
-  * **bucketed** (the 10^12-doc path): one fused pair-payload hash
-    join (stages/join.pair_join) attaches both endpoints' packed
-    signatures to each pair.
+  * **bucketed** (the 10^12-doc path): a partition-wise hash join per
+    endpoint (stages/join.pair_join) attaches both endpoints'
+    signature columns to each pair.
 
 A candidate pair carries the *set* of sources that proposed it
 (comma-joined, sorted — see stages/pairs.union_pair_sources); the
@@ -60,15 +60,20 @@ class SignatureIndex:
 
     @classmethod
     def from_table(cls, t: pa.Table, num_perms: int) -> "SignatureIndex":
-        page = t.column("page_id").to_numpy()
-        order = np.argsort(page, kind="stable")
-        t = t.take(pa.array(order, type=pa.int64()))
+        """The lookup index: ``t``'s rows sorted by page_id."""
+        order = np.argsort(t.column("page_id").to_numpy(), kind="stable")
+        return cls.of_rows(t.take(pa.array(order, type=pa.int64())),
+                           num_perms)
+
+    @classmethod
+    def of_rows(cls, t: pa.Table, num_perms: int) -> "SignatureIndex":
+        """``t``'s rows in their own order."""
         mh_flat, _ = list_column_numpy(t.column("mh_res"), dtype=np.uint8)
         bk_flat, bk_off = list_column_numpy(t.column("bottomk"),
                                             dtype=np.uint32)
         return cls(
-            page_ids=page[order],
-            mh_res=mh_flat.reshape(len(page), num_perms),
+            page_ids=t.column("page_id").to_numpy(),
+            mh_res=mh_flat.reshape(t.num_rows, num_perms),
             simhash=t.column("simhash").to_numpy().astype(_U64),
             bk_flat=bk_flat, bk_offsets=bk_off)
 
@@ -214,7 +219,7 @@ def score_pairs(pairs: pa.Table, sigs: SignatureIndex, ia: np.ndarray,
     signature rows ``sigs[ia]`` / ``sigs[ib]`` and return only the
     surviving pairs (any rule passed).  Both plans gather into this —
     the broadcast plan by page-id lookup, the bucketed plan from the
-    joined payload blobs — so their outputs are identical."""
+    joined signature columns — so their outputs are identical."""
     if pairs.num_rows == 0:
         return SCORED_SCHEMA.empty_table()
     est_j = (sigs.mh_res[ia] == sigs.mh_res[ib]).mean(axis=1)
@@ -245,15 +250,20 @@ def score_pairs_table(pairs: pa.Table, idx: SignatureIndex,
 
 
 def score_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    """Bucketed gather: unpack the ``blob_a`` / ``blob_b`` payloads the
-    pair join attached (rows 0..n-1 are the a-sides, n..2n-1 the
-    b-sides) into one index-shaped view."""
+    """Bucketed gather: the ``mh_res`` / ``simhash`` / ``bottomk``
+    columns the pair join attached, suffixed ``_a`` / ``_b``, read as
+    one index-shaped view (rows 0..n-1 are the a-sides, n..2n-1 the
+    b-sides)."""
     n = t.num_rows
-    blobs = pa.chunked_array(t.column("blob_a").chunks
-                             + t.column("blob_b").chunks, type=pa.binary())
-    ids = np.concatenate([t.column("a").to_numpy(),
-                          t.column("b").to_numpy()])
-    sigs = SignatureIndex(ids, *_unpack_blobs(blobs, cfg.num_perms))
+
+    def both(a: str, b: str) -> pa.ChunkedArray:
+        return pa.chunked_array(t.column(a).chunks + t.column(b).chunks,
+                                type=t.schema.field(a).type)
+
+    sigs = SignatureIndex.of_rows(pa.table(
+        {"page_id": both("a", "b"),
+         **{c: both(c + "_a", c + "_b")
+            for c in ("mh_res", "simhash", "bottomk")}}), cfg.num_perms)
     rows = np.arange(n)
     return score_pairs(t, sigs, rows, rows + n, cfg)
 
@@ -274,92 +284,17 @@ def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
                          batch_size=32768)
 
 
-def _pack_payload(t: pa.Table, num_perms: int) -> pa.Table:
-    """Slim signature row → ONE binary blob per page:
-    ``[mh_res P bytes][simhash 8 LE][bottomk 4 LE × k]``.
-
-    The pair join ships the payload through two hash exchanges with
-    every role row carrying NULLS for the payload columns; a
-    fixed_size_list<uint8, P> column allocates its P-byte child even
-    for null rows (≈400 MB of shuffled zeros at 520k pages / 1.5M
-    candidates, measured round 4), and each per-block gather copies
-    three typed columns.  One variable-width binary column makes null
-    rows cost 4 offset bytes and every gather a single memcpy."""
-    n = t.num_rows
-    mh_flat, _ = list_column_numpy(t.column("mh_res"), dtype=np.uint8)
-    mh = mh_flat.reshape(n, num_perms)
-    sim = t.column("simhash").to_numpy().astype("<u8")
-    bk_flat, bk_off = list_column_numpy(t.column("bottomk"),
-                                        dtype=np.uint32)
-    bk_counts = (bk_off[1:] - bk_off[:-1]).astype(np.int64)
-    head = num_perms + 8
-    lens = head + 4 * bk_counts
-    offs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens, out=offs[1:])
-    out = np.empty(offs[-1], dtype=np.uint8)
-    starts = offs[:-1]
-    out[starts[:, None] + np.arange(num_perms)] = mh
-    out[starts[:, None] + num_perms + np.arange(8)] = \
-        sim.view(np.uint8).reshape(n, 8)
-    total_bk = int(bk_counts.sum()) * 4
-    if total_bk:
-        bstart = starts + head
-        blens = 4 * bk_counts
-        intra = np.arange(total_bk) - np.repeat(
-            np.concatenate(([0], np.cumsum(blens)))[:-1], blens)
-        out[np.repeat(bstart, blens) + intra] = \
-            bk_flat.astype("<u4").view(np.uint8)
-    blob = pa.Array.from_buffers(
-        pa.binary(), n,
-        [None, pa.py_buffer(offs.astype(np.int32).tobytes()),
-         pa.py_buffer(out.tobytes())])
-    return pa.table({"page_id": t.column("page_id"), "blob": blob})
-
-
-def _unpack_blobs(col, num_perms: int):
-    """Binary blob column → (mh (n,P) uint8, simhash (n,) uint64,
-    bk_flat uint32, bk_offsets int64) — vectorized gathers only."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    raw_offs = np.frombuffer(col.buffers()[1], dtype=np.int32)
-    offs = raw_offs[col.offset:col.offset + n + 1].astype(np.int64)
-    data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
-    starts = offs[:-1]
-    head = num_perms + 8
-    mh = data[starts[:, None] + np.arange(num_perms)]
-    sim = data[starts[:, None] + num_perms + np.arange(8)] \
-        .copy().view("<u8").reshape(-1).astype(np.uint64)
-    blens = offs[1:] - starts - head
-    total = int(blens.sum())
-    if total:
-        intra = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(blens)))[:-1], blens)
-        bk_bytes = data[np.repeat(starts + head, blens) + intra].copy()
-        bk_flat = bk_bytes.view("<u4").astype(np.uint32)
-    else:
-        bk_flat = np.empty(0, dtype=np.uint32)
-    bk_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(blens // 4, out=bk_off[1:])
-    return mh, sim, bk_flat, bk_off
-
-
 def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig):
-    """Scale path: one fused pair-payload join (stages/join.pair_join —
-    the signature payload rides each of its two shuffles exactly once,
-    packed into a single binary blob per endpoint, see
-    ``_pack_payload``) then the shared ``score_pairs``.  Each of the
-    join's two exchanges takes its width from its own input's block
-    metadata (shuffle.partition_width)."""
+    """Scale path: join both endpoints' signature columns onto each
+    pair (stages/join.pair_join: a partition-wise hash join on ``a``,
+    then on ``b``), then the shared ``score_pairs``.  Each join's
+    exchange takes its width from its inputs' block metadata
+    (shuffle.partition_width)."""
     from nxsearch_ray.stages.join import PAIR_SCHEMA, pair_join
 
-    P = cfg.num_perms
-    packed = sig_ds.select_columns(_sig_schema(P).names) \
-        .map_batches(lambda t: _pack_payload(t, P),
-                     batch_format="pyarrow")
-    joined = pair_join(pairs_ds, packed, right_key="page_id",
-                       pair_schema=PAIR_SCHEMA,
-                       right_schema=pa.schema([("page_id", pa.int64()),
-                                               ("blob", pa.binary())]))
+    schema = _sig_schema(cfg.num_perms)
+    joined = pair_join(pairs_ds, sig_ds.select_columns(schema.names),
+                       right_key="page_id", pair_schema=PAIR_SCHEMA,
+                       right_schema=schema)
     return joined.map_batches(lambda t: score_joined_table(t, cfg),
                               batch_format="pyarrow")

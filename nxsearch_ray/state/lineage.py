@@ -37,6 +37,9 @@ from nxsearch_ray.config import PipelineConfig
 
 MANIFEST = "manifest.json"
 FINGERPRINT = "input_fingerprint"
+# the page columns the signature stage reads: html (extracted, falling
+# back to text), text, and the per-row language
+CONTENT_COLUMNS = ("html", "text", "lang")
 
 
 def stage_dir(out_dir: str, stage: str) -> str:
@@ -87,9 +90,8 @@ def id_hash(ids) -> int:
 def input_fingerprint(ds) -> str:
     """What a stage is computed from.  A dataset that is a plain file
     read: its sorted input files with their sizes and mtimes.  Anything
-    else (in-memory, derived, ``limit``-ed, ...): its row count plus an
-    order-free hash of its ``page_id`` column — one pass over that
-    column."""
+    else (in-memory, derived, ``limit``-ed, ...): its row count plus
+    ``rows_hash`` of its rows — one pass over the data."""
     import pyarrow as pa
     from ray.data._internal.logical.operators.read_operator import Read
 
@@ -103,15 +105,28 @@ def input_fingerprint(ds) -> str:
         return "files:" + h.hexdigest()[:32]
 
     def part(t: pa.Table) -> pa.Table:
-        ids = t.column("page_id").to_numpy() if t.num_rows else []
         return pa.table({"n": [t.num_rows],
-                         "h": pa.array([id_hash(ids)], pa.uint64())})
+                         "h": pa.array([rows_hash(t)], pa.uint64())})
 
-    rows = ds.select_columns(["page_id"]).map_batches(
-        part, batch_format="pyarrow", batch_size=None).take_all()
+    rows = ds.map_batches(part, batch_format="pyarrow",
+                          batch_size=None).take_all()
     n = sum(r["n"] for r in rows)
     digest = sum(r["h"] for r in rows) % (1 << 64)
     return f"rows:{n}:{digest:016x}"
+
+
+def rows_hash(t) -> int:
+    """Order-free 64-bit hash of a page table's rows (a wrapping sum,
+    so partial hashes of blocks add up): each row's ``page_id`` folded
+    with the full content of every ``CONTENT_COLUMNS`` column the table
+    has (``shuffle.key_hash``), so changed text under the same ids
+    changes it."""
+    from nxsearch_ray.stages.shuffle import key_hash
+
+    if t.num_rows == 0:
+        return 0
+    cols = [c for c in CONTENT_COLUMNS if c in t.column_names]
+    return int(key_hash(t, ["page_id", *cols]).sum(dtype=np.uint64))
 
 
 def load_stage(out_dir: str, stage: str):

@@ -1,9 +1,10 @@
-"""Union-find with path compression + union by size.
+"""Connected-components kernels: vectorized min-hooking and union-find.
 
-Used (a) as the driver-side reducer for connected components when the
-verified pair set is small enough to stream to one process (the common
-case after verification — pairs ≪ docs), and (b) as the ground-truth
-oracle for the distributed label-propagation implementation.  Load
+Two kernels: ``min_label_components``, the vectorized min-hooking
+kernel every connected-components plan runs inside its tasks (the
+star-edge leaf and each tree-reduce step of stages/cc.py), and
+``UnionFind``, the dict-based structure the Python oracle
+(oracle.py) uses as ground truth for both distributed plans.  Load
 balancing concerns for the distributed variant follow BTS (ICDE 2024,
 PAPERS.md) — see stages/cc.py.
 """
@@ -25,7 +26,7 @@ def min_label_components(a: np.ndarray, b: np.ndarray
     then alternate full pointer-jump compression with a vectorized
     min-hook (``np.minimum.at``) until no edge spans two roots.
     O(E · α)-ish work in O(log n) numpy passes — no per-edge Python,
-    unlike the dict-based UnionFind below (kept for incremental use)."""
+    unlike the dict-based UnionFind below (the oracle's)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if len(a) == 0:

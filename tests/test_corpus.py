@@ -128,6 +128,32 @@ def test_run_corpus_resume(ray_session, corpus_tables, tmp_path):
         assert k in r2.stats
 
 
+def test_run_corpus_rejects_changed_input(ray_session, corpus_tables,
+                                          tmp_path):
+    """Pages A, then pages B (one page's text replaced by another's)
+    into the same ``out_dir``: the decisions are those of a fresh run
+    on B, not resumed from A."""
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+
+    pages, _, _ = corpus_tables
+    a = pages.select(["page_id", "url", "text"])
+    text = a.column("text").to_pylist()
+    text[9] = text[2]
+    b = a.set_column(2, "text", pa.array(text))
+    kw = dict(min_words=10, min_required_stopwords=0)
+    out = str(tmp_path / "run")
+    da = decisions_as_table(run_corpus(rd.from_arrow(a), out_dir=out, **kw))
+    rb = run_corpus(rd.from_arrow(b), out_dir=out, **kw)
+    assert rb.stats["clean_pages_resumed"] is False
+    assert rb.stats["corpus_final_resumed"] is False
+    fresh = decisions_as_table(run_corpus(rd.from_arrow(b), **kw))
+    assert decisions_as_table(rb).equals(fresh)
+    assert not fresh.equals(da)
+
+
 def test_cli_corpus(tmp_path):
     pages = synth_pages(120, seed=13)
     emb, _ = _embeddings_for(pages, n_sem_dups=4)

@@ -116,43 +116,3 @@ def test_band_keys_depend_on_band_and_seed():
 def test_hamming64(a, b, expected):
     assert H.hamming64(np.array([a], dtype=np.uint64),
                        np.array([b], dtype=np.uint64))[0] == expected
-
-
-def test_verify_payload_blob_roundtrip():
-    """Packed verify payload (mh_res + simhash + bottomk in one binary
-    blob — the bucketed join's exchange format) round-trips exactly,
-    including through an Arrow slice (non-zero array offset)."""
-    import numpy as np
-    import pyarrow as pa
-
-    from nxsearch_ray.stages.verify import _pack_payload, _unpack_blobs
-
-    rng = np.random.default_rng(7)
-    n, P = 57, 128
-    mh = rng.integers(0, 256, (n, P), dtype=np.uint8)
-    sim = rng.integers(0, 2 ** 63, n, dtype=np.uint64)
-    counts = rng.integers(0, 65, n)
-    bk_flat = rng.integers(0, 2 ** 32, counts.sum(),
-                           dtype=np.uint64).astype(np.uint32)
-    offs = np.zeros(n + 1, np.int32)
-    np.cumsum(counts, out=offs[1:])
-    t = pa.table({
-        "page_id": pa.array(np.arange(n), type=pa.int64()),
-        "mh_res": pa.FixedSizeListArray.from_arrays(
-            pa.array(mh.reshape(-1)), P),
-        "simhash": pa.array(sim, type=pa.uint64()),
-        "bottomk": pa.ListArray.from_arrays(
-            pa.array(offs), pa.array(bk_flat, type=pa.uint32()))})
-    packed = _pack_payload(t, P)
-    for sl in [packed.column("blob"),
-               packed.column("blob").combine_chunks().slice(5, 40)]:
-        base = 0 if len(sl) == n else 5
-        m2, s2, bf2, bo2 = _unpack_blobs(sl, P)
-        k = len(sl)
-        assert (m2 == mh[base:base + k]).all()
-        assert (s2 == sim[base:base + k]).all()
-        assert (np.diff(bo2) == counts[base:base + k]).all()
-        exp = (np.concatenate(
-            [bk_flat[offs[base + i]:offs[base + i + 1]]
-             for i in range(k)]) if k else np.empty(0, np.uint32))
-        assert (bf2 == exp).all()

@@ -328,6 +328,30 @@ def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
     shutil.rmtree(out, ignore_errors=True)
 
 
+def test_resume_rejects_changed_text_under_same_ids(ray_session,
+                                                   tmp_path):
+    """An in-memory input whose ids are unchanged but one page's html
+    is another page's: nothing may resume, and the clusters are those
+    of a fresh run over the changed pages."""
+    import ray.data as rd
+
+    cols = ["page_id", "url", "warc_ts", "html", "lang"]
+    a = synth_pages(60, seed=4).select(cols)
+    html = a.column("html").to_pylist()
+    html[7] = html[3]
+    b = a.set_column(cols.index("html"), "html", pa.array(html))
+    out = str(tmp_path / "text")
+    cfg = PipelineConfig()
+    ca = _cluster_dict(run_dedup(rd.from_arrow(a), cfg, out_dir=out))
+    rb = run_dedup(rd.from_arrow(b), cfg, out_dir=out)
+    assert not rb.stats["signatures_resumed"]
+    fresh = _cluster_dict(run_dedup(rd.from_arrow(b), cfg))
+    assert _cluster_dict(rb) == fresh != ca
+    pid = a.column("page_id").to_pylist()
+    assert fresh[pid[7]] == fresh[pid[3]]
+    shutil.rmtree(out, ignore_errors=True)
+
+
 def test_resume_sizes_verify_plan_like_memory(ray_session, corpus_dir,
                                               tmp_path, monkeypatch):
     """The verify auto-plan reads uncompressed bytes on resume: with

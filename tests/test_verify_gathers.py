@@ -38,17 +38,18 @@ def sigs_and_pairs():
     return cfg, sigs, t
 
 
-def _joined(pairs: pa.Table, payload: pa.Table, col: str) -> pa.Table:
+def _joined(pairs: pa.Table, payload: pa.Table) -> pa.Table:
     """What pair_join hands the bucketed kernel: the pairs with each
-    endpoint's payload ``col`` attached as ``{col}_a`` / ``{col}_b``,
-    split into two chunks."""
+    endpoint's payload columns attached as ``{col}_a``, then as
+    ``{col}_b``, split into two chunks."""
     pos = {pid: i for i, pid in
            enumerate(payload.column("page_id").to_pylist())}
     out = pairs
     for side in ("a", "b"):
         rows = [pos[p] for p in pairs.column(side).to_pylist()]
-        out = out.append_column(f"{col}_{side}",
-                                payload.column(col).take(rows))
+        for col in payload.column_names[1:]:
+            out = out.append_column(f"{col}_{side}",
+                                    payload.column(col).take(rows))
     half = out.num_rows // 2
     return pa.concat_tables([out.slice(0, half), out.slice(half)])
 
@@ -56,7 +57,6 @@ def _joined(pairs: pa.Table, payload: pa.Table, col: str) -> pa.Table:
 def test_verify_gathers_feed_one_kernel(sigs_and_pairs):
     from nxsearch_ray.stages.verify import (
         SignatureIndex,
-        _pack_payload,
         score_joined_table,
         score_pairs_table,
     )
@@ -66,8 +66,7 @@ def test_verify_gathers_feed_one_kernel(sigs_and_pairs):
     slim = sigs.select(["page_id", "mh_res", "simhash", "bottomk"])
     broadcast = score_pairs_table(pairs, SignatureIndex.from_table(slim, P),
                                   cfg)
-    bucketed = score_joined_table(
-        _joined(pairs, _pack_payload(slim, P), "blob"), cfg)
+    bucketed = score_joined_table(_joined(pairs, slim), cfg)
     assert broadcast.equals(bucketed)
     # the pairs exercise the decision, not just an empty table
     assert 0 < broadcast.num_rows < pairs.num_rows
@@ -86,7 +85,6 @@ def test_suffix_gathers_feed_one_kernel(sigs_and_pairs):
     tokens = sigs.select(["page_id", "token_ids"])
     broadcast = exact_containment_table(pairs, TokenIndex.from_table(tokens),
                                         cfg)
-    bucketed = adjudicate_joined_table(
-        _joined(pairs, tokens, "token_ids"), cfg)
+    bucketed = adjudicate_joined_table(_joined(pairs, tokens), cfg)
     assert broadcast.equals(bucketed)
     assert 0 < broadcast.num_rows < pairs.num_rows
