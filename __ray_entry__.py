@@ -904,14 +904,12 @@ def q_canonicalize_plain(sf_dir: str):
 
 
 def q_langid(sf_dir: str):
-    import ray.data
-
     from nxsearch_ray.stages.textstats import LangIdActor
 
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    return ds.map_batches(LangIdActor, batch_format="pyarrow",
-                          concurrency=(1, 4)).drop_columns(["text"])
+    return ds.map_batches(LangIdActor(), batch_format="pyarrow") \
+        .drop_columns(["text"])
 
 
 def q_embedding_dups(sf_dir: str):
@@ -1148,19 +1146,18 @@ def q_lm_perplexity_trigram(sf_dir: str):
 
 
 class _SeenGuard:
-    """One actor-pool pass combining the Bloom probe (broadcast
-    bitmap, the 10^12-doc incremental-ingest path) with the exact
-    membership check (broadcast sorted url array — at scale this
-    column is the expensive join the Bloom filter exists to avoid;
-    here it feeds the no-false-negative invariant the oracle hashes)."""
+    """One task-pool pass combining the Bloom probe (broadcast bitmap,
+    the 10^12-doc incremental-ingest path) with the exact membership
+    check (broadcast sorted url array — at scale this column is the
+    expensive join the Bloom filter exists to avoid; here it feeds the
+    no-false-negative invariant the oracle hashes).  Built once per
+    worker from the fetched ``(words, urls)``."""
 
-    def __init__(self, bits_ref, urls_ref, m_bits: int, k: int):
-        import ray
+    def __init__(self, state: tuple, m_bits: int, k: int):
         from nxsearch_ray.stages.bloom import bloom_probe
 
         self._probe = bloom_probe
-        self.words = ray.get(bits_ref)
-        self.urls = ray.get(urls_ref)
+        self.words, self.urls = state
         self.m_bits = m_bits
         self.k = k
 
@@ -1193,10 +1190,13 @@ def q_url_seen_guard(sf_dir: str):
     (SQL semi-join twin) plus the Bloom soundness invariant
     seen_bloom OR NOT seen_exact — a false negative in the filter
     emits false and hash-mismatches."""
+    import functools
+
     import numpy as np
     import ray
 
     from nxsearch_ray.stages.bloom import bloom_build_ref
+    from nxsearch_ray.stages.join import broadcast_map
 
     m_bits, k = 1 << 21, 5
     pages = _pages(sf_dir, include_html=False) \
@@ -1214,20 +1214,17 @@ def q_url_seen_guard(sf_dir: str):
     bits_ref = bloom_build_ref(prior, "url", m_bits=m_bits, k=k)
 
     @ray.remote
-    def _collect(*blocks):
+    def _collect(words, *blocks):
         vals = [np.asarray(b.column("url").to_pylist(), dtype=np.str_)
                 for b in blocks if b.num_rows]
-        return np.unique(np.concatenate(vals)) if vals \
-            else np.zeros(0, dtype="<U1")
+        return words, (np.unique(np.concatenate(vals)) if vals
+                       else np.zeros(0, dtype="<U1"))
 
-    urls_ref = _collect.remote(*prior.select_columns(["url"])
-                               .to_arrow_refs())
-    return pages.map_batches(only_probe, batch_format="pyarrow") \
-        .map_batches(_SeenGuard,
-                     fn_constructor_args=(bits_ref, urls_ref,
-                                          m_bits, k),
-                     batch_format="pyarrow", concurrency=(1, 4),
-                     num_cpus=1)
+    state_ref = _collect.remote(bits_ref, *prior.select_columns(["url"])
+                                .to_arrow_refs())
+    return broadcast_map(
+        pages.map_batches(only_probe, batch_format="pyarrow"), state_ref,
+        functools.partial(_SeenGuard, m_bits=m_bits, k=k))
 
 
 def q_lm_perplexity_quadgram(sf_dir: str):
@@ -1476,7 +1473,7 @@ def q_fuzzy_lookup(sf_dir: str):
     vref = build_vocab_index_ref(vocabulary(canonical))
     probes = ray.data.from_arrow(pa.table(
         {"word": list(_FUZZY_PROBES)}))
-    out = fuzzy_lookup(probes, vref, concurrency=(1, 2))
+    out = fuzzy_lookup(probes, vref)
     return out.select_columns(["word", "matched_term", "distance"])
 
 

@@ -65,7 +65,6 @@ class PipelineConfig:
 
     # --- execution ---
     batch_size: int = 1024               # rows per map_batches call
-    canonicalize_concurrency: int = 0    # 0 = let Ray autoscale task parallelism
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -84,6 +83,8 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, s: str) -> "PipelineConfig":
         d = json.loads(s)
+        # retired key: a config.json written by older code still loads
+        d.pop("canonicalize_concurrency", None)
         d["filters"] = tuple(d["filters"])
         d["plugin_files"] = tuple(d.get("plugin_files", ()))
         return cls(**d)

@@ -10,9 +10,9 @@ Mirrors the reference's filter framework:
   * lifecycle: ``sysinit`` (process-wide), ``create`` (per pipeline, gets
     params), ``filter`` (per token) — reference src/core/filters.h:22-45.
 
-In Ray terms the pipeline is built once per actor in ``__init__`` of the
-canonicalization stage (SURVEY.md §2.3 ST1-ST3); ``run`` is the hot inner
-loop.  User extension (the reference's Lua filters,
+In Ray terms the pipeline is built once per worker in ``__init__`` of
+the canonicalization kernel (SURVEY.md §2.3 ST1-ST3); ``run`` is the hot
+inner loop.  User extension (the reference's Lua filters,
 docs/lua-filters-api.md:19-80) maps to registering plain Python callables
 via ``register_filter``.
 """

@@ -156,10 +156,11 @@ def load_lua_filter(path: str, name: str | None = None) -> str:
 def ensure_plugins(paths) -> None:
     """Idempotently load plugin files into this process's registry.
 
-    Called from actor ``__init__`` (the per-worker analogue of the
-    reference's per-nginx-worker filter init): every Ray worker process
-    has its own registry, so config-listed plugin files must load
-    wherever a pipeline is built — a no-op for names already present."""
+    Called from the canonicalization kernel's ``__init__`` (the
+    per-worker analogue of the reference's per-nginx-worker filter
+    init): every Ray worker process has its own registry, so
+    config-listed plugin files must load wherever a pipeline is built
+    — a no-op for names already present."""
     from nxsearch_ray.functions.filters import filter_registered
 
     for path in paths:

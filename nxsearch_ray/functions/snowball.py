@@ -629,7 +629,7 @@ def stem_spanish(word: str) -> str:
 # ===========================================================================
 
 class SnowballStemmer:
-    """Per-actor stemmer instance (lifecycle parity with stemmer_create,
+    """Per-worker stemmer instance (lifecycle parity with stemmer_create,
     reference src/core/filters_builtin.c:206-211)."""
 
     def __init__(self, fn):

@@ -11,8 +11,8 @@ plus French/German/Spanish (functions/snowball.py) ship; other languages
 pass through.
 
 The C API is non-reentrant (src/core/filters_builtin.c:230-234) which forces
-one stemmer per actor there; our implementation is a pure function, but the
-filter still instantiates per-actor state to mirror the lifecycle.
+one stemmer per worker there; our implementation is a pure function, but the
+filter still instantiates per-worker state to mirror the lifecycle.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def stem(word: str) -> str:
 
 
 class EnglishStemmer:
-    """Per-actor stemmer instance (lifecycle parity with stemmer_create,
+    """Per-worker stemmer instance (lifecycle parity with stemmer_create,
     reference src/core/filters_builtin.c:206-211)."""
 
     def stem(self, word: str) -> str:

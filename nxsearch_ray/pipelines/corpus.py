@@ -95,7 +95,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     by page id; without it the semantic tier is skipped."""
     import os
 
-    from nxsearch_ray.pipelines.dedup import pin_blocks, run_dedup
+    from nxsearch_ray.pipelines.dedup import run_dedup
     from nxsearch_ray.stages.join import hash_join
     from nxsearch_ray.stages.pii import scrub_pii
     from nxsearch_ray.stages.textstats import gopher_filter
@@ -137,7 +137,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     clean, skipped = checkpoint(clean_factory, out_dir, "clean_pages",
                                 clean_params, fp)
     if out_dir is None:
-        clean = pin_blocks(clean)
+        clean = clean.materialize()
     stats["clean_pages_resumed"] = skipped
     n_clean = clean.count()
     stats["n_clean_pages"] = n_clean
@@ -203,10 +203,10 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                                   "semantic_survivors", surv_params, fp)
             stats["semantic_survivors_resumed"] = sk
         else:
-            surv = pin_blocks(surv)
+            surv = surv.materialize()
         dec, sd_stats = run_semdedup(
             surv, eps=semdedup_eps, nlist=semdedup_nlist, seed=seed,
-            out_dir=out_dir)
+            out_dir=out_dir, fingerprint=fp)
         stats.update({f"semantic_{k}": v for k, v in sd_stats.items()})
 
         def t3_decide(t: pa.Table) -> pa.Table:
@@ -221,7 +221,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         if out_dir is None:
             # finish the semantic tier's lazy tail here (timed as
             # wall_semantic), not inside the fold join's exchange
-            t3 = pin_blocks(t3)
+            t3 = t3.materialize()
         stats["wall_semantic"] = round(_t() - t0, 2)
 
     # ---------------- stage 4: fold decisions -------------------
@@ -276,7 +276,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                                     "corpus_final", final_params, fp)
     stats["corpus_final_resumed"] = skipped
     if out_dir is None:
-        decisions = pin_blocks(decisions)
+        decisions = decisions.materialize()
     stats["wall_final"] = round(_t() - t0, 2)
     return CorpusResult(decisions=decisions, clusters=nd.clusters,
                         stats=stats)

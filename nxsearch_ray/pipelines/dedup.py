@@ -4,7 +4,8 @@ End-to-end dataflow (physical plan in SURVEY.md §4):
 
   pages (url, warc_ts, html, text, lang)
     → extract + canonicalize + signatures
-                              [one actor pool: tokenizer + filter chain
+                              [one task-pool stage with per-worker
+                               state: tokenizer + filter chain
                                → shingles → MinHash/SimHash/bottom-k/
                                anchors; the table keeps token_ids]
     → 4 candidate passes in ONE exchange
@@ -87,17 +88,6 @@ class DedupResult:
     clusters: "object"            # Dataset: page_id, cluster_id
     verified_pairs: "object"      # Dataset: a, b, source
     stats: dict = field(default_factory=dict)
-
-
-def pin_blocks(ds):
-    """Materialize AND sever lineage: a MaterializedDataset handle
-    keeps its upstream actor pool's minimum actors alive (reserved
-    CPUs starve later stages); re-wrapping the block refs in a fresh
-    Dataset drops the plan so the pool shuts down, while the refs keep
-    the blocks alive in the object store."""
-    import ray.data as rd
-
-    return rd.from_arrow_refs(ds.materialize().to_arrow_refs())
 
 
 def _split_direct(t: pa.Table) -> pa.Table:
@@ -203,7 +193,7 @@ def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
             lambda: canonsig_stage(pages_ds, cfg), out_dir, "signatures",
             cfg, fingerprint=fp)
     else:
-        signatures = pin_blocks(canonsig_stage(pages_ds, cfg))
+        signatures = canonsig_stage(pages_ds, cfg).materialize()
     stats["wall_signatures"] = round(time.monotonic() - t0, 2)
 
     t0 = time.monotonic()
@@ -235,7 +225,7 @@ def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
     t0 = time.monotonic()
     # no repartition before the pin: the hash exchange already
     # bounded the block count (one per partition)
-    scored = pin_blocks(scored)
+    scored = scored.materialize()
     stats["wall_verify"] = round(time.monotonic() - t0, 2)
     direct = scored.map_batches(_split_direct, batch_format="pyarrow")
     need_exact = scored.map_batches(_split_exact, batch_format="pyarrow")
@@ -248,10 +238,10 @@ def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
             need_exact, build_token_index_ref(signatures), cfg)
     all_pairs = direct.union(exact.select_columns(["a", "b", "source"]))
     if out_dir is None:
-        all_pairs = pin_blocks(all_pairs)
+        all_pairs = all_pairs.materialize()
     else:
         # checkpoint() writes (its own materialization) and re-reads —
-        # no pin_blocks first, one barrier not two
+        # no materialize() first, one barrier not two
         all_pairs, stats["verified_pairs_resumed"] = checkpoint(
             lambda: all_pairs, out_dir, "verified_pairs", cfg,
             fingerprint=fp)
@@ -289,7 +279,7 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
     offset-replay sync (src/index/terms.c:320-344): pages already in
     the ``signatures`` checkpoint are skipped via a broadcast
     anti-join on page_id, only NEW pages run the extract→canonicalize→
-    signature actor stage (the dominant per-document compute), the
+    signature stage (the dominant per-document compute), the
     combined signature table replaces the checkpoint, and the
     pair/verify/CC stages re-run over it.
 
@@ -322,7 +312,7 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
         ray.remote(lambda a: len(a)).remote(known_ref)))
     new_sigs = canonsig_stage(anti_join(pages_ds, "page_id", known_ref),
                               cfg)
-    combined = pin_blocks(prior.union(new_sigs))
+    combined = prior.union(new_sigs).materialize()
     n_new = combined.count() - n_known
     _replace_signatures(combined, out_dir, cfg, {
         FINGERPRINT: input_fingerprint(pages_ds),
@@ -380,7 +370,7 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
     prior_fp = read_manifest(out_dir, "signatures").get(FINGERPRINT)
     prior = load_stage(out_dir, "signatures")
     n_prior = prior.count()          # parquet metadata, no execution
-    surviving = pin_blocks(anti_join(prior, "page_id", removed_ref))
+    surviving = anti_join(prior, "page_id", removed_ref).materialize()
     n_after = surviving.count()
     if n_after == 0:
         # an all-rows deletion would leave an unloadable empty

@@ -23,6 +23,8 @@ threshold) via the same hyperplane bucketing.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -60,14 +62,11 @@ def _first_of_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class BruteForceTopK:
-    """Actor: query matrix fetched once per actor; per-batch matmul +
-    local top-k per query."""
+    """Per-worker kernel over the fetched queries ``q`` (``qids``,
+    ``vectors``): per-batch matmul + local top-k per query."""
 
-    def __init__(self, queries_ref, k: int, id_col: str = "vec_id",
+    def __init__(self, q: dict, k: int, id_col: str = "vec_id",
                  emb_col: str = "embedding"):
-        import ray
-        q = ray.get(queries_ref) if not isinstance(queries_ref, dict) \
-            else queries_ref
         self.qids = np.asarray(q["qids"], dtype=np.int64)
         self.qmat = _normalize(np.asarray(q["vectors"], dtype=np.float64))
         self.k = k
@@ -104,15 +103,14 @@ class BruteForceTopK:
 
 
 def brute_force_topk(emb_ds, queries_ref, k: int, *,
-                     id_col: str = "vec_id", emb_col: str = "embedding",
-                     concurrency=(1, 8)):
+                     id_col: str = "vec_id", emb_col: str = "embedding"):
     """Global exact top-k per query: per-batch partial top-k, then one
     per-query reduce (tiny: nq × k × batches rows)."""
-    partial = emb_ds.map_batches(
-        BruteForceTopK, fn_constructor_args=(queries_ref, k, id_col,
-                                             emb_col),
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=concurrency, num_cpus=1)
+    from nxsearch_ray.stages.join import broadcast_map
+
+    partial = broadcast_map(emb_ds, queries_ref, functools.partial(
+        BruteForceTopK, k=k, id_col=id_col, emb_col=emb_col),
+        batch_size=4096)
 
     def final_topk(g: pa.Table) -> pa.Table:
         s = g.column("score").to_numpy()
@@ -146,8 +144,7 @@ def make_planes(dim: int, nbits: int, seed: int) -> np.ndarray:
 
 def lsh_topk(emb_ds, queries_ref, k: int, *, nbits: int = 12,
              seed: int = 42, id_col: str = "vec_id",
-             emb_col: str = "embedding", nprobes: int | None = None,
-             concurrency=(1, 8)):
+             emb_col: str = "embedding", nprobes: int | None = None):
     """Approximate top-k: corpus rows keep only buckets matching some
     query signature OR one of its multiprobe variants (all single-bit
     flips by default — queries are few, so expanding the query-side
@@ -175,7 +172,7 @@ def lsh_topk(emb_ds, queries_ref, k: int, *, nbits: int = 12,
 
     survivors = emb_ds.map_batches(bucket_filter, batch_format="pyarrow")
     return brute_force_topk(survivors, queries_ref, k, id_col=id_col,
-                            emb_col=emb_col, concurrency=concurrency)
+                            emb_col=emb_col)
 
 
 def train_ivf_centroids_ref(emb_ds, nlist: int, *,
@@ -249,7 +246,7 @@ def train_ivf_centroids_ref(emb_ds, nlist: int, *,
 def ivf_topk(emb_ds, queries_ref, k: int, *, nlist: int = 64,
              nprobe: int = 8, seed: int = 42, id_col: str = "vec_id",
              emb_col: str = "embedding", centroids_ref=None,
-             sample_cap: int = 65536, concurrency=(1, 8)):
+             sample_cap: int = 65536):
     """Approximate top-k, IVF-flat plan (the coarse-quantizer scale
     path next to ``lsh_topk``): corpus rows are assigned to their
     nearest spherical-k-means centroid per batch; only rows whose
@@ -287,19 +284,18 @@ def ivf_topk(emb_ds, queries_ref, k: int, *, nlist: int = 64,
 
     survivors = emb_ds.map_batches(assign_filter, batch_format="pyarrow")
     return brute_force_topk(survivors, queries_ref, k, id_col=id_col,
-                            emb_col=emb_col, concurrency=concurrency)
+                            emb_col=emb_col)
 
 
 class EmbeddingDupExact:
     """Exact near-dup pairs: the full (normalized) corpus matrix is
-    broadcast once per actor; each batch emits its pairs against the
-    whole corpus with a<b on vec_id.  Exact — and O(n²) work overall —
-    so this is the small-corpus / verification plan; the LSH-bucketed
-    variant below is the scale path."""
+    built once per worker from the fetched corpus ``c``; each batch
+    emits its pairs against the whole corpus with a<b on vec_id.
+    Exact — and O(n²) work overall — so this is the small-corpus /
+    verification plan; the LSH-bucketed variant below is the scale
+    path."""
 
-    def __init__(self, corpus_ref, threshold: float):
-        import ray
-        c = ray.get(corpus_ref)
+    def __init__(self, c: dict, threshold: float):
         self.ids = np.asarray(c["ids"], dtype=np.int64)
         self.mat = _normalize(np.asarray(c["vectors"], dtype=np.float64))
         self.threshold = threshold
@@ -320,12 +316,11 @@ class EmbeddingDupExact:
 
 
 def embedding_dup_pairs_exact(emb_ds, corpus_ref, *,
-                              threshold: float = 0.9,
-                              concurrency=(1, 8)):
-    return emb_ds.map_batches(
-        EmbeddingDupExact, fn_constructor_args=(corpus_ref, threshold),
-        batch_format="pyarrow", batch_size=2048,
-        concurrency=concurrency, num_cpus=1)
+                              threshold: float = 0.9):
+    from nxsearch_ray.stages.join import broadcast_map
+
+    return broadcast_map(emb_ds, corpus_ref, functools.partial(
+        EmbeddingDupExact, threshold=threshold), batch_size=2048)
 
 
 def embedding_dup_pairs_blocked(emb_ds, *, threshold: float = 0.9,

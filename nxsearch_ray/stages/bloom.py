@@ -27,10 +27,11 @@ Scale plan:
            SHARDED by key-hash prefix (each worker fetches only the
            shards its batch's prefixes touch) — the single-ref plan
            here is the broadcast member of that family.
-  probe  — the bitmap ref travels by handle inside an actor-pool
-           map_batches; each actor ray.get()s it ONCE (plasma,
-           zero-copy for the word array) and probes per batch with
-           k gather+shift ops, no Python loop.
+  probe  — the bitmap ref travels by handle into a task-pool
+           map_batches (stages/join.broadcast_map); each worker
+           ray.get()s it ONCE (plasma, zero-copy for the word array)
+           and probes per batch with k gather+shift ops, no Python
+           loop.
 
 Positions use Kirsch-Mitzenmacher double hashing (public):
 pos_i = (h1 + i*h2) mod m with h2 forced odd, giving k independent-
@@ -39,25 +40,16 @@ enough probes from one 64-bit hash.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.functions.hashing import (hash_strings, splitmix64,
                                             string_buffers)
+from nxsearch_ray.stages.shuffle import tree_fold
 
 _U64 = np.uint64
-
-
-def tree_fold(parts: list, merge_remote):
-    """Fold a non-empty list of ObjectRefs down to one through a tree
-    of ``merge_remote`` tasks (an associative merge: OR, max, ...).
-    The driver holds only task handles, and no task takes more than
-    eight inputs."""
-    fan_in = 8
-    while len(parts) > 1:
-        parts = [merge_remote.remote(*parts[i:i + fan_in])
-                 for i in range(0, len(parts), fan_in)]
-    return parts[0]
 
 
 def bloom_positions(h: np.ndarray, m_bits: int, k: int) -> np.ndarray:
@@ -125,14 +117,12 @@ def bloom_probe(words: np.ndarray, values, *, m_bits: int, k: int,
 
 
 class BloomSeen:
-    """Actor-pool probe stage: bitmap fetched once per actor,
-    appends a boolean ``out_col`` per batch."""
+    """Probe kernel over the fetched bitmap ``words``: appends a
+    boolean ``out_col`` per batch."""
 
-    def __init__(self, bits_ref, col: str, m_bits: int, k: int,
+    def __init__(self, words: np.ndarray, col: str, m_bits: int, k: int,
                  seed: int = 0, out_col: str = "seen_bloom"):
-        import ray
-        self.words = ray.get(bits_ref) \
-            if not isinstance(bits_ref, np.ndarray) else bits_ref
+        self.words = words
         self.col = col
         self.m_bits = m_bits
         self.k = k
@@ -148,13 +138,14 @@ class BloomSeen:
 
 def bloom_seen(ds, bits_ref, col: str, *, m_bits: int = 1 << 20,
                k: int = 5, seed: int = 0,
-               out_col: str = "seen_bloom", concurrency=(1, 8)):
+               out_col: str = "seen_bloom"):
     """Map-only "seen before" flag against a prebuilt broadcast
     Bloom bitmap — the incremental-ingest guard."""
-    return ds.map_batches(
-        BloomSeen, fn_constructor_args=(bits_ref, col, m_bits, k,
-                                        seed, out_col),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=1)
+    from nxsearch_ray.stages.join import broadcast_map
+
+    return broadcast_map(ds, bits_ref, functools.partial(
+        BloomSeen, col=col, m_bits=m_bits, k=k, seed=seed,
+        out_col=out_col))
 
 
 # ---------------------------------------------------------------
@@ -223,9 +214,8 @@ def bloom_build_sharded(ds, col: str, *, shards: int = 16,
 
     blocks = ds.select_columns([col]).to_arrow_refs()
     if not blocks:
-        import ray as _r
         z = np.zeros((m_bits_per_shard + 63) // 64, dtype=_U64)
-        return [_r.put(z.copy()) for _ in range(shards)]
+        return [ray.put(z.copy()) for _ in range(shards)]
     per_block = [_partials.options(num_returns=shards).remote(b)
                  for b in blocks]
     refs = []
@@ -239,8 +229,9 @@ def bloom_build_sharded(ds, col: str, *, shards: int = 16,
 
 
 class ShardedBloomSeen:
-    """Probe stage over a sharded filter: fetches only the shards a
-    batch's keys route to (plasma caches repeats per worker)."""
+    """Probe kernel over a sharded filter (the list of shard refs):
+    fetches only the shards a batch's keys route to, each once per
+    worker."""
 
     def __init__(self, shard_refs: list, col: str,
                  m_bits_per_shard: int, k: int, seed: int = 0,
@@ -281,12 +272,14 @@ class ShardedBloomSeen:
 
 def bloom_seen_sharded(ds, shard_refs: list, col: str, *,
                        m_bits_per_shard: int = 1 << 16, k: int = 5,
-                       seed: int = 0, out_col: str = "seen_bloom",
-                       concurrency=(1, 8)):
+                       seed: int = 0, out_col: str = "seen_bloom"):
     """Sharded-probe member of ``bloom_seen`` — same verdicts, no
-    full-bitmap residency per worker."""
-    return ds.map_batches(
-        ShardedBloomSeen,
-        fn_constructor_args=(shard_refs, col, m_bits_per_shard, k,
-                             seed, out_col),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=1)
+    full-bitmap residency per worker (the broadcast value is the list
+    of shard refs, not the shards)."""
+    import ray
+
+    from nxsearch_ray.stages.join import broadcast_map
+
+    return broadcast_map(ds, ray.put(shard_refs), functools.partial(
+        ShardedBloomSeen, col=col, m_bits_per_shard=m_bits_per_shard,
+        k=k, seed=seed, out_col=out_col))

@@ -1,13 +1,15 @@
-"""Canonicalization stage: tokenizer + filter pipeline as a Ray actor pool.
+"""Canonicalization stage: tokenizer + filter pipeline as plain Ray tasks.
 
 This is the repurposed nxsearch text-processing core (reference
 src/core/tokenizer.c:234-302 `tokenize` + src/core/filters.c:199-219
-`filter_pipeline_run`) run as a stateful `map_batches` stage:
+`filter_pipeline_run`) run as a task-pool `map_batches` stage with
+per-worker state (stages/join.broadcast_map):
 
-  * per-actor state built once in ``__init__`` (SURVEY.md §2.3 ST1-ST3):
-    one FilterPipeline per language (ICU-equivalent normalizer, stopword
-    set, Snowball-family stemmer), plus a token→hash memo cache — the
-    Zipfian vocabulary means the hot loop is almost entirely dict hits;
+  * per-worker state built once per call in ``__init__`` (SURVEY.md
+    §2.3 ST1-ST3): one FilterPipeline per language (ICU-equivalent
+    normalizer, stopword set, Snowball-family stemmer), plus a
+    token→hash memo cache — the Zipfian vocabulary means the hot loop
+    is almost entirely dict hits;
   * per-batch work in ``__call__``: segment each text (UAX#29-subset
     regex), push each word through the cached filter chain, emit the
     canonical token *hash* sequence.
@@ -25,6 +27,8 @@ Columns out (append to input minus `html`):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -37,7 +41,8 @@ _CACHE_CAP = 2_000_000  # per-lang memo entries; reset when exceeded
 
 
 class CanonicalizeActor:
-    """Callable class for ``map_batches(..., concurrency=N)``."""
+    """The per-worker canonicalization kernel: ``__call__`` maps one
+    batch."""
 
     def __init__(self, cfg: PipelineConfig | str | None = None,
                  include_tokens: bool = False):
@@ -125,16 +130,16 @@ class CanonicalizeActor:
 
 
 def canonicalize_stage(ds, cfg: PipelineConfig, *,
-                       include_tokens: bool = False, concurrency=None):
-    """Attach the canonicalization actor pool to a pages Dataset."""
-    if concurrency is None:
-        concurrency = (cfg.canonicalize_concurrency
-                       if cfg.canonicalize_concurrency else (1, 64))
-    return ds.map_batches(
-        CanonicalizeActor,
-        fn_constructor_args=(cfg.to_json(), include_tokens),
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+                       include_tokens: bool = False):
+    """Canonicalize a pages Dataset as plain tasks, one
+    ``CanonicalizeActor`` per worker and call (a fresh memo each
+    call)."""
+    import ray
+
+    from nxsearch_ray.stages.join import broadcast_map
+
+    return broadcast_map(
+        ds, ray.put(cfg.to_json()),
+        functools.partial(CanonicalizeActor,
+                          include_tokens=include_tokens),
+        batch_size=cfg.batch_size)

@@ -9,8 +9,8 @@ min-hooking kernel (state/unionfind.py).  Two plans, one semantic:
 
   * **tree-reduce union-find** (``cc_tree_unionfind``; the flagship's
     choice while the star edges fit one task): star-edge blocks are
-    re-collapsed ``TREE_FANIN`` at a time until one block remains.
-    No shuffle and no driver-side collect.
+    re-collapsed through ``shuffle.tree_fold``'s 8-ary task tree until
+    one block remains.  No shuffle and no driver-side collect.
   * **distributed min-label propagation** (``cc_label_propagation``;
     the scale path): the classic hash-hash iteration — each round
     sends every changed node label to its neighbours' partitions and
@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 CLUSTER_SCHEMA = pa.schema([("page_id", pa.int64()),
                             ("cluster_id", pa.int64())])
+STAR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 
-# star-edge blocks merged per tree-reduce task
-TREE_FANIN = 8
 # label-propagation safety cap; convergence normally stops far sooner
 LABELPROP_MAX_ROUNDS = 50
 
@@ -50,7 +50,7 @@ def _star_edges(t: pa.Table) -> pa.Table:
     keep = nodes != labs
     return pa.Table.from_arrays(
         [pa.array(nodes[keep]), pa.array(labs[keep])],
-        names=["a", "b"])
+        schema=STAR_SCHEMA)
 
 
 def star_edges(pairs_ds):
@@ -66,9 +66,8 @@ def cc_tree_unionfind(pairs_ds):
 
       1. leaf: ``star_edges`` — output rows ≤ distinct nodes in the
          block, so dup-heavy blocks shrink massively;
-      2. reduce: repartition coalesces ``TREE_FANIN`` star-edge blocks
-         into one and re-collapses, log_fanin(B) rounds of narrow
-         (non-shuffling) repartitions;
+      2. reduce: ``shuffle.tree_fold`` re-collapses the concatenated
+         star-edge blocks eight at a time, log_8(B) task levels;
       3. root: the single surviving block holds one star edge per
          non-min dup node; a final pass emits (page_id, cluster_id)
          with the min nodes' self rows restored.
@@ -81,40 +80,43 @@ def cc_tree_unionfind(pairs_ds):
     return _cc_tree_reduce(star_edges(pairs_ds))
 
 
+@ray.remote
+def _merge_star(*blocks):
+    """Star edges of the union of ``blocks`` (one tree_fold merge)."""
+    full = [b for b in blocks if b.num_rows]
+    return _star_edges(pa.concat_tables(full)) if full \
+        else STAR_SCHEMA.empty_table()
+
+
+@ray.remote
+def _finish(t: pa.Table) -> pa.Table:
+    """The root's star edges → (page_id, cluster_id), with the min
+    nodes (labels) restored as members of their own cluster."""
+    if t.num_rows == 0:
+        return CLUSTER_SCHEMA.empty_table()
+    node = t.column("a").to_numpy()
+    lab = t.column("b").to_numpy()
+    mins = np.unique(lab)
+    nodes = np.concatenate([node, mins])
+    labs = np.concatenate([lab, mins])
+    order = np.argsort(nodes, kind="stable")
+    return pa.Table.from_arrays(
+        [pa.array(nodes[order]), pa.array(labs[order])],
+        schema=CLUSTER_SCHEMA)
+
+
 def _cc_tree_reduce(star_ds):
-    """Reduce a materialized star-edge Dataset to the clusters table."""
-    import math
+    """Reduce a materialized star-edge Dataset to the clusters table:
+    its block refs fold through ``tree_fold`` (``_star_edges`` over
+    each group's concatenation), then ``_finish`` runs on the root."""
+    import ray.data as rd
 
-    def merge(ds, nblocks):
-        return ds.repartition(nblocks).map_batches(
-            _star_edges, batch_format="pyarrow",
-            batch_size=None).materialize()
+    from nxsearch_ray.stages.shuffle import tree_fold
 
-    nblocks = star_ds.num_blocks()
-    while nblocks > 1:
-        star_ds = merge(star_ds, math.ceil(nblocks / TREE_FANIN))
-        new_n = star_ds.num_blocks()
-        if new_n >= nblocks:      # safeguard: force the root merge
-            star_ds = merge(star_ds, 1)
-            break
-        nblocks = new_n
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return CLUSTER_SCHEMA.empty_table()
-        node = t.column("a").to_numpy()
-        lab = t.column("b").to_numpy()
-        # restore the min nodes (labels) as members of their own cluster
-        mins = np.unique(lab)
-        nodes = np.concatenate([node, mins])
-        labs = np.concatenate([lab, mins])
-        order = np.argsort(nodes, kind="stable")
-        return pa.Table.from_arrays(
-            [pa.array(nodes[order]), pa.array(labs[order])],
-            schema=CLUSTER_SCHEMA)
-
-    return star_ds.map_batches(finish, batch_format="pyarrow",
-                               batch_size=None)
+    parts = list(star_ds.to_arrow_refs())
+    root = tree_fold(parts, _merge_star) if parts \
+        else ray.put(STAR_SCHEMA.empty_table())
+    return rd.from_arrow_refs([_finish.remote(root)])
 
 
 def cc_label_propagation(pairs_ds):

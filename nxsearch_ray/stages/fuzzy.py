@@ -19,14 +19,17 @@ Dataflow:
     stage must run with ``include_tokens=True``.
   * **vocabulary index** — built in one remote task (sorted term array
     + totals), broadcast by ObjectRef.
-  * **bulk lookup** — an actor pool: each actor builds the BK-tree
-    ONCE in ``__init__`` from the broadcast index (sorted-order
-    inserts → identical tree on every actor), then resolves its
-    batches; per-probe BK-tree search is the reference's own
-    algorithm and cost shape.
+  * **bulk lookup** — a task pool with per-worker state
+    (stages/join.broadcast_map): each worker builds the BK-tree ONCE
+    per vocabulary ref from the broadcast index (sorted-order inserts
+    → identical tree on every worker), then resolves its batches;
+    per-probe BK-tree search is the reference's own algorithm and
+    cost shape.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -87,8 +90,8 @@ def build_vocab_index_ref(vocab_ds):
 
 def pick_candidate(cands: list[tuple[str, int]],
                    totals_of) -> str | None:
-    """Selection rule shared by the actor and tests: exact hit wins;
-    else max total, tie → smallest term."""
+    """Selection rule shared by the lookup kernel and tests: exact hit
+    wins; else max total, tie → smallest term."""
     if not cands:
         return None
     for term, d in cands:
@@ -105,15 +108,12 @@ def pick_candidate(cands: list[tuple[str, int]],
 
 
 class FuzzyLookupActor:
-    """Per-actor BK-tree over the broadcast vocabulary; resolves a
-    ``word`` column to (matched_term, distance, total)."""
+    """BK-tree over the fetched vocabulary ``v`` (``terms``,
+    ``totals``); resolves a ``word`` column to (matched_term, distance,
+    total)."""
 
-    def __init__(self, vocab_ref, tolerance: int = TOLERANCE,
+    def __init__(self, v: dict, tolerance: int = TOLERANCE,
                  word_col: str = "word"):
-        import ray
-
-        v = ray.get(vocab_ref) if not isinstance(vocab_ref, dict) \
-            else vocab_ref
         self.terms = v["terms"]
         self.totals = v["totals"]
         self.tree = BKTree(self.terms)       # sorted-order inserts
@@ -148,13 +148,9 @@ class FuzzyLookupActor:
 
 
 def fuzzy_lookup(words_ds, vocab_ref, *, tolerance: int = TOLERANCE,
-                 word_col: str = "word", concurrency=None):
-    from nxsearch_ray.stages.shuffle import actor_pool_size
+                 word_col: str = "word"):
+    from nxsearch_ray.stages.join import broadcast_map
 
-    if concurrency is None:
-        concurrency = actor_pool_size(0.5)
-    return words_ds.map_batches(
-        FuzzyLookupActor,
-        fn_constructor_args=(vocab_ref, tolerance, word_col),
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=concurrency, num_cpus=1)
+    return broadcast_map(words_ds, vocab_ref, functools.partial(
+        FuzzyLookupActor, tolerance=tolerance, word_col=word_col),
+        batch_size=4096)

@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.functions.hashing import hash_strings, string_buffers
-from nxsearch_ray.stages.bloom import tree_fold
+from nxsearch_ray.stages.shuffle import tree_fold
 
 _U64 = np.uint64
 

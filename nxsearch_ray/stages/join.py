@@ -19,10 +19,12 @@ reference's token→term hash-lookup semi-join ``tokenset_resolve``,
 reference src/core/tokenizer.c:160-199).  Small-side joins use a
 broadcast instead: a key set (``semi_join`` / ``anti_join``) or a
 lookup index built once and read by every task (``index_ref`` +
-``broadcast_map``).
+``broadcast_map``, which also holds every stage's per-worker state).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -105,31 +107,53 @@ def index_ref(ds, schema: pa.Schema, from_table):
     return _build.remote(*ds.select_columns(schema.names).to_arrow_refs())
 
 
-# per-worker-process cache of broadcast indices, one entry per index
-# kind (so the verify and suffix indices never evict each other): a
-# task-pool stage re-enters its kernel many times in one worker, and
-# the plasma get is zero-copy but the unpickle is worth skipping
-_INDEX_CACHE: dict = {}
+# per-worker-process state of the broadcast stages, one entry per call
+# site (so the verify and suffix indices never evict each other),
+# replaced when its ref changes: a task-pool stage re-enters its kernel
+# many times in one worker, and the build (unpickle, BK-tree, filter
+# pipelines) runs once per ref there, as an actor's ``__init__`` did.
+# A site's last state (and any object-store value it views) stays
+# until that site's next call in the worker.
+_WORKER_STATE: dict = {}
 
 
-def _cached_index(kind: str, idx_ref):
-    hit = _INDEX_CACHE.get(kind)
-    if hit is None or hit[0] != idx_ref.hex():
-        hit = _INDEX_CACHE[kind] = (idx_ref.hex(), ray.get(idx_ref))
+def _site(build):
+    """A call site's key: ``build``, or a partial's function with its
+    bound kernel options."""
+    if isinstance(build, functools.partial):
+        return (build.func, build.args,
+                tuple(sorted(build.keywords.items())))
+    return build
+
+
+def _worker_state(site, ref, build):
+    hit = _WORKER_STATE.get(site)
+    if hit is None or hit[0] != ref.hex():
+        hit = _WORKER_STATE[site] = (ref.hex(), build(ray.get(ref)))
     return hit[1]
 
 
-def broadcast_map(pairs_ds, idx_ref, cfg, kernel, batch_size: int):
-    """Broadcast-lookup join: ``kernel(batch, index, cfg)`` over every
-    ``batch_size``-row batch of ``pairs_ds``, the index fetched once
-    per worker process from ``idx_ref``."""
-    kind = kernel.__name__
+def broadcast_map(ds, ref, build, *, batch_size: int | None = None):
+    """The one per-worker-state primitive: a plain task-pool
+    ``map_batches`` in which each worker computes
+    ``build(ray.get(ref))`` once per ``ref`` and maps every pyarrow
+    batch through the result.  ``build`` is a class or module-level
+    function (or a ``functools.partial`` of one), resolved by
+    reference in the worker.  Config-derived state is keyed by a
+    ``ray.put`` made per call, so each call starts fresh."""
+    site = _site(build)
 
     def fn(batch: pa.Table) -> pa.Table:
-        return kernel(batch, _cached_index(kind, idx_ref), cfg)
+        return _worker_state(site, ref, build)(batch)
 
-    return pairs_ds.map_batches(fn, batch_format="pyarrow",
-                                batch_size=batch_size)
+    return ds.map_batches(fn, batch_format="pyarrow",
+                          batch_size=batch_size)
+
+
+def lookup_kernel(kernel, cfg, index):
+    """``kernel(batch, index, cfg)`` as a batch function — the build of
+    a broadcast lookup: ``partial(lookup_kernel, kernel, cfg)``."""
+    return lambda batch: kernel(batch, index, cfg)
 
 
 def pair_join(pairs_ds, right_ds, *, right_key: str,

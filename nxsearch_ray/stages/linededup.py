@@ -31,6 +31,8 @@ Shape of the computation (all vectorized, one shuffle + one census):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -153,13 +155,11 @@ def boilerplate_keys(lines_ds, *, id_col: str = "page_id",
 class _Reassemble:
     """Per-block page rebuild: runs over key-disjoint (page_id) blocks.
 
-    Holds the broadcast boilerplate key set (resolved once per actor);
+    Holds the fetched boilerplate key set ``dup`` (sorted int64);
     emits one row per page with the surviving lines rejoined."""
 
-    def __init__(self, dup_ref, id_col: str, sep: str):
-        import ray
-        self.dup = ray.get(dup_ref) if not isinstance(dup_ref, np.ndarray) \
-            else dup_ref
+    def __init__(self, dup: np.ndarray, id_col: str, sep: str):
+        self.dup = dup
         self.id_col = id_col
         self.sep = sep
 
@@ -220,6 +220,8 @@ def line_dedup(pages_ds, *, text_col: str = "text",
     SQL twin: `line_dedup_sql`."""
     import ray
 
+    from nxsearch_ray.stages.join import broadcast_map
+
     lines = pages_ds.map_batches(
         lambda b: reflow_lines(b, text_col=text_col, id_col=id_col,
                                words_per_line=words_per_line),
@@ -227,9 +229,9 @@ def line_dedup(pages_ds, *, text_col: str = "text",
     dup = boilerplate_keys(lines, id_col=id_col, min_docs=min_docs)
     dup_ref = ray.put(dup)
     parts = hash_partitioned(lines, [id_col], num_partitions)
-    return parts.map_batches(
-        _Reassemble, fn_constructor_args=(dup_ref, id_col, line_sep),
-        batch_format="pyarrow", concurrency=(1, 4))
+    # whole blocks: a page's lines must meet in one kernel call
+    return broadcast_map(parts, dup_ref, functools.partial(
+        _Reassemble, id_col=id_col, sep=line_sep))
 
 
 def line_dedup_sql(pages_cte: str, *, words_per_line: int = 10,

@@ -27,7 +27,8 @@ Scale plan (100 TB):
      desc, key asc) — deterministic — and misses fall back to a
      floor (unigram) or the backoff term (KN).  The model is
      broadcast via ray.put.
-  3. score — stateless task pool: per batch, vectorized searchsorted
+  3. score — task pool, the model fetched once per worker
+     (stages/join.broadcast_map): per batch, vectorized searchsorted
      lookups + segmented mean.  No shuffle.
 
 log p(w) is computed as ``ln(n_w / N)`` (divide THEN log, matching
@@ -36,6 +37,8 @@ the SQL twin bit-for-bit); per-doc logloss = mean over grams of
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -261,14 +264,13 @@ def kn_model_ref(census_ds, order: int, *, discount: float = 0.75,
 
 
 class _Scorer:
-    """Task-pool kernel base: the model is fetched once per worker
-    (plasma, zero-copy for the float arrays)."""
+    """Scorer kernel base over the fetched ``model`` — the per-worker
+    state of a task-pool stage (stages/join.broadcast_map; plasma,
+    zero-copy for the float arrays)."""
 
-    def __init__(self, model_ref, id_col: str = "doc_id",
+    def __init__(self, model: dict, id_col: str = "doc_id",
                  text_col: str = "text"):
-        import ray
-        self.m = ray.get(model_ref) if not isinstance(model_ref, dict) \
-            else model_ref
+        self.m = model
         self.id_col = id_col
         self.text_col = text_col
 
@@ -308,35 +310,32 @@ class KNScorer(_Scorer):
                         "n_transitions")
 
 
-def _score(docs_ds, scorer, model_ref, id_col, text_col, concurrency):
-    return docs_ds.map_batches(
-        scorer, fn_constructor_args=(model_ref, id_col, text_col),
-        batch_format="pyarrow", batch_size=1024,
-        concurrency=concurrency, num_cpus=1)
+def _score(docs_ds, scorer, model_ref, id_col, text_col):
+    from nxsearch_ray.stages.join import broadcast_map
+
+    return broadcast_map(docs_ds, model_ref, functools.partial(
+        scorer, id_col=id_col, text_col=text_col), batch_size=1024)
 
 
 def lm_perplexity_kn(docs_ds, *, order: int = 2, id_col: str = "doc_id",
                      text_col: str = "text", discount: float = 0.75,
-                     cap: int | None = None, model_ref=None,
-                     concurrency=(1, 8)):
+                     cap: int | None = None, model_ref=None):
     """Per-document interpolated Kneser-Ney ORDER-n perplexity against
     the corpus's own n-gram statistics (or a prebuilt ``model_ref``,
     which carries its own order) — census combiner -> one-task model
-    fold -> broadcast -> stateless scorer.  Documents with fewer than
+    fold -> broadcast -> task-pool scorer.  Documents with fewer than
     n tokens have no n-gram windows and are omitted, matching the SQL
     twins' joins."""
     if model_ref is None:
         model_ref = kn_model_ref(
             ngram_census(docs_ds, order, text_col=text_col), order,
             discount=discount, cap=cap)
-    return _score(docs_ds, KNScorer, model_ref, id_col, text_col,
-                  concurrency)
+    return _score(docs_ds, KNScorer, model_ref, id_col, text_col)
 
 
 def lm_perplexity(docs_ds, *, id_col: str = "doc_id",
                   text_col: str = "text",
-                  vocab_cap: int | None = None, model_ref=None,
-                  concurrency=(1, 8)):
+                  vocab_cap: int | None = None, model_ref=None):
     """Per-document unigram perplexity against the corpus's own MLE
     unigram model (or a prebuilt ``model_ref``).  Documents with zero
     tokens are omitted (no defined perplexity), matching the SQL
@@ -345,5 +344,4 @@ def lm_perplexity(docs_ds, *, id_col: str = "doc_id",
         model_ref = unigram_model_ref(
             unigram_census(docs_ds, text_col=text_col),
             vocab_cap=vocab_cap)
-    return _score(docs_ds, UnigramScorer, model_ref, id_col, text_col,
-                  concurrency)
+    return _score(docs_ds, UnigramScorer, model_ref, id_col, text_col)

@@ -35,6 +35,7 @@ The reference's headline feature re-expressed Ray-Data-first:
 from __future__ import annotations
 
 import re as _re
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -275,17 +276,25 @@ def corpus_stats(canonical_ds) -> tuple[int, int]:
     return n, tok
 
 
-_FUZZY_RESOLVERS: dict = {}
+# driver-side BK-tree resolvers for query-term fuzzy match, one per
+# vocabulary ref, least recently used first out — bounded by the
+# service's index cache, since an index evicted there never reaches
+# its old vocabulary ref again
+_FUZZY_RESOLVERS: OrderedDict = OrderedDict()
 
 
 def _fuzzy_resolver(vocab_ref):
-    """Driver-side cached BK-tree resolver for query-term fuzzy match
-    (one tree per vocabulary ref)."""
-    key = str(vocab_ref)
-    if key not in _FUZZY_RESOLVERS:
-        from nxsearch_ray.stages.fuzzy import FuzzyLookupActor
+    import ray
 
-        _FUZZY_RESOLVERS[key] = FuzzyLookupActor(vocab_ref)
+    from nxsearch_ray.stages.fuzzy import FuzzyLookupActor
+    from nxsearch_ray.svc import IndexStore
+
+    key = vocab_ref.hex()
+    if key not in _FUZZY_RESOLVERS:
+        _FUZZY_RESOLVERS[key] = FuzzyLookupActor(ray.get(vocab_ref))
+    _FUZZY_RESOLVERS.move_to_end(key)
+    while len(_FUZZY_RESOLVERS) > IndexStore.CACHE_SLOTS:
+        _FUZZY_RESOLVERS.popitem(last=False)
     return _FUZZY_RESOLVERS[key]
 
 

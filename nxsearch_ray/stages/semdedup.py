@@ -459,15 +459,18 @@ def run_semdedup(emb_ds, *, eps: float = 0.4, nlist: int = 64,
                  emb_col: str = "embedding", sample_cap: int = 65536,
                  hot_cap_factor: float = 3.0,
                  sub_sample_cap: int = 16384,
-                 out_dir: str | None = None):
+                 out_dir: str | None = None,
+                 fingerprint: str | None = None):
     """Checkpoint-resumable semantic tier (the flagship's lineage
     discipline, state/lineage.py): with ``out_dir`` set, the decision
     table ``(id, dup_of, keep)`` is materialized to
     ``{out_dir}/semdedup_decisions/`` as partitioned Parquet with a
-    lineage manifest keyed by the parameter hash; a re-run under the
-    same parameters loads the checkpoint instead of redoing the
-    quadratic work, and a changed parameter invalidates it.  Returns
-    ``(dataset, stats)`` with the resumed flag and stage wall."""
+    lineage manifest keyed by the parameter hash and ``fingerprint``
+    (the caller's input fingerprint); a re-run under the same
+    parameters and fingerprint loads the checkpoint instead of redoing
+    the quadratic work, and a change to either invalidates it.
+    Returns ``(dataset, stats)`` with the resumed flag and stage
+    wall."""
     import time
 
     from nxsearch_ray.state.lineage import checkpoint
@@ -485,7 +488,7 @@ def run_semdedup(emb_ds, *, eps: float = 0.4, nlist: int = 64,
             emb_col=emb_col, sample_cap=sample_cap,
             hot_cap_factor=hot_cap_factor,
             sub_sample_cap=sub_sample_cap),
-        out_dir, "semdedup_decisions", params)
+        out_dir, "semdedup_decisions", params, fingerprint)
     stats["semdedup_decisions_resumed"] = skipped
     stats["wall_semdedup"] = round(time.monotonic() - t0, 2)
     return ds, stats

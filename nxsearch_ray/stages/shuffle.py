@@ -23,6 +23,10 @@ the rows with ``key_hash(...) % P == i``.
 width, so partition i of each input holds the same keys: a
 partition-wise (Grace) hash join then joins each partition pair in
 one task (stages/join.hash_join).
+
+``tree_fold`` is the other task-wave primitive: an associative merge
+of many refs (Bloom and HLL partials, CC star edges) as a tree of
+tasks with at most eight inputs each.
 """
 
 from __future__ import annotations
@@ -40,46 +44,11 @@ def partition_width(n_rows: int, n_bytes: int) -> int:
     (the per-block scans downstream keep every CPU busy) but never more
     partitions than rows, and more partitions once one would pass
     ``PARTITION_BYTES``."""
-    return max(1, min(cluster_cpus(), n_rows),
-               -(-n_bytes // PARTITION_BYTES))
-
-
-def cluster_cpus() -> int:
     try:
-        return int(ray.cluster_resources().get("CPU", 8))
+        cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
-        return 8
-
-
-def stage_num_cpus() -> float:
-    """Per-actor CPU demand for stateful stages: 1.0 normally, 0.5 on
-    tiny clusters (≤4 CPUs) so the actor pool and the map tasks feeding
-    it can co-schedule — with integral demands a 2-CPU session can
-    leave the pool's actors holding every CPU while the read task that
-    feeds them waits.  Below 2 CPUs the demand is 0: a long-lived actor
-    holding any fraction of the only CPU leaves every 1-CPU task (the
-    read, the exchange's split and merge) unschedulable for good."""
-    cpus = cluster_cpus()
-    if cpus < 2:
-        return 0.0
-    return 1.0 if cpus > 4 else 0.5
-
-
-def actor_pool_size(frac: float = 1.0,
-                    max_actors: int | None = None) -> tuple[int, int]:
-    """(min, max) actor-pool concurrency sized to the cluster.  A high
-    minimum pre-warms the pool at execution start instead of letting
-    autoscaling ramp 1→N — the ramp is pure fixed cost that shows up
-    directly as lost scaling efficiency on short stages."""
-    cpus = cluster_cpus()
-    hi = max(1, int(cpus * frac))
-    if max_actors is not None:
-        hi = min(hi, max_actors)
-    # modest floor only: a high minimum RESERVES CPUs for the whole
-    # execution and starves co-scheduled stages (measured: min=0.75·N
-    # regressed the 130k-page run 33 s → 88 s at 32 CPUs)
-    lo = max(1, hi // 4)
-    return (lo, hi)
+        cpus = 8
+    return max(1, min(cpus, n_rows), -(-n_bytes // PARTITION_BYTES))
 
 
 def adopt_hash_context(ds):
@@ -181,3 +150,15 @@ def hash_partitioned(ds, keys, num_partitions: int | None = None):
 
     return rd.from_arrow_refs(
         co_partitioned([(ds, keys)], num_partitions)[0])
+
+
+def tree_fold(parts: list, merge_remote):
+    """Fold a non-empty list of ObjectRefs down to one through a tree
+    of ``merge_remote`` tasks (an associative merge: OR, max, a
+    star-edge re-collapse, ...).  The driver holds only task handles,
+    and no task takes more than eight inputs."""
+    fan_in = 8
+    while len(parts) > 1:
+        parts = [merge_remote.remote(*parts[i:i + fan_in])
+                 for i in range(0, len(parts), fan_in)]
+    return parts[0]

@@ -1,9 +1,11 @@
 """Signature stage: k-shingles → MinHash / SimHash / bottom-k sketches.
 
 New Ray-native functionality (the reference has no sketches, SURVEY.md
-§2.5 A7): a stateful actor pool holding the MinHash permutation seeds
-(broadcast constants — the only cross-worker state the signature path
-needs, SURVEY.md §2.3 ST5) and doing the whole batch with numpy:
+§2.5 A7): a plain task-pool stage whose per-worker state (the
+canonicalization pipelines and token memo, plus the config's MinHash
+seeds — the only cross-worker state the signature path needs,
+SURVEY.md §2.3 ST5) is built once per call by ``join.broadcast_map``;
+each batch is done with numpy:
 
   token_ids list column → flat uint64 + offsets (zero-copy from Arrow)
   → rolling k-shingle hashes → per-doc sorted-unique → 128-perm MinHash
@@ -129,7 +131,7 @@ class SignatureActor:
 
 
 class CanonSigActor:
-    """Fused extract → canonicalize → signature stage: one actor pool,
+    """Fused extract → canonicalize → signature kernel: one stage,
     one pass over the wide input rows, one output table (signatures
     + the canonical token_ids column) — two fewer materialization
     barriers than chaining the stages, and the html/text columns never
@@ -151,21 +153,20 @@ class CanonSigActor:
 
 
 def canonsig_stage(ds, cfg: PipelineConfig):
-    from nxsearch_ray.stages.shuffle import actor_pool_size, \
-        stage_num_cpus
+    """The fused stage as plain tasks, one ``CanonSigActor`` per worker
+    and call (a fresh token memo each call)."""
+    import ray
 
-    # pool sized to the cluster with a modest pre-warm floor
-    return ds.map_batches(
-        CanonSigActor, fn_constructor_args=(cfg.to_json(),),
-        batch_format="pyarrow", batch_size=cfg.batch_size,
-        concurrency=actor_pool_size(), num_cpus=stage_num_cpus())
+    from nxsearch_ray.stages.join import broadcast_map
+
+    return broadcast_map(ds, ray.put(cfg.to_json()), CanonSigActor,
+                         batch_size=cfg.batch_size)
 
 
 def signature_stage(ds, cfg: PipelineConfig, *,
                     keep_columns: tuple[str, ...] = ("page_id",)):
-    """Stateless tasks, not an actor pool: the stage's only 'state' is
-    the parsed config (trivial to pickle per task), and task pools
-    release CPUs the moment execution ends."""
+    """Stateless tasks: the stage's only 'state' is the parsed config
+    (trivial to pickle per task)."""
     fn = SignatureActor(cfg.to_json(), keep_columns)
     return ds.map_batches(
         fn,

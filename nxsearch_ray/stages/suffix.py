@@ -15,6 +15,7 @@ the one decision kernel ``adjudicate_pairs``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,10 +236,12 @@ def adjudicate_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
 def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
     """Task-pool exact adjudication against the broadcast token index
     (same plan shape as verify.verify_pairs_broadcast)."""
-    from nxsearch_ray.stages.join import broadcast_map
+    from nxsearch_ray.stages.join import broadcast_map, lookup_kernel
 
-    return broadcast_map(pairs_ds, idx_ref, cfg, exact_containment_table,
-                         batch_size=4096)
+    return broadcast_map(
+        pairs_ds, idx_ref,
+        functools.partial(lookup_kernel, exact_containment_table, cfg),
+        batch_size=4096)
 
 
 def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig):

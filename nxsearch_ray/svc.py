@@ -122,10 +122,10 @@ class IndexStore:
         self._open_lock = threading.Lock()
         # one Ray Data job at a time: each search already parallelizes
         # across the whole cluster inside its job, and CONCURRENT
-        # streaming executors from several driver threads can deadlock
-        # reserving resources for their actor pools on a small session
-        # (the reference's per-request mmap reads have no analogue of
-        # this).  HTTP threads queue here, served in arrival order;
+        # streaming executors from several driver threads contend for
+        # the same CPUs (with actor-pool stages they deadlocked on a
+        # small session; the reference's per-request mmap reads have no
+        # analogue of this).  HTTP threads queue here, served in arrival order;
         # add/fetch stay lock-free.
         self._job_slot = _FifoLock()
         # serializes the generation counter's read-increment-write

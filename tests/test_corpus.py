@@ -154,6 +154,37 @@ def test_run_corpus_rejects_changed_input(ray_session, corpus_tables,
     assert not fresh.equals(da)
 
 
+def test_semantic_decisions_reject_changed_pages(ray_session,
+                                                corpus_tables, tmp_path):
+    """Pages A (a planted semantic duplicate's text replaced by another
+    page's, so the near-dup tier drops it first), then the original
+    pages B, into one ``out_dir``: the semantic tier recomputes, and the
+    duplicate is a tier-3 drop of its twin, as in a fresh run on B."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+
+    pages, emb, sem_pairs = corpus_tables
+    lo, hi = sem_pairs[0]
+    b = pages.select(["page_id", "url", "text"])
+    text = b.column("text").to_pylist()
+    text[b.column("page_id").to_pylist().index(hi)] = text[2]
+    a = b.set_column(2, "text", pa.array(text))
+    kw = dict(embeddings_ds=rd.from_arrow(emb), semdedup_nlist=4,
+              min_words=10, min_required_stopwords=0)
+    out = str(tmp_path / "run")
+    run_corpus(rd.from_arrow(a), out_dir=out, **kw)
+    rb = run_corpus(rd.from_arrow(b), out_dir=out, **kw)
+    assert rb.stats["semantic_semdedup_decisions_resumed"] is False
+    fresh = decisions_as_table(run_corpus(rd.from_arrow(b), **kw))
+    db = decisions_as_table(rb)
+    assert db.equals(fresh)
+    row = db.filter(pc.equal(db.column("page_id"), hi)).to_pylist()
+    assert row == [{"page_id": hi, "drop_tier": 3, "dup_of": lo}]
+
+
 def test_cli_corpus(tmp_path):
     pages = synth_pages(120, seed=13)
     emb, _ = _embeddings_for(pages, n_sem_dups=4)

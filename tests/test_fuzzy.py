@@ -57,8 +57,7 @@ def _tiny_canonical(ray_session):
         "lang": pa.array(["en"] * len(docs), type=pa.string()),
     })
     canonical = canonicalize_stage(rd.from_arrow(t), cfg,
-                                   include_tokens=True,
-                                   concurrency=(1, 2)).materialize()
+                                   include_tokens=True).materialize()
     return canonical, cfg
 
 
@@ -80,8 +79,7 @@ def test_vocabulary_and_bulk_lookup(ray_session):
     probes = rd.from_arrow(pa.table(
         {"word": ["linix", "shel", "pithon", "zzzzzz"]}))
     out = {r["word"]: (r["matched_term"], r["distance"])
-           for r in fuzzy_lookup(probes, vref,
-                                 concurrency=(1, 2)).take_all()}
+           for r in fuzzy_lookup(probes, vref).take_all()}
     assert out["linix"] == ("linux", 1)
     assert out["shel"] == ("shell", 1)
     assert out["pithon"] == ("python", 1)

@@ -105,8 +105,6 @@ def test_count_cooccurrence_both_strategies(ray_session):
     and the partial counts must be identical to brute force either
     way.  Page ids sit above 2^32 to exercise the dense-rank mapping
     (the adjacency is rank-keyed; partials carry ranks)."""
-    import ray
-
     from nxsearch_ray.stages.setsim import _count_cooccurrence
 
     BIG = 3 << 32  # global ids beyond uint32 range
@@ -136,7 +134,7 @@ def test_count_cooccurrence_both_strategies(ray_session):
            "ids": BIG + np.array([0, 1, 2], dtype=np.int64),
            "sizes": np.array([10, 10, 10], dtype=np.int64)}
     # the hot run must choose expansion: C(50,2)=1225 >> sum(deg)=3
-    fn = _count_cooccurrence(ray.put(adj))
+    fn = _count_cooccurrence(adj)
     got = fn(t)
     counts = {(r["a"], r["b"]): r["cnt"] for r in got.to_pylist()}
     expected = {}

@@ -158,7 +158,7 @@ def test_lua_plugin_loads_inside_ray_actors(ray_session, tmp_path):
         "lang": ["en", "en"],
     })
     out = canonicalize_stage(rd.from_arrow(pages), cfg,
-                             include_tokens=True, concurrency=2)
+                             include_tokens=True)
     rows = {r["page_id"]: r["tokens"] for r in out.take_all()}
     assert rows[1] == ["jump", "fox"]
     assert rows[2] == ["plain", "word"]
@@ -184,7 +184,7 @@ def test_plugin_loads_inside_ray_actors(ray_session, plugin_file,
         "lang": ["en", "en"],
     })
     out = canonicalize_stage(rd.from_arrow(pages), cfg,
-                             include_tokens=True, concurrency=2)
+                             include_tokens=True)
     rows = {r["page_id"]: r["tokens"] for r in out.take_all()}
     # xxJumping → jumping → jump; "42" discarded; bare "xx" emptied
     assert rows[1] == ["jump", "fox"]

@@ -32,8 +32,7 @@ def _canonical(docs, ray_session):
         "text": pa.array([d[1] for d in docs], type=pa.string()),
         "lang": pa.array(["en"] * len(docs), type=pa.string()),
     })
-    return canonicalize_stage(rd.from_arrow(t), CFG,
-                              concurrency=(1, 2)).materialize()
+    return canonicalize_stage(rd.from_arrow(t), CFG).materialize()
 
 
 def _scores(canonical, query, algo):
@@ -175,3 +174,26 @@ def test_response_json_format():
                               {"doc_id": 1, "score": 0.061}]
     empty = json.loads(response_json(t.slice(0, 0)))
     assert empty == {"results": [], "count": 0}
+
+
+def test_fuzzy_resolver_cache_is_bounded_lru(ray_session):
+    """Driver-side BK-tree resolvers: at most the service's CACHE_SLOTS
+    vocabularies stay cached, and alternating two vocabularies reuses
+    both trees."""
+    import ray
+
+    from nxsearch_ray.stages import search
+    from nxsearch_ray.svc import IndexStore
+
+    search._FUZZY_RESOLVERS.clear()
+    refs = [ray.put({"terms": ["alpha", f"term{i}"],
+                     "totals": np.array([1, i], dtype=np.int64)})
+            for i in range(IndexStore.CACHE_SLOTS + 2)]
+    for r in refs:
+        search._fuzzy_resolver(r)
+    assert len(search._FUZZY_RESOLVERS) <= IndexStore.CACHE_SLOTS
+    a, b = search._fuzzy_resolver(refs[0]), search._fuzzy_resolver(refs[1])
+    for _ in range(3):
+        assert search._fuzzy_resolver(refs[0]) is a
+        assert search._fuzzy_resolver(refs[1]) is b
+    assert search._fuzzy_resolver(refs[-1]).terms == ["alpha", "term17"]

@@ -63,3 +63,67 @@ def test_large_random_graph_matches_naive():
         for x in comp:
             seen[x] = m
     assert labels == seen
+
+
+def _pair_blocks(n_blocks: int, seed: int):
+    """``n_blocks`` pair blocks of a random sparse graph whose
+    components span blocks."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(n_blocks):
+        a = rng.integers(0, 600, 6)
+        b = rng.integers(0, 600, 6)
+        blocks.append(ray.put(pa.table({"a": pa.array(a, pa.int64()),
+                                        "b": pa.array(b, pa.int64())})))
+    return rd.from_arrow_refs(blocks)
+
+
+def _clusters(ds):
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs())) \
+        .sort_by("page_id")
+
+
+def test_cc_tree_fold_three_levels_equals_labelprop(ray_session):
+    """70 star-edge blocks fold through three levels of the 8-ary
+    tree; the clusters equal label propagation's and the oracle's."""
+    from nxsearch_ray.stages.cc import (_cc_tree_reduce,
+                                        cc_label_propagation,
+                                        star_edges)
+
+    pairs = _pair_blocks(70, seed=3)
+    star = star_edges(pairs)
+    assert star.num_blocks() >= 65
+    tree = _clusters(_cc_tree_reduce(star))
+    lp = _clusters(cc_label_propagation(pairs))
+    assert tree.num_rows > 0 and tree.equals(lp)
+    uf = UnionFind()
+    for r in pairs.take_all():
+        uf.union(r["a"], r["b"])
+    labels = uf.labels_min()
+    sizes: dict = {}
+    for lab in labels.values():
+        sizes[lab] = sizes.get(lab, 0) + 1
+    # singletons (self-pairs only) are no cluster members
+    want = {n: lab for n, lab in labels.items() if sizes[lab] > 1}
+    assert dict(zip(tree.column("page_id").to_pylist(),
+                    tree.column("cluster_id").to_pylist())) == want
+
+
+def test_cc_tree_empty_input(ray_session):
+    import pyarrow as pa
+    import ray.data as rd
+
+    from nxsearch_ray.stages.cc import CLUSTER_SCHEMA, cc_tree_unionfind
+
+    empty = rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
+                                    "b": pa.array([], pa.int64())}))
+    out = _clusters(cc_tree_unionfind(empty))
+    assert out.num_rows == 0 and out.schema == CLUSTER_SCHEMA
