@@ -18,6 +18,7 @@ oracles in tests/.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -57,7 +58,8 @@ pages AS (
 """
 
 _CFG = PipelineConfig()
-_DEDUP_CACHE: dict[str, Any] = {}
+# (sf_dir, variant) -> (DedupResult, its TemporaryDirectory or None)
+_DEDUP_CACHE: dict[tuple[str, str], tuple] = {}
 
 
 def _pages(sf_dir: str, include_html: bool = True):
@@ -66,13 +68,68 @@ def _pages(sf_dir: str, include_html: bool = True):
     return pages_dataset(sf_dir, include_html=include_html)
 
 
-def _dedup(sf_dir: str):
-    """Memoized flagship run (several queries expose its outputs)."""
-    if sf_dir not in _DEDUP_CACHE:
-        from nxsearch_ray.pipelines.dedup import run_dedup
+def _removed(page_id: np.ndarray) -> np.ndarray:
+    """The pages the ``removed`` dedup run deletes: whole planted
+    groups (``page_id // 4``), SQL ``(page_id // 4) % 10 = 3``."""
+    return (page_id >> 2) % 10 == 3
 
-        _DEDUP_CACHE[sf_dir] = run_dedup(_pages(sf_dir), _CFG)
-    return _DEDUP_CACHE[sf_dir]
+
+def _where(pages, keep: Callable[[np.ndarray], np.ndarray]):
+    """The pages whose ``page_id`` passes ``keep``."""
+    def fn(t: pa.Table) -> pa.Table:
+        return t.filter(pa.array(keep(t.column("page_id").to_numpy())))
+
+    return pages.map_batches(fn, batch_format="pyarrow")
+
+
+def _dedup(sf_dir: str, variant: str = "auto"):
+    """Memoized dedup run (several queries grade its outputs), one per
+    variant:
+      * ``auto`` — ``run_dedup`` on its size-chosen plans;
+      * ``scale`` — the 10^12-doc plans: bucketed verify and suffix,
+        label-propagation CC;
+      * ``incremental`` — a run over the even page ids, then
+        ``run_dedup_incremental`` over every page;
+      * ``removed`` — a full run, then ``run_dedup_remove`` of every
+        ``_removed`` page.
+    A checkpointing variant owns its own temporary ``out_dir``, so no
+    later run rewrites a checkpoint an earlier result still reads."""
+    key = (sf_dir, variant)
+    if key not in _DEDUP_CACHE:
+        import tempfile
+
+        from nxsearch_ray.pipelines.dedup import (run_dedup,
+                                                  run_dedup_incremental,
+                                                  run_dedup_remove)
+
+        pages, tmp = _pages(sf_dir), None
+        if variant == "auto":
+            res = run_dedup(pages, _CFG)
+        elif variant == "scale":
+            res = run_dedup(pages, _CFG, verify_mode="bucketed",
+                            cc_mode="labelprop")
+        else:
+            tmp = tempfile.TemporaryDirectory(prefix=f"dedup_{variant}_")
+            if variant == "incremental":
+                run_dedup(_where(pages, lambda p: p % 2 == 0), _CFG,
+                          out_dir=tmp.name)
+                res = run_dedup_incremental(pages, _CFG, out_dir=tmp.name)
+            else:
+                run_dedup(pages, _CFG, out_dir=tmp.name)
+                ids = _pages(sf_dir, include_html=False).select_columns(
+                    ["page_id"]).to_pandas()["page_id"].to_numpy()
+                res = run_dedup_remove(ids[_removed(ids)], _CFG,
+                                       out_dir=tmp.name)
+        _DEDUP_CACHE[key] = (res, tmp)
+    return _DEDUP_CACHE[key][0]
+
+
+def _graded_pages(sf_dir: str, variant: str):
+    """The pages a dedup variant's result covers."""
+    pages = _pages(sf_dir, include_html=False)
+    if variant == "removed":
+        pages = _where(pages, lambda p: ~_removed(p))
+    return pages
 
 
 # ------------------------------------------------------------------
@@ -136,8 +193,6 @@ def q_exact_dedup(sf_dir: str):
 
 
 def q_doc_stats(sf_dir: str):
-    import ray.data
-
     from nxsearch_ray.stages.textstats import doc_stats
 
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
@@ -149,8 +204,6 @@ def q_doc_stats(sf_dir: str):
 def q_repetition_stats(sf_dir: str):
     """Gopher-style repetition fractions per document
     (stages/textstats.py repetition_stats; SQL twin alongside)."""
-    import ray.data
-
     from nxsearch_ray.stages.textstats import repetition_stats
 
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
@@ -271,43 +324,6 @@ def q_line_dedup(sf_dir: str):
     return line_dedup(_pages(sf_dir, include_html=False))
 
 
-def q_pack_sequences(sf_dir: str):
-    """Token-budget sequence packing via distributed prefix scan
-    (stages/packing.py)."""
-    import ray.data
-
-    from nxsearch_ray.stages.packing import pack_sequences
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return pack_sequences(ds, budget=512)
-
-
-def q_token_quantiles(sf_dir: str):
-    """Exact discrete token-count quantiles from a distributed value
-    census (stages/packing.py exact_quantiles)."""
-    import ray.data
-
-    from nxsearch_ray.stages.packing import count_tokens, exact_quantiles
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    counted = ds.map_batches(count_tokens, batch_format="pyarrow")
-    return exact_quantiles(counted, "n_tokens")
-
-
-def q_value_quantiles(sf_dir: str):
-    """Exact quantiles of a float column (events.value) via the
-    sorted-rank plan (stages/packing.py exact_quantiles_sorted)."""
-    import ray.data
-
-    from nxsearch_ray.stages.packing import exact_quantiles_sorted
-
-    ds = _read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["value"])
-    return exact_quantiles_sorted(ds, "value")
-
-
 def q_url_canonical(sf_dir: str):
     """URL canonicalization (stages/urlnorm.py): a deterministically
     messied URL per page (uppercase scheme/host, www., default port,
@@ -334,50 +350,7 @@ def q_url_canonical(sf_dir: str):
         mess_and_canon, batch_format="pyarrow")
 
 
-def q_sessionize(sf_dir: str):
-    """Gap-based sessionization over the event stream — the keyed
-    windowed aggregate (stages/sessionize.py): one entity exchange +
-    vectorized per-block break/cumsum scan."""
-    import ray.data
-
-    from nxsearch_ray.stages.sessionize import sessionize
-
-    ds = _read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts", "event_id",
-                                        "value"])
-    return sessionize(ds, gap_s=1800)
-
-
-def q_stratified_sample(sf_dir: str):
-    """Deterministic per-language uniform sample (corpus balancing) —
-    hash-ordered per-group top-k (stages/sampling.py)."""
-    import ray.data
-
-    from nxsearch_ray.stages.sampling import stratified_sample
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "lang"])
-    return stratified_sample(ds, group_col="lang", id_col="doc_id",
-                             k=10, seed=7)
-
-
-def q_chunk_documents(sf_dir: str):
-    """Overlapping token-window chunking (stages/packing.py
-    chunk_documents): the RAG/pretraining document chunker."""
-    import ray.data
-
-    from nxsearch_ray.stages.packing import chunk_documents
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return ds.map_batches(
-        lambda b: chunk_documents(b, chunk_tokens=64, overlap=16),
-        batch_format="pyarrow")
-
-
 def q_lang_counts(sf_dir: str):
-    import ray.data
-
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["lang"])
     out = ds.groupby("lang").count()
@@ -394,8 +367,6 @@ def q_ngram_jaccard(sf_dir: str):
 
 
 def q_fingerprint(sf_dir: str):
-    import ray.data
-
     from nxsearch_ray.stages.textstats import fingerprint
 
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
@@ -432,7 +403,6 @@ def _query_vectors(sf_dir: str) -> dict:
 
 def q_ann_topk(sf_dir: str):
     import ray
-    import ray.data
 
     from nxsearch_ray.stages.ann import brute_force_topk
 
@@ -445,7 +415,6 @@ def q_ann_topk(sf_dir: str):
 
 def q_ann_topk_lsh(sf_dir: str):
     import ray
-    import ray.data
 
     from nxsearch_ray.stages.ann import lsh_topk
 
@@ -462,7 +431,6 @@ def q_ann_topk_lsh(sf_dir: str):
 
 def q_ann_topk_ivf(sf_dir: str):
     import ray
-    import ray.data
 
     from nxsearch_ray.stages.ann import ivf_topk
 
@@ -483,8 +451,8 @@ def q_dedup_clusters(sf_dir: str):
     return clusters_as_table(_dedup(sf_dir))
 
 
-def q_dedup_pairs(sf_dir: str):
-    """Planted-pair recall invariant over the flagship
+def q_dedup_pairs(sf_dir: str, variant: str = "auto"):
+    """Planted-pair recall invariant over a dedup run's
     ``verified_pairs`` (the raw pair table is not SQL-expressible —
     genuine extra near-dup pairs between similar synthetic docs are
     legitimate output): PAGES_CTE plants a ``copy`` variant
@@ -502,7 +470,7 @@ def q_dedup_pairs(sf_dir: str):
     — the verify_pairs_bucketed shape."""
     import ray
 
-    pairs_ds = _dedup(sf_dir).verified_pairs
+    pairs_ds = _dedup(sf_dir, variant).verified_pairs
     refs = pairs_ds.select_columns(["a", "b"]).to_arrow_refs()
 
     @ray.remote
@@ -542,12 +510,102 @@ def q_dedup_pairs(sf_dir: str):
             "variant": t.column("variant"),
             "found": pa.array(found)})
 
-    return _pages(sf_dir, include_html=False) \
+    return _graded_pages(sf_dir, variant) \
         .select_columns(["page_id", "variant"]) \
         .map_batches(probe, batch_format="pyarrow")
 
 
-def q_cluster_sizes(sf_dir: str):
+def _group_check(sf_dir: str, variant: str,
+                 add_keys: Callable[[pa.Table], pa.Table],
+                 keys: list[str], flag: str):
+    """One group check of a dedup run's clusters: pages grouped by
+    ``keys`` (``add_keys`` maps a page block to ``page_id`` plus the
+    key columns), one row per group of >= 2 pages with its min page
+    id, its size, the number of clusters it spans (a page missing
+    from the clusters counts as its own) and one per-group ``flag``:
+      * ``cluster_size_ok`` — the group's smallest cluster holds at
+        least as many pages as the group;
+      * ``cluster_is_component_min`` — every member's cluster id is
+        that cluster's min page id.
+
+    Plan: clusters table → broadcast (page_id → cluster_id) map plus
+    per-cluster size and min-id flag (clusters hold only duplicate
+    pages, a small fraction of the corpus); ONE key-disjoint exchange
+    of the pages on ``keys``, then lexsort + reduceat per block — no
+    per-group Python, no driver collect (a 10^12-doc run would
+    hash-join on page_id instead of broadcasting)."""
+    import ray
+
+    from nxsearch_ray.pipelines.dedup import clusters_as_table
+    from nxsearch_ray.stages.shuffle import hash_partitioned
+
+    ct = clusters_as_table(_dedup(sf_dir, variant))   # page_id order
+    pid = ct.column("page_id").to_numpy()
+    cid = ct.column("cluster_id").to_numpy()
+    o = np.argsort(cid, kind="stable")
+    cs = cid[o]
+    starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]]) \
+        if len(cs) else np.zeros(0, np.int64)
+    bcast = ray.put({
+        "pids": pid, "cids": cid, "uc": cs[starts],
+        "usz": np.diff(np.r_[starts, len(cs)]),
+        "umin_ok": (np.minimum.reduceat(pid[o], starts) == cs[starts])
+        if len(cs) else np.zeros(0, bool)})
+    out_schema = pa.schema([
+        ("group_min_page_id", pa.int64()), ("n_pages", pa.int64()),
+        ("n_clusters", pa.int64()), (flag, pa.bool_())])
+
+    def check_block(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return out_schema.empty_table()
+        b = ray.get(bcast)
+        pid = t.column("page_id").to_numpy()
+        # cluster id, its size and min-id flag per page; unclustered
+        # pages get unique negative sentinels, so a missing member
+        # makes n_clusters > 1 (a failure)
+        cl = -pid - 1
+        size = np.zeros(len(pid), np.int64)
+        min_ok = np.zeros(len(pid), bool)
+        if len(b["pids"]):
+            j = np.minimum(np.searchsorted(b["pids"], pid),
+                           len(b["pids"]) - 1)
+            hit = b["pids"][j] == pid
+            cl[hit] = b["cids"][j[hit]]
+            k = np.searchsorted(b["uc"], cl[hit])
+            size[hit] = b["usz"][k]
+            min_ok[hit] = b["umin_ok"][k]
+        # one lexsort groups rows by key with cluster runs contiguous
+        # inside each group; every per-group stat is then a reduceat
+        kc = [t.column(c).to_numpy() for c in keys]
+        o = np.lexsort((cl, *reversed(kc)))
+        brk = np.r_[True, np.logical_or.reduce(
+            [c[o][1:] != c[o][:-1] for c in kc])]
+        gstart = np.flatnonzero(brk)
+        gsize = np.diff(np.r_[gstart, len(o)])
+        dup = gsize >= 2
+        if not dup.any():
+            return out_schema.empty_table()
+        cls = cl[o]
+        runs = brk | np.r_[True, cls[1:] != cls[:-1]]
+        ok = (np.minimum.reduceat(size[o], gstart) >= gsize
+              if flag == "cluster_size_ok"
+              else np.logical_and.reduceat(min_ok[o], gstart))
+        return pa.table({
+            "group_min_page_id": pa.array(
+                np.minimum.reduceat(pid[o], gstart)[dup], pa.int64()),
+            "n_pages": pa.array(gsize[dup], pa.int64()),
+            "n_clusters": pa.array(
+                np.add.reduceat(runs.astype(np.int64), gstart)[dup],
+                pa.int64()),
+            flag: pa.array(ok[dup], pa.bool_())})
+
+    keyed = _graded_pages(sf_dir, variant) \
+        .map_batches(add_keys, batch_format="pyarrow")
+    return hash_partitioned(keyed, keys) \
+        .map_batches(check_block, batch_format="pyarrow")
+
+
+def q_cluster_sizes(sf_dir: str, variant: str = "auto"):
     """Planted-group cluster-size invariant (the successor of the
     rows-only top-20 listing, which any user gets from one
     ``value_counts`` over ``dedup_clusters``): every planted variant
@@ -556,91 +614,18 @@ def q_cluster_sizes(sf_dir: str):
     than ``dedup_exact_verify``'s exact-only groups — must sit in ONE
     cluster (``n_clusters`` = 1) whose total size is at least the
     group size (``cluster_size_ok``: the cluster may legitimately be
-    bigger via genuine cross-doc near-dups, never smaller).
-
-    Plan: clusters table → broadcast (page_id → cluster_id) map +
-    per-cluster sizes built in one remote task; pages get ONE
-    key-disjoint exchange on the group key, then lexsort + reduceat
-    per block — no per-group Python, no driver collect (a 10^12-doc
-    run hash-joins on page_id instead of broadcasting, as with
-    dedup_exact_verify)."""
-    import ray
-
-    from nxsearch_ray.pipelines.dedup import clusters_as_table
-    from nxsearch_ray.stages.shuffle import hash_partitioned
-
-    ct = clusters_as_table(_dedup(sf_dir))
-    pids = ct.column("page_id").to_numpy()
-    cids = ct.column("cluster_id").to_numpy()
-    o = np.argsort(pids, kind="stable")
-    uc, usz = np.unique(cids, return_counts=True)
-    bcast = ray.put({"pages": pids[o], "clusters": cids[o],
-                     "uc": uc, "usz": usz})
-
-    out_schema = pa.schema([("group_min_page_id", pa.int64()),
-                            ("n_pages", pa.int64()),
-                            ("n_clusters", pa.int64()),
-                            ("cluster_size_ok", pa.bool_())])
-
+    bigger via genuine cross-doc near-dups, never smaller)."""
     def add_grp(t: pa.Table) -> pa.Table:
         pid = t.column("page_id").to_numpy()
         return pa.table({"page_id": t.column("page_id"),
                          "grp": pa.array(pid >> 2, type=pa.int64())})
 
-    keyed = _pages(sf_dir, include_html=False) \
-        .select_columns(["page_id"]) \
-        .map_batches(add_grp, batch_format="pyarrow")
-    keyed = hash_partitioned(keyed, ["grp"])
-
-    def verify_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        b = ray.get(bcast)
-        pid = t.column("page_id").to_numpy()
-        grp = t.column("grp").to_numpy()
-        # cluster id per page; unclustered pages get unique negative
-        # sentinels so a missing member forces n_clusters > 1
-        if len(b["pages"]):
-            j = np.clip(np.searchsorted(b["pages"], pid), 0,
-                        len(b["pages"]) - 1)
-            hit = b["pages"][j] == pid
-            cl = np.where(hit, b["clusters"][j],
-                          -1 - np.arange(len(pid), dtype=np.int64))
-        else:
-            hit = np.zeros(len(pid), dtype=bool)
-            cl = -1 - np.arange(len(pid), dtype=np.int64)
-        csz = np.zeros(len(pid), dtype=np.int64)
-        if len(b["uc"]):
-            k = np.clip(np.searchsorted(b["uc"], cl), 0,
-                        len(b["uc"]) - 1)
-            chit = hit & (b["uc"][k] == cl)
-            csz[chit] = b["usz"][k[chit]]
-        o = np.lexsort((cl, grp))
-        grps, cls, ps, czs = grp[o], cl[o], pid[o], csz[o]
-        gbrk = np.r_[True, grps[1:] != grps[:-1]]
-        gstart = np.flatnonzero(gbrk)
-        gsize = np.diff(np.r_[gstart, len(ps)])
-        dup = gsize >= 2
-        if not dup.any():
-            return out_schema.empty_table()
-        run_start = gbrk | np.r_[True, cls[1:] != cls[:-1]]
-        n_clusters = np.add.reduceat(run_start.astype(np.int64), gstart)
-        group_min = np.minimum.reduceat(ps, gstart)
-        size_ok = np.greater_equal(
-            np.minimum.reduceat(czs, gstart),
-            gsize)
-        return pa.table({
-            "group_min_page_id": pa.array(group_min[dup],
-                                          type=pa.int64()),
-            "n_pages": pa.array(gsize[dup], type=pa.int64()),
-            "n_clusters": pa.array(n_clusters[dup], type=pa.int64()),
-            "cluster_size_ok": pa.array(size_ok[dup])})
-
-    return keyed.map_batches(verify_block, batch_format="pyarrow")
+    return _group_check(sf_dir, variant, add_grp, ["grp"],
+                        "cluster_size_ok")
 
 
-def q_dedup_exact_verify(sf_dir: str):
-    """DuckDB-checkable invariant over the flagship clusters output
+def q_dedup_exact_verify(sf_dir: str, variant: str = "auto"):
+    """DuckDB-checkable invariant over a dedup run's clusters output
     (the two most important tables are otherwise non-SQL-expressible):
     every content-identical page group — the planted ``copy``
     variants, derivable in SQL from PAGES_CTE — must be co-clustered
@@ -650,38 +635,9 @@ def q_dedup_exact_verify(sf_dir: str):
     the vectorized 128-bit content hash (content_hash128) and
     identified in the output by their min page id, so the SQL twin
     groups by ``text`` itself — no hash parity needed and no per-row
-    Python anywhere.
-
-    Plan: content hash per page in ``map_batches``, ONE key-disjoint
-    exchange on the hash, then a vectorized (lexsort + reduceat)
-    per-block group scan against the broadcast dup-cluster map
-    (clusters only hold duplicate pages, a tiny fraction of the
-    corpus; a 10^12-doc run would hash-join on page_id instead of
-    broadcasting)."""
-    import ray
-
+    Python anywhere."""
     from nxsearch_ray.functions.hashing import (content_hash128,
                                                 string_buffers)
-    from nxsearch_ray.pipelines.dedup import clusters_as_table
-    from nxsearch_ray.stages.shuffle import hash_partitioned
-
-    ct = clusters_as_table(_dedup(sf_dir))
-    pid = ct.column("page_id").to_numpy()
-    cid = ct.column("cluster_id").to_numpy()
-    # per-cluster component-min: min(page_id) grouped by cluster_id
-    order = np.argsort(cid, kind="stable")
-    cs, ps = cid[order], pid[order]
-    starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-    comp_min = np.minimum.reduceat(ps, starts) if len(ps) else ps
-    # broadcast: sorted page ids -> cluster ids, plus per-cluster
-    # min==id flags (sorted by cluster id for searchsorted lookup)
-    psort = np.argsort(pid, kind="stable")
-    bcast = ray.put({
-        "pids": pid[psort], "cids": cid[psort],
-        "clusters": cs[starts] if len(ps) else cs,
-        "cluster_min_ok": (comp_min == cs[starts]) if len(ps)
-        else np.zeros(0, dtype=bool),
-    })
 
     def add_key(t: pa.Table) -> pa.Table:
         offs, data = string_buffers(t.column("text"))
@@ -691,64 +647,8 @@ def q_dedup_exact_verify(sf_dir: str):
             "h1": pa.array(h1, type=pa.int64()),
             "h2": pa.array(h2, type=pa.int64())})
 
-    keyed = _pages(sf_dir, include_html=False).map_batches(
-        add_key, batch_format="pyarrow")
-    keyed = hash_partitioned(keyed, ["h1"])
-
-    out_schema = pa.schema([
-        ("group_min_page_id", pa.int64()), ("n_pages", pa.int64()),
-        ("n_clusters", pa.int64()),
-        ("cluster_is_component_min", pa.bool_())])
-
-    def verify_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        b = ray.get(bcast)
-        h1 = t.column("h1").to_numpy()
-        h2 = t.column("h2").to_numpy()
-        pids = t.column("page_id").to_numpy()
-        # cluster id per page: searchsorted into the broadcast map;
-        # unclustered pages get a unique negative sentinel so any
-        # missing member makes n_clusters > 1 (a failure)
-        if len(b["pids"]):
-            j = np.clip(np.searchsorted(b["pids"], pids), 0,
-                        len(b["pids"]) - 1)
-            hit = b["pids"][j] == pids
-            cl = np.where(hit, b["cids"][j], -pids - 1)
-        else:
-            hit = np.zeros(len(pids), dtype=bool)
-            cl = -pids - 1
-        mok = np.zeros(len(pids), dtype=bool)
-        if len(b["clusters"]):
-            jc = np.clip(np.searchsorted(b["clusters"], cl), 0,
-                         len(b["clusters"]) - 1)
-            mok = hit & (b["clusters"][jc] == cl) & b["cluster_min_ok"][jc]
-        # one lexsort groups rows by content hash with cluster runs
-        # contiguous inside each group; every per-group stat is then a
-        # reduceat — no per-group Python
-        o = np.lexsort((cl, h2, h1))
-        h1s, h2s, cls = h1[o], h2[o], cl[o]
-        ps, moks = pids[o], mok[o]
-        grp_brk = np.r_[True, (h1s[1:] != h1s[:-1])
-                        | (h2s[1:] != h2s[:-1])]
-        gstart = np.flatnonzero(grp_brk)
-        gsize = np.diff(np.r_[gstart, len(ps)])
-        dup = gsize >= 2
-        if not dup.any():
-            return out_schema.empty_table()
-        run_start = grp_brk | np.r_[True, cls[1:] != cls[:-1]]
-        n_clusters = np.add.reduceat(run_start.astype(np.int64), gstart)
-        group_min = np.minimum.reduceat(ps, gstart)
-        min_ok = np.bitwise_and.reduceat(moks, gstart)
-        return pa.table({
-            "group_min_page_id": pa.array(group_min[dup],
-                                          type=pa.int64()),
-            "n_pages": pa.array(gsize[dup], type=pa.int64()),
-            "n_clusters": pa.array(n_clusters[dup], type=pa.int64()),
-            "cluster_is_component_min": pa.array(min_ok[dup],
-                                                 type=pa.bool_())})
-
-    return keyed.map_batches(verify_block, batch_format="pyarrow")
+    return _group_check(sf_dir, variant, add_key, ["h1", "h2"],
+                        "cluster_is_component_min")
 
 
 def q_signatures(sf_dir: str):
@@ -815,7 +715,6 @@ def q_ann_lsh_recall(sf_dir: str):
     recall at production (non-exhaustive) params is reported by
     ``ann_recall_report`` and gated in pytest."""
     import ray
-    import ray.data
 
     from nxsearch_ray.stages.ann import lsh_topk
 
@@ -833,7 +732,6 @@ def q_ann_ivf_recall(sf_dir: str):
     construction; the FAISS-style sanity check).  Production-nprobe
     recall is reported by ``ann_recall_report`` / pytest."""
     import ray
-    import ray.data
 
     from nxsearch_ray.stages.ann import ivf_topk
 
@@ -917,8 +815,6 @@ def q_embedding_dups(sf_dir: str):
     (block-pair tasks, no full-matrix broadcast — the scale-safe exact
     plan); small block_rows so several blocks are exercised even at
     sandbox scale."""
-    import ray.data
-
     from nxsearch_ray.stages.ann import embedding_dup_pairs_blocked
 
     ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -1397,8 +1293,6 @@ _CANON_DOCS_CACHE: dict[str, Any] = {}
 
 
 def _canonical_docs(sf_dir: str):
-    import ray.data
-
     from nxsearch_ray.stages.canonicalize import canonicalize_stage
 
     if sf_dir not in _CANON_DOCS_CACHE:
@@ -1436,20 +1330,6 @@ def q_tfidf_topk(sf_dir: str):
     return t.set_column(1, "score", pc.round(t.column("score"), 4))
 
 
-def q_topk_events(sf_dir: str):
-    """Generic per-group top-k (the reference's capped results heap,
-    src/algo/heap.c): top-5 events by value per event_type."""
-    import ray.data
-
-    from nxsearch_ray.stages.topk import topk_per_group
-
-    ds = _read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "event_type",
-                                        "value"])
-    return topk_per_group(ds, group_col="event_type",
-                          order_col="value", tie_col="event_id", k=5)
-
-
 _FUZZY_PROBES = ("hashh", "jion", "mege", "custmer", "zzzqqq")
 
 
@@ -1478,8 +1358,6 @@ def q_fuzzy_lookup(sf_dir: str):
 
 
 def q_embedding_dups_lsh(sf_dir: str):
-    import ray.data
-
     from nxsearch_ray.stages.ann import embedding_dup_pairs
 
     ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -1497,50 +1375,6 @@ def q_embedding_dups_lsh(sf_dir: str):
     # sandbox embeddings — keep the schema on the empty result
     return pa.concat_tables(batches) if batches \
         else schema.empty_table()
-
-
-def q_domain_stats(sf_dir: str):
-    """Per-domain corpus census — the groupby every crawl audit runs:
-    page count and total text chars per host.  Native Count/Sum
-    aggregation after a vectorized host extraction; no Python rows."""
-    import pyarrow.compute as pc
-
-    def project(t: pa.Table) -> pa.Table:
-        host = pc.list_element(pc.split_pattern(t.column("url"), "/"), 2)
-        chars = pc.utf8_length(t.column("text")).cast(pa.int64())
-        return pa.table({"domain": host, "chars": chars})
-
-    keyed = _pages(sf_dir, include_html=False).map_batches(
-        project, batch_format="pyarrow")
-    agg = keyed.groupby("domain").aggregate(
-        _RAY_AGG.Count(), _RAY_AGG.Sum("chars"))
-    return agg.map_batches(
-        lambda t: t.rename_columns(["domain", "n_pages", "total_chars"]),
-        batch_format="pyarrow")
-
-
-def q_url_latest(sf_dir: str):
-    """Latest-wins canonical page per base URL (the `warc_ts` tiebreak
-    from SURVEY §2.8's canonical-doc selection), expressed with the
-    generic per-group top-k operator at k=1 — re-crawl dedup where the
-    newest capture of each URL survives."""
-    import pyarrow.compute as pc
-
-    from nxsearch_ray.stages.topk import topk_per_group
-
-    def project(t: pa.Table) -> pa.Table:
-        base = pc.replace_substring_regex(
-            t.column("url"), "/(copy|tail)$", "")
-        ts_us = t.column("warc_ts").cast(pa.int64())   # µs since epoch
-        return pa.table({"base_url": base,
-                         "page_id": t.column("page_id"),
-                         "warc_ts_us": ts_us})
-
-    keyed = _pages(sf_dir, include_html=False).map_batches(
-        project, batch_format="pyarrow")
-    return topk_per_group(keyed, group_col="base_url",
-                          order_col="warc_ts_us", tie_col="page_id",
-                          k=1)
 
 
 # ------------------------------------------------------------------
@@ -1568,16 +1402,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_pairs": q_dedup_pairs,
         "dedup_exact_verify": q_dedup_exact_verify,
         "cluster_sizes": q_cluster_sizes,
+        # the same three invariants over the scale-path plans, an
+        # incremental ingest and a removal (see _dedup)
+        **{f"{name}_{variant}": partial(fn, variant=variant)
+           for variant in ("scale", "incremental", "removed")
+           for name, fn in (("dedup_pairs", q_dedup_pairs),
+                            ("dedup_exact_verify", q_dedup_exact_verify),
+                            ("cluster_sizes", q_cluster_sizes))},
         "signatures_plain": q_signatures_plain,
         "doc_stats": q_doc_stats,
         "repetition_stats": q_repetition_stats,
-        "pack_sequences": q_pack_sequences,
-        "token_quantiles": q_token_quantiles,
-        "value_quantiles": q_value_quantiles,
         "url_canonical": q_url_canonical,
-        "sessionize": q_sessionize,
-        "stratified_sample": q_stratified_sample,
-        "chunk_documents": q_chunk_documents,
         "line_dedup": q_line_dedup,
         "pii_scrub": q_pii_scrub,
         "decontaminate": q_decontaminate,
@@ -1607,9 +1442,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_topk": q_bm25_topk,
         "tfidf_topk": q_tfidf_topk,
         "fuzzy_lookup": q_fuzzy_lookup,
-        "topk_events": q_topk_events,
-        "domain_stats": q_domain_stats,
-        "url_latest": q_url_latest,
         "url_seen_guard": q_url_seen_guard,
         "url_cardinality": q_url_cardinality,
         # ---- rows-only (no_oracle) queries, pytest/invariant-gated --
@@ -1619,6 +1451,52 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_dups_lsh": q_embedding_dups_lsh,
         "query_probe": q_query_probe,
     }
+
+
+def dedup_oracles() -> dict[str, str]:
+    """Twins of the three dedup invariants over every dedup variant
+    (see ``_dedup``).  The scale-path and incremental plans give the
+    auto run's answers, so they share its SQL; the removal twin runs it
+    over the pages that survive the removal."""
+    removed = "(SELECT * FROM pages WHERE (page_id // 4) % 10 <> 3) kept"
+    out = {}
+    for suffix, pages in (("", "pages"), ("_scale", "pages"),
+                          ("_incremental", "pages"),
+                          ("_removed", removed)):
+        out.update({
+            # every md5-identical page group must land in exactly one
+            # cluster whose id is the component-min page id — the SQL
+            # side predicts the invariant (n_clusters=1, flag=true);
+            # the Ray side measures it against the actual clustering
+            f"dedup_exact_verify{suffix}": f"""
+WITH {PAGES_CTE}
+SELECT min(page_id) AS group_min_page_id, count(*) AS n_pages,
+       CAST(1 AS BIGINT) AS n_clusters,
+       TRUE AS cluster_is_component_min
+FROM {pages} GROUP BY text HAVING count(*) >= 2
+""",
+            # planted-pair recall: every (orig, copy) exact pair and
+            # (orig, tail) containment pair must be a verified pair
+            f"dedup_pairs{suffix}": f"""
+WITH {PAGES_CTE}
+SELECT page_id - (page_id % 4) AS page_a, page_id AS page_b,
+       variant, TRUE AS found
+FROM {pages} WHERE variant IN ('copy', 'tail')
+""",
+            # planted-group clustering: each page_id//4 variant group
+            # with >= 2 pages (copy AND tail variants — near-dup
+            # containment included, stronger than dedup_exact_verify's
+            # exact groups) sits in one cluster at least as large as
+            # the group
+            f"cluster_sizes{suffix}": f"""
+WITH {PAGES_CTE}
+SELECT min(page_id) AS group_min_page_id,
+       count(*) AS n_pages,
+       CAST(1 AS BIGINT) AS n_clusters,
+       TRUE AS cluster_size_ok
+FROM {pages} GROUP BY page_id // 4 HAVING count(*) >= 2
+"""})
+    return out
 
 
 def web_clean_oracle() -> str:
@@ -1669,11 +1547,6 @@ def oracle_sql() -> dict[str, str]:
     from nxsearch_ray.stages.decontam import decontaminate_sql
     from nxsearch_ray.stages.urlfilter import blocklist_sql
     from nxsearch_ray.stages.linededup import line_dedup_sql
-    from nxsearch_ray.stages.packing import (chunk_documents_sql,
-                                             exact_quantiles_sql,
-                                             pack_sequences_sql)
-    from nxsearch_ray.stages.sampling import stratified_sample_sql
-    from nxsearch_ray.stages.sessionize import sessionize_sql
     from nxsearch_ray.stages.urlnorm import url_canonicalize_sql
     from nxsearch_ray.stages.textstats import (_LANG_MARKERS, doc_stats_sql,
                                                gopher_filter_sql,
@@ -1701,38 +1574,7 @@ WITH {PAGES_CTE}
 SELECT min(page_id) AS canonical_page_id, count(*) AS n_dups
 FROM pages GROUP BY text HAVING count(*) >= 2
 """,
-        # invariant oracle for the flagship clusters output: every
-        # md5-identical page group must land in exactly one cluster
-        # whose id is the component-min page id — the SQL side
-        # predicts the invariant (n_clusters=1, flag=true); the Ray
-        # side measures it against the actual clustering
-        "dedup_exact_verify": f"""
-WITH {PAGES_CTE}
-SELECT min(page_id) AS group_min_page_id, count(*) AS n_pages,
-       CAST(1 AS BIGINT) AS n_clusters,
-       TRUE AS cluster_is_component_min
-FROM pages GROUP BY text HAVING count(*) >= 2
-""",
-        # planted-pair recall: every (orig, copy) exact pair and
-        # (orig, tail) containment pair must be a verified pair
-        "dedup_pairs": f"""
-WITH {PAGES_CTE}
-SELECT page_id - (page_id % 4) AS page_a, page_id AS page_b,
-       variant, TRUE AS found
-FROM pages WHERE variant IN ('copy', 'tail')
-""",
-        # planted-group clustering: each page_id//4 variant group with
-        # >= 2 pages (copy AND tail variants — near-dup containment
-        # included, stronger than dedup_exact_verify's exact groups)
-        # sits in one cluster at least as large as the group
-        "cluster_sizes": f"""
-WITH {PAGES_CTE}
-SELECT min(page_id) AS group_min_page_id,
-       count(*) AS n_pages,
-       CAST(1 AS BIGINT) AS n_clusters,
-       TRUE AS cluster_size_ok
-FROM pages GROUP BY page_id // 4 HAVING count(*) >= 2
-""",
+        **dedup_oracles(),
         # census structure over plain-doc signatures (filters=()):
         # exact buckets = full-token-sequence groups; shingle_set
         # buckets = distinct-5-shingle-SET groups (order-invariant
@@ -1806,16 +1648,6 @@ FROM (VALUES ('lsh'), ('ivf')) AS m(method)
 """,
         "doc_stats": f"SELECT doc_id, {stats_select} FROM documents",
         "repetition_stats": repetition_stats_sql(),
-        "pack_sequences": pack_sequences_sql(budget=512),
-        "token_quantiles": exact_quantiles_sql(
-            "documents", r"len(regexp_extract_all(text, '\S+'))"),
-        "value_quantiles": exact_quantiles_sql("events", "value"),
-        "sessionize": sessionize_sql(gap_s=1800),
-        "chunk_documents": chunk_documents_sql(
-            chunk_tokens=64, overlap=16),
-        "stratified_sample": stratified_sample_sql(
-            "documents", group_col="lang", id_col="doc_id",
-            columns="doc_id, lang", k=10, seed=7),
         "url_canonical": f"""
 WITH {PAGES_CTE},
 m AS (SELECT page_id,
@@ -1916,11 +1748,6 @@ SELECT doc_id,
        len(list_distinct(
            {_sql_tokens('text')})) AS n_unique
 FROM documents
-""",
-        "topk_events": """
-SELECT event_id, event_type, value FROM events
-QUALIFY row_number() OVER (PARTITION BY event_type
-                           ORDER BY value DESC, event_id ASC) <= 5
 """,
         "fuzzy_lookup": f"""
 WITH tok AS (SELECT unnest({_sql_tokens('text')}) AS term FROM documents),
@@ -2228,22 +2055,5 @@ SELECT t1.doc_id,
        (CASE WHEN t1.dup1 >= 0 THEN t1.dup1
              ELSE coalesce(sem.dup2, -1) END)::BIGINT AS dup_of
 FROM t1 LEFT JOIN sem ON t1.doc_id = sem.doc_id
-""",
-        "domain_stats": f"""
-WITH {PAGES_CTE}
-SELECT split_part(url, '/', 3) AS domain,
-       count(*) AS n_pages,
-       sum(length(text))::BIGINT AS total_chars
-FROM pages GROUP BY 1
-""",
-        "url_latest": f"""
-WITH {PAGES_CTE},
-k AS (SELECT regexp_replace(url, '/(copy|tail)$', '') AS base_url,
-             page_id, epoch_us(warc_ts) AS warc_ts_us
-      FROM pages)
-SELECT base_url, page_id, warc_ts_us FROM k
-QUALIFY row_number() OVER (PARTITION BY base_url
-                           ORDER BY warc_ts_us DESC,
-                                    page_id ASC) = 1
 """,
     }

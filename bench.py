@@ -196,8 +196,7 @@ def run_benchmarks() -> dict:
     qs = entry.queries()
     for name in ("extract_text", "exact_dedup", "doc_stats",
                  "ngram_jaccard", "line_dedup", "repetition_stats",
-                 "pack_sequences", "sessionize", "ann_topk",
-                 "ann_topk_ivf", "bm25_topk", "topk_events",
+                 "ann_topk", "ann_topk_ivf", "bm25_topk",
                  "pii_scrub", "decontaminate", "gopher_quality",
                  "url_blocklist", "web_clean", "lm_perplexity",
                  "lm_perplexity_trigram", "semantic_dedup",

@@ -25,7 +25,8 @@ same code its standalone query uses):
 
 Every stage boundary is a lineage-manifest checkpoint
 (state/lineage.py) when ``out_dir`` is set: a re-run over the same
-pages (``input_fingerprint``) resumes from the last completed stage,
+pages (``input_fingerprint``; the semantic and final stages also key on
+the embeddings' fingerprint) resumes from the last completed stage,
 and per-stage walls are recorded in
 ``CorpusResult.stats`` (``wall_clean`` / ``wall_neardup`` /
 ``wall_semantic`` / ``wall_final``) so a bench can attribute cost.
@@ -104,8 +105,12 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     cfg = cfg or PipelineConfig()
     stats: dict = {}
     _t = time.monotonic
-    # every corpus checkpoint is reused only for the same pages
-    fp = input_fingerprint(pages_ds) if out_dir is not None else None
+    # every corpus checkpoint is reused only for the same pages; the
+    # semantic tier and the final fold also read the embeddings
+    fp = sem_fp = input_fingerprint(pages_ds) if out_dir is not None \
+        else None
+    if fp is not None and embeddings_ds is not None:
+        sem_fp = f"{fp}+{input_fingerprint(embeddings_ds)}"
 
     # ---------------- stage 1: clean (map-only) ----------------
     clean_params = _StageParams({
@@ -200,13 +205,14 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
             "cfg": cfg.config_hash(), "version": 1})
         if out_dir is not None:
             surv, sk = checkpoint(lambda: surv, out_dir,
-                                  "semantic_survivors", surv_params, fp)
+                                  "semantic_survivors", surv_params,
+                                  sem_fp)
             stats["semantic_survivors_resumed"] = sk
         else:
             surv = surv.materialize()
         dec, sd_stats = run_semdedup(
             surv, eps=semdedup_eps, nlist=semdedup_nlist, seed=seed,
-            out_dir=out_dir, fingerprint=fp)
+            out_dir=out_dir, fingerprint=sem_fp)
         stats.update({f"semantic_{k}": v for k, v in sd_stats.items()})
 
         def t3_decide(t: pa.Table) -> pa.Table:
@@ -273,7 +279,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         return f.map_batches(fold, batch_format="pyarrow")
 
     decisions, skipped = checkpoint(final_factory, out_dir,
-                                    "corpus_final", final_params, fp)
+                                    "corpus_final", final_params, sem_fp)
     stats["corpus_final_resumed"] = skipped
     if out_dir is None:
         decisions = decisions.materialize()

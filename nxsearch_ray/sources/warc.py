@@ -104,7 +104,7 @@ def _warc_ts_us(date: str) -> int:
 def warc_bytes_to_pages(buf: bytes, *, lang: str = "") -> pa.Table:
     """One WARC stream (plain or gzip) → pages-schema Arrow table.
     page_id is a stable 63-bit hash of (target URI, date) so re-crawls
-    of the same URL stay distinct rows for url_latest-style dedup."""
+    of the same URL stay distinct rows for latest-crawl-wins dedup."""
     import hashlib
 
     if buf[:2] == b"\x1f\x8b":

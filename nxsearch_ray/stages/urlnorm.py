@@ -2,8 +2,7 @@
 preprocessing (strip fragments, lowercase scheme+host, drop default
 ports and ``www.``, sort query parameters) so that trivially-different
 URLs of the same resource collapse to one key before any
-latest-crawl-wins or per-URL dedup step (the `url_latest` query keys on
-exactly this kind of canonical form).
+latest-crawl-wins or per-URL dedup step.
 
 Every rule is a deterministic string rewrite expressible both as Arrow
 kernels (extract/replace regex + one list-scoped sort for the query

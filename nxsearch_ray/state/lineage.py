@@ -38,8 +38,9 @@ from nxsearch_ray.config import PipelineConfig
 MANIFEST = "manifest.json"
 FINGERPRINT = "input_fingerprint"
 # the page columns the signature stage reads: html (extracted, falling
-# back to text), text, and the per-row language
-CONTENT_COLUMNS = ("html", "text", "lang")
+# back to text), text, and the per-row language; an embeddings table's
+# content is its vectors
+CONTENT_COLUMNS = ("html", "text", "lang", "embedding")
 
 
 def stage_dir(out_dir: str, stage: str) -> str:
@@ -88,10 +89,11 @@ def id_hash(ids) -> int:
 
 
 def input_fingerprint(ds) -> str:
-    """What a stage is computed from.  A dataset that is a plain file
-    read: its sorted input files with their sizes and mtimes.  Anything
-    else (in-memory, derived, ``limit``-ed, ...): its row count plus
-    ``rows_hash`` of its rows — one pass over the data."""
+    """What a stage is computed from (a pages or an embeddings
+    dataset).  A dataset that is a plain file read: its sorted input
+    files with their sizes and mtimes.  Anything else (in-memory,
+    derived, ``limit``-ed, ...): its row count plus ``rows_hash`` of
+    its rows — one pass over the data."""
     import pyarrow as pa
     from ray.data._internal.logical.operators.read_operator import Read
 
@@ -116,17 +118,31 @@ def input_fingerprint(ds) -> str:
 
 
 def rows_hash(t) -> int:
-    """Order-free 64-bit hash of a page table's rows (a wrapping sum,
-    so partial hashes of blocks add up): each row's ``page_id`` folded
-    with the full content of every ``CONTENT_COLUMNS`` column the table
-    has (``shuffle.key_hash``), so changed text under the same ids
-    changes it."""
+    """Order-free 64-bit hash of a page or embeddings table's rows (a
+    wrapping sum, so partial hashes of blocks add up): each row's id
+    (``page_id``, else ``vec_id``) folded with the full content of
+    every ``CONTENT_COLUMNS`` column the table has
+    (``shuffle.key_hash``; a vector column by its raw value bytes), so
+    changed content under the same ids changes it."""
+    import pyarrow as pa
+
+    from nxsearch_ray.functions.hashing import content_hash128
     from nxsearch_ray.stages.shuffle import key_hash
+    from nxsearch_ray.stages.signatures import list_column_numpy
 
     if t.num_rows == 0:
         return 0
+    key = "page_id" if "page_id" in t.column_names else "vec_id"
     cols = [c for c in CONTENT_COLUMNS if c in t.column_names]
-    return int(key_hash(t, ["page_id", *cols]).sum(dtype=np.uint64))
+    for c in cols:
+        typ = t.column(c).type
+        if pa.types.is_list(typ) or pa.types.is_fixed_size_list(typ):
+            vals, off = list_column_numpy(
+                t.column(c), dtype=typ.value_type.to_pandas_dtype())
+            h1, _ = content_hash128(off * vals.itemsize,
+                                    vals.view(np.uint8))
+            t = t.set_column(t.column_names.index(c), c, pa.array(h1))
+    return int(key_hash(t, [key, *cols]).sum(dtype=np.uint64))
 
 
 def load_stage(out_dir: str, stage: str):

@@ -185,6 +185,50 @@ def test_semantic_decisions_reject_changed_pages(ray_session,
     assert row == [{"page_id": hi, "drop_tier": 3, "dup_of": lo}]
 
 
+def test_semantic_decisions_reject_changed_embeddings(ray_session,
+                                                      corpus_tables,
+                                                      tmp_path):
+    """The same pages with embeddings A, then B (one page's vector
+    replaced by another page's, a new semantic duplicate), into one
+    ``out_dir``: the pages stages resume, the semantic tier recomputes,
+    and the decisions equal a fresh run on B."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+
+    pages, emb, sem_pairs = corpus_tables
+    planted = {i for pair in sem_pairs for i in pair}
+    free = sorted(
+        pid for pid, c, v in zip(pages.column("page_id").to_pylist(),
+                                 pages.column("truth_cluster").to_pylist(),
+                                 pages.column("variant").to_pylist())
+        if c == -1 and v == "orig" and pid not in planted)
+    lo, hi = free[0], free[1]
+    vec_ids = emb.column("vec_id").to_pylist()
+    vecs = emb.column("embedding").to_pylist()
+    vecs[vec_ids.index(hi)] = vecs[vec_ids.index(lo)]
+    emb_b = emb.set_column(1, "embedding",
+                           pa.array(vecs, type=pa.list_(pa.float32())))
+    p = rd.from_arrow(pages.select(["page_id", "url", "text"]))
+    kw = dict(semdedup_nlist=4, min_words=10, min_required_stopwords=0)
+    out = str(tmp_path / "run")
+    da = decisions_as_table(run_corpus(
+        p, out_dir=out, embeddings_ds=rd.from_arrow(emb), **kw))
+    rb = run_corpus(p, out_dir=out, embeddings_ds=rd.from_arrow(emb_b),
+                    **kw)
+    assert rb.stats["clean_pages_resumed"] is True
+    assert rb.stats["semantic_semdedup_decisions_resumed"] is False
+    fresh = decisions_as_table(run_corpus(
+        p, embeddings_ds=rd.from_arrow(emb_b), **kw))
+    db = decisions_as_table(rb)
+    assert db.equals(fresh)
+    assert not db.equals(da)
+    row = db.filter(pc.equal(db.column("page_id"), hi)).to_pylist()
+    assert row == [{"page_id": hi, "drop_tier": 3, "dup_of": lo}]
+
+
 def test_cli_corpus(tmp_path):
     pages = synth_pages(120, seed=13)
     emb, _ = _embeddings_for(pages, n_sem_dups=4)
