@@ -218,8 +218,8 @@ _BLOCKLIST = ("src1.example.org", "src4.example.org",
 def q_url_blocklist(sf_dir: str):
     """Domain-blocklist pass over pages (stages/urlfilter.py):
     broadcast sorted blocklist + one RE2 domain extract + one
-    searchsorted membership per batch; audit form (flag, keep all
-    rows) so the oracle sees every decision."""
+    ``join.sorted_lookup`` membership probe per batch; audit form
+    (flag, keep all rows) so the oracle sees every decision."""
     from nxsearch_ray.stages.urlfilter import filter_blocklist
 
     ds = _pages(sf_dir, include_html=False) \
@@ -462,27 +462,22 @@ def q_dedup_pairs(sf_dir: str, variant: str = "auto"):
     planted pair with ``found``; the SQL twin enumerates the same
     pairs with TRUE, so any recall regression breaks the value hash.
 
-    Plan: pair keys are packed and sorted in ONE remote task (verified
-    pairs are a small fraction of the corpus) and broadcast; planted
-    pairs stream out of pages in ``map_batches`` with a vectorized
-    searchsorted membership probe.  At 10^12 docs (page ids past
-    2^31) the broadcast probe becomes a bucketed hash join on (a, b)
-    — the verify_pairs_bucketed shape."""
+    Plan: pair keys are packed per block and sorted in ONE remote task
+    (``join.id_set_ref``; verified pairs are a small fraction of the
+    corpus) and broadcast; planted pairs stream out of pages in
+    ``map_batches`` with a vectorized ``join.sorted_lookup`` probe.
+    At 10^12 docs (page ids past 2^31) the broadcast probe becomes a
+    bucketed hash join on (a, b) — the verify_pairs_bucketed shape."""
     import ray
 
-    pairs_ds = _dedup(sf_dir, variant).verified_pairs
-    refs = pairs_ds.select_columns(["a", "b"]).to_arrow_refs()
+    from nxsearch_ray.stages.join import id_set_ref, sorted_lookup
 
-    @ray.remote
-    def _pair_keys(*blocks):
-        ks = [b.column("a").to_numpy() * (np.int64(1) << 32)
-              + b.column("b").to_numpy()
-              for b in blocks if b.num_columns > 0 and b.num_rows > 0]
-        if not ks:
-            return np.empty(0, np.int64)
-        return np.unique(np.concatenate(ks))
+    def pack(t: pa.Table) -> pa.Table:
+        return pa.table({"k": t.column("a").to_numpy()
+                         * (np.int64(1) << 32) + t.column("b").to_numpy()})
 
-    bcast = _pair_keys.remote(*refs)
+    bcast = id_set_ref(_dedup(sf_dir, variant).verified_pairs
+                       .map_batches(pack, batch_format="pyarrow"), ["k"])
     out_schema = pa.schema([("page_a", pa.int64()),
                             ("page_b", pa.int64()),
                             ("variant", pa.string()),
@@ -499,11 +494,8 @@ def q_dedup_pairs(sf_dir: str, variant: str = "auto"):
         keys = ray.get(bcast)
         b = t.column("page_id").to_numpy()
         a = b - (b & 3)
-        q = a * (np.int64(1) << 32) + b     # a < b always: a = b&~3
-        j = np.searchsorted(keys, q)
-        found = np.zeros(len(q), dtype=bool)
-        ok = j < len(keys)
-        found[ok] = keys[j[ok]] == q[ok]
+        # a < b always: a = b&~3
+        _, found = sorted_lookup(keys, a * (np.int64(1) << 32) + b)
         return pa.table({
             "page_a": pa.array(a, type=pa.int64()),
             "page_b": pa.array(b, type=pa.int64()),
@@ -537,6 +529,7 @@ def _group_check(sf_dir: str, variant: str,
     import ray
 
     from nxsearch_ray.pipelines.dedup import clusters_as_table
+    from nxsearch_ray.stages.join import sorted_lookup
     from nxsearch_ray.stages.shuffle import hash_partitioned
 
     ct = clusters_as_table(_dedup(sf_dir, variant))   # page_id order
@@ -566,10 +559,8 @@ def _group_check(sf_dir: str, variant: str,
         cl = -pid - 1
         size = np.zeros(len(pid), np.int64)
         min_ok = np.zeros(len(pid), bool)
-        if len(b["pids"]):
-            j = np.minimum(np.searchsorted(b["pids"], pid),
-                           len(b["pids"]) - 1)
-            hit = b["pids"][j] == pid
+        j, hit = sorted_lookup(b["pids"], pid)
+        if hit.any():
             cl[hit] = b["cids"][j[hit]]
             k = np.searchsorted(b["uc"], cl[hit])
             size[hit] = b["usz"][k]
@@ -1061,17 +1052,14 @@ class _SeenGuard:
         import numpy as np
         import pyarrow.compute as pc
 
+        from nxsearch_ray.stages.join import sorted_lookup
+
         key = pc.replace_substring_regex(
             t.column("url"), pattern="/(copy|tail)$", replacement="")
         seen_bloom = self._probe(self.words, key, m_bits=self.m_bits,
                                  k=self.k)
-        probe = np.asarray(key.to_pylist(), dtype=np.str_)
-        if len(self.urls):
-            pos = np.searchsorted(self.urls, probe)
-            pos_c = np.clip(pos, 0, len(self.urls) - 1)
-            seen_exact = self.urls[pos_c] == probe
-        else:
-            seen_exact = np.zeros(len(probe), dtype=bool)
+        _, seen_exact = sorted_lookup(
+            self.urls, np.asarray(key.to_pylist(), dtype=np.str_))
         return pa.table({
             "page_id": t.column("page_id").cast(pa.int64()),
             "seen_exact": pa.array(seen_exact),
@@ -1202,7 +1190,7 @@ def q_bucket_census(sf_dir: str):
     the raw per-band census is NOT SQL-predictable (real LSH band
     collisions between unequal shingle sets, ~p^4 per band at Jaccard
     p: 554 size-2 buckets at sf0.001; it stays available as the
-    ungraded skew diagnostic ``diagnostics.bucket_census_exact``):
+    ungraded skew diagnostic ``diagnostics.bucket_census``):
 
     - ``exact``: bucket = full token sequence (seq_hash) — the exact
       pass's group-size histogram;

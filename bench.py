@@ -109,7 +109,6 @@ def run_benchmarks() -> dict:
 
     sec, clusters = _timed(flagship)
     queries["dedup_synth"] = round(sec, 3)
-    n_pages = sum(1 for _ in ())  # placeholder, computed below
     import pyarrow.parquet as pq
 
     n_pages = sum(pq.ParquetFile(os.path.join(corpus, f)).metadata.num_rows

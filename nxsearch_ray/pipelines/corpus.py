@@ -46,7 +46,8 @@ import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.config import PipelineConfig
-from nxsearch_ray.state.lineage import checkpoint, input_fingerprint
+from nxsearch_ray.state.lineage import (StageParams, checkpoint,
+                                        input_fingerprint)
 
 DECISION_SCHEMA = pa.schema([("page_id", pa.int64()),
                              ("drop_tier", pa.int8()),
@@ -61,21 +62,6 @@ class CorpusResult:
     decisions: "object"        # Dataset: page_id, drop_tier, dup_of
     clusters: "object"         # near-dup clusters (Dataset)
     stats: dict = field(default_factory=dict)
-
-
-@dataclass
-class _StageParams:
-    """config_hash carrier for lineage manifests of the corpus-only
-    stages (the nested dedup/semdedup runs hash their own params)."""
-
-    kw: dict
-
-    def config_hash(self) -> str:
-        import hashlib
-        import json
-
-        return hashlib.md5(json.dumps(
-            self.kw, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
@@ -113,11 +99,11 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         sem_fp = f"{fp}+{input_fingerprint(embeddings_ds)}"
 
     # ---------------- stage 1: clean (map-only) ----------------
-    clean_params = _StageParams({
-        "stage": "clean_pages", "blocklist": sorted(blocklist),
-        "min_words": min_words,
-        "min_required_stopwords": min_required_stopwords,
-        "scrub": scrub, "cfg": cfg.config_hash(), "version": 1})
+    clean_params = StageParams(
+        stage="clean_pages", blocklist=sorted(blocklist),
+        min_words=min_words,
+        min_required_stopwords=min_required_stopwords,
+        scrub=scrub, cfg=cfg.config_hash(), version=1)
 
     def clean_factory():
         ds = pages_ds
@@ -199,10 +185,10 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         # tier: semdedup re-reads its input once per pass (census /
         # sub-train / final) — unpinned, each pass would re-run the
         # join's per-block scans; pinned, each pass is a cheap re-read.
-        surv_params = _StageParams({
-            "stage": "semantic_survivors",
-            "clean": clean_params.config_hash(),
-            "cfg": cfg.config_hash(), "version": 1})
+        surv_params = StageParams(
+            stage="semantic_survivors",
+            clean=clean_params.config_hash(),
+            cfg=cfg.config_hash(), version=1)
         if out_dir is not None:
             surv, sk = checkpoint(lambda: surv, out_dir,
                                   "semantic_survivors", surv_params,
@@ -232,11 +218,11 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
     # ---------------- stage 4: fold decisions -------------------
     t0 = _t()
-    final_params = _StageParams({
-        "stage": "corpus_final", "clean": clean_params.config_hash(),
-        "cfg": cfg.config_hash(), "eps": semdedup_eps,
-        "nlist": semdedup_nlist, "seed": seed,
-        "semantic": embeddings_ds is not None, "version": 1})
+    final_params = StageParams(
+        stage="corpus_final", clean=clean_params.config_hash(),
+        cfg=cfg.config_hash(), eps=semdedup_eps,
+        nlist=semdedup_nlist, seed=seed,
+        semantic=embeddings_ds is not None, version=1)
 
     def final_factory():
         ids_only = clean.select_columns(["page_id"])

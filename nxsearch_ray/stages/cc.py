@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from nxsearch_ray.stages.join import sorted_lookup
+
 CLUSTER_SCHEMA = pa.schema([("page_id", pa.int64()),
                             ("cluster_id", pa.int64())])
 STAR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
@@ -204,11 +206,9 @@ def cc_label_propagation(pairs_ds):
         for m in inbox:
             if m is None or m.shape[1] == 0:
                 continue
-            pos = np.clip(np.searchsorted(nodes, m[0]), 0,
-                          len(nodes) - 1)
             # routing guarantees targets exist here; the mask is
             # cheap insurance against a foreign id
-            ok = nodes[pos] == m[0]
+            pos, ok = sorted_lookup(nodes, m[0])
             np.minimum.at(lab, pos[ok], m[1][ok])
         changed_mask = lab != labels
         changed = int(changed_mask.sum())

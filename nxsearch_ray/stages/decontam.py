@@ -13,16 +13,15 @@ Shape of the computation (broadcast membership, one pass each side):
    suites; here a deterministic ``doc_id % benchmark_mod == 0`` slice
    so the SQL oracle can reproduce it) is streamed through a
    map_batches that emits per-batch DISTINCT n-gram hashes; ONE remote
-   task streams the blocks (`ray.get` one at a time) and unions them
-   (`np.unique`) — its return ref IS the broadcast sorted uint64
-   array.  Benchmarks are small and fixed-size by nature —
-   eval suites are MBs against a 100 TB corpus — so the broadcast set
-   stays tiny no matter the corpus scale; if a pathological benchmark
-   ever outgrew worker heaps, the same exploded-gram census feeds the
-   `stages.join` hash-partitioned semi-join instead (the
-   `linededup`-documented fallback).
+   task unions them (`stages.join.id_set_ref`) — its return ref IS
+   the broadcast sorted uint64 array.  Benchmarks are small and
+   fixed-size by nature — eval suites are MBs against a 100 TB
+   corpus — so the broadcast set stays tiny no matter the corpus
+   scale; if a pathological benchmark ever outgrew worker heaps, the
+   same exploded-gram census feeds the `stages.join` hash-partitioned
+   semi-join instead (the `linededup`-documented fallback).
 2. Scan: every non-benchmark doc's distinct gram hashes are matched
-   against the broadcast array with ``np.searchsorted`` —
+   against the broadcast array with ``stages.join.sorted_lookup`` —
    ``n_hits`` = distinct contaminated grams, ``contaminated`` =
    n_hits > 0.  Map-only, no shuffle; the broadcast array ships once
    per node (object store), not per batch.
@@ -90,10 +89,10 @@ def benchmark_gram_broadcast(docs_ds, *, n: int = 5,
                              id_col: str = "doc_id",
                              text_col: str = "text"):
     """Union the benchmark slice's distinct gram hashes into one
-    sorted uint64 array in ONE remote task (the driver never holds a
-    gram; the task's return ref is the broadcast — same pattern as
-    verify.build_signature_index_ref).  Returns the ObjectRef."""
-    import ray
+    sorted uint64 array in ONE remote task (stages/join.id_set_ref:
+    the driver never holds a gram; the task's return ref is the
+    broadcast).  Returns the ObjectRef."""
+    from nxsearch_ray.stages.join import id_set_ref
 
     def bench_grams(batch: pa.Table) -> pa.Table:
         iv = batch.column(id_col).to_numpy()
@@ -103,20 +102,9 @@ def benchmark_gram_broadcast(docs_ds, *, n: int = 5,
         return pa.table({"gram": pa.array(np.unique(h),
                                           type=pa.uint64())})
 
-    refs = docs_ds.map_batches(
-        bench_grams, batch_format="pyarrow").to_arrow_refs()
-
-    @ray.remote
-    def _union(refs: list) -> np.ndarray:
-        chunks = []
-        for r in refs:
-            b = ray.get(r)        # one block in heap at a time
-            if b.num_columns and b.num_rows:
-                chunks.append(b.column("gram").to_numpy())
-        return (np.unique(np.concatenate(chunks)) if chunks
-                else np.empty(0, dtype=np.uint64))
-
-    return _union.remote(list(refs))
+    return id_set_ref(docs_ds.map_batches(bench_grams,
+                                          batch_format="pyarrow"),
+                      ["gram"])
 
 
 def decontaminate(docs_ds, *, n: int = 5, benchmark_mod: int = 97,
@@ -134,6 +122,8 @@ def decontaminate(docs_ds, *, n: int = 5, benchmark_mod: int = 97,
     def scan(batch: pa.Table) -> pa.Table:
         import ray
 
+        from nxsearch_ray.stages.join import sorted_lookup
+
         bench = ray.get(gram_ref)
         iv = batch.column(id_col).to_numpy()
         batch = batch.filter(pa.array(iv % benchmark_mod != 0))
@@ -145,12 +135,7 @@ def decontaminate(docs_ds, *, n: int = 5, benchmark_mod: int = 97,
                 "contaminated": pa.array([], type=pa.bool_())})
         h, counts = _distinct_gram_hashes(
             batch.column(text_col).to_pylist(), n)
-        if bench.size and h.size:
-            pos = np.searchsorted(bench, h)
-            pos[pos == bench.size] = 0
-            hit = (bench[pos] == h).astype(np.int64)
-        else:
-            hit = np.zeros(h.size, dtype=np.int64)
+        hit = sorted_lookup(bench, h)[1].astype(np.int64)
         ends = np.cumsum(counts)
         starts = ends - counts
         n_hits = np.add.reduceat(

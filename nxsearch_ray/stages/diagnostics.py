@@ -44,11 +44,9 @@ def duplicate_page_ids(pages_ds, id_col: str = "page_id") -> pa.Table:
 
 def census_over_keys(keyed_ds, names: tuple[str, ...]):
     """EXACT bucket-size histogram ``(source, bucket_size, n_buckets)``
-    over a Dataset of ``(bucket_key int64, src int8)`` rows — unlike
-    :func:`bucket_census` (a sort + per-block run scan whose counts can
-    split a bucket ±1 at block boundaries, fine for the skew
-    diagnostic), this plan is key-disjoint and deterministic, so it can
-    sit behind a value-hash oracle:
+    over a Dataset of ``(bucket_key int64, src int8)`` rows.  The plan
+    is key-disjoint and deterministic (no bucket is split at a block
+    edge), so it can sit behind a value-hash oracle:
 
       hash exchange on bucket_key (each key lands in exactly one
       block) → vectorized per-block run count + histogram → second
@@ -116,86 +114,23 @@ def census_over_keys(keyed_ds, names: tuple[str, ...]):
                                 batch_size=None)
 
 
-def bucket_census_exact(signatures_ds, cfg: PipelineConfig,
-                        sources: tuple[str, ...] | None = None):
-    """:func:`census_over_keys` over the real candidate buckets of
-    ``explode_all`` (all four passes, or the ``sources`` subset) —
-    the deterministic skew-policy census for the actual banding keys.
-    NOTE: the minhash rows here include genuine LSH band collisions
-    between unequal shingle sets (~p^4 per band at Jaccard p), so this
-    census is a diagnostic, not SQL-predictable."""
-    from nxsearch_ray.stages.pairs import SRC_NAMES, explode_all
-
-    src_codes = (None if sources is None else
-                 np.array([SRC_NAMES.index(s) for s in sources],
-                          dtype=np.int8))
-
-    def explode_filter(t: pa.Table) -> pa.Table:
-        t = explode_all(cfg.to_json())(t)
-        keys = t.column("bucket_key").to_numpy()
-        out = pa.table({
-            # int64 view: Ray's hash exchange takes the native-Arrow
-            # path for int64 keys (uint64 > 2^63 falls back to pickle)
-            "bucket_key": pa.array(keys.view(np.int64)),
-            "src": t.column("src")})
-        if src_codes is None:
-            return out
-        mask = np.isin(out.column("src").to_numpy(), src_codes)
-        return out.filter(pa.array(mask))
-
-    keyed = signatures_ds.map_batches(explode_filter,
-                                      batch_format="pyarrow")
-    return census_over_keys(keyed, SRC_NAMES)
-
-
 def bucket_census(signatures_ds, cfg: PipelineConfig):
-    """Histogram of candidate-bucket sizes per source:
-    (source, bucket_size, n_buckets).  One shuffle (sort) + vectorized
-    run-length count per block + a small final groupby."""
+    """:func:`census_over_keys` over the real candidate buckets of
+    ``explode_all`` (all four passes) — the deterministic skew-policy
+    census for the actual banding keys.  NOTE: the minhash rows here
+    include genuine LSH band collisions between unequal shingle sets
+    (~p^4 per band at Jaccard p), so this census is a diagnostic, not
+    SQL-predictable."""
     from nxsearch_ray.stages.pairs import SRC_NAMES, explode_all
 
-    keyed = signatures_ds.map_batches(explode_all(cfg.to_json()),
-                                      batch_format="pyarrow")
+    def explode(t: pa.Table) -> pa.Table:
+        t = explode_all(cfg.to_json())(t)
+        return pa.table({
+            # int64 view of the uint64 bucket keys, the census's key type
+            "bucket_key": pa.array(
+                t.column("bucket_key").to_numpy().view(np.int64)),
+            "src": t.column("src")})
 
-    def block_counts(t: pa.Table) -> pa.Table:
-        keys = t.column("bucket_key").to_numpy()
-        srcs = t.column("src").to_numpy()
-        n = len(keys)
-        if n == 0:
-            return pa.schema([("src", pa.int8()),
-                              ("bucket_size", pa.int64()),
-                              ("n_buckets", pa.int64())]).empty_table()
-        change = np.nonzero((keys[1:] != keys[:-1])
-                            | (srcs[1:] != srcs[:-1]))[0] + 1
-        starts = np.concatenate(([0], change))
-        counts = np.diff(np.concatenate((starts, [n])))
-        run_src = srcs[starts]
-        # (src, size) histogram via lexsort-unique
-        order = np.lexsort((counts, run_src))
-        rs, rc = run_src[order], counts[order]
-        uniq = np.ones(len(rs), dtype=bool)
-        uniq[1:] = (rs[1:] != rs[:-1]) | (rc[1:] != rc[:-1])
-        ustart = np.nonzero(uniq)[0]
-        freq = np.diff(np.concatenate((ustart, [len(rs)])))
-        return pa.Table.from_arrays(
-            [pa.array(rs[ustart], type=pa.int8()),
-             pa.array(rc[ustart].astype(np.int64)),
-             pa.array(freq.astype(np.int64))],
-            names=["src", "bucket_size", "n_buckets"])
-
-    partial = keyed.sort(["bucket_key", "src"]).map_batches(
-        block_counts, batch_format="pyarrow", batch_size=None)
-    # block-boundary splits can split one bucket across two counts —
-    # acceptable for a diagnostic histogram (±1 per boundary)
-    out = partial.groupby(["src", "bucket_size"]).sum("n_buckets")
-
-    def finish(t: pa.Table) -> pa.Table:
-        codes = t.column("src").to_numpy()
-        return pa.Table.from_arrays(
-            [pa.array([SRC_NAMES[int(c)] for c in codes],
-                      type=pa.string()),
-             t.column("bucket_size"),
-             t.column("sum(n_buckets)").cast(pa.int64())],
-            names=["source", "bucket_size", "n_buckets"])
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return census_over_keys(
+        signatures_ds.map_batches(explode, batch_format="pyarrow"),
+        SRC_NAMES)

@@ -39,7 +39,10 @@ from nxsearch_ray.functions.bktree import BKTree
 TOLERANCE = 2   # reference src/index/index.h:26 LEVDIST_TOLERANCE
 
 
-def vocabulary(canonical_tokens_ds, *, num_partitions: int | None = None):
+VOCAB_SCHEMA = pa.schema([("term", pa.string()), ("total", pa.int64())])
+
+
+def vocabulary(canonical_tokens_ds):
     """(term, total) Dataset from a canonicalized Dataset carrying the
     ``tokens`` list<string> column."""
     from nxsearch_ray.stages.shuffle import hash_partitioned
@@ -55,37 +58,30 @@ def vocabulary(canonical_tokens_ds, *, num_partitions: int | None = None):
 
     def count_block(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return pa.schema([("term", pa.string()),
-                              ("total", pa.int64())]).empty_table()
+            return VOCAB_SCHEMA.empty_table()
         terms = t.column("term")
         counts = terms.value_counts()
         return pa.table({"term": counts.field("values"),
                          "total": counts.field("counts")})
 
-    return hash_partitioned(keyed, ["term"], num_partitions) \
+    return hash_partitioned(keyed, ["term"]) \
         .map_batches(count_block, batch_format="pyarrow",
                      batch_size=None)
 
 
+def _vocab_index(t: pa.Table) -> dict:
+    terms = np.asarray(t.column("term").to_pylist(), dtype=object)
+    order = np.argsort(terms, kind="stable")
+    return {"terms": terms[order].tolist(),
+            "totals": t.column("total").to_numpy()[order].astype(np.int64)}
+
+
 def build_vocab_index_ref(vocab_ds):
-    """Sorted (terms, totals) arrays in one remote task → ObjectRef."""
-    import ray
+    """Sorted (terms, totals) arrays in one remote task
+    (stages/join.index_ref) → ObjectRef."""
+    from nxsearch_ray.stages.join import index_ref
 
-    refs = vocab_ds.to_arrow_refs()
-
-    @ray.remote
-    def _build(*blocks):
-        blocks = [b for b in blocks if b.num_columns > 0]
-        if not blocks:
-            return {"terms": [], "totals": np.empty(0, np.int64)}
-        t = pa.concat_tables(blocks)
-        terms = np.asarray(t.column("term").to_pylist(), dtype=object)
-        totals = t.column("total").to_numpy()
-        order = np.argsort(terms, kind="stable")
-        return {"terms": terms[order].tolist(),
-                "totals": totals[order].astype(np.int64)}
-
-    return _build.remote(*refs)
+    return index_ref(vocab_ds, VOCAB_SCHEMA, _vocab_index)
 
 
 def pick_candidate(cands: list[tuple[str, int]],

@@ -5,7 +5,7 @@ payload columns (our minhash/bottomk/token_ids), so this implements
 the join directly as a partition-wise (Grace) hash join: one exchange
 (stages/shuffle.co_partitioned) splits both sides into the same P
 partitions by key hash, then one task per partition pair sorts the
-right keys, looks the left keys up with ``searchsorted`` and gathers
+right keys, looks the left keys up with ``sorted_lookup`` and gathers
 the payload with ``Table.take`` (every Arrow type).  Each key is
 complete inside its partition pair, so there is no boundary fallback
 and no global sort.
@@ -17,9 +17,11 @@ exactly once, with right payload columns suffixed.
 This is the engine's join operator (the distributed analogue of the
 reference's token→term hash-lookup semi-join ``tokenset_resolve``,
 reference src/core/tokenizer.c:160-199).  Small-side joins use a
-broadcast instead: a key set (``semi_join`` / ``anti_join``) or a
-lookup index built once and read by every task (``index_ref`` +
-``broadcast_map``, which also holds every stage's per-worker state).
+broadcast instead: a key set (``id_set_ref``; ``semi_join`` /
+``anti_join``) or a lookup index built once and read by every task
+(``index_ref`` + ``broadcast_map``, which also holds every stage's
+per-worker state).  Every membership probe of a sorted key array goes
+through ``sorted_lookup``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ import ray
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                          ("source", pa.string())])
+
+
+def sorted_lookup(keys: np.ndarray, values
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The one membership probe on a sorted key array: ``(pos, hit)``
+    with ``hit[i]`` true iff ``keys[pos[i]] == values[i]``.  ``pos`` is
+    always a valid index into a non-empty ``keys``; an empty ``keys``
+    gives all-zero ``pos`` and no hit.  ``values`` keep their own
+    dtype and width (casting strings to the keys' width would truncate
+    a longer value into a false hit)."""
+    values = np.asarray(values)
+    if len(keys) == 0:
+        return (np.zeros(len(values), np.int64),
+                np.zeros(len(values), bool))
+    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return pos, keys[pos] == values
 
 
 def _key_filter(ds, key: str, key_values, keep_matches: bool):
@@ -51,11 +69,8 @@ def _key_filter(ds, key: str, key_values, keep_matches: bool):
         ref = ray.put(keys)
 
     def fn(t: pa.Table) -> pa.Table:
-        want = ray.get(ref)
         ids = t.column(key).to_numpy().astype(np.int64)
-        pos = np.clip(np.searchsorted(want, ids), 0,
-                      max(len(want) - 1, 0))
-        hit = (len(want) > 0) & (want[pos] == ids)
+        _, hit = sorted_lookup(ray.get(ref), ids)
         return t.filter(pa.array(hit if keep_matches else ~hit))
 
     return ds.map_batches(fn, batch_format="pyarrow")
@@ -74,10 +89,11 @@ def anti_join(ds, key: str, key_values):
 
 
 def id_set_ref(ds, cols: list[str]):
-    """ObjectRef to the sorted unique int64 values of ``cols`` across
-    ``ds`` — the key set a semi/anti join broadcasts (8 B per id).  It
-    is built in ONE remote task from the dataset's blocks, not in the
-    calling process."""
+    """ObjectRef to the sorted unique values of ``cols`` across ``ds``
+    — the one builder of a broadcast key set (a semi/anti join's, 8 B
+    per id, or any set a ``sorted_lookup`` probes).  It is built in ONE
+    remote task from the dataset's blocks, not in the calling
+    process."""
 
     @ray.remote
     def _ids(*blocks):
@@ -188,20 +204,18 @@ def _joined_schema(left_schema: pa.Schema, right_schema: pa.Schema,
 def _join_partition(left, right, left_key: str, right_key: str,
                     payload: pa.Schema, out_schema: pa.Schema, how: str):
     """One partition pair → its joined block: sort the right keys,
-    ``searchsorted`` the left keys, ``take`` the ``payload`` columns.
+    ``sorted_lookup`` the left keys, ``take`` the ``payload`` columns.
     Either side may be an empty (even zero-column) partition."""
     if left.num_rows == 0:
         return out_schema.empty_table()
     lk = left.column(left_key).to_numpy().astype(np.int64)
     if right.num_rows:
         rk = right.column(right_key).to_numpy().astype(np.int64)
-        order = np.argsort(rk, kind="stable")
-        rows = order[np.minimum(np.searchsorted(rk[order], lk),
-                                len(rk) - 1)]
-        hit = rk[rows] == lk
     else:
-        right = payload.empty_table()
-        rows, hit = np.zeros(len(lk), np.int64), np.zeros(len(lk), bool)
+        right, rk = payload.empty_table(), np.zeros(0, np.int64)
+    order = np.argsort(rk, kind="stable")
+    pos, hit = sorted_lookup(rk[order], lk)
+    rows = order[pos] if len(order) else pos
     if how == "inner":
         left, rows, hit = left.filter(pa.array(hit)), rows[hit], hit[hit]
     # null take-indices give the unmatched left rows null payloads

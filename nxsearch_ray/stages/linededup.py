@@ -18,9 +18,10 @@ Shape of the computation (all vectorized, one shuffle + one census):
    explode batch — a page's lines never span batches), then a native
    ``groupby(line_key).count()`` = documents-per-line.
 3. Keys with ``count >= min_docs`` form the boilerplate set — tiny
-   relative to the corpus (it IS the repeated content), collected once
-   and broadcast via ``ray.put``; every worker filters lines against
-   the sorted array with ``np.searchsorted``.  This is the standard
+   relative to the corpus (it IS the repeated content), built into one
+   sorted array off-driver (``stages.join.id_set_ref``) and broadcast
+   by ObjectRef; every worker filters lines against it with
+   ``stages.join.sorted_lookup``.  This is the standard
    CCNet plan; if the dup set ever outgrew memory the same census
    output feeds the `stages.join.anti_join` path instead.
 4. Reassembly: hash-partition by ``page_id`` (key-disjoint blocks —
@@ -37,20 +38,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from nxsearch_ray.functions.hashing import hash_strings
+from nxsearch_ray.functions.hashing import hash_strings, string_buffers
+from nxsearch_ray.stages.join import (broadcast_map, id_set_ref,
+                                      sorted_lookup)
 from nxsearch_ray.stages.shuffle import hash_partitioned
-
-
-def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-copy (offsets, data) views of a pa.string() array."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int32)[
-        arr.offset:arr.offset + len(arr) + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None \
-        else np.empty(0, dtype=np.uint8)
-    return offs, data
 
 
 def reflow_lines(batch: pa.Table, *, text_col: str = "text",
@@ -100,7 +91,7 @@ def reflow_lines(batch: pa.Table, *, text_col: str = "text",
                 pa.array(line_offsets, type=pa.int64()), parts.values)
         line = pc.binary_join(lines_list, " ")
 
-    offs, data = _string_buffers(line)
+    offs, data = string_buffers(line)
     # int64 bit-view of the 64-bit hash: Ray's native groupby/shuffle
     # keeps int64 zero-copy, while uint64 values above 2^63 fall back
     # to pickled Python objects inside aggregations
@@ -130,10 +121,9 @@ def _distinct_pairs(batch: pa.Table, id_col: str) -> pa.Table:
 
 
 def boilerplate_keys(lines_ds, *, id_col: str = "page_id",
-                     min_docs: int = 2) -> np.ndarray:
-    """Sorted array of line_keys occurring in >= min_docs documents."""
-    import ray
-
+                     min_docs: int = 2):
+    """ObjectRef to the sorted line_keys occurring in >= min_docs
+    documents, built off-driver (stages/join.id_set_ref)."""
     pairs = lines_ds.select_columns(["line_key", id_col]).map_batches(
         lambda b: _distinct_pairs(b, id_col), batch_format="pyarrow")
     census = pairs.groupby("line_key").count()
@@ -142,14 +132,8 @@ def boilerplate_keys(lines_ds, *, id_col: str = "page_id",
         m = pc.greater_equal(b.column("count()"), min_docs)
         return b.filter(m).select(["line_key"])
 
-    parts = [ray.get(r) for r in
-             census.map_batches(over, batch_format="pyarrow")
-             .to_arrow_refs()]
-    parts = [p for p in parts if p.num_columns > 0 and p.num_rows > 0]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    keys = pa.concat_tables(parts).column("line_key").to_numpy()
-    return np.sort(keys.astype(np.int64))
+    return id_set_ref(census.map_batches(over, batch_format="pyarrow"),
+                      ["line_key"])
 
 
 class _Reassemble:
@@ -173,11 +157,8 @@ class _Reassemble:
             (self.id_col, "ascending"), ("line_no", "ascending")])
         block = block.take(order)
         pid = block.column(self.id_col).to_numpy()
-        keys = block.column("line_key").to_numpy().astype(np.int64)
-        pos = np.searchsorted(self.dup, keys)
-        pos[pos >= len(self.dup)] = max(len(self.dup) - 1, 0)
-        is_dup = (self.dup[pos] == keys) if len(self.dup) else \
-            np.zeros(len(keys), dtype=bool)
+        _, is_dup = sorted_lookup(
+            self.dup, block.column("line_key").to_numpy().astype(np.int64))
 
         starts = np.r_[0, np.flatnonzero(pid[1:] != pid[:-1]) + 1]
         n_lines = np.diff(np.r_[starts, len(pid)])
@@ -209,26 +190,20 @@ class _Reassemble:
 
 def line_dedup(pages_ds, *, text_col: str = "text",
                id_col: str = "page_id", words_per_line: int | None = 10,
-               min_docs: int = 2, line_sep: str = "\n",
-               num_partitions: int | None = None):
+               min_docs: int = 2, line_sep: str = "\n"):
     """Remove every line occurring in >= min_docs documents and rebuild
     each document's text — returns a Dataset of
     ``(page_id, n_lines, n_lines_kept, clean_text)``.
 
     One census shuffle (groupby on line_key) + one page_id exchange for
-    reassembly; the boilerplate key set travels once via ``ray.put``.
-    SQL twin: `line_dedup_sql`."""
-    import ray
-
-    from nxsearch_ray.stages.join import broadcast_map
-
+    reassembly; the boilerplate key set is built off-driver and
+    travels once by ObjectRef.  SQL twin: `line_dedup_sql`."""
     lines = pages_ds.map_batches(
         lambda b: reflow_lines(b, text_col=text_col, id_col=id_col,
                                words_per_line=words_per_line),
         batch_format="pyarrow")
-    dup = boilerplate_keys(lines, id_col=id_col, min_docs=min_docs)
-    dup_ref = ray.put(dup)
-    parts = hash_partitioned(lines, [id_col], num_partitions)
+    dup_ref = boilerplate_keys(lines, id_col=id_col, min_docs=min_docs)
+    parts = hash_partitioned(lines, [id_col])
     # whole blocks: a page's lines must meet in one kernel call
     return broadcast_map(parts, dup_ref, functools.partial(
         _Reassemble, id_col=id_col, sep=line_sep))

@@ -28,8 +28,8 @@ Scale plan (100 TB):
      floor (unigram) or the backoff term (KN).  The model is
      broadcast via ray.put.
   3. score — task pool, the model fetched once per worker
-     (stages/join.broadcast_map): per batch, vectorized searchsorted
-     lookups + segmented mean.  No shuffle.
+     (stages/join.broadcast_map): per batch, vectorized sorted
+     lookups (stages/join.sorted_lookup) + segmented mean.  No shuffle.
 
 log p(w) is computed as ``ln(n_w / N)`` (divide THEN log, matching
 the SQL twin bit-for-bit); per-doc logloss = mean over grams of
@@ -98,11 +98,11 @@ def _lookup(sorted_keys: np.ndarray, probe: np.ndarray, *vals,
     sorted string array.  The probe keeps its own itemsize (casting
     to the model's would TRUNCATE longer unseen strings into false
     hits)."""
+    from nxsearch_ray.stages.join import sorted_lookup
+
     if not len(sorted_keys):
         return [np.full(len(probe), default) for _ in vals]
-    pos = np.clip(np.searchsorted(sorted_keys, probe), 0,
-                  len(sorted_keys) - 1)
-    hit = sorted_keys[pos] == probe
+    pos, hit = sorted_lookup(sorted_keys, probe)
     return [np.where(hit, v[pos], default) for v in vals]
 
 

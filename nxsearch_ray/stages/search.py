@@ -182,6 +182,8 @@ def canonical_query_terms(raw_terms: list[str],
 
 def _match_fn(qids_sorted: np.ndarray, id_col: str):
     """Map-only pass: per (doc, query-term) term frequencies."""
+    from nxsearch_ray.stages.join import sorted_lookup
+
     nterms = len(qids_sorted)
     out_schema = pa.schema([
         (id_col, pa.int64()), ("term_idx", pa.int32()),
@@ -192,10 +194,7 @@ def _match_fn(qids_sorted: np.ndarray, id_col: str):
         if ndocs == 0 or nterms == 0:
             return out_schema.empty_table()
         flat, off = list_column_numpy(batch.column("token_ids"))
-        pos = np.clip(np.searchsorted(qids_sorted, flat), 0,
-                      max(nterms - 1, 0))
-        hit = (len(flat) > 0) & (qids_sorted[pos] == flat) \
-            if len(flat) else np.zeros(0, bool)
+        pos, hit = sorted_lookup(qids_sorted, flat)
         sel = np.nonzero(hit)[0]
         if len(sel) == 0:
             return out_schema.empty_table()

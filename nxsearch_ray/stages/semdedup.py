@@ -116,8 +116,7 @@ def _finalize(ids: np.ndarray, dup_of: np.ndarray) -> pa.Table:
 def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
                          id_col: str = "vec_id",
                          emb_col: str = "embedding",
-                         block_rows: int = 8192,
-                         num_partitions: int | None = None):
+                         block_rows: int = 8192):
     """Exact plan: global pairs -> per-victim min -> partition-wise
     left join of keep flags onto the corpus ids."""
     from nxsearch_ray.stages.join import hash_join
@@ -136,7 +135,7 @@ def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
         left_schema=pa.schema([(id_col, pa.int64())]),
         right_schema=pa.schema([("b", pa.int64()),
                                 ("min(a)", pa.int64())]),
-        num_partitions=num_partitions, how="left")
+        how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or t.num_columns == 0:
@@ -438,22 +437,6 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
         _cluster_rule(eps, id_col, emb_col), batch_format="pyarrow")
 
 
-class SemDedupParams:
-    """Hashable parameter set gating checkpoint reuse —
-    state/lineage.checkpoint duck-types on ``config_hash()`` (the
-    flagship passes a PipelineConfig; this tier has its own knobs)."""
-
-    def __init__(self, **kw):
-        self.kw = dict(sorted(kw.items()))
-
-    def config_hash(self) -> str:
-        import hashlib
-        import json
-
-        return hashlib.md5(json.dumps(
-            self.kw, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def run_semdedup(emb_ds, *, eps: float = 0.4, nlist: int = 64,
                  seed: int = 42, id_col: str = "vec_id",
                  emb_col: str = "embedding", sample_cap: int = 65536,
@@ -473,9 +456,9 @@ def run_semdedup(emb_ds, *, eps: float = 0.4, nlist: int = 64,
     wall."""
     import time
 
-    from nxsearch_ray.state.lineage import checkpoint
+    from nxsearch_ray.state.lineage import StageParams, checkpoint
 
-    params = SemDedupParams(
+    params = StageParams(
         eps=eps, nlist=nlist, seed=seed, id_col=id_col,
         emb_col=emb_col, sample_cap=sample_cap,
         hot_cap_factor=hot_cap_factor,

@@ -51,10 +51,11 @@ instead of per-group Python:
 Exact — byte-equal to the DuckDB oracle (`__ray_entry__.oracle_sql`)
 — and every per-row loop is numpy over run boundaries.
 
-Partitioning assumption, stated: a gram partition block is not
-split mid-run (blocks stay under the target block size — raise
-``num_partitions`` with corpus size).  No task holds the full
-candidate set: adjacency build, count and finish are all per-shard.
+Partitioning assumption, stated: a gram run is never split across
+blocks (the key-disjoint exchange, stages/shuffle.hash_partitioned,
+merges each partition into one block; its width comes from the data,
+``shuffle.partition_width``).  No task holds the full candidate set:
+adjacency build, count and finish are all per-shard.
 
 N-grams are built over raw whitespace words (NOT canonical tokens) so
 the SQL oracle can reproduce the result verbatim.
@@ -66,6 +67,7 @@ import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.functions.hashing import hash_strings
+from nxsearch_ray.stages.join import sorted_lookup
 from nxsearch_ray.stages.shuffle import hash_partitioned
 
 _WS_RE = None
@@ -338,7 +340,7 @@ def _count_cooccurrence(adj: dict):
     Per-run strategy choice (each run counted by exactly ONE):
 
       * **enumerate** — emit all C(df, 2) within-run pairs and keep the
-        ones that are candidate edges (one searchsorted against the
+        ones that are candidate edges (one sorted_lookup against the
         sorted pair-key array).  Cheap for ordinary grams (df small).
       * **expand** — for each present doc, expand its candidate
         adjacency and test the partner's membership in the run.  Cheap
@@ -366,8 +368,7 @@ def _count_cooccurrence(adj: dict):
         # universe can never sit on a candidate edge — drop them.  All
         # packed keys below are over ranks (< |endpoints| << 2^32) and
         # run indices, never raw ids, so arbitrary-width page_ids work.
-        rpos = np.clip(np.searchsorted(ids, pid), 0, len(ids) - 1)
-        in_univ = ids[rpos] == pid
+        rpos, in_univ = sorted_lookup(ids, pid)
         keys, pid = keys[in_univ], rpos[in_univ]
         n = len(keys)
         if n == 0:
@@ -382,8 +383,7 @@ def _count_cooccurrence(adj: dict):
         partners = adj["partners"]
         pair_keys = adj["pair_keys"]
         # a-side candidate degree of every row's doc (0 if absent)
-        pos = np.clip(np.searchsorted(nodes, pid), 0, len(nodes) - 1)
-        present = nodes[pos] == pid
+        pos, present = sorted_lookup(nodes, pid)
         deg = np.where(present, offsets[pos + 1] - offsets[pos], 0)
         # per-run costs: expansion work vs C(df, 2) enumeration
         cost_expand = np.add.reduceat(deg, starts)
@@ -406,10 +406,7 @@ def _count_cooccurrence(adj: dict):
                 # pid ascends within a run → a < b strictly
                 packed = (pid[aidx].astype(np.uint64) << np.uint64(32)) \
                     | pid[bidx].astype(np.uint64)
-                qpos = np.clip(np.searchsorted(pair_keys, packed),
-                               0, len(pair_keys) - 1)
-                hits.append(packed[np.nonzero(
-                    pair_keys[qpos] == packed)[0]])
+                hits.append(packed[sorted_lookup(pair_keys, packed)[1]])
 
         # --- expansion runs: adjacency out-edges, run-membership test
         xr = ~enum_run[run_id]
@@ -431,9 +428,7 @@ def _count_cooccurrence(adj: dict):
                     | pid.astype(np.uint64)
                 packed_q = (erun.astype(np.uint64) << np.uint64(32)) \
                     | pb_.astype(np.uint64)
-                qpos = np.clip(np.searchsorted(packed_rows, packed_q),
-                               0, n - 1)
-                hit = packed_rows[qpos] == packed_q
+                _, hit = sorted_lookup(packed_rows, packed_q)
                 if hit.any():
                     hits.append(
                         (pa_[hit].astype(np.uint64) << np.uint64(32))
@@ -454,7 +449,6 @@ def _count_cooccurrence(adj: dict):
 
 def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.5,
                         id_col: str = "page_id", text_col: str = "text",
-                        num_partitions: int | None = None,
                         num_shards: int | None = None):
     """Dataset of (a, b, n_common, size_a, size_b, jaccard) for all doc
     pairs with word-n-gram Jaccard ≥ threshold.  Exact (prefix+
@@ -468,14 +462,14 @@ def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.5,
 
     keyed = docs_ds.map_batches(explode_ngrams(n, id_col, text_col),
                                 batch_format="pyarrow")
-    gparts = hash_partitioned(keyed, ["bucket_key"], num_partitions) \
+    gparts = hash_partitioned(keyed, ["bucket_key"]) \
         .map_batches(_attach_df, batch_format="pyarrow",
                      batch_size=None).materialize()
 
-    prefix = hash_partitioned(gparts, ["page_id"], num_partitions) \
+    prefix = hash_partitioned(gparts, ["page_id"]) \
         .map_batches(_prefix_fn(threshold), batch_format="pyarrow",
                      batch_size=None)
-    cand = hash_partitioned(prefix, ["bucket_key"], num_partitions) \
+    cand = hash_partitioned(prefix, ["bucket_key"]) \
         .map_batches(_cand_pairs(threshold), batch_format="pyarrow",
                      batch_size=None)
     # no dedup exchange: each shard's adjacency builder streams every

@@ -52,19 +52,12 @@ class TokenIndex:
         """Vectorized multi-doc lookup: (flat token ids, offsets) in
         ``pids`` order.  Raises KeyError on any missing id."""
         from nxsearch_ray.functions.hashing import _seg_arange
+        from nxsearch_ray.stages.join import sorted_lookup
 
         pids = np.asarray(pids, dtype=np.int64)
-        if len(pids) == 0:
-            return (np.empty(0, self.tok_flat.dtype),
-                    np.zeros(1, dtype=np.int64))
-        if len(self.page_ids) == 0:
-            raise KeyError(int(pids[0]))
-        pos = np.searchsorted(self.page_ids, pids)
-        clipped = np.minimum(pos, len(self.page_ids) - 1)
-        bad = (pos >= len(self.page_ids)) | (self.page_ids[clipped] != pids)
-        if bad.any():
-            raise KeyError(int(pids[np.argmax(bad)]))
-        pos = clipped
+        pos, hit = sorted_lookup(self.page_ids, pids)
+        if not hit.all():
+            raise KeyError(int(pids[np.argmin(hit)]))
         starts = self.tok_offsets[pos]
         counts = self.tok_offsets[pos + 1] - starts
         offsets = np.zeros(len(pids) + 1, dtype=np.int64)

@@ -6,7 +6,7 @@ Shape: the blocklist is a curated, fixed-size artifact (UT1/Dolma
 blocklists are a few million lines — MBs against a 100 TB corpus), so
 it broadcasts once via ``ray.put`` as a SORTED string array; every
 task extracts the registrable domain with one RE2 kernel and runs one
-``searchsorted`` membership probe.  Map-only, zero shuffles — the
+``join.sorted_lookup`` membership probe.  Map-only, zero shuffles — the
 same broadcast-membership discipline as `stages.decontam` and
 `stages.linededup`, and the cheapest possible stage to run FIRST so
 blocked pages never reach extraction/canonicalization.
@@ -35,16 +35,13 @@ def mark_blocklisted(batch: pa.Table, blocked: np.ndarray, *,
     """Append (domain, blocked) columns; ``blocked`` is the SORTED
     numpy array of blocklisted domain strings (ray.get of the
     broadcast ref)."""
+    from nxsearch_ray.stages.join import sorted_lookup
+
     dom = extract_domain(batch.column(url_col))
     if isinstance(dom, pa.ChunkedArray):
         dom = dom.combine_chunks()
-    d = np.asarray(dom.to_pylist(), dtype=object)
-    if blocked.size:
-        pos = np.searchsorted(blocked, d)
-        pos[pos == blocked.size] = 0
-        hit = blocked[pos] == d
-    else:
-        hit = np.zeros(len(d), dtype=bool)
+    _, hit = sorted_lookup(blocked, np.asarray(dom.to_pylist(),
+                                               dtype=object))
     return batch.append_column(
         pa.field("domain", pa.string()), dom) \
         .append_column(pa.field("blocked", pa.bool_()),

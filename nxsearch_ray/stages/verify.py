@@ -48,7 +48,7 @@ SCORED_SCHEMA = pa.schema([
 @dataclass
 class SignatureIndex:
     """Signature rows as arrays: the broadcast lookup index (sorted by
-    page_id; lookups are vectorized searchsorted) and, unsorted, the
+    page_id; lookups are vectorized ``join.sorted_lookup``) and, unsorted, the
     bucketed plan's per-batch view of the joined payloads.  At 10^12
     docs the index does not fit on one node and the bucketed plan
     applies (verify_pairs_bucketed)."""
@@ -79,11 +79,11 @@ class SignatureIndex:
             bk_flat=bk_flat, bk_offsets=bk_off)
 
     def rows_for(self, ids: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.page_ids, ids)
-        pos = np.clip(pos, 0, len(self.page_ids) - 1)
-        if not np.all(self.page_ids[pos] == ids):
-            missing = ids[self.page_ids[pos] != ids]
-            raise KeyError(f"page_ids missing from index: {missing[:5]}")
+        from nxsearch_ray.stages.join import sorted_lookup
+
+        pos, hit = sorted_lookup(self.page_ids, ids)
+        if not hit.all():
+            raise KeyError(f"page_ids missing from index: {ids[~hit][:5]}")
         return pos
 
 

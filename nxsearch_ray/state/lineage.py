@@ -43,6 +43,19 @@ FINGERPRINT = "input_fingerprint"
 CONTENT_COLUMNS = ("html", "text", "lang", "embedding")
 
 
+class StageParams:
+    """The parameter set of a stage that is not a PipelineConfig
+    (the corpus stages, the semantic tier): ``checkpoint`` duck-types
+    on ``config_hash()``, the md5 of the sorted-key JSON of ``kw``."""
+
+    def __init__(self, **kw):
+        self.kw = kw
+
+    def config_hash(self) -> str:
+        return hashlib.md5(json.dumps(
+            self.kw, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def stage_dir(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, stage)
 

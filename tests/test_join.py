@@ -1,13 +1,15 @@
 """The partition-wise hash join's contract (stages/join.hash_join and
 pair_join): every output block carries the join's schema, inner and
 left joins match a row-by-row reference, and empty or zero-column
-partitions on either side are harmless."""
+partitions on either side are harmless.  Also the broadcast key-set
+joins (semi_join / anti_join) and their one probe, sorted_lookup."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from nxsearch_ray.stages.join import hash_join, pair_join
+from nxsearch_ray.stages.join import (anti_join, hash_join, id_set_ref,
+                                      pair_join, semi_join, sorted_lookup)
 
 LIST = pa.list_(pa.uint64())
 FIXED = pa.list_(pa.uint8(), 4)
@@ -139,3 +141,34 @@ def test_pair_join_drops_pair_missing_an_endpoint(ray_session):
     for (a, b), r in rows.items():
         assert (r["v_a"], r["f_a"]) == (payload[a]["v"], payload[a]["f"])
         assert (r["v_b"], r["f_b"]) == (payload[b]["v"], payload[b]["f"])
+
+
+def test_sorted_lookup_edges():
+    """Empty keys, values past either end, and string values wider
+    than the keys' dtype (a width cast would truncate 'abc' to 'ab'
+    and report a false hit)."""
+    pos, hit = sorted_lookup(np.empty(0, np.int64), np.array([1, 2]))
+    assert pos.tolist() == [0, 0] and not hit.any()
+
+    keys = np.array([3, 5, 9], np.int64)
+    pos, hit = sorted_lookup(keys, np.array([9, 10, 1, 5, 4], np.int64))
+    assert hit.tolist() == [True, False, False, True, False]
+    assert (pos < len(keys)).all()
+    assert (keys[pos[hit]] == [9, 5]).all()
+
+    words = np.array(["ab", "zz"])
+    pos, hit = sorted_lookup(words, np.array(["abc", "ab", "zzz", "a"]))
+    assert hit.tolist() == [False, True, False, False]
+    assert pos[1] == 0
+
+
+@pytest.mark.parametrize("as_ref", [False, True])
+def test_key_filters_against_empty_key_set(ray_session, as_ref):
+    """An empty key set (e.g. no pair needs exact adjudication): the
+    semi-join keeps no row, the anti-join keeps every row."""
+    ds = _dataset([_left([4, 1, 7]), _left([2])])
+    keys = (id_set_ref(_dataset([_left([])]), ["k"]) if as_ref
+            else [])
+    assert semi_join(ds, "k", keys).count() == 0
+    assert sorted(r["k"] for r in anti_join(ds, "k", keys).take_all()) \
+        == [1, 2, 4, 7]

@@ -52,6 +52,21 @@ def _pages_ds(corpus_dir):
         corpus_dir, columns=["page_id", "url", "warc_ts", "html", "lang"])
 
 
+def _pages_of(rows):
+    """A pages Dataset of ``(page_id, url, text)`` rows, each text
+    wrapped in a minimal html page."""
+    import ray.data as rd
+
+    return rd.from_arrow(pa.table({
+        "page_id": pa.array([r[0] for r in rows], type=pa.int64()),
+        "url": pa.array([r[1] for r in rows]),
+        "warc_ts": pa.array([0] * len(rows), type=pa.timestamp("us")),
+        "html": pa.array([f"<html><head><title>x</title></head>"
+                          f"<body><p>{r[2]}</p></body></html>".encode()
+                          for r in rows], type=pa.binary()),
+        "lang": pa.array(["en"] * len(rows))}))
+
+
 def _cluster_dict(res) -> dict[int, int]:
     t = clusters_as_table(res)
     return dict(zip(t.column("page_id").to_pylist(),
@@ -105,30 +120,39 @@ def test_tiny_doc_tail_containment(ray_session):
     anchor counts) or the pair is structurally unreachable (regression:
     planted tail of doc 275 at sf0.01 was missed under a flat
     min_anchor_hits=2)."""
-    import ray.data as rd
-
     text = "alpha row beta window merge hash window group order join"
     tail = " ".join(text.split()[5:])
-    mk = (lambda t: f"<html><head><title>x</title></head>"
-          f"<body><p>{t}</p></body></html>".encode())
     # decoy singletons so the corpus isn't degenerate
     decoys = [f"decoy{u} " * 12 for u in range(6)]
     rows = [(0, "https://a.example.org/0", text),
             (2, "https://a.example.org/0/tail", tail)] + [
         (10 + 4 * u, f"https://d.example.org/{u}", d)
         for u, d in enumerate(decoys)]
-    t = pa.table({
-        "page_id": pa.array([r[0] for r in rows], type=pa.int64()),
-        "url": pa.array([r[1] for r in rows]),
-        "warc_ts": pa.array([0] * len(rows),
-                            type=pa.timestamp("us")),
-        "html": pa.array([mk(r[2]) for r in rows], type=pa.binary()),
-        "lang": pa.array(["en"] * len(rows)),
-    })
-    res = run_dedup(rd.from_arrow(t), PipelineConfig())
+    res = run_dedup(_pages_of(rows), PipelineConfig())
     assert (0, 2) in _pair_set(res)
     labels = _cluster_dict(res)
     assert labels[0] == labels[2]
+
+
+def test_bucketed_plan_with_nothing_to_adjudicate(ray_session):
+    """Exact copies of random pages and nothing borderline: no pair
+    needs exact adjudication, so the bucketed suffix gather semi-joins
+    on an empty key set.  Its clusters must equal the auto plan's."""
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    texts = [" ".join(f"w{v}" for v in rng.integers(0, 10**6, 40))
+             for _ in range(6)]
+    rows = [(4 * u, f"https://e.example.org/{u}", x)
+            for u, x in enumerate(texts)] + [
+        (4 * u + 1, f"https://e.example.org/{u}/copy", texts[u])
+        for u in (0, 3)]
+    auto = _cluster_dict(run_dedup(_pages_of(rows), PipelineConfig()))
+    assert auto[0] == auto[1] and auto[12] == auto[13]
+    bucketed = run_dedup(_pages_of(rows), PipelineConfig(),
+                         verify_mode="bucketed")
+    assert bucketed.stats["verify_plan"] == "bucketed"
+    assert _cluster_dict(bucketed) == auto
 
 
 def test_checkpoint_resume(ray_session, corpus_dir, oracle, tmp_path):
