@@ -26,8 +26,7 @@ import pyarrow as pa
 
 from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.sources.io import read_parquet_clean as _read_parquet
-
-from ray.data import aggregate as _RAY_AGG
+from nxsearch_ray.stages.shuffle import grouped
 
 # ------------------------------------------------------------------
 # shared pages derivation (SQL mirror of sources/pages.py)
@@ -160,12 +159,10 @@ def q_exact_dedup(sf_dir: str):
     text with ≥2 pages; canonical page = min page_id.  The engine
     groups by a vectorized 128-bit full-content hash straight off the
     Arrow string buffers (functions/hashing.content_hash128 — no
-    per-row Python, no string materialization), then native count+min
-    aggregation.  The SQL twin groups by ``text`` itself, so the
-    comparable output carries no hash column: each group is identified
-    by its unique ``canonical_page_id``."""
-    import pyarrow.compute as pc
-
+    per-row Python, no string materialization), then one grouped
+    count+min scan (``_content_groups``).  The SQL twin groups by
+    ``text`` itself, so the comparable output carries no hash column:
+    each group is identified by its unique ``canonical_page_id``."""
     from nxsearch_ray.functions.hashing import (content_hash128,
                                                 string_buffers)
 
@@ -180,16 +177,25 @@ def q_exact_dedup(sf_dir: str):
     keyed = _pages(sf_dir, include_html=False).map_batches(
         add_key, batch_format="pyarrow")
 
-    agg = keyed.groupby(["h1", "h2"]).aggregate(
-        _RAY_AGG.Count(), _RAY_AGG.Min("page_id"))
+    return _content_groups(keyed, "n_dups").filter(expr="n_dups >= 2")
 
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.rename_columns(["h1", "h2", "n_dups",
-                              "canonical_page_id"])
-        t = t.filter(pc.greater_equal(t.column("n_dups"), 2))
-        return t.select(["canonical_page_id", "n_dups"])
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+def _content_groups(keyed, n_col: str, sum_cols: tuple = ()):
+    """One row per ``(h1, h2)`` content-hash group of ``keyed``: its
+    min page_id (``canonical_page_id``), its size ``n_col`` and the sum
+    of each ``sum_cols`` column — one grouped scan."""
+    schema = pa.schema([("canonical_page_id", pa.int64()),
+                        (n_col, pa.int64())]
+                       + [(c, pa.int64()) for c in sum_cols])
+
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return pa.table(
+            [np.minimum.reduceat(t.column("page_id").to_numpy(), starts),
+             np.diff(starts, append=t.num_rows)]
+            + [np.add.reduceat(t.column(c).to_numpy(), starts)
+               for c in sum_cols], schema=schema)
+
+    return grouped(keyed, ["h1", "h2"], fn, schema)
 
 
 def q_doc_stats(sf_dir: str):
@@ -259,16 +265,7 @@ def q_web_clean(sf_dir: str):
             "n_email": t.column("n_email")})
 
     keyed = ds.map_batches(quality_and_scrub, batch_format="pyarrow")
-    agg = keyed.groupby(["h1", "h2"]).aggregate(
-        _RAY_AGG.Count(), _RAY_AGG.Min("page_id"),
-        _RAY_AGG.Sum("n_email"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.rename_columns(["h1", "h2", "n_pages",
-                              "canonical_page_id", "n_email"])
-        return t.select(["canonical_page_id", "n_pages", "n_email"])
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _content_groups(keyed, "n_pages", ("n_email",))
 
 
 def q_gopher_quality(sf_dir: str):
@@ -353,10 +350,10 @@ def q_url_canonical(sf_dir: str):
 def q_lang_counts(sf_dir: str):
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["lang"])
-    out = ds.groupby("lang").count()
-    return out.map_batches(
-        lambda t: t.rename_columns(["lang", "n_docs"]),
-        batch_format="pyarrow")
+    schema = pa.schema([("lang", pa.string()), ("n_docs", pa.int64())])
+    return grouped(ds, ["lang"], lambda t, starts: pa.table(
+        [t.column("lang").take(starts),
+         np.diff(starts, append=t.num_rows)], schema=schema), schema)
 
 
 def q_ngram_jaccard(sf_dir: str):
@@ -522,15 +519,14 @@ def _group_check(sf_dir: str, variant: str,
 
     Plan: clusters table → broadcast (page_id → cluster_id) map plus
     per-cluster size and min-id flag (clusters hold only duplicate
-    pages, a small fraction of the corpus); ONE key-disjoint exchange
-    of the pages on ``keys``, then lexsort + reduceat per block — no
-    per-group Python, no driver collect (a 10^12-doc run would
+    pages, a small fraction of the corpus); ONE grouped scan of the
+    pages on ``keys``, reduceat over its runs — no per-group Python,
+    no driver collect (a 10^12-doc run would
     hash-join on page_id instead of broadcasting)."""
     import ray
 
     from nxsearch_ray.pipelines.dedup import clusters_as_table
     from nxsearch_ray.stages.join import sorted_lookup
-    from nxsearch_ray.stages.shuffle import hash_partitioned
 
     ct = clusters_as_table(_dedup(sf_dir, variant))   # page_id order
     pid = ct.column("page_id").to_numpy()
@@ -548,11 +544,13 @@ def _group_check(sf_dir: str, variant: str,
         ("group_min_page_id", pa.int64()), ("n_pages", pa.int64()),
         ("n_clusters", pa.int64()), (flag, pa.bool_())])
 
-    def check_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
+    def check(t: pa.Table, starts: np.ndarray) -> pa.Table:
         b = ray.get(bcast)
         pid = t.column("page_id").to_numpy()
+        gsize = np.diff(starts, append=len(pid))
+        dup = gsize >= 2
+        if not dup.any():
+            return out_schema.empty_table()
         # cluster id, its size and min-id flag per page; unclustered
         # pages get unique negative sentinels, so a missing member
         # makes n_clusters > 1 (a failure)
@@ -565,35 +563,23 @@ def _group_check(sf_dir: str, variant: str,
             k = np.searchsorted(b["uc"], cl[hit])
             size[hit] = b["usz"][k]
             min_ok[hit] = b["umin_ok"][k]
-        # one lexsort groups rows by key with cluster runs contiguous
-        # inside each group; every per-group stat is then a reduceat
-        kc = [t.column(c).to_numpy() for c in keys]
-        o = np.lexsort((cl, *reversed(kc)))
-        brk = np.r_[True, np.logical_or.reduce(
-            [c[o][1:] != c[o][:-1] for c in kc])]
-        gstart = np.flatnonzero(brk)
-        gsize = np.diff(np.r_[gstart, len(o)])
-        dup = gsize >= 2
-        if not dup.any():
-            return out_schema.empty_table()
-        cls = cl[o]
-        runs = brk | np.r_[True, cls[1:] != cls[:-1]]
-        ok = (np.minimum.reduceat(size[o], gstart) >= gsize
+        # every per-group stat is a reduceat over the key runs; the
+        # cluster count sorts each run by cluster id first
+        cls = cl[np.lexsort((cl, np.repeat(np.arange(len(starts)),
+                                           gsize)))]
+        runs = np.r_[True, cls[1:] != cls[:-1]]
+        runs[starts] = True
+        ok = (np.minimum.reduceat(size, starts) >= gsize
               if flag == "cluster_size_ok"
-              else np.logical_and.reduceat(min_ok[o], gstart))
-        return pa.table({
-            "group_min_page_id": pa.array(
-                np.minimum.reduceat(pid[o], gstart)[dup], pa.int64()),
-            "n_pages": pa.array(gsize[dup], pa.int64()),
-            "n_clusters": pa.array(
-                np.add.reduceat(runs.astype(np.int64), gstart)[dup],
-                pa.int64()),
-            flag: pa.array(ok[dup], pa.bool_())})
+              else np.logical_and.reduceat(min_ok, starts))
+        return pa.table([
+            np.minimum.reduceat(pid, starts)[dup], gsize[dup],
+            np.add.reduceat(runs.astype(np.int64), starts)[dup],
+            ok[dup]], schema=out_schema)
 
     keyed = _graded_pages(sf_dir, variant) \
         .map_batches(add_keys, batch_format="pyarrow")
-    return hash_partitioned(keyed, keys) \
-        .map_batches(check_block, batch_format="pyarrow")
+    return grouped(keyed, keys, check, out_schema)
 
 
 def q_cluster_sizes(sf_dir: str, variant: str = "auto"):
@@ -821,9 +807,9 @@ _SEMDEDUP_EPS = 0.4     # sandbox embeddings are near-random (max
 
 def q_semantic_dedup(sf_dir: str):
     """SemDeDup keep/drop decisions (arXiv:2303.09540, min-id
-    representative) — EXACT plan: blocked all-pairs -> native groupby
-    min -> partition-wise left join of flags onto the corpus.  The
-    clustered scale plan is `semantic_dedup_clustered` below; its
+    representative) — EXACT plan: blocked all-pairs -> grouped min
+    (semdedup.dup_map) -> partition-wise left join of flags onto the
+    corpus.  The clustered scale plan is `semantic_dedup_clustered` below; its
     drops are gated as a sound subset of this plan's in tests."""
     from nxsearch_ray.stages.semdedup import semantic_dedup_exact
 
@@ -907,8 +893,8 @@ def q_dedup_cascade(sf_dir: str):
     embeddings, vec_id == doc_id).  One row per doc:
     (doc_id, drop_tier ∈ {0 kept, 1 exact, 2 semantic}, dup_of).
 
-    Dataflow: one groupby for tier 1; one partition-wise hash join ships
-    tier-1 flags onto the embeddings; the survivor slice runs the
+    Dataflow: one grouped scan for tier 1; one partition-wise hash join
+    ships tier-1 flags onto the embeddings; the survivor slice runs the
     blocked semantic plan; one partition-wise left join folds tier-2 flags
     back.  No driver materialization, no O(n) broadcast."""
     from nxsearch_ray.functions.hashing import (content_hash128,
@@ -925,21 +911,19 @@ def q_dedup_cascade(sf_dir: str):
                          "h1": pa.array(h1, type=pa.int64()),
                          "h2": pa.array(h2, type=pa.int64())})
 
-    def group_min(g: pa.Table) -> pa.Table:
-        ids = g.column("doc_id").to_numpy()
-        lo = ids.min()
-        dup1 = np.where(ids == lo, np.int64(-1), lo)
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "dup1": pa.array(dup1, type=pa.int64())})
+    t1_schema = pa.schema([("doc_id", pa.int64()), ("dup1", pa.int64())])
 
-    # pin the per-doc tier-1 flags before the exchange joins (same
-    # discipline as the flagship's candidate pin: the intermediate is
-    # two int64s per doc, object-store resident, and pinning halves
-    # the live shuffle-operator count)
-    t1 = docs.map_batches(add_key, batch_format="pyarrow") \
-        .groupby(["h1", "h2"]).map_groups(group_min,
-                                          batch_format="pyarrow") \
-        .materialize()
+    def group_min(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ids = t.column("doc_id").to_numpy()
+        lo = np.repeat(np.minimum.reduceat(ids, starts),
+                       np.diff(starts, append=len(ids)))
+        return pa.table([ids, np.where(ids == lo, np.int64(-1), lo)],
+                        schema=t1_schema)
+
+    # the per-doc tier-1 flags are pinned (grouped runs when called):
+    # two int64s per doc, object-store resident
+    t1 = grouped(docs.map_batches(add_key, batch_format="pyarrow"),
+                 ["h1", "h2"], group_min, t1_schema)
 
     emb = _read_parquet(f"{sf_dir}/embeddings.parquet",
                                 columns=["vec_id", "embedding"])
@@ -947,8 +931,7 @@ def q_dedup_cascade(sf_dir: str):
         emb, t1, left_key="vec_id", right_key="doc_id",
         left_schema=pa.schema([("vec_id", pa.int64()),
                                ("embedding", pa.list_(pa.float32()))]),
-        right_schema=pa.schema([("doc_id", pa.int64()),
-                                ("dup1", pa.int64())]))
+        right_schema=t1_schema)
     # pin the survivor slice: the blocked pair plan consumes its
     # input twice (count + block refs) — without the pin each pass
     # re-runs the tier-1 exchange join.  Object-store resident, same
@@ -960,17 +943,13 @@ def q_dedup_cascade(sf_dir: str):
     # semantic_dedup_exact's internal flag join — its output would be
     # re-joined onto t1 anyway); pinned like the flagship's candidates
     from nxsearch_ray.stages.ann import embedding_dup_pairs_blocked
-    dups2 = embedding_dup_pairs_blocked(
-        surv_emb, threshold=_SEMDEDUP_EPS, block_rows=1024) \
-        .groupby("b").min("a").materialize()
+    from nxsearch_ray.stages.semdedup import DUP_SCHEMA, dup_map
+    dups2 = dup_map(embedding_dup_pairs_blocked(
+        surv_emb, threshold=_SEMDEDUP_EPS, block_rows=1024))
 
     final = hash_join(
         t1, dups2, left_key="doc_id", right_key="b",
-        left_schema=pa.schema([("doc_id", pa.int64()),
-                               ("dup1", pa.int64())]),
-        right_schema=pa.schema([("b", pa.int64()),
-                                ("min(a)", pa.int64())]),
-        how="left")
+        left_schema=t1_schema, right_schema=DUP_SCHEMA, how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or t.num_columns == 0:
@@ -979,7 +958,7 @@ def q_dedup_cascade(sf_dir: str):
                               ("dup_of", pa.int64())]).empty_table()
         ids = t.column("doc_id").to_numpy()
         dup1 = t.column("dup1").to_numpy()
-        dup2 = np.asarray(t.column("min(a)_r").fill_null(-1).to_numpy(
+        dup2 = np.asarray(t.column("dup_of_r").fill_null(-1).to_numpy(
             zero_copy_only=False), dtype=np.int64)
         tier = np.where(dup1 >= 0, np.int64(1),
                         np.where(dup2 >= 0, np.int64(2), np.int64(0)))
@@ -1141,7 +1120,7 @@ def q_url_cardinality(sf_dir: str):
     """HyperLogLog distinct-count sketch (stages/hll.py): distinct
     base urls estimated in ONE shuffle-free streaming pass (per-block
     register partials, max-fold task tree).  The hashed output
-    carries the EXACT distinct count (computed via the groupby the
+    carries the EXACT distinct count (computed via the exchange the
     sketch exists to avoid — the invariant feed, like
     url_seen_guard's exact column) plus a relative-error gate at
     5 sigma of the 1.04/sqrt(m) HLL bound; a broken sketch flips the
@@ -1161,7 +1140,8 @@ def q_url_cardinality(sf_dir: str):
 
     keyed = pages.map_batches(base_key, batch_format="pyarrow")
     est = hll_count(keyed, "key", p=p)
-    n_exact = keyed.groupby("key").count().count()
+    n_exact = grouped(keyed, ["key"], lambda t, starts: t.take(starts),
+                      pa.schema([("key", pa.string())])).count()
     ok = abs(est / max(n_exact, 1) - 1.0) <= 5 * 1.04 / (1 << p) ** 0.5
     return pa.table({"n_exact": pa.array([n_exact], type=pa.int64()),
                      "rel_err_ok": pa.array([ok])})

@@ -3,9 +3,10 @@
 A brand-new engine (not a port) with the text-processing capabilities of
 rmind/nxsearch as its canonicalization core.  Documents flow as zero-copy
 Arrow batches through ``ray.data.Dataset.map_batches`` stages; wide steps
-(LSH banding, pair dedup, connected components) are expressed as
-``groupby``-based shuffles.  See SURVEY.md for the structural analysis of
-the reference and the mapping of every reference operator onto Ray Data.
+(LSH banding, pair dedup, connected components) run on one key-disjoint
+task exchange (``stages/shuffle.py``).  See SURVEY.md for the structural
+analysis of the reference and the mapping of every reference operator
+onto Ray Data.
 """
 
 from nxsearch_ray.config import PipelineConfig

@@ -139,8 +139,7 @@ def content_hash128(offsets: np.ndarray, data: np.ndarray
     """Full-content 128-bit hash per string over raw Arrow string
     buffers: two independent segmented polynomial hashes mod 2^64
     (splitmix64-finalized, length mixed in), returned as int64 views
-    so Ray's groupby takes the native-Arrow path (uint64 > 2^63 keys
-    fall back to pickling).
+    (the group keys' Arrow type).
 
     Unlike ``hash_strings`` (a 32-byte-prefix token hash), EVERY byte
     contributes — this is the engine-side exact-dedup group key.  All

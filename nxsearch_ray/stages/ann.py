@@ -5,7 +5,7 @@ Three plans:
   * **Brute-force cosine top-k** (baseline, exact): the query matrix is
     broadcast once (`ray.put`); every batch does one float64 matmul
     against it and emits its local top-k per query (partial top-k
-    combiner); a final small groupby keeps the global top-k.  No
+    combiner); a final small grouped scan keeps the global top-k.  No
     full-corpus materialization — the big side streams.
   * **LSH-bucketed** (scale path): random-hyperplane sign bits bucket
     the corpus; queries probe only their bucket (+ optional
@@ -107,19 +107,22 @@ def brute_force_topk(emb_ds, queries_ref, k: int, *,
     """Global exact top-k per query: per-batch partial top-k, then one
     per-query reduce (tiny: nq × k × batches rows)."""
     from nxsearch_ray.stages.join import broadcast_map
+    from nxsearch_ray.stages.shuffle import grouped
 
     partial = broadcast_map(emb_ds, queries_ref, functools.partial(
         BruteForceTopK, k=k, id_col=id_col, emb_col=emb_col),
         batch_size=4096)
 
-    def final_topk(g: pa.Table) -> pa.Table:
-        s = g.column("score").to_numpy()
-        v = g.column("vec_id").to_numpy()
-        order = np.lexsort((v, -s))[:k]     # score desc, vec_id asc
-        return g.take(pa.array(order, type=pa.int64()))
+    def final_topk(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        s = t.column("score").to_numpy()
+        v = t.column("vec_id").to_numpy()
+        ends = np.append(starts[1:], t.num_rows)
+        # per query: score desc, vec_id asc
+        return t.take(np.concatenate([
+            i + np.lexsort((v[i:j], -s[i:j]))[:k]
+            for i, j in zip(starts, ends)]))
 
-    return partial.groupby("qid").map_groups(final_topk,
-                                             batch_format="pyarrow")
+    return grouped(partial, ["qid"], final_topk, TOPK_SCHEMA)
 
 
 def hyperplane_signs(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
@@ -395,8 +398,8 @@ def embedding_dup_pairs(emb_ds, *, threshold: float = 0.98,
         near-neighbor most likely disagrees on — Lv et al.'s
         multiprobe heuristic);
       * candidates within a shared bucket get the exact cosine;
-        duplicates across tables/probes are folded by one native
-        groupby max.
+        duplicates across tables/probes are folded by one (a, b)
+        exchange that keeps each pair's first sighting.
 
     Recall vs the exact plan is gated in tests.  Scale note: bucket
     rows carry the embedding (duplication L·(1+nprobes)) to avoid a
@@ -446,24 +449,16 @@ def embedding_dup_pairs(emb_ds, *, threshold: float = 0.98,
     out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                             ("cosine", pa.float64())])
 
-    from nxsearch_ray.stages.shuffle import hash_partitioned
+    from nxsearch_ray.stages.shuffle import grouped
 
-    def emit_block(t: pa.Table) -> pa.Table:
-        """Per-block (bucket-complete) run scan: pairs within every
-        bucket run, one einsum for ALL pairs of the block, then a
-        block-local dedup (the same pair surfaces via several
-        tables/probes with the identical exact cosine)."""
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        keys = t.column("bucket_key").to_numpy()
+    def emit_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        """Per-partition bucket-run scan (runs sorted by vec_id): pairs
+        within every bucket run, one einsum for ALL pairs of the
+        partition, then a partition-local dedup (the same pair
+        surfaces via several tables/probes with the identical exact
+        cosine)."""
         ids = t.column("vec_id").to_numpy()
-        order = np.lexsort((ids, keys))
-        keys, ids = keys[order], ids[order]
-        t = t.take(pa.array(order, type=pa.int64()))
-        n = len(keys)
-        starts = np.concatenate(
-            ([0], np.nonzero(keys[1:] != keys[:-1])[0] + 1))
-        counts = np.diff(np.concatenate((starts, [n])))
+        counts = np.diff(starts, append=t.num_rows)
         ai, bi = [], []
         for r in np.nonzero(counts >= 2)[0]:
             s, c = starts[r], counts[r]
@@ -489,17 +484,9 @@ def embedding_dup_pairs(emb_ds, *, threshold: float = 0.98,
              pa.array(cos[first], type=pa.float64())],
             schema=out_schema)
 
-    pairs = hash_partitioned(keyed, ["bucket_key"]).map_batches(
-        emit_block, batch_format="pyarrow", batch_size=None)
-
-    def dedup_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        first = _first_of_pairs(t.column("a").to_numpy(),
-                                t.column("b").to_numpy())
-        return t.take(pa.array(first, type=pa.int64()))
-
+    pairs = grouped(keyed, ["bucket_key"], emit_block, out_schema,
+                    then_by=["vec_id"])
     # fold duplicates found via several tables/probes (cosine is the
     # same exact value for every sighting, so first == the value)
-    return hash_partitioned(pairs, ["a", "b"]).map_batches(
-        dedup_block, batch_format="pyarrow", batch_size=None)
+    return grouped(pairs, ["a", "b"], lambda t, starts: t.take(starts),
+                   out_schema)

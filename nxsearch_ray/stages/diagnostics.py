@@ -14,6 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.config import PipelineConfig
+from nxsearch_ray.stages.shuffle import grouped
 
 
 def duplicate_page_ids(pages_ds, id_col: str = "page_id") -> pa.Table:
@@ -21,25 +22,21 @@ def duplicate_page_ids(pages_ds, id_col: str = "page_id") -> pa.Table:
     the reference's duplicate-doc-id ingest guard (reference
     src/core/nxs.c:505-511 rejects an already-indexed doc_id; the
     hashed-id pipeline instead surfaces collisions/duplicates as a
-    diagnostic).  One native Count aggregation; returns a small table
+    diagnostic).  One grouped scan on the id; returns a small table
     ``(page_id, n_rows)`` with n_rows ≥ 2 — empty means ids are unique
     (the pipeline's input contract)."""
-    import pyarrow.compute as pc
-    from ray.data import aggregate as agg
+    import ray
 
-    counts = pages_ds.select_columns([id_col]) \
-        .groupby(id_col).aggregate(agg.Count())
-
-    def keep_dups(t: pa.Table) -> pa.Table:
-        t = t.rename_columns([id_col, "n_rows"])
-        return t.filter(pc.greater_equal(t.column("n_rows"), 2))
-
-    out = counts.map_batches(keep_dups, batch_format="pyarrow")
-    batches = list(out.iter_batches(batch_size=1 << 20,
-                                    batch_format="pyarrow"))
     schema = pa.schema([(id_col, pa.int64()), ("n_rows", pa.int64())])
-    batches = [b for b in batches if b.num_columns > 0]
-    return pa.concat_tables(batches) if batches else schema.empty_table()
+
+    def dups(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = np.diff(starts, append=t.num_rows)
+        ids = t.column(id_col).to_numpy()[starts]
+        return pa.table([ids[n >= 2], n[n >= 2]], schema=schema)
+
+    return pa.concat_tables(ray.get(grouped(
+        pages_ds.select_columns([id_col]), [id_col], dups, schema)
+        .to_arrow_refs()))
 
 
 def census_over_keys(keyed_ds, names: tuple[str, ...]):
@@ -48,70 +45,39 @@ def census_over_keys(keyed_ds, names: tuple[str, ...]):
     is key-disjoint and deterministic (no bucket is split at a block
     edge), so it can sit behind a value-hash oracle:
 
-      hash exchange on bucket_key (each key lands in exactly one
-      block) → vectorized per-block run count + histogram → second
-      SMALL key-disjoint exchange on the histogram keys + per-block
-      sum.
+      grouped scan on (bucket_key, src) → per-partition run lengths
+      histogrammed by (src, size) → a second, SMALL grouped scan on
+      the histogram keys sums the partials.
 
     ONE all-to-all exchange over the exploded keys — the same
     shape/cost as the candidate-pair census any 10^12-doc run needs
     for skew-policy tuning.  ``names[src]`` labels each source."""
-    from nxsearch_ray.stages.shuffle import hash_partitioned
-
-    parts = hash_partitioned(keyed_ds, ["bucket_key"])
-
     hist_schema = pa.schema([("src", pa.int8()),
                              ("bucket_size", pa.int64()),
                              ("n_buckets", pa.int64())])
+    out_schema = pa.schema([("source", pa.string()),
+                            ("bucket_size", pa.int64()),
+                            ("n_buckets", pa.int64())])
 
-    def block_hist(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return hist_schema.empty_table()
-        keys = t.column("bucket_key").to_numpy()
-        srcs = t.column("src").to_numpy()
-        o = np.lexsort((keys, srcs))
-        keys, srcs = keys[o], srcs[o]
-        brk = np.r_[True, (keys[1:] != keys[:-1])
-                    | (srcs[1:] != srcs[:-1])]
-        starts = np.flatnonzero(brk)
-        sizes = np.diff(np.r_[starts, len(keys)])
-        run_src = srcs[starts]
-        # (src, size) histogram via lexsort-unique
-        o2 = np.lexsort((sizes, run_src))
-        rs, rc = run_src[o2], sizes[o2]
-        uniq = np.r_[True, (rs[1:] != rs[:-1]) | (rc[1:] != rc[:-1])]
-        ustart = np.flatnonzero(uniq)
-        freq = np.diff(np.r_[ustart, len(rs)])
-        return pa.table({
-            "src": pa.array(rs[ustart], type=pa.int8()),
-            "bucket_size": pa.array(rc[ustart].astype(np.int64)),
-            "n_buckets": pa.array(freq.astype(np.int64))})
+    def block_hist(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        run_src = t.column("src").to_numpy()[starts].astype(np.int64)
+        sizes = np.diff(starts, append=t.num_rows)
+        u, freq = np.unique(np.stack([run_src, sizes], axis=1), axis=0,
+                            return_counts=True)
+        return pa.table([u[:, 0].astype(np.int8), u[:, 1],
+                         freq.astype(np.int64)], schema=hist_schema)
 
-    hist = parts.map_batches(block_hist, batch_format="pyarrow",
-                             batch_size=None)
-    combined = hash_partitioned(hist, ["src", "bucket_size"])
+    def finish(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        srcs = t.column("src").to_numpy()[starts]
+        return pa.table([
+            [names[int(c)] for c in srcs],
+            t.column("bucket_size").to_numpy()[starts],
+            np.add.reduceat(t.column("n_buckets").to_numpy(), starts)],
+            schema=out_schema)
 
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema([("source", pa.string()),
-                              ("bucket_size", pa.int64()),
-                              ("n_buckets", pa.int64())]).empty_table()
-        srcs = t.column("src").to_numpy()
-        szs = t.column("bucket_size").to_numpy()
-        cnt = t.column("n_buckets").to_numpy()
-        o = np.lexsort((szs, srcs))
-        srcs, szs, cnt = srcs[o], szs[o], cnt[o]
-        brk = np.r_[True, (srcs[1:] != srcs[:-1]) | (szs[1:] != szs[:-1])]
-        starts = np.flatnonzero(brk)
-        totals = np.add.reduceat(cnt, starts)
-        return pa.table({
-            "source": pa.array([names[int(c)] for c in srcs[starts]],
-                               type=pa.string()),
-            "bucket_size": pa.array(szs[starts], type=pa.int64()),
-            "n_buckets": pa.array(totals.astype(np.int64))})
-
-    return combined.map_batches(finish, batch_format="pyarrow",
-                                batch_size=None)
+    hist = grouped(keyed_ds, ["bucket_key", "src"], block_hist,
+                   hist_schema)
+    return grouped(hist, ["src", "bucket_size"], finish, out_schema)
 
 
 def bucket_census(signatures_ds, cfg: PipelineConfig):

@@ -15,8 +15,9 @@ Shape of the computation (all vectorized, one shuffle + one census):
    applies; on real multi-line text pass ``words_per_line=None`` to
    split on newlines instead.
 2. Census: distinct ``(line_key, page_id)`` pairs (deduped inside the
-   explode batch — a page's lines never span batches), then a native
-   ``groupby(line_key).count()`` = documents-per-line.
+   explode batch — a page's lines never span batches), then one
+   grouped scan on ``line_key`` (``stages.shuffle.grouped``): each
+   key's run length is its documents-per-line.
 3. Keys with ``count >= min_docs`` form the boilerplate set — tiny
    relative to the corpus (it IS the repeated content), built into one
    sorted array off-driver (``stages.join.id_set_ref``) and broadcast
@@ -41,7 +42,7 @@ import pyarrow.compute as pc
 from nxsearch_ray.functions.hashing import hash_strings, string_buffers
 from nxsearch_ray.stages.join import (broadcast_map, id_set_ref,
                                       sorted_lookup)
-from nxsearch_ray.stages.shuffle import hash_partitioned
+from nxsearch_ray.stages.shuffle import grouped, hash_partitioned
 
 
 def reflow_lines(batch: pa.Table, *, text_col: str = "text",
@@ -92,9 +93,8 @@ def reflow_lines(batch: pa.Table, *, text_col: str = "text",
         line = pc.binary_join(lines_list, " ")
 
     offs, data = string_buffers(line)
-    # int64 bit-view of the 64-bit hash: Ray's native groupby/shuffle
-    # keeps int64 zero-copy, while uint64 values above 2^63 fall back
-    # to pickled Python objects inside aggregations
+    # int64 bit-view of the 64-bit hash: the boilerplate key set and
+    # its probe in _Reassemble compare signed keys
     keys = hash_strings(offsets=offs, data=data).view(np.int64)
     return pa.table({
         id_col: ids.take(pa.array(line_doc, type=pa.int64())),
@@ -126,13 +126,13 @@ def boilerplate_keys(lines_ds, *, id_col: str = "page_id",
     documents, built off-driver (stages/join.id_set_ref)."""
     pairs = lines_ds.select_columns(["line_key", id_col]).map_batches(
         lambda b: _distinct_pairs(b, id_col), batch_format="pyarrow")
-    census = pairs.groupby("line_key").count()
+    schema = pa.schema([("line_key", pa.int64())])
 
-    def over(b: pa.Table) -> pa.Table:
-        m = pc.greater_equal(b.column("count()"), min_docs)
-        return b.filter(m).select(["line_key"])
+    def over(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n_docs = np.diff(starts, append=t.num_rows)
+        return t.select(["line_key"]).take(starts[n_docs >= min_docs])
 
-    return id_set_ref(census.map_batches(over, batch_format="pyarrow"),
+    return id_set_ref(grouped(pairs, ["line_key"], over, schema),
                       ["line_key"])
 
 
@@ -195,8 +195,8 @@ def line_dedup(pages_ds, *, text_col: str = "text",
     each document's text — returns a Dataset of
     ``(page_id, n_lines, n_lines_kept, clean_text)``.
 
-    One census shuffle (groupby on line_key) + one page_id exchange for
-    reassembly; the boilerplate key set is built off-driver and
+    One census exchange (a grouped scan on line_key) + one page_id
+    exchange for reassembly; the boilerplate key set is built off-driver and
     travels once by ObjectRef.  SQL twin: `line_dedup_sql`."""
     lines = pages_ds.map_batches(
         lambda b: reflow_lines(b, text_col=text_col, id_col=id_col,

@@ -20,8 +20,8 @@ DuckDB ``regexp_extract_all(lower(text), '\\S+')``.
 
 Scale plan (100 TB):
   1. census — map_batches pre-aggregates per-batch gram counts (the
-     combiner) so the groupby shuffles VOCABULARY rows, not token
-     rows; one native groupby sum.
+     combiner) so the exchange moves VOCABULARY rows, not token
+     rows; one grouped scan sums them (stages/shuffle.grouped).
   2. model — ONE remote task folds the census blocks into sorted
      lookup tables; an optional cap keeps the top rows by (count
      desc, key asc) — deterministic — and misses fall back to a
@@ -123,19 +123,20 @@ def _per_doc(batch: pa.Table, id_col: str, doc: np.ndarray,
         names=["doc_id", count_col, "logloss", "perplexity"])
 
 
-def _census_table(blocks, cols: list) -> pa.Table:
-    """Concatenate census blocks (empty ones carry no columns)."""
-    tbs = [t for t in blocks if t.num_columns]
-    if tbs:
-        return pa.concat_tables(tbs)
-    s = pa.array([], type=pa.string())
-    return pa.table({**{c: s for c in cols},
-                     "n": pa.array([], type=pa.int64())})
+def _summed(partials, cols: list):
+    """The census: one ``(cols…, n)`` row per distinct ``cols`` tuple
+    of the per-batch partials, ``n`` summed (stages/shuffle.grouped)."""
+    from nxsearch_ray.stages.shuffle import grouped
 
+    schema = pa.schema([(c, pa.string()) for c in cols]
+                       + [("n", pa.int64())])
 
-def _counts(t: pa.Table) -> np.ndarray:
-    return t.column("sum(n)" if "sum(n)" in t.column_names
-                    else "n").to_numpy().astype(np.float64)
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return t.select(cols).take(starts).append_column(
+            "n", pa.array(np.add.reduceat(t.column("n").to_numpy(),
+                                          starts)))
+
+    return grouped(partials, cols, fn, schema)
 
 
 def unigram_census(docs_ds, *, text_col: str = "text"):
@@ -147,8 +148,8 @@ def unigram_census(docs_ds, *, text_col: str = "text"):
         return pa.table({"word": vc.field("values"),
                          "n": vc.field("counts").cast(pa.int64())})
 
-    return docs_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("word").sum("n")
+    return _summed(docs_ds.map_batches(partial, batch_format="pyarrow"),
+                   ["word"])
 
 
 def unigram_model_ref(census_ds, *, vocab_cap: int | None = None):
@@ -159,9 +160,9 @@ def unigram_model_ref(census_ds, *, vocab_cap: int | None = None):
 
     @ray.remote
     def _build(*blocks):
-        t = _census_table(blocks, ["word"])
+        t = pa.concat_tables(blocks)
         words = np.asarray(t.column("word").to_pylist(), dtype=object)
-        n = _counts(t)
+        n = t.column("n").to_numpy().astype(np.float64)
         total = n.sum()
         vsize = len(words)
         if vocab_cap is not None and vsize > vocab_cap:
@@ -179,20 +180,19 @@ def unigram_model_ref(census_ds, *, vocab_cap: int | None = None):
 
 def ngram_census(docs_ds, order: int, *, text_col: str = "text"):
     """(w1..wn, n) corpus n-gram census with a per-batch combiner —
-    the groupby shuffles N-GRAM-VOCABULARY rows, not token rows."""
+    the grouped scan's exchange moves N-GRAM-VOCABULARY rows, not token
+    rows."""
     cols = [f"w{i}" for i in range(1, order + 1)]
 
     def partial(batch: pa.Table) -> pa.Table:
         _, ws = _grams(batch, text_col, order)
-        if not len(ws[0]):
-            return _census_table([], cols)
         _, idx, counts = np.unique(_ngram_key(*ws), return_index=True,
                                    return_counts=True)
         return pa.table({**{c: pa.array(w[idx]) for c, w in zip(cols, ws)},
                          "n": pa.array(counts.astype(np.int64))})
 
-    return docs_ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(cols).sum("n")
+    return _summed(docs_ds.map_batches(partial, batch_format="pyarrow"),
+                   cols)
 
 
 def kn_model_ref(census_ds, order: int, *, discount: float = 0.75,
@@ -225,10 +225,10 @@ def kn_model_ref(census_ds, order: int, *, discount: float = 0.75,
 
     @ray.remote
     def _build(*blocks):
-        t = _census_table(blocks, cols)
+        t = pa.concat_tables(blocks)
         ws = [np.asarray(t.column(c).to_pylist(), dtype=np.str_)
               for c in cols]
-        c = _counts(t)
+        c = t.column("n").to_numpy().astype(np.float64)
         # top level: context totals + fan-out over w1..w(n-1)
         ctx, inv = np.unique(_ngram_key(*ws[:-1]), return_inverse=True)
         top_ctx = (ctx, np.bincount(inv, weights=c, minlength=len(ctx)),

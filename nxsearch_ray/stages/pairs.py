@@ -130,17 +130,14 @@ def explode_all(cfg_json: str):
 
 
 def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
-    """All candidate passes in ONE exchange: explode_all →
-    key-disjoint hash repartition (stages/shuffle.py) → per-block
-    local sort + vectorized run scan.  Every (bucket_key, src) run is
-    complete inside its block, so there is no block-edge fallback, no
-    materialize, and the stage streams straight into pair union.
-    Returns (a, b, src int8-code) pairs."""
-    from nxsearch_ray.stages.shuffle import hash_partitioned
+    """All candidate passes in ONE grouped scan (stages/shuffle.grouped):
+    explode_all → one run per (bucket_key, src) bucket, complete in
+    its partition → pairs within each run.  Returns (a, b, src
+    int8-code, aux) pairs."""
+    from nxsearch_ray.stages.shuffle import grouped
 
     keyed = signatures_ds.map_batches(explode_all(cfg.to_json()),
                                       batch_format="pyarrow")
-    parts = hash_partitioned(keyed, ["bucket_key"])
     cap = cfg.hot_bucket_cap
     skip_by_src = {3: cfg.anchor_bucket_max}
     SIMHASH_CODE = SRC_NAMES.index("simhash")
@@ -155,22 +152,12 @@ def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
         ("a", pa.int64()), ("b", pa.int64()), ("src", pa.int8()),
         ("aux", pa.int64())])
 
-    def block_fn(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return out_schema.empty_table()
-        keys = t.column("bucket_key").to_numpy()
+    def runs_fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ids = t.column("page_id").to_numpy()
         srcs = t.column("src").to_numpy()
         auxs = t.column("aux").to_numpy()
-        order = np.lexsort((srcs, keys))
-        keys, ids, srcs, auxs = (keys[order], ids[order], srcs[order],
-                                 auxs[order])
         a_out, b_out, s_out, x_out = [], [], [], []
-        change = np.nonzero((keys[1:] != keys[:-1])
-                            | (srcs[1:] != srcs[:-1]))[0] + 1
-        starts = np.concatenate(([0], change))
-        counts = np.diff(np.concatenate((starts, [n])))
+        counts = np.diff(starts, append=t.num_rows)
         # vectorized fast path: 2-member runs are the overwhelming
         # majority of non-singleton buckets — emit their single
         # pair with pure array ops, no per-run Python
@@ -224,8 +211,7 @@ def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
              pa.array(x_all.astype(np.int64))],
             schema=out_schema)
 
-    return parts.map_batches(block_fn, batch_format="pyarrow",
-                             batch_size=None)
+    return grouped(keyed, ["bucket_key", "src"], runs_fn, out_schema)
 
 
 def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):
@@ -236,12 +222,10 @@ def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):
     the exact pair dedup — the distributed analogue of the reference's
     doc-id-exists guard (reference src/core/nxs.c:505-511).
 
-    ONE exchange: key-disjoint hash repartition on (a, b), then a
-    fully vectorized per-block local sort + run scan — per-run source
-    bitmask via bitwise_or.reduceat, per-run suffix hit count via
-    add.reduceat.  Every pair's sightings are complete in-block, so
-    no fallback pass exists and the stage streams into verification."""
-    from nxsearch_ray.stages.shuffle import hash_partitioned
+    ONE grouped scan on (a, b) (stages/shuffle.grouped), fully
+    vectorized over the runs: per-run source bitmask via
+    bitwise_or.reduceat, per-run suffix hit count via add.reduceat."""
+    from nxsearch_ray.stages.shuffle import grouped
 
     SUFFIX_CODE = SRC_NAMES.index("suffix")
     # mask → "exact,minhash,..." (SRC_NAMES happens to be sorted)
@@ -251,21 +235,11 @@ def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):
     out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                             ("source", pa.string())])
 
-    parts = hash_partitioned(pairs_ds, ["a", "b"])
-
-    def block_fn(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return out_schema.empty_table()
+    def runs_fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
         a = t.column("a").to_numpy()
         b = t.column("b").to_numpy()
         src = t.column("src").to_numpy().astype(np.int32)
         aux = t.column("aux").to_numpy().astype(np.int64)
-        order = np.lexsort((b, a))
-        a, b, src, aux = a[order], b[order], src[order], aux[order]
-        change = np.nonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1]))[0] + 1
-        starts = np.concatenate(([0], change))
-
         bits = np.left_shift(1, src)
         run_or = np.bitwise_or.reduceat(bits, starts)
         suffix_hits = np.add.reduceat(
@@ -289,5 +263,4 @@ def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):
              pa.array(names.tolist(), type=pa.string())],
             schema=out_schema)
 
-    return parts.map_batches(block_fn, batch_format="pyarrow",
-                             batch_size=None)
+    return grouped(pairs_ds, ["a", "b"], runs_fn, out_schema)

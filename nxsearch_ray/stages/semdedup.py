@@ -20,9 +20,9 @@ Two plans, same output schema ``(id, dup_of, keep)``:
 * **exact** — global all-pairs via the blocked block-pair plan
   (stages/ann.py:embedding_dup_pairs_blocked): B·(B+1)/2 tasks each
   hold two O(block_rows·dim) blocks, so memory is flat in corpus
-  size; the O(n²) work is inherent to exactness.  ``dup_of`` is a
-  native groupby min over the pair stream; keep flags reach the full
-  corpus through the partition-wise left hash join
+  size; the O(n²) work is inherent to exactness.  ``dup_of`` is one
+  grouped min over the pair stream (``dup_map``); keep flags reach the
+  full corpus through the partition-wise left hash join
   (stages/join.py:hash_join how='left') — no driver materialization,
   no broadcast of an O(n) side.  This is the verification /
   small-corpus plan and the SQL-oracle twin.
@@ -31,7 +31,7 @@ Two plans, same output schema ``(id, dup_of, keep)``:
   spherical k-means coarse quantizer (stages/ann.py:
   train_ivf_centroids_ref, trained on a sample in one remote task)
   assigns every vector to its nearest centroid in a streaming
-  map_batches; one groupby co-locates each cluster; the within-
+  map_batches; one grouped scan co-locates each cluster; the within-
   cluster rule runs as a row-blocked matmul (memory
   O(block·cluster_size), never O(cluster_size²)).  Work drops to
   O(Σ n_c²) ≈ O(n²/nlist).  Approximate in exactly the paper's way —
@@ -50,7 +50,7 @@ work as a single serial straggler task).  The plan therefore
 mechanizes its own remedy: a cluster-size census (``nlist`` rows —
 tiny), then a second-level spherical k-means INSIDE any cluster
 larger than ``hot_cap_factor ×`` the mean, reassigning its rows to
-sub-clusters before the groupby.  Identical vectors still always
+sub-clusters before the grouped scan.  Identical vectors still always
 share a (sub-)cluster — guaranteed by ``_det_argmax``, not by GEMM
 alone (see its docstring for why BLAS breaks this) — so
 planted-duplicate recall is untouched, and drops remain a sound
@@ -68,9 +68,11 @@ import pyarrow as pa
 from nxsearch_ray.stages.ann import (_embedding_matrix, _normalize,
                                      embedding_dup_pairs_blocked,
                                      train_ivf_centroids_ref)
+from nxsearch_ray.stages.shuffle import grouped
 
 OUT_SCHEMA = pa.schema([("id", pa.int64()), ("dup_of", pa.int64()),
                         ("keep", pa.bool_())])
+DUP_SCHEMA = pa.schema([("b", pa.int64()), ("dup_of", pa.int64())])
 
 
 def _det_argmax(mat32: np.ndarray, cent32: np.ndarray) -> np.ndarray:
@@ -113,6 +115,20 @@ def _finalize(ids: np.ndarray, dup_of: np.ndarray) -> pa.Table:
          pa.array(dup_of < 0)], schema=OUT_SCHEMA)
 
 
+def dup_map(pairs_ds):
+    """``(b, dup_of)`` per victim ``b`` of an ``(a, b, …)`` dup-pair
+    stream, ``dup_of`` its smallest ``a``: the rule's lowest-id
+    earlier neighbor, one grouped scan (stages/shuffle.grouped)."""
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return pa.table([
+            t.column("b").to_numpy()[starts],
+            np.minimum.reduceat(t.column("a").to_numpy(), starts)],
+            schema=DUP_SCHEMA)
+
+    return grouped(pairs_ds.select_columns(["a", "b"]), ["b"], fn,
+                   DUP_SCHEMA)
+
+
 def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
                          id_col: str = "vec_id",
                          emb_col: str = "embedding",
@@ -124,24 +140,19 @@ def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
     pairs = embedding_dup_pairs_blocked(
         emb_ds, threshold=eps, id_col=id_col, emb_col=emb_col,
         block_rows=block_rows)
-    # pin the dup map before the exchange join: the intermediate is
-    # tiny (two int64s per DROPPED doc, object-store resident — never
-    # on the driver)
-    dups = pairs.groupby("b").min("a").materialize()
-
+    # the dup map is pinned (grouped runs when called): two int64s per
+    # DROPPED doc, object-store resident — never on the driver
     joined = hash_join(
-        emb_ds.select_columns([id_col]), dups,
+        emb_ds.select_columns([id_col]), dup_map(pairs),
         left_key=id_col, right_key="b",
         left_schema=pa.schema([(id_col, pa.int64())]),
-        right_schema=pa.schema([("b", pa.int64()),
-                                ("min(a)", pa.int64())]),
-        how="left")
+        right_schema=DUP_SCHEMA, how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or t.num_columns == 0:
             return OUT_SCHEMA.empty_table()
         ids = t.column(id_col).to_numpy()
-        dup = np.asarray(t.column("min(a)_r").fill_null(-1).to_numpy(
+        dup = np.asarray(t.column("dup_of_r").fill_null(-1).to_numpy(
             zero_copy_only=False), dtype=np.int64)
         return _finalize(ids, dup)
 
@@ -150,7 +161,7 @@ def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
 
 def _cluster_rule(eps: float, id_col: str, emb_col: str,
                   row_block: int = 4096, band: float = 1e-5):
-    """Within-cluster SemDeDup rule as a map_groups fn: sort by id,
+    """Within-cluster SemDeDup rule as a per-cluster fn: sort by id,
     then for each row the smallest EARLIER row with cos >= eps.  The
     similarity matrix is computed in row blocks so memory stays
     O(row_block · cluster_size) whatever the cluster size.
@@ -296,9 +307,8 @@ def _cluster_rule(eps: float, id_col: str, emb_col: str,
 
 def _cluster_census(assigned) -> dict[int, int]:
     """{cluster: rows} from per-block ``value_counts`` partials — a
-    native ``groupby().count()`` would SORT-SHUFFLE the whole table,
-    embeddings included (profiled at 4 s per census on the 1.6M
-    bench; the label column is 1/70th of the bytes).  Each fetched
+    grouped count would exchange the whole table, embeddings included
+    (the label column is 1/70th of the bytes).  Each fetched
     partial is bounded by the live cluster count, so the driver
     combines at most ``n_blocks × n_clusters`` tiny rows."""
     import pyarrow.compute as pc
@@ -331,7 +341,8 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
     """Clustered plan (SemDeDup proper).  One sample-trained k-means,
     one streaming assignment pass, a cluster-size census with second-
     level k-means inside hot clusters (> ``hot_cap_factor`` × mean;
-    see module docstring), one groupby, blocked in-cluster matmuls.
+    see module docstring), one grouped scan, blocked in-cluster
+    matmuls.
     Drops are a sound subset of the exact rule's.
 
     The assignment pass is recomputed by the census / sub-train /
@@ -433,8 +444,14 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
             assigned = assigned.map_batches(resplit,
                                             batch_format="pyarrow")
 
-    return assigned.groupby("cluster").map_groups(
-        _cluster_rule(eps, id_col, emb_col), batch_format="pyarrow")
+    rule = _cluster_rule(eps, id_col, emb_col)
+
+    def per_cluster(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ends = np.append(starts[1:], t.num_rows)
+        return pa.concat_tables([rule(t.slice(i, j - i))
+                                 for i, j in zip(starts, ends)])
+
+    return grouped(assigned, ["cluster"], per_cluster, OUT_SCHEMA)
 
 
 def run_semdedup(emb_ds, *, eps: float = 0.4, nlist: int = 64,

@@ -3,16 +3,17 @@
 The classic inverted-index similarity join, implemented the way the
 literature actually scales it (Vernica et al., SIGMOD 2010; Bayardo et
 al., WWW 2007 prefix filter; Xiao et al., WWW 2008 positional filter),
-with this engine's key-disjoint hash exchanges (stages/shuffle.py)
-instead of per-group Python:
+with this engine's grouped scans (stages/shuffle.grouped: one
+key-disjoint exchange, then a kernel over each partition's sorted key
+runs) instead of per-group Python:
 
   1. **df pass** — explode every document's distinct word n-grams to
-     (gram_hash, page_id, setsize) rows and hash-partition by gram;
+     (gram_hash, page_id, setsize) rows and group them by gram;
      each gram's rows land in one block, so its document frequency is
      a run length.  The df column and the (gram, page) sort order are
      attached to the materialized partition blocks once, and both
      later passes (prefix source, exact count) reuse them.
-  2. **prefix pass** — re-partition by document; each document sorts
+  2. **prefix pass** — re-group by document; each document sorts
      its grams by (df, gram) — the global total order — and keeps only
      its *prefix* of length L - ceil(t·L) + 1 together with each
      gram's position in that order.  Pair-prefix theorem: any pair
@@ -20,7 +21,7 @@ instead of per-group Python:
      indexing prefixes alone loses no answers, while boilerplate
      grams (highest df) sort last and almost never enter a prefix —
      this is the skew handling, no cap or chain heuristic needed.
-  3. **candidate pass** — partition prefix rows by gram, emit all
+  3. **candidate pass** — group prefix rows by gram, emit all
      within-bucket pairs, prune with the length filter
      (min(|A|,|B|) ≥ t·max(|A|,|B|)) and the PPJoin positional
      filter: a shared gram at positions (pa, pb) bounds the overlap
@@ -52,10 +53,10 @@ Exact — byte-equal to the DuckDB oracle (`__ray_entry__.oracle_sql`)
 — and every per-row loop is numpy over run boundaries.
 
 Partitioning assumption, stated: a gram run is never split across
-blocks (the key-disjoint exchange, stages/shuffle.hash_partitioned,
-merges each partition into one block; its width comes from the data,
-``shuffle.partition_width``).  No task holds the full candidate set:
-adjacency build, count and finish are all per-shard.
+blocks (stages/shuffle.grouped merges each partition into one block;
+its width comes from the data, ``shuffle.partition_width``).  No task
+holds the full candidate set: adjacency build, count and finish are
+all per-shard.
 
 N-grams are built over raw whitespace words (NOT canonical tokens) so
 the SQL oracle can reproduce the result verbatim.
@@ -68,7 +69,7 @@ import pyarrow as pa
 
 from nxsearch_ray.functions.hashing import hash_strings
 from nxsearch_ray.stages.join import sorted_lookup
-from nxsearch_ray.stages.shuffle import hash_partitioned
+from nxsearch_ray.stages.shuffle import grouped
 
 _WS_RE = None
 
@@ -113,64 +114,33 @@ def explode_ngrams(n: int, id_col: str = "page_id",
     return fn
 
 
-def _attach_df(t: pa.Table) -> pa.Table:
-    """Per-block (gram-disjoint) run lengths = exact global df.  The
-    output is lexsorted by (bucket_key, page_id) so the exact-count
-    pass can reuse the order without re-sorting."""
-    n = t.num_rows
-    if n == 0:
-        return t.append_column("df", pa.array([], type=pa.int64()))
-    keys = t.column("bucket_key").to_numpy()
-    pid = t.column("page_id").to_numpy()
-    order = np.lexsort((pid, keys))
-    t = t.take(pa.array(order, type=pa.int64()))
-    keys = keys[order]
-    change = np.nonzero(keys[1:] != keys[:-1])[0] + 1
-    starts = np.concatenate(([0], change))
-    counts = np.diff(np.concatenate((starts, [n])))
-    run_id = np.cumsum(np.concatenate(
-        ([0], (keys[1:] != keys[:-1]).astype(np.int64))))
-    return t.append_column("df", pa.array(counts[run_id],
-                                          type=pa.int64()))
+_GRAMS = pa.schema([("bucket_key", pa.uint64()), ("page_id", pa.int64()),
+                    ("setsize", pa.int64())])
+_CANDS = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                    ("size_a", pa.int64()), ("size_b", pa.int64())])
+
+
+def _attach_df(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    """Gram run lengths = exact global df (every run is whole in its
+    partition).  The rows stay lexsorted by (bucket_key, page_id) so
+    the exact-count pass can reuse the order without re-sorting."""
+    df = np.diff(starts, append=t.num_rows)
+    return t.append_column("df", pa.array(np.repeat(df, df)))
 
 
 def _prefix_fn(threshold: float):
-    def fn(t: pa.Table) -> pa.Table:
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
         """Per-document prefix under the global (df, gram) order, with
         each kept gram's position in that order (positional filter)."""
-        out_names = ["bucket_key", "page_id", "setsize", "pos"]
-        n = t.num_rows
-        if n == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], type=pa.uint64()),
-                 pa.array([], type=pa.int64()),
-                 pa.array([], type=pa.int64()),
-                 pa.array([], type=pa.int64())], names=out_names)
-        pid = t.column("page_id").to_numpy()
-        gram = t.column("bucket_key").to_numpy()
-        df = t.column("df").to_numpy()
-        size = t.column("setsize").to_numpy()
-        order = np.lexsort((gram, df, pid))
-        pid, gram, df, size = (pid[order], gram[order], df[order],
-                               size[order])
-        change = np.nonzero(pid[1:] != pid[:-1])[0] + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((starts[1:], [n]))
-        lens = ends - starts
+        lens = np.diff(starts, append=t.num_rows)
         # prefix length p = L - ceil(t*L) + 1 (epsilon guards the
         # float ceil; an over-long prefix is only ever a superset)
         k = np.ceil(threshold * lens - 1e-9).astype(np.int64)
         p = np.maximum(lens - k + 1, 0)
-        run_id = np.cumsum(np.concatenate(
-            ([0], (pid[1:] != pid[:-1]).astype(np.int64))))
-        offset_in_run = np.arange(n) - starts[run_id]
-        keep = offset_in_run < p[run_id]
-        return pa.Table.from_arrays(
-            [pa.array(gram[keep], type=pa.uint64()),
-             pa.array(pid[keep], type=pa.int64()),
-             pa.array(size[keep], type=pa.int64()),
-             pa.array(offset_in_run[keep], type=pa.int64())],
-            names=out_names)
+        offset_in_run = np.arange(t.num_rows) - np.repeat(starts, lens)
+        keep = offset_in_run < np.repeat(p, lens)
+        return t.select(_GRAMS.names).filter(keep).append_column(
+            "pos", pa.array(offset_in_run[keep]))
 
     return fn
 
@@ -182,24 +152,11 @@ def _cand_pairs(threshold: float):
     survives iff ANY of its shared prefix grams passes — duplicates
     fold in the adjacency build."""
 
-    out_schema = pa.schema([
-        ("a", pa.int64()), ("b", pa.int64()),
-        ("size_a", pa.int64()), ("size_b", pa.int64())])
-
-    def fn(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return out_schema.empty_table()
-        keys = t.column("bucket_key").to_numpy()
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
         pid = t.column("page_id").to_numpy()
         size = t.column("setsize").to_numpy()
         pos = t.column("pos").to_numpy()
-        order = np.lexsort((pid, keys))
-        keys, pid, size, pos = (keys[order], pid[order], size[order],
-                                pos[order])
-        change = np.nonzero(keys[1:] != keys[:-1])[0] + 1
-        starts = np.concatenate(([0], change))
-        counts = np.diff(np.concatenate((starts, [n])))
+        counts = np.diff(starts, append=t.num_rows)
         ai, bi = [], []
         two = starts[counts == 2]
         if len(two):
@@ -211,7 +168,7 @@ def _cand_pairs(threshold: float):
             ai.append(s + iu[0])
             bi.append(s + iu[1])
         if not ai:
-            return out_schema.empty_table()
+            return _CANDS.empty_table()
         ia = np.concatenate(ai)
         ib = np.concatenate(bi)
         sa, sb = size[ia], size[ib]
@@ -227,13 +184,9 @@ def _cand_pairs(threshold: float):
         ubound = 1 + np.minimum(pa_, pb_) \
             + np.minimum(sa - pa_ - 1, sb - pb_ - 1)
         keep &= ubound >= alpha
-        if not keep.any():
-            return out_schema.empty_table()
         ia, ib = ia[keep], ib[keep]
-        return pa.Table.from_arrays(
-            [pa.array(pid[ia]), pa.array(pid[ib]),
-             pa.array(size[ia]), pa.array(size[ib])],
-            schema=out_schema)
+        return pa.table([pid[ia], pid[ib], size[ia], size[ib]],
+                        schema=_CANDS)
 
     return fn
 
@@ -293,12 +246,7 @@ def build_pair_adjacency_refs(cand_ds, *, num_shards: int | None = None,
             if blk.num_rows:
                 parts.append(blk)
             del blk
-        if not parts:
-            tbl = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                             ("size_a", pa.int64()),
-                             ("size_b", pa.int64())]).empty_table()
-        else:
-            tbl = pa.concat_tables(parts)
+        tbl = pa.concat_tables(parts) if parts else _CANDS.empty_table()
         a = tbl.column("a").to_numpy()
         b = tbl.column("b").to_numpy()
         sa = tbl.column("size_a").to_numpy()
@@ -462,16 +410,14 @@ def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.5,
 
     keyed = docs_ds.map_batches(explode_ngrams(n, id_col, text_col),
                                 batch_format="pyarrow")
-    gparts = hash_partitioned(keyed, ["bucket_key"]) \
-        .map_batches(_attach_df, batch_format="pyarrow",
-                     batch_size=None).materialize()
-
-    prefix = hash_partitioned(gparts, ["page_id"]) \
-        .map_batches(_prefix_fn(threshold), batch_format="pyarrow",
-                     batch_size=None)
-    cand = hash_partitioned(prefix, ["bucket_key"]) \
-        .map_batches(_cand_pairs(threshold), batch_format="pyarrow",
-                     batch_size=None)
+    gparts = grouped(keyed, ["bucket_key"], _attach_df,
+                     _GRAMS.append(pa.field("df", pa.int64())),
+                     then_by=["page_id"])
+    prefix = grouped(gparts, ["page_id"], _prefix_fn(threshold),
+                     _GRAMS.append(pa.field("pos", pa.int64())),
+                     then_by=["df", "bucket_key"])
+    cand = grouped(prefix, ["bucket_key"], _cand_pairs(threshold),
+                   _CANDS, then_by=["page_id"])
     # no dedup exchange: each shard's adjacency builder streams every
     # candidate block, filters to its shard (a function of ``a``
     # alone) and dedups its shard globally in one pass

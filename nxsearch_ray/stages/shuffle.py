@@ -1,9 +1,7 @@
-"""Key-disjoint hash repartitioning — the engine's core exchange.
+"""Key-disjoint hash repartitioning — the engine's one exchange.
 
 ``hash_partitioned`` sends every row to the partition its key hashes
-to, so EVERY row of a given key lands in exactly one output block.
-That property removes the whole block-edge machinery the sort-based
-plans need (pending rows, fallback groupby, a done/pending split): a
+to, so EVERY row of a given key lands in exactly one output block: a
 per-block vectorized scan after a local sort sees every key run in
 full — one exchange, no fallback pass, no second shuffle for
 stragglers.
@@ -19,6 +17,15 @@ the input's block refs and their metadata), so its cost lands at the
 call site; the result is a materialized Dataset whose block i holds
 the rows with ``key_hash(...) % P == i``.
 
+``grouped`` is the engine's group-by: the same exchange, then one
+task per partition sorts it by the keys, finds where each run of
+equal keys starts and hands the sorted partition and the run starts
+to a kernel.  Every run reaches the kernel whole, so a count, min or
+sum per group is one ``np.<ufunc>.reduceat(col, starts)`` and a
+per-group rule loops over the runs.  It replaces Ray Data's
+sort-shuffle ``groupby`` (which sorted through a sample-partition-
+merge all-to-all and cost seconds per call at benchmark scale).
+
 ``co_partitioned`` runs the same exchange over several inputs at one
 width, so partition i of each input holds the same keys: a
 partition-wise (Grace) hash join then joins each partition pair in
@@ -32,6 +39,8 @@ tasks with at most eight inputs each.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 # a partition's byte target (Ray Data's default target block size):
@@ -104,12 +113,9 @@ def _split(block, keys, P):
     return pieces if P > 1 else pieces[0]
 
 
-@ray.remote
-def _merge(*pieces):
+def _concat(pieces) -> pa.Table:
     """One partition's pieces → its block.  Empty pieces are dropped
     unless nothing else is left (their schema may be zero-column)."""
-    import pyarrow as pa
-
     full = [p for p in pieces if p.num_rows]
     if not full:
         return max(pieces, key=lambda p: p.num_columns,
@@ -117,13 +123,37 @@ def _merge(*pieces):
     return pa.concat_tables(full, promote_options="default")
 
 
-def co_partitioned(sides, num_partitions: int | None = None):
-    """Run one exchange over several ``(ds, keys)`` sides with one width
-    P: returns, per side, the P merged block refs, partition i of every
-    side holding the rows with ``key_hash(keys) % P == i``, so rows of
-    equal keys meet in partition i of each side (a partition-wise join
-    pairs them up).  P is ``num_partitions``, else ``partition_width``
-    of all sides' block metadata taken together."""
+@ray.remote
+def _merge(*pieces):
+    return _concat(pieces)
+
+
+@ray.remote
+def _group(keys, then_by, fn, schema, *pieces):
+    """One partition's pieces → ``fn(sorted partition, run starts)``;
+    an empty partition → ``schema.empty_table()``."""
+    t = _concat(pieces)
+    n = t.num_rows
+    if n == 0:
+        return schema.empty_table()
+    t = t.take(pc.sort_indices(t, sort_keys=[
+        (k, "ascending") for k in [*keys, *then_by]]))
+    brk = np.zeros(n, dtype=bool)
+    brk[0] = True
+    for k in keys:
+        a, b = t.column(k).slice(1), t.column(k).slice(0, n - 1)
+        ne = pc.fill_null(pc.not_equal(a, b), True)
+        if a.null_count:                 # null == null: one run
+            ne = pc.and_not(ne, pc.and_(pc.is_null(a), pc.is_null(b)))
+        brk[1:] |= ne.to_numpy()
+    return fn(t, np.flatnonzero(brk))
+
+
+def _exchange(sides, num_partitions: int | None):
+    """Split every block of every ``(ds, keys)`` side into P pieces;
+    returns, per side, P lists of piece refs, list i holding the rows
+    with ``key_hash(keys) % P == i``.  P is ``num_partitions``, else
+    ``partition_width`` of all sides' block metadata taken together."""
     sides = [([b for bundle in ds.iter_internal_ref_bundles()
                for b in bundle.blocks], list(keys)) for ds, keys in sides]
     metas = [m for blocks, _ in sides for _, m in blocks]
@@ -138,8 +168,17 @@ def co_partitioned(sides, num_partitions: int | None = None):
     # only the splits hold the input now: each block is freed as its
     # split finishes, not when the merges do
     del sides
-    return [[_merge.remote(*[p[i] for p in side]) for i in range(P)]
-            for side in pieces]
+    return [[[p[i] for p in side] for i in range(P)] for side in pieces]
+
+
+def co_partitioned(sides, num_partitions: int | None = None):
+    """Run one exchange over several ``(ds, keys)`` sides with one width
+    P: returns, per side, the P merged block refs, partition i of every
+    side holding the rows with ``key_hash(keys) % P == i``, so rows of
+    equal keys meet in partition i of each side (a partition-wise join
+    pairs them up)."""
+    return [[_merge.remote(*part) for part in side]
+            for side in _exchange(sides, num_partitions)]
 
 
 def hash_partitioned(ds, keys, num_partitions: int | None = None):
@@ -150,6 +189,23 @@ def hash_partitioned(ds, keys, num_partitions: int | None = None):
 
     return rd.from_arrow_refs(
         co_partitioned([(ds, keys)], num_partitions)[0])
+
+
+def grouped(ds, keys, fn, schema, then_by=()):
+    """Group ``ds`` by ``keys``: one exchange on ``keys``, then one task
+    per partition sorts it by ``keys`` (then by ``then_by`` inside each
+    run) and returns ``fn(sorted_table, starts)``, ``starts`` being the
+    int64 row index where each run of equal keys begins (nulls form one
+    run).  Every run reaches ``fn`` whole and exactly once.  An empty
+    partition returns ``schema.empty_table()``, so ``fn`` never sees
+    one; ``fn`` must return ``schema`` too.  Runs now and returns a
+    materialized Dataset of one block per partition."""
+    import ray.data as rd
+
+    keys, then_by = list(keys), list(then_by)
+    return rd.from_arrow_refs([
+        _group.remote(keys, then_by, fn, schema, *part)
+        for part in _exchange([(ds, keys)], None)[0]])
 
 
 def tree_fold(parts: list, merge_remote):

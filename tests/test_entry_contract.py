@@ -129,16 +129,7 @@ def test_entry_smoke(ray_session):
 def test_dedup_exact_verify_invariants(ray_session):
     """The flagship-output oracle: every md5-identical page group is
     co-clustered and cluster ids are component minima (sf0.001)."""
-    t = entry_mod.q_dedup_exact_verify("/root/testdata/sf0.001")
-    import pyarrow as pa
-    if not isinstance(t, pa.Table):
-        t = pa.concat_tables(
-            b for b in t.iter_batches(batch_format="pyarrow",
-                                      batch_size=1 << 20))
-    assert t.num_rows > 0
-    assert set(t.column("n_clusters").to_pylist()) == {1}
-    assert set(t.column("cluster_is_component_min").to_pylist()) \
-        == {True}
+    _assert_dedup_invariants("/root/testdata/sf0.001", "auto")
 
 
 def test_ann_exhaustive_probe_losslessness(ray_session):
@@ -154,40 +145,13 @@ def test_dedup_planted_pair_recall_invariants(ray_session):
     """Round-4 oracles: every planted copy/tail pair is a verified
     pair (`found` all-True) and every planted variant group lands in
     ONE cluster at least as large as the group (sf0.001)."""
-    import pyarrow as pa
-
-    def as_table(x):
-        if isinstance(x, pa.Table):
-            return x
-        return pa.concat_tables(
-            b for b in x.iter_batches(batch_format="pyarrow",
-                                      batch_size=1 << 20))
-
-    pairs = as_table(entry_mod.q_dedup_pairs("/root/testdata/sf0.001"))
-    assert pairs.num_rows > 0
-    assert set(pairs.column("found").to_pylist()) == {True}
-    assert set(pairs.column("variant").to_pylist()) == {"copy", "tail"}
-
-    groups = as_table(
-        entry_mod.q_cluster_sizes("/root/testdata/sf0.001"))
-    assert groups.num_rows > 0
-    assert set(groups.column("n_clusters").to_pylist()) == {1}
-    assert set(groups.column("cluster_size_ok").to_pylist()) == {True}
+    _assert_dedup_invariants("/root/testdata/sf0.001", "auto")
 
 
 def test_dedup_variants_reach_their_plans(ray_session):
     """Each graded dedup variant runs the path it grades — so an
     ``auto`` fallback cannot silently grade the broadcast plan — and
     all three dedup invariants hold on its result (sf0.001)."""
-    import pyarrow as pa
-
-    def as_table(x):
-        if isinstance(x, pa.Table):
-            return x
-        return pa.concat_tables(
-            b for b in x.iter_batches(batch_format="pyarrow",
-                                      batch_size=1 << 20))
-
     sf = "/root/testdata/sf0.001"
     variants = ("scale", "incremental", "removed")
     stats = {v: entry_mod._dedup(sf, v).stats for v in variants}
@@ -196,15 +160,35 @@ def test_dedup_variants_reach_their_plans(ray_session):
     assert stats["incremental"]["incremental_new_pages"] > 0
     assert stats["removed"]["removed_found"] > 0
     for v in variants:
-        pairs = as_table(entry_mod.q_dedup_pairs(sf, v))
-        assert pairs.num_rows > 0, v
-        assert set(pairs.column("found").to_pylist()) == {True}, v
-        for fn, flag in ((entry_mod.q_cluster_sizes, "cluster_size_ok"),
-                         (entry_mod.q_dedup_exact_verify,
-                          "cluster_is_component_min")):
-            groups = as_table(fn(sf, v))
-            assert groups.num_rows > 0, (v, flag)
-            assert set(groups.column("n_clusters").to_pylist()) == {1}, \
-                (v, flag)
-            assert set(groups.column(flag).to_pylist()) == {True}, \
-                (v, flag)
+        _assert_dedup_invariants(sf, v)
+
+
+def _as_table(x):
+    import pyarrow as pa
+
+    if isinstance(x, pa.Table):
+        return x
+    return pa.concat_tables(
+        b for b in x.iter_batches(batch_format="pyarrow",
+                                  batch_size=1 << 20))
+
+
+def _assert_dedup_invariants(sf: str, variant: str):
+    """The three dedup invariants on one variant's run: every planted
+    copy/tail pair is a verified pair, and both group checks (planted
+    variant groups, md5-identical page groups) find each group in ONE
+    cluster that passes the check's flag."""
+    pairs = _as_table(entry_mod.q_dedup_pairs(sf, variant))
+    assert pairs.num_rows > 0, variant
+    assert set(pairs.column("found").to_pylist()) == {True}, variant
+    assert set(pairs.column("variant").to_pylist()) == {"copy", "tail"}, \
+        variant
+    for fn, flag in ((entry_mod.q_cluster_sizes, "cluster_size_ok"),
+                     (entry_mod.q_dedup_exact_verify,
+                      "cluster_is_component_min")):
+        groups = _as_table(fn(sf, variant))
+        assert groups.num_rows > 0, (variant, flag)
+        assert set(groups.column("n_clusters").to_pylist()) == {1}, \
+            (variant, flag)
+        assert set(groups.column(flag).to_pylist()) == {True}, \
+            (variant, flag)
