@@ -4,15 +4,17 @@ The driver calls ``ray.init`` itself before importing this module:
 nothing here (or in the library) may call ``ray.init``/``ray.shutdown``.
 
 ``queries()`` exposes one entry per implemented operator/pipeline from
-SURVEY.md §2 plus the training-data operators (dedup variants, ANN,
-text stats).  Where the semantics are expressible in ANSI SQL,
-``oracle_sql()`` carries the DuckDB-equivalent query over the same
-parquet tables; the `pages` table (north-rule input shape) is derived
-from `documents` by a deterministic, SQL-reproducible CTE (see
-nxsearch_ray/sources/pages.py) so both sides compute over identical
-inputs.  Non-SQL-expressible pipelines (MinHash/LSH clustering,
-language-ID, LSH ANN) are rows-only checks backed by pure-python
-oracles in tests/.
+SURVEY.md §2 plus the training-data operators (dedup variants, the
+composed corpus job, semantic dedup, text stats).  Where the semantics
+are expressible in ANSI SQL, ``oracle_sql()`` carries the
+DuckDB-equivalent query over the same parquet tables; the `pages`
+table (north-rule input shape) is derived from `documents` by a
+deterministic, SQL-reproducible CTE (see nxsearch_ray/sources/pages.py)
+so both sides compute over identical inputs.  Pipelines whose output
+SQL cannot predict (MinHash/LSH clustering, the corpus job's semantic
+tier) are graded through invariants whose twin states the expected
+answer; the two rows-only entries (the approximate clustered SemDeDup
+plan, the probe-side near-dup search) are backed by oracles in tests/.
 """
 
 from __future__ import annotations
@@ -163,21 +165,25 @@ def q_exact_dedup(sf_dir: str):
     count+min scan (``_content_groups``).  The SQL twin groups by
     ``text`` itself, so the comparable output carries no hash column:
     each group is identified by its unique ``canonical_page_id``."""
+    keyed = _pages(sf_dir, include_html=False).map_batches(
+        _text_key, batch_format="pyarrow")
+
+    return _content_groups(keyed, "n_dups").filter(expr="n_dups >= 2")
+
+
+_TEXT_KEY_SCHEMA = pa.schema([("page_id", pa.int64()), ("h1", pa.int64()),
+                              ("h2", pa.int64())])
+
+
+def _text_key(t: pa.Table) -> pa.Table:
+    """``(page_id, h1, h2)``: each page's 128-bit full-text hash."""
     from nxsearch_ray.functions.hashing import (content_hash128,
                                                 string_buffers)
 
-    def add_key(t: pa.Table) -> pa.Table:
-        offs, data = string_buffers(t.column("text"))
-        h1, h2 = content_hash128(offs, data)
-        return pa.table({
-            "page_id": t.column("page_id"),
-            "h1": pa.array(h1, type=pa.int64()),
-            "h2": pa.array(h2, type=pa.int64())})
-
-    keyed = _pages(sf_dir, include_html=False).map_batches(
-        add_key, batch_format="pyarrow")
-
-    return _content_groups(keyed, "n_dups").filter(expr="n_dups >= 2")
+    offs, data = string_buffers(t.column("text"))
+    h1, h2 = content_hash128(offs, data)
+    return pa.table([t.column("page_id"), h1, h2],
+                    schema=_TEXT_KEY_SCHEMA)
 
 
 def _content_groups(keyed, n_col: str, sum_cols: tuple = ()):
@@ -372,74 +378,9 @@ def q_fingerprint(sf_dir: str):
         .select_columns(["doc_id", "md5"])
 
 
-_ANN_NQ = 4
-_ANN_K = 10
 # sandbox embeddings are near-random (max pairwise cos ≈ 0.51 at
 # sf0.01): the dup threshold is set low so the parity check is non-empty
 _EMB_DUP_THR = 0.45
-
-
-def _query_vectors(sf_dir: str) -> dict:
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    import pyarrow.compute as pc
-
-    t = t.filter(pc.less(t.column("vec_id"), _ANN_NQ))
-    t = t.take(pa.array(np.argsort(t.column("vec_id").to_numpy()),
-                        type=pa.int64()))
-    from nxsearch_ray.stages.signatures import list_column_numpy
-
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
-    dim = int(off[1] - off[0])
-    return {"qids": t.column("vec_id").to_numpy(),
-            "vectors": flat.reshape(-1, dim)}
-
-
-def q_ann_topk(sf_dir: str):
-    import ray
-
-    from nxsearch_ray.stages.ann import brute_force_topk
-
-    ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    qref = ray.put(_query_vectors(sf_dir))
-    out = brute_force_topk(ds, qref, _ANN_K)
-    return out.select_columns(["qid", "vec_id"])
-
-
-def q_ann_topk_lsh(sf_dir: str):
-    import ray
-
-    from nxsearch_ray.stages.ann import lsh_topk
-
-    ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    qref = ray.put(_query_vectors(sf_dir))
-    # nbits=4 + all-single-bit multiprobe: recall 0.9 vs brute force at
-    # sf0.01 (sandbox embeddings are near-random, so top-10 neighbors
-    # sit ~3 bits away; coarse buckets are the honest recall/scan
-    # trade — raise nbits for real clustered embeddings)
-    return lsh_topk(ds, qref, _ANN_K, nbits=4).select_columns(
-        ["qid", "vec_id"])
-
-
-def q_ann_topk_ivf(sf_dir: str):
-    import ray
-
-    from nxsearch_ray.stages.ann import ivf_topk
-
-    ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    qref = ray.put(_query_vectors(sf_dir))
-    # nlist=16/nprobe=8: scan ~half the lists.  The sandbox embeddings
-    # are near-random so the coarse quantizer carves thin Voronoi
-    # cells; on real clustered embeddings nlist ~ sqrt(n), nprobe ~
-    # nlist/8 gives the usual 10-20x scan reduction.
-    return ivf_topk(ds, qref, _ANN_K, nlist=16, nprobe=8) \
-        .select_columns(["qid", "vec_id"])
 
 
 def q_dedup_clusters(sf_dir: str):
@@ -659,103 +600,6 @@ def q_signatures_plain(sf_dir: str):
     return sigs.map_batches(project, batch_format="pyarrow")
 
 
-def _topk_overlap_table(sf_dir: str, approx_ds) -> pa.Table:
-    """Per-qid overlap counts |approx ∩ brute| as a sorted Arrow
-    table (qid, n_common, k, recall) — both sides engine-computed."""
-    def collect(ds) -> dict[int, set]:
-        cur: dict[int, set] = {}
-        for b in ds.iter_batches(batch_format="pyarrow",
-                                 batch_size=1 << 16):
-            for q, v in zip(b.column("qid").to_pylist(),
-                            b.column("vec_id").to_pylist()):
-                cur.setdefault(q, set()).add(v)
-        return cur
-
-    bsets = collect(q_ann_topk(sf_dir))
-    asets = collect(approx_ds)
-    qids = sorted(bsets)
-    n_common = [len(bsets[q] & asets.get(q, set())) for q in qids]
-    return pa.table({
-        "qid": pa.array(qids, type=pa.int64()),
-        "n_common": pa.array(n_common, type=pa.int64()),
-        "k": pa.array([_ANN_K] * len(qids), type=pa.int64()),
-        "recall": pa.array([c / _ANN_K for c in n_common],
-                           type=pa.float64())})
-
-
-def q_ann_lsh_recall(sf_dir: str):
-    """LSH losslessness gate, hash-green: with nbits=1 the probe set
-    (exact bucket + the single bit flip) covers every bucket, so the
-    sign/bucket-routing/candidate-union/rerank machinery must
-    reproduce exact brute-force top-k — recall is 1.0 by construction
-    and ANY loss in the machinery breaks the value hash.  Measured
-    recall at production (non-exhaustive) params is reported by
-    ``ann_recall_report`` and gated in pytest."""
-    import ray
-
-    from nxsearch_ray.stages.ann import lsh_topk
-
-    ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    qref = ray.put(_query_vectors(sf_dir))
-    approx = lsh_topk(ds, qref, _ANN_K, nbits=1, nprobes=1)
-    return _topk_overlap_table(sf_dir, approx)
-
-
-def q_ann_ivf_recall(sf_dir: str):
-    """IVF partition-losslessness gate, hash-green: nprobe = nlist
-    scans every inverted list, so quantizer assignment + list routing
-    + rerank must reproduce exact brute-force top-k (recall 1.0 by
-    construction; the FAISS-style sanity check).  Production-nprobe
-    recall is reported by ``ann_recall_report`` / pytest."""
-    import ray
-
-    from nxsearch_ray.stages.ann import ivf_topk
-
-    ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    qref = ray.put(_query_vectors(sf_dir))
-    approx = ivf_topk(ds, qref, _ANN_K, nlist=16, nprobe=16)
-    return _topk_overlap_table(sf_dir, approx)
-
-
-_ANN_RECALL_TARGET = 0.8
-
-
-def ann_recall_measurements(sf_dir: str) -> list[tuple]:
-    """(method, n_queries, k, measured_recall) at PRODUCTION
-    (non-exhaustive) params — deterministic engine-computed scalars
-    (seeded hashing, fixed data).  Measured at both sandbox SFs:
-    lsh 0.9 / 0.9, ivf 0.975 / 1.0 (sf0.001 / sf0.01)."""
-    rows = []
-    for method, fn in (("lsh", q_ann_topk_lsh), ("ivf", q_ann_topk_ivf)):
-        t = _topk_overlap_table(sf_dir, fn(sf_dir))
-        total = sum(t.column("n_common").to_pylist())
-        nq = t.num_rows
-        rows.append((method, nq, _ANN_K,
-                     total / (nq * _ANN_K) if nq else 0.0))
-    return rows
-
-
-def q_ann_recall_report(sf_dir: str):
-    """Production-recall GATE (the semdedup_clustered_verify
-    discipline): the engine measures approximate-vs-brute-force
-    recall at production params and emits one row per method with
-    ``passed = measured >= target`` — the SQL twin states the
-    expected invariant outcome (all passed), so any recall
-    regression below target hash-mismatches.  The measured floats
-    themselves (inherently non-SQL-expressible) are reported by
-    ``ann_recall_measurements`` and gated in pytest."""
-    rows = ann_recall_measurements(sf_dir)
-    return pa.table({
-        "method": pa.array([r[0] for r in rows], type=pa.string()),
-        "n_queries": pa.array([r[1] for r in rows], type=pa.int64()),
-        "k": pa.array([r[2] for r in rows], type=pa.int64()),
-        "target": pa.array([_ANN_RECALL_TARGET] * len(rows),
-                           type=pa.float64()),
-        "passed": pa.array([r[3] >= _ANN_RECALL_TARGET for r in rows])})
-
-
 def q_canonicalize(sf_dir: str):
     from nxsearch_ray.stages.canonicalize import canonicalize_stage
     from nxsearch_ray.stages.html_extract import extract_stage
@@ -792,7 +636,7 @@ def q_embedding_dups(sf_dir: str):
     (block-pair tasks, no full-matrix broadcast — the scale-safe exact
     plan); small block_rows so several blocks are exercised even at
     sandbox scale."""
-    from nxsearch_ray.stages.ann import embedding_dup_pairs_blocked
+    from nxsearch_ray.stages.semdedup import embedding_dup_pairs_blocked
 
     ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
@@ -832,142 +676,250 @@ def q_semantic_dedup_clustered(sf_dir: str):
                                     seed=42)
 
 
-def q_semdedup_clustered_verify(sf_dir: str):
-    """Invariant oracle for the clustered plan (the dedup_exact_verify
-    discipline): completeness is approximate by design — cross-cluster
-    pairs are missed, so full output equality is not SQL-expressible —
-    but every DROP must be justified: dup_of < id and
-    cos(id, dup_of) >= eps (minus the float32 kernel's rounding,
-    1e-5).  Two partition-wise hash joins fetch each decision's own and
-    dup embeddings; the emitted (id, dup_valid) must be all-true,
-    which is exactly the SQL twin — any unjustified drop, dangling
-    dup_of, or dup_of >= id hash-mismatches."""
-    from nxsearch_ray.stages.ann import _embedding_matrix, _normalize
-    from nxsearch_ray.stages.join import hash_join
-    from nxsearch_ray.stages.semdedup import (OUT_SCHEMA,
-                                              semantic_dedup_clustered)
+_EMB_SCHEMA = pa.schema([("vec_id", pa.int64()),
+                         ("embedding", pa.list_(pa.float32()))])
 
-    emb_schema = pa.schema([("vec_id", pa.int64()),
-                            ("embedding", pa.list_(pa.float32()))])
-    emb = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"])
-    out = semantic_dedup_clustered(emb, eps=_SEMDEDUP_EPS, nlist=8,
-                                   seed=42)
-    j1 = hash_join(out, emb, left_key="id", right_key="vec_id",
-                   left_schema=OUT_SCHEMA, right_schema=emb_schema)
+
+def _drop_justified(ds, schema: pa.Schema, emb, id_col: str):
+    """``ds`` (rows with ``id_col`` and ``dup_of``, ``schema``) plus
+    ``justified``: true for a kept row (``dup_of < 0``), else iff
+    ``dup_of < id`` and the cosine of the two rows' ``emb`` vectors is
+    at least eps (minus the float32 kernel's rounding, 1e-5).  Two
+    partition-wise hash joins fetch each row's own and dup embeddings;
+    a row with either embedding missing is not justified."""
+    import pyarrow.compute as pc
+
+    from nxsearch_ray.stages.join import hash_join
+    from nxsearch_ray.stages.semdedup import _embedding_matrix, _normalize
+
+    j1 = hash_join(ds, emb, left_key=id_col, right_key="vec_id",
+                   left_schema=schema, right_schema=_EMB_SCHEMA,
+                   how="left")
     j2 = hash_join(
         j1, emb, left_key="dup_of", right_key="vec_id",
-        left_schema=pa.schema(list(OUT_SCHEMA) + [
+        left_schema=pa.schema(list(schema) + [
             ("embedding_r", pa.list_(pa.float32()))]),
-        right_schema=emb_schema, right_suffix="_dup", how="left")
+        right_schema=_EMB_SCHEMA, right_suffix="_dup", how="left")
 
     def check(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ids = t.column("id").to_numpy()
+        ids = t.column(id_col).to_numpy()
         dup = t.column("dup_of").to_numpy()
-        valid = dup < 0                       # kept rows: nothing owed
-        rows = np.nonzero(~valid)[0]
-        if len(rows):
-            sub = t.take(pa.array(rows))
-            ok = np.zeros(len(rows), dtype=bool)
-            have = pc.is_valid(sub.column("embedding_dup")) \
+        ok = dup < 0                          # kept rows: nothing owed
+        have = (~ok & pc.is_valid(t.column("embedding_r"))
                 .to_numpy(zero_copy_only=False)
-            if have.any():
-                s2 = sub.take(pa.array(np.nonzero(have)[0]))
-                a = _normalize(_embedding_matrix(s2, "embedding_r"))
-                b = _normalize(_embedding_matrix(s2, "embedding_dup"))
-                ok[have] = (a * b).sum(axis=1) >= _SEMDEDUP_EPS - 1e-5
-            ok &= dup[rows] < ids[rows]
-            valid[rows] = ok
-        return pa.table({"id": pa.array(ids, type=pa.int64()),
-                         "dup_valid": pa.array(valid)})
+                & pc.is_valid(t.column("embedding_dup"))
+                .to_numpy(zero_copy_only=False))
+        if have.any():
+            s = t.filter(pa.array(have))
+            a = _normalize(_embedding_matrix(s, "embedding_r"))
+            b = _normalize(_embedding_matrix(s, "embedding_dup"))
+            ok[have] = ((a * b).sum(axis=1) >= _SEMDEDUP_EPS - 1e-5) \
+                & (dup[have] < ids[have])
+        return t.drop_columns(["embedding_r", "embedding_dup"]) \
+            .append_column("justified", pa.array(ok))
 
     return j2.map_batches(check, batch_format="pyarrow")
 
 
-def q_dedup_cascade(sf_dir: str):
-    """Tiered dedup cascade over `documents` — tier 1 exact content
-    (vectorized 128-bit hash groups, per-group min-id canonical),
-    tier 2 semantic (SemDeDup exact rule over tier-1 survivors'
-    embeddings, vec_id == doc_id).  One row per doc:
-    (doc_id, drop_tier ∈ {0 kept, 1 exact, 2 semantic}, dup_of).
-
-    Dataflow: one grouped scan for tier 1; one partition-wise hash join
-    ships tier-1 flags onto the embeddings; the survivor slice runs the
-    blocked semantic plan; one partition-wise left join folds tier-2 flags
-    back.  No driver materialization, no O(n) broadcast."""
-    from nxsearch_ray.functions.hashing import (content_hash128,
-                                                string_buffers)
-    from nxsearch_ray.stages.join import hash_join
-
-    docs = _read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-
-    def add_key(t: pa.Table) -> pa.Table:
-        offs, data = string_buffers(t.column("text"))
-        h1, h2 = content_hash128(offs, data)
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "h1": pa.array(h1, type=pa.int64()),
-                         "h2": pa.array(h2, type=pa.int64())})
-
-    t1_schema = pa.schema([("doc_id", pa.int64()), ("dup1", pa.int64())])
-
-    def group_min(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        lo = np.repeat(np.minimum.reduceat(ids, starts),
-                       np.diff(starts, append=len(ids)))
-        return pa.table([ids, np.where(ids == lo, np.int64(-1), lo)],
-                        schema=t1_schema)
-
-    # the per-doc tier-1 flags are pinned (grouped runs when called):
-    # two int64s per doc, object-store resident
-    t1 = grouped(docs.map_batches(add_key, batch_format="pyarrow"),
-                 ["h1", "h2"], group_min, t1_schema)
+def q_semdedup_clustered_verify(sf_dir: str):
+    """Invariant oracle for the clustered plan (the dedup_exact_verify
+    discipline): completeness is approximate by design — cross-cluster
+    pairs are missed, so full output equality is not SQL-expressible —
+    but every DROP must be justified (``_drop_justified``): dup_of < id
+    and cos(id, dup_of) >= eps.  The emitted (id, dup_valid) must be
+    all-true, which is exactly the SQL twin — any unjustified drop,
+    dangling dup_of, or dup_of >= id hash-mismatches."""
+    from nxsearch_ray.stages.semdedup import (OUT_SCHEMA,
+                                              semantic_dedup_clustered)
 
     emb = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    emb_t1 = hash_join(
-        emb, t1, left_key="vec_id", right_key="doc_id",
-        left_schema=pa.schema([("vec_id", pa.int64()),
-                               ("embedding", pa.list_(pa.float32()))]),
-        right_schema=t1_schema)
-    # pin the survivor slice: the blocked pair plan consumes its
-    # input twice (count + block refs) — without the pin each pass
-    # re-runs the tier-1 exchange join.  Object-store resident, same
-    # footprint as the blocked plan's pinned refs.
-    surv_emb = emb_t1.filter(expr="dup1_r < 0") \
-        .select_columns(["vec_id", "embedding"]).materialize()
+                        columns=["vec_id", "embedding"])
+    out = semantic_dedup_clustered(emb, eps=_SEMDEDUP_EPS, nlist=8,
+                                   seed=42)
+    return _drop_justified(out, OUT_SCHEMA, emb, "id").map_batches(
+        lambda t: pa.table({"id": t.column("id"),
+                            "dup_valid": t.column("justified")}),
+        batch_format="pyarrow")
 
-    # tier-2 dup map straight from the pair stream (skipping
-    # semantic_dedup_exact's internal flag join — its output would be
-    # re-joined onto t1 anyway); pinned like the flagship's candidates
-    from nxsearch_ray.stages.ann import embedding_dup_pairs_blocked
-    from nxsearch_ray.stages.semdedup import DUP_SCHEMA, dup_map
-    dups2 = dup_map(embedding_dup_pairs_blocked(
-        surv_emb, threshold=_SEMDEDUP_EPS, block_rows=1024))
 
-    final = hash_join(
-        t1, dups2, left_key="doc_id", right_key="b",
-        left_schema=t1_schema, right_schema=DUP_SCHEMA, how="left")
+# ------------------------------------------------------------------
+# the composed corpus job: clean -> near-dup -> semantic
+# (pipelines/corpus.run_corpus), graded through five invariants
 
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or t.num_columns == 0:
-            return pa.schema([("doc_id", pa.int64()),
-                              ("drop_tier", pa.int64()),
-                              ("dup_of", pa.int64())]).empty_table()
-        ids = t.column("doc_id").to_numpy()
-        dup1 = t.column("dup1").to_numpy()
-        dup2 = np.asarray(t.column("dup_of_r").fill_null(-1).to_numpy(
-            zero_copy_only=False), dtype=np.int64)
-        tier = np.where(dup1 >= 0, np.int64(1),
-                        np.where(dup2 >= 0, np.int64(2), np.int64(0)))
-        dup_of = np.where(dup1 >= 0, dup1, dup2)
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "drop_tier": pa.array(tier, type=pa.int64()),
-                         "dup_of": pa.array(dup_of, type=pa.int64())})
+# sf_dir -> CorpusResult
+_CORPUS_CACHE: dict[str, Any] = {}
 
-    return final.map_batches(finish, batch_format="pyarrow")
+
+def _page_embeddings(sf_dir: str):
+    """One embedding per page: ``vec_id = page_id`` carries the vector
+    of its document ``page_id >> 2``, so a planted copy shares its
+    original's vector (SQL: ``pages JOIN embeddings ON
+    embeddings.vec_id = page_id // 4``)."""
+    from nxsearch_ray.stages.join import hash_join
+
+    def doc_key(t: pa.Table) -> pa.Table:
+        ids = t.column("page_id").to_numpy()
+        return pa.table({"page_id": ids, "doc_id": ids >> 2})
+
+    keyed = _pages(sf_dir, include_html=False).map_batches(
+        doc_key, batch_format="pyarrow")
+    emb = _read_parquet(f"{sf_dir}/embeddings.parquet",
+                        columns=["vec_id", "embedding"])
+    joined = hash_join(keyed, emb, left_key="doc_id", right_key="vec_id",
+                       left_schema=pa.schema([("page_id", pa.int64()),
+                                              ("doc_id", pa.int64())]),
+                       right_schema=_EMB_SCHEMA)
+    return joined.map_batches(
+        lambda t: pa.table({"vec_id": t.column("page_id"),
+                            "embedding": t.column("embedding_r")}),
+        batch_format="pyarrow")
+
+
+def _corpus(sf_dir: str):
+    """Memoized ``run_corpus`` over the pages, with ``url_blocklist``'s
+    blocklist and ``_page_embeddings`` (several queries grade its
+    decision rows).  It runs at the semantic queries' eps: at
+    ``run_corpus``'s default 0.93 the near-random sandbox vectors drop
+    no page semantically, and the semantic invariant would test
+    nothing."""
+    if sf_dir not in _CORPUS_CACHE:
+        from nxsearch_ray.pipelines.corpus import run_corpus
+
+        _CORPUS_CACHE[sf_dir] = run_corpus(
+            _pages(sf_dir, include_html=False), _CFG,
+            embeddings_ds=_page_embeddings(sf_dir), blocklist=_BLOCKLIST,
+            semdedup_eps=_SEMDEDUP_EPS, semdedup_nlist=8, seed=42)
+    return _CORPUS_CACHE[sf_dir]
+
+
+def q_corpus_decisions(sf_dir: str):
+    """The page ids of the corpus job's decision rows.  The twin lists
+    the clean tier's survivors (off the blocklist, Gopher ``keep``):
+    a missing or doubled decision row, or a drift in the clean tier,
+    breaks the hash."""
+    return _corpus(sf_dir).decisions.select_columns(["page_id"])
+
+
+def q_corpus_exact_groups(sf_dir: str):
+    """One row per group of ≥ 2 clean pages with identical text:
+    ``(group_min_page_id, n_kept_non_min)``, the second counting the
+    members other than the group's min that the near-dup tier kept
+    (``drop_tier`` ≠ 2).  Identical pages share a cluster whose id is
+    at most the group's min, so the twin says 0 everywhere; a surviving
+    non-min member breaks the hash."""
+    from nxsearch_ray.pipelines.corpus import DECISION_SCHEMA
+    from nxsearch_ray.stages.join import hash_join
+
+    schema = pa.schema([("group_min_page_id", pa.int64()),
+                        ("n_kept_non_min", pa.int64())])
+
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ids = t.column("page_id").to_numpy()
+        n = np.diff(starts, append=len(ids))
+        lo = np.minimum.reduceat(ids, starts)
+        kept = (t.column("drop_tier").to_numpy() != 2) \
+            & (ids != np.repeat(lo, n))
+        big = n >= 2
+        return pa.table([lo[big], np.add.reduceat(
+            kept.astype(np.int64), starts)[big]], schema=schema)
+
+    keyed = _pages(sf_dir, include_html=False).map_batches(
+        _text_key, batch_format="pyarrow")
+    joined = hash_join(keyed, _corpus(sf_dir).decisions,
+                       left_key="page_id", right_key="page_id",
+                       left_schema=_TEXT_KEY_SCHEMA,
+                       right_schema=DECISION_SCHEMA, right_suffix="")
+    return grouped(joined, ["h1", "h2"], fn, schema)
+
+
+def _corpus_dup_tiers(sf_dir: str):
+    """The decision rows, each with its ``dup_of``'s own drop tier
+    (``drop_tier_dup``, null when ``dup_of`` is no decision row)."""
+    from nxsearch_ray.pipelines.corpus import DECISION_SCHEMA
+    from nxsearch_ray.stages.join import hash_join
+
+    dec = _corpus(sf_dir).decisions
+    return hash_join(dec, dec.select_columns(["page_id", "drop_tier"]),
+                     left_key="dup_of", right_key="page_id",
+                     left_schema=DECISION_SCHEMA,
+                     right_schema=DECISION_SCHEMA.remove(2),
+                     right_suffix="_dup", how="left")
+
+
+def _survivor(dup_tier: pa.ChunkedArray) -> np.ndarray:
+    """Whether each ``drop_tier_dup`` names a near-dup survivor (a
+    decision row of tier 0 or 3)."""
+    tier = dup_tier.fill_null(2).to_numpy(zero_copy_only=False)
+    return (tier == 0) | (tier == 3)
+
+
+def q_corpus_neardup_valid(sf_dir: str):
+    """``(page_id, valid)`` per decision row.  A near-dup drop (tier 2)
+    is valid iff its ``dup_of`` is a smaller page the near-dup tier
+    kept, a kept row (tier 0) iff it has no ``dup_of``; a semantic drop
+    is graded by ``corpus_semantic_valid`` and any other tier is
+    invalid.  The twin says all true."""
+    def check(t: pa.Table) -> pa.Table:
+        ids = t.column("page_id").to_numpy()
+        tier = t.column("drop_tier").to_numpy()
+        dup = t.column("dup_of").to_numpy()
+        valid = np.where(
+            tier == 2, (dup < ids) & _survivor(t.column("drop_tier_dup")),
+            ((tier == 0) & (dup < 0)) | (tier == 3))
+        return pa.table({"page_id": ids, "valid": valid})
+
+    return _corpus_dup_tiers(sf_dir).map_batches(check,
+                                                 batch_format="pyarrow")
+
+
+def q_corpus_semantic_valid(sf_dir: str):
+    """``(page_id, valid)`` per decision row.  A semantic drop (tier 3)
+    is valid iff its ``dup_of`` survived the near-dup tier and the drop
+    is justified by the page embeddings (``_drop_justified``: a smaller
+    ``dup_of`` at cosine ≥ eps, as ``semdedup_clustered_verify``
+    checks).  The twin says all true."""
+    from nxsearch_ray.pipelines.corpus import DECISION_SCHEMA
+
+    def check(t: pa.Table) -> pa.Table:
+        tier = t.column("drop_tier").to_numpy()
+        ok = t.column("justified").to_numpy(zero_copy_only=False) \
+            & _survivor(t.column("drop_tier_dup"))
+        return pa.table({"page_id": t.column("page_id"),
+                         "valid": (tier != 3) | ok})
+
+    schema = pa.schema(list(DECISION_SCHEMA)
+                       + [("drop_tier_dup", pa.int8())])
+    return _drop_justified(_corpus_dup_tiers(sf_dir), schema,
+                           _page_embeddings(sf_dir), "page_id") \
+        .map_batches(check, batch_format="pyarrow")
+
+
+def q_corpus_planted_copies(sf_dir: str):
+    """``(page_id, found)`` per planted ``copy`` page (``page_id % 4 =
+    1``) whose original also has a decision row; ``found`` iff the copy
+    was dropped at the near-dup tier.  One grouped scan over the
+    decision rows keyed by their document ``page_id >> 2``.  The twin
+    says all found."""
+    schema = pa.schema([("page_id", pa.int64()), ("found", pa.bool_())])
+
+    def doc_key(t: pa.Table) -> pa.Table:
+        return t.append_column("doc_id", pa.array(
+            t.column("page_id").to_numpy() >> 2))
+
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ids = t.column("page_id").to_numpy()
+        run = np.repeat(np.arange(len(starts)),
+                        np.diff(starts, append=len(ids)))
+        has_orig = np.zeros(len(starts), dtype=bool)
+        has_orig[run[ids % 4 == 0]] = True
+        copy = (ids % 4 == 1) & has_orig[run]
+        return pa.table(
+            [ids[copy], t.column("drop_tier").to_numpy()[copy] == 2],
+            schema=schema)
+
+    keyed = _corpus(sf_dir).decisions.map_batches(doc_key,
+                                                  batch_format="pyarrow")
+    return grouped(keyed, ["doc_id"], fn, schema)
 
 
 def q_lm_perplexity(sf_dir: str):
@@ -1325,26 +1277,6 @@ def q_fuzzy_lookup(sf_dir: str):
     return out.select_columns(["word", "matched_term", "distance"])
 
 
-def q_embedding_dups_lsh(sf_dir: str):
-    from nxsearch_ray.stages.ann import embedding_dup_pairs
-
-    ds = _read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    # nbits=8 × 8 tables × 3 margin-guided probes: measured recall 1.0
-    # vs the exact plan at sf0.01 (14/14 pairs); gated in
-    # tests/test_operators.py::test_embedding_dups_lsh_recall
-    out = embedding_dup_pairs(ds, threshold=_EMB_DUP_THR, nbits=8,
-                              ntables=8, nprobes=3)
-    batches = list(out.iter_batches(batch_size=1 << 20,
-                                    batch_format="pyarrow"))
-    schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                        ("cosine", pa.float64())])
-    # approximate pass legitimately finds nothing on near-random
-    # sandbox embeddings — keep the schema on the empty result
-    return pa.concat_tables(batches) if batches \
-        else schema.empty_table()
-
-
 # ------------------------------------------------------------------
 
 def entry() -> Any:
@@ -1391,19 +1323,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ngram_jaccard": q_ngram_jaccard,
         "fingerprint": q_fingerprint,
         "langid": q_langid,
-        "ann_topk": q_ann_topk,
-        "ann_lsh_recall": q_ann_lsh_recall,
-        "ann_ivf_recall": q_ann_ivf_recall,
-        "ann_recall_report": q_ann_recall_report,
         "embedding_dups": q_embedding_dups,
         "semantic_dedup": q_semantic_dedup,
         "semdedup_clustered_verify": q_semdedup_clustered_verify,
+        # the composed corpus job's five invariants (see _corpus)
+        "corpus_decisions": q_corpus_decisions,
+        "corpus_exact_groups": q_corpus_exact_groups,
+        "corpus_neardup_valid": q_corpus_neardup_valid,
+        "corpus_semantic_valid": q_corpus_semantic_valid,
+        "corpus_planted_copies": q_corpus_planted_copies,
         "lm_perplexity": q_lm_perplexity,
         "lm_perplexity_ngram": q_lm_perplexity_ngram,
         "lm_perplexity_trigram": q_lm_perplexity_trigram,
         "lm_perplexity_quadgram": q_lm_perplexity_quadgram,
         "lm_perplexity_kn5": q_lm_perplexity_kn5,
-        "dedup_cascade": q_dedup_cascade,
         "canonicalize_plain": q_canonicalize_plain,
         "bucket_census": q_bucket_census,
         "term_search": q_term_search,
@@ -1414,9 +1347,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "url_cardinality": q_url_cardinality,
         # ---- rows-only (no_oracle) queries, pytest/invariant-gated --
         "semantic_dedup_clustered": q_semantic_dedup_clustered,
-        "ann_topk_lsh": q_ann_topk_lsh,
-        "ann_topk_ivf": q_ann_topk_ivf,
-        "embedding_dups_lsh": q_embedding_dups_lsh,
         "query_probe": q_query_probe,
     }
 
@@ -1467,25 +1397,61 @@ FROM {pages} GROUP BY page_id // 4 HAVING count(*) >= 2
     return out
 
 
-def web_clean_oracle() -> str:
-    from nxsearch_ray.stages.pii import (pii_inject_sql,
-                                         pii_scrub_sql_ctes)
+def _clean_sql() -> str:
+    """``PAGES_CTE`` plus ``clean(page_id, text)``: the pages that pass
+    ``url_blocklist``'s domain rule and ``gopher_quality``'s ``keep``
+    (the clean tier of ``web_clean`` and the corpus job)."""
     from nxsearch_ray.stages.textstats import gopher_filter_sql
     from nxsearch_ray.stages.urlfilter import DOMAIN_RE
 
     keep = gopher_filter_sql("text", min_words=20,
                              min_required_stopwords=1)["keep"]
     quoted = ", ".join(f"'{d}'" for d in sorted(set(_BLOCKLIST)))
-    ctes, out = pii_scrub_sql_ctes("inj")
-    return f"""
-WITH {PAGES_CTE},
+    return f"""{PAGES_CTE},
 flt AS (SELECT page_id, text FROM pages
         WHERE lower(coalesce(regexp_extract(url, '{DOMAIN_RE}', 1),
                              '')) NOT IN ({quoted})),
-qual AS (SELECT page_id, text FROM flt WHERE {keep}),
+clean AS (SELECT page_id, text FROM flt WHERE {keep})"""
+
+
+def corpus_oracles() -> dict[str, str]:
+    """Twins of the five corpus-job invariants (see ``_corpus``)."""
+    return {
+        "corpus_decisions": f"""
+WITH {_clean_sql()}
+SELECT page_id FROM clean
+""",
+        "corpus_exact_groups": f"""
+WITH {_clean_sql()}
+SELECT min(page_id) AS group_min_page_id,
+       CAST(0 AS BIGINT) AS n_kept_non_min
+FROM clean GROUP BY text HAVING count(*) >= 2
+""",
+        "corpus_neardup_valid": f"""
+WITH {_clean_sql()}
+SELECT page_id, true AS valid FROM clean
+""",
+        "corpus_semantic_valid": f"""
+WITH {_clean_sql()}
+SELECT page_id, true AS valid FROM clean
+""",
+        "corpus_planted_copies": f"""
+WITH {_clean_sql()}
+SELECT page_id, true AS found FROM clean
+WHERE page_id % 4 = 1 AND page_id - 1 IN (SELECT page_id FROM clean)
+"""}
+
+
+def web_clean_oracle() -> str:
+    from nxsearch_ray.stages.pii import (pii_inject_sql,
+                                         pii_scrub_sql_ctes)
+
+    ctes, out = pii_scrub_sql_ctes("inj")
+    return f"""
+WITH {_clean_sql()},
 inj AS (SELECT page_id,
                {pii_inject_sql('text', 'page_id')} AS text
-        FROM qual),
+        FROM clean),
 {ctes}
 SELECT min(page_id) AS canonical_page_id,
        count(*) AS n_pages,
@@ -1543,6 +1509,7 @@ SELECT min(page_id) AS canonical_page_id, count(*) AS n_dups
 FROM pages GROUP BY text HAVING count(*) >= 2
 """,
         **dedup_oracles(),
+        **corpus_oracles(),
         # census structure over plain-doc signatures (filters=()):
         # exact buckets = full-token-sequence groups; shingle_set
         # buckets = distinct-5-shingle-SET groups (order-invariant
@@ -1589,30 +1556,6 @@ SELECT doc_id,
                         || ' ' || ts[i+3] || ' ' || ts[i+4])))
        END::BIGINT AS num_shingles
 FROM tok
-""",
-        # losslessness gates: exhaustive-probe LSH/IVF must reproduce
-        # exact brute-force top-k, so recall is 1.0 by construction —
-        # any loss in bucket routing / candidate union / rerank breaks
-        # the hash.  (Production-params measured recall is the
-        # rows-only ann_recall_report + pytest gates.)
-        "ann_lsh_recall": f"""
-SELECT vec_id AS qid, CAST({_ANN_K} AS BIGINT) AS n_common,
-       CAST({_ANN_K} AS BIGINT) AS k, 1.0 AS recall
-FROM embeddings WHERE vec_id < {_ANN_NQ} ORDER BY vec_id
-""",
-        "ann_ivf_recall": f"""
-SELECT vec_id AS qid, CAST({_ANN_K} AS BIGINT) AS n_common,
-       CAST({_ANN_K} AS BIGINT) AS k, 1.0 AS recall
-FROM embeddings WHERE vec_id < {_ANN_NQ} ORDER BY vec_id
-""",
-        "ann_recall_report": f"""
-SELECT m.method,
-       (SELECT count(*) FROM embeddings
-        WHERE vec_id < {_ANN_NQ})::BIGINT AS n_queries,
-       CAST({_ANN_K} AS BIGINT) AS k,
-       {_ANN_RECALL_TARGET} AS target,
-       true AS passed
-FROM (VALUES ('lsh'), ('ivf')) AS m(method)
 """,
         "doc_stats": f"SELECT doc_id, {stats_select} FROM documents",
         "repetition_stats": repetition_stats_sql(),
@@ -1750,16 +1693,6 @@ SELECT m.doc_id,
 FROM m JOIN df USING (term) CROSS JOIN stats
 GROUP BY m.doc_id
 ORDER BY score DESC, m.doc_id LIMIT {_BM25_LIMIT}
-""",
-        "ann_topk": f"""
-WITH q AS (SELECT vec_id AS qid, embedding::DOUBLE[] AS qe
-           FROM embeddings WHERE vec_id < {_ANN_NQ}),
-s AS (SELECT q.qid, e.vec_id,
-             list_cosine_similarity(q.qe, e.embedding::DOUBLE[]) AS score
-      FROM embeddings e CROSS JOIN q)
-SELECT qid, vec_id FROM s
-QUALIFY row_number() OVER (PARTITION BY qid
-                           ORDER BY score DESC, vec_id ASC) <= {_ANN_K}
 """,
         "embedding_dups": """
 WITH e AS (SELECT vec_id, embedding::DOUBLE[] AS v FROM embeddings)
@@ -2002,26 +1935,5 @@ FROM e LEFT JOIN d ON e.vec_id = d.id
         # any violation emits false and hash-mismatches
         "semdedup_clustered_verify": """
 SELECT vec_id AS id, true AS dup_valid FROM embeddings
-""",
-        "dedup_cascade": f"""
-WITH t1 AS (
-  SELECT doc_id,
-         CASE WHEN doc_id > min(doc_id) OVER (PARTITION BY text)
-              THEN min(doc_id) OVER (PARTITION BY text)
-              ELSE -1 END AS dup1
-  FROM documents),
-e AS (SELECT vec_id, embedding::DOUBLE[] AS v FROM embeddings
-      WHERE vec_id IN (SELECT doc_id FROM t1 WHERE dup1 < 0)),
-sem AS (SELECT b.vec_id AS doc_id, min(a.vec_id) AS dup2
-        FROM e a JOIN e b ON a.vec_id < b.vec_id
-        WHERE list_cosine_similarity(a.v, b.v) >= {_SEMDEDUP_EPS}
-        GROUP BY b.vec_id)
-SELECT t1.doc_id,
-       (CASE WHEN t1.dup1 >= 0 THEN 1
-             WHEN sem.dup2 IS NOT NULL THEN 2
-             ELSE 0 END)::BIGINT AS drop_tier,
-       (CASE WHEN t1.dup1 >= 0 THEN t1.dup1
-             ELSE coalesce(sem.dup2, -1) END)::BIGINT AS dup_of
-FROM t1 LEFT JOIN sem ON t1.doc_id = sem.doc_id
 """,
     }

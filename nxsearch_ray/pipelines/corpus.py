@@ -14,9 +14,9 @@ same code its standalone query uses):
      pages; cluster ids are component minima, so every non-minimal
      member is a tier-2 drop with ``dup_of = cluster_id``.
   3. ``semantic``   — SemDeDup (stages/semdedup.run_semdedup) over the
-     embeddings of tier-2 SURVIVORS only (embeddings keyed by
-     ``vec_id == page_id``; the tier is skipped when no embedding
-     table is supplied).
+     embeddings of tier-2 SURVIVORS only, the cleaned pages the
+     near-dup tier kept (embeddings keyed by ``vec_id == page_id``;
+     the tier is skipped when no embedding table is supplied).
   4. ``final``      — one decision row per cleaned page:
      ``(page_id, drop_tier, dup_of)`` with tier 0 = kept,
      2 = near-dup, 3 = semantic (tier 1, the quality gate, removes
@@ -83,7 +83,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     import os
 
     from nxsearch_ray.pipelines.dedup import run_dedup
-    from nxsearch_ray.stages.join import hash_join
+    from nxsearch_ray.stages.join import anti_join, hash_join, id_set_ref
     from nxsearch_ray.stages.pii import scrub_pii
     from nxsearch_ray.stages.textstats import gopher_filter
     from nxsearch_ray.stages.urlfilter import filter_blocklist
@@ -166,21 +166,15 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         emb_schema = pa.schema([
             ("vec_id", pa.int64()),
             ("embedding", pa.list_(pa.float32()))])
-        # anti-join: survivors' embeddings = embeddings minus tier-2
-        # drops (left join + null filter; the right side is only the
-        # duplicate rows, far smaller than the corpus)
-        j = hash_join(embeddings_ds, t2, left_key="vec_id",
-                      right_key="page_id", left_schema=emb_schema,
-                      right_schema=t2_schema, right_suffix="",
-                      how="left")
-
-        def survivors(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return t.filter(pc.is_null(t.column("dup2"))) \
-                .select(["vec_id", "embedding"])
-
-        surv = j.map_batches(survivors, batch_format="pyarrow")
+        # survivors: the cleaned pages minus the tier-2 drops (an
+        # anti-join on the broadcast drop ids, a few int64s per
+        # duplicate), then their embeddings by one inner join.  A page
+        # the clean tier removed is never a semantic representative.
+        surv_ids = anti_join(clean.select_columns(["page_id"]),
+                             "page_id", id_set_ref(t2, ["page_id"]))
+        surv = hash_join(embeddings_ds, surv_ids, left_key="vec_id",
+                         right_key="page_id", left_schema=emb_schema,
+                         right_schema=pa.schema([("page_id", pa.int64())]))
         # Pin/checkpoint the survivor embeddings BEFORE the semantic
         # tier: semdedup re-reads its input once per pass (census /
         # sub-train / final) — unpinned, each pass would re-run the
@@ -188,7 +182,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         surv_params = StageParams(
             stage="semantic_survivors",
             clean=clean_params.config_hash(),
-            cfg=cfg.config_hash(), version=1)
+            cfg=cfg.config_hash(), version=2)
         if out_dir is not None:
             surv, sk = checkpoint(lambda: surv, out_dir,
                                   "semantic_survivors", surv_params,
@@ -198,7 +192,9 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
             surv = surv.materialize()
         dec, sd_stats = run_semdedup(
             surv, eps=semdedup_eps, nlist=semdedup_nlist, seed=seed,
-            out_dir=out_dir, fingerprint=sem_fp)
+            out_dir=out_dir,
+            # the survivors depend on the clean and near-dup settings too
+            fingerprint=sem_fp and f"{sem_fp}+{surv_params.config_hash()}")
         stats.update({f"semantic_{k}": v for k, v in sd_stats.items()})
 
         def t3_decide(t: pa.Table) -> pa.Table:
@@ -222,7 +218,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         stage="corpus_final", clean=clean_params.config_hash(),
         cfg=cfg.config_hash(), eps=semdedup_eps,
         nlist=semdedup_nlist, seed=seed,
-        semantic=embeddings_ds is not None, version=1)
+        semantic=embeddings_ds is not None, version=2)
 
     def final_factory():
         ids_only = clean.select_columns(["page_id"])

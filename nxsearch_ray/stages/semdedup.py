@@ -18,7 +18,7 @@ the semantic tier a training-data pipeline needs.
 Two plans, same output schema ``(id, dup_of, keep)``:
 
 * **exact** — global all-pairs via the blocked block-pair plan
-  (stages/ann.py:embedding_dup_pairs_blocked): B·(B+1)/2 tasks each
+  (``embedding_dup_pairs_blocked``): B·(B+1)/2 tasks each
   hold two O(block_rows·dim) blocks, so memory is flat in corpus
   size; the O(n²) work is inherent to exactness.  ``dup_of`` is one
   grouped min over the pair stream (``dup_map``); keep flags reach the
@@ -28,8 +28,8 @@ Two plans, same output schema ``(id, dup_of, keep)``:
   small-corpus plan and the SQL-oracle twin.
 
 * **clustered** — SemDeDup proper, the 100-TB plan: a deterministic
-  spherical k-means coarse quantizer (stages/ann.py:
-  train_ivf_centroids_ref, trained on a sample in one remote task)
+  spherical k-means coarse quantizer (``train_ivf_centroids_ref``,
+  trained on a sample in one remote task)
   assigns every vector to its nearest centroid in a streaming
   map_batches; one grouped scan co-locates each cluster; the within-
   cluster rule runs as a row-blocked matmul (memory
@@ -65,14 +65,160 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from nxsearch_ray.stages.ann import (_embedding_matrix, _normalize,
-                                     embedding_dup_pairs_blocked,
-                                     train_ivf_centroids_ref)
+from nxsearch_ray.functions.hashing import splitmix64
 from nxsearch_ray.stages.shuffle import grouped
+from nxsearch_ray.stages.signatures import list_column_numpy
 
 OUT_SCHEMA = pa.schema([("id", pa.int64()), ("dup_of", pa.int64()),
                         ("keep", pa.bool_())])
 DUP_SCHEMA = pa.schema([("b", pa.int64()), ("dup_of", pa.int64())])
+
+
+def _embedding_matrix(batch: pa.Table, col: str,
+                      dtype=np.float64) -> np.ndarray:
+    flat, off = list_column_numpy(batch.column(col), dtype=dtype)
+    dim = off[1] - off[0] if len(off) > 1 else 0
+    return flat.reshape(-1, int(dim))
+
+
+def _normalize(m: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return m / norms
+
+
+def _first_of_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct (a, b) pair.
+
+    lexsort-based so arbitrary int64 ids work (no 2^32 packing
+    assumption)."""
+    order = np.lexsort((b, a))
+    sa, sb = a[order], b[order]
+    new = np.concatenate(
+        ([True], (sa[1:] != sa[:-1]) | (sb[1:] != sb[:-1])))
+    return order[new]
+
+
+def train_ivf_centroids_ref(emb_ds, nlist: int, *,
+                            emb_col: str = "embedding",
+                            seed: int = 42, sample_cap: int = 65536,
+                            iters: int = 10):
+    """Deterministic spherical k-means over a corpus sample, trained
+    in ONE remote task (the driver never holds the sample).  Returns
+    an ObjectRef to the (nlist, dim) L2-normalized centroid matrix.
+
+    Init is deterministic FARTHEST-POINT (greedy k-means++: first
+    center by splitmix64 rank, each next center the sample row with
+    the smallest max-cosine to the chosen set) — random-row init
+    measurably degenerates on corpora of many tight cones (one
+    centroid captures the directions no init row covered and Lloyd
+    cannot escape the local optimum; profiled as a 165k-row mega-
+    cluster, 10% of the corpus, on the semantic-dedup bench).  Lloyd
+    iterations assign by max cosine and re-normalize the mean; a
+    cluster that comes back EMPTY is reseeded to the row farthest
+    from the current centroid set instead of keeping a dead centroid.
+    Scale note: ``limit(sample_cap)`` streams only the blocks needed
+    for the sample — the full corpus is never materialized here."""
+    import ray
+
+    refs = emb_ds.select_columns([emb_col]).limit(sample_cap) \
+        .to_arrow_refs()
+
+    @ray.remote
+    def _train(*blocks):
+        # per-block extraction, not concat_tables: blocks can disagree
+        # on Arrow metadata (parquet round-trips rename the list child
+        # item->element, and filter(expr)+select_columns+limit lineages
+        # have been observed to emit the odd unprojected block)
+        mats = [_embedding_matrix(b, emb_col)
+                for b in blocks if b.num_rows]
+        if not mats:
+            return np.zeros((0, 0), dtype=np.float64)
+        mat = _normalize(np.vstack(mats))
+        n = len(mat)
+        k = min(nlist, n)
+        rank = np.argsort(splitmix64(
+            np.arange(n, dtype=np.uint64) ^ np.uint64(seed)))
+        # greedy farthest-point init, O(n·k·dim) via a running
+        # max-cos array; ties broken by sample order (deterministic)
+        idx = np.empty(k, dtype=np.int64)
+        idx[0] = rank[0]
+        best = mat @ mat[idx[0]]
+        for j in range(1, k):
+            idx[j] = int(best.argmin())
+            np.maximum(best, mat @ mat[idx[j]], out=best)
+        cent = mat[idx].copy()
+        for _ in range(iters):
+            sim = mat @ cent.T
+            assign = sim.argmax(axis=1)
+            sums = np.zeros_like(cent)
+            np.add.at(sums, assign, mat)
+            norms = np.linalg.norm(sums, axis=1, keepdims=True)
+            moved = norms[:, 0] > 0
+            cent[moved] = sums[moved] / norms[moved]
+            if not moved.all():
+                # reseed each empty cluster to the row currently
+                # farthest from its own best centroid (deterministic)
+                far = np.argsort(sim.max(axis=1), kind="stable")
+                dead = np.nonzero(~moved)[0]
+                cent[dead] = mat[far[:len(dead)]]
+        return cent
+
+    return _train.remote(*refs)
+
+
+def embedding_dup_pairs_blocked(emb_ds, *, threshold: float = 0.9,
+                                id_col: str = "vec_id",
+                                emb_col: str = "embedding",
+                                block_rows: int = 8192):
+    """Exact all-pairs cosine ≥ threshold — the distributed block-pair
+    plan: the corpus becomes B blocks pinned in the object store (one
+    repartition; the driver holds only refs), and B·(B+1)/2 remote
+    tasks each pull two blocks zero-copy and emit their pair fragment.
+    The O(n²) work is inherent to exactness, but no process ever holds
+    more than two blocks, so memory per task is O(block_rows·dim) at
+    any corpus size and the quadratic work spreads evenly across the
+    cluster."""
+    import ray
+    import ray.data as rd
+
+    out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                            ("cosine", pa.float64())])
+
+    n = emb_ds.count()
+    nblocks = max(1, -(-n // block_rows))
+    mat_refs = [r for r in emb_ds.select_columns([id_col, emb_col])
+                .repartition(nblocks).to_arrow_refs()]
+
+    @ray.remote
+    def block_pair(bi: pa.Table, bj: pa.Table, same: bool) -> pa.Table:
+        if bi.num_columns == 0 or bj.num_columns == 0 \
+                or bi.num_rows == 0 or bj.num_rows == 0:
+            return out_schema.empty_table()
+        ids_i = bi.column(id_col).to_numpy()
+        ids_j = bj.column(id_col).to_numpy()
+        mi = _normalize(_embedding_matrix(bi, emb_col))
+        mj = _normalize(_embedding_matrix(bj, emb_col))
+        sims = mi @ mj.T
+        ii, jj = np.nonzero(sims >= threshold)
+        a, b = ids_i[ii], ids_j[jj]
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        keep = lo < hi                   # drops self-pairs on same-block
+        lo, hi, cos = lo[keep], hi[keep], sims[ii, jj][keep]
+        if same and len(lo):
+            # same-block sims is symmetric: each pair surfaced twice
+            first = _first_of_pairs(lo, hi)
+            lo, hi, cos = lo[first], hi[first], cos[first]
+        return pa.Table.from_arrays(
+            [pa.array(lo, type=pa.int64()),
+             pa.array(hi, type=pa.int64()),
+             pa.array(cos, type=pa.float64())], schema=out_schema)
+
+    result_refs = [block_pair.remote(mat_refs[i], mat_refs[j], i == j)
+                   for i in range(len(mat_refs))
+                   for j in range(i, len(mat_refs))]
+    return rd.from_arrow_refs(result_refs)
 
 
 def _det_argmax(mat32: np.ndarray, cent32: np.ndarray) -> np.ndarray:

@@ -103,6 +103,40 @@ def test_run_corpus_quality_gate(ray_session, corpus_tables):
     assert res.stats["n_clean_pages"] == pages.num_rows  # shorts gone
 
 
+def test_semantic_tier_sees_only_clean_pages(ray_session, corpus_tables):
+    """A page the clean tier removes is never a semantic ``dup_of``:
+    the lowest page id fails the Gopher gate, and a later singleton
+    original carries its exact embedding, so it must stay kept."""
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+
+    pages, emb, _ = corpus_tables
+    ids = pages.column("page_id").to_pylist()
+    gone = ids.index(min(ids))
+    singles = [i for i, (c, v) in enumerate(zip(
+        pages.column("truth_cluster").to_pylist(),
+        pages.column("variant").to_pylist())) if c == -1 and v == "orig"]
+    twin = singles[len(singles) // 2]       # no planted semantic dup
+    assert ids[twin] > ids[gone]
+    text = pages.column("text").to_pylist()
+    text[gone] = "too short"
+    vecs = emb.column("embedding").to_pylist()
+    vecs[twin] = vecs[gone]
+    res = run_corpus(
+        rd.from_arrow(pages.select(["page_id", "url"]).append_column(
+            "text", pa.array(text))),
+        embeddings_ds=rd.from_arrow(emb.set_column(1, "embedding", pa.array(
+            vecs, type=pa.list_(pa.float32())))),
+        semdedup_nlist=4, min_words=10, min_required_stopwords=0)
+    dec = decisions_as_table(res).to_pylist()
+    by_id = {r["page_id"]: (r["drop_tier"], r["dup_of"]) for r in dec}
+    assert ids[gone] not in by_id
+    assert by_id[ids[twin]] == (0, -1)
+    assert {r["dup_of"] for r in dec if r["drop_tier"] == 3} <= set(by_id)
+
+
 def test_run_corpus_resume(ray_session, corpus_tables, tmp_path):
     import ray.data as rd
 
@@ -183,6 +217,37 @@ def test_semantic_decisions_reject_changed_pages(ray_session,
     assert db.equals(fresh)
     row = db.filter(pc.equal(db.column("page_id"), hi)).to_pylist()
     assert row == [{"page_id": hi, "drop_tier": 3, "dup_of": lo}]
+
+
+def test_semantic_decisions_reject_changed_settings(ray_session,
+                                                   corpus_tables, tmp_path):
+    """The same pages and embeddings into one ``out_dir``, first at
+    ``min_words=3``, then at 10, which removes the short twin of a
+    planted semantic duplicate: the semantic tier's input changed, so
+    it recomputes, and the decisions equal a fresh run at 10."""
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+
+    pages, emb, sem_pairs = corpus_tables
+    lo, hi = sem_pairs[0]
+    b = pages.select(["page_id", "url", "text"])
+    text = b.column("text").to_pylist()
+    text[b.column("page_id").to_pylist().index(lo)] = \
+        "alpha beta gamma delta"
+    p = rd.from_arrow(b.set_column(2, "text", pa.array(text)))
+    kw = dict(embeddings_ds=rd.from_arrow(emb), semdedup_nlist=4,
+              min_required_stopwords=0)
+    out = str(tmp_path / "run")
+    da = decisions_as_table(run_corpus(p, out_dir=out, min_words=3, **kw))
+    assert {"page_id": hi, "drop_tier": 3, "dup_of": lo} in da.to_pylist()
+    rb = run_corpus(p, out_dir=out, min_words=10, **kw)
+    assert rb.stats["semantic_semdedup_decisions_resumed"] is False
+    db = decisions_as_table(rb)
+    assert db.equals(decisions_as_table(run_corpus(p, min_words=10,
+                                                   **kw)))
+    assert {"page_id": hi, "drop_tier": 0, "dup_of": -1} in db.to_pylist()
 
 
 def test_semantic_decisions_reject_changed_embeddings(ray_session,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import __ray_entry__ as entry_mod  # noqa: E402
@@ -37,23 +39,22 @@ def test_expected_query_inventory():
     # remaining entries and entry().
     expected = {
         "pages_build", "extract_text", "exact_dedup", "doc_stats",
-        "lang_counts", "ngram_jaccard", "fingerprint", "ann_topk",
-        "ann_topk_lsh", "ann_topk_ivf", "dedup_pairs",
-        "cluster_sizes", "langid",
-        "embedding_dups", "embedding_dups_lsh",
+        "lang_counts", "ngram_jaccard", "fingerprint", "dedup_pairs",
+        "cluster_sizes", "langid", "embedding_dups",
         "query_probe", "bucket_census",
         "dedup_exact_verify", "signatures_plain", "canonicalize_plain",
-        "ann_lsh_recall", "ann_ivf_recall", "ann_recall_report",
         "pii_scrub", "decontaminate", "gopher_quality", "url_blocklist",
         "web_clean", "url_seen_guard", "url_cardinality",
         "lm_perplexity", "lm_perplexity_ngram", "lm_perplexity_trigram",
         "lm_perplexity_quadgram", "lm_perplexity_kn5", "semantic_dedup",
-        "semdedup_clustered_verify", "dedup_cascade",
+        "semantic_dedup_clustered", "semdedup_clustered_verify",
         "dedup_pairs_scale", "dedup_exact_verify_scale",
         "cluster_sizes_scale", "dedup_pairs_incremental",
         "dedup_exact_verify_incremental", "cluster_sizes_incremental",
         "dedup_pairs_removed", "dedup_exact_verify_removed",
         "cluster_sizes_removed",
+        "corpus_decisions", "corpus_exact_groups", "corpus_neardup_valid",
+        "corpus_semantic_valid", "corpus_planted_copies",
     }
     missing = expected - q
     assert not missing, f"queries() lost entries: {missing}"
@@ -127,24 +128,11 @@ def test_entry_smoke(ray_session):
 
 
 def test_dedup_exact_verify_invariants(ray_session):
-    """The flagship-output oracle: every md5-identical page group is
-    co-clustered and cluster ids are component minima (sf0.001)."""
-    _assert_dedup_invariants("/root/testdata/sf0.001", "auto")
-
-
-def test_ann_exhaustive_probe_losslessness(ray_session):
-    """Exhaustive-probe LSH (nbits=1) and IVF (nprobe=nlist) must
-    reproduce exact brute-force top-k — recall 1.0 per query."""
-    for fn in (entry_mod.q_ann_lsh_recall, entry_mod.q_ann_ivf_recall):
-        t = fn("/root/testdata/sf0.001")
-        assert t.column("n_common").to_pylist() \
-            == t.column("k").to_pylist()
-
-
-def test_dedup_planted_pair_recall_invariants(ray_session):
-    """Round-4 oracles: every planted copy/tail pair is a verified
-    pair (`found` all-True) and every planted variant group lands in
-    ONE cluster at least as large as the group (sf0.001)."""
+    """The flagship-output oracles on the auto run (sf0.001): every
+    planted copy/tail pair is a verified pair, every planted variant
+    group lands in ONE cluster at least as large as the group, and
+    every md5-identical page group is co-clustered under its component
+    minimum."""
     _assert_dedup_invariants("/root/testdata/sf0.001", "auto")
 
 
@@ -192,3 +180,133 @@ def _assert_dedup_invariants(sf: str, variant: str):
             (variant, flag)
         assert set(groups.column(flag).to_pylist()) == {True}, \
             (variant, flag)
+
+
+# ------------------------------------------------- the corpus job
+
+_CORPUS_SF = "/root/testdata/sf0.001"
+_CORPUS_QUERIES = ("corpus_decisions", "corpus_exact_groups",
+                   "corpus_neardup_valid", "corpus_semantic_valid",
+                   "corpus_planted_copies")
+
+
+def _rows(x) -> list[tuple]:
+    """The sorted rows of a query result, columns in name order."""
+    t = _as_table(x)
+    names = sorted(t.column_names)
+    return sorted(zip(*(t.column(n).to_pylist() for n in names)))
+
+
+@pytest.fixture(scope="module")
+def corpus_twins() -> dict[str, list[tuple]]:
+    """The five corpus twins' rows, run by DuckDB over the same
+    parquet tables."""
+    import duckdb
+
+    con = duckdb.connect()
+    for t in ("documents", "embeddings"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{_CORPUS_SF}/{t}.parquet')")
+    oracles = entry_mod.oracle_sql()
+    return {n: _rows(con.execute(oracles[n]).arrow())
+            for n in _CORPUS_QUERIES}
+
+
+def test_corpus_queries_match_twins(ray_session, corpus_twins):
+    """The five corpus queries equal their twins, and the run drops
+    pages at both dedup tiers, so every invariant has rows to judge."""
+    from nxsearch_ray.pipelines.corpus import decisions_as_table
+
+    queries = entry_mod.queries()
+    for name in _CORPUS_QUERIES:
+        assert _rows(queries[name](_CORPUS_SF)) == corpus_twins[name], \
+            name
+    tiers = decisions_as_table(entry_mod._corpus(_CORPUS_SF)) \
+        .column("drop_tier").to_pylist()
+    assert {0, 2, 3} <= set(tiers)
+
+
+def _set_row(dec, page_id: int, tier: int, dup_of: int):
+    """``dec`` with ``page_id``'s decision replaced."""
+    import pyarrow as pa
+
+    ids = dec.column("page_id").to_pylist()
+    i = ids.index(page_id)
+    tiers = dec.column("drop_tier").to_pylist()
+    dups = dec.column("dup_of").to_pylist()
+    tiers[i], dups[i] = tier, dup_of
+    return pa.table({"page_id": ids, "drop_tier": pa.array(tiers, pa.int8()),
+                     "dup_of": dups}, schema=dec.schema)
+
+
+def _copies(dec) -> list[int]:
+    """The planted copies whose original has a decision row."""
+    ids = set(dec.column("page_id").to_pylist())
+    return sorted(p for p in ids if p % 4 == 1 and p - 1 in ids)
+
+
+def _low_cosine_dup(dec) -> tuple[int, int]:
+    """A semantic drop and a smaller near-dup survivor whose page
+    vectors (their documents' embeddings) are below eps apart."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    emb = pq.read_table(f"{_CORPUS_SF}/embeddings.parquet")
+    vec = dict(zip(emb.column("vec_id").to_pylist(),
+                   (np.asarray(v) / np.linalg.norm(v)
+                    for v in emb.column("embedding").to_pylist())))
+    rows = dec.to_pylist()
+    kept = sorted(r["page_id"] for r in rows if r["drop_tier"] == 0)
+    for r in rows:
+        if r["drop_tier"] != 3:
+            continue
+        p = r["page_id"]
+        for q in kept:
+            if q < p and vec[p >> 2] @ vec[q >> 2] < \
+                    entry_mod._SEMDEDUP_EPS - 0.05:
+                return p, q
+    raise AssertionError("no low-cosine candidate")
+
+
+def _mutant(dec, kind: str):
+    """One corrupted decision table per corpus invariant."""
+    import pyarrow as pa
+
+    if kind == "duplicate_row":
+        return pa.concat_tables([dec, dec.slice(0, 1)])
+    if kind == "keep_second_copy":
+        return _set_row(dec, _copies(dec)[0], 0, -1)
+    if kind == "dup_of_dropped":
+        near = sorted(r["page_id"] for r in dec.to_pylist()
+                      if r["drop_tier"] == 2)
+        return _set_row(dec, near[1], 2, near[0])
+    if kind == "low_cosine_dup_of":
+        p, q = _low_cosine_dup(dec)
+        return _set_row(dec, p, 3, q)
+    assert kind == "undrop_copy"
+    return _set_row(dec, _copies(dec)[-1], 0, -1)
+
+
+@pytest.mark.parametrize("kind,query", [
+    ("duplicate_row", "corpus_decisions"),
+    ("keep_second_copy", "corpus_exact_groups"),
+    ("dup_of_dropped", "corpus_neardup_valid"),
+    ("low_cosine_dup_of", "corpus_semantic_valid"),
+    ("undrop_copy", "corpus_planted_copies"),
+])
+def test_corpus_invariant_catches_mutant(ray_session, corpus_twins,
+                                         monkeypatch, kind, query):
+    """Each corpus invariant stops matching its twin once the decision
+    table carries the fault it guards against."""
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (CorpusResult,
+                                               decisions_as_table)
+
+    dec = decisions_as_table(entry_mod._corpus(_CORPUS_SF))
+    monkeypatch.setitem(
+        entry_mod._CORPUS_CACHE, _CORPUS_SF,
+        CorpusResult(decisions=rd.from_arrow(_mutant(dec, kind)),
+                     clusters=None))
+    got = _rows(entry_mod.queries()[query](_CORPUS_SF))
+    assert got != corpus_twins[query], kind

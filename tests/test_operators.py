@@ -1,5 +1,5 @@
-"""Operator-level tests: sources, setsim, ANN, text stats, join,
-query probe, diagnostics."""
+"""Operator-level tests: sources, setsim, embedding dup pairs, text
+stats, join, query probe, diagnostics."""
 
 from __future__ import annotations
 
@@ -196,7 +196,7 @@ def test_ngram_jaccard_skewed_boilerplate(ray_session):
             len(grams[k[0] - BIG] | grams[k[1] - BIG]))
 
 
-# ---------------------------------------------------------------- ANN
+# -------------------------------------------------- embedding dup pairs
 
 def _rand_embeddings(n=200, dim=16, seed=5):
     rng = np.random.default_rng(seed)
@@ -207,193 +207,61 @@ def _rand_embeddings(n=200, dim=16, seed=5):
                               type=pa.list_(pa.float32()))})
 
 
-def test_brute_force_topk_exact(ray_session):
-    import ray
-    import ray.data as rd
-
-    from nxsearch_ray.stages.ann import brute_force_topk
-
-    t = _rand_embeddings()
-    from nxsearch_ray.stages.signatures import list_column_numpy
-
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
-    mat = flat.reshape(len(t), -1)
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    qref = ray.put({"qids": np.array([0, 1]), "vectors": mat[:2]})
-
-    out = brute_force_topk(rd.from_arrow(t).repartition(5), qref, 5)
-    got = pa.concat_tables(out.iter_batches(batch_size=100,
-                                            batch_format="pyarrow"))
-    for q in (0, 1):
-        sims = mat @ mat[q]
-        want = set(np.argsort(-sims)[:5].tolist())
-        have = {r["vec_id"] for r in got.to_pylist() if r["qid"] == q}
-        assert have == want
-
-
-def test_lsh_topk_recall(ray_session):
-    import ray
-    import ray.data as rd
-
-    from nxsearch_ray.stages.ann import brute_force_topk, lsh_topk
-
-    t = _rand_embeddings(n=400)
-    from nxsearch_ray.stages.signatures import list_column_numpy
-
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
-    mat = flat.reshape(len(t), -1)
-    qref = ray.put({"qids": np.array([3]), "vectors": mat[3:4]})
-    exact = brute_force_topk(rd.from_arrow(t), qref, 5)
-    approx = lsh_topk(rd.from_arrow(t), qref, 5, nbits=4)
-    e = {r["vec_id"] for r in pa.concat_tables(
-        exact.iter_batches(batch_size=100, batch_format="pyarrow")
-    ).to_pylist()}
-    a = {r["vec_id"] for r in pa.concat_tables(
-        approx.iter_batches(batch_size=100, batch_format="pyarrow")
-    ).to_pylist()}
-    # the query point itself always survives its own bucket
-    assert 3 in a
-    assert len(a & e) >= 1
-
-
-def test_ivf_topk_recall(ray_session):
-    """IVF-flat plan: probing all lists must reproduce brute force
-    exactly; probing half the lists must keep recall >= 0.5 and always
-    retain the query point itself (it shares its own list)."""
-    import ray
-    import ray.data as rd
-
-    from nxsearch_ray.stages.ann import brute_force_topk, ivf_topk
-    from nxsearch_ray.stages.signatures import list_column_numpy
-
-    t = _rand_embeddings(n=400)
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
-    mat = flat.reshape(len(t), -1)
-    qref = ray.put({"qids": np.array([3]), "vectors": mat[3:4]})
-    exact = brute_force_topk(rd.from_arrow(t), qref, 5)
-    e = {r["vec_id"] for r in pa.concat_tables(
-        exact.iter_batches(batch_size=100, batch_format="pyarrow")
-    ).to_pylist()}
-
-    # nprobe == nlist: every list scanned -> identical to brute force
-    full = ivf_topk(rd.from_arrow(t), qref, 5, nlist=8, nprobe=8)
-    f = {r["vec_id"] for r in pa.concat_tables(
-        full.iter_batches(batch_size=100, batch_format="pyarrow")
-    ).to_pylist()}
-    assert f == e
-
-    approx = ivf_topk(rd.from_arrow(t), qref, 5, nlist=8, nprobe=4)
-    a = {r["vec_id"] for r in pa.concat_tables(
-        approx.iter_batches(batch_size=100, batch_format="pyarrow")
-    ).to_pylist()}
-    assert 3 in a
-    assert len(a & e) >= len(e) // 2
-
-
-def test_embedding_dup_exact(ray_session):
-    import ray
-    import ray.data as rd
-
-    from nxsearch_ray.stages.ann import embedding_dup_pairs_exact
-
-    t = _rand_embeddings(n=50)
-    # plant a duplicate: vec 49 := vec 0
+def _planted(t: pa.Table, copies: dict) -> pa.Table:
+    """``t`` with row ``dst``'s vector replaced by ``scale`` times row
+    ``src``'s for each ``dst: (src, scale)`` of ``copies``."""
     emb = t.column("embedding").to_pylist()
-    emb[49] = emb[0]
-    t = pa.table({"vec_id": t.column("vec_id"),
-                  "embedding": pa.array(emb, type=pa.list_(pa.float32()))})
+    for dst, (src, scale) in copies.items():
+        emb[dst] = [v * scale for v in emb[src]]
+    return pa.table({"vec_id": t.column("vec_id"),
+                     "embedding": pa.array(emb,
+                                           type=pa.list_(pa.float32()))})
+
+
+def _dup_pairs_oracle(t: pa.Table, threshold: float) -> dict:
+    """{(a, b): cosine} of every pair a < b at cosine >= threshold, by
+    one numpy all-pairs matmul."""
     from nxsearch_ray.stages.signatures import list_column_numpy
 
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
-    cref = ray.put({"ids": np.arange(50),
-                    "vectors": flat.reshape(50, -1)})
-    out = embedding_dup_pairs_exact(rd.from_arrow(t), cref,
-                                    threshold=0.999)
-    got = pa.concat_tables(out.iter_batches(batch_size=100,
-                                            batch_format="pyarrow"))
-    assert (0, 49) in {(r["a"], r["b"]) for r in got.to_pylist()}
-
-
-def test_embedding_dup_blocked_matches_broadcast(ray_session):
-    """The blocked block-pair plan (no full-matrix broadcast) must
-    reproduce the broadcast-exact plan's pairs AND cosines exactly,
-    with several blocks in play (block_rows << n) so same-block,
-    cross-block and dedup paths all execute."""
-    import ray
-    import ray.data as rd
-
-    from nxsearch_ray.stages.ann import (
-        embedding_dup_pairs_blocked,
-        embedding_dup_pairs_exact,
-    )
-    from nxsearch_ray.stages.signatures import list_column_numpy
-
-    t = _rand_embeddings(n=120)
-    emb = t.column("embedding").to_pylist()
-    emb[119] = emb[0]                      # same-block-able duplicate
-    emb[60] = emb[1]                       # cross-block duplicate
-    emb[61] = [v * 0.5 for v in emb[1]]    # same direction, scaled
-    t = pa.table({"vec_id": t.column("vec_id"),
-                  "embedding": pa.array(emb,
-                                        type=pa.list_(pa.float32()))})
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
-    cref = ray.put({"ids": np.arange(120),
-                    "vectors": flat.reshape(120, -1)})
-
-    def pairset(ds):
-        tb = pa.concat_tables(ds.iter_batches(batch_size=1000,
-                                              batch_format="pyarrow"))
-        return {(r["a"], r["b"]): round(r["cosine"], 12)
-                for r in tb.to_pylist()}
-
-    exact = pairset(embedding_dup_pairs_exact(
-        rd.from_arrow(t).repartition(6), cref, threshold=0.8))
-    blocked = pairset(embedding_dup_pairs_blocked(
-        rd.from_arrow(t), threshold=0.8, block_rows=32))
-    assert blocked == exact
-    assert {(0, 119), (1, 60), (1, 61)} <= set(exact)
-
-
-def test_embedding_dups_lsh_recall(ray_session):
-    """Recall gate (VERDICT r01 #4): the multiprobe/multi-table LSH
-    plan must find ≥0.9 of the exact plan's pairs on the sandbox
-    embeddings table."""
-    import ray.data as rd
-
-    from nxsearch_ray.stages.ann import embedding_dup_pairs
-    from nxsearch_ray.stages.signatures import list_column_numpy
-
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(f"{SF}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    flat, off = list_column_numpy(t.column("embedding"),
-                                  dtype=np.float64)
+    flat, _ = list_column_numpy(t.column("embedding"), dtype=np.float64)
     mat = flat.reshape(t.num_rows, -1)
     mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
     sims = mat @ mat.T
-    thr = 0.45
-    ii, jj = np.nonzero(np.triu(sims >= thr, k=1))
     ids = t.column("vec_id").to_numpy()
-    exact = {(int(ids[i]), int(ids[j])) if ids[i] < ids[j]
-             else (int(ids[j]), int(ids[i])) for i, j in zip(ii, jj)}
+    ii, jj = np.nonzero(np.triu(sims >= threshold, k=1))
+    return {(int(min(ids[i], ids[j])), int(max(ids[i], ids[j]))):
+            sims[i, j] for i, j in zip(ii, jj)}
 
-    out = embedding_dup_pairs(rd.from_arrow(t), threshold=thr,
-                              nbits=8, ntables=8, nprobes=3)
-    got = pa.concat_tables(
-        b for b in out.iter_batches(batch_size=1 << 16,
-                                    batch_format="pyarrow")
-        if b.num_columns > 0)
-    found = set(zip(got.column("a").to_pylist(),
-                    got.column("b").to_pylist()))
-    assert found <= exact          # exact cosine verify: no false pairs
-    if exact:
-        assert len(found & exact) / len(exact) >= 0.9
+
+def test_embedding_dup_blocked_matches_broadcast(ray_session):
+    """The blocked block-pair plan must reproduce a numpy all-pairs
+    oracle's pairs AND cosines, with several blocks in play
+    (block_rows << n) so same-block, cross-block and dedup paths all
+    execute.  Two inputs: 120 vectors with same-block, cross-block and
+    scaled duplicates at 0.8, and 50 vectors with one planted copy at
+    0.999."""
+    import ray.data as rd
+
+    from nxsearch_ray.stages.semdedup import embedding_dup_pairs_blocked
+
+    cases = [
+        (_planted(_rand_embeddings(n=120),
+                  {119: (0, 1.0),               # same-block-able
+                   60: (1, 1.0),                # cross-block
+                   61: (1, 0.5)}),              # same direction
+         0.8, {(0, 119), (1, 60), (1, 61)}),
+        (_planted(_rand_embeddings(n=50), {49: (0, 1.0)}), 0.999,
+         {(0, 49)}),
+    ]
+    for t, thr, planted in cases:
+        out = embedding_dup_pairs_blocked(rd.from_arrow(t), threshold=thr,
+                                          block_rows=32)
+        got = {(r["a"], r["b"]): r["cosine"] for r in pa.concat_tables(
+            out.iter_batches(batch_size=1000,
+                             batch_format="pyarrow")).to_pylist()}
+        want = _dup_pairs_oracle(t, thr)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert planted <= set(got)
 
 
 # ---------------------------------------------------------- text stats
