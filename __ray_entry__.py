@@ -569,17 +569,6 @@ def q_dedup_exact_verify(sf_dir: str, variant: str = "auto"):
                         "cluster_is_component_min")
 
 
-def q_signatures(sf_dir: str):
-    from nxsearch_ray.stages.canonicalize import canonicalize_stage
-    from nxsearch_ray.stages.html_extract import extract_stage
-    from nxsearch_ray.stages.signatures import signature_stage
-
-    canon = canonicalize_stage(extract_stage(_pages(sf_dir)), _CFG)
-    sigs = signature_stage(canon, _CFG)
-    return sigs.select_columns(
-        ["page_id", "simhash", "num_shingles", "seq_hash"])
-
-
 def q_signatures_plain(sf_dir: str):
     """Signature stage with ``filters=()`` over documents — the
     SQL-mirrorable slice: ``num_shingles`` is the per-doc count of
@@ -598,14 +587,6 @@ def q_signatures_plain(sf_dir: str):
             "num_shingles": t.column("num_shingles").cast(pa.int64())})
 
     return sigs.map_batches(project, batch_format="pyarrow")
-
-
-def q_canonicalize(sf_dir: str):
-    from nxsearch_ray.stages.canonicalize import canonicalize_stage
-    from nxsearch_ray.stages.html_extract import extract_stage
-
-    canon = canonicalize_stage(extract_stage(_pages(sf_dir)), _CFG)
-    return canon.select_columns(["page_id", "doc_len", "n_unique"])
 
 
 def q_canonicalize_plain(sf_dir: str):

@@ -14,15 +14,19 @@ min-hooking kernel (state/unionfind.py).  Two plans, one semantic:
   * **distributed min-label propagation** (``cc_label_propagation``;
     the scale path): the classic hash-hash iteration — each round
     sends every changed node label to its neighbours' partitions and
-    folds per-node minima, stopping when no label changed.  Converges
-    in O(diameter) rounds (near-dup clusters are shallow; boilerplate
-    chains from the skew cap are star-collapsed in their block first).
-    Label skew for giant components is the BTS (ICDE 2024) concern;
+    folds per-node minima, stopping only at the fixed point (no label
+    changed).  That takes O(diameter) rounds: near-dup clusters are
+    shallow and a chain inside one block is star-collapsed there
+    first, but a chain whose edges the pair union's exchange spread
+    over blocks costs one round per hop.  Shortening such chains and
+    label skew for giant components are the BTS (ICDE 2024) concern;
     min-label with per-round rehashing avoids a single hot reducer
     because the partition key is the node id, not the label.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pyarrow as pa
@@ -33,10 +37,6 @@ from nxsearch_ray.stages.join import sorted_lookup
 CLUSTER_SCHEMA = pa.schema([("page_id", pa.int64()),
                             ("cluster_id", pa.int64())])
 STAR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-
-
-# label-propagation safety cap; convergence normally stops far sooner
-LABELPROP_MAX_ROUNDS = 50
 
 
 def _star_edges(t: pa.Table) -> pa.Table:
@@ -131,14 +131,17 @@ def cc_label_propagation(pairs_ds):
     start-up every round, fixed cost that dwarfs rounds over data
     measured in kilobytes.  Here the edge set is partitioned ONCE
     (star-collapsed per block by the vectorized union-find combiner,
-    exploded to both directions, one ``hash_partitioned`` exchange on
-    ``node``), and each round is P plain tasks passing P×P small
-    message arrays through the object store.  Messages are routed by
+    exploded to both directions, one ``shuffle.exchange`` on ``node``
+    whose pieces each ``_prep`` task concatenates into its partition's
+    state), and each round is P plain tasks passing P×P small message
+    arrays through the object store.  Messages are routed by
     the exchange's own ``key_hash``, so a destination id's partition is
     recomputed anywhere without a lookup table.  Delta propagation: a
     round's traffic is proportional to the labels that actually
-    changed, and convergence (no change anywhere) is O(diameter) rounds
-    over star-collapsed edges.
+    changed.  The loop stops only at the fixed point (no change
+    anywhere): labels only decrease, so it ends, after O(diameter)
+    rounds over star-collapsed edges — a chain whose edges sit in
+    different blocks keeps its full length.
 
     Partitioning assumptions, stated: P is the exchange's data-sized
     width (``shuffle.partition_width``); P² message objects per round
@@ -148,16 +151,14 @@ def cc_label_propagation(pairs_ds):
     is independent of scheduling order."""
     import ray
 
-    from nxsearch_ray.stages.shuffle import hash_partitioned, key_hash
+    from nxsearch_ray.stages.shuffle import concat, exchange, key_hash
 
     def to_edges(t: pa.Table) -> pa.Table:
         """Per-block union-find combiner: collapse every component
         that lives inside this block to a star around its min node
-        BEFORE the global iteration — long chains (the skew-cap policy
-        emits them for hot buckets) mostly come from one bucket and
-        land in one block, so this turns O(chain length) global rounds
-        into O(1).  Vectorized (min-hooking kernel) — no per-edge
-        Python."""
+        BEFORE the global iteration, so a chain whose edges share a
+        block costs O(1) global rounds instead of O(chain length).
+        Vectorized (min-hooking kernel) — no per-edge Python."""
         star = _star_edges(t)
         node = star.column("a").to_numpy()
         root = star.column("b").to_numpy()
@@ -168,13 +169,14 @@ def cc_label_propagation(pairs_ds):
 
     edges = pairs_ds.select_columns(["a", "b"]).map_batches(
         to_edges, batch_format="pyarrow")
-    blocks = hash_partitioned(edges, ["node"]).to_arrow_refs()
+    parts = exchange([(edges, ["node"])])[0]
 
     @ray.remote
-    def _prep(block):
-        """Per-partition state: node-sorted edge arrays, the sorted
-        unique node ids, and initial labels = min(node, local min
-        neighbor).  Returns (state, labels0)."""
+    def _prep(*pieces):
+        """One partition's pieces → its state: node-sorted edge arrays,
+        the sorted unique node ids, and initial labels = min(node,
+        local min neighbor).  Returns (state, labels0)."""
+        block = concat(pieces)
         if block.num_rows == 0:
             return None, np.empty(0, np.int64)
         node = block.column("node").to_numpy()
@@ -188,9 +190,9 @@ def cc_label_propagation(pairs_ds):
         state = {"nodes": nodes, "eidx": eidx, "dst": dst}
         return state, labels
 
-    preps = [_prep.options(num_returns=2).remote(b) for b in blocks]
+    preps = [_prep.options(num_returns=2).remote(*p) for p in parts]
     state_refs = [p[0] for p in preps]
-    B = len(blocks)
+    B = len(parts)
 
     @ray.remote
     def _round(state, labels, first, nblocks, *inbox):
@@ -236,7 +238,7 @@ def cc_label_propagation(pairs_ds):
     # (labels0 from _prep); later rounds emit only changed labels
     label_refs: list = [preps[bi][1] for bi in range(B)]
     msg_refs = [[None] * B for _ in range(B)]   # [src][dst]
-    for rnd in range(LABELPROP_MAX_ROUNDS):
+    for rnd in itertools.count():
         outs = {}
         for bi in range(B):
             inbox = [msg_refs[q][bi] for q in range(B)

@@ -18,8 +18,8 @@ Shape of the computation (broadcast membership, one pass each side):
    fixed-size by nature — eval suites are MBs against a 100 TB
    corpus — so the broadcast set stays tiny no matter the corpus
    scale; if a pathological benchmark ever outgrew worker heaps, the
-   same exploded-gram census feeds the `stages.join` hash-partitioned
-   semi-join instead (the `linededup`-documented fallback).
+   same exploded-gram census feeds the `stages.join.hash_join`
+   partition-wise join instead (the `linededup`-documented fallback).
 2. Scan: every non-benchmark doc's distinct gram hashes are matched
    against the broadcast array with ``stages.join.sorted_lookup`` —
    ``n_hits`` = distinct contaminated grams, ``contaminated`` =

@@ -13,10 +13,11 @@ tie-break is ours, the reference has none).
 
 Dataflow:
 
-  * **vocabulary** — one hash exchange over the canonical token table:
-    explode (term, 1) rows, partition by term, per-block run count →
-    (term, total).  Term strings are required, so the canonicalization
-    stage must run with ``include_tokens=True``.
+  * **vocabulary** — one grouped scan over the canonical token table
+    (stages/shuffle.grouped): explode one row per token occurrence,
+    group by term, each term's run length is its total.  Term strings
+    are required, so the canonicalization stage must run with
+    ``include_tokens=True``.
   * **vocabulary index** — built in one remote task (sorted term array
     + totals), broadcast by ObjectRef.
   * **bulk lookup** — a task pool with per-worker state
@@ -45,7 +46,7 @@ VOCAB_SCHEMA = pa.schema([("term", pa.string()), ("total", pa.int64())])
 def vocabulary(canonical_tokens_ds):
     """(term, total) Dataset from a canonicalized Dataset carrying the
     ``tokens`` list<string> column."""
-    from nxsearch_ray.stages.shuffle import hash_partitioned
+    from nxsearch_ray.stages.shuffle import grouped
 
     def explode(t: pa.Table) -> pa.Table:
         col = t.column("tokens")
@@ -56,17 +57,12 @@ def vocabulary(canonical_tokens_ds):
     keyed = canonical_tokens_ds.select_columns(["tokens"]) \
         .map_batches(explode, batch_format="pyarrow")
 
-    def count_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return VOCAB_SCHEMA.empty_table()
-        terms = t.column("term")
-        counts = terms.value_counts()
-        return pa.table({"term": counts.field("values"),
-                         "total": counts.field("counts")})
+    def totals(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return pa.Table.from_arrays(
+            [t.column("term").take(starts),
+             np.diff(starts, append=t.num_rows)], schema=VOCAB_SCHEMA)
 
-    return hash_partitioned(keyed, ["term"]) \
-        .map_batches(count_block, batch_format="pyarrow",
-                     batch_size=None)
+    return grouped(keyed, ["term"], totals, VOCAB_SCHEMA)
 
 
 def _vocab_index(t: pa.Table) -> dict:

@@ -3,12 +3,12 @@
 Ray 2.49's `Dataset.join` is Acero underneath and rejects list-typed
 payload columns (our minhash/bottomk/token_ids), so this implements
 the join directly as a partition-wise (Grace) hash join: one exchange
-(stages/shuffle.co_partitioned) splits both sides into the same P
-partitions by key hash, then one task per partition pair sorts the
-right keys, looks the left keys up with ``sorted_lookup`` and gathers
-the payload with ``Table.take`` (every Arrow type).  Each key is
-complete inside its partition pair, so there is no boundary fallback
-and no global sort.
+(stages/shuffle.exchange) splits both sides into the same P partitions
+by key hash, then one task per partition concatenates both sides'
+pieces, sorts the right keys, looks the left keys up with
+``sorted_lookup`` and gathers the payload with ``Table.take`` (every
+Arrow type).  Each key is complete inside its partition, so there is
+no boundary fallback, no global sort and no separate merge task.
 
 Contract: the right side is unique per key (true for signature /
 canonical tables keyed by page_id); every matching left row appears
@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from nxsearch_ray.stages.shuffle import concat, exchange
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                          ("source", pa.string())])
@@ -201,11 +202,14 @@ def _joined_schema(left_schema: pa.Schema, right_schema: pa.Schema,
 
 
 @ray.remote
-def _join_partition(left, right, left_key: str, right_key: str,
-                    payload: pa.Schema, out_schema: pa.Schema, how: str):
-    """One partition pair → its joined block: sort the right keys,
-    ``sorted_lookup`` the left keys, ``take`` the ``payload`` columns.
-    Either side may be an empty (even zero-column) partition."""
+def _join_partition(left_key: str, right_key: str, payload: pa.Schema,
+                    out_schema: pa.Schema, how: str, n_left: int,
+                    *pieces):
+    """One partition's pieces (``n_left`` left, then right) → its
+    joined block: sort the right keys, ``sorted_lookup`` the left keys,
+    ``take`` the ``payload`` columns.  Either side may be empty (even
+    zero-column)."""
+    left, right = concat(pieces[:n_left]), concat(pieces[n_left:])
     if left.num_rows == 0:
         return out_schema.empty_table()
     lk = left.column(left_key).to_numpy().astype(np.int64)
@@ -229,17 +233,16 @@ def _join_partition(left, right, left_key: str, right_key: str,
 
 def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
               left_schema: pa.Schema, right_schema: pa.Schema,
-              num_partitions: int | None = None,
               right_suffix: str = "_r", how: str = "inner"):
     """Join ``left[left_key] == right[right_key]``.  Schemas are
     passed explicitly — Ray schemas are lazy, and passing them avoids
     triggering execution just to inspect.
 
-    One exchange co-partitions the left side on ``left_key`` and the
-    right side on ``right_key`` (stages/shuffle.co_partitioned), then
-    one task per partition pair joins it (``_join_partition``).  The
-    exchange runs when called; the result is a Dataset of the P joined
-    blocks.
+    One exchange splits the left side on ``left_key`` and the right
+    side on ``right_key`` into the same P partitions
+    (stages/shuffle.exchange), then one task per partition takes both
+    sides' pieces and joins them (``_join_partition``).  The exchange
+    runs when called; the result is a Dataset of the P joined blocks.
 
     ``how='left'`` keeps unmatched left rows with null payload
     columns."""
@@ -247,15 +250,12 @@ def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
         raise ValueError(f"hash_join: unsupported how={how!r}")
     import ray.data as rd
 
-    from nxsearch_ray.stages.shuffle import co_partitioned
-
     payload = pa.schema([f for f in right_schema if f.name != right_key])
     out_schema = _joined_schema(left_schema, right_schema, right_key,
                                 right_suffix)
-    lefts, rights = co_partitioned([(left_ds, [left_key]),
-                                    (right_ds, [right_key])],
-                                   num_partitions)
+    lefts, rights = exchange([(left_ds, [left_key]),
+                              (right_ds, [right_key])])
     return rd.from_arrow_refs([
-        _join_partition.remote(lt, rt, left_key, right_key, payload,
-                               out_schema, how)
+        _join_partition.remote(left_key, right_key, payload, out_schema,
+                               how, len(lt), *lt, *rt)
         for lt, rt in zip(lefts, rights)])

@@ -7,7 +7,7 @@ reference engine has no direct analogue (its inverted index would
 surface such lines as high-doc-freq terms); this stage is part of the
 training-data operator set layered on top.
 
-Shape of the computation (all vectorized, one shuffle + one census):
+Shape of the computation (all vectorized, two grouped scans):
 
 1. ``reflow_lines`` — explode each page into lines.  The sandbox corpus
    is single-line word soup, so "lines" are deterministic fixed-width
@@ -25,24 +25,22 @@ Shape of the computation (all vectorized, one shuffle + one census):
    ``stages.join.sorted_lookup``.  This is the standard
    CCNet plan; if the dup set ever outgrew memory the same census
    output feeds the `stages.join.anti_join` path instead.
-4. Reassembly: hash-partition by ``page_id`` (key-disjoint blocks —
-   see `stages.shuffle.hash_partitioned`), per-block sort by
-   ``(page_id, line_no)``, and one ``pc.binary_join`` per block glues
-   the surviving lines back into ``clean_text``.
+4. Reassembly: one grouped scan on ``page_id``
+   (``stages.shuffle.grouped``, each page's lines in ``line_no``
+   order); its task fetches the boilerplate set, and one
+   ``pc.binary_join`` per partition glues the surviving lines back
+   into ``clean_text``.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from nxsearch_ray.functions.hashing import hash_strings, string_buffers
-from nxsearch_ray.stages.join import (broadcast_map, id_set_ref,
-                                      sorted_lookup)
-from nxsearch_ray.stages.shuffle import grouped, hash_partitioned
+from nxsearch_ray.stages.join import id_set_ref, sorted_lookup
+from nxsearch_ray.stages.shuffle import grouped
 
 
 def reflow_lines(batch: pa.Table, *, text_col: str = "text",
@@ -94,7 +92,7 @@ def reflow_lines(batch: pa.Table, *, text_col: str = "text",
 
     offs, data = string_buffers(line)
     # int64 bit-view of the 64-bit hash: the boilerplate key set and
-    # its probe in _Reassemble compare signed keys
+    # its probe in line_dedup compare signed keys
     keys = hash_strings(offsets=offs, data=data).view(np.int64)
     return pa.table({
         id_col: ids.take(pa.array(line_doc, type=pa.int64())),
@@ -136,58 +134,6 @@ def boilerplate_keys(lines_ds, *, id_col: str = "page_id",
                       ["line_key"])
 
 
-class _Reassemble:
-    """Per-block page rebuild: runs over key-disjoint (page_id) blocks.
-
-    Holds the fetched boilerplate key set ``dup`` (sorted int64);
-    emits one row per page with the surviving lines rejoined."""
-
-    def __init__(self, dup: np.ndarray, id_col: str, sep: str):
-        self.dup = dup
-        self.id_col = id_col
-        self.sep = sep
-
-    def __call__(self, block: pa.Table) -> pa.Table:
-        if block.num_rows == 0:
-            return pa.table({self.id_col: pa.array([], type=pa.int64()),
-                             "n_lines": pa.array([], type=pa.int64()),
-                             "n_lines_kept": pa.array([], type=pa.int64()),
-                             "clean_text": pa.array([], type=pa.string())})
-        order = pc.sort_indices(block, sort_keys=[
-            (self.id_col, "ascending"), ("line_no", "ascending")])
-        block = block.take(order)
-        pid = block.column(self.id_col).to_numpy()
-        _, is_dup = sorted_lookup(
-            self.dup, block.column("line_key").to_numpy().astype(np.int64))
-
-        starts = np.r_[0, np.flatnonzero(pid[1:] != pid[:-1]) + 1]
-        n_lines = np.diff(np.r_[starts, len(pid)])
-        page_ids = pid[starts]
-        keep = ~is_dup
-        n_kept = np.add.reduceat(keep.astype(np.int64), starts)
-        n_kept[n_lines == 0] = 0                 # reduceat quirk guard
-
-        kept_tbl = block.filter(pa.array(keep))
-        kpid = kept_tbl.column(self.id_col).to_numpy()
-        # offsets of each page's kept lines (pages with 0 kept get an
-        # empty slice): cumulative kept counts aligned to page order
-        koffs = np.zeros(len(page_ids) + 1, dtype=np.int64)
-        np.cumsum(n_kept, out=koffs[1:])
-        assert koffs[-1] == len(kpid)
-        lines = kept_tbl.column("line")
-        if isinstance(lines, pa.ChunkedArray):
-            lines = lines.combine_chunks()
-        lst = pa.ListArray.from_arrays(
-            pa.array(koffs, type=pa.int32()), lines)
-        clean = pc.binary_join(lst, self.sep)
-        return pa.table({
-            self.id_col: pa.array(page_ids),
-            "n_lines": pa.array(n_lines, type=pa.int64()),
-            "n_lines_kept": pa.array(n_kept, type=pa.int64()),
-            "clean_text": clean,
-        })
-
-
 def line_dedup(pages_ds, *, text_col: str = "text",
                id_col: str = "page_id", words_per_line: int | None = 10,
                min_docs: int = 2, line_sep: str = "\n"):
@@ -195,18 +141,40 @@ def line_dedup(pages_ds, *, text_col: str = "text",
     each document's text — returns a Dataset of
     ``(page_id, n_lines, n_lines_kept, clean_text)``.
 
-    One census exchange (a grouped scan on line_key) + one page_id
-    exchange for reassembly; the boilerplate key set is built off-driver and
-    travels once by ObjectRef.  SQL twin: `line_dedup_sql`."""
+    One census exchange (a grouped scan on line_key) + one grouped scan
+    on page_id for reassembly; the boilerplate key set is built
+    off-driver and travels once by ObjectRef.  SQL twin:
+    `line_dedup_sql`."""
+    import ray
+
     lines = pages_ds.map_batches(
         lambda b: reflow_lines(b, text_col=text_col, id_col=id_col,
                                words_per_line=words_per_line),
         batch_format="pyarrow")
     dup_ref = boilerplate_keys(lines, id_col=id_col, min_docs=min_docs)
-    parts = hash_partitioned(lines, [id_col])
-    # whole blocks: a page's lines must meet in one kernel call
-    return broadcast_map(parts, dup_ref, functools.partial(
-        _Reassemble, id_col=id_col, sep=line_sep))
+    schema = pa.schema([(id_col, pa.int64()), ("n_lines", pa.int64()),
+                        ("n_lines_kept", pa.int64()),
+                        ("clean_text", pa.string())])
+
+    def rebuild(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        """One row per page run (lines in ``line_no`` order): the
+        lines not in the boilerplate set, joined."""
+        _, is_dup = sorted_lookup(ray.get(dup_ref),
+                                  t.column("line_key").to_numpy())
+        keep = ~is_dup
+        n_kept = np.add.reduceat(keep.astype(np.int64), starts)
+        # each page's kept lines: cumulative kept counts in page order
+        offs = np.zeros(len(starts) + 1, dtype=np.int64)
+        np.cumsum(n_kept, out=offs[1:])
+        lines = t.filter(pa.array(keep)).column("line").combine_chunks()
+        return pa.Table.from_arrays(
+            [t.column(id_col).take(starts),
+             np.diff(starts, append=t.num_rows), n_kept,
+             pc.binary_join(pa.ListArray.from_arrays(
+                 pa.array(offs, type=pa.int32()), lines), line_sep)],
+            schema=schema)
+
+    return grouped(lines, [id_col], rebuild, schema, then_by=["line_no"])
 
 
 def line_dedup_sql(pages_cte: str, *, words_per_line: int = 10,

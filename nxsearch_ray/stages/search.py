@@ -308,10 +308,13 @@ def term_search(canonical_ds, query: str, cfg: PipelineConfig, *,
     Dataflow: one map-only matched-row pass over the corpus (query ids
     broadcast in the closure — no corpus shuffle), per-term df partial
     counts folded on the driver (nterms integers, not a table
-    collect), then a vectorized expression + scoring pass over the
-    doc-partitioned matched rows (≪ corpus) with per-block top-k; the
-    driver only merges the block top-k lists."""
-    from nxsearch_ray.stages.shuffle import hash_partitioned
+    collect), then one grouped scan on the doc id over the matched
+    rows (≪ corpus; stages/shuffle.grouped): each doc's run is
+    evaluated and scored vectorized, with a per-partition top-k; the
+    driver only merges the partitions' top-k lists."""
+    import ray
+
+    from nxsearch_ray.stages.shuffle import grouped
 
     ast = parse_query(query)
     raw_terms = ast_terms(ast)
@@ -327,8 +330,9 @@ def term_search(canonical_ds, query: str, cfg: PipelineConfig, *,
                 if m is not None:
                     canon[raw] = m
     toks = sorted({t for t in canon.values() if t is not None})
-    empty = pa.schema([(id_col, pa.int64()),
-                       ("score", pa.float64())]).empty_table()
+    out_schema = pa.schema([(id_col, pa.int64()),
+                            ("score", pa.float64())])
+    empty = out_schema.empty_table()
     if not toks:
         return empty
     qids = hash_strings(toks, seed=cfg.seed)
@@ -360,18 +364,14 @@ def term_search(canonical_ds, query: str, cfg: PipelineConfig, *,
     if doc_count == 0 or int(df.sum()) == 0:
         return empty
 
-    out_schema = pa.schema([(id_col, pa.int64()),
-                            ("score", pa.float64())])
-
-    def score_block(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return out_schema.empty_table()
-        ids = t.column(id_col).to_numpy()
+    def score_docs(t: pa.Table, starts: np.ndarray) -> pa.Table:
         tidx = t.column("term_idx").to_numpy()
         tf = t.column("tf").to_numpy()
         dl = t.column("dl").to_numpy()
-        udocs, dinv = np.unique(ids, return_inverse=True)
+        # one run per doc: its id and each row's run
+        udocs = t.column(id_col).to_numpy()[starts]
+        dinv = np.repeat(np.arange(len(starts)),
+                         np.diff(starts, append=t.num_rows))
         present = np.zeros((len(udocs), nterms), dtype=bool)
         present[dinv, tidx] = True
         keep_doc = _eval_ast(ast, present, term_pos, canon)
@@ -388,21 +388,15 @@ def term_search(canonical_ds, query: str, cfg: PipelineConfig, *,
         sel = np.nonzero(have)[0]
         out_ids = udocs[sel]
         out_scores = per_doc[sel]
-        # block-local top-k under the final total order
+        # partition-local top-k under the final total order
         order2 = np.lexsort((out_ids, -out_scores))[:limit]
         return pa.Table.from_arrays(
             [pa.array(out_ids[order2], type=pa.int64()),
              pa.array(out_scores[order2], type=pa.float64())],
             schema=out_schema)
 
-    scored = hash_partitioned(matched, [id_col]).map_batches(
-        score_block, batch_format="pyarrow", batch_size=None)
-    parts = [b for b in scored.iter_batches(batch_size=1 << 20,
-                                            batch_format="pyarrow")]
-    if not parts:
-        return empty
-    merged = pa.concat_tables(
-        [p for p in parts if p.num_columns > 0])
+    merged = pa.concat_tables(ray.get(grouped(
+        matched, [id_col], score_docs, out_schema).to_arrow_refs()))
     if merged.num_rows == 0:
         return empty
     out_ids = merged.column(id_col).to_numpy()

@@ -197,23 +197,22 @@ def _cand_pairs(threshold: float):
 SHARD_BUDGET_PAIRS = 20_000_000
 
 
-def _shard_of(a: np.ndarray, num_shards: int) -> np.ndarray:
+def _shard_of(a: np.ndarray, nshards: int) -> np.ndarray:
     """Shard id per candidate pair — a function of the ``a`` endpoint
     alone (splitmix64 for balance), so all duplicates of a pair land
     in one shard and per-shard dedup is global dedup."""
     from nxsearch_ray.functions.hashing import splitmix64
 
     return (splitmix64(a.astype(np.uint64))
-            % np.uint64(num_shards)).astype(np.int64)
+            % np.uint64(nshards)).astype(np.int64)
 
 
-def build_pair_adjacency_refs(cand_ds, *, num_shards: int | None = None,
-                              shard_budget: int = SHARD_BUDGET_PAIRS):
+def build_pair_adjacency_refs(cand_ds):
     """Per-shard CSR adjacency + per-doc set sizes of the candidate
     pairs: the candidate set is sharded by its ``a`` endpoint so no
     task ever holds more than ~1/S of the pairs.  Returns a list of S
-    ObjectRefs (S auto-sized from the materialized candidate count
-    unless forced).
+    ObjectRefs, S sized from the materialized candidate count by
+    ``SHARD_BUDGET_PAIRS``.
 
     All internal keys are DENSE RANKS over the shard's endpoint id
     universe (``ids``), not global doc ids: ranks are bounded by the
@@ -223,8 +222,7 @@ def build_pair_adjacency_refs(cand_ds, *, num_shards: int | None = None,
     import ray
 
     cand = cand_ds.materialize()
-    if num_shards is None:
-        num_shards = max(1, -(-cand.count() // shard_budget))
+    nshards = max(1, -(-cand.count() // SHARD_BUDGET_PAIRS))
     refs = list(cand.to_arrow_refs())
 
     # refs passed INSIDE a list are not pre-fetched by Ray: the task
@@ -275,8 +273,7 @@ def build_pair_adjacency_refs(cand_ds, *, num_shards: int | None = None,
                 "nodes": nodes_r, "offsets": offsets, "partners": b_r,
                 "pair_keys": pair_keys}
 
-    return [_build.remote(s, num_shards, refs)
-            for s in range(num_shards)]
+    return [_build.remote(s, nshards, refs) for s in range(nshards)]
 
 
 def _count_cooccurrence(adj: dict):
@@ -396,13 +393,12 @@ def _count_cooccurrence(adj: dict):
 
 
 def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.5,
-                        id_col: str = "page_id", text_col: str = "text",
-                        num_shards: int | None = None):
+                        id_col: str = "page_id", text_col: str = "text"):
     """Dataset of (a, b, n_common, size_a, size_b, jaccard) for all doc
     pairs with word-n-gram Jaccard ≥ threshold.  Exact (prefix+
     positional-filter candidates + exact intersection recount); see
-    module docstring.  ``num_shards`` forces the candidate shard count
-    (default: auto-sized so one shard fits a task's heap budget)."""
+    module docstring.  The candidate shard count is sized so one shard
+    fits a task's heap budget (``build_pair_adjacency_refs``)."""
     import ray
     import ray.data
 
@@ -421,7 +417,7 @@ def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.5,
     # no dedup exchange: each shard's adjacency builder streams every
     # candidate block, filters to its shard (a function of ``a``
     # alone) and dedups its shard globally in one pass
-    adj_refs = build_pair_adjacency_refs(cand, num_shards=num_shards)
+    adj_refs = build_pair_adjacency_refs(cand)
 
     out_schema = pa.schema(
         [("a", pa.int64()), ("b", pa.int64()), ("n_common", pa.int64()),

@@ -1,39 +1,34 @@
-"""Key-disjoint hash repartitioning — the engine's one exchange.
+"""Key-disjoint hash exchange — the engine's three task-wave primitives.
 
-``hash_partitioned`` sends every row to the partition its key hashes
-to, so EVERY row of a given key lands in exactly one output block: a
-per-block vectorized scan after a local sort sees every key run in
-full — one exchange, no fallback pass, no second shuffle for
-stragglers.
-
-The exchange is two waves of plain Ray tasks over the input's block
-refs: one ``_split`` per block hashes the key columns and returns its
-P pieces (``num_returns=P``), then one ``_merge`` per partition
-concatenates the pieces addressed to it.  A task costs milliseconds
-to schedule, where an exchange on Ray Data's hash-shuffle operator
-started a pool of aggregator actors — seconds of fixed cost per
-exchange at benchmark scale.  The exchange runs when called (it needs
-the input's block refs and their metadata), so its cost lands at the
-call site; the result is a materialized Dataset whose block i holds
-the rows with ``key_hash(...) % P == i``.
+``exchange`` sends every row to the partition its key hashes to, so
+EVERY row of a given key lands in exactly one partition: a scan over
+one partition sees every key run in full — one exchange, no fallback
+pass, no second shuffle for stragglers.  It is one wave of plain Ray
+tasks over the input's block refs: one ``_split`` per block hashes the
+key columns and returns its P pieces (``num_returns=P``).  The caller
+hands partition i's pieces to the ONE task that uses them, which
+``concat``-s them itself, so no task and no object-store copy exists
+only to merge a partition.  A task costs milliseconds to schedule,
+where an exchange on Ray Data's hash-shuffle operator started a pool of
+aggregator actors — seconds of fixed cost per exchange at benchmark
+scale.  The exchange runs when called (it needs the input's block refs
+and their metadata), so its cost lands at the call site.  Its users:
+the partition-wise (Grace) hash join (stages/join.hash_join, two sides
+at one width, so partition i of each side holds the same keys) and
+label propagation's partitioned edge state (stages/cc.py).
 
 ``grouped`` is the engine's group-by: the same exchange, then one
-task per partition sorts it by the keys, finds where each run of
-equal keys starts and hands the sorted partition and the run starts
-to a kernel.  Every run reaches the kernel whole, so a count, min or
-sum per group is one ``np.<ufunc>.reduceat(col, starts)`` and a
-per-group rule loops over the runs.  It replaces Ray Data's
+task per partition sorts its pieces by the keys, finds where each run
+of equal keys starts and hands the sorted partition and the run
+starts to a kernel.  Every run reaches the kernel whole, so a count,
+min or sum per group is one ``np.<ufunc>.reduceat(col, starts)`` and
+a per-group rule loops over the runs.  It replaces Ray Data's
 sort-shuffle ``groupby`` (which sorted through a sample-partition-
 merge all-to-all and cost seconds per call at benchmark scale).
 
-``co_partitioned`` runs the same exchange over several inputs at one
-width, so partition i of each input holds the same keys: a
-partition-wise (Grace) hash join then joins each partition pair in
-one task (stages/join.hash_join).
-
-``tree_fold`` is the other task-wave primitive: an associative merge
-of many refs (Bloom and HLL partials, CC star edges) as a tree of
-tasks with at most eight inputs each.
+``tree_fold`` is the third primitive: an associative merge of many
+refs (Bloom and HLL partials, CC star edges) as a tree of tasks with
+at most eight inputs each.
 """
 
 from __future__ import annotations
@@ -113,9 +108,10 @@ def _split(block, keys, P):
     return pieces if P > 1 else pieces[0]
 
 
-def _concat(pieces) -> pa.Table:
+def concat(pieces) -> pa.Table:
     """One partition's pieces → its block.  Empty pieces are dropped
-    unless nothing else is left (their schema may be zero-column)."""
+    unless nothing else is left (their schema may be zero-column); no
+    pieces at all is the zero-column table."""
     full = [p for p in pieces if p.num_rows]
     if not full:
         return max(pieces, key=lambda p: p.num_columns,
@@ -124,15 +120,10 @@ def _concat(pieces) -> pa.Table:
 
 
 @ray.remote
-def _merge(*pieces):
-    return _concat(pieces)
-
-
-@ray.remote
 def _group(keys, then_by, fn, schema, *pieces):
     """One partition's pieces → ``fn(sorted partition, run starts)``;
     an empty partition → ``schema.empty_table()``."""
-    t = _concat(pieces)
+    t = concat(pieces)
     n = t.num_rows
     if n == 0:
         return schema.empty_table()
@@ -149,46 +140,27 @@ def _group(keys, then_by, fn, schema, *pieces):
     return fn(t, np.flatnonzero(brk))
 
 
-def _exchange(sides, num_partitions: int | None):
+def exchange(sides):
     """Split every block of every ``(ds, keys)`` side into P pieces;
     returns, per side, P lists of piece refs, list i holding the rows
-    with ``key_hash(keys) % P == i``.  P is ``num_partitions``, else
-    ``partition_width`` of all sides' block metadata taken together."""
+    with ``key_hash(keys) % P == i`` — so rows of equal keys meet in
+    partition i of every side.  P is ``partition_width`` of all sides'
+    block metadata taken together.  The task that consumes partition i
+    takes its pieces as arguments and ``concat``-s them."""
     sides = [([b for bundle in ds.iter_internal_ref_bundles()
                for b in bundle.blocks], list(keys)) for ds, keys in sides]
     metas = [m for blocks, _ in sides for _, m in blocks]
-    P = num_partitions or partition_width(
-        sum(m.num_rows or 0 for m in metas),
-        sum(m.size_bytes or 0 for m in metas))
+    P = partition_width(sum(m.num_rows or 0 for m in metas),
+                        sum(m.size_bytes or 0 for m in metas))
     split = _split.options(num_returns=P)
     pieces = [[split.remote(ref, keys, P) for ref, _ in blocks]
               for blocks, keys in sides]
     if P == 1:
         pieces = [[[p] for p in side] for side in pieces]
     # only the splits hold the input now: each block is freed as its
-    # split finishes, not when the merges do
+    # split finishes, not when the consumers do
     del sides
     return [[[p[i] for p in side] for i in range(P)] for side in pieces]
-
-
-def co_partitioned(sides, num_partitions: int | None = None):
-    """Run one exchange over several ``(ds, keys)`` sides with one width
-    P: returns, per side, the P merged block refs, partition i of every
-    side holding the rows with ``key_hash(keys) % P == i``, so rows of
-    equal keys meet in partition i of each side (a partition-wise join
-    pairs them up)."""
-    return [[_merge.remote(*part) for part in side]
-            for side in _exchange(sides, num_partitions)]
-
-
-def hash_partitioned(ds, keys, num_partitions: int | None = None):
-    """Repartition ``ds`` so each value of ``keys`` occupies exactly
-    one block.  Runs the exchange now and returns a materialized
-    Dataset of exactly P blocks (``co_partitioned`` with one side)."""
-    import ray.data as rd
-
-    return rd.from_arrow_refs(
-        co_partitioned([(ds, keys)], num_partitions)[0])
 
 
 def grouped(ds, keys, fn, schema, then_by=()):
@@ -205,7 +177,7 @@ def grouped(ds, keys, fn, schema, then_by=()):
     keys, then_by = list(keys), list(then_by)
     return rd.from_arrow_refs([
         _group.remote(keys, then_by, fn, schema, *part)
-        for part in _exchange([(ds, keys)], None)[0]])
+        for part in exchange([(ds, keys)])[0]])
 
 
 def tree_fold(parts: list, merge_remote):

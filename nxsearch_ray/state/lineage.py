@@ -32,6 +32,8 @@ import os
 import time
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 from nxsearch_ray.config import PipelineConfig
 
@@ -107,7 +109,6 @@ def input_fingerprint(ds) -> str:
     files with their sizes and mtimes.  Anything else (in-memory,
     derived, ``limit``-ed, ...): its row count plus ``rows_hash`` of
     its rows — one pass over the data."""
-    import pyarrow as pa
     from ray.data._internal.logical.operators.read_operator import Read
 
     files = ds.input_files() if isinstance(ds._logical_plan.dag, Read) \
@@ -137,8 +138,6 @@ def rows_hash(t) -> int:
     every ``CONTENT_COLUMNS`` column the table has
     (``shuffle.key_hash``; a vector column by its raw value bytes), so
     changed content under the same ids changes it."""
-    import pyarrow as pa
-
     from nxsearch_ray.functions.hashing import content_hash128
     from nxsearch_ray.stages.shuffle import key_hash
     from nxsearch_ray.stages.signatures import list_column_numpy
@@ -183,6 +182,13 @@ def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
         shutil.rmtree(sdir)
     os.makedirs(sdir, exist_ok=True)
     ds.write_parquet(sdir)
+    if not any(n.endswith(".parquet") for n in os.listdir(sdir)):
+        # zero rows write no part file: one empty part keeps the
+        # stage's schema, so load_stage reads the stage back
+        schema = ds.schema()
+        pq.write_table(schema.base_schema.empty_table() if schema
+                       else pa.table({}),
+                       os.path.join(sdir, "empty.parquet"))
     wall = time.monotonic() - t0
 
     files = []
@@ -190,8 +196,6 @@ def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
     for name in sorted(os.listdir(sdir)):
         if not name.endswith(".parquet"):
             continue
-        import pyarrow.parquet as pq
-
         fpath = os.path.join(sdir, name)
         md = pq.ParquetFile(fpath).metadata
         files.append({"file": name, "rows": md.num_rows,

@@ -162,6 +162,29 @@ def test_run_corpus_resume(ray_session, corpus_tables, tmp_path):
         assert k in r2.stats
 
 
+def test_run_corpus_resumes_empty_clean_tier(ray_session, corpus_tables,
+                                             tmp_path):
+    """A blocklist that drops every page leaves zero-row checkpoints;
+    the run completes into a fresh ``out_dir``, and a second run
+    resumes them and gives the same (empty) decisions."""
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+
+    pages, emb, _ = corpus_tables
+    kw = dict(embeddings_ds=rd.from_arrow(emb), semdedup_nlist=4,
+              min_words=10, min_required_stopwords=0,
+              blocklist=("synth.example.org",), out_dir=str(tmp_path))
+    r1 = run_corpus(rd.from_arrow(pages), **kw)
+    d1 = decisions_as_table(r1)
+    assert r1.stats["n_clean_pages"] == 0 and d1.num_rows == 0
+    r2 = run_corpus(rd.from_arrow(pages), **kw)
+    assert r2.stats["clean_pages_resumed"] is True
+    assert r2.stats["corpus_final_resumed"] is True
+    assert decisions_as_table(r2).equals(d1)
+
+
 def test_run_corpus_rejects_changed_input(ray_session, corpus_tables,
                                           tmp_path):
     """Pages A, then pages B (one page's text replaced by another's)

@@ -36,17 +36,26 @@ def _left(keys):
                      "x": pa.array(range(len(keys)), pa.int64())})
 
 
-def _join(left_tables, right_tables, how, num_partitions=None):
+@pytest.fixture
+def width(monkeypatch):
+    """Force the exchange width P (``width(P)``)."""
+    from nxsearch_ray.stages import shuffle
+
+    return lambda P: monkeypatch.setattr(shuffle, "partition_width",
+                                         lambda n, b: P)
+
+
+def _join(left_tables, right_tables, how, P=None):
     """Every output block (schema checked), concatenated."""
     import ray
 
     out = hash_join(_dataset(left_tables), _dataset(right_tables),
                     left_key="k", right_key="id",
                     left_schema=_left([]).schema, right_schema=RIGHT_SCHEMA,
-                    num_partitions=num_partitions, how=how)
+                    how=how)
     blocks = ray.get(out.to_arrow_refs())
-    if num_partitions:
-        assert len(blocks) == num_partitions
+    if P:
+        assert len(blocks) == P
     schema = pa.schema([("k", pa.int64()), ("x", pa.int64()),
                         ("v_r", LIST), ("f_r", FIXED)])
     for b in blocks:
@@ -75,35 +84,38 @@ def _expected(left_tables, right_tables, how):
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
-def test_more_partitions_than_rows(ray_session, how):
+def test_more_partitions_than_rows(ray_session, width, how):
     """P far above either side's row count: most partitions are empty,
     and the zero-column input blocks make some zero-column."""
+    width(16)
     left = [_left([3, 1, 3, 7]), pa.table({}), _left([])]
     right = [pa.table({}), _right([1, 3]), _right([])]
-    got = _join(left, right, how, num_partitions=16)
+    got = _join(left, right, how, P=16)
     assert _rows(got) == _expected(left, right, how)
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
-def test_empty_right_side(ray_session, how):
+def test_empty_right_side(ray_session, width, how):
+    width(3)
     left = [_left([5, 6, 5]), _left([8])]
     for right in ([_right([])], [pa.table({})]):
-        got = _join(left, right, how, num_partitions=3)
+        got = _join(left, right, how, P=3)
         assert _rows(got) == _expected(left, right, how)
         assert got.num_rows == (4 if how == "left" else 0)
 
 
-def test_left_join_partition_without_right_rows(ray_session):
+def test_left_join_partition_without_right_rows(ray_session, width):
     from nxsearch_ray.stages.shuffle import key_hash
 
     P = 4
+    width(P)
     keys = list(range(20))
     left, right = [_left(keys)], [_right([0, 9])]
     home = key_hash(right[0], ["id"]) % np.uint64(P)
     lonely = set((key_hash(left[0], ["k"]) % np.uint64(P)).tolist()) \
         - set(home.tolist())
     assert lonely, "the case needs a partition with left rows only"
-    got = _join(left, right, "left", num_partitions=P)
+    got = _join(left, right, "left", P=P)
     assert _rows(got) == _expected(left, right, "left")
     assert got.column("v_r").null_count == 18
 

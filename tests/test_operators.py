@@ -380,14 +380,26 @@ def test_bucket_census(ray_session):
     assert exact_total == tbl.num_rows
 
 
-def test_ngram_jaccard_sharded_plan_equivalence(ray_session):
+def test_ngram_jaccard_sharded_plan_equivalence(ray_session, monkeypatch):
     """Forcing >=4 candidate shards (the a-endpoint sharding that
     bounds every adjacency/count/finish task to ~1/S of the candidate
-    set) must give byte-identical results to the single-shard plan,
-    over a corpus with real duplicate structure."""
+    set, forced by shrinking ``SHARD_BUDGET_PAIRS``) must give
+    byte-identical results to the single-shard plan, over a corpus
+    with real duplicate structure."""
     import ray.data as rd
 
+    from nxsearch_ray.stages import setsim
     from nxsearch_ray.stages.setsim import ngram_jaccard_pairs
+
+    build = setsim.build_pair_adjacency_refs
+    shards = []
+
+    def counted(cand):
+        refs = build(cand)
+        shards.append(len(refs))
+        return refs
+
+    monkeypatch.setattr(setsim, "build_pair_adjacency_refs", counted)
 
     rng = np.random.default_rng(11)
     words = [f"w{i}" for i in range(40)]
@@ -399,9 +411,9 @@ def test_ngram_jaccard_sharded_plan_equivalence(ray_session):
             texts.append(base + " extra")
     t = pa.table({"page_id": list(range(len(texts))), "text": texts})
 
-    def run(num_shards):
-        out = ngram_jaccard_pairs(rd.from_arrow(t), n=3, threshold=0.4,
-                                  num_shards=num_shards)
+    def run(budget):
+        monkeypatch.setattr(setsim, "SHARD_BUDGET_PAIRS", budget)
+        out = ngram_jaccard_pairs(rd.from_arrow(t), n=3, threshold=0.4)
         tb = pa.concat_tables(
             b for b in out.iter_batches(batch_size=1 << 20,
                                         batch_format="pyarrow")
@@ -410,7 +422,8 @@ def test_ngram_jaccard_sharded_plan_equivalence(ray_session):
                             tb.column("a").to_numpy()))
         return tb.take(pa.array(order, type=pa.int64()))
 
-    one = run(1)
-    four = run(4)
+    one = run(1 << 30)
+    many = run(16)
+    assert shards[0] == 1 and shards[1] >= 4
     assert one.num_rows > 0          # the corpus must exercise pairs
-    assert four.equals(one)
+    assert many.equals(one)

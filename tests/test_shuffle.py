@@ -1,6 +1,6 @@
-"""The keyed exchange's contract (stages/shuffle.hash_partitioned):
-every key value lands in exactly one output block, and the output rows
-are the input rows."""
+"""The keyed exchange's contract (stages/shuffle.exchange + concat):
+every key value lands in exactly one partition, and the partitions'
+rows are the input rows."""
 
 from collections import Counter
 
@@ -8,7 +8,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from nxsearch_ray.stages.shuffle import hash_partitioned
+from nxsearch_ray.stages import shuffle
+from nxsearch_ray.stages.shuffle import concat, exchange
 
 
 def _dataset(tables):
@@ -18,11 +19,18 @@ def _dataset(tables):
     return rd.from_arrow_refs([ray.put(t) for t in tables])
 
 
-def _blocks(ds, keys, num_partitions=None):
+def _blocks(ds, keys):
+    """Each partition's pieces concatenated, as its consumer does."""
     import ray
 
-    return ray.get(hash_partitioned(ds, keys, num_partitions)
-                   .to_arrow_refs())
+    return [concat(ray.get(part)) for part in exchange([(ds, keys)])[0]]
+
+
+@pytest.fixture
+def width(monkeypatch):
+    """Force the exchange width P (``width(P)``)."""
+    return lambda P: monkeypatch.setattr(shuffle, "partition_width",
+                                         lambda n, b: P)
 
 
 def _rows(tables):
@@ -30,10 +38,10 @@ def _rows(tables):
                    for r in t.to_pylist())
 
 
-def _check(tables, keys, num_partitions=None):
-    blocks = _blocks(_dataset(tables), keys, num_partitions)
-    if num_partitions:
-        assert len(blocks) == num_partitions
+def _check(tables, keys, P=None):
+    blocks = _blocks(_dataset(tables), keys)
+    if P:
+        assert len(blocks) == P
     home: dict = {}
     for i, b in enumerate(blocks):
         if b.num_rows == 0:
@@ -65,11 +73,13 @@ KEYS = {
 
 
 @pytest.mark.parametrize("kind", sorted(KEYS))
-def test_each_key_in_one_block(ray_session, kind):
+def test_each_key_in_one_block(ray_session, width, kind):
+    width(4)
     _check(_three_blocks(KEYS[kind]), ["k"], 4)
 
 
-def test_two_column_key(ray_session):
+def test_two_column_key(ray_session, width):
+    width(5)
     i = np.arange(400)
     t = pa.table({"a": pa.array(i % 7, pa.int64()),
                   "b": pa.array(i % 11, pa.int64()),
@@ -81,22 +91,26 @@ def test_two_column_key(ray_session):
                for v in range(7))
 
 
-def test_empty_and_zero_column_blocks(ray_session):
+def test_empty_and_zero_column_blocks(ray_session, width):
     """A union with an empty side yields zero-row and zero-column
     blocks; they pass through without losing or inventing rows."""
+    width(3)
     t = _three_blocks(KEYS["int64"])
     _check([t[0], pa.table({}), t[1].slice(0, 0), t[2]], ["k"], 3)
-    # nothing but empties: P empty blocks
-    blocks = _blocks(_dataset([pa.table({}), t[0].slice(0, 0)]), ["k"], 3)
+    # nothing but empties: P empty partitions
+    blocks = _blocks(_dataset([pa.table({}), t[0].slice(0, 0)]), ["k"])
     assert len(blocks) == 3 and sum(b.num_rows for b in blocks) == 0
+    assert concat([]).num_rows == 0
 
 
-def test_one_partition(ray_session):
+def test_one_partition(ray_session, width):
+    width(1)
     blocks = _check(_three_blocks(KEYS["string"]), ["k"], 1)
     assert blocks[0].num_rows == 300
 
 
-def test_more_partitions_than_rows(ray_session):
+def test_more_partitions_than_rows(ray_session, width):
+    width(16)
     t = pa.table({"k": pa.array([5, 5, 9], pa.int64()),
                   "row": pa.array([0, 1, 2], pa.int64())})
     blocks = _check([t.slice(0, 2), t.slice(2)], ["k"], 16)
@@ -206,10 +220,8 @@ def test_grouped_zero_column_blocks(ray_session):
     assert sum(b.num_rows for b in blocks) == 0
 
 
-def test_grouped_more_partitions_than_rows(ray_session, monkeypatch):
-    from nxsearch_ray.stages import shuffle
-
-    monkeypatch.setattr(shuffle, "partition_width", lambda n, b: 16)
+def test_grouped_more_partitions_than_rows(ray_session, width):
+    width(16)
     t = pa.table({"s": pa.array(["x", "x", "y"]),
                   "i": pa.array([1, 1, 2], pa.int64()),
                   "row": pa.array([0, 1, 2], pa.int64())})
@@ -260,12 +272,15 @@ def test_grouped_censuses_match_counter(ray_session):
 def test_no_sort_shuffle_call_sites():
     """Every grouped operator runs on ``grouped``: no engine module
     calls Ray Data's sort-shuffle ``groupby`` / ``map_groups`` or
-    imports its aggregates."""
+    imports its aggregates; and every keyed exchange ends in the task
+    that uses it: nothing names the merge-first ``hash_partitioned`` /
+    ``co_partitioned`` exchanges."""
     import re
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    pat = re.compile(r"\.groupby\(|\.map_groups\(|import aggregate")
+    pat = re.compile(r"\.groupby\(|\.map_groups\(|import aggregate"
+                     r"|hash_partitioned|co_partitioned")
     files = [*sorted((root / "nxsearch_ray").rglob("*.py")),
              root / "__ray_entry__.py"]
     hits = [f"{p.relative_to(root)}:{i}" for p in files

@@ -127,3 +127,26 @@ def test_cc_tree_empty_input(ray_session):
                                     "b": pa.array([], pa.int64())}))
     out = _clusters(cc_tree_unionfind(empty))
     assert out.num_rows == 0 and out.schema == CLUSTER_SCHEMA
+
+
+def test_labelprop_long_path_across_blocks(ray_session, monkeypatch):
+    """A 121-node path whose 120 edges sit in 120 single-row blocks:
+    no block-local star collapse shortens it, so label propagation
+    needs one round per hop and must run to its fixed point.  Its
+    clusters equal the tree plan's."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from nxsearch_ray.stages import shuffle
+    from nxsearch_ray.stages.cc import cc_label_propagation, cc_tree_unionfind
+
+    monkeypatch.setattr(shuffle, "partition_width", lambda n, b: 2)
+    pairs = rd.from_arrow_refs([
+        ray.put(pa.table({"a": pa.array([i], pa.int64()),
+                          "b": pa.array([i + 1], pa.int64())}))
+        for i in range(120)])
+    lp = _clusters(cc_label_propagation(pairs))
+    assert lp.equals(_clusters(cc_tree_unionfind(pairs)))
+    assert lp.num_rows == 121
+    assert set(lp.column("cluster_id").to_pylist()) == {0}
