@@ -991,7 +991,7 @@ def q_url_seen_guard(sf_dir: str):
     import numpy as np
     import ray
 
-    from nxsearch_ray.stages.bloom import bloom_build_ref
+    from nxsearch_ray.stages.bloom import bloom_build_sharded
     from nxsearch_ray.stages.join import broadcast_map
 
     m_bits, k = 1 << 21, 5
@@ -1007,7 +1007,9 @@ def q_url_seen_guard(sf_dir: str):
         return t.filter(pa.array(ids % 8 != 0))
 
     prior = pages.map_batches(only_prior, batch_format="pyarrow")
-    bits_ref = bloom_build_ref(prior, "url", m_bits=m_bits, k=k)
+    # one shard: the whole filter is one broadcast bitmap
+    [bits_ref] = bloom_build_sharded(prior, "url", shards=1,
+                                     m_bits_per_shard=m_bits, k=k)
 
     @ray.remote
     def _collect(words, *blocks):

@@ -47,6 +47,14 @@ def _plan_kwargs() -> dict:
     return {}
 
 
+def _stage_walls(stats: dict) -> dict:
+    """Per-stage walls (the run's ``stats["stages"]`` records) with the
+    plan choices and ``n_`` counts beside them."""
+    return {**{r["stage"]: r["wall_s"] for r in stats["stages"]},
+            **{k: v for k, v in stats.items()
+               if k.startswith("n_") or k.endswith("_plan")}}
+
+
 def _timed(fn):
     t0 = time.monotonic()
     out = fn()
@@ -87,16 +95,11 @@ def run_benchmarks() -> dict:
 
     stage_walls: dict[str, dict] = {}
 
-    def _walls(res) -> dict:
-        """Per-stage walls + plan choices from run_dedup's stats."""
-        return {k: v for k, v in res.stats.items()
-                if k.startswith("wall_") or k.endswith("_plan")}
-
     def flagship():
         ds = read_parquet_clean(
             corpus, columns=["page_id", "url", "warc_ts", "html", "lang"])
         res = run_dedup(ds, cfg)
-        stage_walls["dedup_synth"] = _walls(res)
+        stage_walls["dedup_synth"] = _stage_walls(res.stats)
         return clusters_as_table(res)
 
     # warm-up: Ray worker processes import numpy/pyarrow lazily on
@@ -123,7 +126,7 @@ def run_benchmarks() -> dict:
             corpus, columns=["page_id", "url", "warc_ts", "html", "lang"])
         res = run_dedup(ds, cfg, verify_mode="bucketed",
                         cc_mode="labelprop")
-        stage_walls["dedup_synth_scalepath"] = _walls(res)
+        stage_walls["dedup_synth_scalepath"] = _stage_walls(res.stats)
         return clusters_as_table(res)
 
     sec_sp, _ = _timed(flagship_scalepath)
@@ -132,7 +135,7 @@ def run_benchmarks() -> dict:
     # ---- flagship over the sf tables' derived pages
     def dedup_sf():
         res = run_dedup(pages_dataset(SF_DIR), cfg)
-        stage_walls["dedup_sf_pages"] = _walls(res)
+        stage_walls["dedup_sf_pages"] = _stage_walls(res.stats)
         return clusters_as_table(res)
 
     sec2, _ = _timed(dedup_sf)
@@ -178,9 +181,7 @@ def run_benchmarks() -> dict:
                          min_words=10, min_required_stopwords=0,
                          semdedup_eps=0.95, semdedup_nlist=64,
                          seed=SYNTH_SEED)
-        stage_walls["corpus_e2e"] = {
-            k: v for k, v in res.stats.items()
-            if k.startswith(("wall_", "n_")) or k.endswith("_plan")}
+        stage_walls["corpus_e2e"] = _stage_walls(res.stats)
         return decisions_as_table(res)
 
     qsec, dec = _timed(corpus_e2e)
@@ -300,9 +301,7 @@ def run_scaling_worker(ncpu: int, reps: int = 2) -> None:
             **_plan_kwargs())
         rows = clusters_as_table(res).num_rows
         walls.append(round(time.monotonic() - t0, 3))
-        stage_walls.append({k: v for k, v in res.stats.items()
-                            if k.startswith("wall_")
-                            or k.endswith("_plan")})
+        stage_walls.append(_stage_walls(res.stats))
     ray.shutdown()
     print(json.dumps({"sec": min(walls), "walls": walls,
                       "stage_walls": stage_walls,

@@ -13,23 +13,26 @@ same code its standalone query uses):
      near-dup pipeline (pipelines/dedup.run_dedup) over the cleaned
      pages; cluster ids are component minima, so every non-minimal
      member is a tier-2 drop with ``dup_of = cluster_id``.
-  3. ``semantic``   — SemDeDup (stages/semdedup.run_semdedup) over the
-     embeddings of tier-2 SURVIVORS only, the cleaned pages the
-     near-dup tier kept (embeddings keyed by ``vec_id == page_id``;
-     the tier is skipped when no embedding table is supplied).
+  3. ``semantic``   — SemDeDup (stages/semdedup.semantic_dedup_clustered)
+     over the embeddings of tier-2 SURVIVORS only, the cleaned pages
+     the near-dup tier kept (embeddings keyed by ``vec_id ==
+     page_id``; the tier is skipped when no embedding table is
+     supplied).
   4. ``final``      — one decision row per cleaned page:
      ``(page_id, drop_tier, dup_of)`` with tier 0 = kept,
      2 = near-dup, 3 = semantic (tier 1, the quality gate, removes
      rows before decisions exist — reported in stats as
      ``n_quality_dropped``).
 
-Every stage boundary is a lineage-manifest checkpoint
-(state/lineage.py) when ``out_dir`` is set: a re-run over the same
-pages (``input_fingerprint``; the semantic and final stages also key on
-the embeddings' fingerprint) resumes from the last completed stage,
-and per-stage walls are recorded in
-``CorpusResult.stats`` (``wall_clean`` / ``wall_neardup`` /
-``wall_semantic`` / ``wall_final``) so a bench can attribute cost.
+Every stage boundary goes through ``state.lineage.stage``: pinned to
+a lineage-manifest checkpoint when ``out_dir`` is set, else to the
+object store.  A re-run over the same pages (``input_fingerprint``;
+the semantic and final stages also key on the embeddings'
+fingerprint) resumes from the last completed stage.  Each boundary —
+``clean_pages``, the near-dup tier's own (``run_dedup``),
+``semantic_survivors``, ``semdedup_decisions`` and ``corpus_final`` —
+appends one ``{stage, wall_s, rows, bytes, resumed}`` record to
+``CorpusResult.stats["stages"]``, so a bench can attribute cost.
 
 Scale notes: stages 1 and 4 are map-only / partition-wise hash joins;
 stage 2/3 scale notes live with their own pipelines.  The tier-2 and
@@ -39,15 +42,14 @@ so the fold joins ship far less than the corpus.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.config import PipelineConfig
-from nxsearch_ray.state.lineage import (StageParams, checkpoint,
-                                        input_fingerprint)
+from nxsearch_ray.state.lineage import (StageParams, input_fingerprint,
+                                        stage)
 
 DECISION_SCHEMA = pa.schema([("page_id", pa.int64()),
                              ("drop_tier", pa.int8()),
@@ -89,8 +91,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     from nxsearch_ray.stages.urlfilter import filter_blocklist
 
     cfg = cfg or PipelineConfig()
-    stats: dict = {}
-    _t = time.monotonic
+    stats: dict = {"stages": []}
     # every corpus checkpoint is reused only for the same pages; the
     # semantic tier and the final fold also read the embeddings
     fp = sem_fp = input_fingerprint(pages_ds) if out_dir is not None \
@@ -124,24 +125,17 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
         return ds.map_batches(clean_batch, batch_format="pyarrow")
 
-    t0 = _t()
-    clean, skipped = checkpoint(clean_factory, out_dir, "clean_pages",
-                                clean_params, fp)
-    if out_dir is None:
-        clean = clean.materialize()
-    stats["clean_pages_resumed"] = skipped
-    n_clean = clean.count()
-    stats["n_clean_pages"] = n_clean
-    stats["wall_clean"] = round(_t() - t0, 2)
+    clean = stage(stats, "clean_pages", clean_factory, out_dir,
+                  clean_params, fp)
+    stats["n_clean_pages"] = stats["stages"][-1]["rows"]
 
     # ---------------- stage 2: near-dup (the flagship) ----------
-    t0 = _t()
     ndir = os.path.join(out_dir, "neardup") if out_dir else None
     nd = run_dedup(clean, cfg, out_dir=ndir, verify_mode=verify_mode,
                    cc_mode=cc_mode)
     clusters_ds = nd.clusters       # page_id, cluster_id (= comp min)
-    stats.update({f"neardup_{k}": v for k, v in nd.stats.items()})
-    stats["wall_neardup"] = round(_t() - t0, 2)
+    stats["stages"] += nd.stats.pop("stages")
+    stats.update(nd.stats)
 
     def t2_decide(t: pa.Table) -> pa.Table:
         ids = t.column("page_id").to_numpy()
@@ -160,42 +154,45 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     t3_schema = pa.schema([("page_id", pa.int64()),
                            ("dup3", pa.int64())])
     if embeddings_ds is not None:
-        from nxsearch_ray.stages.semdedup import run_semdedup
+        from nxsearch_ray.stages.semdedup import semantic_dedup_clustered
 
-        t0 = _t()
         emb_schema = pa.schema([
             ("vec_id", pa.int64()),
             ("embedding", pa.list_(pa.float32()))])
-        # survivors: the cleaned pages minus the tier-2 drops (an
-        # anti-join on the broadcast drop ids, a few int64s per
-        # duplicate), then their embeddings by one inner join.  A page
-        # the clean tier removed is never a semantic representative.
-        surv_ids = anti_join(clean.select_columns(["page_id"]),
-                             "page_id", id_set_ref(t2, ["page_id"]))
-        surv = hash_join(embeddings_ds, surv_ids, left_key="vec_id",
-                         right_key="page_id", left_schema=emb_schema,
-                         right_schema=pa.schema([("page_id", pa.int64())]))
-        # Pin/checkpoint the survivor embeddings BEFORE the semantic
-        # tier: semdedup re-reads its input once per pass (census /
+
+        def surv_factory():
+            # the cleaned pages minus the tier-2 drops (an anti-join on
+            # the broadcast drop ids, a few int64s per duplicate), then
+            # their embeddings by one inner join.  A page the clean
+            # tier removed is never a semantic representative.
+            surv_ids = anti_join(clean.select_columns(["page_id"]),
+                                 "page_id", id_set_ref(t2, ["page_id"]))
+            return hash_join(
+                embeddings_ds, surv_ids, left_key="vec_id",
+                right_key="page_id", left_schema=emb_schema,
+                right_schema=pa.schema([("page_id", pa.int64())]))
+
+        # the survivor embeddings are pinned BEFORE the semantic tier:
+        # semdedup re-reads its input once per pass (census /
         # sub-train / final) — unpinned, each pass would re-run the
         # join's per-block scans; pinned, each pass is a cheap re-read.
         surv_params = StageParams(
             stage="semantic_survivors",
             clean=clean_params.config_hash(),
             cfg=cfg.config_hash(), version=2)
-        if out_dir is not None:
-            surv, sk = checkpoint(lambda: surv, out_dir,
-                                  "semantic_survivors", surv_params,
-                                  sem_fp)
-            stats["semantic_survivors_resumed"] = sk
-        else:
-            surv = surv.materialize()
-        dec, sd_stats = run_semdedup(
-            surv, eps=semdedup_eps, nlist=semdedup_nlist, seed=seed,
-            out_dir=out_dir,
+        surv = stage(stats, "semantic_survivors", surv_factory, out_dir,
+                     surv_params, sem_fp)
+        # stage_version moves with the clustered plan's own constants
+        # (stages/semdedup.py), which the parameters do not name
+        dec = stage(
+            stats, "semdedup_decisions",
+            lambda: semantic_dedup_clustered(
+                surv, eps=semdedup_eps, nlist=semdedup_nlist, seed=seed),
+            out_dir,
+            StageParams(eps=semdedup_eps, nlist=semdedup_nlist,
+                        seed=seed, stage_version=2),
             # the survivors depend on the clean and near-dup settings too
-            fingerprint=sem_fp and f"{sem_fp}+{surv_params.config_hash()}")
-        stats.update({f"semantic_{k}": v for k, v in sd_stats.items()})
+            sem_fp and f"{sem_fp}+{surv_params.config_hash()}")
 
         def t3_decide(t: pa.Table) -> pa.Table:
             ids = t.column("id").to_numpy()
@@ -206,14 +203,8 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                 "dup3": pa.array(dup[drop], type=pa.int64())})
 
         t3 = dec.map_batches(t3_decide, batch_format="pyarrow")
-        if out_dir is None:
-            # finish the semantic tier's lazy tail here (timed as
-            # wall_semantic), not inside the fold join's exchange
-            t3 = t3.materialize()
-        stats["wall_semantic"] = round(_t() - t0, 2)
 
     # ---------------- stage 4: fold decisions -------------------
-    t0 = _t()
     final_params = StageParams(
         stage="corpus_final", clean=clean_params.config_hash(),
         cfg=cfg.config_hash(), eps=semdedup_eps,
@@ -260,12 +251,8 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
         return f.map_batches(fold, batch_format="pyarrow")
 
-    decisions, skipped = checkpoint(final_factory, out_dir,
-                                    "corpus_final", final_params, sem_fp)
-    stats["corpus_final_resumed"] = skipped
-    if out_dir is None:
-        decisions = decisions.materialize()
-    stats["wall_final"] = round(_t() - t0, 2)
+    decisions = stage(stats, "corpus_final", final_factory, out_dir,
+                      final_params, sem_fp)
     return CorpusResult(decisions=decisions, clusters=nd.clusters,
                         stats=stats)
 

@@ -26,20 +26,24 @@ Each 'auto' plan choice is made by size against one per-task byte
 budget (``TASK_BYTES_BUDGET``), and ``stats`` records the bytes that
 decided it.
 
-Materialization policy: `signatures` is consumed by several
-downstream passes, so it is pinned once — to a Parquet checkpoint
-when ``out_dir`` is given (resumable, with a lineage manifest that
-records the config and input fingerprint), else to the object store
-(``materialize()``).  Each keyed exchange (stages/shuffle.py) runs
-when it is called and hands on its output blocks; the per-block scans
-between exchanges stream, and the scored pairs (read by both tiers)
-are pinned.  All hashing is seeded from the config;
-output is invariant to parallelism and retries.
+Stage boundaries: every boundary goes through ``state.lineage.stage``,
+which pins it — to a Parquet checkpoint when ``out_dir`` is given
+(resumable, with a lineage manifest that records the config and input
+fingerprint), else to the object store — and appends one record
+``{stage, wall_s, rows, bytes, resumed}`` to ``stats["stages"]``.  The
+boundaries are ``signatures`` (read by several downstream passes),
+``pairs`` (the candidates), ``verify`` (the scored pairs, read by both
+tiers), ``verified_pairs`` and ``clusters``; the first and the last two
+are checkpointed.  ``verified_pairs`` runs the upstream stages inside
+its factory, so a valid checkpoint of it skips them all.  Each keyed
+exchange (stages/shuffle.py) runs when it is called and hands on its
+output blocks; the per-block scans between boundaries stream.  All
+hashing is seeded from the config; output is invariant to parallelism
+and retries.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -68,12 +72,11 @@ from nxsearch_ray.stages.verify import (
 )
 from nxsearch_ray.state.lineage import (
     FINGERPRINT,
-    checkpoint,
     input_fingerprint,
     is_complete,
     load_stage,
     read_manifest,
-    stage_bytes,
+    stage,
 )
 
 # the bytes one task may hold: the broadcast indices (verify and
@@ -139,9 +142,11 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
       * 'tree' / 'labelprop': force one plan.
 
     ``stats`` records each auto choice (``verify_plan``, ``cc_plan``)
-    next to the byte figure that decided it and the budget."""
+    next to the byte figure that decided it and the budget, and
+    ``stats["stages"]`` one record per stage boundary that ran or
+    resumed (``state.lineage.stage``)."""
     cfg = cfg or PipelineConfig()
-    stats: dict = {"task_bytes_budget": TASK_BYTES_BUDGET}
+    stats: dict = {"task_bytes_budget": TASK_BYTES_BUDGET, "stages": []}
 
     # the input every checkpoint of this run must match; a run without
     # pages (run_dedup_remove) takes the signatures checkpoint's own
@@ -151,102 +156,59 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
               else (read_manifest(out_dir, "signatures") or {})
               .get(FINGERPRINT))
 
-    # ---------------- resume shortcuts (ADVICE r01): a valid
-    # verified_pairs / clusters checkpoint skips ALL upstream work —
-    # nothing is built (or materialized) just to be discarded.
-    if out_dir is not None and is_complete(out_dir, "verified_pairs",
-                                           cfg, fp):
-        all_pairs = load_stage(out_dir, "verified_pairs")
-        stats["verified_pairs_resumed"] = True
-        # upstream stages are skipped entirely; report whether their
-        # checkpoints are also present (they are, after a clean run)
-        stats["signatures_resumed"] = is_complete(out_dir, "signatures",
-                                                  cfg, fp)
-    else:
-        all_pairs = _verified_pairs(pages_ds, cfg, out_dir, fp,
-                                    verify_mode, stats)
-
-    if out_dir is not None and is_complete(out_dir, "clusters", cfg, fp):
-        clusters = load_stage(out_dir, "clusters")
-        stats["clusters_resumed"] = True
-        return DedupResult(clusters=clusters, verified_pairs=all_pairs,
-                           stats=stats)
-
-    t0 = time.monotonic()
-    clusters = _components(all_pairs, cc_mode, stats)
-    stats["wall_cc"] = round(time.monotonic() - t0, 2)
-    if out_dir is not None:
-        clusters, _ = checkpoint(lambda: clusters, out_dir, "clusters",
-                                 cfg, fingerprint=fp)
+    all_pairs = stage(
+        stats, "verified_pairs",
+        lambda: _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode,
+                                stats),
+        out_dir, cfg, fp)
+    clusters = stage(stats, "clusters",
+                     lambda: _components(all_pairs, cc_mode, stats),
+                     out_dir, cfg, fp)
     return DedupResult(clusters=clusters, verified_pairs=all_pairs,
                        stats=stats)
 
 
 def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
     """signatures → candidates → verify → exact adjudication: the
-    verified (a, b, source) pairs, checkpointed or pinned."""
+    verified (a, b, source) pairs, for the ``verified_pairs`` stage to
+    pin."""
     # fused extract→canonicalize→signature: the signatures table
     # carries token_ids, so no separate canonical materialization
-    t0 = time.monotonic()
-    if out_dir is not None:
-        signatures, stats["signatures_resumed"] = checkpoint(
-            lambda: canonsig_stage(pages_ds, cfg), out_dir, "signatures",
-            cfg, fingerprint=fp)
-    else:
-        signatures = canonsig_stage(pages_ds, cfg).materialize()
-    stats["wall_signatures"] = round(time.monotonic() - t0, 2)
-
-    t0 = time.monotonic()
-    candidates = union_pair_sources(
-        multi_candidate_pairs(signatures, cfg),
-        min_suffix_hits=cfg.min_anchor_hits)
-    stats["wall_candidates"] = round(time.monotonic() - t0, 2)
+    signatures = stage(stats, "signatures",
+                       lambda: canonsig_stage(pages_ds, cfg),
+                       out_dir, cfg, fp)
+    # no pass over the data: the record's bytes — in memory the table
+    # bounds both broadcast indices (each is a column subset)
+    sig_bytes = stats["stages"][-1]["bytes"]
+    candidates = stage(
+        stats, "pairs",
+        lambda: union_pair_sources(multi_candidate_pairs(signatures, cfg),
+                                   min_suffix_hits=cfg.min_anchor_hits),
+        None, cfg)
 
     if verify_mode == "auto":
-        # no pass over the data: the checkpoint's stored bytes, or the
-        # pinned blocks' metadata — in memory the table bounds both
-        # broadcast indices (each is a column subset)
-        sig_bytes = (stage_bytes(out_dir, "signatures")
-                     if out_dir is not None else signatures.size_bytes())
         stats["verify_sig_bytes"] = sig_bytes
         verify_mode = ("broadcast" if sig_bytes <= TASK_BYTES_BUDGET
                        else "bucketed")
     stats["verify_plan"] = verify_mode
-    t0 = time.monotonic()
     if verify_mode == "broadcast":
-        scored = verify_pairs_broadcast(
-            candidates, build_signature_index_ref(signatures, cfg), cfg)
+        scored = stage(stats, "verify", lambda: verify_pairs_broadcast(
+            candidates, build_signature_index_ref(signatures, cfg), cfg),
+            None, cfg)
     elif verify_mode == "bucketed":
-        scored = verify_pairs_bucketed(candidates, signatures, cfg)
+        scored = stage(stats, "verify", lambda: verify_pairs_bucketed(
+            candidates, signatures, cfg), None, cfg)
     else:
         raise ValueError(f"unknown verify_mode {verify_mode!r}")
-    stats["wall_verify_setup"] = round(time.monotonic() - t0, 2)
-
-    t0 = time.monotonic()
-    # no repartition before the pin: the hash exchange already
-    # bounded the block count (one per partition)
-    scored = scored.materialize()
-    stats["wall_verify"] = round(time.monotonic() - t0, 2)
     direct = scored.map_batches(_split_direct, batch_format="pyarrow")
     need_exact = scored.map_batches(_split_exact, batch_format="pyarrow")
 
-    t0 = time.monotonic()
     if verify_mode == "bucketed":
         exact = suffix_verify_bucketed(need_exact, signatures, cfg)
     else:
         exact = suffix_verify_broadcast(
             need_exact, build_token_index_ref(signatures), cfg)
-    all_pairs = direct.union(exact.select_columns(["a", "b", "source"]))
-    if out_dir is None:
-        all_pairs = all_pairs.materialize()
-    else:
-        # checkpoint() writes (its own materialization) and re-reads —
-        # no materialize() first, one barrier not two
-        all_pairs, stats["verified_pairs_resumed"] = checkpoint(
-            lambda: all_pairs, out_dir, "verified_pairs", cfg,
-            fingerprint=fp)
-    stats["wall_exact"] = round(time.monotonic() - t0, 2)
-    return all_pairs
+    return direct.union(exact.select_columns(["a", "b", "source"]))
 
 
 def _components(all_pairs, cc_mode, stats):

@@ -17,7 +17,7 @@ shape.  A missing ``page_id`` is derived as a seeded 64-bit hash of
 
 Output layout under ``--output`` (all resumable, manifest-gated):
     signatures/  verified_pairs/  clusters/   stage checkpoints
-    metrics.json                              run stats + lineage
+    metrics.json                              run stats + stage records
 A re-run with the same config resumes from the completed stages;
 ``--incremental`` appends only new pages; ``--remove-ids FILE``
 deletes page ids (one per line) via the tombstone-replay path.
@@ -195,69 +195,47 @@ def main(argv=None) -> int:
                             min_words=args.min_words,
                             min_required_stopwords=args.min_stopwords,
                             semdedup_eps=args.semdedup_eps, **run_kw)
-        decisions = decisions_as_table(result)
-        wall = round(time.monotonic() - t0, 3)
-        tiers = decisions.column("drop_tier").to_numpy()
-        os.makedirs(args.output, exist_ok=True)
-        with open(os.path.join(args.output, "config.json"), "w") as f:
-            f.write(cfg.to_json())
-        metrics = {
-            "wall_s": wall,
-            "n_decisions": decisions.num_rows,
-            "n_kept": int((tiers == 0).sum()),
-            "n_drop_neardup": int((tiers == 2).sum()),
-            "n_drop_semantic": int((tiers == 3).sum()),
-            "config_hash": cfg.config_hash(),
-            "stats": result.stats,
-        }
-        with open(os.path.join(args.output, "metrics.json"), "w") as f:
-            json.dump(metrics, f, indent=1)
-        print(json.dumps({"metric": "nxsearch_ray.run corpus",
-                          "unit": "sec", "value": wall,
-                          **{k: v for k, v in metrics.items()
-                             if k.startswith("n_")},
-                          "output": args.output}))
-        if owns_session:
-            ray.shutdown()
-        return 0
-    if args.remove_ids:
-        with open(args.remove_ids) as f:
-            ids = [int(line) for line in f if line.strip()]
-        result = run_dedup_remove(ids, cfg, **run_kw)
+        tiers = decisions_as_table(result).column("drop_tier").to_numpy()
+        counts = {"n_decisions": len(tiers),
+                  "n_kept": int((tiers == 0).sum()),
+                  "n_drop_neardup": int((tiers == 2).sum()),
+                  "n_drop_semantic": int((tiers == 3).sum())}
     else:
-        pages = _load_pages(args.input, cfg, out_dir=args.output)
-        if args.check_ids:
-            from nxsearch_ray.stages.diagnostics import duplicate_page_ids
-
-            dups = duplicate_page_ids(pages)
-            if dups.num_rows:
-                raise SystemExit(
-                    f"{dups.num_rows} duplicate page ids in input "
-                    f"(first: {dups.column('page_id')[0].as_py()}) — "
-                    "duplicate doc ids are rejected, like the "
-                    "reference's nxs_index_add guard")
-        if args.incremental:
-            result = run_dedup_incremental(pages, cfg, **run_kw)
+        if args.remove_ids:
+            with open(args.remove_ids) as f:
+                ids = [int(line) for line in f if line.strip()]
+            result = run_dedup_remove(ids, cfg, **run_kw)
         else:
-            result = run_dedup(pages, cfg, **run_kw)
+            pages = _load_pages(args.input, cfg, out_dir=args.output)
+            if args.check_ids:
+                from nxsearch_ray.stages.diagnostics import (
+                    duplicate_page_ids)
 
-    clusters = clusters_as_table(result)
+                dups = duplicate_page_ids(pages)
+                if dups.num_rows:
+                    raise SystemExit(
+                        f"{dups.num_rows} duplicate page ids in input "
+                        f"(first: {dups.column('page_id')[0].as_py()}) — "
+                        "duplicate doc ids are rejected, like the "
+                        "reference's nxs_index_add guard")
+            if args.incremental:
+                result = run_dedup_incremental(pages, cfg, **run_kw)
+            else:
+                result = run_dedup(pages, cfg, **run_kw)
+        counts = {"n_cluster_rows": clusters_as_table(result).num_rows}
     wall = round(time.monotonic() - t0, 3)
 
     os.makedirs(args.output, exist_ok=True)
     with open(os.path.join(args.output, "config.json"), "w") as f:
         f.write(cfg.to_json())
-    metrics = {
-        "wall_s": wall,
-        "n_cluster_rows": clusters.num_rows,
-        "config_hash": cfg.config_hash(),
-        "stats": result.stats,
-    }
+    # stats["stages"]: one {stage, wall_s, rows, bytes, resumed} record
+    # per stage boundary the run crossed (state.lineage.stage)
+    metrics = {"wall_s": wall, **counts,
+               "config_hash": cfg.config_hash(), "stats": result.stats}
     with open(os.path.join(args.output, "metrics.json"), "w") as f:
         json.dump(metrics, f, indent=1)
-    print(json.dumps({"metric": "nxsearch_ray.run dedup", "unit": "sec",
-                      "value": wall,
-                      "n_cluster_rows": clusters.num_rows,
+    print(json.dumps({"metric": f"nxsearch_ray.run {args.pipeline}",
+                      "unit": "sec", "value": wall, **counts,
                       "output": args.output}))
 
     if owns_session:

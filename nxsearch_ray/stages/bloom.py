@@ -16,22 +16,23 @@ Mirrors the reference's ingest-time duplicate-id guard
 check) re-expressed for the no-shared-state dataflow: the shared
 term/dtmap lookup becomes a broadcast read-only bitmap.
 
-Scale plan:
-  build  — one remote task per input block computes a partial bitmap
-           over zero-copy Arrow string buffers (hash_strings is the
-           repo's vectorized FNV+splitmix kernel); partials are
-           OR-folded in ``tree_fold``'s 8-ary task tree, so the driver
-           holds nothing and peak memory per task is 8 bitmaps.  The
-           bitmap is sized by the caller (m_bits); at 10^11 prior
-           keys and 1% FP the bitmap is ~120 GB and would instead be
-           SHARDED by key-hash prefix (each worker fetches only the
-           shards its batch's prefixes touch) — the single-ref plan
-           here is the broadcast member of that family.
-  probe  — the bitmap ref travels by handle into a task-pool
+Scale plan (one filter family: ``shards`` independent filters routed
+by the top bits of the key hash; ``shards=1`` is the single broadcast
+bitmap):
+  build  — one remote task per input block computes its partial
+           bitmap for every shard it has keys for, over zero-copy
+           Arrow string buffers (hash_strings is the repo's vectorized
+           FNV+splitmix kernel); each shard's partials are OR-folded in
+           ``tree_fold``'s 8-ary task tree, so the driver holds nothing
+           and peak memory per task is 8 shard bitmaps.  The bitmap is
+           sized by the caller; at 10^11 prior keys and 1% FP it is
+           ~120 GB, which a 1024-shard layout splits into ~120 MB
+           shards.
+  probe  — the list of shard refs travels by handle into a task-pool
            map_batches (stages/join.broadcast_map); each worker
-           ray.get()s it ONCE (plasma, zero-copy for the word array)
-           and probes per batch with k gather+shift ops, no Python
-           loop.
+           ray.get()s only the shards its batches' keys route to, ONCE
+           each (plasma, zero-copy for the word array), and probes per
+           batch with k gather+shift ops, no Python loop.
 
 Positions use Kirsch-Mitzenmacher double hashing (public):
 pos_i = (h1 + i*h2) mod m with h2 forced odd, giving k independent-
@@ -66,101 +67,40 @@ def bloom_positions(h: np.ndarray, m_bits: int, k: int) -> np.ndarray:
         np.seterr(**old)
 
 
-def _partial_bitmap(block: pa.Table, col: str, m_bits: int, k: int,
-                    seed: int) -> np.ndarray:
-    nwords = (m_bits + 63) // 64
-    words = np.zeros(nwords, dtype=_U64)
-    if block.num_rows:
-        offs, data = string_buffers(block.column(col))
-        h = hash_strings(offsets=offs, data=data, seed=seed)
-        pos = bloom_positions(h, m_bits, k).ravel()
-        np.bitwise_or.at(words, pos >> 6,
-                         _U64(1) << (pos & np.int64(63)).astype(_U64))
-    return words
-
-
-def bloom_build_ref(ds, col: str, *, m_bits: int = 1 << 20,
-                    k: int = 5, seed: int = 0):
-    """ObjectRef to the uint64 word array of a Bloom filter over
-    ``ds[col]`` — per-block partials, OR-folded by ``tree_fold``."""
-    import ray
-
-    @ray.remote
-    def _partial(block):
-        return _partial_bitmap(block, col, m_bits, k, seed)
-
-    @ray.remote
-    def _orr(*ws):
-        return np.bitwise_or.reduce(np.stack(ws), axis=0)
-
-    parts = [_partial.remote(b)
-             for b in ds.select_columns([col]).to_arrow_refs()]
-    if not parts:
-        return ray.put(np.zeros((m_bits + 63) // 64, dtype=_U64))
-    return tree_fold(parts, _orr)
-
-
-def bloom_probe(words: np.ndarray, values, *, m_bits: int, k: int,
-                seed: int = 0) -> np.ndarray:
-    """Vectorized membership over a pa.string Array/ChunkedArray:
-    True iff all k bits are set (no false negatives by construction)."""
+def _key_hashes(values, seed: int) -> np.ndarray:
+    """64-bit hashes of a non-empty pa.string Array/ChunkedArray."""
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
-    if not len(values):
-        return np.zeros(0, dtype=bool)
     offs, data = string_buffers(values)
-    h = hash_strings(offsets=offs, data=data, seed=seed)
+    return hash_strings(offsets=offs, data=data, seed=seed)
+
+
+def _all_set(words: np.ndarray, h: np.ndarray, m_bits: int,
+             k: int) -> np.ndarray:
+    """Per hash: True iff all k of its bits are set in ``words``."""
     pos = bloom_positions(h, m_bits, k)
     bit = (words[pos >> 6] >> (pos & np.int64(63)).astype(_U64)) \
         & _U64(1)
     return bit.astype(bool).all(axis=1)
 
 
-class BloomSeen:
-    """Probe kernel over the fetched bitmap ``words``: appends a
-    boolean ``out_col`` per batch."""
-
-    def __init__(self, words: np.ndarray, col: str, m_bits: int, k: int,
-                 seed: int = 0, out_col: str = "seen_bloom"):
-        self.words = words
-        self.col = col
-        self.m_bits = m_bits
-        self.k = k
-        self.seed = seed
-        self.out_col = out_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        seen = bloom_probe(self.words, batch.column(self.col),
-                           m_bits=self.m_bits, k=self.k,
-                           seed=self.seed)
-        return batch.append_column(self.out_col, pa.array(seen))
+def bloom_probe(words: np.ndarray, values, *, m_bits: int, k: int,
+                seed: int = 0) -> np.ndarray:
+    """Vectorized membership over a pa.string Array/ChunkedArray
+    against one bitmap: True iff all k bits are set (no false
+    negatives by construction)."""
+    if not len(values):
+        return np.zeros(0, dtype=bool)
+    return _all_set(words, _key_hashes(values, seed), m_bits, k)
 
 
-def bloom_seen(ds, bits_ref, col: str, *, m_bits: int = 1 << 20,
-               k: int = 5, seed: int = 0,
-               out_col: str = "seen_bloom"):
-    """Map-only "seen before" flag against a prebuilt broadcast
-    Bloom bitmap — the incremental-ingest guard."""
-    from nxsearch_ray.stages.join import broadcast_map
-
-    return broadcast_map(ds, bits_ref, functools.partial(
-        BloomSeen, col=col, m_bits=m_bits, k=k, seed=seed,
-        out_col=out_col))
-
-
-# ---------------------------------------------------------------
-# Sharded variant — the >memory scale path promised above.  Keys are
-# routed to shard = top bits of their hash; each shard is an
-# independent Bloom filter over its own key population, built by the
-# same partial/fold machinery and held as a SEPARATE object ref.  A
-# probe batch groups its keys by shard and fetches ONLY the shards it
-# touches (plasma-cached per worker after first use), so no single
-# worker ever holds the full bitmap: at 10^11 prior keys / 1% FP
-# (~120 GB of bits) a 1024-shard layout costs a worker ~120 MB per
-# touched shard instead.  Soundness is per-shard, so the sharded
-# probe returns EXACTLY the single-filter verdicts when both are
-# sized to the same bits-per-key (gated in tests).
-# ---------------------------------------------------------------
+# Keys are routed to shard = top bits of their hash; each shard is an
+# independent Bloom filter over its own key population, held as a
+# SEPARATE object ref.  A probe batch groups its keys by shard and
+# fetches ONLY the shards it touches (plasma-cached per worker after
+# first use), so no single worker ever holds the full bitmap.  With
+# ``shards=1`` every key routes to shard 0 and the bit positions are
+# those of one bitmap of ``m_bits_per_shard`` bits.
 
 
 def _shard_of(h: np.ndarray, shards: int) -> np.ndarray:
@@ -187,8 +127,7 @@ def bloom_build_sharded(ds, col: str, *, shards: int = 16,
         nwords = (m_bits_per_shard + 63) // 64
         out = [np.zeros(0, dtype=_U64)] * shards   # empty = no keys
         if block.num_rows:
-            offs, data = string_buffers(block.column(col))
-            h = hash_strings(offsets=offs, data=data, seed=seed)
+            h = _key_hashes(block.column(col), seed)
             sh = _shard_of(h, shards)
             order = np.argsort(sh, kind="stable")
             h, sh = h[order], sh[order]
@@ -203,7 +142,8 @@ def bloom_build_sharded(ds, col: str, *, shards: int = 16,
                     words, pos >> 6,
                     _U64(1) << (pos & np.int64(63)).astype(_U64))
                 out[s] = words
-        return out
+        # one return value is the object itself, not a 1-list
+        return out if shards > 1 else out[0]
 
     @ray.remote
     def _fold_shard(*parts):
@@ -218,6 +158,8 @@ def bloom_build_sharded(ds, col: str, *, shards: int = 16,
         return [ray.put(z.copy()) for _ in range(shards)]
     per_block = [_partials.options(num_returns=shards).remote(b)
                  for b in blocks]
+    if shards == 1:
+        per_block = [[pb] for pb in per_block]
     refs = []
     for s in range(shards):
         # final fold even for a single part: partials use a 0-length
@@ -251,31 +193,24 @@ class ShardedBloomSeen:
         return self.cache[s]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        seen = np.zeros(n, dtype=bool)
-        if n:
-            arr = batch.column(self.col)
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            offs, data = string_buffers(arr)
-            h = hash_strings(offsets=offs, data=data, seed=self.seed)
+        seen = np.zeros(batch.num_rows, dtype=bool)
+        if batch.num_rows:
+            h = _key_hashes(batch.column(self.col), self.seed)
             sh = _shard_of(h, len(self.refs))
             for s in np.unique(sh):
                 rows = np.nonzero(sh == s)[0]
-                words = self._shard(int(s))
-                pos = bloom_positions(h[rows], self.m, self.k)
-                bit = (words[pos >> 6]
-                       >> (pos & np.int64(63)).astype(_U64)) & _U64(1)
-                seen[rows] = bit.astype(bool).all(axis=1)
+                seen[rows] = _all_set(self._shard(int(s)), h[rows],
+                                      self.m, self.k)
         return batch.append_column(self.out_col, pa.array(seen))
 
 
 def bloom_seen_sharded(ds, shard_refs: list, col: str, *,
                        m_bits_per_shard: int = 1 << 16, k: int = 5,
                        seed: int = 0, out_col: str = "seen_bloom"):
-    """Sharded-probe member of ``bloom_seen`` — same verdicts, no
-    full-bitmap residency per worker (the broadcast value is the list
-    of shard refs, not the shards)."""
+    """Map-only "seen before" flag (``out_col``) against a prebuilt
+    filter — the incremental-ingest guard.  No full-bitmap residency
+    per worker: the broadcast value is the list of shard refs, not the
+    shards."""
     import ray
 
     from nxsearch_ray.stages.join import broadcast_map

@@ -49,7 +49,7 @@ cluster at 6.4× the mean, which then holds ~40% of the quadratic
 work as a single serial straggler task).  The plan therefore
 mechanizes its own remedy: a cluster-size census (``nlist`` rows —
 tiny), then a second-level spherical k-means INSIDE any cluster
-larger than ``hot_cap_factor ×`` the mean, reassigning its rows to
+larger than ``HOT_CAP_FACTOR ×`` the mean, reassigning its rows to
 sub-clusters before the grouped scan.  Identical vectors still always
 share a (sub-)cluster — guaranteed by ``_det_argmax``, not by GEMM
 alone (see its docstring for why BLAS breaks this) — so
@@ -72,6 +72,16 @@ from nxsearch_ray.stages.signatures import list_column_numpy
 OUT_SCHEMA = pa.schema([("id", pa.int64()), ("dup_of", pa.int64()),
                         ("keep", pa.bool_())])
 DUP_SCHEMA = pa.schema([("b", pa.int64()), ("dup_of", pa.int64())])
+
+# the clustered plan's constants (a change to any of them changes the
+# decisions, so run_corpus's semdedup_decisions stage_version moves
+# with them): k-means training sample and Lloyd iterations, the
+# hot-cluster threshold as a multiple of the mean cluster size, and
+# the training sample of a hot cluster's second-level k-means
+SAMPLE_CAP = 65536
+KMEANS_ITERS = 10
+HOT_CAP_FACTOR = 3.0
+SUB_SAMPLE_CAP = 16384
 
 
 def _embedding_matrix(batch: pa.Table, col: str,
@@ -101,8 +111,8 @@ def _first_of_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def train_ivf_centroids_ref(emb_ds, nlist: int, *,
                             emb_col: str = "embedding",
-                            seed: int = 42, sample_cap: int = 65536,
-                            iters: int = 10):
+                            seed: int = 42,
+                            sample_cap: int = SAMPLE_CAP):
     """Deterministic spherical k-means over a corpus sample, trained
     in ONE remote task (the driver never holds the sample).  Returns
     an ObjectRef to the (nlist, dim) L2-normalized centroid matrix.
@@ -148,7 +158,7 @@ def train_ivf_centroids_ref(emb_ds, nlist: int, *,
             idx[j] = int(best.argmin())
             np.maximum(best, mat @ mat[idx[j]], out=best)
         cent = mat[idx].copy()
-        for _ in range(iters):
+        for _ in range(KMEANS_ITERS):
             sim = mat @ cent.T
             assign = sim.argmax(axis=1)
             sums = np.zeros_like(cent)
@@ -479,14 +489,10 @@ def _cluster_census(assigned) -> dict[int, int]:
 def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
                              nlist: int = 64, seed: int = 42,
                              id_col: str = "vec_id",
-                             emb_col: str = "embedding",
-                             sample_cap: int = 65536,
-                             centroids_ref=None,
-                             hot_cap_factor: float = 3.0,
-                             sub_sample_cap: int = 16384):
+                             emb_col: str = "embedding"):
     """Clustered plan (SemDeDup proper).  One sample-trained k-means,
     one streaming assignment pass, a cluster-size census with second-
-    level k-means inside hot clusters (> ``hot_cap_factor`` × mean;
+    level k-means inside hot clusters (> ``HOT_CAP_FACTOR`` × mean;
     see module docstring), one grouped scan, blocked in-cluster
     matmuls.
     Drops are a sound subset of the exact rule's.
@@ -498,11 +504,8 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
     at 100 TB would be all spill traffic."""
     import ray
 
-    if centroids_ref is None:
-        centroids_ref = train_ivf_centroids_ref(
-            emb_ds, nlist, emb_col=emb_col, seed=seed,
-            sample_cap=sample_cap)
-    cent = ray.get(centroids_ref)                # (nlist, dim) — tiny
+    cent = ray.get(train_ivf_centroids_ref(
+        emb_ds, nlist, emb_col=emb_col, seed=seed))  # (nlist, dim) — tiny
     if cent.size == 0:
         return emb_ds.limit(0).map_batches(
             lambda t: OUT_SCHEMA.empty_table(), batch_format="pyarrow")
@@ -517,78 +520,77 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
 
     assigned = emb_ds.map_batches(assign, batch_format="pyarrow")
 
-    if hot_cap_factor:
-        # RECURSIVE re-split: one sub-k-means round can leave a still-
-        # hot subgroup (a bad local optimum before the farthest-point
-        # init fix, or simply a very large cone), so census -> split
-        # repeats until no hot group remains, the round made no
-        # progress (a point mass of identical vectors, which k-means
-        # cannot split and the identical-row collapse in _cluster_rule
-        # handles for free), or the round cap is hit.  Each census /
-        # resplit is a streaming corpus pass — rounds beyond the first
-        # only happen when the previous one actually shrank the max.
-        prev_max = None
-        for _round in range(3):
-            sizes = _cluster_census(assigned)
-            mean = sum(sizes.values()) / max(len(sizes), 1)
-            hot = {c: s for c, s in sizes.items()
-                   if s > hot_cap_factor * mean and s > 1}
-            if not hot:
-                break
-            cur_max = max(hot.values())
-            # require MEANINGFUL progress: a point mass of identical
-            # vectors sheds only its few genuine cone-mates per round
-            # (165617 -> 160022 profiled) — k-means can never split
-            # it, and the identical-row collapse scores it in O(n)
-            if prev_max is not None and cur_max >= 0.9 * prev_max:
-                break
-            prev_max = cur_max
-            # one corpus pass pins ONLY the hot clusters' rows (the
-            # hot fraction of the corpus, object-store resident); the
-            # per-cluster training filters then scan that subset
-            # instead of re-running read+assign once per hot cluster
-            hot_keys = pa.array(np.array(sorted(hot), dtype=np.int64))
+    # RECURSIVE re-split: one sub-k-means round can leave a still-
+    # hot subgroup (a bad local optimum before the farthest-point
+    # init fix, or simply a very large cone), so census -> split
+    # repeats until no hot group remains, the round made no
+    # progress (a point mass of identical vectors, which k-means
+    # cannot split and the identical-row collapse in _cluster_rule
+    # handles for free), or the round cap is hit.  Each census /
+    # resplit is a streaming corpus pass — rounds beyond the first
+    # only happen when the previous one actually shrank the max.
+    prev_max = None
+    for _round in range(3):
+        sizes = _cluster_census(assigned)
+        mean = sum(sizes.values()) / max(len(sizes), 1)
+        hot = {c: s for c, s in sizes.items()
+               if s > HOT_CAP_FACTOR * mean and s > 1}
+        if not hot:
+            break
+        cur_max = max(hot.values())
+        # require MEANINGFUL progress: a point mass of identical
+        # vectors sheds only its few genuine cone-mates per round
+        # (165617 -> 160022 profiled) — k-means can never split
+        # it, and the identical-row collapse scores it in O(n)
+        if prev_max is not None and cur_max >= 0.9 * prev_max:
+            break
+        prev_max = cur_max
+        # one corpus pass pins ONLY the hot clusters' rows (the
+        # hot fraction of the corpus, object-store resident); the
+        # per-cluster training filters then scan that subset
+        # instead of re-running read+assign once per hot cluster
+        hot_keys = pa.array(np.array(sorted(hot), dtype=np.int64))
 
-            def only_hot(t: pa.Table, keys=hot_keys) -> pa.Table:
-                import pyarrow.compute as pc
+        def only_hot(t: pa.Table, keys=hot_keys) -> pa.Table:
+            import pyarrow.compute as pc
 
-                return t.filter(pc.is_in(t.column("cluster"),
-                                         value_set=keys))
+            return t.filter(pc.is_in(t.column("cluster"),
+                                     value_set=keys))
 
-            hot_ds = assigned.map_batches(
-                only_hot, batch_format="pyarrow").materialize()
-            sub_refs = {
-                c: train_ivf_centroids_ref(
-                    hot_ds.filter(expr=f"cluster == {c}"),
-                    int(np.ceil(s / mean)), emb_col=emb_col,
-                    seed=seed + 1000003 * (c + 1) + 7919 * _round,
-                    sample_cap=sub_sample_cap)
-                for c, s in hot.items()}
-            subc = {c: np.ascontiguousarray(ray.get(r),
-                                            dtype=np.float32)
-                    for c, r in sub_refs.items()}
-            # disjoint relabel: cluster -> cluster*stride + sub_idx
-            # (sub_idx 0 for cold clusters), stride fixed by the census
-            stride = 1 + max(len(m) for m in subc.values())
+        hot_ds = assigned.map_batches(
+            only_hot, batch_format="pyarrow").materialize()
+        sub_refs = {
+            c: train_ivf_centroids_ref(
+                hot_ds.filter(expr=f"cluster == {c}"),
+                int(np.ceil(s / mean)), emb_col=emb_col,
+                seed=seed + 1000003 * (c + 1) + 7919 * _round,
+                sample_cap=SUB_SAMPLE_CAP)
+            for c, s in hot.items()}
+        subc = {c: np.ascontiguousarray(ray.get(r),
+                                        dtype=np.float32)
+                for c, r in sub_refs.items()}
+        # disjoint relabel: cluster -> cluster*stride + sub_idx
+        # (sub_idx 0 for cold clusters), stride fixed by the census
+        stride = 1 + max(len(m) for m in subc.values())
 
-            def resplit(batch: pa.Table, subc=subc,
-                        stride=stride) -> pa.Table:
-                cl = batch.column("cluster").to_numpy() * stride
-                mat = None
-                for c, cm in subc.items():
-                    rows = np.nonzero(
-                        batch.column("cluster").to_numpy() == c)[0]
-                    if not len(rows):
-                        continue
-                    if mat is None:
-                        mat = _normalize(_embedding_matrix(
-                            batch, emb_col, dtype=np.float32))
-                    cl[rows] += _det_argmax(mat[rows], cm)
-                return batch.drop_columns(["cluster"]).append_column(
-                    "cluster", pa.array(cl))
+        def resplit(batch: pa.Table, subc=subc,
+                    stride=stride) -> pa.Table:
+            cl = batch.column("cluster").to_numpy() * stride
+            mat = None
+            for c, cm in subc.items():
+                rows = np.nonzero(
+                    batch.column("cluster").to_numpy() == c)[0]
+                if not len(rows):
+                    continue
+                if mat is None:
+                    mat = _normalize(_embedding_matrix(
+                        batch, emb_col, dtype=np.float32))
+                cl[rows] += _det_argmax(mat[rows], cm)
+            return batch.drop_columns(["cluster"]).append_column(
+                "cluster", pa.array(cl))
 
-            assigned = assigned.map_batches(resplit,
-                                            batch_format="pyarrow")
+        assigned = assigned.map_batches(resplit,
+                                        batch_format="pyarrow")
 
     rule = _cluster_rule(eps, id_col, emb_col)
 
@@ -598,43 +600,3 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
                                  for i, j in zip(starts, ends)])
 
     return grouped(assigned, ["cluster"], per_cluster, OUT_SCHEMA)
-
-
-def run_semdedup(emb_ds, *, eps: float = 0.4, nlist: int = 64,
-                 seed: int = 42, id_col: str = "vec_id",
-                 emb_col: str = "embedding", sample_cap: int = 65536,
-                 hot_cap_factor: float = 3.0,
-                 sub_sample_cap: int = 16384,
-                 out_dir: str | None = None,
-                 fingerprint: str | None = None):
-    """Checkpoint-resumable semantic tier (the flagship's lineage
-    discipline, state/lineage.py): with ``out_dir`` set, the decision
-    table ``(id, dup_of, keep)`` is materialized to
-    ``{out_dir}/semdedup_decisions/`` as partitioned Parquet with a
-    lineage manifest keyed by the parameter hash and ``fingerprint``
-    (the caller's input fingerprint); a re-run under the same
-    parameters and fingerprint loads the checkpoint instead of redoing
-    the quadratic work, and a change to either invalidates it.
-    Returns ``(dataset, stats)`` with the resumed flag and stage
-    wall."""
-    import time
-
-    from nxsearch_ray.state.lineage import StageParams, checkpoint
-
-    params = StageParams(
-        eps=eps, nlist=nlist, seed=seed, id_col=id_col,
-        emb_col=emb_col, sample_cap=sample_cap,
-        hot_cap_factor=hot_cap_factor,
-        sub_sample_cap=sub_sample_cap, stage_version=1)
-    stats: dict = {}
-    t0 = time.monotonic()
-    ds, skipped = checkpoint(
-        lambda: semantic_dedup_clustered(
-            emb_ds, eps=eps, nlist=nlist, seed=seed, id_col=id_col,
-            emb_col=emb_col, sample_cap=sample_cap,
-            hot_cap_factor=hot_cap_factor,
-            sub_sample_cap=sub_sample_cap),
-        out_dir, "semdedup_decisions", params, fingerprint)
-    stats["semdedup_decisions_resumed"] = skipped
-    stats["wall_semdedup"] = round(time.monotonic() - t0, 2)
-    return ds, stats

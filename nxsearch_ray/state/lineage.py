@@ -1,4 +1,4 @@
-"""Per-stage checkpointing, lineage manifests and resume.
+"""Per-stage checkpointing, lineage manifests, resume and stage records.
 
 The reference's durability story is append-only files + consumed
 offsets (reference src/index/terms.c:320-344): a crashed writer loses
@@ -22,6 +22,11 @@ only its in-flight doc.  The batch-pipeline analogue (north rule:
 Stage output directories are independent, so a run that died between
 stage k and k+1 resumes at k+1 — the batch equivalent of replaying
 from a consumed offset.
+
+``stage`` is the one stage boundary the pipelines use: it resumes or
+computes a stage, pins it (a checkpoint, or the object store without
+``out_dir``) and appends one record ``{stage, wall_s, rows, bytes,
+resumed}`` to the run's ``stats["stages"]``.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ CONTENT_COLUMNS = ("html", "text", "lang", "embedding")
 
 class StageParams:
     """The parameter set of a stage that is not a PipelineConfig
-    (the corpus stages, the semantic tier): ``checkpoint`` duck-types
+    (the corpus stages, the semantic tier): ``stage`` duck-types
     on ``config_hash()``, the md5 of the sorted-key JSON of ``kw``."""
 
     def __init__(self, **kw):
@@ -82,16 +87,6 @@ def is_complete(out_dir: str, stage: str, cfg: PipelineConfig,
     return (m is not None and m.get("config_hash") == cfg.config_hash()
             and (fingerprint is None
                  or m.get(FINGERPRINT) == fingerprint))
-
-
-def stage_bytes(out_dir: str, stage: str) -> int:
-    """Uncompressed bytes of a complete stage, from its manifest (the
-    Parquet row groups' ``total_byte_size``, metadata only) — the
-    quantity an in-memory ``Dataset.size_bytes()`` measures, not the
-    smaller stored (compressed) one.  A manifest written before that
-    figure was recorded holds only the stored bytes."""
-    return sum(p.get("uncompressed_bytes", p["bytes"])
-               for p in read_manifest(out_dir, stage)["partitions"])
 
 
 def id_hash(ids) -> int:
@@ -220,17 +215,46 @@ def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
     return load_stage(out_dir, stage)
 
 
-def checkpoint(ds_factory, out_dir: str | None, stage: str,
-               cfg: PipelineConfig, fingerprint: str | None = None):
-    """Resume-or-compute: returns (dataset, skipped: bool).
+def stage(stats: dict, name: str, factory, out_dir: str | None,
+          params, fingerprint: str | None = None):
+    """One stage boundary: resume-or-compute the stage ``name``, pinned
+    either way, and append its record ``{stage, wall_s, rows, bytes,
+    resumed}`` to ``stats["stages"]``; returns the pinned dataset.
 
-    ``ds_factory`` is only called when the checkpoint is absent/stale
-    (another config, or another ``fingerprint`` when one is given — it
-    is then recorded in the manifest); with ``out_dir=None``
-    checkpointing is disabled (pure streaming)."""
+    With ``out_dir`` the stage is a checkpoint: ``factory`` is only
+    called when it is absent/stale (another ``params.config_hash()``,
+    or another ``fingerprint`` when one is given — it is then recorded
+    in the manifest), and its output is written and re-read.  Without,
+    there is nothing to resume: the factory's dataset is pinned to the
+    object store (``materialize()``).  A resumed stage never calls
+    ``factory``, so nothing it would have run upstream leaves a record.
+
+    No pass over the data: a checkpointed stage's rows and bytes come
+    from its manifest (bytes are the Parquet row groups' uncompressed
+    ``total_byte_size`` — the quantity an in-memory ``size_bytes()``
+    measures, not the smaller stored one; a manifest written before
+    that figure was recorded holds only the stored bytes), a pinned
+    stage's from its blocks' metadata.  ``wall_s`` is the stage's own
+    time: a stage that ``factory`` runs inside it appends its own
+    record first, and that time is not counted twice, so a run's
+    records add up to its staged wall."""
+    records = stats.setdefault("stages", [])
+    n_before = len(records)
+    t0 = time.monotonic()
     if out_dir is None:
-        return ds_factory(), False
-    if is_complete(out_dir, stage, cfg, fingerprint):
-        return load_stage(out_dir, stage), True
-    extra = None if fingerprint is None else {FINGERPRINT: fingerprint}
-    return write_stage(ds_factory(), out_dir, stage, cfg, extra), False
+        ds, resumed = factory().materialize(), False
+        rows, nbytes = ds.count(), ds.size_bytes()
+    else:
+        resumed = is_complete(out_dir, name, params, fingerprint)
+        ds = load_stage(out_dir, name) if resumed else write_stage(
+            factory(), out_dir, name, params,
+            None if fingerprint is None else {FINGERPRINT: fingerprint})
+        m = read_manifest(out_dir, name)
+        rows = m["rows"]
+        nbytes = sum(p.get("uncompressed_bytes", p["bytes"])
+                     for p in m["partitions"])
+    nested = sum(r["wall_s"] for r in records[n_before:])
+    records.append({"stage": name,
+                    "wall_s": round(time.monotonic() - t0 - nested, 3),
+                    "rows": rows, "bytes": nbytes, "resumed": resumed})
+    return ds

@@ -1,6 +1,7 @@
 """Bloom-filter ingest-guard gates: no false negatives ever, FP rate
 within theory, distributed tree-fold == single-pass bitmap, and the
-url_seen_guard query's invariant + mixture over the sf tables."""
+url_seen_guard query's invariant + mixture over the sf tables.  The
+single-filter cases build the one-shard member of the filter family."""
 
 from __future__ import annotations
 
@@ -16,18 +17,28 @@ def _strings(n, tag):
     return [f"{tag}-{i:06d}-{i * 2654435761 % 997}" for i in range(n)]
 
 
+def _one_filter(ds):
+    """The bitmap of the one-shard filter over ``ds["url"]``."""
+    import ray
+
+    from nxsearch_ray.stages.bloom import bloom_build_sharded
+
+    [ref] = bloom_build_sharded(ds, "url", shards=1,
+                                m_bits_per_shard=M_BITS, k=K)
+    return ray.get(ref)
+
+
 def test_no_false_negatives_and_fp_rate(ray_session):
     """Every inserted key probes True; non-member FP rate stays
     within 5x the theoretical (1 - e^{-kn/m})^k."""
     import ray.data as rd
 
-    from nxsearch_ray.stages.bloom import bloom_build_ref, bloom_probe
-    import ray
+    from nxsearch_ray.stages.bloom import bloom_probe
 
     members = _strings(2000, "in")
     ds = rd.from_arrow(pa.table({"url": pa.array(members)})) \
         .repartition(7)
-    words = ray.get(bloom_build_ref(ds, "url", m_bits=M_BITS, k=K))
+    words = _one_filter(ds)
 
     assert bloom_probe(words, pa.array(members),
                        m_bits=M_BITS, k=K).all()
@@ -40,31 +51,34 @@ def test_no_false_negatives_and_fp_rate(ray_session):
 
 
 def test_tree_fold_equals_single_pass(ray_session):
-    """The FAN_IN-ary OR fold over many blocks must produce the exact
+    """The tree_fold OR fold over many blocks must produce the exact
     bitmap a single local pass produces."""
-    import ray
     import ray.data as rd
 
-    from nxsearch_ray.stages.bloom import (_partial_bitmap,
-                                           bloom_build_ref)
+    from nxsearch_ray.functions.hashing import (hash_strings,
+                                                string_buffers)
+    from nxsearch_ray.stages.bloom import bloom_positions
 
     vals = _strings(5000, "x")
     ds = rd.from_arrow(pa.table({"url": pa.array(vals)})) \
         .repartition(23)
-    got = ray.get(bloom_build_ref(ds, "url", m_bits=M_BITS, k=K))
-    want = _partial_bitmap(pa.table({"url": pa.array(vals)}), "url",
-                           M_BITS, K, 0)
+    got = _one_filter(ds)
+    offs, data = string_buffers(pa.array(vals))
+    pos = bloom_positions(hash_strings(offsets=offs, data=data, seed=0),
+                          M_BITS, K).ravel()
+    want = np.zeros(M_BITS // 64, dtype=np.uint64)
+    np.bitwise_or.at(want, pos >> 6,
+                     np.uint64(1) << (pos & 63).astype(np.uint64))
     assert np.array_equal(got, want)
 
 
 def test_empty_input(ray_session):
-    import ray
     import ray.data as rd
 
-    from nxsearch_ray.stages.bloom import bloom_build_ref, bloom_probe
+    from nxsearch_ray.stages.bloom import bloom_probe
 
     ds = rd.from_arrow(pa.table({"url": pa.array([], type=pa.string())}))
-    words = ray.get(bloom_build_ref(ds, "url", m_bits=M_BITS, k=K))
+    words = _one_filter(ds)
     assert not words.any()
     assert not bloom_probe(words, pa.array(["anything"]),
                            m_bits=M_BITS, k=K).any()
@@ -73,20 +87,23 @@ def test_empty_input(ray_session):
 
 
 def test_bloom_seen_stage(ray_session):
-    """The actor-pool probe stage appends the flag column per batch."""
+    """The probe stage appends the flag column per batch."""
     import ray.data as rd
 
-    from nxsearch_ray.stages.bloom import bloom_build_ref, bloom_seen
+    from nxsearch_ray.stages.bloom import (bloom_build_sharded,
+                                           bloom_seen_sharded)
 
     members = _strings(500, "m")
     prior = rd.from_arrow(pa.table({"url": pa.array(members)}))
-    bits = bloom_build_ref(prior, "url", m_bits=M_BITS, k=K)
+    refs = bloom_build_sharded(prior, "url", shards=1,
+                               m_bits_per_shard=M_BITS, k=K)
     probe = rd.from_arrow(pa.table(
         {"url": pa.array(members[:100] + _strings(100, "nope"))}))
     out = pa.concat_tables(
-        [b for b in bloom_seen(probe, bits, "url", m_bits=M_BITS,
-                               k=K).iter_batches(
-                                   batch_format="pyarrow")])
+        [b for b in bloom_seen_sharded(probe, refs, "url",
+                                       m_bits_per_shard=M_BITS,
+                                       k=K).iter_batches(
+                                           batch_format="pyarrow")])
     seen = out.column("seen_bloom").to_numpy(zero_copy_only=False)
     assert seen[:100].all()                 # members: never missed
 

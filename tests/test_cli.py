@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 from nxsearch_ray.sources.synth import synth_pages
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD_FIELDS = {"stage", "wall_s", "rows", "bytes", "resumed"}
 
 
 def _run(args, timeout=240):
@@ -46,6 +47,13 @@ def test_cli_run_and_remove(tmp_path):
     assert (out / "metrics.json").exists()
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["n_cluster_rows"] == line["n_cluster_rows"]
+    # one record per stage, exactly the five fields
+    recs = metrics["stats"]["stages"]
+    assert [r["stage"] for r in recs] == [
+        "signatures", "pairs", "verify", "verified_pairs", "clusters"]
+    assert all(set(r) == RECORD_FIELDS and r["resumed"] is False
+               for r in recs)
+    assert recs[-1]["rows"] == line["n_cluster_rows"]
 
     # delete two clustered pages via the tombstone path
     ct = _read_stage(str(out / "clusters"))
@@ -58,7 +66,8 @@ def test_cli_run_and_remove(tmp_path):
     line2 = json.loads(r2.stdout.strip().splitlines()[-1])
     metrics2 = json.loads((out / "metrics.json").read_text())
     assert metrics2["stats"]["removed_found"] == 2
-    assert metrics2["stats"]["signatures_resumed"]
+    assert {r["stage"]: r["resumed"]
+            for r in metrics2["stats"]["stages"]}["signatures"] is True
     ct2 = _read_stage(str(out / "clusters"))
     assert not (set(ct2.column("page_id").to_pylist()) & set(victims))
     assert line2["n_cluster_rows"] == ct2.num_rows

@@ -15,6 +15,15 @@ import pytest
 from nxsearch_ray.sources.synth import synth_pages
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# run_corpus's stage records with embeddings: its own and run_dedup's
+STAGES = {"clean_pages", "signatures", "pairs", "verify",
+          "verified_pairs", "clusters", "semantic_survivors",
+          "semdedup_decisions", "corpus_final"}
+
+
+def _resumed(stats: dict) -> dict[str, bool]:
+    """Stage name → its record's ``resumed`` flag."""
+    return {r["stage"]: r["resumed"] for r in stats["stages"]}
 
 
 def _embeddings_for(pages: pa.Table, *, dim: int = 32, seed: int = 7,
@@ -149,17 +158,16 @@ def test_run_corpus_resume(ray_session, corpus_tables, tmp_path):
               min_words=10, min_required_stopwords=0, out_dir=out)
     r1 = run_corpus(rd.from_arrow(pages), **kw)
     d1 = decisions_as_table(r1)
-    assert r1.stats["clean_pages_resumed"] is False
+    assert _resumed(r1.stats) == dict.fromkeys(STAGES, False)
     r2 = run_corpus(rd.from_arrow(pages), **kw)
     d2 = decisions_as_table(r2)
-    assert r2.stats["clean_pages_resumed"] is True
-    assert r2.stats["corpus_final_resumed"] is True
-    assert r2.stats["neardup_verified_pairs_resumed"] is True
-    assert r2.stats["semantic_semdedup_decisions_resumed"] is True
+    # every checkpoint resumes; the near-dup tier's upstream stages
+    # never run behind its resumed verified_pairs
+    assert _resumed(r2.stats) == dict.fromkeys(
+        STAGES - {"signatures", "pairs", "verify"}, True)
     assert d1.equals(d2)
     # per-stage walls recorded for bench attribution
-    for k in ("wall_clean", "wall_neardup", "wall_final"):
-        assert k in r2.stats
+    assert all(r["wall_s"] >= 0 for r in r2.stats["stages"])
 
 
 def test_run_corpus_resumes_empty_clean_tier(ray_session, corpus_tables,
@@ -180,8 +188,8 @@ def test_run_corpus_resumes_empty_clean_tier(ray_session, corpus_tables,
     d1 = decisions_as_table(r1)
     assert r1.stats["n_clean_pages"] == 0 and d1.num_rows == 0
     r2 = run_corpus(rd.from_arrow(pages), **kw)
-    assert r2.stats["clean_pages_resumed"] is True
-    assert r2.stats["corpus_final_resumed"] is True
+    assert _resumed(r2.stats)["clean_pages"] is True
+    assert _resumed(r2.stats)["corpus_final"] is True
     assert decisions_as_table(r2).equals(d1)
 
 
@@ -204,8 +212,8 @@ def test_run_corpus_rejects_changed_input(ray_session, corpus_tables,
     out = str(tmp_path / "run")
     da = decisions_as_table(run_corpus(rd.from_arrow(a), out_dir=out, **kw))
     rb = run_corpus(rd.from_arrow(b), out_dir=out, **kw)
-    assert rb.stats["clean_pages_resumed"] is False
-    assert rb.stats["corpus_final_resumed"] is False
+    assert _resumed(rb.stats)["clean_pages"] is False
+    assert _resumed(rb.stats)["corpus_final"] is False
     fresh = decisions_as_table(run_corpus(rd.from_arrow(b), **kw))
     assert decisions_as_table(rb).equals(fresh)
     assert not fresh.equals(da)
@@ -234,7 +242,7 @@ def test_semantic_decisions_reject_changed_pages(ray_session,
     out = str(tmp_path / "run")
     run_corpus(rd.from_arrow(a), out_dir=out, **kw)
     rb = run_corpus(rd.from_arrow(b), out_dir=out, **kw)
-    assert rb.stats["semantic_semdedup_decisions_resumed"] is False
+    assert _resumed(rb.stats)["semdedup_decisions"] is False
     fresh = decisions_as_table(run_corpus(rd.from_arrow(b), **kw))
     db = decisions_as_table(rb)
     assert db.equals(fresh)
@@ -266,7 +274,7 @@ def test_semantic_decisions_reject_changed_settings(ray_session,
     da = decisions_as_table(run_corpus(p, out_dir=out, min_words=3, **kw))
     assert {"page_id": hi, "drop_tier": 3, "dup_of": lo} in da.to_pylist()
     rb = run_corpus(p, out_dir=out, min_words=10, **kw)
-    assert rb.stats["semantic_semdedup_decisions_resumed"] is False
+    assert _resumed(rb.stats)["semdedup_decisions"] is False
     db = decisions_as_table(rb)
     assert db.equals(decisions_as_table(run_corpus(p, min_words=10,
                                                    **kw)))
@@ -306,8 +314,8 @@ def test_semantic_decisions_reject_changed_embeddings(ray_session,
         p, out_dir=out, embeddings_ds=rd.from_arrow(emb), **kw))
     rb = run_corpus(p, out_dir=out, embeddings_ds=rd.from_arrow(emb_b),
                     **kw)
-    assert rb.stats["clean_pages_resumed"] is True
-    assert rb.stats["semantic_semdedup_decisions_resumed"] is False
+    assert _resumed(rb.stats)["clean_pages"] is True
+    assert _resumed(rb.stats)["semdedup_decisions"] is False
     fresh = decisions_as_table(run_corpus(
         p, embeddings_ds=rd.from_arrow(emb_b), **kw))
     db = decisions_as_table(rb)
@@ -343,7 +351,13 @@ def test_cli_corpus(tmp_path):
     assert line["n_kept"] + line["n_drop_neardup"] \
         + line["n_drop_semantic"] == line["n_decisions"]
     metrics = json.loads((out / "metrics.json").read_text())
-    assert "wall_neardup" in metrics["stats"]
+    # one record per stage, exactly the five fields
+    recs = metrics["stats"]["stages"]
+    assert sorted(r["stage"] for r in recs) == sorted(STAGES)
+    assert all(set(r) == {"stage", "wall_s", "rows", "bytes", "resumed"}
+               and r["resumed"] is False for r in recs)
+    final = next(r for r in recs if r["stage"] == "corpus_final")
+    assert final["rows"] == line["n_decisions"]
     assert (out / "corpus_final" / "manifest.json").exists()
 
     # second run resumes every stage and reproduces the decisions
@@ -354,5 +368,5 @@ def test_cli_corpus(tmp_path):
     line2 = json.loads(r2.stdout.strip().splitlines()[-1])
     assert line2["n_decisions"] == line["n_decisions"]
     metrics2 = json.loads((out / "metrics.json").read_text())
-    assert metrics2["stats"]["corpus_final_resumed"] is True
-    assert metrics2["stats"]["clean_pages_resumed"] is True
+    assert _resumed(metrics2["stats"]) == dict.fromkeys(
+        STAGES - {"signatures", "pairs", "verify"}, True)

@@ -18,9 +18,13 @@ from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.oracle import oracle_clusters
 from nxsearch_ray.pipelines.dedup import clusters_as_table, run_dedup
 from nxsearch_ray.sources.synth import synth_pages, truth_pairs
+from nxsearch_ray.state.lineage import read_manifest
 
 N_BASE = 600
 SEED = 21
+# run_dedup's stage records, in the order they are appended
+STAGES = ("signatures", "pairs", "verify", "verified_pairs", "clusters")
+RECORD_FIELDS = {"stage", "wall_s", "rows", "bytes", "resumed"}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,12 @@ def _cluster_dict(res) -> dict[int, int]:
     t = clusters_as_table(res)
     return dict(zip(t.column("page_id").to_pylist(),
                     t.column("cluster_id").to_pylist()))
+
+
+def _resumed(res) -> dict[str, bool]:
+    """Stage name → its record's ``resumed`` flag, for the stages the
+    run recorded (state.lineage.stage)."""
+    return {r["stage"]: r["resumed"] for r in res.stats["stages"]}
 
 
 def _pair_set(res) -> set[tuple[int, int]]:
@@ -161,18 +171,64 @@ def test_checkpoint_resume(ray_session, corpus_dir, oracle, tmp_path):
     cfg = PipelineConfig()
     r1 = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
     assert _cluster_dict(r1) == labels
-    assert not any(v for k, v in r1.stats.items() if k.endswith("resumed"))
+    assert _resumed(r1) == dict.fromkeys(STAGES, False)
 
+    # a resumed verified_pairs never calls its factory: nothing
+    # upstream of it runs, so no signatures record appears
     r2 = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
     assert _cluster_dict(r2) == labels
-    assert r2.stats["signatures_resumed"]
-    assert r2.stats["verified_pairs_resumed"]
+    assert _resumed(r2) == {"verified_pairs": True, "clusters": True}
+
+    # a checkpointed stage's record carries its manifest's figures
+    recs = {r["stage"]: r for r in r1.stats["stages"]}
+    for name in ("signatures", "verified_pairs", "clusters"):
+        m = read_manifest(out, name)
+        assert recs[name]["rows"] == m["rows"]
+        assert recs[name]["bytes"] == sum(p["uncompressed_bytes"]
+                                          for p in m["partitions"])
+    assert recs["clusters"]["rows"] == len(labels)
 
     # stale config invalidates every checkpoint
     r3 = run_dedup(_pages_ds(corpus_dir),
                    cfg.with_(jaccard_threshold=0.6), out_dir=out)
-    assert not r3.stats["signatures_resumed"]
+    assert _resumed(r3) == dict.fromkeys(STAGES, False)
     shutil.rmtree(out, ignore_errors=True)
+
+
+def test_stage_records_of_a_pinned_run(ray_session, corpus_dir, oracle):
+    """Without ``out_dir`` every stage is pinned to the object store
+    and recorded once, in order, with exactly the five fields; rows and
+    bytes are the pinned blocks' own."""
+    labels, opairs = oracle
+    res = run_dedup(_pages_ds(corpus_dir), PipelineConfig())
+    recs = res.stats["stages"]
+    assert [r["stage"] for r in recs] == list(STAGES)
+    assert all(set(r) == RECORD_FIELDS and r["resumed"] is False
+               and r["wall_s"] >= 0 and r["bytes"] > 0 for r in recs)
+    by = {r["stage"]: r for r in recs}
+    assert by["clusters"]["rows"] == len(labels)
+    assert by["clusters"]["bytes"] == res.clusters.size_bytes()
+    assert by["verified_pairs"]["rows"] == len(_pair_set(res)) \
+        == len(opairs)
+    assert by["signatures"]["bytes"] == res.stats["verify_sig_bytes"]
+    assert by["pairs"]["rows"] >= by["verified_pairs"]["rows"]
+
+
+def test_stage_boundaries_only_through_lineage_stage():
+    """Every pipeline stage boundary is a ``lineage.stage`` call: no
+    pipeline module (nor the semantic tier) checkpoints, times itself
+    or writes a ``wall_`` stats key on its own."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1] / "nxsearch_ray"
+    pat = re.compile(r"\bcheckpoint\(|time\.monotonic\(|[\"']wall_")
+    files = [*sorted((root / "pipelines").glob("*.py")),
+             root / "stages" / "semdedup.py"]
+    hits = [f"{p.name}:{i}" for p in files
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if pat.search(line)]
+    assert len(files) >= 4 and not hits, hits
 
 
 def test_partial_resume_from_mid_stage(ray_session, corpus_dir, oracle,
@@ -187,8 +243,8 @@ def test_partial_resume_from_mid_stage(ray_session, corpus_dir, oracle,
     shutil.rmtree(f"{out}/verified_pairs")
     shutil.rmtree(f"{out}/clusters")
     r = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
-    assert r.stats["signatures_resumed"]
-    assert not r.stats["verified_pairs_resumed"]
+    assert _resumed(r) == {**dict.fromkeys(STAGES, False),
+                           "signatures": True}
     assert _cluster_dict(r) == labels
     shutil.rmtree(out, ignore_errors=True)
 
@@ -215,7 +271,7 @@ def test_crash_mid_write_discards_stale_parts(ray_session, corpus_dir,
     shutil.rmtree(f"{out}/clusters")
 
     r = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
-    assert not r.stats["signatures_resumed"]
+    assert _resumed(r)["signatures"] is False
     assert _cluster_dict(r) == labels
     assert not os.path.exists(f"{sigdir}/zz-stale-partial.parquet")
     shutil.rmtree(out, ignore_errors=True)
@@ -286,7 +342,7 @@ def test_remove_docs(ray_session, corpus, corpus_dir, oracle, tmp_path):
 
     res = run_dedup_remove(removed_ids, cfg, out_dir=out)
     assert res.stats["removed_found"] == len(removed_ids)
-    assert res.stats["signatures_resumed"]
+    assert _resumed(res)["signatures"] is True
 
     keep = pa.array([pid not in removed
                      for pid in corpus.column("page_id").to_pylist()])
@@ -334,9 +390,7 @@ def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
     cfg = PipelineConfig()
     run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
     r = run_dedup(_pages_ds(corpus_dir).limit(100), cfg, out_dir=out)
-    assert not r.stats["signatures_resumed"]
-    assert not r.stats["verified_pairs_resumed"]
-    assert "clusters_resumed" not in r.stats
+    assert _resumed(r) == dict.fromkeys(STAGES, False)
     # every stage records the input it was derived from
     fps = {json.load(open(f"{out}/{s}/manifest.json"))["input_fingerprint"]
            for s in ("signatures", "verified_pairs", "clusters")}
@@ -368,7 +422,7 @@ def test_resume_rejects_changed_text_under_same_ids(ray_session,
     cfg = PipelineConfig()
     ca = _cluster_dict(run_dedup(rd.from_arrow(a), cfg, out_dir=out))
     rb = run_dedup(rd.from_arrow(b), cfg, out_dir=out)
-    assert not rb.stats["signatures_resumed"]
+    assert _resumed(rb)["signatures"] is False
     fresh = _cluster_dict(run_dedup(rd.from_arrow(b), cfg))
     assert _cluster_dict(rb) == fresh != ca
     pid = a.column("page_id").to_pylist()
@@ -406,7 +460,7 @@ def test_resume_sizes_verify_plan_like_memory(ray_session, corpus_dir,
     for stage in ("verified_pairs", "clusters"):
         shutil.rmtree(stage_dir(out, stage))
     resumed = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
-    assert resumed.stats["signatures_resumed"]
+    assert _resumed(resumed)["signatures"] is True
     assert resumed.stats["verify_plan"] == fresh.stats["verify_plan"] \
         == "bucketed"
     assert _cluster_dict(resumed) == _cluster_dict(fresh)

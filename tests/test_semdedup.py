@@ -191,7 +191,8 @@ def test_det_argmax_batch_shape_independent():
         assert (got == solo).all(), (n, solo, got[:5])
 
 
-def test_hot_cluster_identical_group_never_escapes(ray_session):
+def test_hot_cluster_identical_group_never_escapes(ray_session,
+                                                  monkeypatch):
     """A giant byte-identical group (web boilerplate) lands in one hot
     cluster; the census/resplit path must still drop every non-minimal
     member — this regression-tests both the identical-row collapse in
@@ -199,8 +200,10 @@ def test_hot_cluster_identical_group_never_escapes(ray_session):
     via a GEMM rounding flip before _det_argmax)."""
     import ray.data as rd
 
-    from nxsearch_ray.stages.semdedup import semantic_dedup_clustered
+    import nxsearch_ray.stages.semdedup as S
 
+    monkeypatch.setattr(S, "HOT_CAP_FACTOR", 1.5)
+    monkeypatch.setattr(S, "SUB_SAMPLE_CAP", 512)
     rng = np.random.default_rng(11)
     n = 2000
     anchors = rng.normal(size=(4, DIM))
@@ -212,9 +215,8 @@ def test_hot_cluster_identical_group_never_escapes(ray_session):
         "embedding": pa.array([r.astype(np.float32) for r in base],
                               type=pa.list_(pa.float32()))})
     ds = rd.from_arrow(t).repartition(7)
-    got = _as_map(semantic_dedup_clustered(
-        ds, eps=0.95, nlist=4, seed=42, hot_cap_factor=1.5,
-        sub_sample_cap=512))
+    got = _as_map(S.semantic_dedup_clustered(ds, eps=0.95, nlist=4,
+                                             seed=42))
     for i in range(2, n, 2):
         assert got[i] >= 0, f"identical member {i} escaped"
     # the minimal member of the identical group must itself be kept
@@ -252,23 +254,31 @@ def test_zero_norm_rows_survive_collapse(ray_session):
     assert got == exact
 
 
-def test_run_semdedup_checkpoint_resume(ray_session, synth_ds,
-                                        tmp_path):
-    """Second run under the same parameters must load the lineage
-    checkpoint (resumed flag) and return the identical decision
-    table; a changed eps must invalidate and recompute."""
-    from nxsearch_ray.stages.semdedup import run_semdedup
+def test_semdedup_stage_checkpoint_resume(ray_session, synth_ds,
+                                          tmp_path):
+    """The semantic decisions as a lineage stage (run_corpus's
+    ``semdedup_decisions``): a second run under the same parameters
+    must load the checkpoint (resumed record) and return the identical
+    decision table; a changed eps must invalidate and recompute."""
+    from nxsearch_ray.stages.semdedup import semantic_dedup_clustered
+    from nxsearch_ray.state.lineage import StageParams, stage
 
     out = str(tmp_path / "ckpt")
-    ds1, st1 = run_semdedup(synth_ds, eps=EPS, nlist=4, seed=42,
-                            out_dir=out)
-    t1 = _collect(ds1).sort_by("id")
-    assert st1["semdedup_decisions_resumed"] is False
-    ds2, st2 = run_semdedup(synth_ds, eps=EPS, nlist=4, seed=42,
-                            out_dir=out)
-    assert st2["semdedup_decisions_resumed"] is True
-    assert _collect(ds2).sort_by("id").equals(t1)
-    ds3, st3 = run_semdedup(synth_ds, eps=0.99, nlist=4, seed=42,
-                            out_dir=out)
-    assert st3["semdedup_decisions_resumed"] is False
-    assert not _collect(ds3).sort_by("id").equals(t1)
+
+    def run(eps):
+        stats: dict = {}
+        ds = stage(stats, "semdedup_decisions",
+                   lambda: semantic_dedup_clustered(synth_ds, eps=eps,
+                                                    nlist=4, seed=42),
+                   out, StageParams(eps=eps, nlist=4, seed=42))
+        [rec] = stats["stages"]
+        return _collect(ds).sort_by("id"), rec["resumed"]
+
+    t1, resumed = run(EPS)
+    assert resumed is False
+    t2, resumed = run(EPS)
+    assert resumed is True
+    assert t2.equals(t1)
+    t3, resumed = run(0.99)
+    assert resumed is False
+    assert not t3.equals(t1)
