@@ -62,9 +62,6 @@ def _timed(fn):
 
 
 def run_benchmarks() -> dict:
-    # push-based shuffle scales the big sorts noticeably better on
-    # many cores (measured ~30% on the candidate sort at 32 cpus)
-    os.environ.setdefault("RAY_DATA_PUSH_BASED_SHUFFLE", "1")
     import ray
 
     ray.init(address="local", num_cpus=NUM_CPUS,
@@ -264,7 +261,6 @@ def run_scaling_worker(ncpu: int, reps: int = 2) -> None:
     ``reps`` timed runs — prints JSON with the min (the host has
     ±20-50% run-to-run noise; min-of-N estimates the noise-free
     wall, and more samples only tighten the estimate)."""
-    os.environ.setdefault("RAY_DATA_PUSH_BASED_SHUFFLE", "1")
     import ray
 
     ray.init(address="local", num_cpus=ncpu,

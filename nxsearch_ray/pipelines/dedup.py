@@ -34,12 +34,20 @@ fingerprint), else to the object store — and appends one record
 boundaries are ``signatures`` (read by several downstream passes),
 ``pairs`` (the candidates), ``verify`` (the scored pairs, read by both
 tiers), ``verified_pairs`` and ``clusters``; the first and the last two
-are checkpointed.  ``verified_pairs`` runs the upstream stages inside
-its factory, so a valid checkpoint of it skips them all.  Each keyed
-exchange (stages/shuffle.py) runs when it is called and hands on its
-output blocks; the per-block scans between boundaries stream.  All
-hashing is seeded from the config; output is invariant to parallelism
-and retries.
+are checkpointed.  ``verified_pairs`` runs ``pairs`` and ``verify``
+inside its factory, so a valid checkpoint of it skips them both.  The
+three entry points are one run (``_run``) over another ``signatures``
+factory: a full run canonicalizes the pages, an incremental ingest
+extends the prior checkpoint with the new pages' rows, a removal
+anti-joins the removed ids out of it.  Every checkpoint of a run
+carries that run's input fingerprint, so a checkpoint of another input
+is never resumed; and ``signatures`` runs or resumes first in every
+run, so the checkpoint the next ingest or removal starts from holds
+the input of the stages after it.  Each keyed exchange
+(stages/shuffle.py) runs when it is called and hands on its output
+blocks; the per-block scans between boundaries stream.  All hashing is
+seeded from the config; output is invariant to parallelism and
+retries.
 """
 
 from __future__ import annotations
@@ -115,8 +123,7 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
 
     ``out_dir`` — checkpoint every stage there (lineage manifests,
     resumable).  A checkpoint is reused only for the same config and
-    the same input (``state.lineage.input_fingerprint``); ``pages_ds``
-    may be None when the ``signatures`` checkpoint is valid.
+    the same input (``state.lineage.input_fingerprint``).
 
     ``verify_mode`` — how candidate pairs meet their signatures:
       * 'auto' (default): broadcast while the pinned signature table
@@ -146,19 +153,32 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
     ``stats["stages"]`` one record per stage boundary that ran or
     resumed (``state.lineage.stage``)."""
     cfg = cfg or PipelineConfig()
+    # fused extract→canonicalize→signature: the signatures table
+    # carries token_ids, so no separate canonical materialization
+    return _run(lambda: canonsig_stage(pages_ds, cfg), cfg, out_dir,
+                None if out_dir is None else input_fingerprint(pages_ds),
+                verify_mode, cc_mode)
+
+
+def _run(sig_factory, cfg, out_dir, fp, verify_mode="auto",
+         cc_mode="auto") -> DedupResult:
+    """The run behind every entry point: ``sig_factory`` makes the
+    ``signatures`` stage, ``fp`` is the input fingerprint every
+    checkpoint of the run must match (None without ``out_dir``).
+
+    ``signatures`` runs or resumes before anything downstream may
+    resume: a run that crashed after writing it under another
+    fingerprint leaves ``verified_pairs`` and ``clusters`` of an older
+    input behind, and the next ingest or removal starts from the
+    ``signatures`` checkpoint, so it must hold the input they hold."""
     stats: dict = {"task_bytes_budget": TASK_BYTES_BUDGET, "stages": []}
-
-    # the input every checkpoint of this run must match; a run without
-    # pages (run_dedup_remove) takes the signatures checkpoint's own
-    fp = None
-    if out_dir is not None:
-        fp = (input_fingerprint(pages_ds) if pages_ds is not None
-              else (read_manifest(out_dir, "signatures") or {})
-              .get(FINGERPRINT))
-
+    signatures = stage(stats, "signatures", sig_factory, out_dir, cfg, fp)
+    # no pass over the data: the record's bytes — in memory the table
+    # bounds both broadcast indices (each is a column subset)
+    sig_bytes = stats["stages"][-1]["bytes"]
     all_pairs = stage(
         stats, "verified_pairs",
-        lambda: _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode,
+        lambda: _verified_pairs(signatures, sig_bytes, cfg, verify_mode,
                                 stats),
         out_dir, cfg, fp)
     clusters = stage(stats, "clusters",
@@ -168,18 +188,10 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
                        stats=stats)
 
 
-def _verified_pairs(pages_ds, cfg, out_dir, fp, verify_mode, stats):
+def _verified_pairs(signatures, sig_bytes, cfg, verify_mode, stats):
     """signatures → candidates → verify → exact adjudication: the
     verified (a, b, source) pairs, for the ``verified_pairs`` stage to
     pin."""
-    # fused extract→canonicalize→signature: the signatures table
-    # carries token_ids, so no separate canonical materialization
-    signatures = stage(stats, "signatures",
-                       lambda: canonsig_stage(pages_ds, cfg),
-                       out_dir, cfg, fp)
-    # no pass over the data: the record's bytes — in memory the table
-    # bounds both broadcast indices (each is a column subset)
-    sig_bytes = stats["stages"][-1]["bytes"]
     candidates = stage(
         stats, "pairs",
         lambda: union_pair_sources(multi_candidate_pairs(signatures, cfg),
@@ -238,12 +250,12 @@ def _components(all_pairs, cc_mode, stats):
 def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
                           *, out_dir: str, **run_kw) -> DedupResult:
     """Append-only ingest — the batch analogue of the reference's
-    offset-replay sync (src/index/terms.c:320-344): pages already in
-    the ``signatures`` checkpoint are skipped via a broadcast
-    anti-join on page_id, only NEW pages run the extract→canonicalize→
-    signature stage (the dominant per-document compute), the
-    combined signature table replaces the checkpoint, and the
-    pair/verify/CC stages re-run over it.
+    offset-replay sync (src/index/terms.c:320-344): ``run_dedup`` whose
+    ``signatures`` factory extends the prior checkpoint.  Pages already
+    in it are skipped via a broadcast anti-join on page_id, only NEW
+    pages run the extract→canonicalize→signature stage (the dominant
+    per-document compute), and the pair/verify/CC stages re-run over
+    the combined signature table.
 
     Exactly equal to a full recompute: candidate generation, scoring
     and clustering are pure functions of the signature SET, and the
@@ -253,13 +265,15 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
     chain policy, where a new member changes which pairs a bucket
     emits.)
 
-    The rewritten checkpoint takes ``pages_ds``' input fingerprint and
-    records the one it extended.  The known-id set is built in one
-    remote task and broadcast via the object store (8 B/doc; the
-    driver never holds it); beyond single-node memory, swap the
-    anti-join for the bucketed pair_join on page_id."""
-    import ray
-
+    Every checkpoint of the run takes ``pages_ds``' input fingerprint:
+    the prior run's ``verified_pairs`` and ``clusters`` carry another
+    one and are recomputed, and a repeat over the same pages resumes.
+    ``stats`` counts the prior checkpoint's rows
+    (``incremental_known_pages``) and the rows the run added
+    (``incremental_new_pages``) from its manifest.  The known-id set is
+    built in one remote task and broadcast via the object store
+    (8 B/doc; the driver never holds it); beyond single-node memory,
+    swap the anti-join for the bucketed pair_join on page_id."""
     from nxsearch_ray.stages.join import anti_join, id_set_ref
 
     cfg = cfg or PipelineConfig()
@@ -267,22 +281,19 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
         # nothing to resume from — plain full run
         return run_dedup(pages_ds, cfg, out_dir=out_dir, **run_kw)
 
-    prior_fp = read_manifest(out_dir, "signatures").get(FINGERPRINT)
-    prior = load_stage(out_dir, "signatures")
-    known_ref = id_set_ref(prior, ["page_id"])
-    n_known = int(ray.get(
-        ray.remote(lambda a: len(a)).remote(known_ref)))
-    new_sigs = canonsig_stage(anti_join(pages_ds, "page_id", known_ref),
-                              cfg)
-    combined = prior.union(new_sigs).materialize()
-    n_new = combined.count() - n_known
-    _replace_signatures(combined, out_dir, cfg, {
-        FINGERPRINT: input_fingerprint(pages_ds),
-        "extended_from": prior_fp, "pages_added": n_new})
+    def sig_factory():
+        prior = load_stage(out_dir, "signatures")
+        new = canonsig_stage(anti_join(pages_ds, "page_id",
+                                       id_set_ref(prior, ["page_id"])), cfg)
+        # pinned: writing the checkpoint clears prior's directory
+        return prior.union(new).materialize()
 
-    result = run_dedup(pages_ds, cfg, out_dir=out_dir, **run_kw)
+    n_known = read_manifest(out_dir, "signatures")["rows"]
+    result = _run(sig_factory, cfg, out_dir, input_fingerprint(pages_ds),
+                  **run_kw)
     result.stats["incremental_known_pages"] = n_known
-    result.stats["incremental_new_pages"] = n_new
+    result.stats["incremental_new_pages"] = read_manifest(
+        out_dir, "signatures")["rows"] - n_known
     return result
 
 
@@ -291,20 +302,20 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
     """Document deletion — the batch analogue of the reference's
     tombstone replay (reference src/index/dtmap.c:28-38 zero-in-place
     doc_id + appended ``(doc_id, 0)`` tombstone, replayed by
-    ``idx_dtmap_remove`` at 546-655): the removed pages' rows are
-    dropped from the ``signatures`` checkpoint (their canonicalization
-    is never redone — nothing else about them persists), the stale
-    pair/cluster checkpoints are invalidated, and the shuffle stages
-    re-run over the surviving signature set.
+    ``idx_dtmap_remove`` at 546-655): a run whose ``signatures``
+    factory anti-joins the removed pages out of the prior checkpoint
+    (their canonicalization is never redone — nothing else about them
+    persists), then re-runs the shuffle stages over the survivors.
 
     Exactly equal to a full recompute without the removed pages.
     Re-running the shuffles rather than filtering prior pairs is
     required for exactness: under the hot-bucket chain policy a
     member's removal changes which pairs its bucket emits (a chain
     through a removed doc must be re-stitched), and cluster ids are
-    min-page_ids that may themselves be removed.  The rewritten
-    checkpoint's fingerprint derives from the prior one and the
-    removed id set, and records both.
+    min-page_ids that may themselves be removed.  The run's
+    fingerprint derives from the prior checkpoint's and the removed id
+    set, so no checkpoint of the prior run resumes.  ``removed_found``
+    is the drop in the checkpoint's rows.
 
     ``removed_page_ids`` — iterable of int64 page ids, or an
     ``ObjectRef`` to a sorted unique int64 array built off-driver."""
@@ -329,47 +340,27 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
     n_requested, removed_hash = ray.get(ray.remote(
         lambda a: (len(a), id_hash(a))).remote(removed_ref))
 
-    prior_fp = read_manifest(out_dir, "signatures").get(FINGERPRINT)
-    prior = load_stage(out_dir, "signatures")
-    n_prior = prior.count()          # parquet metadata, no execution
-    surviving = anti_join(prior, "page_id", removed_ref).materialize()
-    n_after = surviving.count()
-    if n_after == 0:
-        # an all-rows deletion would leave an unloadable empty
-        # checkpoint; nothing has been mutated yet, so refuse loudly
-        raise ValueError(
-            "deletion would remove every page — clear the output "
-            "directory and re-ingest instead")
+    def sig_factory():
+        surviving = anti_join(load_stage(out_dir, "signatures"), "page_id",
+                              removed_ref).materialize()
+        if surviving.count() == 0:
+            # refuse loudly, and before stage writes anything: the
+            # prior checkpoint stays as it was
+            raise ValueError(
+                "deletion would remove every page — clear the output "
+                "directory and re-ingest instead")
+        return surviving
 
-    removed = f"{n_requested}:{removed_hash:016x}"
-    digest = hashlib.sha256(f"{prior_fp}|{removed}".encode()).hexdigest()
-    _replace_signatures(surviving, out_dir, cfg, {
-        FINGERPRINT: "removed:" + digest[:32],
-        "removed_from": prior_fp, "removed_ids": removed,
-        "pages_removed": int(n_prior - n_after)})
-
-    # the freshly written signatures checkpoint is valid by
-    # construction, so run_dedup never invokes its pages factory —
-    # deletion has no pages input
-    result = run_dedup(None, cfg, out_dir=out_dir, **run_kw)
+    prior = read_manifest(out_dir, "signatures")
+    digest = hashlib.sha256(
+        f"{prior.get(FINGERPRINT)}|{n_requested}:{removed_hash:016x}"
+        .encode()).hexdigest()
+    result = _run(sig_factory, cfg, out_dir, "removed:" + digest[:32],
+                  **run_kw)
     result.stats["removed_requested"] = int(n_requested)
-    result.stats["removed_found"] = int(n_prior - n_after)
+    result.stats["removed_found"] = prior["rows"] - read_manifest(
+        out_dir, "signatures")["rows"]
     return result
-
-
-def _replace_signatures(sigs, out_dir: str, cfg: PipelineConfig,
-                        record: dict) -> None:
-    """Overwrite the signatures checkpoint with the pinned ``sigs``
-    (clearing its directory first is safe: the blocks live in the
-    object store) under a new input record, and drop the now-stale
-    downstream checkpoints."""
-    import shutil
-
-    from nxsearch_ray.state.lineage import stage_dir, write_stage
-
-    for stage in ("verified_pairs", "clusters"):
-        shutil.rmtree(stage_dir(out_dir, stage), ignore_errors=True)
-    write_stage(sigs, out_dir, "signatures", cfg, record)
 
 
 def clusters_as_table(result: DedupResult) -> pa.Table:

@@ -161,10 +161,10 @@ def test_run_corpus_resume(ray_session, corpus_tables, tmp_path):
     assert _resumed(r1.stats) == dict.fromkeys(STAGES, False)
     r2 = run_corpus(rd.from_arrow(pages), **kw)
     d2 = decisions_as_table(r2)
-    # every checkpoint resumes; the near-dup tier's upstream stages
+    # every checkpoint resumes; the near-dup tier's unpinned stages
     # never run behind its resumed verified_pairs
     assert _resumed(r2.stats) == dict.fromkeys(
-        STAGES - {"signatures", "pairs", "verify"}, True)
+        STAGES - {"pairs", "verify"}, True)
     assert d1.equals(d2)
     # per-stage walls recorded for bench attribution
     assert all(r["wall_s"] >= 0 for r in r2.stats["stages"])
@@ -369,4 +369,4 @@ def test_cli_corpus(tmp_path):
     assert line2["n_decisions"] == line["n_decisions"]
     metrics2 = json.loads((out / "metrics.json").read_text())
     assert _resumed(metrics2["stats"]) == dict.fromkeys(
-        STAGES - {"signatures", "pairs", "verify"}, True)
+        STAGES - {"pairs", "verify"}, True)

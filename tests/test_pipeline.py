@@ -83,6 +83,12 @@ def _resumed(res) -> dict[str, bool]:
     return {r["stage"]: r["resumed"] for r in res.stats["stages"]}
 
 
+def _signature_records(res) -> list[tuple[bool, int]]:
+    """``(resumed, rows)`` of each ``signatures`` record of the run."""
+    return [(r["resumed"], r["rows"]) for r in res.stats["stages"]
+            if r["stage"] == "signatures"]
+
+
 def _pair_set(res) -> set[tuple[int, int]]:
     batches = list(res.verified_pairs.iter_batches(
         batch_size=100000, batch_format="pyarrow"))
@@ -173,11 +179,12 @@ def test_checkpoint_resume(ray_session, corpus_dir, oracle, tmp_path):
     assert _cluster_dict(r1) == labels
     assert _resumed(r1) == dict.fromkeys(STAGES, False)
 
-    # a resumed verified_pairs never calls its factory: nothing
-    # upstream of it runs, so no signatures record appears
+    # a resumed verified_pairs never calls its factory: pairs and
+    # verify never run, so they leave no record
     r2 = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
     assert _cluster_dict(r2) == labels
-    assert _resumed(r2) == {"verified_pairs": True, "clusters": True}
+    assert _resumed(r2) == dict.fromkeys(
+        ["signatures", "verified_pairs", "clusters"], True)
 
     # a checkpointed stage's record carries its manifest's figures
     recs = {r["stage"]: r for r in r1.stats["stages"]}
@@ -216,13 +223,15 @@ def test_stage_records_of_a_pinned_run(ray_session, corpus_dir, oracle):
 
 def test_stage_boundaries_only_through_lineage_stage():
     """Every pipeline stage boundary is a ``lineage.stage`` call: no
-    pipeline module (nor the semantic tier) checkpoints, times itself
-    or writes a ``wall_`` stats key on its own."""
+    pipeline module (nor the semantic tier) checkpoints, writes or
+    clears a stage directory, times itself or writes a ``wall_`` stats
+    key on its own."""
     import re
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1] / "nxsearch_ray"
-    pat = re.compile(r"\bcheckpoint\(|time\.monotonic\(|[\"']wall_")
+    pat = re.compile(r"\bcheckpoint\(|time\.monotonic\(|[\"']wall_"
+                     r"|\bwrite_stage\(|\bstage_dir\(|\brmtree\(")
     files = [*sorted((root / "pipelines").glob("*.py")),
              root / "stages" / "semdedup.py"]
     hits = [f"{p.name}:{i}" for p in files
@@ -304,22 +313,53 @@ def test_incremental_ingest(ray_session, corpus, corpus_dir, oracle,
                             "lang"]), batch_format="pyarrow"),
         cfg, out_dir=out)
 
-    # incremental over the FULL corpus
+    # incremental over the FULL corpus: the ingest is the signatures
+    # stage's own work, recorded once with the combined row count
     res = run_dedup_incremental(_pages_ds(corpus_dir), cfg,
                                 out_dir=out)
     assert res.stats["incremental_known_pages"] == cut
     assert res.stats["incremental_new_pages"] == n - cut
+    assert _signature_records(res) == [(False, n)]
     assert _cluster_dict(res) == labels
     assert _pair_set(res) == opairs
     shutil.rmtree(out, ignore_errors=True)
 
 
-def test_remove_docs(ray_session, corpus, corpus_dir, oracle, tmp_path):
+def test_incremental_repeat_resumes(ray_session, corpus, corpus_dir,
+                                    oracle, tmp_path):
+    """A second incremental ingest of the same pages has nothing to
+    add: its checkpoints carry that input's fingerprint, so it resumes
+    every checkpoint and gives the same clusters."""
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.dedup import run_dedup_incremental
+
+    labels, _ = oracle
+    out = str(tmp_path / "inc2")
+    cfg = PipelineConfig()
+    run_dedup(rd.from_arrow(corpus.slice(0, corpus.num_rows // 2)
+                            .select(["page_id", "url", "warc_ts", "html",
+                                     "lang"])), cfg, out_dir=out)
+    first = run_dedup_incremental(_pages_ds(corpus_dir), cfg, out_dir=out)
+    assert first.stats["incremental_new_pages"] > 0
+    again = run_dedup_incremental(_pages_ds(corpus_dir), cfg, out_dir=out)
+    assert _resumed(again) == dict.fromkeys(
+        ["signatures", "verified_pairs", "clusters"], True)
+    assert again.stats["incremental_known_pages"] == corpus.num_rows
+    assert again.stats["incremental_new_pages"] == 0
+    assert _cluster_dict(again) == _cluster_dict(first) == labels
+    shutil.rmtree(out, ignore_errors=True)
+
+
+def test_remove_docs(ray_session, corpus, corpus_dir, oracle, tmp_path,
+                     monkeypatch):
     """Document deletion (reference tombstone-replay analogue,
     dtmap.c:546-655): delete pages from a checkpointed run — including
     a cluster's min-id representative, so cluster ids must re-derive —
-    and the output must be IDENTICAL to a full recompute without them,
-    with the signature stage resumed (canonicalization never redone)."""
+    and the output must be IDENTICAL to a full recompute without them.
+    The removal is the signatures stage's own work (recorded, not
+    resumed); canonicalization is never redone."""
+    import nxsearch_ray.pipelines.dedup as D
     from nxsearch_ray.pipelines.dedup import run_dedup_remove
 
     labels, _ = oracle
@@ -340,9 +380,15 @@ def test_remove_docs(ray_session, corpus, corpus_dir, oracle, tmp_path):
     removed.update(all_ids[::37])
     removed_ids = sorted(removed)
 
+    def no_canonicalization(*a, **kw):
+        raise AssertionError("a removal re-canonicalized pages")
+
+    monkeypatch.setattr(D, "canonsig_stage", no_canonicalization)
+    n_prior = read_manifest(out, "signatures")["rows"]
     res = run_dedup_remove(removed_ids, cfg, out_dir=out)
     assert res.stats["removed_found"] == len(removed_ids)
-    assert _resumed(res)["signatures"] is True
+    assert _signature_records(res) == [(False,
+                                        n_prior - len(removed_ids))]
 
     keep = pa.array([pid not in removed
                      for pid in corpus.column("page_id").to_pylist()])
@@ -352,11 +398,51 @@ def test_remove_docs(ray_session, corpus, corpus_dir, oracle, tmp_path):
     assert _pair_set(res) == exp_pairs
 
     # deleting EVERYTHING must refuse before mutating any checkpoint
+    before = read_manifest(out, "signatures")
     with pytest.raises(ValueError, match="every page"):
         run_dedup_remove(sorted(corpus.column("page_id").to_pylist()),
                          cfg, out_dir=out)
+    assert read_manifest(out, "signatures") == before
     shutil.rmtree(out, ignore_errors=True)
 
+
+def test_remove_after_a_crashed_removal(ray_session, corpus, corpus_dir,
+                                        tmp_path, monkeypatch):
+    """A removal that crashes after its ``signatures`` write leaves the
+    older ``verified_pairs`` and ``clusters`` behind it.  A full run
+    over the same pages must bring ``signatures`` back to that input
+    before it resumes them, so a later removal starts from every page
+    and equals a full recompute without only its own ids."""
+    import nxsearch_ray.pipelines.dedup as D
+    from nxsearch_ray.pipelines.dedup import run_dedup_remove
+
+    out = str(tmp_path / "crashrm")
+    cfg = PipelineConfig()
+    run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
+    ids = corpus.column("page_id").to_pylist()
+
+    def crash(*a, **kw):
+        raise RuntimeError("crash in the pairs stage")
+
+    with monkeypatch.context() as m:
+        m.setattr(D, "union_pair_sources", crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            run_dedup_remove(ids[::5], cfg, out_dir=out)
+    assert read_manifest(out, "signatures")["rows"] < len(ids)
+
+    r = run_dedup(_pages_ds(corpus_dir), cfg, out_dir=out)
+    assert _resumed(r) == {"signatures": False, "verified_pairs": True,
+                           "clusters": True}
+    assert read_manifest(out, "signatures")["rows"] == len(ids)
+
+    removed = set(ids[1::7])
+    res = run_dedup_remove(sorted(removed), cfg, out_dir=out)
+    assert res.stats["removed_found"] == len(removed)
+    keep = pa.array([pid not in removed for pid in ids])
+    exp_labels, exp_pairs = oracle_clusters(corpus.filter(keep), cfg)
+    assert _cluster_dict(res) == exp_labels
+    assert _pair_set(res) == exp_pairs
+    shutil.rmtree(out, ignore_errors=True)
 
 def test_byte_budget_forces_scale_plans(ray_session, corpus_dir, oracle,
                                         monkeypatch):

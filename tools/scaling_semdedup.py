@@ -28,7 +28,6 @@ N = int(os.environ.get("SEMDEDUP_SCALE_N",
 
 
 def worker(ncpu: int, reps: int) -> None:
-    os.environ.setdefault("RAY_DATA_PUSH_BASED_SHUFFLE", "1")
     import ray
 
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
