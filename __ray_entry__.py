@@ -945,7 +945,7 @@ def q_lm_perplexity_trigram(sf_dir: str):
 
 
 class _SeenGuard:
-    """One task-pool pass combining the Bloom probe (broadcast bitmap,
+    """One task-wave pass combining the Bloom probe (broadcast bitmap,
     the 10^12-doc incremental-ingest path) with the exact membership
     check (broadcast sorted url array — at scale this column is the
     expensive join the Bloom filter exists to avoid; here it feeds the

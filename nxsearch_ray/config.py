@@ -64,7 +64,7 @@ class PipelineConfig:
     hot_bucket_cap: int = 64
 
     # --- execution ---
-    batch_size: int = 1024               # rows per map_batches call
+    batch_size: int = 1024               # max rows per task of a stage's wave
     seed: int = 42
 
     def __post_init__(self) -> None:

@@ -48,16 +48,27 @@ def _seg_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - excl, counts) + np.arange(total, dtype=np.int64)
 
 
+def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 of the uint64 array ``z``, written into ``z`` (``tmp``
+    is scratch of its shape).  uint64 arithmetic wraps mod 2^64, so it
+    needs no masks."""
+    with np.errstate(over="ignore"):
+        z += _U64(0x9E3779B97F4A7C15)
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9),
+                            (27, 0x94D049BB133111EB)):
+            np.right_shift(z, _U64(shift), out=tmp)
+            z ^= tmp
+            z *= _U64(mult)
+        np.right_shift(z, _U64(31), out=tmp)
+        z ^= tmp
+    return z
+
+
 def splitmix64(x: np.ndarray | int) -> np.ndarray:
     """Vectorized splitmix64 finalizer (public domain constant set)."""
-    old = np.seterr(over="ignore")
-    try:
-        z = (np.asarray(x, dtype=_U64) + _U64(0x9E3779B97F4A7C15)) & _MASK64
-        z = ((z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)) & _MASK64
-        z = ((z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)) & _MASK64
-        return z ^ (z >> _U64(31))
-    finally:
-        np.seterr(**old)
+    z = np.array(x, dtype=_U64)
+    z = _splitmix64_inplace(z, np.empty_like(z))
+    return z if z.ndim else z[()]
 
 
 def hash_strings(values=None, offsets: np.ndarray | None = None,
@@ -303,7 +314,8 @@ def unique_per_doc(flat: np.ndarray, offsets: np.ndarray
 def minhash_signatures(flat_shingles: np.ndarray, offsets: np.ndarray,
                        num_perms: int, seed: int) -> np.ndarray:
     """(ndocs, num_perms) uint64 MinHash matrix via seeded splitmix64
-    permutations + segment-min.  Empty docs get all-max sentinel rows."""
+    permutations + segment-min, each permutation computed in place in
+    one reused buffer.  Empty docs get all-max sentinel rows."""
     offsets = np.asarray(offsets, dtype=np.int64)
     ndocs = len(offsets) - 1
     sig = np.full((ndocs, num_perms), _MASK64, dtype=_U64)
@@ -315,9 +327,12 @@ def minhash_signatures(flat_shingles: np.ndarray, offsets: np.ndarray,
     perm_seeds = splitmix64(
         np.arange(num_perms, dtype=_U64) ^ _U64(seed & 0xFFFFFFFFFFFFFFFF)
     )
+    flat = np.asarray(flat_shingles, dtype=_U64)
+    v, tmp = np.empty_like(flat), np.empty_like(flat)
     for p in range(num_perms):
-        v = splitmix64(flat_shingles ^ perm_seeds[p])
-        sig[nonempty, p] = np.minimum.reduceat(v, red_starts)
+        np.bitwise_xor(flat, perm_seeds[p], out=v)
+        sig[nonempty, p] = np.minimum.reduceat(
+            _splitmix64_inplace(v, tmp), red_starts)
     return sig
 
 

@@ -37,6 +37,10 @@ CJK, is the identity on tokens that don't, and uses only RE2-expressible
 constructs so the DuckDB oracle twin (__ray_entry__._sql_tokens) can run
 the exact same two regexes via flatten(list_transform(...)).
 
+All-ASCII text (most web text) takes a stdlib ``re`` twin of the coarse
+pass with ASCII classes and no CJK scan; it returns the same tokens
+(tests/test_tokenizer.py checks this on seeded ASCII strings).
+
 Behavior is pinned by fixtures from reference src/tests/t_tokenize.c:22-80
 (including matching *shipped* behavior, not the documented-aspirational
 ``test_case_not_passing`` at t_tokenize.c:66-69).
@@ -44,6 +48,7 @@ Behavior is pinned by fixtures from reference src/tests/t_tokenize.c:22-80
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import regex
@@ -55,6 +60,12 @@ _TOKEN_RE = regex.compile(
     rf"{_W}+(?:(?:['’.:·](?=\p{{L}})|[.,;'’](?=\p{{N}})){_W}+)*",
     regex.V1,
 )
+# ``_TOKEN_RE`` restricted to ASCII, in the stdlib engine (about twice
+# as fast on word-heavy text): the ASCII letters are \p{L}, the digits
+# \p{N}, ``_`` \p{Pc}, and ASCII has no \p{M}; the non-ASCII joiners
+# drop out.
+_ASCII_TOKEN_RE = re.compile(
+    r"[A-Za-z0-9_]+(?:(?:['.:](?=[A-Za-z])|[.,;'](?=[0-9]))[A-Za-z0-9_]+)*")
 
 # --- CJK second pass -------------------------------------------------
 # Character ranges shared verbatim with the DuckDB oracle (RE2 has no
@@ -92,7 +103,10 @@ def segment_words(text: str) -> list[str]:
     """ICU UBRK_WORD-equivalent segmentation: the word runs only
     (UBRK_WORD_NONE runs are skipped, reference src/core/tokenizer.c:280-282).
     Coarse UAX#29 pass, then a CJK re-split (see module docstring) on the
-    coarse tokens that contain Han/Hiragana/Katakana."""
+    coarse tokens that contain Han/Hiragana/Katakana.  ASCII text (no
+    CJK) takes the same coarse pass in its ASCII twin."""
+    if text.isascii():
+        return _ASCII_TOKEN_RE.findall(text)
     toks = _TOKEN_RE.findall(text)
     if _CJK_DETECT.search(text) is None:
         return toks

@@ -4,7 +4,7 @@ End-to-end dataflow (physical plan in SURVEY.md §4):
 
   pages (url, warc_ts, html, text, lang)
     → extract + canonicalize + signatures
-                              [one task-pool stage with per-worker
+                              [one task-wave stage with per-worker
                                state: tokenizer + filter chain
                                → shingles → MinHash/SimHash/bottom-k/
                                anchors; the table keeps token_ids]

@@ -28,8 +28,8 @@ bitmap):
            sized by the caller; at 10^11 prior keys and 1% FP it is
            ~120 GB, which a 1024-shard layout splits into ~120 MB
            shards.
-  probe  — the list of shard refs travels by handle into a task-pool
-           map_batches (stages/join.broadcast_map); each worker
+  probe  — the list of shard refs travels by handle into a task
+           wave (stages/join.broadcast_map); each worker
            ray.get()s only the shards its batches' keys route to, ONCE
            each (plasma, zero-copy for the word array), and probes per
            batch with k gather+shift ops, no Python loop.

@@ -20,7 +20,7 @@ Dataflow:
     ``include_tokens=True``.
   * **vocabulary index** — built in one remote task (sorted term array
     + totals), broadcast by ObjectRef.
-  * **bulk lookup** — a task pool with per-worker state
+  * **bulk lookup** — a task wave with per-worker state
     (stages/join.broadcast_map): each worker builds the BK-tree ONCE
     per vocabulary ref from the broadcast index (sorted-order inserts
     → identical tree on every worker), then resolves its batches;

@@ -20,8 +20,10 @@ reference src/core/tokenizer.c:160-199).  Small-side joins use a
 broadcast instead: a key set (``id_set_ref``; ``semi_join`` /
 ``anti_join``) or a lookup index built once and read by every task
 (``index_ref`` + ``broadcast_map``, which also holds every stage's
-per-worker state).  Every membership probe of a sorted key array goes
-through ``sorted_lookup``.
+per-worker state).  ``broadcast_map`` is one wave of plain Ray tasks,
+as the exchange is, planned from the input's block row counts so that
+every CPU has work from the first task.  Every membership probe of a
+sorted key array goes through ``sorted_lookup``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from nxsearch_ray.stages.shuffle import concat, exchange
+from nxsearch_ray.stages.shuffle import (as_arrow, concat, exchange,
+                                        session_cpus)
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                          ("source", pa.string())])
@@ -126,9 +129,9 @@ def index_ref(ds, schema: pa.Schema, from_table):
 
 # per-worker-process state of the broadcast stages, one entry per call
 # site (so the verify and suffix indices never evict each other),
-# replaced when its ref changes: a task-pool stage re-enters its kernel
-# many times in one worker, and the build (unpickle, BK-tree, filter
-# pipelines) runs once per ref there, as an actor's ``__init__`` did.
+# replaced when its ref changes: a wave runs several tasks in one
+# worker, and the build (unpickle, BK-tree, filter pipelines) runs once
+# per ref there, as an actor's ``__init__`` did.
 # A site's last state (and any object-store value it views) stays
 # until that site's next call in the worker.
 _WORKER_STATE: dict = {}
@@ -143,28 +146,87 @@ def _site(build):
     return build
 
 
-def _worker_state(site, ref, build):
+def _worker_state(site, ref, value, build):
+    """``build(value)`` for ``site``, built once per ``ref`` (``value``
+    is that ref's object) in this worker."""
     hit = _WORKER_STATE.get(site)
     if hit is None or hit[0] != ref.hex():
-        hit = _WORKER_STATE[site] = (ref.hex(), build(ray.get(ref)))
+        hit = _WORKER_STATE[site] = (ref.hex(), build(value))
     return hit[1]
 
 
+def _wave_plan(rows: list[int], batch_size: int | None,
+               cpus: int) -> list[list[tuple[int, int, int]]]:
+    """A broadcast wave's tasks, each a list of ``(block, start,
+    length)`` row ranges, contiguous and in input order.  With
+    ``batch_size`` the rows are cut into max(min(non-empty blocks,
+    ``cpus``), ⌈rows / ``batch_size``⌉) equal spans (never more spans
+    than rows), so every CPU has work from the first task and no task
+    holds more than ``batch_size`` rows; a span may cut or join
+    blocks.  Without it every non-empty block is one task, as a
+    ``map_batches`` batch is one block."""
+    full = [i for i, n in enumerate(rows) if n]
+    if batch_size is None or not full:
+        return [[(i, 0, rows[i])] for i in full]
+    total = sum(rows)
+    n_tasks = min(total, max(min(len(full), cpus), -(-total // batch_size)))
+    bounds = [total * t // n_tasks for t in range(n_tasks + 1)]
+    plan, i, pos = [], 0, 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        pieces = []
+        while lo < hi:
+            take = min(rows[i] - pos, hi - lo)
+            if take:
+                pieces.append((i, pos, take))
+            pos, lo = pos + take, lo + take
+            if pos == rows[i]:
+                i, pos = i + 1, 0
+        plan.append(pieces)
+    return plan
+
+
+@ray.remote
+def _wave_task(value, ref_box, build, pieces, *blocks):
+    """One task of a broadcast wave: its row ranges as one contiguous
+    batch (a chunked one would leave the output chunked, and its
+    checkpoint one Parquet row group per chunk), mapped through this
+    worker's state.  ``value`` is the broadcast object, resolved before
+    the task starts (a ``ray.get`` inside it would block the worker,
+    and Ray would start another); ``ref_box`` holds its ref unresolved,
+    the state's key."""
+    batch = concat([as_arrow(b).slice(start, n)
+                    for b, (start, n) in zip(blocks, pieces)])
+    return _worker_state(_site(build), ref_box[0], value, build)(
+        batch.combine_chunks())
+
+
 def broadcast_map(ds, ref, build, *, batch_size: int | None = None):
-    """The one per-worker-state primitive: a plain task-pool
-    ``map_batches`` in which each worker computes
-    ``build(ray.get(ref))`` once per ``ref`` and maps every pyarrow
-    batch through the result.  ``build`` is a class or module-level
-    function (or a ``functools.partial`` of one), resolved by
-    reference in the worker.  Config-derived state is keyed by a
-    ``ray.put`` made per call, so each call starts fresh."""
-    site = _site(build)
+    """The one per-worker-state primitive: one wave of plain Ray tasks
+    in which each worker computes ``build`` of ``ref``'s object once
+    per ``ref`` and maps its tasks' batches through the result.  ``build``
+    is a class or module-level function (or a ``functools.partial`` of
+    one), resolved by reference in the worker.  Config-derived state
+    is keyed by a ``ray.put`` made per call, so each call starts fresh.
 
-    def fn(batch: pa.Table) -> pa.Table:
-        return _worker_state(site, ref, build)(batch)
+    The wave runs when called, as ``exchange`` does: it lists the
+    input's blocks and row counts, cuts them into tasks
+    (``_wave_plan``: at least one per CPU while there are blocks, at
+    most ``batch_size`` rows each) and returns a materialized Dataset
+    of one kernel output per task, in input order.  A zero-row input
+    returns a zero-row, zero-column Dataset without calling the
+    kernel."""
+    import ray.data as rd
 
-    return ds.map_batches(fn, batch_format="pyarrow",
-                          batch_size=batch_size)
+    blocks = [b for bundle in ds.iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    plan = _wave_plan([m.num_rows for _, m in blocks], batch_size,
+                      session_cpus())
+    if not plan:
+        return rd.from_arrow(pa.table({}))
+    return rd.from_arrow_refs([
+        _wave_task.remote(ref, [ref], build, [(s, n) for _, s, n in task],
+                          *[blocks[i][0] for i, _, _ in task])
+        for task in plan])
 
 
 def lookup_kernel(kernel, cfg, index):

@@ -27,7 +27,7 @@ Scale plan (100 TB):
      desc, key asc) — deterministic — and misses fall back to a
      floor (unigram) or the backoff term (KN).  The model is
      broadcast via ray.put.
-  3. score — task pool, the model fetched once per worker
+  3. score — one task wave, the model fetched once per worker
      (stages/join.broadcast_map): per batch, vectorized sorted
      lookups (stages/join.sorted_lookup) + segmented mean.  No shuffle.
 
@@ -113,7 +113,9 @@ def _per_doc(batch: pa.Table, id_col: str, doc: np.ndarray,
     inner joins."""
     ids = batch.column(id_col).to_numpy()
     n = np.bincount(doc, minlength=batch.num_rows).astype(np.int64)
-    sums = np.bincount(doc, weights=neglog, minlength=batch.num_rows)
+    # float even when the batch has no gram (bincount of nothing is int)
+    sums = np.bincount(doc, weights=neglog,
+                       minlength=batch.num_rows).astype(np.float64)
     has = n > 0
     logloss = np.divide(sums, n, out=np.zeros_like(sums), where=has)
     return pa.Table.from_arrays(
@@ -265,7 +267,7 @@ def kn_model_ref(census_ds, order: int, *, discount: float = 0.75,
 
 class _Scorer:
     """Scorer kernel base over the fetched ``model`` — the per-worker
-    state of a task-pool stage (stages/join.broadcast_map; plasma,
+    state of a task wave (stages/join.broadcast_map; plasma,
     zero-copy for the float arrays)."""
 
     def __init__(self, model: dict, id_col: str = "doc_id",
@@ -323,7 +325,7 @@ def lm_perplexity_kn(docs_ds, *, order: int = 2, id_col: str = "doc_id",
     """Per-document interpolated Kneser-Ney ORDER-n perplexity against
     the corpus's own n-gram statistics (or a prebuilt ``model_ref``,
     which carries its own order) — census combiner -> one-task model
-    fold -> broadcast -> task-pool scorer.  Documents with fewer than
+    fold -> broadcast -> task-wave scorer.  Documents with fewer than
     n tokens have no n-gram windows and are omitted, matching the SQL
     twins' joins."""
     if model_ref is None:

@@ -43,16 +43,22 @@ import ray
 PARTITION_BYTES = 128 << 20
 
 
+def session_cpus() -> int:
+    """The Ray session's CPU count (8 when it cannot be read): the
+    width a task wave needs to keep every CPU busy."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
 def partition_width(n_rows: int, n_bytes: int) -> int:
     """Exchange width sized by the data: one partition per cluster CPU
     (the per-block scans downstream keep every CPU busy) but never more
     partitions than rows, and more partitions once one would pass
     ``PARTITION_BYTES``."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(1, min(cpus, n_rows), -(-n_bytes // PARTITION_BYTES))
+    return max(1, min(session_cpus(), n_rows),
+               -(-n_bytes // PARTITION_BYTES))
 
 
 def adopt_hash_context(ds):
@@ -86,17 +92,21 @@ def key_hash(t, keys) -> np.ndarray:
     return h
 
 
+def as_arrow(block) -> pa.Table:
+    """A Ray Data block (Arrow or pandas) as an Arrow table."""
+    if isinstance(block, pa.Table):
+        return block
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
 @ray.remote
 def _split(block, keys, P):
     """One input block → its P pieces, piece i holding the rows whose
     key hash is i mod P.  An empty block (a union with an empty side
     yields zero-column ones) is every piece."""
-    import pyarrow as pa
-
-    if not isinstance(block, pa.Table):
-        from ray.data.block import BlockAccessor
-
-        block = BlockAccessor.for_block(block).to_arrow()
+    block = as_arrow(block)
     if block.num_rows == 0:
         return (block,) * P if P > 1 else block
     part = (key_hash(block, keys) % np.uint64(P)).astype(np.int64)

@@ -1,11 +1,12 @@
 """Signature stage: k-shingles → MinHash / SimHash / bottom-k sketches.
 
 New Ray-native functionality (the reference has no sketches, SURVEY.md
-§2.5 A7): a plain task-pool stage whose per-worker state (the
-canonicalization pipelines and token memo, plus the config's MinHash
-seeds — the only cross-worker state the signature path needs,
-SURVEY.md §2.3 ST5) is built once per call by ``join.broadcast_map``;
-each batch is done with numpy:
+§2.5 A7): one wave of plain Ray tasks (``join.broadcast_map``, at
+least one task per CPU, at most ``batch_size`` rows each) whose
+per-worker state (the canonicalization pipelines and token memo, plus
+the config's MinHash seeds — the only cross-worker state the signature
+path needs, SURVEY.md §2.3 ST5) is built once per call; each batch is
+done with numpy:
 
   token_ids list column → flat uint64 + offsets (zero-copy from Arrow)
   → rolling k-shingle hashes → per-doc sorted-unique → 128-perm MinHash
@@ -20,6 +21,8 @@ Columns out:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -153,23 +156,24 @@ class CanonSigActor:
 
 
 def canonsig_stage(ds, cfg: PipelineConfig):
-    """The fused stage as plain tasks, one ``CanonSigActor`` per worker
-    and call (a fresh token memo each call)."""
-    import ray
-
-    from nxsearch_ray.stages.join import broadcast_map
-
-    return broadcast_map(ds, ray.put(cfg.to_json()), CanonSigActor,
-                         batch_size=cfg.batch_size)
+    """The fused stage as one task wave of at most ``cfg.batch_size``
+    rows per task, one ``CanonSigActor`` per worker and call (a fresh
+    token memo each call).  Runs when called."""
+    return _wave(ds, cfg, CanonSigActor)
 
 
 def signature_stage(ds, cfg: PipelineConfig, *,
                     keep_columns: tuple[str, ...] = ("page_id",)):
-    """Stateless tasks: the stage's only 'state' is the parsed config
-    (trivial to pickle per task)."""
-    fn = SignatureActor(cfg.to_json(), keep_columns)
-    return ds.map_batches(
-        fn,
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-    )
+    """Signatures of already-canonical rows (a ``token_ids`` column), as
+    the same kind of wave; the only state is the parsed config."""
+    return _wave(ds, cfg, functools.partial(SignatureActor,
+                                            keep_columns=keep_columns))
+
+
+def _wave(ds, cfg: PipelineConfig, build):
+    import ray
+
+    from nxsearch_ray.stages.join import broadcast_map
+
+    return broadcast_map(ds, ray.put(cfg.to_json()), build,
+                         batch_size=cfg.batch_size)

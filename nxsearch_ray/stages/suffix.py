@@ -227,8 +227,8 @@ def adjudicate_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
 
 
 def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
-    """Task-pool exact adjudication against the broadcast token index
-    (same plan shape as verify.verify_pairs_broadcast)."""
+    """Exact adjudication as one task wave against the broadcast token
+    index (same plan shape as verify.verify_pairs_broadcast)."""
     from nxsearch_ray.stages.join import broadcast_map, lookup_kernel
 
     return broadcast_map(

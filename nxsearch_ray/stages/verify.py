@@ -270,7 +270,7 @@ def score_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
 
 
 def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
-    """Broadcast verify: a plain task-pool stage whose only per-worker
+    """Broadcast verify: one wave of plain tasks whose only per-worker
     state is the index (``join.broadcast_map``); ``ray.get`` of
     plasma-backed numpy is zero-copy.  Measured on 520k pages / 8.6M
     candidates: 20-27 s at 8 cpus and 49-55 s at 2, because

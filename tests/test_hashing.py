@@ -20,6 +20,11 @@ def test_splitmix_matches_scalar():
     out = H.splitmix64(xs)
     for x, o in zip(xs.tolist(), out.tolist()):
         assert o == _py_splitmix64(int(x))
+    # the edge values as scalars too: the wrap past 2^64 - 1 in the
+    # first add, and 0
+    for x in (0, 2**64 - 1):
+        assert int(H.splitmix64(x)) == _py_splitmix64(x)
+        assert np.ndim(H.splitmix64(x)) == 0
 
 
 def test_hash_strings_deterministic_and_distinct():
@@ -104,7 +109,9 @@ def test_minhash_matches_oracle_and_estimates_jaccard():
     est = (sa == sb).mean()
     assert abs(est - true_j) < 0.15
 
-    # per-doc min oracle for one permutation
+    # per-doc min oracle for one permutation; the edge shingle values
+    # 0 and 2^64 - 1 are in the doc
+    a |= {0, 2**64 - 1}
     flat = np.array(sorted(a), dtype=np.uint64)
     offs = np.array([0, len(flat)], dtype=np.int64)
     sig = H.minhash_signatures(flat, offs, 4, seed=7)

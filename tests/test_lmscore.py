@@ -539,3 +539,15 @@ def test_kn5_cap_backoff(ray_session):
         assert got[k] >= full[k] - 1e-12
         assert math.isfinite(got[k])
 
+
+
+def test_per_doc_batch_without_grams_is_empty():
+    """A batch whose docs have no gram (a wave task can hold only
+    one-token docs) scores no doc, rather than failing on the integer
+    dtype of an empty weighted bincount."""
+    from nxsearch_ray.stages.lmscore import _per_doc
+
+    out = _per_doc(pa.table({"doc_id": [7, 8]}), "doc_id",
+                   np.zeros(0, np.int64), np.zeros(0), "n_transitions")
+    assert out.num_rows == 0
+    assert out.schema.field("logloss").type == pa.float64()

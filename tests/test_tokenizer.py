@@ -72,3 +72,21 @@ def test_doc_len_counts_repeats(norm_pipeline):
     tset, _ = tokenize("cat dog cat cat", norm_pipeline)
     assert tset.seen == 4
     assert tset.count == 2
+
+
+def test_ascii_segmentation_matches_the_unicode_pass():
+    """Seeded property: on ASCII text rich in the joiners ``'.:,;`` and
+    ``_``, digits and mixed case, ``segment_words`` (its ASCII twin)
+    gives exactly the UAX#29-subset pass's tokens."""
+    import random
+
+    from nxsearch_ray.functions.tokenizer import _TOKEN_RE
+
+    rng = random.Random(16)
+    alphabet = "'.:,;_" * 3 + "0123456789" + "aBcDeFxYz" + " \t\n-!?/\"("
+    every_ascii = "".join(map(chr, range(128)))
+    for chars in (alphabet, every_ascii):
+        for _ in range(3000):
+            text = "".join(rng.choice(chars)
+                           for _ in range(rng.randint(0, 48)))
+            assert segment_words(text) == _TOKEN_RE.findall(text), text
