@@ -1,18 +1,21 @@
 """Exact longest-common-substring over token-hash sequences.
 
-The suffix/containment pass of the north rule: long-span exact overlap
-that Jaccard misses (a short page fully contained in a long one barely
-moves Jaccard).  The reference would have surfaced this via
-posting-list overlap of its inverted index (terms/dtmap, reference
-src/index/dtmap.c, src/core/nxs.c:48-55); we verify it exactly with a
-suffix automaton built over one document's token-id sequence and run
-the other document through it — O(|a| + |b|) per pair, equivalent in
-power to a suffix-array LCS but with a simpler online construction
+The scalar statement of the suffix/containment pass of the north rule:
+long-span exact overlap that Jaccard misses (a short page fully
+contained in a long one barely moves Jaccard).  The reference would
+have surfaced this via posting-list overlap of its inverted index
+(terms/dtmap, reference src/index/dtmap.c, src/core/nxs.c:48-55); here
+a suffix automaton is built over one document's token-id sequence and
+the other document runs through it — O(|a| + |b|) per pair, equivalent
+in power to a suffix-array LCS but with a simpler online construction
 (Blumer et al. 1985 suffix automaton; standard competitive-programming
 formulation).
 
-Only *verified candidate pairs* (anchor-bucket co-occurrence) reach
-this code, so the per-pair cost is off the hot path.
+It is pure Python per pair, so the pipeline does not run it: the
+adjudication stage (stages/suffix.py) decides LCS ≥ L for a whole
+batch with a strided window-hash probe.  ``lcs_tokens`` stays as the
+independent oracle that stage is tested against, and ``oracle.py``
+runs it.
 """
 
 from __future__ import annotations

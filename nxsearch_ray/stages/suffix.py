@@ -3,14 +3,18 @@
 Candidate generation is the anchor pass of the candidate exchange
 (stages/pairs.py ``explode_all``: content-defined anchor shingles,
 h % anchor_mod == 0, shared by containing and contained documents).
-Survivors of the bottom-k containment screen are verified *exactly*
-with a suffix automaton over canonical token-id sequences
-(functions/suffix.py).
+Survivors of the bottom-k containment screen are adjudicated *exactly*
+over canonical token-id sequences, a batch at a time with no per-pair
+Python: each distinct page's shingle set is built once per batch for
+the exact Jaccard, and a strided window-hash probe with exact
+verification of every hit decides LCS ≥ L (Karp & Rabin 1987).  The
+scalar ``exact_adjudicate`` (suffix automaton, functions/suffix.py)
+states the same decision and is the kernel's test oracle.
 
 The token sequences reach each pair by broadcast lookup (test scale)
 or, at 10^12 docs, by the bucketed pair join (a partition-wise hash
 join per endpoint) exactly like stages/verify.py; both plans then call
-the one decision kernel ``adjudicate_pairs``.
+the one decision kernel ``adjudicate_docs``.
 """
 
 from __future__ import annotations
@@ -79,15 +83,15 @@ def build_token_index_ref(canonical_ds):
 
 def exact_adjudicate(ta: np.ndarray, tb: np.ndarray, cfg: PipelineConfig
                      ) -> tuple[int, float, float]:
-    """(lcs_len, containment, exact_jaccard) for one token-id pair —
-    the single exact-decision kernel shared by the broadcast stage, the
-    bucketed stage and the oracle.
+    """(lcs_len, containment, exact_jaccard) for one token-id pair: the
+    scalar statement of ``adjudicate_pairs``' decision, kept as its test
+    oracle (``oracle.py`` runs its own loop on the same two functions).
 
-    The exact shingle Jaccard (vectorized numpy) runs first; when it
-    already crosses the keep threshold the pure-Python suffix-automaton
-    LCS — the per-pair cost ceiling of this stage — is skipped and
-    (lcs, containment) are reported as (-1, 0.0) sentinels.  The KEEP
-    decision (containment ≥ thr OR jaccard ≥ thr) is unchanged."""
+    The exact shingle Jaccard runs first; when it already crosses the
+    keep threshold the suffix-automaton LCS is skipped and (lcs,
+    containment) are reported as (-1, 0.0) sentinels.  A pair is kept
+    when containment ≥ containment_threshold OR jaccard ≥
+    jaccard_threshold."""
     m = min(len(ta), len(tb))
     if m == 0:
         return 0, 0.0, 0.0
@@ -96,77 +100,6 @@ def exact_adjudicate(ta: np.ndarray, tb: np.ndarray, cfg: PipelineConfig
         return -1, 0.0, jac
     lcs = lcs_tokens(ta.tolist(), tb.tolist())
     return lcs, lcs / m, jac
-
-
-def _seg_unique(vals: np.ndarray, offsets: np.ndarray, n: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment unique: (flat unique values grouped by segment,
-    per-segment unique counts)."""
-    seg = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    order = np.lexsort((vals, seg))
-    v, s = vals[order], seg[order]
-    keep = np.ones(len(v), dtype=bool)
-    keep[1:] = (v[1:] != v[:-1]) | (s[1:] != s[:-1])
-    v, s = v[keep], s[keep]
-    return v, np.bincount(s, minlength=n)
-
-
-def batch_shingle_jaccard(ta_flat: np.ndarray, ta_off: np.ndarray,
-                          tb_flat: np.ndarray, tb_off: np.ndarray,
-                          k: int) -> np.ndarray:
-    """Exact k-shingle-set Jaccard for a whole block of pairs at once:
-    TWO shingle_hashes calls (one per side) instead of two per pair,
-    then vectorized per-segment set unique + intersection.  Value-
-    identical to ``exact_shingle_jaccard`` row by row (same shingle
-    hashing, same integer set math, same division)."""
-    from nxsearch_ray.functions import hashing as H
-
-    n = len(ta_off) - 1
-    sha, offa = H.shingle_hashes(ta_flat, np.asarray(ta_off, np.int64), k)
-    shb, offb = H.shingle_hashes(tb_flat, np.asarray(tb_off, np.int64), k)
-    ua, ca = _seg_unique(sha, offa, n)
-    ub, cb = _seg_unique(shb, offb, n)
-    # Each side is unique within a segment, so an adjacent (seg, value)
-    # duplicate in the merged sorted stream means "present in both".
-    seg = np.concatenate([np.repeat(np.arange(n, dtype=np.int64), ca),
-                          np.repeat(np.arange(n, dtype=np.int64), cb)])
-    val = np.concatenate([ua, ub])
-    order = np.lexsort((val, seg))
-    seg_s, val_s = seg[order], val[order]
-    dup = (seg_s[1:] == seg_s[:-1]) & (val_s[1:] == val_s[:-1])
-    inter = np.bincount(seg_s[1:][dup], minlength=n)
-    union = ca + cb - inter
-    out = np.zeros(n, dtype=np.float64)
-    nz = union > 0
-    out[nz] = inter[nz] / union[nz]
-    return out
-
-
-def batch_exact_adjudicate(ta_flat: np.ndarray, ta_off: np.ndarray,
-                           tb_flat: np.ndarray, tb_off: np.ndarray,
-                           cfg: PipelineConfig
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block-batched ``exact_adjudicate``: vectorized shingle Jaccard
-    across all pairs decides first; the pure-Python suffix-automaton
-    LCS runs only for the borderline remainder (jac < threshold).
-    Decision- and value-identical to the scalar kernel per row."""
-    ta_off = np.asarray(ta_off, dtype=np.int64)
-    tb_off = np.asarray(tb_off, dtype=np.int64)
-    n = len(ta_off) - 1
-    m = np.minimum(ta_off[1:] - ta_off[:-1], tb_off[1:] - tb_off[:-1])
-    jac = batch_shingle_jaccard(ta_flat, ta_off, tb_flat, tb_off,
-                                cfg.shingle_k)
-    jac[m == 0] = 0.0
-    lcs = np.zeros(n, dtype=np.int32)
-    con = np.zeros(n, dtype=np.float64)
-    passed = (jac >= cfg.jaccard_threshold) & (m > 0)
-    lcs[passed] = -1
-    for i in np.flatnonzero(~passed & (m > 0)):
-        length = lcs_tokens(ta_flat[ta_off[i]:ta_off[i + 1]].tolist(),
-                            tb_flat[tb_off[i]:tb_off[i + 1]].tolist())
-        lcs[i] = length
-        con[i] = length / int(m[i])
-    return lcs, con, jac
 
 
 def exact_shingle_jaccard(ta: np.ndarray, tb: np.ndarray,
@@ -187,21 +120,190 @@ def exact_shingle_jaccard(ta: np.ndarray, tb: np.ndarray,
     return inter / (len(sa) + len(sb) - inter)
 
 
-def adjudicate_pairs(pairs: pa.Table, ta_flat: np.ndarray,
-                     ta_off: np.ndarray, tb_flat: np.ndarray,
-                     tb_off: np.ndarray, cfg: PipelineConfig) -> pa.Table:
-    """The one exact decision: given each pair's two token sequences
-    (flat + offsets, in pair order), keep a pair when its exact
-    suffix-automaton containment ≥ containment_threshold OR its exact
-    shingle Jaccard ≥ jaccard_threshold (the borderline-est_j rescue).
-    Both plans gather into this — the broadcast plan from the token
-    index, the bucketed plan from the joined list columns."""
+def docs_shingle_jaccard(ia: np.ndarray, ib: np.ndarray, flat: np.ndarray,
+                         off: np.ndarray, k: int) -> np.ndarray:
+    """Exact k-shingle-set Jaccard of docs ``ia[i]`` and ``ib[i]`` (rows
+    of the distinct docs ``flat``/``off``), value-identical to
+    ``exact_shingle_jaccard`` per pair: the same shingle hashing, the
+    same integer set math and the same division.
+
+    Each doc's sorted-unique shingle set is built once, however many
+    pairs it is in.  A shingle's key is (doc, dense rank of its value),
+    which is sorted as built, so each pair's intersection is one sorted
+    lookup of the smaller set's keys under the other doc."""
+    from nxsearch_ray.functions import hashing as H
+    from nxsearch_ray.stages.join import sorted_lookup
+
+    sh, sh_off = H.shingle_hashes(flat, off, k)
+    u, u_off = H.unique_per_doc(sh, sh_off)
+    cnt = np.diff(u_off)
+    values, rank = np.unique(u, return_inverse=True)
+    keys = np.repeat(np.arange(len(cnt)) * len(values), cnt) + rank
+    src = np.where(cnt[ia] <= cnt[ib], ia, ib)
+    c = cnt[src]
+    _, hit = sorted_lookup(keys, np.repeat((ia + ib - src) * len(values), c)
+                           + rank[H._seg_arange(u_off[src], c)])
+    inter = np.bincount(np.repeat(np.arange(len(ia)), c)[hit],
+                        minlength=len(ia))
+    union = cnt[ia] + cnt[ib] - inter
+    out = np.zeros(len(ia), dtype=np.float64)
+    nz = union > 0
+    out[nz] = inter[nz] / union[nz]
+    return out
+
+
+def min_run(m: np.ndarray, thr: float) -> np.ndarray:
+    """Smallest integer L with L / m >= thr in float64 — the LCS a pair
+    with shorter side m needs to pass the containment threshold.
+    ``ceil(thr * m)`` can overshoot by one (0.55 * 100 = 55.000…01)."""
+    m = np.asarray(m, dtype=np.int64)
+    lo = np.maximum(np.ceil(thr * m).astype(np.int64) - 1, 0)
+    # (lo - 1) / m < thr, and fl(x / m) is monotone in x: L ∈ lo..lo+2
+    return lo + (lo / m < thr) + ((lo + 1) / m < thr)
+
+
+_B = 0x9E3779B97F4A7C15              # odd, so invertible mod 2^64
+_B_INV = pow(_B, -1, 1 << 64)
+
+
+def _prefix_hashes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, P) over the flat token array, mod 2^64: Q[g] = Σ_{j<g}
+    t[j]·B^-(j+1) and P[g] = B^g, so ``window_hash`` needs no per-doc
+    state."""
+    n = len(flat)
+    q = np.zeros(n + 1, dtype=np.uint64)
+    p = np.ones(n + 1, dtype=np.uint64)
+    np.cumprod(np.full(n, _B, dtype=np.uint64), out=p[1:])
+    np.cumsum(flat * np.cumprod(np.full(n, _B_INV, dtype=np.uint64)),
+              out=q[1:])
+    return q, p
+
+
+def window_hash(q: np.ndarray, p: np.ndarray, g: np.ndarray,
+                w: np.ndarray) -> np.ndarray:
+    """Polynomial hash Σ_i t[g+i]·B^(w-1-i) (mod 2^64) of each window
+    [g, g + w) of the flat tokens ``_prefix_hashes`` ran over."""
+    e = g + w
+    return (q[e] - q[g]) * p[e]
+
+
+def _runs_through(flat: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+                  w: np.ndarray, back: np.ndarray, fwd: np.ndarray
+                  ) -> np.ndarray:
+    """Per hit: the length of the run of equal tokens on the diagonal
+    through the windows [gx, gx + w) and [gy, gy + w), extended at most
+    ``back`` tokens before and ``fwd`` after them; 0 when the windows
+    themselves differ (a hash collision)."""
+    from nxsearch_ray.functions.hashing import _seg_arange
+
+    span = back + w + fwd
+    end = np.cumsum(span)
+    first = end - span
+    differ = np.concatenate((
+        [-1], np.flatnonzero(flat[_seg_arange(gx - back, span)]
+                             != flat[_seg_arange(gy - back, span)]),
+        end[-1:]))
+    ws = first + back                       # the windows, in span coords
+    i = np.searchsorted(differ, ws)
+    j = np.searchsorted(differ, ws + w)
+    prev = np.maximum(differ[i - 1], first - 1)
+    nxt = np.minimum(differ[j], end)
+    return np.where(i == j, nxt - prev - 1, 0)
+
+
+# tokens compared per ``_runs_through`` call: bounds the memory of a
+# batch whose pages repeat a block many times (one hit per repeat)
+_SPAN_CHUNK = 1 << 22
+
+
+def docs_containment_lcs(ia: np.ndarray, ib: np.ndarray, flat: np.ndarray,
+                         off: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Per pair: the longest common token run of docs ``ia[i]`` and
+    ``ib[i]`` (rows of ``flat``/``off``) — exact when it is at least
+    ``need[i]`` (≥ 1) tokens, else some shorter length.
+
+    Any run of L = need tokens holds, at stride s = ⌈L/2⌉, one whole
+    W-window of the longer doc (W = L − s + 1), which equals a W-window
+    of the shorter one.  So every W-window of the shorter doc and the
+    longer doc's windows at stride s are hashed (per-doc polynomial
+    prefix hashes) and probed in one sort on (pair, window hash).  Each
+    hit is verified on the token ids and extended exactly along its
+    diagonal, to the ends of the two docs' overlap there (at most the
+    shorter doc's length); a hash collision only adds a hit that fails
+    verification.  The LCS, when ≥ L, holds a hit, so the longest
+    extension is the LCS."""
+    from nxsearch_ray.functions import hashing as H
+
+    n = len(ia)
+    starts, lens = off[:-1], np.diff(off)
+    a_short = lens[ia] <= lens[ib]
+    x = np.where(a_short, ib, ia)           # strided side: the longer doc
+    y = np.where(a_short, ia, ib)           # every window: the shorter
+    need = np.asarray(need, dtype=np.int64)
+    s = (need + 1) // 2
+    w = need - s + 1
+    n_full = np.maximum(lens[y] - w + 1, 0)
+    n_step = np.where(lens[x] >= w, (lens[x] - w) // s + 1, 0)
+    q, p = _prefix_hashes(flat)
+    salt = H.splitmix64(np.arange(n, dtype=np.uint64))
+
+    f_pair = np.repeat(np.arange(n), n_full)
+    f_pos = H._seg_arange(starts[y], n_full)
+    f_key = window_hash(q, p, f_pos, w[f_pair]) + salt[f_pair]
+    order = np.argsort(f_key)
+    f_key, f_pair, f_pos = f_key[order], f_pair[order], f_pos[order]
+
+    s_pair = np.repeat(np.arange(n), n_step)
+    s_pos = (starts[x][s_pair] + s[s_pair]
+             * H._seg_arange(np.zeros(n, np.int64), n_step))
+    s_key = window_hash(q, p, s_pos, w[s_pair]) + salt[s_pair]
+    lo = np.searchsorted(f_key, s_key, side="left")
+    cnt = np.searchsorted(f_key, s_key, side="right") - lo
+    h_step = np.repeat(np.arange(len(s_key)), cnt)
+    h_full = H._seg_arange(lo, cnt)
+    same = s_pair[h_step] == f_pair[h_full]
+    r = s_pair[h_step[same]]
+    gx, gy = s_pos[h_step[same]], f_pos[h_full[same]]
+
+    xl, yl = gx - starts[x[r]], gy - starts[y[r]]
+    back = np.minimum(xl, yl)
+    fwd = np.minimum(lens[x[r]] - xl, lens[y[r]] - yl) - w[r]
+    ends = np.cumsum(back + w[r] + fwd)
+    cuts = np.searchsorted(ends, np.arange(_SPAN_CHUNK, ends[-1:].sum(),
+                                           _SPAN_CHUNK))
+    lcs = np.zeros(n, dtype=np.int64)
+    for h in np.split(np.arange(len(r)), cuts):
+        np.maximum.at(lcs, r[h], _runs_through(
+            flat, gx[h], gy[h], w[r[h]], back[h], fwd[h]))
+    return lcs
+
+
+def adjudicate_docs(pairs: pa.Table, ia: np.ndarray, ib: np.ndarray,
+                    flat: np.ndarray, off: np.ndarray,
+                    cfg: PipelineConfig) -> pa.Table:
+    """The one exact decision: keep pair i, between the distinct docs
+    ``ia[i]`` and ``ib[i]`` (rows of ``flat``/``off``), when its exact
+    shingle Jaccard ≥ jaccard_threshold (the borderline-est_j rescue;
+    lcs_len -1, containment 0.0) OR its exact longest common token run
+    over the shorter doc ≥ containment_threshold.  Row values and the
+    decision equal ``exact_adjudicate``'s; rows it rejects are never
+    emitted, and their LCS is never computed."""
     if pairs.num_rows == 0:
         return SUFFIX_PAIR_SCHEMA.empty_table()
-    lcs, con, jac = batch_exact_adjudicate(
-        ta_flat, ta_off, tb_flat, tb_off, cfg)
-    keep = (con >= cfg.containment_threshold) | \
-        (jac >= cfg.jaccard_threshold)
+    off = np.asarray(off, dtype=np.int64)
+    lens = np.diff(off)
+    m = np.minimum(lens[ia], lens[ib])
+    jac = docs_shingle_jaccard(ia, ib, flat, off, cfg.shingle_k)
+    passed = jac >= cfg.jaccard_threshold
+    lcs = np.where(passed, -1, 0).astype(np.int32)
+    con = np.zeros(len(m), dtype=np.float64)
+    probe = ~passed & (m > 0)
+    mp = m[probe]
+    need = np.maximum(min_run(mp, cfg.containment_threshold), 1)
+    run = docs_containment_lcs(ia[probe], ib[probe], flat, off, need)
+    lcs[probe] = run
+    con[probe] = run / mp
+    keep = (con >= cfg.containment_threshold) | passed
     out = pa.Table.from_arrays(
         [pairs.column("a"), pairs.column("b"),
          pairs.column("source").cast(pa.string()),
@@ -210,12 +312,38 @@ def adjudicate_pairs(pairs: pa.Table, ta_flat: np.ndarray,
     return out.filter(pa.array(keep))
 
 
+def adjudicate_pairs(pairs: pa.Table, ta_flat: np.ndarray,
+                     ta_off: np.ndarray, tb_flat: np.ndarray,
+                     tb_off: np.ndarray, cfg: PipelineConfig) -> pa.Table:
+    """``adjudicate_docs`` over each pair's two token sequences (flat +
+    offsets, in pair order), each distinct page taken once by page_id
+    (a page id names one token sequence)."""
+    from nxsearch_ray.functions.hashing import _seg_arange
+
+    n = pairs.num_rows
+    ids = np.concatenate([pairs.column("a").to_numpy(),
+                          pairs.column("b").to_numpy()])
+    _, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+    ta_off = np.asarray(ta_off, dtype=np.int64)
+    tb_off = np.asarray(tb_off, dtype=np.int64)
+    starts = np.concatenate([ta_off[:-1], tb_off[:-1] + len(ta_flat)])
+    counts = np.concatenate([np.diff(ta_off), np.diff(tb_off)])[first]
+    off = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    flat = np.concatenate([ta_flat, tb_flat])[
+        _seg_arange(starts[first], counts)]
+    return adjudicate_docs(pairs, inv[:n], inv[n:], flat, off, cfg)
+
+
 def exact_containment_table(pairs: pa.Table, idx: TokenIndex,
                             cfg: PipelineConfig) -> pa.Table:
-    """Broadcast gather: both endpoints' tokens from the index."""
-    return adjudicate_pairs(pairs,
-                            *idx.gather(pairs.column("a").to_numpy()),
-                            *idx.gather(pairs.column("b").to_numpy()), cfg)
+    """Broadcast gather: each distinct endpoint's tokens from the index,
+    once."""
+    ids = np.concatenate([pairs.column("a").to_numpy(),
+                          pairs.column("b").to_numpy()])
+    uniq, inv = np.unique(ids, return_inverse=True)
+    return adjudicate_docs(pairs, inv[:pairs.num_rows],
+                           inv[pairs.num_rows:], *idx.gather(uniq), cfg)
 
 
 def adjudicate_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
