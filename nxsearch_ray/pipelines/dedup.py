@@ -16,7 +16,8 @@ End-to-end dataflow (physical plan in SURVEY.md §4):
     → verification            [broadcast signature index, or a
                                partition-wise hash join per endpoint;
                                one kernel]
-    → exact suffix-automaton adjudication of screen-only survivors
+    → exact adjudication of screen-only survivors (shingle Jaccard,
+      then a window-hash probe for the longest common token run)
                               [same plan as verification; one kernel]
     → connected components    [star-edge leaf, then tree-reduce
                                union-find or label propagation]
@@ -43,9 +44,11 @@ anti-joins the removed ids out of it.  Every checkpoint of a run
 carries that run's input fingerprint, so a checkpoint of another input
 is never resumed; and ``signatures`` runs or resumes first in every
 run, so the checkpoint the next ingest or removal starts from holds
-the input of the stages after it.  Each keyed exchange
-(stages/shuffle.py) runs when it is called and hands on its output
-blocks; the per-block scans between boundaries stream.  All hashing is
+the input of the stages after it.  Ray Data runs the page read and
+nothing after it: every later step is a wave of plain Ray tasks over
+block refs — a keyed exchange (stages/shuffle.py), a broadcast lookup
+or a per-block map (stages/join.broadcast_map / map_blocks) — that
+runs when it is called and hands on its output blocks.  All hashing is
 seeded from the config; output is invariant to parallelism and
 retries.
 """
@@ -63,10 +66,12 @@ from nxsearch_ray.stages.cc import (
     cc_tree_unionfind,
     star_edges,
 )
+from nxsearch_ray.stages.join import PAIR_SCHEMA, map_blocks
 from nxsearch_ray.stages.pairs import (
     multi_candidate_pairs,
     union_pair_sources,
 )
+from nxsearch_ray.stages.shuffle import blocks
 from nxsearch_ray.stages.signatures import canonsig_stage
 from nxsearch_ray.stages.suffix import (
     build_token_index_ref,
@@ -101,9 +106,13 @@ class DedupResult:
     stats: dict = field(default_factory=dict)
 
 
+def _pair_columns(t: pa.Table) -> pa.Table:
+    return t.select(PAIR_SCHEMA.names)
+
+
 def _split_direct(t: pa.Table) -> pa.Table:
     """Scored pairs confirmed outright."""
-    return t.filter(t.column("keep_minsim")).select(["a", "b", "source"])
+    return _pair_columns(t.filter(t.column("keep_minsim")))
 
 
 def _split_exact(t: pa.Table) -> pa.Table:
@@ -112,7 +121,7 @@ def _split_exact(t: pa.Table) -> pa.Table:
 
     m = pc.and_(pc.invert(t.column("keep_minsim")),
                 t.column("keep_exact_screen"))
-    return t.filter(m).select(["a", "b", "source"])
+    return _pair_columns(t.filter(m))
 
 
 def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
@@ -192,6 +201,8 @@ def _verified_pairs(signatures, sig_bytes, cfg, verify_mode, stats):
     """signatures → candidates → verify → exact adjudication: the
     verified (a, b, source) pairs, for the ``verified_pairs`` stage to
     pin."""
+    import ray.data as rd
+
     candidates = stage(
         stats, "pairs",
         lambda: union_pair_sources(multi_candidate_pairs(signatures, cfg),
@@ -212,15 +223,17 @@ def _verified_pairs(signatures, sig_bytes, cfg, verify_mode, stats):
             candidates, signatures, cfg), None, cfg)
     else:
         raise ValueError(f"unknown verify_mode {verify_mode!r}")
-    direct = scored.map_batches(_split_direct, batch_format="pyarrow")
-    need_exact = scored.map_batches(_split_exact, batch_format="pyarrow")
+    direct = map_blocks(scored, _split_direct, PAIR_SCHEMA)
+    need_exact = map_blocks(scored, _split_exact, PAIR_SCHEMA)
 
     if verify_mode == "bucketed":
         exact = suffix_verify_bucketed(need_exact, signatures, cfg)
     else:
         exact = suffix_verify_broadcast(
             need_exact, build_token_index_ref(signatures), cfg)
-    return direct.union(exact.select_columns(["a", "b", "source"]))
+    exact = map_blocks(exact, _pair_columns, PAIR_SCHEMA)
+    return rd.from_arrow_refs([ref for ds in (direct, exact)
+                               for ref, _ in blocks(ds)])
 
 
 def _components(all_pairs, cc_mode, stats):

@@ -56,10 +56,12 @@ def _star_edges(t: pa.Table) -> pa.Table:
 
 
 def star_edges(pairs_ds):
-    """The shared leaf: every pair block collapsed to star edges,
-    materialized (so ``count()`` is metadata)."""
-    return pairs_ds.select_columns(["a", "b"]).map_batches(
-        _star_edges, batch_format="pyarrow").materialize()
+    """The shared leaf: every pair block collapsed to star edges, one
+    task per block (``join.map_blocks``), so ``count()`` is
+    metadata."""
+    from nxsearch_ray.stages.join import map_blocks
+
+    return map_blocks(pairs_ds, _star_edges, STAR_SCHEMA)
 
 
 def cc_tree_unionfind(pairs_ds):
@@ -108,14 +110,15 @@ def _finish(t: pa.Table) -> pa.Table:
 
 
 def _cc_tree_reduce(star_ds):
-    """Reduce a materialized star-edge Dataset to the clusters table:
-    its block refs fold through ``tree_fold`` (``_star_edges`` over
-    each group's concatenation), then ``_finish`` runs on the root."""
+    """Reduce a star-edge Dataset to the clusters table: its block refs
+    (``shuffle.blocks``) fold through ``tree_fold`` (``_star_edges``
+    over each group's concatenation), then ``_finish`` runs on the
+    root."""
     import ray.data as rd
 
-    from nxsearch_ray.stages.shuffle import tree_fold
+    from nxsearch_ray.stages.shuffle import blocks, tree_fold
 
-    parts = list(star_ds.to_arrow_refs())
+    parts = [ref for ref, _ in blocks(star_ds)]
     root = tree_fold(parts, _merge_star) if parts \
         else ray.put(STAR_SCHEMA.empty_table())
     return rd.from_arrow_refs([_finish.remote(root)])
@@ -130,15 +133,15 @@ def cc_label_propagation(pairs_ds):
     per-round Dataset stages pays a plan compile and an executor
     start-up every round, fixed cost that dwarfs rounds over data
     measured in kilobytes.  Here the edge set is partitioned ONCE
-    (star-collapsed per block by the vectorized union-find combiner,
-    exploded to both directions, one ``shuffle.exchange`` on ``node``
-    whose pieces each ``_prep`` task concatenates into its partition's
-    state), and each round is P plain tasks passing P×P small message
-    arrays through the object store.  Messages are routed by
-    the exchange's own ``key_hash``, so a destination id's partition is
-    recomputed anywhere without a lookup table.  Delta propagation: a
-    round's traffic is proportional to the labels that actually
-    changed.  The loop stops only at the fixed point (no change
+    (star-collapsed per block by the vectorized union-find combiner and
+    exploded to both directions inside the split of one
+    ``shuffle.exchange`` on ``node``, whose pieces each ``_prep`` task
+    concatenates into its partition's state), and each round is P
+    plain tasks passing P×P small message arrays through the object
+    store.  Messages are routed by the exchange's own ``key_hash``, so
+    a destination id's partition is recomputed anywhere without a
+    lookup table.  Delta propagation: a round's traffic is proportional
+    to the labels that actually changed.  The loop stops only at the fixed point (no change
     anywhere): labels only decrease, so it ends, after O(diameter)
     rounds over star-collapsed edges — a chain whose edges sit in
     different blocks keeps its full length.
@@ -167,9 +170,7 @@ def cc_label_propagation(pairs_ds):
              pa.array(np.concatenate([root, node]), type=pa.int64())],
             names=["node", "dst"])
 
-    edges = pairs_ds.select_columns(["a", "b"]).map_batches(
-        to_edges, batch_format="pyarrow")
-    parts = exchange([(edges, ["node"])])[0]
+    parts = exchange([(pairs_ds, ["node"], to_edges)])[0]
 
     @ray.remote
     def _prep(*pieces):

@@ -22,8 +22,9 @@ broadcast instead: a key set (``id_set_ref``; ``semi_join`` /
 (``index_ref`` + ``broadcast_map``, which also holds every stage's
 per-worker state).  ``broadcast_map`` is one wave of plain Ray tasks,
 as the exchange is, planned from the input's block row counts so that
-every CPU has work from the first task.  Every membership probe of a
-sorted key array goes through ``sorted_lookup``.
+every CPU has work from the first task; ``map_blocks`` is the same wave
+without a broadcast object, the engine's per-block map.  Every
+membership probe of a sorted key array goes through ``sorted_lookup``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from nxsearch_ray.stages.shuffle import (as_arrow, concat, exchange,
-                                        session_cpus)
+from nxsearch_ray.stages.shuffle import (as_arrow, blocks, concat,
+                                        exchange, session_cpus)
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                          ("source", pa.string())])
@@ -57,27 +58,31 @@ def sorted_lookup(keys: np.ndarray, values
     return pos, keys[pos] == values
 
 
+def _key_probe(key: str, keep_matches: bool, keys: np.ndarray):
+    """The filter of a semi (``keep_matches``) or anti join against the
+    sorted key set ``keys``."""
+    def fn(t: pa.Table) -> pa.Table:
+        ids = t.column(key).to_numpy().astype(np.int64)
+        _, hit = sorted_lookup(keys, ids)
+        return t.filter(pa.array(hit if keep_matches else ~hit))
+    return fn
+
+
 def _key_filter(ds, key: str, key_values, keep_matches: bool):
     """Shared body of semi/anti join: broadcast the key SET once
-    (`ray.put`), filter inside map_batches — no shuffle (the
-    reference's AND-NOT bitmap algebra analogue, reference
+    (`ray.put`) and filter every block in one ``broadcast_map`` wave,
+    which hands each task the set as a resolved argument — no shuffle
+    (the reference's AND-NOT bitmap algebra analogue, reference
     src/query/search.c:165-167, as a broadcast filter).
 
     ``key_values`` may also be an ``ObjectRef`` to a SORTED UNIQUE
     int64 array built off-driver (the driver then never holds the
     set) — ``id_set_ref`` builds one."""
-    if isinstance(key_values, ray.ObjectRef):
-        ref = key_values
-    else:
-        keys = np.unique(np.asarray(key_values, dtype=np.int64))
-        ref = ray.put(keys)
-
-    def fn(t: pa.Table) -> pa.Table:
-        ids = t.column(key).to_numpy().astype(np.int64)
-        _, hit = sorted_lookup(ray.get(ref), ids)
-        return t.filter(pa.array(hit if keep_matches else ~hit))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+    if not isinstance(key_values, ray.ObjectRef):
+        key_values = ray.put(np.unique(np.asarray(key_values,
+                                                  dtype=np.int64)))
+    return broadcast_map(ds, key_values,
+                         functools.partial(_key_probe, key, keep_matches))
 
 
 def semi_join(ds, key: str, key_values):
@@ -96,17 +101,17 @@ def id_set_ref(ds, cols: list[str]):
     """ObjectRef to the sorted unique values of ``cols`` across ``ds``
     — the one builder of a broadcast key set (a semi/anti join's, 8 B
     per id, or any set a ``sorted_lookup`` probes).  It is built in ONE
-    remote task from the dataset's blocks, not in the calling
-    process."""
+    remote task from the dataset's block refs (``shuffle.blocks``), not
+    in the calling process."""
 
     @ray.remote
-    def _ids(*blocks):
-        chunks = [b.column(c).to_numpy() for b in blocks
-                  if b.num_columns > 0 for c in cols]
+    def _ids(*parts):
+        chunks = [t.column(c).to_numpy() for t in map(as_arrow, parts)
+                  if t.num_rows for c in cols]
         return (np.unique(np.concatenate(chunks)) if chunks
                 else np.empty(0, np.int64))
 
-    return _ids.remote(*ds.select_columns(cols).to_arrow_refs())
+    return _ids.remote(*[ref for ref, _ in blocks(ds)])
 
 
 # ---------------------------------------------------- broadcast lookups
@@ -115,16 +120,19 @@ def index_ref(ds, schema: pa.Schema, from_table):
     """ObjectRef to a lookup index ``from_table(table)`` over the
     ``schema`` columns of ``ds``, built in ONE remote task: the calling
     process never holds the index, it only hands the ref to the lookup
-    tasks (which read it zero-copy from the object store).  Empty input
-    builds the index of ``schema.empty_table()``."""
+    tasks (which read it zero-copy from the object store).  The task
+    takes the dataset's block refs (``shuffle.blocks``) and selects the
+    columns itself.  Empty input builds the index of
+    ``schema.empty_table()``."""
 
     @ray.remote
-    def _build(*blocks):
-        blocks = [b for b in blocks if b.num_columns > 0]
-        return from_table(pa.concat_tables(blocks) if blocks
+    def _build(*parts):
+        parts = [t.select(schema.names) for t in map(as_arrow, parts)
+                 if t.num_rows]
+        return from_table(pa.concat_tables(parts) if parts
                           else schema.empty_table())
 
-    return _build.remote(*ds.select_columns(schema.names).to_arrow_refs())
+    return _build.remote(*[ref for ref, _ in blocks(ds)])
 
 
 # per-worker-process state of the broadcast stages, one entry per call
@@ -186,47 +194,63 @@ def _wave_plan(rows: list[int], batch_size: int | None,
 
 
 @ray.remote
-def _wave_task(value, ref_box, build, pieces, *blocks):
-    """One task of a broadcast wave: its row ranges as one contiguous
-    batch (a chunked one would leave the output chunked, and its
-    checkpoint one Parquet row group per chunk), mapped through this
-    worker's state.  ``value`` is the broadcast object, resolved before
-    the task starts (a ``ray.get`` inside it would block the worker,
-    and Ray would start another); ``ref_box`` holds its ref unresolved,
-    the state's key."""
+def _wave_task(value, ref_box, build, pieces, *parts):
+    """One task of a wave: its row ranges as one contiguous batch (a
+    chunked one would leave the output chunked, and its checkpoint one
+    Parquet row group per chunk), mapped through this worker's state —
+    or, in a stateless wave (``ref_box`` ``[None]``), through ``build``
+    itself.  ``value`` is the broadcast object, resolved before the
+    task starts (a ``ray.get`` inside it would block the worker, and
+    Ray would start another); ``ref_box`` holds its ref unresolved, the
+    state's key."""
     batch = concat([as_arrow(b).slice(start, n)
-                    for b, (start, n) in zip(blocks, pieces)])
-    return _worker_state(_site(build), ref_box[0], value, build)(
-        batch.combine_chunks())
+                    for b, (start, n) in zip(parts, pieces)])
+    fn = build if ref_box[0] is None else _worker_state(
+        _site(build), ref_box[0], value, build)
+    return fn(batch.combine_chunks())
 
 
-def broadcast_map(ds, ref, build, *, batch_size: int | None = None):
-    """The one per-worker-state primitive: one wave of plain Ray tasks
-    in which each worker computes ``build`` of ``ref``'s object once
-    per ``ref`` and maps its tasks' batches through the result.  ``build``
+def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
+                  schema: pa.Schema | None = None):
+    """The one task-wave primitive: one wave of plain Ray tasks in
+    which each worker computes ``build`` of ``ref``'s object once per
+    ``ref`` and maps its tasks' batches through the result.  ``build``
     is a class or module-level function (or a ``functools.partial`` of
     one), resolved by reference in the worker.  Config-derived state
     is keyed by a ``ray.put`` made per call, so each call starts fresh.
+    With ``ref`` None the wave is stateless and ``build`` is the batch
+    function itself (``map_blocks``).
 
     The wave runs when called, as ``exchange`` does: it lists the
-    input's blocks and row counts, cuts them into tasks
+    input's blocks and row counts (``shuffle.blocks``: no Ray Data
+    execution for a pinned or wave-made input), cuts them into tasks
     (``_wave_plan``: at least one per CPU while there are blocks, at
     most ``batch_size`` rows each) and returns a materialized Dataset
     of one kernel output per task, in input order.  A zero-row input
-    returns a zero-row, zero-column Dataset without calling the
+    returns one empty block of ``schema``, the kernel's declared
+    output (zero-column when none is given), without calling the
     kernel."""
     import ray.data as rd
 
-    blocks = [b for bundle in ds.iter_internal_ref_bundles()
-              for b in bundle.blocks]
-    plan = _wave_plan([m.num_rows for _, m in blocks], batch_size,
-                      session_cpus())
+    parts = blocks(ds)
+    plan = _wave_plan([m.num_rows for _, m in parts], batch_size,
+                      session_cpus() if batch_size else 0)
     if not plan:
-        return rd.from_arrow(pa.table({}))
+        return rd.from_arrow(pa.table({}) if schema is None
+                             else schema.empty_table())
     return rd.from_arrow_refs([
         _wave_task.remote(ref, [ref], build, [(s, n) for _, s, n in task],
-                          *[blocks[i][0] for i, _, _ in task])
+                          *[parts[i][0] for i, _, _ in task])
         for task in plan])
+
+
+def map_blocks(ds, fn, schema: pa.Schema):
+    """The stateless wave: ``fn`` over every non-empty block of ``ds``,
+    one plain task per block, outputs in input order — a ``map_batches``
+    without Ray Data's executor (``broadcast_map`` with no broadcast
+    object).  ``fn`` returns ``schema``; an input with no rows gives one
+    empty block of it."""
+    return broadcast_map(ds, None, fn, schema=schema)
 
 
 def lookup_kernel(kernel, cfg, index):
@@ -261,6 +285,10 @@ def _joined_schema(left_schema: pa.Schema, right_schema: pa.Schema,
     return pa.schema(list(left_schema) + [
         pa.field(f.name + right_suffix, f.type)
         for f in right_schema if f.name != right_key])
+
+
+def _project(names: list[str], t: pa.Table) -> pa.Table:
+    return t.select(names)
 
 
 @ray.remote
@@ -315,8 +343,12 @@ def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
     payload = pa.schema([f for f in right_schema if f.name != right_key])
     out_schema = _joined_schema(left_schema, right_schema, right_key,
                                 right_suffix)
-    lefts, rights = exchange([(left_ds, [left_key]),
-                              (right_ds, [right_key])])
+    # each side is projected to its schema's columns in the split, so
+    # no other column crosses the exchange
+    lefts, rights = exchange([
+        (left_ds, [left_key], functools.partial(_project, left_schema.names)),
+        (right_ds, [right_key],
+         functools.partial(_project, right_schema.names))])
     return rd.from_arrow_refs([
         _join_partition.remote(left_key, right_key, payload, out_schema,
                                how, len(lt), *lt, *rt)

@@ -55,8 +55,8 @@ SRC_NAMES = ("exact", "minhash", "simhash", "suffix")
 def explode_all(cfg_json: str):
     """ONE explode for all four candidate passes: signatures →
     (bucket_key, page_id, src: int8) rows.  Emitting every pass from a
-    single map_batches lets the whole candidate generation ride ONE
-    sort instead of four — the dominant shuffle of the pipeline.
+    single block map lets the whole candidate generation ride ONE
+    exchange instead of four — the dominant shuffle of the pipeline.
     Band/chunk keys are salted by band/chunk index; seq/anchor keys are
     salted by a source constant so buckets never mix across passes."""
     cfg = PipelineConfig.from_json(cfg_json)
@@ -131,13 +131,11 @@ def explode_all(cfg_json: str):
 
 def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
     """All candidate passes in ONE grouped scan (stages/shuffle.grouped):
-    explode_all → one run per (bucket_key, src) bucket, complete in
-    its partition → pairs within each run.  Returns (a, b, src
-    int8-code, aux) pairs."""
+    explode_all, inside the exchange's split of each signature block →
+    one run per (bucket_key, src) bucket, complete in its partition →
+    pairs within each run.  Returns (a, b, src int8-code, aux) pairs."""
     from nxsearch_ray.stages.shuffle import grouped
 
-    keyed = signatures_ds.map_batches(explode_all(cfg.to_json()),
-                                      batch_format="pyarrow")
     cap = cfg.hot_bucket_cap
     skip_by_src = {3: cfg.anchor_bucket_max}
     SIMHASH_CODE = SRC_NAMES.index("simhash")
@@ -211,7 +209,8 @@ def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
              pa.array(x_all.astype(np.int64))],
             schema=out_schema)
 
-    return grouped(keyed, ["bucket_key", "src"], runs_fn, out_schema)
+    return grouped(signatures_ds, ["bucket_key", "src"], runs_fn,
+                   out_schema, split_map=explode_all(cfg.to_json()))
 
 
 def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):

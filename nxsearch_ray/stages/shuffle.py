@@ -12,7 +12,9 @@ only to merge a partition.  A task costs milliseconds to schedule,
 where an exchange on Ray Data's hash-shuffle operator started a pool of
 aggregator actors — seconds of fixed cost per exchange at benchmark
 scale.  The exchange runs when called (it needs the input's block refs
-and their metadata), so its cost lands at the call site.  Its users:
+and their metadata, ``blocks``), so its cost lands at the call site.  A
+per-block map (an explode, an edge map, a projection) rides in the
+split rather than a wave of its own.  Its users:
 the partition-wise (Grace) hash join (stages/join.hash_join, two sides
 at one width, so partition i of each side holds the same keys) and
 label propagation's partitioned edge state (stages/cc.py).
@@ -102,11 +104,14 @@ def as_arrow(block) -> pa.Table:
 
 
 @ray.remote
-def _split(block, keys, P):
-    """One input block → its P pieces, piece i holding the rows whose
-    key hash is i mod P.  An empty block (a union with an empty side
-    yields zero-column ones) is every piece."""
+def _split(block, keys, P, split_map=None):
+    """One input block (through ``split_map``, when given) → its P
+    pieces, piece i holding the rows whose key hash is i mod P.  An
+    empty block (a union with an empty side yields zero-column ones) is
+    every piece."""
     block = as_arrow(block)
+    if split_map is not None and block.num_rows:
+        block = split_map(block)
     if block.num_rows == 0:
         return (block,) * P if P > 1 else block
     part = (key_hash(block, keys) % np.uint64(P)).astype(np.int64)
@@ -116,6 +121,21 @@ def _split(block, keys, P):
     pieces = tuple(block.slice(bounds[i], bounds[i + 1] - bounds[i])
                    for i in range(P))
     return pieces if P > 1 else pieces[0]
+
+
+def blocks(ds) -> list:
+    """``(ref, metadata)`` of every block of ``ds``, in order.  A
+    Dataset that a task wave returned (``from_arrow_refs``) or that a
+    stage pinned holds its block refs already, and lists them without
+    starting Ray Data's executor; any other (a read, a lazy map) runs
+    here, once per call."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    dag = ds._logical_plan.dag
+    bundles = dag.output_data() if isinstance(dag, SourceOperator) else None
+    if bundles is None:
+        bundles = ds.iter_internal_ref_bundles()
+    return [b for bundle in bundles for b in bundle.blocks]
 
 
 def concat(pieces) -> pa.Table:
@@ -156,15 +176,20 @@ def exchange(sides):
     with ``key_hash(keys) % P == i`` — so rows of equal keys meet in
     partition i of every side.  P is ``partition_width`` of all sides'
     block metadata taken together.  The task that consumes partition i
-    takes its pieces as arguments and ``concat``-s them."""
-    sides = [([b for bundle in ds.iter_internal_ref_bundles()
-               for b in bundle.blocks], list(keys)) for ds, keys in sides]
-    metas = [m for blocks, _ in sides for _, m in blocks]
+    takes its pieces as arguments and ``concat``-s them.
+
+    A side may be ``(ds, keys, split_map)``: ``_split`` then runs each
+    non-empty block through ``split_map`` before hashing (an explode, an
+    edge map, a projection), so the map costs no task wave of its own.
+    P is sized from the blocks before the map."""
+    sides = [(blocks(ds), list(keys), split_map)
+             for ds, keys, *split_map in sides]
+    metas = [m for side, _, _ in sides for _, m in side]
     P = partition_width(sum(m.num_rows or 0 for m in metas),
                         sum(m.size_bytes or 0 for m in metas))
     split = _split.options(num_returns=P)
-    pieces = [[split.remote(ref, keys, P) for ref, _ in blocks]
-              for blocks, keys in sides]
+    pieces = [[split.remote(ref, keys, P, *split_map) for ref, _ in side]
+              for side, keys, split_map in sides]
     if P == 1:
         pieces = [[[p] for p in side] for side in pieces]
     # only the splits hold the input now: each block is freed as its
@@ -173,21 +198,23 @@ def exchange(sides):
     return [[[p[i] for p in side] for i in range(P)] for side in pieces]
 
 
-def grouped(ds, keys, fn, schema, then_by=()):
+def grouped(ds, keys, fn, schema, then_by=(), split_map=None):
     """Group ``ds`` by ``keys``: one exchange on ``keys``, then one task
     per partition sorts it by ``keys`` (then by ``then_by`` inside each
     run) and returns ``fn(sorted_table, starts)``, ``starts`` being the
     int64 row index where each run of equal keys begins (nulls form one
     run).  Every run reaches ``fn`` whole and exactly once.  An empty
     partition returns ``schema.empty_table()``, so ``fn`` never sees
-    one; ``fn`` must return ``schema`` too.  Runs now and returns a
-    materialized Dataset of one block per partition."""
+    one; ``fn`` must return ``schema`` too.  ``split_map`` maps each
+    block in the exchange's split, before the keys are read
+    (``exchange``).  Runs now and returns a materialized Dataset of one
+    block per partition."""
     import ray.data as rd
 
     keys, then_by = list(keys), list(then_by)
     return rd.from_arrow_refs([
         _group.remote(keys, then_by, fn, schema, *part)
-        for part in exchange([(ds, keys)])[0]])
+        for part in exchange([(ds, keys, split_map)])[0]])
 
 
 def tree_fold(parts: list, merge_remote):

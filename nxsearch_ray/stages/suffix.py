@@ -362,7 +362,7 @@ def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
     return broadcast_map(
         pairs_ds, idx_ref,
         functools.partial(lookup_kernel, exact_containment_table, cfg),
-        batch_size=4096)
+        batch_size=4096, schema=SUFFIX_PAIR_SCHEMA)
 
 
 def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig):
@@ -373,16 +373,20 @@ def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig):
     Semi-join reduction first: only a tiny fraction of docs appear in
     screen-passing pairs, so the needed page-id SET (ids only — tiny
     even when payloads are not) is broadcast and prunes the canonical
-    side before the payload-carrying exchanges.  Each exchange sizes
-    itself from its inputs' rows and bytes (shuffle.partition_width),
-    so the heavy token_ids payload widens it by bytes, not rows."""
+    side before the payload-carrying exchanges, whose splits keep only
+    the token columns.  Each exchange sizes itself from its inputs'
+    rows and bytes (shuffle.partition_width), so the heavy token_ids
+    payload widens it by bytes, not rows.  Every step is a task wave:
+    the semi-join's filter, the joins and one adjudication task per
+    joined partition (``join.map_blocks``)."""
     from nxsearch_ray.stages.join import (PAIR_SCHEMA, id_set_ref,
-                                          pair_join, semi_join)
+                                          map_blocks, pair_join, semi_join)
 
     pairs_ds = pairs_ds.materialize()
-    tok_slim = semi_join(canonical_ds.select_columns(TOKEN_SCHEMA.names),
-                         "page_id", id_set_ref(pairs_ds, ["a", "b"]))
-    joined = pair_join(pairs_ds, tok_slim, right_key="page_id",
+    needed = semi_join(canonical_ds, "page_id",
+                       id_set_ref(pairs_ds, ["a", "b"]))
+    joined = pair_join(pairs_ds, needed, right_key="page_id",
                        pair_schema=PAIR_SCHEMA, right_schema=TOKEN_SCHEMA)
-    return joined.map_batches(lambda t: adjudicate_joined_table(t, cfg),
-                              batch_format="pyarrow")
+    return map_blocks(joined, functools.partial(adjudicate_joined_table,
+                                                cfg=cfg),
+                      SUFFIX_PAIR_SCHEMA)

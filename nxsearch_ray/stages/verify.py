@@ -20,8 +20,8 @@ A candidate pair carries the *set* of sources that proposed it
 decision rules themselves apply to every candidate regardless of
 source (see ``apply_rules``).  ``keep_minsim`` marks pairs confirmed
 outright; ``keep_exact_screen`` marks borderline pairs routed to exact
-adjudication (stages/suffix.py: suffix-automaton containment + exact
-shingle Jaccard).
+adjudication (stages/suffix.py: exact shingle Jaccard, then a
+window-hash probe for the longest common token run).
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ def apply_rules(sources: list[str], est_j: np.ndarray, ham: np.ndarray,
       keep_exact_screen — borderline: bottom-k containment above the
                          loose screen, or est_jaccard in the
                          [borderline, threshold) noise window.  These
-                         go to exact adjudication (suffix-automaton
-                         containment + exact shingle Jaccard)."""
+                         go to exact adjudication (exact shingle
+                         Jaccard, then window-hash containment)."""
     has_exact = np.array(["exact" in s.split(",") for s in sources])
     keep_minsim = has_exact | (est_j >= cfg.jaccard_threshold) | \
         (ham <= cfg.simhash_hamming)
@@ -281,20 +281,20 @@ def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
     return broadcast_map(
         pairs_ds, idx_ref,
         functools.partial(lookup_kernel, score_pairs_table, cfg),
-        batch_size=32768)
+        batch_size=32768, schema=SCORED_SCHEMA)
 
 
 def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig):
     """Scale path: join both endpoints' signature columns onto each
     pair (stages/join.pair_join: a partition-wise hash join on ``a``,
-    then on ``b``), then the shared ``score_pairs``.  Each join's
-    exchange takes its width from its inputs' block metadata
-    (shuffle.partition_width)."""
-    from nxsearch_ray.stages.join import PAIR_SCHEMA, pair_join
+    then on ``b``; each exchange's split keeps only the signature
+    columns), then the shared ``score_pairs`` in one task per joined
+    partition (``join.map_blocks``).  Each join's exchange takes its
+    width from its inputs' block metadata (shuffle.partition_width)."""
+    from nxsearch_ray.stages.join import PAIR_SCHEMA, map_blocks, pair_join
 
-    schema = _sig_schema(cfg.num_perms)
-    joined = pair_join(pairs_ds, sig_ds.select_columns(schema.names),
-                       right_key="page_id", pair_schema=PAIR_SCHEMA,
-                       right_schema=schema)
-    return joined.map_batches(lambda t: score_joined_table(t, cfg),
-                              batch_format="pyarrow")
+    joined = pair_join(pairs_ds, sig_ds, right_key="page_id",
+                       pair_schema=PAIR_SCHEMA,
+                       right_schema=_sig_schema(cfg.num_perms))
+    return map_blocks(joined, functools.partial(score_joined_table,
+                                                cfg=cfg), SCORED_SCHEMA)

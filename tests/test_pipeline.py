@@ -171,6 +171,41 @@ def test_bucketed_plan_with_nothing_to_adjudicate(ray_session):
     assert _cluster_dict(bucketed) == auto
 
 
+@pytest.mark.parametrize("plans", [
+    {},
+    {"verify_mode": "bucketed", "cc_mode": "labelprop"},
+])
+def test_empty_stages_keep_their_schema(ray_session, tmp_path, plans):
+    """Random pages with no candidate pair, and the same pages plus
+    exact copies (nothing for the exact tier): ``verified_pairs`` is
+    (a, b, source) in every block and ``clusters`` is CLUSTER_SCHEMA,
+    pinned and checkpointed."""
+    import numpy as np
+    import ray
+
+    from nxsearch_ray.stages.cc import CLUSTER_SCHEMA
+    from nxsearch_ray.stages.join import PAIR_SCHEMA
+
+    rng = np.random.default_rng(9)
+    texts = [" ".join(f"w{v}" for v in rng.integers(0, 10**6, 40))
+             for _ in range(5)]
+    rows = [(4 * u, f"https://r.example.org/{u}", x)
+            for u, x in enumerate(texts)]
+    copies = rows + [(1, "https://r.example.org/0/copy", texts[0])]
+    for pages, n_pairs in ((rows, 0), (copies, 1)):
+        for out_dir in (None, str(tmp_path / f"out{n_pairs}")):
+            res = run_dedup(_pages_of(pages), PipelineConfig(),
+                            out_dir=out_dir, **plans)
+            for ds, schema in ((res.verified_pairs, PAIR_SCHEMA),
+                               (res.clusters, CLUSTER_SCHEMA)):
+                assert ds.schema() is not None
+                assert ds.schema().base_schema.equals(schema)
+            assert res.verified_pairs.count() == n_pairs
+            if out_dir is None:
+                assert {t.schema for t in ray.get(
+                    res.verified_pairs.to_arrow_refs())} == {PAIR_SCHEMA}
+
+
 def test_checkpoint_resume(ray_session, corpus_dir, oracle, tmp_path):
     labels, _ = oracle
     out = str(tmp_path / "ckpt")

@@ -287,3 +287,39 @@ def test_no_sort_shuffle_call_sites():
             for i, line in enumerate(p.read_text().splitlines(), 1)
             if pat.search(line)]
     assert len(files) > 40 and not hits, hits
+
+
+def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
+                                             monkeypatch):
+    """Every step of ``run_dedup`` after the page read is a plain task
+    wave over block refs: on the auto plans and on the scale-path plans,
+    one run starts Ray Data's executor once, for the read."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from nxsearch_ray.config import PipelineConfig
+    from nxsearch_ray.pipelines.dedup import run_dedup
+    from nxsearch_ray.sources.synth import synth_pages
+
+    corpus = synth_pages(200, seed=21)
+    per = -(-corpus.num_rows // 4)
+    for i in range(4):
+        pq.write_table(corpus.slice(i * per, per),
+                       tmp_path / f"part-{i}.parquet")
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kw):
+        executions.append(1)
+        return execute(self, *args, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    for plans in ({}, {"verify_mode": "bucketed", "cc_mode": "labelprop"}):
+        executions.clear()
+        res = run_dedup(rd.read_parquet(str(tmp_path), columns=[
+            "page_id", "url", "warc_ts", "html", "lang"]),
+            PipelineConfig(), **plans)
+        assert res.clusters.count() > 0
+        assert len(executions) == 1, plans

@@ -1,6 +1,7 @@
 """Per-worker state of the broadcast stages (stages/join.broadcast_map):
 the cache rule in-process, per-call freshness of config-derived state,
-and the retired actor-pool config key."""
+and the retired actor-pool config key; the stateless wave
+(``join.map_blocks``) and the exchange's per-side ``split_map``."""
 
 from __future__ import annotations
 
@@ -234,3 +235,84 @@ def test_wave_plan_balances_rows():
         [(0, 0, 3)], [(0, 3, 3)], [(0, 6, 4)]]
     assert join._wave_plan([3, 0, 2], None, 8) == [[(0, 0, 3)], [(2, 0, 2)]]
     assert join._wave_plan([0, 0], 16, 2) == []
+
+
+# ------------------------------------------------ the stateless wave
+
+def test_map_blocks_keeps_input_order(ray_session):
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    schema = pa.schema([("x", pa.int64()), ("y", pa.int64())])
+
+    def double(t):
+        return t.append_column("y", pc.multiply(t.column("x"), 2))
+
+    blocks = [pa.table({"x": list(range(s, s + n))})
+              for s, n in ((50, 3), (0, 7), (900, 1), (10, 4))]
+    got = join.map_blocks(rd.from_arrow(blocks), double, schema)
+    assert _wave_rows(got) == [r for b in blocks
+                               for r in double(b).to_pylist()]
+    assert got.count() == 15
+
+
+def test_map_blocks_empty_and_zero_column_blocks(ray_session):
+    """Empty and zero-column blocks never reach the kernel; an input
+    with no rows at all gives one empty block of the declared schema,
+    not a zero-column one."""
+    import ray
+    import ray.data as rd
+
+    schema = pa.schema([("x", pa.int64()), ("n", pa.int64())])
+
+    def count_rows(t):
+        assert t.column_names == ["x"] and t.num_rows
+        return pa.table({"x": t.column("x"),
+                         "n": pa.array([t.num_rows] * t.num_rows,
+                                       pa.int64())})
+
+    x = pa.table({"x": pa.array([1, 2, 3], pa.int64())})
+    got = join.map_blocks(rd.from_arrow(
+        [x.slice(0, 2), pa.table({}), x.slice(0, 0), x.slice(2)]),
+        count_rows, schema)
+    assert _wave_rows(got) == [{"x": 1, "n": 2}, {"x": 2, "n": 2},
+                               {"x": 3, "n": 1}]
+    for empty in ([pa.table({})], [x.slice(0, 0), pa.table({})]):
+        got = join.map_blocks(rd.from_arrow(empty), count_rows, schema)
+        tables = ray.get(got.to_arrow_refs())
+        assert got.count() == 0 and got.schema().base_schema == schema
+        assert [t.schema for t in tables] == [schema]
+
+
+def test_exchange_split_map_equals_map_then_exchange(ray_session,
+                                                     monkeypatch):
+    """A side's ``split_map`` runs inside the split: partition i holds
+    the same rows as mapping every block first and exchanging that."""
+    from collections import Counter
+
+    import numpy as np
+    import ray
+    import ray.data as rd
+
+    from nxsearch_ray.stages import shuffle
+
+    def explode(t):
+        ids = t.column("id").to_numpy()
+        return pa.table({"k": pa.array(np.concatenate([ids % 5, ids % 7]),
+                                       pa.int64()),
+                         "id": pa.array(np.tile(ids, 2), pa.int64())})
+
+    monkeypatch.setattr(shuffle, "partition_width", lambda n, b: 3)
+    t = pa.table({"id": pa.array(np.arange(60), pa.int64())})
+    blocks = [t.slice(0, 25), pa.table({}), t.slice(25, 0), t.slice(25)]
+    fused = shuffle.exchange([(rd.from_arrow(blocks), ["k"], explode)])[0]
+    mapped = shuffle.exchange([(rd.from_arrow(
+        [explode(b) for b in blocks if b.num_rows]), ["k"])])[0]
+
+    def rows(part):
+        return Counter(tuple(r.values()) for r in
+                       shuffle.concat(ray.get(part)).to_pylist())
+
+    assert len(fused) == len(mapped) == 3
+    assert [rows(p) for p in fused] == [rows(p) for p in mapped]
+    assert sum(sum(rows(p).values()) for p in fused) == 120
