@@ -44,13 +44,16 @@ anti-joins the removed ids out of it.  Every checkpoint of a run
 carries that run's input fingerprint, so a checkpoint of another input
 is never resumed; and ``signatures`` runs or resumes first in every
 run, so the checkpoint the next ingest or removal starts from holds
-the input of the stages after it.  Ray Data runs the page read and
-nothing after it: every later step is a wave of plain Ray tasks over
-block refs — a keyed exchange (stages/shuffle.py), a broadcast lookup
-or a per-block map (stages/join.broadcast_map / map_blocks) — that
-runs when it is called and hands on its output blocks.  All hashing is
-seeded from the config; output is invariant to parallelism and
-retries.
+the input of the stages after it.  No step runs on Ray Data's
+executor: over a bare Parquet read, the signature wave's own tasks
+read the page files (``shuffle.blocks`` lists the read's read tasks),
+and every later step is a wave of plain Ray tasks over block refs — a
+keyed exchange (stages/shuffle.py), a broadcast lookup or a per-block
+map (stages/join.broadcast_map / map_blocks) — that runs when it is
+called and hands on its output blocks.  With ``out_dir`` the three
+checkpoint writes run on it (``write_parquet``), and each consumer of
+a checkpoint reads its files in its own tasks.  All hashing is seeded
+from the config; output is invariant to parallelism and retries.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from nxsearch_ray.stages.pairs import (
     multi_candidate_pairs,
     union_pair_sources,
 )
-from nxsearch_ray.stages.shuffle import blocks
+from nxsearch_ray.stages.shuffle import refs
 from nxsearch_ray.stages.signatures import canonsig_stage
 from nxsearch_ray.stages.suffix import (
     build_token_index_ref,
@@ -232,8 +235,7 @@ def _verified_pairs(signatures, sig_bytes, cfg, verify_mode, stats):
         exact = suffix_verify_broadcast(
             need_exact, build_token_index_ref(signatures), cfg)
     exact = map_blocks(exact, _pair_columns, PAIR_SCHEMA)
-    return rd.from_arrow_refs([ref for ds in (direct, exact)
-                               for ref, _ in blocks(ds)])
+    return rd.from_arrow_refs(refs(direct) + refs(exact))
 
 
 def _components(all_pairs, cc_mode, stats):

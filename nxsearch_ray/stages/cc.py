@@ -116,9 +116,9 @@ def _cc_tree_reduce(star_ds):
     root."""
     import ray.data as rd
 
-    from nxsearch_ray.stages.shuffle import blocks, tree_fold
+    from nxsearch_ray.stages.shuffle import refs, tree_fold
 
-    parts = [ref for ref, _ in blocks(star_ds)]
+    parts = refs(star_ds)
     root = tree_fold(parts, _merge_star) if parts \
         else ray.put(STAR_SCHEMA.empty_table())
     return rd.from_arrow_refs([_finish.remote(root)])

@@ -23,8 +23,11 @@ broadcast instead: a key set (``id_set_ref``; ``semi_join`` /
 per-worker state).  ``broadcast_map`` is one wave of plain Ray tasks,
 as the exchange is, planned from the input's block row counts so that
 every CPU has work from the first task; ``map_blocks`` is the same wave
-without a broadcast object, the engine's per-block map.  Every
-membership probe of a sorted key array goes through ``sorted_lookup``.
+without a broadcast object, the engine's per-block map.  Over a bare
+read the parts are the read's read tasks (``shuffle.blocks``): each
+wave or build task reads its files itself, and a wave never cuts a
+read task.  Every membership probe of a sorted key array goes through
+``sorted_lookup``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import pyarrow as pa
 import ray
 
 from nxsearch_ray.stages.shuffle import (as_arrow, blocks, concat,
-                                        exchange, session_cpus)
+                                        exchange, is_read_task, pinned,
+                                        session_cpus)
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                          ("source", pa.string())])
@@ -101,8 +105,9 @@ def id_set_ref(ds, cols: list[str]):
     """ObjectRef to the sorted unique values of ``cols`` across ``ds``
     — the one builder of a broadcast key set (a semi/anti join's, 8 B
     per id, or any set a ``sorted_lookup`` probes).  It is built in ONE
-    remote task from the dataset's block refs (``shuffle.blocks``), not
-    in the calling process."""
+    remote task from the dataset's parts (``shuffle.blocks``: block
+    refs, or a bare read's read tasks, read in that task), not in the
+    calling process."""
 
     @ray.remote
     def _ids(*parts):
@@ -111,7 +116,7 @@ def id_set_ref(ds, cols: list[str]):
         return (np.unique(np.concatenate(chunks)) if chunks
                 else np.empty(0, np.int64))
 
-    return _ids.remote(*[ref for ref, _ in blocks(ds)])
+    return _ids.remote(*[part for part, _ in blocks(ds)])
 
 
 # ---------------------------------------------------- broadcast lookups
@@ -121,9 +126,9 @@ def index_ref(ds, schema: pa.Schema, from_table):
     ``schema`` columns of ``ds``, built in ONE remote task: the calling
     process never holds the index, it only hands the ref to the lookup
     tasks (which read it zero-copy from the object store).  The task
-    takes the dataset's block refs (``shuffle.blocks``) and selects the
-    columns itself.  Empty input builds the index of
-    ``schema.empty_table()``."""
+    takes the dataset's parts (``shuffle.blocks``: block refs, or a bare
+    read's read tasks, read there) and selects the columns itself.
+    Empty input builds the index of ``schema.empty_table()``."""
 
     @ray.remote
     def _build(*parts):
@@ -132,7 +137,7 @@ def index_ref(ds, schema: pa.Schema, from_table):
         return from_table(pa.concat_tables(parts) if parts
                           else schema.empty_table())
 
-    return _build.remote(*[ref for ref, _ in blocks(ds)])
+    return _build.remote(*[part for part, _ in blocks(ds)])
 
 
 # per-worker-process state of the broadcast stages, one entry per call
@@ -163,8 +168,8 @@ def _worker_state(site, ref, value, build):
     return hit[1]
 
 
-def _wave_plan(rows: list[int], batch_size: int | None,
-               cpus: int) -> list[list[tuple[int, int, int]]]:
+def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
+               whole: bool = False) -> list[list[tuple[int, int, int]]]:
     """A broadcast wave's tasks, each a list of ``(block, start,
     length)`` row ranges, contiguous and in input order.  With
     ``batch_size`` the rows are cut into max(min(non-empty blocks,
@@ -172,12 +177,31 @@ def _wave_plan(rows: list[int], batch_size: int | None,
     than rows), so every CPU has work from the first task and no task
     holds more than ``batch_size`` rows; a span may cut or join
     blocks.  Without it every non-empty block is one task, as a
-    ``map_batches`` batch is one block."""
+    ``map_batches`` batch is one block.
+
+    ``whole`` blocks (read tasks, which a cut would read twice) are
+    never cut, and their ranges have length None (all the rows the
+    read gives): the same number of tasks (never more than blocks)
+    each takes a run of whole blocks, a block going to the span its
+    middle row falls in, and no task is left without a block while
+    there are blocks to give.  A task may then hold more than
+    ``batch_size`` rows; ``_wave_task`` maps them in slices."""
     full = [i for i, n in enumerate(rows) if n]
     if batch_size is None or not full:
-        return [[(i, 0, rows[i])] for i in full]
+        return [[(i, 0, None if whole else rows[i])] for i in full]
     total = sum(rows)
     n_tasks = min(total, max(min(len(full), cpus), -(-total // batch_size)))
+    if whole:
+        n_tasks = min(n_tasks, len(full))
+        plan, seen = [], 0
+        for k, i in enumerate(full):
+            middle = seen + rows[i] / 2
+            if (not plan or middle * n_tasks > total * len(plan)
+                    or len(full) - k <= n_tasks - len(plan)):
+                plan.append([])
+            plan[-1].append((i, 0, None))
+            seen += rows[i]
+        return plan
     bounds = [total * t // n_tasks for t in range(n_tasks + 1)]
     plan, i, pos = [], 0, 0
     for lo, hi in zip(bounds, bounds[1:]):
@@ -194,20 +218,29 @@ def _wave_plan(rows: list[int], batch_size: int | None,
 
 
 @ray.remote
-def _wave_task(value, ref_box, build, pieces, *parts):
+def _wave_task(value, ref_box, build, batch_size, pieces, *parts):
     """One task of a wave: its row ranges as one contiguous batch (a
     chunked one would leave the output chunked, and its checkpoint one
     Parquet row group per chunk), mapped through this worker's state —
     or, in a stateless wave (``ref_box`` ``[None]``), through ``build``
-    itself.  ``value`` is the broadcast object, resolved before the
-    task starts (a ``ray.get`` inside it would block the worker, and
-    Ray would start another); ``ref_box`` holds its ref unresolved, the
-    state's key."""
+    itself — in equal slices of at most ``batch_size`` rows (one slice
+    unless a whole read task holds more), their outputs concatenated.
+    A read task's part is read here (``shuffle.as_arrow``).  ``value``
+    is the broadcast object, resolved before the task starts (a
+    ``ray.get`` inside it would block the worker, and Ray would start
+    another); ``ref_box`` holds its ref unresolved, the state's key."""
     batch = concat([as_arrow(b).slice(start, n)
-                    for b, (start, n) in zip(parts, pieces)])
+                    for b, (start, n) in zip(parts, pieces)]
+                   ).combine_chunks()
     fn = build if ref_box[0] is None else _worker_state(
         _site(build), ref_box[0], value, build)
-    return fn(batch.combine_chunks())
+    n = batch.num_rows
+    k = max(1, -(-n // batch_size)) if batch_size else 1
+    if k == 1:
+        return fn(batch)
+    return pa.concat_tables([
+        fn(batch.slice(n * j // k, n * (j + 1) // k - n * j // k))
+        for j in range(k)]).combine_chunks()
 
 
 def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
@@ -222,24 +255,27 @@ def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
     function itself (``map_blocks``).
 
     The wave runs when called, as ``exchange`` does: it lists the
-    input's blocks and row counts (``shuffle.blocks``: no Ray Data
-    execution for a pinned or wave-made input), cuts them into tasks
-    (``_wave_plan``: at least one per CPU while there are blocks, at
-    most ``batch_size`` rows each) and returns a materialized Dataset
-    of one kernel output per task, in input order.  A zero-row input
-    returns one empty block of ``schema``, the kernel's declared
-    output (zero-column when none is given), without calling the
-    kernel."""
+    input's parts and row counts (``shuffle.blocks``: block refs of a
+    pinned or wave-made input, the read tasks of a bare read — no Ray
+    Data execution for either), cuts them into tasks (``_wave_plan``:
+    at least one per CPU while there are parts, a read task never cut)
+    and returns a materialized Dataset of one kernel output per task,
+    in input order.  No kernel call sees more than ``batch_size``
+    rows.  A zero-row input returns one empty block of ``schema``, the
+    kernel's declared output (zero-column when none is given), without
+    calling the kernel."""
     import ray.data as rd
 
     parts = blocks(ds)
     plan = _wave_plan([m.num_rows for _, m in parts], batch_size,
-                      session_cpus() if batch_size else 0)
+                      session_cpus() if batch_size else 0,
+                      whole=any(is_read_task(p) for p, _ in parts))
     if not plan:
         return rd.from_arrow(pa.table({}) if schema is None
                              else schema.empty_table())
     return rd.from_arrow_refs([
-        _wave_task.remote(ref, [ref], build, [(s, n) for _, s, n in task],
+        _wave_task.remote(ref, [ref], build, batch_size,
+                          [(s, n) for _, s, n in task],
                           *[parts[i][0] for i, _, _ in task])
         for task in plan])
 
@@ -264,11 +300,12 @@ def pair_join(pairs_ds, right_ds, *, right_key: str,
     """Attach a keyed payload table to BOTH endpoints of a pair stream
     — the scale path's verify-side join: ``hash_join`` on ``a``
     (payload suffixed ``_a``), then on ``b`` (suffixed ``_b``), the
-    right side materialized once for both.
+    right side pinned once for both (``shuffle.pinned``: a bare read
+    stays a read, and each join's split tasks read its files).
 
     Inner-join semantics: pairs missing either endpoint's payload row
     are dropped; the right side must be unique per key."""
-    right_ds = right_ds.materialize()
+    right_ds = pinned(right_ds)
     with_a = hash_join(pairs_ds, right_ds, left_key="a",
                        right_key=right_key, left_schema=pair_schema,
                        right_schema=right_schema, right_suffix="_a")

@@ -11,10 +11,13 @@ hands partition i's pieces to the ONE task that uses them, which
 only to merge a partition.  A task costs milliseconds to schedule,
 where an exchange on Ray Data's hash-shuffle operator started a pool of
 aggregator actors — seconds of fixed cost per exchange at benchmark
-scale.  The exchange runs when called (it needs the input's block refs
-and their metadata, ``blocks``), so its cost lands at the call site.  A
-per-block map (an explode, an edge map, a projection) rides in the
-split rather than a wave of its own.  Its users:
+scale.  The exchange runs when called (it needs the input's parts and
+their metadata, ``blocks``), so its cost lands at the call site.  A
+part is a block ref, or, for a bare read, one of the read's read tasks,
+which the split task runs itself (``as_arrow``): no read runs on Ray
+Data's executor.  A per-block map (an explode, an edge map, a
+projection) rides in the split rather than a wave of its own.  Its
+users:
 the partition-wise (Grace) hash join (stages/join.hash_join, two sides
 at one width, so partition i of each side holds the same keys) and
 label propagation's partitioned edge state (stages/cc.py).
@@ -95,19 +98,24 @@ def key_hash(t, keys) -> np.ndarray:
 
 
 def as_arrow(block) -> pa.Table:
-    """A Ray Data block (Arrow or pandas) as an Arrow table."""
+    """A ``blocks`` part as an Arrow table, in the task that holds it:
+    a Ray Data block (Arrow, or pandas converted), or a read task run
+    here, its blocks concatenated (a zero-row file gives none: the
+    zero-column table)."""
     if isinstance(block, pa.Table):
         return block
     from ray.data.block import BlockAccessor
 
+    if is_read_task(block):
+        return concat([as_arrow(b) for b in block()])
     return BlockAccessor.for_block(block).to_arrow()
 
 
 @ray.remote
 def _split(block, keys, P, split_map=None):
-    """One input block (through ``split_map``, when given) → its P
-    pieces, piece i holding the rows whose key hash is i mod P.  An
-    empty block (a union with an empty side yields zero-column ones) is
+    """One input part (``as_arrow``; through ``split_map``, when given)
+    → its P pieces, piece i holding the rows whose key hash is i mod P.
+    An empty block (a union with an empty side yields zero-column ones) is
     every piece."""
     block = as_arrow(block)
     if split_map is not None and block.num_rows:
@@ -123,19 +131,82 @@ def _split(block, keys, P, split_map=None):
     return pieces if P > 1 else pieces[0]
 
 
-def blocks(ds) -> list:
-    """``(ref, metadata)`` of every block of ``ds``, in order.  A
-    Dataset that a task wave returned (``from_arrow_refs``) or that a
-    stage pinned holds its block refs already, and lists them without
-    starting Ray Data's executor; any other (a read, a lazy map) runs
-    here, once per call."""
+def _listed(ds) -> list | None:
+    """``blocks(ds)`` when listing it needs no Ray Data execution, else
+    None: the block refs a pinned or wave-made Dataset holds, or the
+    read tasks of a bare ``Read`` that splits into at least one read
+    task per session CPU, each with a row count (a wave never cuts a
+    read task, so fewer would leave CPUs idle, and it plans by rows).
+    The read's parallelism is the one Ray Data's optimizer would pick,
+    so a Parquet read gives one read task per file (past
+    ``read_op_min_num_blocks`` files, several share one)."""
     from ray.data._internal.logical.interfaces import SourceOperator
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data._internal.util import _autodetect_parallelism
 
     dag = ds._logical_plan.dag
+    if isinstance(dag, Read):
+        ctx = ds.context
+        parallelism, _, _ = _autodetect_parallelism(
+            dag._parallelism, ctx.target_max_block_size, ctx,
+            dag._datasource_or_legacy_reader, dag._mem_size)
+        tasks = dag._datasource_or_legacy_reader.get_read_tasks(parallelism)
+        if (len(tasks) < session_cpus()
+                or any(t.metadata.num_rows is None for t in tasks)):
+            return None
+        return [(t, t.metadata) for t in tasks]
     bundles = dag.output_data() if isinstance(dag, SourceOperator) else None
-    if bundles is None:
-        bundles = ds.iter_internal_ref_bundles()
-    return [b for bundle in bundles for b in bundle.blocks]
+    return None if bundles is None else [
+        b for bundle in bundles for b in bundle.blocks]
+
+
+def blocks(ds) -> list:
+    """``(part, metadata)`` of every block of ``ds``, in order, without
+    starting Ray Data's executor where it can: a Dataset that a task
+    wave returned (``from_arrow_refs``) or that a stage pinned lists
+    its block refs; a bare read lists its datasource's read tasks
+    (``ReadTask`` objects, with their metadata's row count and
+    estimated bytes), so the tasks that consume it read the files
+    themselves and nothing of the read enters the object store.  Any
+    other Dataset (a lazy map, a read with fewer read tasks than
+    session CPUs or with no row counts) runs here, once per call.
+
+    Only task arguments may hold a part: every consuming task resolves
+    it with ``as_arrow``.  A read task is no object ref, so a part
+    never goes to ``from_arrow_refs``; ``refs`` lists the refs of a
+    Dataset that holds its blocks."""
+    parts = _listed(ds)
+    if parts is None:
+        parts = [b for bundle in ds.iter_internal_ref_bundles()
+                 for b in bundle.blocks]
+    return parts
+
+
+def is_read_task(part) -> bool:
+    """Whether a ``blocks`` part is a read task (read where it is
+    consumed) rather than a block ref."""
+    from ray.data.datasource import ReadTask
+
+    return isinstance(part, ReadTask)
+
+
+def pinned(ds):
+    """``ds`` for several consumers: as it is when ``blocks`` lists it
+    without running it (its block refs, or a bare read's read tasks,
+    which each consumer's tasks then read), else ``ds.materialize()``,
+    so a lazy plan runs once."""
+    return ds if _listed(ds) is not None else ds.materialize()
+
+
+def refs(ds) -> list:
+    """The block refs of ``ds``, for ``from_arrow_refs`` (a union of
+    wave outputs); a ``TypeError`` when its ``blocks`` are read
+    tasks."""
+    parts = [part for part, _ in blocks(ds)]
+    if any(is_read_task(p) for p in parts):
+        raise TypeError("refs: a read's parts are read tasks, which "
+                        "only task arguments may hold")
+    return parts
 
 
 def concat(pieces) -> pa.Table:
@@ -188,7 +259,7 @@ def exchange(sides):
     P = partition_width(sum(m.num_rows or 0 for m in metas),
                         sum(m.size_bytes or 0 for m in metas))
     split = _split.options(num_returns=P)
-    pieces = [[split.remote(ref, keys, P, *split_map) for ref, _ in side]
+    pieces = [[split.remote(part, keys, P, *split_map) for part, _ in side]
               for side, keys, split_map in sides]
     if P == 1:
         pieces = [[[p] for p in side] for side in pieces]

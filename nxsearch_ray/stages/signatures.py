@@ -54,6 +54,19 @@ def list_column_numpy(col: pa.ChunkedArray | pa.ListArray,
     return values, offsets
 
 
+def signature_fields(cfg: PipelineConfig) -> list[pa.Field]:
+    """The columns a signature kernel adds after its kept ones."""
+    return [
+        pa.field("minhash", pa.list_(pa.uint64(), cfg.num_perms)),
+        pa.field("mh_res", pa.list_(pa.uint8(), cfg.num_perms)),
+        pa.field("simhash", pa.uint64()),
+        pa.field("bottomk", pa.list_(pa.uint32())),
+        pa.field("anchors", pa.list_(pa.uint64())),
+        pa.field("num_shingles", pa.uint32()),
+        pa.field("seq_hash", pa.uint64()),
+    ]
+
+
 class SignatureActor:
     def __init__(self, cfg: PipelineConfig | str | None = None,
                  keep_columns: tuple[str, ...] = ("page_id",)):
@@ -107,15 +120,7 @@ class SignatureActor:
         mh_res = (sig & np.uint64(0xFF)).astype(np.uint8)
         bk32 = (bk_flat >> np.uint64(32)).astype(np.uint32)
 
-        fields += [
-            pa.field("minhash", pa.list_(pa.uint64(), cfg.num_perms)),
-            pa.field("mh_res", pa.list_(pa.uint8(), cfg.num_perms)),
-            pa.field("simhash", pa.uint64()),
-            pa.field("bottomk", pa.list_(pa.uint32())),
-            pa.field("anchors", pa.list_(pa.uint64())),
-            pa.field("num_shingles", pa.uint32()),
-            pa.field("seq_hash", pa.uint64()),
-        ]
+        fields += signature_fields(cfg)
         cols += [
             pa.FixedSizeListArray.from_arrays(
                 pa.array(sig.reshape(-1), type=pa.uint64()), cfg.num_perms),
@@ -157,9 +162,15 @@ class CanonSigActor:
 
 def canonsig_stage(ds, cfg: PipelineConfig):
     """The fused stage as one task wave of at most ``cfg.batch_size``
-    rows per task, one ``CanonSigActor`` per worker and call (a fresh
-    token memo each call).  Runs when called."""
-    return _wave(ds, cfg, CanonSigActor)
+    rows per kernel call, one ``CanonSigActor`` per worker and call (a
+    fresh token memo each call).  Runs when called; a bare page read
+    is read inside the wave's tasks (``shuffle.blocks``), and a
+    zero-row input gives one empty block of (page_id, token_ids, the
+    signature columns)."""
+    return _wave(ds, cfg, CanonSigActor, pa.schema(
+        [pa.field("page_id", pa.int64()),
+         pa.field("token_ids", pa.list_(pa.uint64())),
+         *signature_fields(cfg)]))
 
 
 def signature_stage(ds, cfg: PipelineConfig, *,
@@ -170,10 +181,10 @@ def signature_stage(ds, cfg: PipelineConfig, *,
                                             keep_columns=keep_columns))
 
 
-def _wave(ds, cfg: PipelineConfig, build):
+def _wave(ds, cfg: PipelineConfig, build, schema=None):
     import ray
 
     from nxsearch_ray.stages.join import broadcast_map
 
     return broadcast_map(ds, ray.put(cfg.to_json()), build,
-                         batch_size=cfg.batch_size)
+                         batch_size=cfg.batch_size, schema=schema)

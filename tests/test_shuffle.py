@@ -291,9 +291,13 @@ def test_no_sort_shuffle_call_sites():
 
 def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
                                              monkeypatch):
-    """Every step of ``run_dedup`` after the page read is a plain task
-    wave over block refs: on the auto plans and on the scale-path plans,
-    one run starts Ray Data's executor once, for the read."""
+    """No step of ``run_dedup`` over a bare Parquet read runs on Ray
+    Data's executor, on the auto plans and on the scale-path plans: the
+    signature wave's tasks read the files themselves (``shuffle.blocks``
+    lists the read's read tasks), and every later step is a plain task
+    wave over block refs.  With ``out_dir`` the executor starts three
+    times, for the three checkpoint writes: each consumer of a
+    checkpoint reads its files in its own tasks."""
     import pyarrow.parquet as pq
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import (
@@ -305,9 +309,11 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
 
     corpus = synth_pages(200, seed=21)
     per = -(-corpus.num_rows // 4)
+    pages = tmp_path / "pages"
+    pages.mkdir()
     for i in range(4):
         pq.write_table(corpus.slice(i * per, per),
-                       tmp_path / f"part-{i}.parquet")
+                       pages / f"part-{i}.parquet")
     executions = []
     execute = StreamingExecutor.execute
 
@@ -317,9 +323,11 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     for plans in ({}, {"verify_mode": "bucketed", "cc_mode": "labelprop"}):
-        executions.clear()
-        res = run_dedup(rd.read_parquet(str(tmp_path), columns=[
-            "page_id", "url", "warc_ts", "html", "lang"]),
-            PipelineConfig(), **plans)
-        assert res.clusters.count() > 0
-        assert len(executions) == 1, plans
+        for out_dir, want in ((None, 0),
+                              (str(tmp_path / f"out{len(plans)}"), 3)):
+            executions.clear()
+            res = run_dedup(rd.read_parquet(str(pages), columns=[
+                "page_id", "url", "warc_ts", "html", "lang"]),
+                PipelineConfig(), out_dir=out_dir, **plans)
+            assert res.clusters.count() > 0
+            assert len(executions) == want, (plans, out_dir)
