@@ -185,7 +185,7 @@ def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
     each takes a run of whole blocks, a block going to the span its
     middle row falls in, and no task is left without a block while
     there are blocks to give.  A task may then hold more than
-    ``batch_size`` rows; ``_wave_task`` maps them in slices."""
+    ``batch_size`` rows; ``_wave_task`` maps them in batches."""
     full = [i for i, n in enumerate(rows) if n]
     if batch_size is None or not full:
         return [[(i, 0, None if whole else rows[i])] for i in full]
@@ -217,30 +217,44 @@ def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
     return plan
 
 
+def _batches(parts, pieces, batch_rows):
+    """A wave task's rows, in order, as contiguous tables of
+    ``batch_rows`` rows, the last holding the rest (one table without
+    ``batch_rows``, and at least one): a block ref's range is sliced, a
+    read task's blocks are read one at a time (``shuffle.as_arrow``),
+    so no more than a batch and one read block are held at once.  Each
+    table is combined (a chunked one would leave the output chunked,
+    and its checkpoint one Parquet row group per chunk)."""
+    held, rows, given = [], 0, False
+    for part, (start, n) in zip(parts, pieces):
+        for block in (part() if n is None else
+                      [as_arrow(part).slice(start, n)]):
+            held.append(as_arrow(block))
+            rows += held[-1].num_rows
+            while batch_rows and rows >= batch_rows:
+                t = concat(held)
+                yield t.slice(0, batch_rows).combine_chunks()
+                held, rows = [t.slice(batch_rows)], rows - batch_rows
+                given = True
+    if rows or not given:
+        yield concat(held).combine_chunks()
+
+
 @ray.remote
-def _wave_task(value, ref_box, build, batch_size, pieces, *parts):
-    """One task of a wave: its row ranges as one contiguous batch (a
-    chunked one would leave the output chunked, and its checkpoint one
-    Parquet row group per chunk), mapped through this worker's state —
-    or, in a stateless wave (``ref_box`` ``[None]``), through ``build``
-    itself — in equal slices of at most ``batch_size`` rows (one slice
-    unless a whole read task holds more), their outputs concatenated.
-    A read task's part is read here (``shuffle.as_arrow``).  ``value``
-    is the broadcast object, resolved before the task starts (a
-    ``ray.get`` inside it would block the worker, and Ray would start
-    another); ``ref_box`` holds its ref unresolved, the state's key."""
-    batch = concat([as_arrow(b).slice(start, n)
-                    for b, (start, n) in zip(parts, pieces)]
-                   ).combine_chunks()
+def _wave_task(value, ref_box, build, batch_rows, pieces, *parts):
+    """One task of a wave: its row ranges in batches of ``batch_rows``
+    (``_batches``; the task's rows split evenly into batches of at most
+    ``batch_size``, so one batch unless a whole read task holds more),
+    mapped through this worker's state — or, in a stateless wave
+    (``ref_box`` ``[None]``), through ``build`` itself — their outputs
+    concatenated.  ``value`` is the broadcast object, resolved before
+    the task starts (a ``ray.get`` inside it would block the worker,
+    and Ray would start another); ``ref_box`` holds its ref unresolved,
+    the state's key."""
     fn = build if ref_box[0] is None else _worker_state(
         _site(build), ref_box[0], value, build)
-    n = batch.num_rows
-    k = max(1, -(-n // batch_size)) if batch_size else 1
-    if k == 1:
-        return fn(batch)
-    return pa.concat_tables([
-        fn(batch.slice(n * j // k, n * (j + 1) // k - n * j // k))
-        for j in range(k)]).combine_chunks()
+    out = [fn(batch) for batch in _batches(parts, pieces, batch_rows)]
+    return out[0] if len(out) == 1 else pa.concat_tables(out).combine_chunks()
 
 
 def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
@@ -267,14 +281,19 @@ def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
     import ray.data as rd
 
     parts = blocks(ds)
-    plan = _wave_plan([m.num_rows for _, m in parts], batch_size,
-                      session_cpus() if batch_size else 0,
+    rows = [m.num_rows for _, m in parts]
+    plan = _wave_plan(rows, batch_size, session_cpus() if batch_size else 0,
                       whole=any(is_read_task(p) for p, _ in parts))
     if not plan:
         return rd.from_arrow(pa.table({}) if schema is None
                              else schema.empty_table())
+
+    def even(task):     # a task's rows in equal batches of <= batch_size
+        n = sum(rows[i] if k is None else k for i, _, k in task)
+        return batch_size and -(-n // -(-n // batch_size))
+
     return rd.from_arrow_refs([
-        _wave_task.remote(ref, [ref], build, batch_size,
+        _wave_task.remote(ref, [ref], build, even(task),
                           [(s, n) for _, s, n in task],
                           *[parts[i][0] for i, _, _ in task])
         for task in plan])

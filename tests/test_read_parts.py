@@ -25,7 +25,8 @@ N_FILES = 6      # at least one read task per CPU of the test session
 def _write(tmp_path, table, n_files=N_FILES, empty=()):
     """``table`` as ``n_files`` Parquet files, file i in ``empty`` with
     zero rows of the table's schema and the others holding its rows in
-    order; returns their directory."""
+    order, in row groups of 4 rows (so a read task reads a file as
+    several blocks); returns their directory."""
     d = tmp_path / "parts"
     d.mkdir()
     full = [i for i in range(n_files) if i not in empty]
@@ -33,7 +34,7 @@ def _write(tmp_path, table, n_files=N_FILES, empty=()):
     for i in range(n_files):
         part = (table.slice(full.index(i) * per, per) if i in full
                 else table.slice(0, 0))
-        pq.write_table(part, d / f"part-{i}.parquet")
+        pq.write_table(part, d / f"part-{i}.parquet", row_group_size=4)
     return str(d)
 
 
@@ -57,10 +58,11 @@ def pages():
     return synth_pages(60, seed=5)
 
 
-def _read(path, columns=("page_id", "html", "lang")):
+def _read(path, columns=("page_id", "html", "lang"), **kwargs):
     import ray.data as rd
 
-    return rd.read_parquet(path, columns=columns and list(columns))
+    return rd.read_parquet(path, columns=columns and list(columns),
+                           **kwargs)
 
 
 def _assert_read_tasks(ds):
@@ -118,7 +120,9 @@ def test_read_task_over_batch_size(ray_session, tmp_path, pages):
     from nxsearch_ray.stages.signatures import canonsig_stage
 
     read = _read(_write(tmp_path, pages))
-    rows = [m.num_rows for _, m in shuffle.blocks(read)]
+    parts = shuffle.blocks(read)
+    assert len(list(parts[0][0]())) > 1       # several blocks per file
+    rows = [m.num_rows for _, m in parts]
     cfg = PipelineConfig(batch_size=5)
     assert min(rows) > cfg.batch_size
 
@@ -154,8 +158,8 @@ def test_read_with_a_zero_row_file(ray_session, tmp_path, pages):
 
 
 def test_all_empty_read(ray_session, tmp_path, pages):
-    """Zero-row files only: one empty block of the stage's declared
-    schema, as over the pinned read."""
+    """Zero-row files only: one empty block of the schema the stage
+    gives over pages, as over the pinned read."""
     import ray
 
     from nxsearch_ray.config import PipelineConfig
@@ -164,13 +168,89 @@ def test_all_empty_read(ray_session, tmp_path, pages):
     read = _read(_write(tmp_path, pages, empty=set(range(N_FILES))))
     _assert_read_tasks(read)
     cfg = PipelineConfig()
-    got, want = (canonsig_stage(ds, cfg)
-                 for ds in (read, read.materialize()))
-    tables = ray.get(got.to_arrow_refs())
-    assert len(tables) == 1 and tables[0].num_rows == 0
-    assert tables[0].schema.names[:2] == ["page_id", "token_ids"]
-    assert [t.schema for t in ray.get(want.to_arrow_refs())] == [
-        tables[0].schema]
+    (tmp_path / "full").mkdir()
+    full = {t.schema for t in ray.get(canonsig_stage(
+        _read(_write(tmp_path / "full", pages)), cfg).to_arrow_refs())}
+    assert len(full) == 1
+    for ds in (read, read.materialize()):
+        tables = ray.get(canonsig_stage(ds, cfg).to_arrow_refs())
+        assert len(tables) == 1 and tables[0].num_rows == 0
+        assert {tables[0].schema} == full
+
+
+def test_wave_task_reads_block_by_block():
+    """A wave task over a read task that reads its file as several
+    blocks maps contiguous batches of ``batch_size`` rows, each handed
+    on as soon as its rows are read: no more than a batch and one read
+    block are held at once."""
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import ReadTask
+
+    t = pa.table({"k": pa.array(np.arange(60), pa.int64())})
+    pulled = []
+
+    def read_fn():
+        for i in range(6):
+            pulled.append(i)
+            yield t.slice(10 * i, 10)
+
+    task = ReadTask(read_fn, BlockMetadata(
+        num_rows=60, size_bytes=None, input_files=None, exec_stats=None))
+    seen = [(b.num_rows, len(pulled), b.column("k").num_chunks,
+             b.column("k").to_pylist())
+            for b in join._batches([task], [(0, None)], 25)]
+    assert [s[:3] for s in seen] == [(25, 3, 1), (25, 5, 1), (10, 6, 1)]
+    assert [v for s in seen for v in s[3]] == list(range(60))
+    # block-ref ranges, and no batch_size: one batch
+    pulled.clear()
+    assert [b.num_rows for b in join._batches(
+        [t, task], [(5, 20), (0, None)], None)] == [80]
+    assert [b.num_rows for b in join._batches([t], [(0, 25)], 25)] == [25]
+
+
+def test_fewer_read_tasks_than_cpus(ray_session, tmp_path, pages):
+    """One file in a 4-CPU session: ``blocks`` runs the read (a wave
+    over its one read task would leave three CPUs idle), so the wave
+    cuts its rows into one task per CPU; the signatures equal the
+    pinned read's."""
+    import ray
+
+    from nxsearch_ray.config import PipelineConfig
+    from nxsearch_ray.stages.signatures import canonsig_stage
+
+    read = _read(_write(tmp_path, pages, n_files=1))
+    parts = shuffle.blocks(read)
+    assert not any(shuffle.is_read_task(p) for p, _ in parts)
+
+    def record(_):
+        return lambda t: pa.table({"n": [t.num_rows]})
+
+    calls = _sorted_calls(join.broadcast_map(read, ray.put(0), record,
+                                             batch_size=1024))
+    assert len(calls) == shuffle.session_cpus()
+    assert sum(calls) == pages.num_rows
+    cfg = PipelineConfig()
+    assert _sorted(canonsig_stage(read, cfg)).equals(
+        _sorted(canonsig_stage(read.materialize(), cfg)))
+
+
+def test_read_without_row_counts(ray_session, tmp_path, pages):
+    """A read with a ``filter`` declares no row counts, so ``blocks``
+    runs it; the signatures equal the pinned read's."""
+    import pyarrow.dataset as pds
+
+    from nxsearch_ray.config import PipelineConfig
+    from nxsearch_ray.stages.signatures import canonsig_stage
+
+    ids = pages.column("page_id").to_pylist()
+    cut = sorted(ids)[len(ids) // 2]
+    read = _read(_write(tmp_path, pages), filter=pds.field("page_id") < cut)
+    parts = shuffle.blocks(read)
+    assert not any(shuffle.is_read_task(p) for p, _ in parts)
+    cfg = PipelineConfig()
+    got = _sorted(canonsig_stage(read, cfg))
+    assert got.num_rows == sum(p < cut for p in ids) > 0
+    assert got.equals(_sorted(canonsig_stage(read.materialize(), cfg)))
 
 
 def test_other_consumers_over_a_bare_read(ray_session, tmp_path):
