@@ -33,6 +33,9 @@ class FilterAction(Enum):
     ERROR = 2
 
 
+_MUTATION = FilterAction.MUTATION
+
+
 class TokenFilter(Protocol):
     """Per-pipeline filter instance: ``__call__(token) -> (action, value)``."""
 
@@ -114,9 +117,8 @@ class FilterPipeline:
         buffer."""
         for filt in self.filters:
             action, token = filt(token)
-            if len(token) == 0:
-                return None  # empty buffer ⇒ DISCARD (filters.c:208-210)
-            if action is not FilterAction.MUTATION:
+            # an empty buffer ⇒ DISCARD (filters.c:208-210)
+            if not token or action is not _MUTATION:
                 return None
         return token
 

@@ -289,16 +289,21 @@ def unique_per_doc(flat: np.ndarray, offsets: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted-unique values per document segment, vectorized.
 
-    Sorts (doc, value) pairs once, drops intra-doc duplicates, and rebuilds
-    offsets — the distributed analogue of the reference's per-doc term dedup
+    Orders the (doc, value) pairs as a two-key lexsort would, in two
+    sorts: the values first, then a stable sort of their doc ids, which
+    for fewer than 2^15 docs are int16 and so take numpy's radix sort.
+    Then drops intra-doc duplicates and rebuilds offsets — the
+    distributed analogue of the reference's per-doc term dedup
     (tokenset map, src/core/tokenizer.c:100-111)."""
     offsets = np.asarray(offsets, dtype=np.int64)
     ndocs = len(offsets) - 1
     if len(flat) == 0:
         return flat.astype(_U64, copy=False), offsets.copy()
-    doc_ids = np.repeat(np.arange(ndocs, dtype=np.int64),
-                        offsets[1:] - offsets[:-1])
-    order = np.lexsort((flat, doc_ids))
+    doc_ids = np.repeat(
+        np.arange(ndocs, dtype=np.int16 if ndocs < 1 << 15 else np.int64),
+        offsets[1:] - offsets[:-1])
+    order = np.argsort(flat)
+    order = order[np.argsort(doc_ids[order], kind="stable")]
     sflat = flat[order]
     sdocs = doc_ids[order]
     keep = np.ones(len(sflat), dtype=bool)

@@ -31,6 +31,8 @@ Implementation notes shared by all three algorithms:
 
 from __future__ import annotations
 
+import re
+
 # ---------------------------------------------------------------------------
 # shared helpers
 
@@ -51,10 +53,28 @@ def _sorted_sfx(*groups) -> tuple[str, ...]:
     return tuple(sorted(out, key=len, reverse=True))
 
 
+def _region_re(vowels: frozenset):
+    """The search behind ``_r1_r2``: a vowel of ``vowels``, then a
+    non-vowel."""
+    v = "".join(sorted(vowels))
+    return re.compile(f"[{v}][^{v}]")
+
+
+def _r1_r2(word: str, region_re) -> tuple[int, int]:
+    """R1 starts after the first vowel + non-vowel pair, R2 after the
+    first such pair inside R1 (``region_re`` from ``_region_re``)."""
+    m = region_re.search(word)
+    if m is None:
+        return len(word), len(word)
+    m2 = region_re.search(word, m.end())
+    return m.end(), len(word) if m2 is None else m2.end()
+
+
 # ===========================================================================
 # French (classic spec, snowballstem.org/algorithms/french/stemmer.html)
 
 _FR_VOWELS = frozenset("aeiouyâàëéêèïîôûù")
+_FR_REGIONS = _region_re(_FR_VOWELS)
 
 _FR_STEP1 = _sorted_sfx(
     ("ance", "iqUe", "isme", "able", "iste", "eux",
@@ -140,25 +160,10 @@ def _fr_rv(word: str) -> int:
     return n
 
 
-def _r1_r2(word: str, vowels) -> tuple[int, int]:
-    n = len(word)
-    r1 = n
-    for i in range(1, n):
-        if word[i] not in vowels and word[i - 1] in vowels:
-            r1 = i + 1
-            break
-    r2 = n
-    for i in range(r1 + 1, n):
-        if word[i] not in vowels and word[i - 1] in vowels:
-            r2 = i + 1
-            break
-    return r1, r2
-
-
 def stem_french(word: str) -> str:
     word = _fr_prelude(word)
     rv = _fr_rv(word)
-    r1, r2 = _r1_r2(word, _FR_VOWELS)
+    r1, r2 = _r1_r2(word, _FR_REGIONS)
 
     def in_r(rpos: int, suflen: int) -> bool:
         return len(word) - suflen >= rpos
@@ -354,6 +359,7 @@ def stem_french(word: str) -> str:
 # German (snowballstem.org/algorithms/german/stemmer.html)
 
 _DE_VOWELS = frozenset("aeiouyäöü")
+_DE_REGIONS = _region_re(_DE_VOWELS)
 _DE_S_ENDING = frozenset("bdfghklmnrt")
 _DE_ST_ENDING = frozenset("bdfghklmnt")
 
@@ -378,7 +384,7 @@ def _de_prelude(word: str) -> str:
 
 def stem_german(word: str) -> str:
     word = _de_prelude(word)
-    r1, r2 = _r1_r2(word, _DE_VOWELS)
+    r1, r2 = _r1_r2(word, _DE_REGIONS)
     r1 = min(len(word), max(r1, 3))  # region before R1 >= 3 letters
 
     def in_r(rpos: int, suflen: int) -> bool:
@@ -439,6 +445,7 @@ def stem_german(word: str) -> str:
 # Spanish (snowballstem.org/algorithms/spanish/stemmer.html)
 
 _ES_VOWELS = frozenset("aeiouáéíóúü")
+_ES_REGIONS = _region_re(_ES_VOWELS)
 
 _ES_PRONOUNS = tuple(sorted(
     ("me", "se", "sela", "selo", "selas", "selos", "la", "le", "lo",
@@ -519,7 +526,7 @@ def _es_rv(word: str) -> int:
 
 def stem_spanish(word: str) -> str:
     rv = _es_rv(word)
-    r1, r2 = _r1_r2(word, _ES_VOWELS)
+    r1, r2 = _r1_r2(word, _ES_REGIONS)
 
     def in_r(w: str, rpos: int, suflen: int) -> bool:
         return len(w) - suflen >= rpos

@@ -17,9 +17,13 @@ filter still instantiates per-worker state to mirror the lifecycle.
 
 from __future__ import annotations
 
+import re
+
 _VOWELS = frozenset("aeiouy")
 _DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
 _LI_ENDING = frozenset("cdeghkmnrt")
+_VC = re.compile("[aeiouy][^aeiouy]")  # a vowel, then a non-vowel
+_R1_PREFIXES = ("gener", "commun", "arsen")
 
 _EXCEPTIONS1 = {
     "skis": "ski", "skies": "sky",
@@ -34,6 +38,8 @@ _EXCEPTIONS2 = frozenset(
     ["inning", "outing", "canning", "herring", "earring",
      "proceed", "exceed", "succeed"]
 )
+
+_STEP1B_SUFFIXES = ("ingly", "edly", "ing", "ed")  # longest first
 
 _STEP2_SUFFIXES = [
     # (suffix, replacement) — longest match wins; None repl handled specially
@@ -82,24 +88,17 @@ def _is_vowel(word: str, i: int) -> bool:
 
 def _regions(word: str) -> tuple[int, int]:
     """R1/R2 start offsets per the Porter2 definition, including the
-    gener-/commun-/arsen- prefix exception."""
-    n = len(word)
-    r1 = n
-    for pref in ("gener", "commun", "arsen"):
-        if word.startswith(pref):
-            r1 = len(pref)
-            break
+    gener-/commun-/arsen- prefix exception: R1 starts after the first
+    vowel + non-vowel pair, R2 after the first such pair inside R1."""
+    if word.startswith(_R1_PREFIXES):
+        r1 = 6 if word[0] == "c" else 5   # commun-, else gener-/arsen-
     else:
-        for i in range(1, n):
-            if not _is_vowel(word, i) and _is_vowel(word, i - 1):
-                r1 = i + 1
-                break
-    r2 = n
-    for i in range(r1 + 1, n):
-        if not _is_vowel(word, i) and _is_vowel(word, i - 1):
-            r2 = i + 1
-            break
-    return r1, r2
+        m = _VC.search(word)
+        if m is None:
+            return len(word), len(word)
+        r1 = m.end()
+    m = _VC.search(word, r1)
+    return r1, len(word) if m is None else m.end()
 
 
 def _ends_short_syllable(word: str) -> bool:
@@ -128,7 +127,6 @@ def stem(word: str) -> str:
     """Stem one lowercase token with the Porter2 algorithm."""
     if len(word) <= 2:
         return word
-    orig_non_ascii = not word.isascii()
 
     if word[0] == "'":
         word = word[1:]
@@ -138,32 +136,39 @@ def stem(word: str) -> str:
         return word
 
     # Mark consonant-y as 'Y'.
-    chars = list(word)
-    if chars[0] == "y":
-        chars[0] = "Y"
-    for i in range(1, len(chars)):
-        if chars[i] == "y" and chars[i - 1] in _VOWELS:
-            chars[i] = "Y"
-    word = "".join(chars)
+    if "y" in word:
+        chars = list(word)
+        if chars[0] == "y":
+            chars[0] = "Y"
+        for i in range(1, len(chars)):
+            if chars[i] == "y" and chars[i - 1] in _VOWELS:
+                chars[i] = "Y"
+        word = "".join(chars)
 
     # Step 0: trailing apostrophe forms.
-    for suf in ("'s'", "'s", "'"):
-        if word.endswith(suf):
-            word = word[: -len(suf)]
-            break
+    if word.endswith(("'", "s")):
+        for suf in ("'s'", "'s", "'"):
+            if word.endswith(suf):
+                word = word[: -len(suf)]
+                break
 
+    # Regions are recomputed only when a step changed the word — an
+    # unchanged word recomputes to the same (r1, r2), so this is
+    # output-identical to recomputing after every step.
+    prev = word
     r1, r2 = _regions(word)
 
-    # Step 1a.
-    if word.endswith("sses"):
-        word = word[:-2]
-    elif word.endswith(("ied", "ies")):
-        word = word[:-3] + ("i" if len(word) > 4 else "ie")
-    elif word.endswith(("us", "ss")):
-        pass
-    elif word.endswith("s"):
-        if any(c in _VOWELS for c in word[:-2]):
-            word = word[:-1]
+    # Step 1a (each of its suffixes ends in "s" or "d").
+    if word.endswith(("s", "d")):
+        if word.endswith("sses"):
+            word = word[:-2]
+        elif word.endswith(("ied", "ies")):
+            word = word[:-3] + ("i" if len(word) > 4 else "ie")
+        elif word.endswith(("us", "ss")):
+            pass
+        elif word.endswith("s"):
+            if any(c in _VOWELS for c in word[:-2]):
+                word = word[:-1]
 
     if word in _EXCEPTIONS2:
         return word
@@ -173,8 +178,8 @@ def stem(word: str) -> str:
         suf = "eedly" if word.endswith("eedly") else "eed"
         if len(word) - len(suf) >= r1:
             word = word[: -len(suf)] + "ee"
-    else:
-        for suf in ("ingly", "edly", "ing", "ed"):
+    elif word.endswith(_STEP1B_SUFFIXES):
+        for suf in _STEP1B_SUFFIXES:
             if word.endswith(suf):
                 stem_part = word[: -len(suf)]
                 if any(c in _VOWELS for c in stem_part):
@@ -195,11 +200,9 @@ def stem(word: str) -> str:
     ):
         word = word[:-1] + "i"
 
-    # Regions are recomputed only when a step changed the word — an
-    # unchanged word recomputes to the same (r1, r2), so this is
-    # output-identical to recomputing after every step.
-    prev = word
-    r1, r2 = _regions(word)
+    if word is not prev:
+        prev = word
+        r1, r2 = _regions(word)
 
     # Step 2 (longest suffix; condition: found in R1).
     for suf, repl in _STEP2_BY_LAST.get(word[-1:], _EMPTY):
@@ -258,10 +261,8 @@ def stem(word: str) -> str:
         if len(word) - 1 >= r2 and len(word) > 1 and word[-2] == "l":
             word = word[:-1]
 
-    word = word.replace("Y", "y")
-    # Non-ASCII input is passed through libstemmer-style (it operates on the
-    # 26-letter alphabet); our ASCII-only steps already guarantee that.
-    _ = orig_non_ascii
+    if "Y" in word:
+        word = word.replace("Y", "y")
     return word
 
 

@@ -109,7 +109,12 @@ def strip_diacritics(s: str) -> str:
 def normalize_token(s: str) -> str:
     """Full normalizer-filter transform: NFKC_Casefold then diacritics
     substitution, exactly the order of ``normalizer_filter``
-    (reference src/core/filters_builtin.c:53-76)."""
+    (reference src/core/filters_builtin.c:53-76).  On ASCII both are
+    the lowercase: ASCII holds no Default_Ignorable code point, no
+    nonspacing mark and no Latin-ASCII key, and NFKC/NFKD leave it
+    as it is."""
+    if s.isascii():
+        return s.lower()
     return strip_diacritics(nfkc_casefold(s))
 
 

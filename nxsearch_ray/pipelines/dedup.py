@@ -75,7 +75,7 @@ from nxsearch_ray.stages.pairs import (
     union_pair_sources,
 )
 from nxsearch_ray.stages.shuffle import refs
-from nxsearch_ray.stages.signatures import canonsig_stage
+from nxsearch_ray.stages.signatures import canonsig_schema, canonsig_stage
 from nxsearch_ray.stages.suffix import (
     build_token_index_ref,
     suffix_verify_broadcast,
@@ -111,6 +111,12 @@ class DedupResult:
 
 def _pair_columns(t: pa.Table) -> pa.Table:
     return t.select(PAIR_SCHEMA.names)
+
+
+def _held(t: pa.Table) -> pa.Table:
+    """A block as it is: a wave of it holds a read in the object
+    store."""
+    return t
 
 
 def _split_direct(t: pa.Table) -> pa.Table:
@@ -297,11 +303,15 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
         return run_dedup(pages_ds, cfg, out_dir=out_dir, **run_kw)
 
     def sig_factory():
-        prior = load_stage(out_dir, "signatures")
+        import ray.data as rd
+
+        # held by a wave: writing the checkpoint clears the directory
+        # the prior read lists
+        prior = map_blocks(load_stage(out_dir, "signatures"), _held,
+                           canonsig_schema(cfg))
         new = canonsig_stage(anti_join(pages_ds, "page_id",
                                        id_set_ref(prior, ["page_id"])), cfg)
-        # pinned: writing the checkpoint clears prior's directory
-        return prior.union(new).materialize()
+        return rd.from_arrow_refs(refs(prior) + refs(new))
 
     n_known = read_manifest(out_dir, "signatures")["rows"]
     result = _run(sig_factory, cfg, out_dir, input_fingerprint(pages_ds),

@@ -165,12 +165,16 @@ def canonsig_stage(ds, cfg: PipelineConfig):
     rows per kernel call, one ``CanonSigActor`` per worker and call (a
     fresh token memo each call).  Runs when called; a bare page read
     is read inside the wave's tasks (``shuffle.blocks``), and a
-    zero-row input gives one empty block of (page_id, token_ids, the
-    signature columns)."""
-    return _wave(ds, cfg, CanonSigActor, pa.schema(
-        [pa.field("page_id", pa.int64()),
-         pa.field("token_ids", pa.list_(pa.uint64())),
-         *signature_fields(cfg)]))
+    zero-row input gives one empty block of ``canonsig_schema``."""
+    return _wave(ds, cfg, CanonSigActor, canonsig_schema(cfg))
+
+
+def canonsig_schema(cfg: PipelineConfig) -> pa.Schema:
+    """The fused stage's output: page_id, token_ids, the signature
+    columns."""
+    return pa.schema([pa.field("page_id", pa.int64()),
+                      pa.field("token_ids", pa.list_(pa.uint64())),
+                      *signature_fields(cfg)])
 
 
 def signature_stage(ds, cfg: PipelineConfig, *,

@@ -94,6 +94,31 @@ def test_unique_per_doc():
     assert u[2:4].tolist() == [1, 9]
 
 
+@pytest.mark.parametrize("lens,vmax", [
+    ([0, 0, 0], 10),                          # every doc empty
+    ([0, 5, 0, 0, 3, 0], 4),                  # empty docs among others
+    ([50], 1000),                             # a single doc
+    ([7] * 40, 6),                            # values shared across docs
+    ([1, 0, 2, 3] * (1 << 13) + [5], 50),     # >= 2^15 docs: int64 ids
+])
+def test_unique_per_doc_equals_lexsort(lens, vmax):
+    """The value sort then stable doc sort equals a two-key lexsort."""
+    rng = np.random.default_rng(len(lens))
+    offs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    flat = rng.integers(0, vmax, offs[-1]).astype(np.uint64)
+    docs = np.repeat(np.arange(len(lens)), lens)
+    order = np.lexsort((flat, docs))
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = ((flat[order][1:] != flat[order][:-1])
+                | (docs[order][1:] != docs[order][:-1]))
+    want_off = np.concatenate([[0], np.cumsum(np.bincount(
+        docs[order][keep], minlength=len(lens)))])
+    u, uo = H.unique_per_doc(flat, offs)
+    assert u.dtype == np.uint64
+    assert np.array_equal(u, flat[order][keep])
+    assert np.array_equal(uo, want_off)
+
+
 def test_minhash_matches_oracle_and_estimates_jaccard():
     rng = np.random.default_rng(1)
     a = set(map(int, rng.integers(0, 2**63, 300)))

@@ -297,14 +297,16 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     lists the read's read tasks), and every later step is a plain task
     wave over block refs.  With ``out_dir`` the executor starts three
     times, for the three checkpoint writes: each consumer of a
-    checkpoint reads its files in its own tasks."""
+    checkpoint reads its files in its own tasks.  So does an
+    incremental ingest into a prior run's ``out_dir``: its prior
+    signatures are held by a wave, not unioned on the executor."""
     import pyarrow.parquet as pq
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
 
     from nxsearch_ray.config import PipelineConfig
-    from nxsearch_ray.pipelines.dedup import run_dedup
+    from nxsearch_ray.pipelines.dedup import run_dedup, run_dedup_incremental
     from nxsearch_ray.sources.synth import synth_pages
 
     corpus = synth_pages(200, seed=21)
@@ -322,12 +324,28 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
         return execute(self, *args, **kw)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    columns = ["page_id", "url", "warc_ts", "html", "lang"]
     for plans in ({}, {"verify_mode": "bucketed", "cc_mode": "labelprop"}):
         for out_dir, want in ((None, 0),
                               (str(tmp_path / f"out{len(plans)}"), 3)):
             executions.clear()
-            res = run_dedup(rd.read_parquet(str(pages), columns=[
-                "page_id", "url", "warc_ts", "html", "lang"]),
-                PipelineConfig(), out_dir=out_dir, **plans)
+            res = run_dedup(rd.read_parquet(str(pages), columns=columns),
+                            PipelineConfig(), out_dir=out_dir, **plans)
             assert res.clusters.count() > 0
             assert len(executions) == want, (plans, out_dir)
+
+    # the prior run: 3/4 of the pages, in as many files as CPUs
+    prior = tmp_path / "prior"
+    prior.mkdir()
+    head = corpus.slice(0, 3 * per)
+    for i in range(4):
+        pq.write_table(head.slice(i * (3 * per // 4), 3 * per // 4),
+                       prior / f"part-{i}.parquet")
+    out_dir = str(tmp_path / "incremental")
+    run_dedup(rd.read_parquet(str(prior), columns=columns),
+              PipelineConfig(), out_dir=out_dir)
+    executions.clear()
+    res = run_dedup_incremental(rd.read_parquet(str(pages), columns=columns),
+                                PipelineConfig(), out_dir=out_dir)
+    assert res.stats["incremental_new_pages"] > 0
+    assert len(executions) == 3

@@ -91,3 +91,22 @@ def test_nfkc_casefold_adversarial():
     assert nfkc_casefold("Ⅻ") == "xii"                # roman numeral
     assert nfkc_casefold("㎞") == "km"                 # squared unit
     assert nfkc_casefold("İ") == "i̇"                  # dotted capital I
+
+
+def test_normalize_token_ascii_is_the_chain():
+    """The ASCII shortcut of ``normalize_token`` equals the full chain
+    on every ASCII code point and on 20k seeded printable strings."""
+    import string
+
+    import numpy as np
+
+    def chain(s):
+        return strip_diacritics(nfkc_casefold(s))
+
+    for c in map(chr, range(128)):
+        assert normalize_token(c) == chain(c), repr(c)
+    rng = np.random.default_rng(11)
+    printable = np.array(list(string.printable))
+    for n in rng.integers(0, 16, 20_000):
+        s = "".join(rng.choice(printable, int(n)))
+        assert normalize_token(s) == chain(s), repr(s)

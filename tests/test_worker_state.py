@@ -89,7 +89,9 @@ def test_memo_codes_give_the_token_hashes(monkeypatch):
     ``token_ids``, ``doc_len`` and ``n_unique`` equal its canonical
     tokens from a fresh filter chain, hashed.  Two distinct tokens
     longer than the 32-byte hash width, with one prefix and one length,
-    hash equal; ``n_unique`` still counts them twice."""
+    hash equal; ``n_unique`` still counts them twice.  A stopword-only
+    text has no token, and repeated stopwords (memo hits on a discarded
+    word) are dropped each time."""
     import numpy as np
 
     from nxsearch_ray.functions.filters import build_pipeline
@@ -110,8 +112,9 @@ def test_memo_codes_give_the_token_hashes(monkeypatch):
         {"text": ["Häuser laufen, Hause läuft", "runs and running again",
                   f"{twin_b}", ""],
          "lang": ["de", "en", "en", "de"]},
-        {"text": ["i.b.m doesn't run: runs", "Haus Häuser Hauses"],
-         "lang": ["en", "de"]},
+        {"text": ["i.b.m doesn't run: runs", "Haus Häuser Hauses",
+                  "the and of the a it", "the cat and the dog, the end"],
+         "lang": ["en", "de", "en", "en"]},
     ]
     monkeypatch.setattr(canonicalize, "_CACHE_CAP", 3)
     actor = canonicalize.CanonicalizeActor(cfg)
@@ -128,6 +131,7 @@ def test_memo_codes_give_the_token_hashes(monkeypatch):
             assert np.array_equal(flat[off[i]:off[i + 1]], want)
             assert out.column("doc_len")[i].as_py() == len(toks)
             assert out.column("n_unique")[i].as_py() == len(set(toks))
+    assert per_text.canonical_codes("the and of the a it", "en") == []
     first = actor(pa.table(batches[0]))
     hashes = first.column("token_ids")[0].as_py()
     assert first.column("n_unique")[0].as_py() == len(set(hashes)) + 1
