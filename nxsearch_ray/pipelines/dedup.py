@@ -13,8 +13,9 @@ End-to-end dataflow (physical plan in SURVEY.md §4):
         exact: sequence hash    minhash: LSH bands
         simhash: Hamming chunks suffix: anchor shingles
     → union + exact pair dedup (source sets)  [hash repartition (a,b)]
-    → verification            [broadcast signature index, or a
-                               partition-wise hash join per endpoint;
+    → verification            [broadcast signature index, or each
+                               pair block sent its endpoints' pages
+                               once, looked up in a local index;
                                one kernel]
     → exact adjudication of screen-only survivors (shingle Jaccard,
       then a window-hash probe for the longest common token run)
@@ -150,9 +151,11 @@ def run_dedup(pages_ds, cfg: PipelineConfig | None = None, *,
         checkpointed), else bucketed — the same size-based join
         selection Spark applies with autoBroadcastJoinThreshold.
         Neither plan touches the driver.
-      * 'bucketed' (the 10^12-doc plan): a partition-wise hash join
-        attaches each endpoint's signatures (stages/join.pair_join);
-        nothing is ever collected to one process.
+      * 'bucketed' (the 10^12-doc plan): each pair block is sent its
+        endpoints' signature rows, each page once, and scores its pairs
+        against a local index of them (stages/join.endpoint_map); the
+        pairs never move and nothing is ever collected to one
+        process.
       * 'broadcast': a signature index built in ONE remote task and
         read zero-copy by every verify task — the small-side-broadcast
         plan; valid while the signature table fits one node.
@@ -293,8 +296,9 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
     (``incremental_known_pages``) and the rows the run added
     (``incremental_new_pages``) from its manifest.  The known-id set is
     built in one remote task and broadcast via the object store
-    (8 B/doc; the driver never holds it); beyond single-node memory,
-    swap the anti-join for the bucketed pair_join on page_id."""
+    (8 B/doc; the driver never holds it); beyond single-node memory
+    the anti-join needs a partitioned form: both id sets exchanged on
+    page_id, as stages/join.hash_join does."""
     from nxsearch_ray.stages.join import anti_join, id_set_ref
 
     cfg = cfg or PipelineConfig()

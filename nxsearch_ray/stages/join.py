@@ -14,6 +14,11 @@ Contract: the right side is unique per key (true for signature /
 canonical tables keyed by page_id); every matching left row appears
 exactly once, with right payload columns suffixed.
 
+A pair stream meets its endpoints' rows without moving:
+``endpoint_map`` delivers each pair block the rows its distinct
+endpoints name, each once (a semi-join reduction per block).  The
+bucketed verify and suffix tiers and ``pair_join`` run on it.
+
 This is the engine's join operator (the distributed analogue of the
 reference's token→term hash-lookup semi-join ``tokenset_resolve``,
 reference src/core/tokenizer.c:160-199).  Small-side joins use a
@@ -39,7 +44,7 @@ import pyarrow as pa
 import ray
 
 from nxsearch_ray.stages.shuffle import (as_arrow, blocks, concat,
-                                        exchange, is_read_task, pinned,
+                                        exchange, is_read_task,
                                         session_cpus)
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
@@ -314,24 +319,130 @@ def lookup_kernel(kernel, cfg, index):
     return lambda batch: kernel(batch, index, cfg)
 
 
+def _endpoint_ids(key: str, pairs: pa.Table) -> pa.Table:
+    """A pair block's request: its distinct ``a`` ∪ ``b`` ids, as
+    ``key``."""
+    ids = np.unique(np.concatenate([pairs.column("a").to_numpy(),
+                                    pairs.column("b").to_numpy()]))
+    return pa.table({key: pa.array(ids, pa.int64())})
+
+
+@ray.remote
+def _respond(key: str, n_asks: int, *pieces):
+    """One partition: ``n_asks`` requests (one per pair block), then the
+    right side's pieces → per request, the right rows its ids name
+    (ids with no right row are left out)."""
+    right = concat(pieces[n_asks:])
+    if right.num_rows == 0:
+        out = [right] * n_asks
+    else:
+        keys = right.column(key).to_numpy().astype(np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        out = []
+        for ask in pieces[:n_asks]:
+            pos, hit = sorted_lookup(keys, ask.column(key).to_numpy())
+            out.append(right.take(order[pos[hit]]))
+    return tuple(out) if n_asks > 1 else out[0]
+
+
+@ray.remote
+def _endpoint_task(kernel, right_schema: pa.Schema, pairs, *answers):
+    """One pair block → ``kernel(pairs, pages)``, ``pages`` its
+    partitions' answers concatenated (``right_schema`` when none has a
+    row)."""
+    pages = concat(answers)
+    return kernel(as_arrow(pairs), pages if pages.num_rows
+                  else right_schema.empty_table())
+
+
+def endpoint_map(pairs_ds, right_ds, right_schema: pa.Schema, kernel,
+                 schema: pa.Schema):
+    """``kernel(pairs, pages)`` over every non-empty block of a pair
+    stream (``a``, ``b`` int64), ``pages`` holding the rows of
+    ``right_ds`` (its ``right_schema`` columns, keyed by the first, one
+    row per key) that the block's endpoints name, each once — the
+    scale path's endpoint delivery, a semi-join reduction per pair
+    block: a page travels once to each block that needs it, however
+    many of its pairs name it, and the pairs never move.
+
+    Four waves, submitted together (no wait between them): per pair
+    block, its distinct endpoint ids split by key hash into P pieces
+    (``shuffle._split``, P the right side's ``partition_width``); the
+    right side's projected split on the key at the same P; one respond
+    task per partition that looks every block's ids up in its right rows
+    (``num_returns`` one per pair block); and one kernel task per pair
+    block that concatenates its P answers.  Returns a materialized
+    Dataset of one kernel output per non-empty pair block, in input
+    order; no non-empty block gives one empty block of ``schema``.  An
+    endpoint with no right row is not in ``pages``."""
+    import ray.data as rd
+
+    from nxsearch_ray.stages import shuffle
+
+    key = right_schema.names[0]
+    pair_parts = [p for p, m in blocks(pairs_ds) if m.num_rows]
+    if not pair_parts:
+        return rd.from_arrow(schema.empty_table())
+    right = blocks(right_ds)
+    P = shuffle.partition_width(sum(m.num_rows or 0 for _, m in right),
+                                sum(m.size_bytes or 0 for _, m in right))
+    split = shuffle._split.options(num_returns=P)
+    asks = [split.remote(p, [key], P, functools.partial(_endpoint_ids, key))
+            for p in pair_parts]
+    gives = [split.remote(p, [key], P,
+                          functools.partial(_project, right_schema.names))
+             for p, _ in right]
+    if P == 1:
+        asks, gives = [[r] for r in asks], [[r] for r in gives]
+    J = len(pair_parts)
+    respond = _respond.options(num_returns=J)
+    answers = [respond.remote(key, J, *[a[i] for a in asks],
+                              *[g[i] for g in gives]) for i in range(P)]
+    if J == 1:
+        answers = [[r] for r in answers]
+    return rd.from_arrow_refs([
+        _endpoint_task.remote(kernel, right_schema, part,
+                              *[ans[j] for ans in answers])
+        for j, part in enumerate(pair_parts)])
+
+
+def _attach_endpoints(key: str, pair_names: list[str],
+                      out_schema: pa.Schema, pairs: pa.Table,
+                      pages: pa.Table) -> pa.Table:
+    """``pair_join``'s kernel: each pair with both endpoints' payload
+    columns (``pages`` less ``key``), pairs missing either dropped."""
+    keys = pages.column(key).to_numpy().astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    (pos_a, hit_a), (pos_b, hit_b) = (
+        sorted_lookup(keys[order], pairs.column(side).to_numpy())
+        for side in ("a", "b"))
+    hit = hit_a & hit_b
+    payload = pages.drop_columns([key])
+    return pa.Table.from_arrays(
+        pairs.select(pair_names).filter(pa.array(hit)).columns
+        + payload.take(order[pos_a[hit]]).columns
+        + payload.take(order[pos_b[hit]]).columns,
+        names=out_schema.names).cast(out_schema)
+
+
 def pair_join(pairs_ds, right_ds, *, right_key: str,
               pair_schema: pa.Schema, right_schema: pa.Schema):
-    """Attach a keyed payload table to BOTH endpoints of a pair stream
-    — the scale path's verify-side join: ``hash_join`` on ``a``
-    (payload suffixed ``_a``), then on ``b`` (suffixed ``_b``), the
-    right side pinned once for both (``shuffle.pinned``: a bare read
-    stays a read, and each join's split tasks read its files).
+    """Attach a keyed payload table to BOTH endpoints of a pair stream:
+    ``endpoint_map`` delivers each pair block its endpoints' rows, and a
+    gather kernel appends the payload columns (all but ``right_key``)
+    suffixed ``_a``, then ``_b``.
 
     Inner-join semantics: pairs missing either endpoint's payload row
     are dropped; the right side must be unique per key."""
-    right_ds = pinned(right_ds)
-    with_a = hash_join(pairs_ds, right_ds, left_key="a",
-                       right_key=right_key, left_schema=pair_schema,
-                       right_schema=right_schema, right_suffix="_a")
-    return hash_join(with_a, right_ds, left_key="b", right_key=right_key,
-                     left_schema=_joined_schema(pair_schema, right_schema,
-                                                right_key, "_a"),
-                     right_schema=right_schema, right_suffix="_b")
+    right_schema = pa.schema([right_schema.field(right_key)] + [
+        f for f in right_schema if f.name != right_key])
+    out = _joined_schema(_joined_schema(pair_schema, right_schema,
+                                        right_key, "_a"),
+                         right_schema, right_key, "_b")
+    return endpoint_map(pairs_ds, right_ds, right_schema,
+                        functools.partial(_attach_endpoints, right_key,
+                                          pair_schema.names, out), out)
 
 
 def _joined_schema(left_schema: pa.Schema, right_schema: pa.Schema,

@@ -21,6 +21,8 @@ users:
 the partition-wise (Grace) hash join (stages/join.hash_join, two sides
 at one width, so partition i of each side holds the same keys) and
 label propagation's partitioned edge state (stages/cc.py).
+stages/join.endpoint_map calls ``_split`` itself, at the right
+side's width alone.
 
 ``grouped`` is the engine's group-by: the same exchange, then one
 task per partition sorts its pieces by the keys, finds where each run
@@ -188,14 +190,6 @@ def is_read_task(part) -> bool:
     from ray.data.datasource import ReadTask
 
     return isinstance(part, ReadTask)
-
-
-def pinned(ds):
-    """``ds`` for several consumers: as it is when ``blocks`` lists it
-    without running it (its block refs, or a bare read's read tasks,
-    which each consumer's tasks then read), else ``ds.materialize()``,
-    so a lazy plan runs once."""
-    return ds if _listed(ds) is not None else ds.materialize()
 
 
 def refs(ds) -> list:

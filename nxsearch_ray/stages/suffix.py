@@ -12,9 +12,10 @@ scalar ``exact_adjudicate`` (suffix automaton, functions/suffix.py)
 states the same decision and is the kernel's test oracle.
 
 The token sequences reach each pair by broadcast lookup (test scale)
-or, at 10^12 docs, by the bucketed pair join (a partition-wise hash
-join per endpoint) exactly like stages/verify.py; both plans then call
-the one decision kernel ``adjudicate_docs``.
+or, at 10^12 docs, by delivering each pair block its endpoints' pages
+once (stages/join.endpoint_map) exactly like stages/verify.py; both
+plans then look the pages up in a token index and call the one
+decision kernel ``adjudicate_docs``.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def build_token_index_ref(canonical_ds):
 def exact_adjudicate(ta: np.ndarray, tb: np.ndarray, cfg: PipelineConfig
                      ) -> tuple[int, float, float]:
     """(lcs_len, containment, exact_jaccard) for one token-id pair: the
-    scalar statement of ``adjudicate_pairs``' decision, kept as its test
+    scalar statement of ``adjudicate_docs``' decision, kept as its test
     oracle (``oracle.py`` runs its own loop on the same two functions).
 
     The exact shingle Jaccard runs first; when it already crosses the
@@ -312,29 +313,6 @@ def adjudicate_docs(pairs: pa.Table, ia: np.ndarray, ib: np.ndarray,
     return out.filter(pa.array(keep))
 
 
-def adjudicate_pairs(pairs: pa.Table, ta_flat: np.ndarray,
-                     ta_off: np.ndarray, tb_flat: np.ndarray,
-                     tb_off: np.ndarray, cfg: PipelineConfig) -> pa.Table:
-    """``adjudicate_docs`` over each pair's two token sequences (flat +
-    offsets, in pair order), each distinct page taken once by page_id
-    (a page id names one token sequence)."""
-    from nxsearch_ray.functions.hashing import _seg_arange
-
-    n = pairs.num_rows
-    ids = np.concatenate([pairs.column("a").to_numpy(),
-                          pairs.column("b").to_numpy()])
-    _, first, inv = np.unique(ids, return_index=True, return_inverse=True)
-    ta_off = np.asarray(ta_off, dtype=np.int64)
-    tb_off = np.asarray(tb_off, dtype=np.int64)
-    starts = np.concatenate([ta_off[:-1], tb_off[:-1] + len(ta_flat)])
-    counts = np.concatenate([np.diff(ta_off), np.diff(tb_off)])[first]
-    off = np.zeros(len(first) + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    flat = np.concatenate([ta_flat, tb_flat])[
-        _seg_arange(starts[first], counts)]
-    return adjudicate_docs(pairs, inv[:n], inv[n:], flat, off, cfg)
-
-
 def exact_containment_table(pairs: pa.Table, idx: TokenIndex,
                             cfg: PipelineConfig) -> pa.Table:
     """Broadcast gather: each distinct endpoint's tokens from the index,
@@ -346,12 +324,11 @@ def exact_containment_table(pairs: pa.Table, idx: TokenIndex,
                            inv[pairs.num_rows:], *idx.gather(uniq), cfg)
 
 
-def adjudicate_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    """Bucketed gather: the ``token_ids_a`` / ``token_ids_b`` columns
-    the pair join attached."""
-    return adjudicate_pairs(t, *list_column_numpy(t.column("token_ids_a")),
-                            *list_column_numpy(t.column("token_ids_b")),
-                            cfg)
+def adjudicate_delivered(cfg: PipelineConfig, pairs: pa.Table,
+                         pages: pa.Table) -> pa.Table:
+    """Bucketed gather: ``exact_containment_table`` over a local index
+    of the pages ``join.endpoint_map`` delivered to the pair block."""
+    return exact_containment_table(pairs, TokenIndex.from_table(pages), cfg)
 
 
 def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
@@ -366,27 +343,15 @@ def suffix_verify_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
 
 
 def suffix_verify_bucketed(pairs_ds, canonical_ds, cfg: PipelineConfig):
-    """Scale path for the exact-adjudication stage: attach both docs'
-    token sequences with the pair join (stages/join.pair_join, no
-    driver-side token index), then the shared ``adjudicate_pairs``.
+    """Scale path for the exact-adjudication stage: each pair block gets
+    its endpoints' token sequences, each page once (stages/join.
+    endpoint_map: the canonical side's split keeps only the token
+    columns, and only the pages some pair names are delivered), then
+    one task per pair block adjudicates against a local index of them
+    (``adjudicate_delivered``).  No driver-side token index; the pairs
+    never move."""
+    from nxsearch_ray.stages.join import endpoint_map
 
-    Semi-join reduction first: only a tiny fraction of docs appear in
-    screen-passing pairs, so the needed page-id SET (ids only — tiny
-    even when payloads are not) is broadcast and prunes the canonical
-    side before the payload-carrying exchanges, whose splits keep only
-    the token columns.  Each exchange sizes itself from its inputs'
-    rows and bytes (shuffle.partition_width), so the heavy token_ids
-    payload widens it by bytes, not rows.  Every step is a task wave:
-    the semi-join's filter, the joins and one adjudication task per
-    joined partition (``join.map_blocks``)."""
-    from nxsearch_ray.stages.join import (PAIR_SCHEMA, id_set_ref,
-                                          map_blocks, pair_join, semi_join)
-
-    pairs_ds = pairs_ds.materialize()
-    needed = semi_join(canonical_ds, "page_id",
-                       id_set_ref(pairs_ds, ["a", "b"]))
-    joined = pair_join(pairs_ds, needed, right_key="page_id",
-                       pair_schema=PAIR_SCHEMA, right_schema=TOKEN_SCHEMA)
-    return map_blocks(joined, functools.partial(adjudicate_joined_table,
-                                                cfg=cfg),
-                      SUFFIX_PAIR_SCHEMA)
+    return endpoint_map(pairs_ds, canonical_ds, TOKEN_SCHEMA,
+                        functools.partial(adjudicate_delivered, cfg),
+                        SUFFIX_PAIR_SCHEMA)

@@ -11,9 +11,10 @@ endpoints' signatures; both then call the one decision kernel
     a signature index is built once in the object store and every
     verify task reads it zero-copy — no shuffle.  This is the
     "broadcast the small side" join rule.
-  * **bucketed** (the 10^12-doc path): a partition-wise hash join per
-    endpoint (stages/join.pair_join) attaches both endpoints'
-    signature columns to each pair.
+  * **bucketed** (the 10^12-doc path): each pair block is sent its
+    endpoints' signature rows, each page once however many of the
+    block's pairs name it (stages/join.endpoint_map), and scores its
+    pairs against a local index of them.  The pairs never move.
 
 A candidate pair carries the *set* of sources that proposed it
 (comma-joined, sorted — see stages/pairs.union_pair_sources); the
@@ -47,11 +48,11 @@ SCORED_SCHEMA = pa.schema([
 
 @dataclass
 class SignatureIndex:
-    """Signature rows as arrays: the broadcast lookup index (sorted by
-    page_id; lookups are vectorized ``join.sorted_lookup``) and, unsorted, the
-    bucketed plan's per-batch view of the joined payloads.  At 10^12
-    docs the index does not fit on one node and the bucketed plan
-    applies (verify_pairs_bucketed)."""
+    """Signature rows as arrays, sorted by page_id (lookups are
+    vectorized ``join.sorted_lookup``): the broadcast lookup index, or
+    a pair block's local index over the pages delivered to it.  At
+    10^12 docs the full index does not fit on one node and the
+    bucketed plan applies (verify_pairs_bucketed)."""
 
     page_ids: np.ndarray       # (n,) int64 sorted
     mh_res: np.ndarray         # (n, P) uint8 MinHash residues
@@ -63,12 +64,7 @@ class SignatureIndex:
     def from_table(cls, t: pa.Table, num_perms: int) -> "SignatureIndex":
         """The lookup index: ``t``'s rows sorted by page_id."""
         order = np.argsort(t.column("page_id").to_numpy(), kind="stable")
-        return cls.of_rows(t.take(pa.array(order, type=pa.int64())),
-                           num_perms)
-
-    @classmethod
-    def of_rows(cls, t: pa.Table, num_perms: int) -> "SignatureIndex":
-        """``t``'s rows in their own order."""
+        t = t.take(pa.array(order, type=pa.int64()))
         mh_flat, _ = list_column_numpy(t.column("mh_res"), dtype=np.uint8)
         bk_flat, bk_off = list_column_numpy(t.column("bottomk"),
                                             dtype=np.uint32)
@@ -218,9 +214,10 @@ def score_pairs(pairs: pa.Table, sigs: SignatureIndex, ia: np.ndarray,
                 ib: np.ndarray, cfg: PipelineConfig) -> pa.Table:
     """The one verify decision: score each pair from its endpoints'
     signature rows ``sigs[ia]`` / ``sigs[ib]`` and return only the
-    surviving pairs (any rule passed).  Both plans gather into this —
-    the broadcast plan by page-id lookup, the bucketed plan from the
-    joined signature columns — so their outputs are identical."""
+    surviving pairs (any rule passed).  Both plans gather into this by
+    page-id lookup (``score_pairs_table``) — the broadcast plan in the
+    full index, the bucketed plan in a local index of the pages
+    delivered to its pair block — so their outputs are identical."""
     if pairs.num_rows == 0:
         return SCORED_SCHEMA.empty_table()
     est_j = (sigs.mh_res[ia] == sigs.mh_res[ib]).mean(axis=1)
@@ -250,25 +247,6 @@ def score_pairs_table(pairs: pa.Table, idx: SignatureIndex,
                        idx.rows_for(pairs.column("b").to_numpy()), cfg)
 
 
-def score_joined_table(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    """Bucketed gather: the ``mh_res`` / ``simhash`` / ``bottomk``
-    columns the pair join attached, suffixed ``_a`` / ``_b``, read as
-    one index-shaped view (rows 0..n-1 are the a-sides, n..2n-1 the
-    b-sides)."""
-    n = t.num_rows
-
-    def both(a: str, b: str) -> pa.ChunkedArray:
-        return pa.chunked_array(t.column(a).chunks + t.column(b).chunks,
-                                type=t.schema.field(a).type)
-
-    sigs = SignatureIndex.of_rows(pa.table(
-        {"page_id": both("a", "b"),
-         **{c: both(c + "_a", c + "_b")
-            for c in ("mh_res", "simhash", "bottomk")}}), cfg.num_perms)
-    rows = np.arange(n)
-    return score_pairs(t, sigs, rows, rows + n, cfg)
-
-
 def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
     """Broadcast verify: one wave of plain tasks whose only per-worker
     state is the index (``join.broadcast_map``); ``ray.get`` of
@@ -284,17 +262,23 @@ def verify_pairs_broadcast(pairs_ds, idx_ref, cfg: PipelineConfig):
         batch_size=32768, schema=SCORED_SCHEMA)
 
 
-def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig):
-    """Scale path: join both endpoints' signature columns onto each
-    pair (stages/join.pair_join: a partition-wise hash join on ``a``,
-    then on ``b``; each exchange's split keeps only the signature
-    columns), then the shared ``score_pairs`` in one task per joined
-    partition (``join.map_blocks``).  Each join's exchange takes its
-    width from its inputs' block metadata (shuffle.partition_width)."""
-    from nxsearch_ray.stages.join import PAIR_SCHEMA, map_blocks, pair_join
+def score_delivered(cfg: PipelineConfig, pairs: pa.Table,
+                    pages: pa.Table) -> pa.Table:
+    """Bucketed gather: ``score_pairs_table`` over a local index of the
+    pages ``join.endpoint_map`` delivered to the pair block."""
+    return score_pairs_table(
+        pairs, SignatureIndex.from_table(pages, cfg.num_perms), cfg)
 
-    joined = pair_join(pairs_ds, sig_ds, right_key="page_id",
-                       pair_schema=PAIR_SCHEMA,
-                       right_schema=_sig_schema(cfg.num_perms))
-    return map_blocks(joined, functools.partial(score_joined_table,
-                                                cfg=cfg), SCORED_SCHEMA)
+
+def verify_pairs_bucketed(pairs_ds, sig_ds, cfg: PipelineConfig):
+    """Scale path: each pair block gets its endpoints' signature rows,
+    each page once (stages/join.endpoint_map: the signature side's split
+    keeps only the signature columns), and one task per pair block
+    scores it against a local index of them (``score_delivered``).  The
+    delivery takes its width from the signature side's block metadata
+    (shuffle.partition_width)."""
+    from nxsearch_ray.stages.join import endpoint_map
+
+    return endpoint_map(pairs_ds, sig_ds, _sig_schema(cfg.num_perms),
+                        functools.partial(score_delivered, cfg),
+                        SCORED_SCHEMA)

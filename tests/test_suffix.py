@@ -62,34 +62,28 @@ def _pairs_table(ids):
                      "source": ["suffix"] * len(ids)})
 
 
-def _flat(seqs):
-    import numpy as np
-
-    flat = np.concatenate([np.asarray(t, np.uint64) for t in seqs]
-                          + [np.empty(0, np.uint64)])
-    off = np.zeros(len(seqs) + 1, np.int64)
-    np.cumsum([len(t) for t in seqs], out=off[1:])
-    return flat, off
-
-
 def _emitted(ids, docs, cfg):
-    """``adjudicate_pairs``' rows for the pairs ``ids`` over the token
+    """The broadcast gather's rows for the pairs ``ids`` over the token
     sequences ``docs`` (page_id → uint64 array), checked equal to the
-    broadcast gather's."""
+    bucketed gather's over only the pages the pairs name, delivered in
+    reverse order."""
     import pyarrow as pa
 
-    from nxsearch_ray.stages.suffix import (TokenIndex, adjudicate_pairs,
+    from nxsearch_ray.stages.suffix import (TokenIndex,
+                                            adjudicate_delivered,
                                             exact_containment_table)
 
+    def tokens(pids):
+        return pa.table({
+            "page_id": pa.array(pids, pa.int64()),
+            "token_ids": pa.array([docs[p].tolist() for p in pids],
+                                  pa.list_(pa.uint64()))})
+
     pairs = _pairs_table(ids)
-    out = adjudicate_pairs(pairs, *_flat([docs[a] for a, _ in ids]),
-                           *_flat([docs[b] for _, b in ids]), cfg)
-    pids = sorted(docs)
-    idx = TokenIndex.from_table(pa.table({
-        "page_id": pa.array(pids, pa.int64()),
-        "token_ids": pa.array([docs[p].tolist() for p in pids],
-                              pa.list_(pa.uint64()))}))
-    assert exact_containment_table(pairs, idx, cfg).equals(out)
+    out = exact_containment_table(pairs, TokenIndex.from_table(
+        tokens(sorted(docs))), cfg)
+    named = sorted({p for pair in ids for p in pair}, reverse=True)
+    assert adjudicate_delivered(cfg, pairs, tokens(named)).equals(out)
     return out.to_pylist()
 
 
@@ -109,7 +103,7 @@ def _scalar(ids, docs, cfg):
 
 
 def test_batch_adjudicate_matches_scalar():
-    """adjudicate_pairs emits exactly the rows the scalar
+    """adjudicate_docs emits exactly the rows the scalar
     exact_adjudicate keeps, with its values — short docs (<
     shingle_k), empty docs, exact copies, containment, borderline
     near-misses and disjoint pairs.  A rejected row is not emitted, so
@@ -211,8 +205,8 @@ def _planted(rng, m, run, pre, total):
 
 @pytest.mark.parametrize("weak_hash", [False, True])
 def test_adjudicate_pairs_property(monkeypatch, weak_hash):
-    """Seeded property test: on every batch, adjudicate_pairs (and the
-    broadcast gather) emit exactly the scalar oracle's kept rows, all
+    """Seeded property test: on every batch, adjudicate_docs through
+    both gathers emits exactly the scalar oracle's kept rows, all
     six columns.  Besides random batches it covers runs of exactly the
     minimum length at every offset against the probe's stride, and
     thresholds where ceil(thr·m) overshoots in float (0.55 at m = 100,

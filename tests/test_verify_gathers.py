@@ -1,7 +1,8 @@
 """Plan equivalence at the kernel level, in-process (no Ray): each
-verify tier has one decision kernel, and its two gathers — the
-broadcast index lookup and the bucketed join's payload columns — must
-feed it identical inputs, so their outputs are equal tables."""
+verify tier has one decision kernel, and its two gathers — a lookup in
+the broadcast index of every page, and the bucketed plan's lookup in a
+local index of only the pages delivered to a pair block — must feed it
+identical inputs, so their outputs are equal tables."""
 
 from __future__ import annotations
 
@@ -38,38 +39,41 @@ def sigs_and_pairs():
     return cfg, sigs, t
 
 
-def _joined(pairs: pa.Table, payload: pa.Table) -> pa.Table:
-    """What pair_join hands the bucketed kernel: the pairs with each
-    endpoint's payload columns attached as ``{col}_a``, then as
-    ``{col}_b``, split into two chunks."""
-    pos = {pid: i for i, pid in
-           enumerate(payload.column("page_id").to_pylist())}
-    out = pairs
-    for side in ("a", "b"):
-        rows = [pos[p] for p in pairs.column(side).to_pylist()]
-        for col in payload.column_names[1:]:
-            out = out.append_column(f"{col}_{side}",
-                                    payload.column(col).take(rows))
-    half = out.num_rows // 2
-    return pa.concat_tables([out.slice(0, half), out.slice(half)])
+def _delivered(pairs: pa.Table, payload: pa.Table) -> pa.Table:
+    """What ``join.endpoint_map`` hands a pair block's kernel: the
+    payload rows of the block's distinct endpoints only, each once, in
+    no particular order (here shuffled) and in two chunks (one per
+    answering partition)."""
+    ids = payload.column("page_id").to_numpy()
+    want = np.unique(np.concatenate([pairs.column("a").to_numpy(),
+                                     pairs.column("b").to_numpy()]))
+    rows = np.flatnonzero(np.isin(ids, want))
+    np.random.default_rng(9).shuffle(rows)
+    assert len(rows) == len(want) < payload.num_rows
+    half = len(rows) // 2
+    return pa.concat_tables([payload.take(rows[:half]),
+                             payload.take(rows[half:])])
 
 
 def test_verify_gathers_feed_one_kernel(sigs_and_pairs):
     from nxsearch_ray.stages.verify import (
         SignatureIndex,
-        score_joined_table,
+        score_delivered,
         score_pairs_table,
     )
 
     cfg, sigs, pairs = sigs_and_pairs
-    P = cfg.num_perms
+    block = pairs.slice(0, pairs.num_rows // 2)
     slim = sigs.select(["page_id", "mh_res", "simhash", "bottomk"])
-    broadcast = score_pairs_table(pairs, SignatureIndex.from_table(slim, P),
-                                  cfg)
-    bucketed = score_joined_table(_joined(pairs, slim), cfg)
-    assert broadcast.equals(bucketed)
+    broadcast = score_pairs_table(
+        block, SignatureIndex.from_table(slim, cfg.num_perms), cfg)
+    pages = _delivered(block, slim)
+    local = SignatureIndex.from_table(pages, cfg.num_perms)
+    assert sorted(local.page_ids) == sorted(
+        pages.column("page_id").to_pylist())
+    assert broadcast.equals(score_delivered(cfg, block, pages))
     # the pairs exercise the decision, not just an empty table
-    assert 0 < broadcast.num_rows < pairs.num_rows
+    assert 0 < broadcast.num_rows < block.num_rows
     screen = broadcast.column("keep_exact_screen").to_numpy()
     assert screen.any() and not screen.all()
 
@@ -77,14 +81,18 @@ def test_verify_gathers_feed_one_kernel(sigs_and_pairs):
 def test_suffix_gathers_feed_one_kernel(sigs_and_pairs):
     from nxsearch_ray.stages.suffix import (
         TokenIndex,
-        adjudicate_joined_table,
+        adjudicate_delivered,
         exact_containment_table,
     )
 
     cfg, sigs, pairs = sigs_and_pairs
     tokens = sigs.select(["page_id", "token_ids"])
-    broadcast = exact_containment_table(pairs, TokenIndex.from_table(tokens),
+    block = pairs.slice(pairs.num_rows // 3)
+    broadcast = exact_containment_table(block, TokenIndex.from_table(tokens),
                                         cfg)
-    bucketed = adjudicate_joined_table(_joined(pairs, tokens), cfg)
-    assert broadcast.equals(bucketed)
-    assert 0 < broadcast.num_rows < pairs.num_rows
+    pages = _delivered(block, tokens)
+    local = TokenIndex.from_table(pages)
+    assert sorted(local.page_ids) == sorted(
+        pages.column("page_id").to_pylist())
+    assert broadcast.equals(adjudicate_delivered(cfg, block, pages))
+    assert 0 < broadcast.num_rows < block.num_rows
