@@ -13,8 +13,8 @@ deterministic, SQL-reproducible CTE (see nxsearch_ray/sources/pages.py)
 so both sides compute over identical inputs.  Pipelines whose output
 SQL cannot predict (MinHash/LSH clustering, the corpus job's semantic
 tier) are graded through invariants whose twin states the expected
-answer; the two rows-only entries (the approximate clustered SemDeDup
-plan, the probe-side near-dup search) are backed by oracles in tests/.
+answer; the one rows-only entry (the approximate clustered SemDeDup
+plan) is backed by an oracle in tests/.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ pages AS (
 """
 
 _CFG = PipelineConfig()
+# the graded dedup runs besides ``auto`` (see _dedup)
+_DEDUP_VARIANTS = ("scale", "incremental", "removed", "onefile",
+                   "resumed", "readded")
 # (sf_dir, variant) -> (DedupResult, its TemporaryDirectory or None)
 _DEDUP_CACHE: dict[tuple[str, str], tuple] = {}
 
@@ -92,11 +95,24 @@ def _dedup(sf_dir: str, variant: str = "auto"):
       * ``incremental`` — a run over the even page ids, then
         ``run_dedup_incremental`` over every page;
       * ``removed`` — a full run, then ``run_dedup_remove`` of every
-        ``_removed`` page.
-    A checkpointing variant owns its own temporary ``out_dir``, so no
-    later run rewrites a checkpoint an earlier result still reads."""
+        ``_removed`` page;
+      * ``onefile`` — ``run_dedup`` over the pages written as ONE
+        Parquet file of at least 8 row groups: in a session of two or
+        more CPUs that is fewer files than CPUs, so the read executes
+        once before the waves (``shuffle.blocks``);
+      * ``resumed`` — a full run, then a rerun into the same
+        ``out_dir`` after deleting the ``verified_pairs`` and
+        ``clusters`` manifests, as if the run had died after
+        ``verified_pairs`` wrote its parts;
+      * ``readded`` — the ``removed`` run, then
+        ``run_dedup_incremental`` over every page, which re-ingests
+        exactly the removed ones (its stats carry the removal's
+        ``removed_found``).
+    A variant that writes files owns its own temporary directory, so no
+    later run rewrites a file an earlier result still reads."""
     key = (sf_dir, variant)
     if key not in _DEDUP_CACHE:
+        import os
         import tempfile
 
         from nxsearch_ray.pipelines.dedup import (run_dedup,
@@ -111,16 +127,37 @@ def _dedup(sf_dir: str, variant: str = "auto"):
                             cc_mode="labelprop")
         else:
             tmp = tempfile.TemporaryDirectory(prefix=f"dedup_{variant}_")
-            if variant == "incremental":
+            if variant == "onefile":
+                import pyarrow.parquet as pq
+
+                from nxsearch_ray.sources.pages import pages_table
+
+                t = pages_table(sf_dir)
+                pq.write_table(t, os.path.join(tmp.name, "pages.parquet"),
+                               row_group_size=max(1, t.num_rows // 8))
+                res = run_dedup(_read_parquet(tmp.name), _CFG)
+            elif variant == "incremental":
                 run_dedup(_where(pages, lambda p: p % 2 == 0), _CFG,
                           out_dir=tmp.name)
                 res = run_dedup_incremental(pages, _CFG, out_dir=tmp.name)
+            elif variant == "resumed":
+                from nxsearch_ray.state.lineage import manifest_path
+
+                run_dedup(pages, _CFG, out_dir=tmp.name)
+                for name in ("verified_pairs", "clusters"):
+                    os.remove(manifest_path(tmp.name, name))
+                res = run_dedup(pages, _CFG, out_dir=tmp.name)
             else:
                 run_dedup(pages, _CFG, out_dir=tmp.name)
                 ids = _pages(sf_dir, include_html=False).select_columns(
                     ["page_id"]).to_pandas()["page_id"].to_numpy()
                 res = run_dedup_remove(ids[_removed(ids)], _CFG,
                                        out_dir=tmp.name)
+                if variant == "readded":
+                    found = res.stats["removed_found"]
+                    res = run_dedup_incremental(pages, _CFG,
+                                                out_dir=tmp.name)
+                    res.stats["removed_found"] = found
         _DEDUP_CACHE[key] = (res, tmp)
     return _DEDUP_CACHE[key][0]
 
@@ -903,47 +940,6 @@ def q_corpus_planted_copies(sf_dir: str):
     return grouped(keyed, ["doc_id"], fn, schema)
 
 
-def q_lm_perplexity(sf_dir: str):
-    """CCNet-style unigram LM quality scoring (stages/lmscore.py):
-    census with per-batch combiner -> one-task model fold -> broadcast
-    -> streaming vectorized scorer.  Twin computes the identical MLE
-    model in SQL (ln(n/N) divide-then-log, same tokenization as the
-    doc_stats family)."""
-    from nxsearch_ray.stages.lmscore import lm_perplexity
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return lm_perplexity(ds)
-
-
-def q_lm_perplexity_ngram(sf_dir: str):
-    """CCNet's operative filter shape, reference-free: interpolated
-    Kneser-Ney BIGRAM perplexity (stages/lmscore.py lm_perplexity_kn,
-    order=2) — bigram census combiner -> one-task model fold
-    (contexts, continuation counts, discount 0.75) -> broadcast ->
-    stateless vectorized scorer.  Twin computes the identical model
-    in SQL."""
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return lm_perplexity_kn(ds, order=2)
-
-
-def q_lm_perplexity_trigram(sf_dir: str):
-    """One order closer to CCNet's 5-gram KenLM: interpolated
-    Kneser-Ney TRIGRAM perplexity (stages/lmscore.py
-    lm_perplexity_kn, order=3) — trigram census combiner -> one-task
-    model fold (Chen-Goodman continuation counts all derived from
-    trigram types, discount 0.75) -> broadcast -> stateless
-    vectorized scorer.  Twin computes the identical model in SQL."""
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return lm_perplexity_kn(ds, order=3)
-
-
 class _SeenGuard:
     """One task-wave pass combining the Bloom probe (broadcast bitmap,
     the 10^12-doc incremental-ingest path) with the exact membership
@@ -1025,32 +1021,6 @@ def q_url_seen_guard(sf_dir: str):
         functools.partial(_SeenGuard, m_bits=m_bits, k=k))
 
 
-def q_lm_perplexity_quadgram(sf_dir: str):
-    """One order below CCNet's operative 5-gram KenLM: interpolated
-    Kneser-Ney 4-GRAM perplexity (stages/lmscore.py
-    lm_perplexity_kn, order=4), every lower order's continuation
-    counts derived from the next order's types — the same order-n
-    census -> fold -> broadcast -> score dataflow as the bigram and
-    trigram queries."""
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return lm_perplexity_kn(ds, order=4)
-
-
-def q_lm_perplexity_kn5(sf_dir: str):
-    """CCNet's operative order: interpolated Kneser-Ney 5-GRAM
-    perplexity (stages/lmscore.py lm_perplexity_kn, order=5) — the
-    quadgram query's dataflow one level deeper.  Twin computes the
-    identical model in SQL."""
-    from nxsearch_ray.stages.lmscore import lm_perplexity_kn
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return lm_perplexity_kn(ds, order=5)
-
-
 def q_url_cardinality(sf_dir: str):
     """HyperLogLog distinct-count sketch (stages/hll.py): distinct
     base urls estimated in ONE shuffle-free streaming pass (per-block
@@ -1080,22 +1050,6 @@ def q_url_cardinality(sf_dir: str):
     ok = abs(est / max(n_exact, 1) - 1.0) <= 5 * 1.04 / (1 << p) ** 0.5
     return pa.table({"n_exact": pa.array([n_exact], type=pa.int64()),
                      "rel_err_ok": pa.array([ok])})
-
-
-def q_query_probe(sf_dir: str):
-    """Probe-side near-dup search: query the corpus signatures with
-    the first document's text — its orig + copy pages must match."""
-    import pyarrow.parquet as pq
-
-    from nxsearch_ray.pipelines.query import query_near_duplicates
-    from nxsearch_ray.stages.signatures import canonsig_stage
-
-    probe_text = pq.read_table(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    ).column("text")[0].as_py()
-    sigs = canonsig_stage(_pages(sf_dir), _CFG).materialize()
-    out = query_near_duplicates(sigs, probe_text, _CFG)
-    return out.select_columns(["page_id", "keep"])
 
 
 def q_bucket_census(sf_dir: str):
@@ -1164,14 +1118,10 @@ def q_bucket_census(sf_dir: str):
                             ("exact", "shingle_set", "band_fanout"))
 
 
-# search operators run with filters=() so the DuckDB oracle can mirror
-# tokenization exactly (no stemmer/stopwords in ANSI SQL); the full
-# filter-chain path is pinned by tests/test_search.py against the
-# reference's own t_scoring.c goldens instead
+# the canonicalization and signature twins run with filters=() so the
+# DuckDB oracle can mirror tokenization exactly (no stemmer/stopwords
+# in ANSI SQL); the filter chain itself is pinned by tests/test_filters.py
 _SEARCH_CFG = PipelineConfig(filters=())
-_TERM_QUERY = "hash AND (join OR merge) AND NOT vector"
-_BM25_QUERY = "hash join merge"
-_BM25_LIMIT = 500
 # RE2-safe equivalent of functions/tokenizer._TOKEN_RE (lookaheads
 # rewritten as consuming alternatives)
 _SQL_TOKEN_RE = (r"[\pL\pN\pM\p{Pc}]+"
@@ -1192,6 +1142,8 @@ def _sql_tokens(col: str) -> str:
     return (f"flatten(list_transform(regexp_extract_all({col}, "
             f"'{_SQL_TOKEN_RE}'), x -> regexp_extract_all(x, "
             f"'{_SQL_PASS2_RE}')))")
+
+
 _CANON_DOCS_CACHE: dict[str, Any] = {}
 
 
@@ -1204,60 +1156,6 @@ def _canonical_docs(sf_dir: str):
         _CANON_DOCS_CACHE[sf_dir] = canonicalize_stage(
             ds, _SEARCH_CFG).materialize()
     return _CANON_DOCS_CACHE[sf_dir]
-
-
-def q_term_search(sf_dir: str):
-    from nxsearch_ray.stages.search import term_search_docs
-
-    return term_search_docs(_canonical_docs(sf_dir), _TERM_QUERY,
-                            _SEARCH_CFG, id_col="doc_id")
-
-
-def q_bm25_topk(sf_dir: str):
-    import pyarrow.compute as pc
-
-    from nxsearch_ray.stages.search import term_search
-
-    t = term_search(_canonical_docs(sf_dir), _BM25_QUERY, _SEARCH_CFG,
-                    algo="bm25", limit=_BM25_LIMIT, id_col="doc_id")
-    return t.set_column(1, "score", pc.round(t.column("score"), 4))
-
-
-def q_tfidf_topk(sf_dir: str):
-    import pyarrow.compute as pc
-
-    from nxsearch_ray.stages.search import term_search
-
-    t = term_search(_canonical_docs(sf_dir), _BM25_QUERY, _SEARCH_CFG,
-                    algo="tfidf", limit=_BM25_LIMIT, id_col="doc_id")
-    return t.set_column(1, "score", pc.round(t.column("score"), 4))
-
-
-_FUZZY_PROBES = ("hashh", "jion", "mege", "custmer", "zzzqqq")
-
-
-def q_fuzzy_lookup(sf_dir: str):
-    """Fuzzy term lookup (idxterm_fuzzysearch semantics) over the
-    documents vocabulary: tolerance 2, exact hit wins, else most
-    frequent term, tie → smallest term."""
-    import ray.data
-
-    from nxsearch_ray.stages.canonicalize import canonicalize_stage
-    from nxsearch_ray.stages.fuzzy import (
-        build_vocab_index_ref,
-        fuzzy_lookup,
-        vocabulary,
-    )
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text", "lang"])
-    canonical = canonicalize_stage(ds, _SEARCH_CFG,
-                                   include_tokens=True).materialize()
-    vref = build_vocab_index_ref(vocabulary(canonical))
-    probes = ray.data.from_arrow(pa.table(
-        {"word": list(_FUZZY_PROBES)}))
-    out = fuzzy_lookup(probes, vref)
-    return out.select_columns(["word", "matched_term", "distance"])
 
 
 # ------------------------------------------------------------------
@@ -1285,10 +1183,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_pairs": q_dedup_pairs,
         "dedup_exact_verify": q_dedup_exact_verify,
         "cluster_sizes": q_cluster_sizes,
-        # the same three invariants over the scale-path plans, an
-        # incremental ingest and a removal (see _dedup)
+        # the same three invariants over every other dedup variant
         **{f"{name}_{variant}": partial(fn, variant=variant)
-           for variant in ("scale", "incremental", "removed")
+           for variant in _DEDUP_VARIANTS
            for name, fn in (("dedup_pairs", q_dedup_pairs),
                             ("dedup_exact_verify", q_dedup_exact_verify),
                             ("cluster_sizes", q_cluster_sizes))},
@@ -1315,35 +1212,25 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "corpus_neardup_valid": q_corpus_neardup_valid,
         "corpus_semantic_valid": q_corpus_semantic_valid,
         "corpus_planted_copies": q_corpus_planted_copies,
-        "lm_perplexity": q_lm_perplexity,
-        "lm_perplexity_ngram": q_lm_perplexity_ngram,
-        "lm_perplexity_trigram": q_lm_perplexity_trigram,
-        "lm_perplexity_quadgram": q_lm_perplexity_quadgram,
-        "lm_perplexity_kn5": q_lm_perplexity_kn5,
         "canonicalize_plain": q_canonicalize_plain,
         "bucket_census": q_bucket_census,
-        "term_search": q_term_search,
-        "bm25_topk": q_bm25_topk,
-        "tfidf_topk": q_tfidf_topk,
-        "fuzzy_lookup": q_fuzzy_lookup,
         "url_seen_guard": q_url_seen_guard,
         "url_cardinality": q_url_cardinality,
         # ---- rows-only (no_oracle) queries, pytest/invariant-gated --
         "semantic_dedup_clustered": q_semantic_dedup_clustered,
-        "query_probe": q_query_probe,
     }
 
 
 def dedup_oracles() -> dict[str, str]:
     """Twins of the three dedup invariants over every dedup variant
-    (see ``_dedup``).  The scale-path and incremental plans give the
-    auto run's answers, so they share its SQL; the removal twin runs it
-    over the pages that survive the removal."""
+    (see ``_dedup``).  Every variant but the removal covers all the
+    pages and gives the auto run's answers, so it shares its SQL; the
+    removal twin runs it over the pages that survive the removal."""
     removed = "(SELECT * FROM pages WHERE (page_id // 4) % 10 <> 3) kept"
     out = {}
-    for suffix, pages in (("", "pages"), ("_scale", "pages"),
-                          ("_incremental", "pages"),
-                          ("_removed", removed)):
+    for variant in ("auto",) + _DEDUP_VARIANTS:
+        suffix = "" if variant == "auto" else f"_{variant}"
+        pages = removed if variant == "removed" else "pages"
         out.update({
             # every md5-identical page group must land in exactly one
             # cluster whose id is the component-min page id — the SQL
@@ -1608,34 +1495,6 @@ SELECT t.doc_id,
 FROM t LEFT JOIN (SELECT doc_id, lang FROM best WHERE rn = 1) b
 USING (doc_id)
 """,
-        "term_search": f"""
-WITH tok AS (SELECT doc_id,
-                    {_sql_tokens('text')} AS ts
-             FROM documents)
-SELECT doc_id FROM tok
-WHERE list_contains(ts, 'hash')
-  AND (list_contains(ts, 'join') OR list_contains(ts, 'merge'))
-  AND NOT list_contains(ts, 'vector')
-""",
-        "bm25_topk": f"""
-WITH tok AS (SELECT doc_id,
-                    {_sql_tokens('text')} AS ts
-             FROM documents),
-stats AS (SELECT count(*) AS n, sum(len(ts)) AS tt FROM tok),
-terms(term) AS (VALUES ('hash'), ('join'), ('merge')),
-m AS (SELECT doc_id, term,
-             len(list_filter(ts, x -> x = term)) AS tf, len(ts) AS dl
-      FROM tok CROSS JOIN terms WHERE list_contains(ts, term)),
-df AS (SELECT term, count(*) AS df FROM m GROUP BY term)
-SELECT m.doc_id,
-       round(sum((ln(tf + 1)
-                  / (ln(tf + 1)
-                     + 1.2 * (1 - 0.75 + 0.75 * dl / (tt // n))))
-                 * ln((n - df + 0.5) / (df + 0.5) + 1)), 4) AS score
-FROM m JOIN df USING (term) CROSS JOIN stats
-GROUP BY m.doc_id
-ORDER BY score DESC, m.doc_id LIMIT {_BM25_LIMIT}
-""",
         "canonicalize_plain": f"""
 SELECT doc_id,
        len({_sql_tokens('text')}) AS doc_len,
@@ -1643,91 +1502,12 @@ SELECT doc_id,
            {_sql_tokens('text')})) AS n_unique
 FROM documents
 """,
-        "fuzzy_lookup": f"""
-WITH tok AS (SELECT unnest({_sql_tokens('text')}) AS term FROM documents),
-vocab AS (SELECT term, count(*) AS total FROM tok GROUP BY term),
-probes(word) AS (VALUES {", ".join(f"('{p}')" for p in _FUZZY_PROBES)}),
-cand AS (SELECT p.word, v.term, v.total,
-                levenshtein(p.word, v.term) AS d
-         FROM probes p JOIN vocab v
-           ON levenshtein(p.word, v.term) <= 2),
-best AS (SELECT word, term, d,
-                row_number() OVER (PARTITION BY word
-                    ORDER BY (d = 0) DESC, total DESC, term ASC) AS rn
-         FROM cand)
-SELECT p.word,
-       b.term AS matched_term,
-       coalesce(b.d, -1)::INTEGER AS distance
-FROM probes p
-LEFT JOIN (SELECT * FROM best WHERE rn = 1) b USING (word)
-""",
-        "tfidf_topk": f"""
-WITH tok AS (SELECT doc_id,
-                    {_sql_tokens('text')} AS ts
-             FROM documents),
-stats AS (SELECT count(*) AS n FROM tok),
-terms(term) AS (VALUES ('hash'), ('join'), ('merge')),
-m AS (SELECT doc_id, term,
-             len(list_filter(ts, x -> x = term)) AS tf
-      FROM tok CROSS JOIN terms WHERE list_contains(ts, term)),
-df AS (SELECT term, count(*) AS df FROM m GROUP BY term)
-SELECT m.doc_id,
-       round(sum(ln(tf + 1) * (ln(n / df) + 1)), 4) AS score
-FROM m JOIN df USING (term) CROSS JOIN stats
-GROUP BY m.doc_id
-ORDER BY score DESC, m.doc_id LIMIT {_BM25_LIMIT}
-""",
         "embedding_dups": """
 WITH e AS (SELECT vec_id, embedding::DOUBLE[] AS v FROM embeddings)
 SELECT a.vec_id AS a, b.vec_id AS b,
        list_cosine_similarity(a.v, b.v) AS cosine
 FROM e a JOIN e b ON a.vec_id < b.vec_id
 WHERE list_cosine_similarity(a.v, b.v) >= 0.45
-""",
-        "lm_perplexity": """
-WITH toks AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text), '\\S+')) AS w
-  FROM documents),
-cnt AS (SELECT w, count(*)::DOUBLE AS n FROM toks GROUP BY w),
-tot AS (SELECT sum(n) AS total FROM cnt)
-SELECT doc_id,
-       count(*)::BIGINT AS n_tokens,
-       avg(-ln(n / total)) AS logloss,
-       exp(avg(-ln(n / total))) AS perplexity
-FROM toks JOIN cnt USING (w) CROSS JOIN tot
-GROUP BY doc_id
-""",
-        "lm_perplexity_ngram": """
-WITH toks AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text), '\\S+')) AS w,
-         generate_subscripts(
-             regexp_extract_all(lower(text), '\\S+'), 1) AS pos
-  FROM documents),
-trans AS (
-  SELECT doc_id,
-         lag(w) OVER (PARTITION BY doc_id ORDER BY pos) AS w1,
-         w AS w2
-  FROM toks
-  QUALIFY w1 IS NOT NULL),
-big AS (SELECT w1, w2, count(*)::DOUBLE AS c12
-        FROM trans GROUP BY w1, w2),
-ctx AS (SELECT w1, sum(c12) AS c1, count(*)::DOUBLE AS fan1
-        FROM big GROUP BY w1),
-cont AS (SELECT w2, count(*)::DOUBLE AS n1p FROM big GROUP BY w2),
-tot AS (SELECT count(*)::DOUBLE AS b FROM big)
-SELECT doc_id,
-       count(*)::BIGINT AS n_transitions,
-       avg(-ln(p)) AS logloss,
-       exp(avg(-ln(p))) AS perplexity
-FROM (
-  SELECT t.doc_id,
-         (greatest(big.c12 - 0.75, 0) / ctx.c1
-          + 0.75 * ctx.fan1 / ctx.c1 * (cont.n1p / tot.b)) AS p
-  FROM trans t JOIN big USING (w1, w2) JOIN ctx USING (w1)
-  JOIN cont USING (w2) CROSS JOIN tot)
-GROUP BY doc_id
 """,
         "url_seen_guard": f"""
 WITH {PAGES_CTE},
@@ -1740,167 +1520,12 @@ SELECT page_id,
        true AS no_false_negative
 FROM probe
 """,
-        "lm_perplexity_quadgram": """
-WITH toks AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text), '\\S+')) AS w,
-         generate_subscripts(
-             regexp_extract_all(lower(text), '\\S+'), 1) AS pos
-  FROM documents),
-quad AS (
-  SELECT doc_id,
-         lag(w, 3) OVER (PARTITION BY doc_id ORDER BY pos) AS w1,
-         lag(w, 2) OVER (PARTITION BY doc_id ORDER BY pos) AS w2,
-         lag(w) OVER (PARTITION BY doc_id ORDER BY pos) AS w3,
-         w AS w4
-  FROM toks
-  QUALIFY w1 IS NOT NULL),
-qcen AS (SELECT w1, w2, w3, w4, count(*)::DOUBLE AS c1234
-         FROM quad GROUP BY w1, w2, w3, w4),
-ctx AS (SELECT w1, w2, w3, sum(c1234) AS c123,
-               count(*)::DOUBLE AS fan123
-        FROM qcen GROUP BY w1, w2, w3),
-t3 AS (SELECT w2, w3, w4, count(*)::DOUBLE AS n1p234
-       FROM qcen GROUP BY w2, w3, w4),
-m23 AS (SELECT w2, w3, count(*)::DOUBLE AS n1pm23
-        FROM qcen GROUP BY w2, w3),
-m23fan AS (SELECT w2, w3, count(*)::DOUBLE AS fanm23
-           FROM t3 GROUP BY w2, w3),
-t2 AS (SELECT w3, w4, count(*)::DOUBLE AS n1p34
-       FROM t3 GROUP BY w3, w4),
-m3 AS (SELECT w3, count(*)::DOUBLE AS n1pm3 FROM t3 GROUP BY w3),
-m3fan AS (SELECT w3, count(*)::DOUBLE AS fanm3 FROM t2 GROUP BY w3),
-cont AS (SELECT w4, count(*)::DOUBLE AS n1p4 FROM t2 GROUP BY w4),
-tot AS (SELECT count(*)::DOUBLE AS b FROM t2)
-SELECT doc_id,
-       count(*)::BIGINT AS n_transitions,
-       avg(-ln(p)) AS logloss,
-       exp(avg(-ln(p))) AS perplexity
-FROM (
-  SELECT q.doc_id,
-         (greatest(qcen.c1234 - 0.75, 0) / ctx.c123
-          + 0.75 * ctx.fan123 / ctx.c123
-            * (greatest(t3.n1p234 - 0.75, 0) / m23.n1pm23
-               + 0.75 * m23fan.fanm23 / m23.n1pm23
-                 * (greatest(t2.n1p34 - 0.75, 0) / m3.n1pm3
-                    + 0.75 * m3fan.fanm3 / m3.n1pm3
-                      * (cont.n1p4 / tot.b)))) AS p
-  FROM quad q JOIN qcen USING (w1, w2, w3, w4)
-  JOIN ctx USING (w1, w2, w3) JOIN t3 USING (w2, w3, w4)
-  JOIN m23 USING (w2, w3) JOIN m23fan USING (w2, w3)
-  JOIN t2 USING (w3, w4) JOIN m3 USING (w3) JOIN m3fan USING (w3)
-  JOIN cont USING (w4) CROSS JOIN tot)
-GROUP BY doc_id
-""",
-        "lm_perplexity_kn5": """
-WITH toks AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text), '\\S+')) AS w,
-         generate_subscripts(
-             regexp_extract_all(lower(text), '\\S+'), 1) AS pos
-  FROM documents),
-five AS (
-  SELECT doc_id,
-         lag(w, 4) OVER (PARTITION BY doc_id ORDER BY pos) AS w1,
-         lag(w, 3) OVER (PARTITION BY doc_id ORDER BY pos) AS w2,
-         lag(w, 2) OVER (PARTITION BY doc_id ORDER BY pos) AS w3,
-         lag(w) OVER (PARTITION BY doc_id ORDER BY pos) AS w4,
-         w AS w5
-  FROM toks
-  QUALIFY w1 IS NOT NULL),
-fcen AS (SELECT w1, w2, w3, w4, w5, count(*)::DOUBLE AS c12345
-         FROM five GROUP BY w1, w2, w3, w4, w5),
-ctx AS (SELECT w1, w2, w3, w4, sum(c12345) AS c1234,
-               count(*)::DOUBLE AS fan1234
-        FROM fcen GROUP BY w1, w2, w3, w4),
-t4 AS (SELECT w2, w3, w4, w5, count(*)::DOUBLE AS n1p2345
-       FROM fcen GROUP BY w2, w3, w4, w5),
-m234 AS (SELECT w2, w3, w4, count(*)::DOUBLE AS n1pm234
-         FROM fcen GROUP BY w2, w3, w4),
-m234fan AS (SELECT w2, w3, w4, count(*)::DOUBLE AS fanm234
-            FROM t4 GROUP BY w2, w3, w4),
-t3 AS (SELECT w3, w4, w5, count(*)::DOUBLE AS n1p345
-       FROM t4 GROUP BY w3, w4, w5),
-m34 AS (SELECT w3, w4, count(*)::DOUBLE AS n1pm34
-        FROM t4 GROUP BY w3, w4),
-m34fan AS (SELECT w3, w4, count(*)::DOUBLE AS fanm34
-           FROM t3 GROUP BY w3, w4),
-t2 AS (SELECT w4, w5, count(*)::DOUBLE AS n1p45
-       FROM t3 GROUP BY w4, w5),
-m4 AS (SELECT w4, count(*)::DOUBLE AS n1pm4 FROM t3 GROUP BY w4),
-m4fan AS (SELECT w4, count(*)::DOUBLE AS fanm4 FROM t2 GROUP BY w4),
-cont AS (SELECT w5, count(*)::DOUBLE AS n1p5 FROM t2 GROUP BY w5),
-tot AS (SELECT count(*)::DOUBLE AS b FROM t2)
-SELECT doc_id,
-       count(*)::BIGINT AS n_transitions,
-       avg(-ln(p)) AS logloss,
-       exp(avg(-ln(p))) AS perplexity
-FROM (
-  SELECT f.doc_id,
-         (greatest(fcen.c12345 - 0.75, 0) / ctx.c1234
-          + 0.75 * ctx.fan1234 / ctx.c1234
-            * (greatest(t4.n1p2345 - 0.75, 0) / m234.n1pm234
-               + 0.75 * m234fan.fanm234 / m234.n1pm234
-                 * (greatest(t3.n1p345 - 0.75, 0) / m34.n1pm34
-                    + 0.75 * m34fan.fanm34 / m34.n1pm34
-                      * (greatest(t2.n1p45 - 0.75, 0) / m4.n1pm4
-                         + 0.75 * m4fan.fanm4 / m4.n1pm4
-                           * (cont.n1p5 / tot.b))))) AS p
-  FROM five f JOIN fcen USING (w1, w2, w3, w4, w5)
-  JOIN ctx USING (w1, w2, w3, w4) JOIN t4 USING (w2, w3, w4, w5)
-  JOIN m234 USING (w2, w3, w4) JOIN m234fan USING (w2, w3, w4)
-  JOIN t3 USING (w3, w4, w5) JOIN m34 USING (w3, w4)
-  JOIN m34fan USING (w3, w4) JOIN t2 USING (w4, w5)
-  JOIN m4 USING (w4) JOIN m4fan USING (w4)
-  JOIN cont USING (w5) CROSS JOIN tot)
-GROUP BY doc_id
-""",
         "url_cardinality": f"""
 WITH {PAGES_CTE}
 SELECT count(DISTINCT
          regexp_replace(url, '/(copy|tail)$', ''))::BIGINT AS n_exact,
        true AS rel_err_ok
 FROM pages
-""",
-        "lm_perplexity_trigram": """
-WITH toks AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text), '\\S+')) AS w,
-         generate_subscripts(
-             regexp_extract_all(lower(text), '\\S+'), 1) AS pos
-  FROM documents),
-tri AS (
-  SELECT doc_id,
-         lag(w, 2) OVER (PARTITION BY doc_id ORDER BY pos) AS w1,
-         lag(w) OVER (PARTITION BY doc_id ORDER BY pos) AS w2,
-         w AS w3
-  FROM toks
-  QUALIFY w1 IS NOT NULL),
-tcen AS (SELECT w1, w2, w3, count(*)::DOUBLE AS c123
-         FROM tri GROUP BY w1, w2, w3),
-ctx AS (SELECT w1, w2, sum(c123) AS c12, count(*)::DOUBLE AS fan12
-        FROM tcen GROUP BY w1, w2),
-t2 AS (SELECT w2, w3, count(*)::DOUBLE AS n1p23
-       FROM tcen GROUP BY w2, w3),
-mid AS (SELECT w2, count(*)::DOUBLE AS n1pmid FROM tcen GROUP BY w2),
-midfan AS (SELECT w2, count(*)::DOUBLE AS fanmid FROM t2 GROUP BY w2),
-cont AS (SELECT w3, count(*)::DOUBLE AS n1p3 FROM t2 GROUP BY w3),
-tot AS (SELECT count(*)::DOUBLE AS b FROM t2)
-SELECT doc_id,
-       count(*)::BIGINT AS n_transitions,
-       avg(-ln(p)) AS logloss,
-       exp(avg(-ln(p))) AS perplexity
-FROM (
-  SELECT t.doc_id,
-         (greatest(tcen.c123 - 0.75, 0) / ctx.c12
-          + 0.75 * ctx.fan12 / ctx.c12
-            * (greatest(t2.n1p23 - 0.75, 0) / mid.n1pmid
-               + 0.75 * midfan.fanmid / mid.n1pmid
-                 * (cont.n1p3 / tot.b))) AS p
-  FROM tri t JOIN tcen USING (w1, w2, w3) JOIN ctx USING (w1, w2)
-  JOIN t2 USING (w2, w3) JOIN mid USING (w2)
-  JOIN midfan USING (w2) JOIN cont USING (w3) CROSS JOIN tot)
-GROUP BY doc_id
 """,
         "semantic_dedup": f"""
 WITH e AS (SELECT vec_id, embedding::DOUBLE[] AS v FROM embeddings),

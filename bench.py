@@ -193,10 +193,8 @@ def run_benchmarks() -> dict:
     qs = entry.queries()
     for name in ("extract_text", "exact_dedup", "doc_stats",
                  "ngram_jaccard", "line_dedup", "repetition_stats",
-                 "bm25_topk", "pii_scrub", "decontaminate",
-                 "gopher_quality", "url_blocklist", "web_clean",
-                 "lm_perplexity", "lm_perplexity_trigram",
-                 "semantic_dedup"):
+                 "pii_scrub", "decontaminate", "gopher_quality",
+                 "url_blocklist", "web_clean", "semantic_dedup"):
         def runq(name=name):
             out = qs[name](SF_DIR)
             if hasattr(out, "materialize"):

@@ -11,7 +11,8 @@ The reference accepts user filters two ways (SURVEY.md §2.10):
     (reference src/core/filters_lua.c:224-289,
     docs/lua-filters-api.md:19-80).
 
-Here the same contract binds Python plugin files: a ``.py`` file that
+Here the files are the ones ``PipelineConfig.plugin_files`` lists, and
+the same contract binds Python plugin files: a ``.py`` file that
 defines module-level ``filter(ctx, value)`` (plus optional ``create``/
 ``destroy``/``cleanup``) is loaded with importlib and registered under
 its stem.  Returning ``None`` discards the token; returning a string
@@ -172,17 +173,3 @@ def ensure_plugins(paths) -> None:
         else:
             load_python_filter(path)
 
-
-def load_filters_from_dir(dirpath: str) -> list[str]:
-    """Register every plugin file in a directory — the service-init
-    scan (reference svc-src/nxsearch_svc.lua:24-34).  Both ``.py`` and
-    ``.lua`` files load (the latter through lupa or the embedded
-    interpreter)."""
-    names = []
-    for fname in sorted(os.listdir(dirpath)):
-        path = os.path.join(dirpath, fname)
-        if fname.endswith(".py"):
-            names.append(load_python_filter(path))
-        elif fname.endswith(".lua"):
-            names.append(load_lua_filter(path))
-    return names

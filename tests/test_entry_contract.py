@@ -40,21 +40,20 @@ def test_expected_query_inventory():
     expected = {
         "pages_build", "extract_text", "exact_dedup", "doc_stats",
         "lang_counts", "ngram_jaccard", "fingerprint", "dedup_pairs",
-        "cluster_sizes", "langid", "embedding_dups",
-        "query_probe", "bucket_census",
+        "cluster_sizes", "langid", "embedding_dups", "bucket_census",
         "dedup_exact_verify", "signatures_plain", "canonicalize_plain",
         "pii_scrub", "decontaminate", "gopher_quality", "url_blocklist",
         "web_clean", "url_seen_guard", "url_cardinality",
-        "lm_perplexity", "lm_perplexity_ngram", "lm_perplexity_trigram",
-        "lm_perplexity_quadgram", "lm_perplexity_kn5", "semantic_dedup",
-        "semantic_dedup_clustered", "semdedup_clustered_verify",
-        "dedup_pairs_scale", "dedup_exact_verify_scale",
-        "cluster_sizes_scale", "dedup_pairs_incremental",
-        "dedup_exact_verify_incremental", "cluster_sizes_incremental",
-        "dedup_pairs_removed", "dedup_exact_verify_removed",
-        "cluster_sizes_removed",
+        "semantic_dedup", "semantic_dedup_clustered",
+        "semdedup_clustered_verify",
+        *(f"{name}_{variant}"
+          for variant in ("scale", "incremental", "removed", "onefile",
+                          "resumed", "readded")
+          for name in ("dedup_pairs", "dedup_exact_verify",
+                       "cluster_sizes")),
         "corpus_decisions", "corpus_exact_groups", "corpus_neardup_valid",
         "corpus_semantic_valid", "corpus_planted_copies",
+        "repetition_stats", "url_canonical", "line_dedup",
     }
     missing = expected - q
     assert not missing, f"queries() lost entries: {missing}"
@@ -140,13 +139,30 @@ def test_dedup_variants_reach_their_plans(ray_session):
     """Each graded dedup variant runs the path it grades — so an
     ``auto`` fallback cannot silently grade the broadcast plan — and
     all three dedup invariants hold on its result (sf0.001)."""
+    import pyarrow.parquet as pq
+
     sf = "/root/testdata/sf0.001"
-    variants = ("scale", "incremental", "removed")
+    variants = ("scale", "incremental", "removed", "onefile", "resumed",
+                "readded")
     stats = {v: entry_mod._dedup(sf, v).stats for v in variants}
     assert stats["scale"]["verify_plan"] == "bucketed"
     assert stats["scale"]["cc_plan"] == "labelprop"
     assert stats["incremental"]["incremental_new_pages"] > 0
     assert stats["removed"]["removed_found"] > 0
+    # one file of >= 8 row groups, read as the run's only input
+    files = list(Path(entry_mod._DEDUP_CACHE[(sf, "onefile")][1].name)
+                 .iterdir())
+    assert len(files) == 1
+    assert pq.ParquetFile(files[0]).metadata.num_row_groups >= 8
+    # signatures resumes; the stages whose manifests were lost rerun
+    resumed = {r["stage"]: r["resumed"]
+               for r in stats["resumed"]["stages"]}
+    assert resumed["signatures"] is True
+    assert resumed["verified_pairs"] is False
+    assert resumed["clusters"] is False
+    # the re-ingest adds back exactly the pages the removal took out
+    assert stats["readded"]["removed_found"] \
+        == stats["readded"]["incremental_new_pages"] > 0
     for v in variants:
         _assert_dedup_invariants(sf, v)
 

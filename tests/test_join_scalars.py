@@ -4,25 +4,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from nxsearch_ray.functions.levdist import levenshtein
-
-
-def test_levenshtein_reference_cases():
-    # the classic cases the reference's t_levdist suite pins
-    assert levenshtein("", "") == 0
-    assert levenshtein("abc", "abc") == 0
-    assert levenshtein("kitten", "sitting") == 3
-    assert levenshtein("flaw", "lawn") == 2
-    assert levenshtein("a", "") == 1
-    assert levenshtein("", "abc") == 3
-    assert levenshtein("book", "back") == 2
-
-
-def test_levenshtein_cap():
-    assert levenshtein("aaaaaaaa", "bbbbbbbb", cap=2) == 3
-    assert levenshtein("abcdef", "abcdxf", cap=2) == 1
-    assert levenshtein("short", "muchlongerstring", cap=3) == 4
-
 
 def test_semi_anti_join(ray_session):
     import ray.data as rd

@@ -333,28 +333,6 @@ def test_hash_join_correct(ray_session):
         (3, 30, [3, 3])]
 
 
-# ------------------------------------------------------------- query API
-
-def test_query_near_duplicates(ray_session):
-    import ray.data as rd
-
-    from nxsearch_ray.pipelines.query import query_near_duplicates
-    from nxsearch_ray.sources.synth import synth_pages
-    from nxsearch_ray.stages.signatures import canonsig_stage
-
-    cfg = PipelineConfig()
-    tbl = synth_pages(200, seed=13)
-    sigs = canonsig_stage(
-        rd.from_arrow(tbl.drop_columns(["html"])), cfg).materialize()
-    probe_text = tbl.column("text")[0].as_py()
-    probe_pid = tbl.column("page_id")[0].as_py()
-    out = query_near_duplicates(sigs, probe_text, cfg)
-    got = pa.concat_tables(out.iter_batches(batch_size=1000,
-                                            batch_format="pyarrow"))
-    kept = {r["page_id"] for r in got.to_pylist() if r["keep"]}
-    assert probe_pid in kept  # the doc itself is an exact match
-
-
 # ----------------------------------------------------------- diagnostics
 
 def test_bucket_census(ray_session):

@@ -8,11 +8,7 @@ import textwrap
 import pytest
 
 from nxsearch_ray.functions.filters import FilterPipeline
-from nxsearch_ray.functions.plugins import (
-    load_filters_from_dir,
-    load_lua_filter,
-    load_python_filter,
-)
+from nxsearch_ray.functions.plugins import load_lua_filter, load_python_filter
 
 PLUGIN_SRC = textwrap.dedent('''
     """Strips a configured prefix; discards tokens containing digits —
@@ -54,15 +50,6 @@ def test_plugin_in_chain_with_builtins(plugin_file):
     fp = FilterPipeline(("normalizer", "strip-prefix", "stemmer"),
                         {"lang": "en"})
     assert fp.run("xxJumping") == "jump"
-
-
-def test_load_dir(tmp_path):
-    (tmp_path / "shout.py").write_text(
-        "def filter(ctx, value):\n    return value.upper()\n")
-    names = load_filters_from_dir(str(tmp_path))
-    assert names == ["shout"]
-    fp = FilterPipeline(("shout",), {})
-    assert fp.run("quiet") == "QUIET"
 
 
 def test_plugin_without_filter_fn_rejected(tmp_path):

@@ -230,15 +230,39 @@ def test_grouped_more_partitions_than_rows(ray_session, width):
     assert sum(b.num_rows > 0 for b in blocks) <= 2
 
 
+def _gram_census(ds, order: int):
+    """(w1..wn, n) census of the lower-cased whitespace n-grams of
+    ``text`` on ``grouped``: the exchange's split explodes each block
+    into one row per n-gram, and each run of equal n-grams counts its
+    rows."""
+    cols = [f"w{i}" for i in range(1, order + 1)]
+
+    def explode(t: pa.Table) -> pa.Table:
+        grams = [ws[i:i + order]
+                 for ws in (s.lower().split()
+                            for s in t.column("text").to_pylist())
+                 for i in range(len(ws) - order + 1)]
+        return pa.table({c: pa.array([g[j] for g in grams], pa.string())
+                         for j, c in enumerate(cols)})
+
+    def count(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ends = np.append(starts[1:], t.num_rows)
+        return t.select(cols).take(starts).append_column(
+            "n", pa.array(ends - starts, pa.int64()))
+
+    schema = pa.schema([(c, pa.string()) for c in cols]
+                       + [("n", pa.int64())])
+    return shuffle.grouped(ds, cols, count, schema, split_map=explode)
+
+
 def test_grouped_censuses_match_counter(ray_session):
     """The censuses on ``grouped`` equal a plain-Python Counter on a
-    seeded table: the unigram and trigram LM censuses and the
-    boilerplate line census."""
+    seeded table: a unigram and a trigram census (``_gram_census``)
+    and the boilerplate line census."""
     import ray
     import ray.data as rd
 
     from nxsearch_ray.stages.linededup import boilerplate_keys, reflow_lines
-    from nxsearch_ray.stages.lmscore import ngram_census, unigram_census
 
     rng = np.random.default_rng(7)
     vocab = [f"w{k}" for k in range(40)] + ["Nav", "nav", "x:y"]
@@ -253,9 +277,9 @@ def test_grouped_censuses_match_counter(ray_session):
         return {tuple(r[c] for c in cols): r["n"]
                 for r in out.take_all()}
 
-    assert census(unigram_census(ds), ["word"]) \
+    assert census(_gram_census(ds, 1), ["w1"]) \
         == Counter((w,) for ws in toks for w in ws)
-    assert census(ngram_census(ds, 3), ["w1", "w2", "w3"]) \
+    assert census(_gram_census(ds, 3), ["w1", "w2", "w3"]) \
         == Counter(tuple(ws[i:i + 3]) for ws in toks
                    for i in range(len(ws) - 2))
 
