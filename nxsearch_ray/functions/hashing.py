@@ -48,6 +48,17 @@ def _seg_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - excl, counts) + np.arange(total, dtype=np.int64)
 
 
+def seg_triu(starts: np.ndarray, counts: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j), i < j, inside each segment [s, s+c),
+    segment by segment in ``np.triu_indices(c, k=1)`` order: the
+    all-pairs of many buckets at once, with no per-bucket Python."""
+    rows = _seg_arange(starts, counts)
+    after = np.repeat(np.asarray(starts, dtype=np.int64) + counts,
+                      counts) - 1 - rows
+    return np.repeat(rows, after), _seg_arange(rows + 1, after)
+
+
 def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """splitmix64 of the uint64 array ``z``, written into ``z`` (``tmp``
     is scratch of its shape).  uint64 arithmetic wraps mod 2^64, so it

@@ -12,9 +12,11 @@ Skew policy (SURVEY.md §4 "Skew / stragglers"): inside a bucket of n
 docs we emit all C(n,2) pairs only while n ≤ ``hot_bucket_cap``;
 beyond that the bucket is near-certainly boilerplate and a *spanning
 chain* over the sorted doc ids preserves connectivity for the
-union-find with n-1 pairs instead of O(n²).  The same policy function
-is used by the distributed stage and the pure-python oracle so their
-outputs match exactly.
+union-find with n-1 pairs instead of O(n²); an anchor bucket of more
+than ``anchor_bucket_max`` docs emits nothing.  ``pairs_within`` states
+the policy for one bucket, and the pure-python oracle applies it bucket
+by bucket; ``multi_candidate_pairs`` applies it to every bucket of a
+partition at once with array ops, and the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -132,13 +134,16 @@ def explode_all(cfg_json: str):
 def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
     """All candidate passes in ONE grouped scan (stages/shuffle.grouped):
     explode_all, inside the exchange's split of each signature block →
-    one run per (bucket_key, src) bucket, complete in its partition →
-    pairs within each run.  Returns (a, b, src int8-code, aux) pairs."""
+    one run per (bucket_key, src) bucket, complete in its partition and
+    sorted by page → pairs within every run from one vectorized scan
+    (``pairs_within``'s policy per run, the SimHash Hamming rule, each
+    page's first-occurrence aux), with no Python loop over runs.
+    Returns (a, b, src int8-code, aux) pairs."""
     from nxsearch_ray.stages.shuffle import grouped
 
-    cap = cfg.hot_bucket_cap
-    skip_by_src = {3: cfg.anchor_bucket_max}
+    cap, skip_over = cfg.hot_bucket_cap, cfg.anchor_bucket_max
     SIMHASH_CODE = SRC_NAMES.index("simhash")
+    ANCHOR_CODE = SRC_NAMES.index("suffix")
     max_ham = cfg.simhash_hamming
     # pair rows carry the int8 source CODE, not the name: the pair
     # stream is the widest intermediate and strings triple its width.
@@ -151,66 +156,48 @@ def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
         ("aux", pa.int64())])
 
     def runs_fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        ids = t.column("page_id").to_numpy()
-        srcs = t.column("src").to_numpy()
-        auxs = t.column("aux").to_numpy()
-        a_out, b_out, s_out, x_out = [], [], [], []
+        # the rows of runs with ≥ 2 rows, each run sorted by page
         counts = np.diff(starts, append=t.num_rows)
-        # vectorized fast path: 2-member runs are the overwhelming
-        # majority of non-singleton buckets — emit their single
-        # pair with pure array ops, no per-run Python
-        s2 = starts[counts == 2]
-        if len(s2):
-            x = ids[s2]
-            y = ids[s2 + 1]
-            code2 = srcs[s2]
-            ok = x != y
-            is_sim = code2 == SIMHASH_CODE
-            if is_sim.any():
-                ham = H.hamming64(auxs[s2].view(_U64),
-                                  auxs[s2 + 1].view(_U64))
-                ok &= ~is_sim | (ham <= max_ham)
-            lo = np.minimum(x, y)[ok]
-            hi = np.maximum(x, y)[ok]
-            a_out.append(lo)
-            b_out.append(hi)
-            s_out.append(code2[ok])
-            pair_aux = np.minimum(auxs[s2], auxs[s2 + 1])
-            pair_aux[is_sim] = 0
-            x_out.append(pair_aux[ok])
-        # slow path: runs of ≥3 (rare; skew policy applies)
-        for r in np.nonzero(counts >= 3)[0]:
-            s, c = starts[r], counts[r]
-            code = int(srcs[s])
-            u, uidx = np.unique(ids[s:s + c], return_index=True)
-            a, b = pairs_within(ids[s:s + c], cap,
-                                skip_by_src.get(code))
-            ua = auxs[s:s + c][uidx]
-            xa = ua[np.searchsorted(u, a)]
-            xb = ua[np.searchsorted(u, b)]
-            if code == SIMHASH_CODE:
-                keep = H.hamming64(xa.view(_U64),
-                                   xb.view(_U64)) <= max_ham
-                a, b = a[keep], b[keep]
-                pair_aux = np.zeros(len(a), dtype=np.int64)
-            else:
-                pair_aux = np.minimum(xa, xb)
-            a_out.append(a)
-            b_out.append(b)
-            s_out.append(np.full(len(a), code, dtype=np.int8))
-            x_out.append(pair_aux)
-        a_all = np.concatenate(a_out) if a_out else np.empty(0, np.int64)
-        b_all = np.concatenate(b_out) if b_out else np.empty(0, np.int64)
-        s_all = np.concatenate(s_out) if s_out else np.empty(0, np.int8)
-        x_all = np.concatenate(x_out) if x_out else np.empty(0, np.int64)
+        multi = counts >= 2
+        starts, counts = starts[multi], counts[multi]
+        rows = H._seg_arange(starts, counts)
+        ids = t.column("page_id").to_numpy()[rows]
+        auxs = t.column("aux").to_numpy()[rows]
+        code = t.column("src").to_numpy()[starts]
+        # each page's first row in its run: the sort is stable, so it
+        # is the page's first occurrence, the row whose aux counts
+        head = np.zeros(len(ids), dtype=bool)
+        head[np.cumsum(counts) - counts] = True
+        first = head.copy()
+        first[1:] |= ids[1:] != ids[:-1]
+        run = np.cumsum(head)[first] - 1
+        ids, auxs = ids[first], auxs[first]
+        # pairs_within's policy over every run at once, run r holding
+        # m[r] distinct pages from off[r]: anchor runs over skip_over
+        # emit nothing, runs up to cap every i<j pair, larger runs the
+        # sorted chain
+        m = np.bincount(run, minlength=len(counts))
+        off = np.cumsum(m) - m
+        emit = ~((code == ANCHOR_CODE) & (m > skip_over))
+        full, chain = emit & (m <= cap), emit & (m > cap)
+        ia, ib = H.seg_triu(off[full], m[full])
+        ic = H._seg_arange(off[chain], m[chain] - 1)
+        ia, ib = np.concatenate([ia, ic]), np.concatenate([ib, ic + 1])
+        pcode = code[run[ia]]
+        xa, xb = auxs[ia], auxs[ib]
+        is_sim = pcode == SIMHASH_CODE
+        ok = np.ones(len(ia), dtype=bool)
+        ok[is_sim] = H.hamming64(xa[is_sim].view(_U64),
+                                 xb[is_sim].view(_U64)) <= max_ham
+        pair_aux = np.where(is_sim, 0, np.minimum(xa, xb))
         return pa.Table.from_arrays(
-            [pa.array(a_all), pa.array(b_all),
-             pa.array(s_all, type=pa.int8()),
-             pa.array(x_all.astype(np.int64))],
-            schema=out_schema)
+            [pa.array(ids[ia][ok]), pa.array(ids[ib][ok]),
+             pa.array(pcode[ok], type=pa.int8()),
+             pa.array(pair_aux[ok])], schema=out_schema)
 
     return grouped(signatures_ds, ["bucket_key", "src"], runs_fn,
-                   out_schema, split_map=explode_all(cfg.to_json()))
+                   out_schema, then_by=["page_id"],
+                   split_map=explode_all(cfg.to_json()))
 
 
 def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):

@@ -67,7 +67,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from nxsearch_ray.functions.hashing import hash_strings
+from nxsearch_ray.functions.hashing import hash_strings, seg_triu
 from nxsearch_ray.stages.join import sorted_lookup
 from nxsearch_ray.stages.shuffle import grouped
 
@@ -156,21 +156,7 @@ def _cand_pairs(threshold: float):
         pid = t.column("page_id").to_numpy()
         size = t.column("setsize").to_numpy()
         pos = t.column("pos").to_numpy()
-        counts = np.diff(starts, append=t.num_rows)
-        ai, bi = [], []
-        two = starts[counts == 2]
-        if len(two):
-            ai.append(two)
-            bi.append(two + 1)
-        for r in np.nonzero(counts >= 3)[0]:
-            s, c = starts[r], counts[r]
-            iu = np.triu_indices(c, k=1)
-            ai.append(s + iu[0])
-            bi.append(s + iu[1])
-        if not ai:
-            return _CANDS.empty_table()
-        ia = np.concatenate(ai)
-        ib = np.concatenate(bi)
+        ia, ib = seg_triu(starts, np.diff(starts, append=t.num_rows))
         sa, sb = size[ia], size[ib]
         pa_, pb_ = pos[ia], pos[ib]
         # length filter: J >= t forces min >= t*max (Arasu et al.)

@@ -150,6 +150,23 @@ def test_tiny_doc_tail_containment(ray_session):
     assert labels[0] == labels[2]
 
 
+@pytest.mark.parametrize("anchor_bucket_max", [0, 1, 4])
+def test_anchor_bucket_max_matches_oracle(ray_session, anchor_bucket_max):
+    """``anchor_bucket_max`` bounds every anchor bucket, two-page ones
+    too: at 0 or 1 no anchor bucket emits a pair.  Regression: the
+    bucket scan once emitted every two-row bucket's pair, so at 0 or 1
+    the run verified 73 pairs on these pages and the oracle 70."""
+    import ray.data as rd
+
+    cols = ["page_id", "url", "warc_ts", "html", "lang"]
+    corpus = synth_pages(300, seed=7)
+    cfg = PipelineConfig(anchor_bucket_max=anchor_bucket_max)
+    res = run_dedup(rd.from_arrow(corpus.select(cols)), cfg)
+    labels, opairs = oracle_clusters(corpus, cfg)
+    assert _pair_set(res) == opairs
+    assert _cluster_dict(res) == labels
+
+
 def test_bucketed_plan_with_nothing_to_adjudicate(ray_session):
     """Exact copies of random pages and nothing borderline: no pair
     needs exact adjudication, so the bucketed suffix gather semi-joins
