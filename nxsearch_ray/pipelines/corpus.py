@@ -24,11 +24,12 @@ same code its standalone query uses):
      rows before decisions exist — reported in stats as
      ``n_quality_dropped``).
 
-Every stage boundary goes through ``state.lineage.stage``: pinned to
-a lineage-manifest checkpoint when ``out_dir`` is set, else to the
-object store.  A re-run over the same pages (``input_fingerprint``;
-the semantic and final stages also key on the embeddings'
-fingerprint) resumes from the last completed stage.  Each boundary —
+Every stage boundary goes through ``state.lineage.stage``: pinned,
+and a lineage-manifest checkpoint too when ``out_dir`` is set.  A
+re-run over the same pages (``input_fingerprint``; the semantic and
+final stages also key on the embeddings', the near-dup tier on
+``clean_pages``' lineage) resumes from the last completed stage.  The
+per-block maps are ``join.map_blocks`` waves.  Each boundary —
 ``clean_pages``, the near-dup tier's own (``run_dedup``),
 ``semantic_survivors``, ``semdedup_decisions`` and ``corpus_final`` —
 appends one ``{stage, wall_s, rows, bytes, resumed}`` record to
@@ -85,7 +86,8 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
     import os
 
     from nxsearch_ray.pipelines.dedup import run_dedup
-    from nxsearch_ray.stages.join import anti_join, hash_join, id_set_ref
+    from nxsearch_ray.stages.join import (anti_join, hash_join, id_set_ref,
+                                          map_blocks)
     from nxsearch_ray.stages.pii import scrub_pii
     from nxsearch_ray.stages.textstats import gopher_filter
     from nxsearch_ray.stages.urlfilter import filter_blocklist
@@ -123,7 +125,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                              "url": t.column("url"),
                              "text": text}, schema=_CLEAN_SCHEMA)
 
-        return ds.map_batches(clean_batch, batch_format="pyarrow")
+        return map_blocks(ds, clean_batch, _CLEAN_SCHEMA)
 
     clean = stage(stats, "clean_pages", clean_factory, out_dir,
                   clean_params, fp)
@@ -145,12 +147,13 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
             "page_id": pa.array(ids[~keep], type=pa.int64()),
             "dup2": pa.array(rep[~keep], type=pa.int64())})
 
-    t2 = clusters_ds.map_batches(t2_decide, batch_format="pyarrow")
+    # the tier-2 drops, mapped in the factories that need them, so a
+    # resumed stage maps nothing
     t2_schema = pa.schema([("page_id", pa.int64()),
                            ("dup2", pa.int64())])
 
     # ---------------- stage 3: semantic (survivors only) --------
-    t3 = None
+    dec = None
     t3_schema = pa.schema([("page_id", pa.int64()),
                            ("dup3", pa.int64())])
     if embeddings_ds is not None:
@@ -165,6 +168,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
             # the broadcast drop ids, a few int64s per duplicate), then
             # their embeddings by one inner join.  A page the clean
             # tier removed is never a semantic representative.
+            t2 = map_blocks(clusters_ds, t2_decide, t2_schema)
             surv_ids = anti_join(clean.select_columns(["page_id"]),
                                  "page_id", id_set_ref(t2, ["page_id"]))
             return hash_join(
@@ -202,8 +206,6 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                 "page_id": pa.array(ids[drop], type=pa.int64()),
                 "dup3": pa.array(dup[drop], type=pa.int64())})
 
-        t3 = dec.map_batches(t3_decide, batch_format="pyarrow")
-
     # ---------------- stage 4: fold decisions -------------------
     final_params = StageParams(
         stage="corpus_final", clean=clean_params.config_hash(),
@@ -212,17 +214,16 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         semantic=embeddings_ds is not None, version=2)
 
     def final_factory():
-        ids_only = clean.select_columns(["page_id"])
-        f = hash_join(ids_only, t2, left_key="page_id",
+        t2 = map_blocks(clusters_ds, t2_decide, t2_schema)
+        f = hash_join(clean, t2, left_key="page_id",
                       right_key="page_id",
                       left_schema=pa.schema([("page_id", pa.int64())]),
                       right_schema=t2_schema, right_suffix="",
                       how="left")
-        f_schema = pa.schema([("page_id", pa.int64()),
-                              ("dup2", pa.int64())])
-        if t3 is not None:
+        if dec is not None:     # f is page_id plus t2's dup2
+            t3 = map_blocks(dec, t3_decide, t3_schema)
             f = hash_join(f, t3, left_key="page_id",
-                          right_key="page_id", left_schema=f_schema,
+                          right_key="page_id", left_schema=t2_schema,
                           right_schema=t3_schema,
                           right_suffix="", how="left")
 
@@ -249,7 +250,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                 "drop_tier": pa.array(tier),
                 "dup_of": pa.array(dup)}, schema=DECISION_SCHEMA)
 
-        return f.map_batches(fold, batch_format="pyarrow")
+        return map_blocks(f, fold, DECISION_SCHEMA)
 
     decisions = stage(stats, "corpus_final", final_factory, out_dir,
                       final_params, sem_fp)
@@ -259,10 +260,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
 def decisions_as_table(result: CorpusResult) -> pa.Table:
     """Collect the (small) decision table, sorted by page_id."""
-    d = result.decisions
-    if not isinstance(d, pa.Table):
-        batches = list(d.iter_batches(batch_size=1 << 16,
-                                      batch_format="pyarrow"))
-        d = (pa.concat_tables(batches) if batches
-             else DECISION_SCHEMA.empty_table())
-    return d.sort_by("page_id")
+    batches = list(result.decisions.iter_batches(batch_size=1 << 16,
+                                                 batch_format="pyarrow"))
+    return (pa.concat_tables(batches) if batches
+            else DECISION_SCHEMA.empty_table()).sort_by("page_id")

@@ -29,9 +29,9 @@ budget (``TASK_BYTES_BUDGET``), and ``stats`` records the bytes that
 decided it.
 
 Stage boundaries: every boundary goes through ``state.lineage.stage``,
-which pins it — to a Parquet checkpoint when ``out_dir`` is given
-(resumable, with a lineage manifest that records the config and input
-fingerprint), else to the object store — and appends one record
+which pins it (with ``out_dir`` also written as a Parquet checkpoint,
+resumable, whose lineage manifest records the config and input
+fingerprint) and appends one record
 ``{stage, wall_s, rows, bytes, resumed}`` to ``stats["stages"]``.  The
 boundaries are ``signatures`` (read by several downstream passes),
 ``pairs`` (the candidates), ``verify`` (the scored pairs, read by both
@@ -51,10 +51,10 @@ read the page files (``shuffle.blocks`` lists the read's read tasks),
 and every later step is a wave of plain Ray tasks over block refs — a
 keyed exchange (stages/shuffle.py), a broadcast lookup or a per-block
 map (stages/join.broadcast_map / map_blocks) — that runs when it is
-called and hands on its output blocks.  With ``out_dir`` the three
-checkpoint writes run on it (``write_parquet``), and each consumer of
-a checkpoint reads its files in its own tasks.  All hashing is seeded
-from the config; output is invariant to parallelism and retries.
+called and hands on its output blocks; so is a checkpoint write, over
+the pinned blocks that downstream takes (a resumed stage is read in
+its consumers' tasks).  All hashing is seeded from the config; output
+is invariant to parallelism and retries.
 """
 
 from __future__ import annotations

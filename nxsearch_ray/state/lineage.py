@@ -5,12 +5,12 @@ offsets (reference src/index/terms.c:320-344): a crashed writer loses
 only its in-flight doc.  The batch-pipeline analogue (north rule:
 "checkpoint-resumable stage boundaries with per-partition lineage"):
 
-  * every stage can materialize to ``{out_dir}/{stage}/`` as a
-    directory of Parquet part files,
-  * a ``manifest.json`` is written LAST (atomic rename) recording the
-    config hash, row count, per-file lineage (path, rows, stored and
-    uncompressed bytes) and wall time — its presence is the
-    ``_SUCCESS`` marker,
+  * every stage can write its pinned blocks to ``{out_dir}/{stage}/``
+    as Parquet part files, one per block, each by its own plain task,
+  * a ``manifest.json`` is written LAST (atomic rename) from the tasks'
+    returns, recording the config hash, row count, per-file lineage
+    (path, rows, stored and uncompressed bytes) and wall time — its
+    presence is the ``_SUCCESS`` marker,
   * a stage may also record the fingerprint of the input it was
     computed from (``input_fingerprint``), so a checkpoint is never
     resumed against a different input,
@@ -23,10 +23,10 @@ Stage output directories are independent, so a run that died between
 stage k and k+1 resumes at k+1 — the batch equivalent of replaying
 from a consumed offset.
 
-``stage`` is the one stage boundary the pipelines use: it resumes or
-computes a stage, pins it (a checkpoint, or the object store without
-``out_dir``) and appends one record ``{stage, wall_s, rows, bytes,
-resumed}`` to the run's ``stats["stages"]``.
+``stage`` is the one stage boundary the pipelines use: it resumes a
+stage (the only read of a checkpoint) or computes and pins it (and
+writes it, with ``out_dir``), and appends one record ``{stage, wall_s,
+rows, bytes, resumed}`` to the run's ``stats["stages"]``.
 """
 
 from __future__ import annotations
@@ -34,13 +34,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
+import weakref
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 from nxsearch_ray.config import PipelineConfig
+from nxsearch_ray.functions.hashing import content_hash128, splitmix64
+from nxsearch_ray.sources.io import read_parquet_clean
+from nxsearch_ray.stages.join import map_blocks
+from nxsearch_ray.stages.shuffle import as_arrow, blocks, concat, refs
 
 MANIFEST = "manifest.json"
 FINGERPRINT = "input_fingerprint"
@@ -48,6 +55,9 @@ FINGERPRINT = "input_fingerprint"
 # back to text), text, and the per-row language; an embeddings table's
 # content is its vectors
 CONTENT_COLUMNS = ("html", "text", "lang", "embedding")
+_ROWS_PART = pa.schema([("n", pa.int64()), ("h", pa.uint64())])
+# a staged output → its lineage fingerprint (``stage``)
+_LINEAGE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class StageParams:
@@ -92,20 +102,20 @@ def is_complete(out_dir: str, stage: str, cfg: PipelineConfig,
 def id_hash(ids) -> int:
     """Order-free 64-bit hash of an int64 id multiset (wrapping sum of
     splitmix64), so partial hashes of blocks add up."""
-    from nxsearch_ray.functions.hashing import splitmix64
-
     h = splitmix64(np.asarray(ids, dtype=np.int64).astype(np.uint64))
     return int(h.sum(dtype=np.uint64))
 
 
 def input_fingerprint(ds) -> str:
     """What a stage is computed from (a pages or an embeddings
-    dataset).  A dataset that is a plain file read: its sorted input
-    files with their sizes and mtimes.  Anything else (in-memory,
-    derived, ``limit``-ed, ...): its row count plus ``rows_hash`` of
-    its rows — one pass over the data."""
+    dataset).  A fingerprinted ``stage``'s output: its lineage, whether
+    it ran or resumed.  A plain file read: its sorted input files with
+    their sizes and mtimes.  Anything else (in-memory, derived,
+    ``limit``-ed, ...): its row count plus ``rows_hash`` of its rows."""
     from ray.data._internal.logical.operators.read_operator import Read
 
+    if ds in _LINEAGE:
+        return _LINEAGE[ds]
     files = ds.input_files() if isinstance(ds._logical_plan.dag, Read) \
         else []
     if files:
@@ -116,13 +126,12 @@ def input_fingerprint(ds) -> str:
         return "files:" + h.hexdigest()[:32]
 
     def part(t: pa.Table) -> pa.Table:
-        return pa.table({"n": [t.num_rows],
-                         "h": pa.array([rows_hash(t)], pa.uint64())})
+        return pa.table({"n": [t.num_rows], "h": [rows_hash(t)]}, _ROWS_PART)
 
-    rows = ds.map_batches(part, batch_format="pyarrow",
-                          batch_size=None).take_all()
-    n = sum(r["n"] for r in rows)
-    digest = sum(r["h"] for r in rows) % (1 << 64)
+    parts = pa.concat_tables(ray.get(refs(map_blocks(ds, part,
+                                                     _ROWS_PART))))
+    n = int(parts.column("n").to_numpy().sum())
+    digest = int(parts.column("h").to_numpy().sum(dtype=np.uint64))
     return f"rows:{n}:{digest:016x}"
 
 
@@ -133,7 +142,6 @@ def rows_hash(t) -> int:
     every ``CONTENT_COLUMNS`` column the table has
     (``shuffle.key_hash``; a vector column by its raw value bytes), so
     changed content under the same ids changes it."""
-    from nxsearch_ray.functions.hashing import content_hash128
     from nxsearch_ray.stages.shuffle import key_hash
     from nxsearch_ray.stages.signatures import list_column_numpy
 
@@ -153,17 +161,28 @@ def rows_hash(t) -> int:
 
 
 def load_stage(out_dir: str, stage: str):
-    from nxsearch_ray.sources.io import read_parquet_clean
-
     return read_parquet_clean(stage_dir(out_dir, stage),
                                  file_extensions=["parquet"])
 
 
+@ray.remote
+def _write_part(path: str, *parts) -> dict:
+    """Blocks → one Parquet part (``concat``: blocks of no rows give
+    the widest empty one) → its manifest entry."""
+    t, footer = concat([as_arrow(p) for p in parts]), []
+    pq.write_table(t, path, metadata_collector=footer)
+    return {"file": os.path.basename(path), "rows": t.num_rows,
+            "bytes": os.path.getsize(path), "uncompressed_bytes": sum(
+                footer[0].row_group(i).total_byte_size
+                for i in range(footer[0].num_row_groups))}
+
+
 def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
-                extra: dict | None = None):
-    """Materialize a Dataset to the stage directory + manifest; returns
-    a Dataset re-read from the checkpoint (so downstream consumers pull
-    from disk, not from a re-executed lineage)."""
+                extra: dict | None = None) -> dict:
+    """Write a Dataset's blocks to the stage directory as one wave of
+    tasks, a part per block (``part-{i:05d}.parquet``; no rows: one
+    empty part of the widest block's schema, a wave's declared one),
+    then the manifest from their returns; returns the manifest."""
     sdir = stage_dir(out_dir, stage)
     t0 = time.monotonic()
     # Clear any previous attempt first: a crash mid-write or a config
@@ -172,47 +191,23 @@ def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
     # manifest is written LAST, so after this rmtree the stage is
     # unambiguously "incomplete" until the new manifest lands.
     if os.path.isdir(sdir):
-        import shutil
-
         shutil.rmtree(sdir)
     os.makedirs(sdir, exist_ok=True)
-    ds.write_parquet(sdir)
-    if not any(n.endswith(".parquet") for n in os.listdir(sdir)):
-        # zero rows write no part file: one empty part keeps the
-        # stage's schema, so load_stage reads the stage back
-        schema = ds.schema()
-        pq.write_table(schema.base_schema.empty_table() if schema
-                       else pa.table({}),
-                       os.path.join(sdir, "empty.parquet"))
-    wall = time.monotonic() - t0
-
-    files = []
-    rows = 0
-    for name in sorted(os.listdir(sdir)):
-        if not name.endswith(".parquet"):
-            continue
-        fpath = os.path.join(sdir, name)
-        md = pq.ParquetFile(fpath).metadata
-        files.append({"file": name, "rows": md.num_rows,
-                      "bytes": os.path.getsize(fpath),
-                      "uncompressed_bytes": sum(
-                          md.row_group(i).total_byte_size
-                          for i in range(md.num_row_groups))})
-        rows += md.num_rows
-
-    manifest = {
-        "stage": stage,
-        "config_hash": cfg.config_hash(),
-        "rows": rows,
-        "wall_s": round(wall, 3),
-        "partitions": files,
-        **(extra or {}),
-    }
+    listed = blocks(ds)
+    groups = ([[p] for p, m in listed if m.num_rows]
+              or [[p for p, _ in listed]])
+    files = ray.get([
+        _write_part.remote(os.path.join(sdir, f"part-{i:05d}.parquet"), *g)
+        for i, g in enumerate(groups)])
+    manifest = {"stage": stage, "config_hash": cfg.config_hash(),
+                "rows": sum(f["rows"] for f in files),
+                "wall_s": round(time.monotonic() - t0, 3),
+                "partitions": files, **(extra or {})}
     tmp = manifest_path(out_dir, stage) + ".tmp"
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1)
     os.replace(tmp, manifest_path(out_dir, stage))
-    return load_stage(out_dir, stage)
+    return manifest
 
 
 def stage(stats: dict, name: str, factory, out_dir: str | None,
@@ -221,13 +216,15 @@ def stage(stats: dict, name: str, factory, out_dir: str | None,
     either way, and append its record ``{stage, wall_s, rows, bytes,
     resumed}`` to ``stats["stages"]``; returns the pinned dataset.
 
-    With ``out_dir`` the stage is a checkpoint: ``factory`` is only
-    called when it is absent/stale (another ``params.config_hash()``,
-    or another ``fingerprint`` when one is given — it is then recorded
-    in the manifest), and its output is written and re-read.  Without,
-    there is nothing to resume: the factory's dataset is pinned to the
-    object store (``materialize()``).  A resumed stage never calls
-    ``factory``, so nothing it would have run upstream leaves a record.
+    A computed stage is ``factory()`` pinned (``materialize()``), with
+    or without ``out_dir``.  With ``out_dir`` it is a checkpoint:
+    ``factory`` is only called when it is absent/stale (another
+    ``params.config_hash()``, or another ``fingerprint`` when one is
+    given — it is then recorded in the manifest), the pinned blocks are
+    written, and a valid one is resumed as a read.  A resumed stage
+    never calls ``factory``, so nothing it would have run upstream
+    leaves a record.  With a ``fingerprint``, the output's
+    ``input_fingerprint`` is the stage's lineage.
 
     No pass over the data: a checkpointed stage's rows and bytes come
     from its manifest (bytes are the Parquet row groups' uncompressed
@@ -241,18 +238,23 @@ def stage(stats: dict, name: str, factory, out_dir: str | None,
     records = stats.setdefault("stages", [])
     n_before = len(records)
     t0 = time.monotonic()
-    if out_dir is None:
-        ds, resumed = factory().materialize(), False
+    resumed = out_dir is not None and is_complete(out_dir, name, params,
+                                                  fingerprint)
+    if resumed:
+        ds, m = load_stage(out_dir, name), read_manifest(out_dir, name)
+    else:
+        ds = factory().materialize()
+        m = out_dir and write_stage(ds, out_dir, name, params, fingerprint
+                                    and {FINGERPRINT: fingerprint})
+    if not m:
         rows, nbytes = ds.count(), ds.size_bytes()
     else:
-        resumed = is_complete(out_dir, name, params, fingerprint)
-        ds = load_stage(out_dir, name) if resumed else write_stage(
-            factory(), out_dir, name, params,
-            None if fingerprint is None else {FINGERPRINT: fingerprint})
-        m = read_manifest(out_dir, name)
         rows = m["rows"]
         nbytes = sum(p.get("uncompressed_bytes", p["bytes"])
                      for p in m["partitions"])
+    if fingerprint is not None:
+        key = f"{name}|{params.config_hash()}|{fingerprint}"
+        _LINEAGE[ds] = "stage:" + hashlib.sha256(key.encode()).hexdigest()[:32]
     nested = sum(r["wall_s"] for r in records[n_before:])
     records.append({"stage": name,
                     "wall_s": round(time.monotonic() - t0 - nested, 3),

@@ -170,6 +170,44 @@ def test_run_corpus_resume(ray_session, corpus_tables, tmp_path):
     assert all(r["wall_s"] >= 0 for r in r2.stats["stages"])
 
 
+def test_semantic_decision_map_keeps_its_schema(ray_session, corpus_tables,
+                                                monkeypatch):
+    """The tier-3 map over a decisions input holding a zero-column empty
+    block (as a union with an empty side gives) yields only its declared
+    ``(page_id, dup3)`` blocks to the fold's join, and the semantic tier
+    still drops pages."""
+    import ray
+    import ray.data as rd
+
+    import nxsearch_ray.stages.join as J
+    import nxsearch_ray.stages.semdedup as S
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+    from nxsearch_ray.stages.shuffle import refs
+
+    semantic, hash_join = S.semantic_dedup_clustered, J.hash_join
+
+    def with_empty_block(*a, **kw):
+        return rd.from_arrow_refs(refs(semantic(*a, **kw))
+                                  + [ray.put(pa.table({}))])
+
+    right_schemas = []
+
+    def recorded(left, right, **kw):
+        right_schemas.append({t.schema for t in ray.get(refs(right))})
+        return hash_join(left, right, **kw)
+
+    monkeypatch.setattr(S, "semantic_dedup_clustered", with_empty_block)
+    monkeypatch.setattr(J, "hash_join", recorded)
+    pages, emb, _ = corpus_tables
+    dec = decisions_as_table(run_corpus(
+        rd.from_arrow(pages), embeddings_ds=rd.from_arrow(emb),
+        semdedup_nlist=4, min_words=10, min_required_stopwords=0))
+    t3_schema = pa.schema([("page_id", pa.int64()), ("dup3", pa.int64())])
+    assert {t3_schema} in right_schemas, right_schemas
+    assert 3 in dec.column("drop_tier").to_pylist()
+
+
 def test_run_corpus_resumes_empty_clean_tier(ray_session, corpus_tables,
                                              tmp_path):
     """A blocklist that drops every page leaves zero-row checkpoints;

@@ -196,12 +196,19 @@ def test_empty_stages_keep_their_schema(ray_session, tmp_path, plans):
     """Random pages with no candidate pair, and the same pages plus
     exact copies (nothing for the exact tier): ``verified_pairs`` is
     (a, b, source) in every block and ``clusters`` is CLUSTER_SCHEMA,
-    pinned and checkpointed."""
+    pinned and checkpointed.  A read of zero-row page files writes one
+    empty part of each checkpointed stage's declared schema, and a
+    rerun resumes all three."""
+    import glob
+
     import numpy as np
+    import pyarrow.parquet as pq
     import ray
+    import ray.data as rd
 
     from nxsearch_ray.stages.cc import CLUSTER_SCHEMA
     from nxsearch_ray.stages.join import PAIR_SCHEMA
+    from nxsearch_ray.stages.signatures import canonsig_schema
 
     rng = np.random.default_rng(9)
     texts = [" ".join(f"w{v}" for v in rng.integers(0, 10**6, 40))
@@ -221,6 +228,27 @@ def test_empty_stages_keep_their_schema(ray_session, tmp_path, plans):
             if out_dir is None:
                 assert {t.schema for t in ray.get(
                     res.verified_pairs.to_arrow_refs())} == {PAIR_SCHEMA}
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    zero = ray.get(_pages_of(rows[:1]).to_arrow_refs())[0].slice(0, 0)
+    for i in range(4):
+        pq.write_table(zero, empty / f"part-{i}.parquet")
+    out = str(tmp_path / "out_empty")
+    for resumed in (False, True):
+        res = run_dedup(rd.read_parquet(str(empty)), PipelineConfig(),
+                        out_dir=out, **plans)
+        assert clusters_as_table(res).num_rows == 0
+        assert {r["stage"]: r["resumed"] for r in res.stats["stages"]
+                if r["stage"] in ("signatures", "verified_pairs",
+                                  "clusters")} == dict.fromkeys(
+            ("signatures", "verified_pairs", "clusters"), resumed)
+    for name, schema in (("signatures", canonsig_schema(PipelineConfig())),
+                         ("verified_pairs", PAIR_SCHEMA),
+                         ("clusters", CLUSTER_SCHEMA)):
+        parts = glob.glob(f"{out}/{name}/*.parquet")
+        assert len(parts) == 1 and read_manifest(out, name)["rows"] == 0
+        assert pq.read_schema(parts[0]).remove_metadata().equals(schema)
 
 
 def test_checkpoint_resume(ray_session, corpus_dir, oracle, tmp_path):

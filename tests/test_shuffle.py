@@ -319,18 +319,20 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     Data's executor, on the auto plans and on the scale-path plans: the
     signature wave's tasks read the files themselves (``shuffle.blocks``
     lists the read's read tasks), and every later step is a plain task
-    wave over block refs.  With ``out_dir`` the executor starts three
-    times, for the three checkpoint writes: each consumer of a
-    checkpoint reads its files in its own tasks.  So does an
-    incremental ingest into a prior run's ``out_dir``: its prior
-    signatures are held by a wave, not unioned on the executor."""
+    wave over block refs.  With ``out_dir`` neither does a checkpoint
+    write, a wave of plain tasks over the pinned blocks.  Nor does an
+    incremental ingest into a prior run's ``out_dir`` (its prior
+    signatures are held by a wave, not unioned on the executor) or a
+    removal from it."""
     import pyarrow.parquet as pq
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
 
     from nxsearch_ray.config import PipelineConfig
-    from nxsearch_ray.pipelines.dedup import run_dedup, run_dedup_incremental
+    from nxsearch_ray.pipelines.dedup import (run_dedup,
+                                              run_dedup_incremental,
+                                              run_dedup_remove)
     from nxsearch_ray.sources.synth import synth_pages
 
     corpus = synth_pages(200, seed=21)
@@ -350,13 +352,12 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     columns = ["page_id", "url", "warc_ts", "html", "lang"]
     for plans in ({}, {"verify_mode": "bucketed", "cc_mode": "labelprop"}):
-        for out_dir, want in ((None, 0),
-                              (str(tmp_path / f"out{len(plans)}"), 3)):
+        for out_dir in (None, str(tmp_path / f"out{len(plans)}")):
             executions.clear()
             res = run_dedup(rd.read_parquet(str(pages), columns=columns),
                             PipelineConfig(), out_dir=out_dir, **plans)
             assert res.clusters.count() > 0
-            assert len(executions) == want, (plans, out_dir)
+            assert len(executions) == 0, (plans, out_dir)
 
     # the prior run: 3/4 of the pages, in as many files as CPUs
     prior = tmp_path / "prior"
@@ -372,4 +373,10 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     res = run_dedup_incremental(rd.read_parquet(str(pages), columns=columns),
                                 PipelineConfig(), out_dir=out_dir)
     assert res.stats["incremental_new_pages"] > 0
-    assert len(executions) == 3
+    assert len(executions) == 0
+
+    executions.clear()
+    res = run_dedup_remove(corpus.column("page_id").to_pylist()[::9],
+                           PipelineConfig(), out_dir=out_dir)
+    assert res.stats["removed_found"] > 0
+    assert len(executions) == 0
