@@ -62,6 +62,15 @@ _CFG = PipelineConfig()
 # the graded dedup runs besides ``auto`` (see _dedup)
 _DEDUP_VARIANTS = ("scale", "incremental", "removed", "onefile",
                    "resumed", "readded")
+# the hot-bucket variants: each runs its base variant at _HOT_CFG
+_HOT_VARIANTS = {"hotingest": "incremental", "hotremoved": "removed"}
+_HOT_CFG = _CFG.with_(hot_bucket_cap=3)
+# the invariants graded over each dedup variant; a hot variant's chain
+# may drop a planted pair's direct edge while the pair stays in one
+# cluster, so it is graded on equality with a full recompute instead
+_INVARIANTS = ("dedup_pairs", "dedup_exact_verify", "cluster_sizes")
+_HOT_INVARIANTS = ("dedup_exact_verify", "cluster_sizes",
+                   "cluster_matches_full")
 # (sf_dir, variant) -> (DedupResult, its TemporaryDirectory or None)
 _DEDUP_CACHE: dict[tuple[str, str], tuple] = {}
 
@@ -107,7 +116,13 @@ def _dedup(sf_dir: str, variant: str = "auto"):
       * ``readded`` — the ``removed`` run, then
         ``run_dedup_incremental`` over every page, which re-ingests
         exactly the removed ones (its stats carry the removal's
-        ``removed_found``).
+        ``removed_found``);
+      * ``hotingest`` / ``hotremoved`` — the ``incremental`` and
+        ``removed`` runs at ``hot_bucket_cap`` 3 (``_HOT_CFG``), where
+        the delta pushes candidate buckets past the cap, so they run
+        the spanning-chain policy.  At the default cap (64) no sf
+        bucket has more than 5 members (4 at sf0.01), so these two are
+        the only graded runs of the chain.
     A variant that writes files owns its own temporary directory, so no
     later run rewrites a file an earlier result still reads."""
     key = (sf_dir, variant)
@@ -119,15 +134,16 @@ def _dedup(sf_dir: str, variant: str = "auto"):
                                                   run_dedup_incremental,
                                                   run_dedup_remove)
 
-        pages, tmp = _pages(sf_dir), None
-        if variant == "auto":
-            res = run_dedup(pages, _CFG)
-        elif variant == "scale":
-            res = run_dedup(pages, _CFG, verify_mode="bucketed",
+        pages, tmp, cfg = _pages(sf_dir), None, _cfg(variant)
+        kind = _HOT_VARIANTS.get(variant, variant)
+        if kind == "auto":
+            res = run_dedup(pages, cfg)
+        elif kind == "scale":
+            res = run_dedup(pages, cfg, verify_mode="bucketed",
                             cc_mode="labelprop")
         else:
             tmp = tempfile.TemporaryDirectory(prefix=f"dedup_{variant}_")
-            if variant == "onefile":
+            if kind == "onefile":
                 import pyarrow.parquet as pq
 
                 from nxsearch_ray.sources.pages import pages_table
@@ -135,37 +151,42 @@ def _dedup(sf_dir: str, variant: str = "auto"):
                 t = pages_table(sf_dir)
                 pq.write_table(t, os.path.join(tmp.name, "pages.parquet"),
                                row_group_size=max(1, t.num_rows // 8))
-                res = run_dedup(_read_parquet(tmp.name), _CFG)
-            elif variant == "incremental":
-                run_dedup(_where(pages, lambda p: p % 2 == 0), _CFG,
+                res = run_dedup(_read_parquet(tmp.name), cfg)
+            elif kind == "incremental":
+                run_dedup(_where(pages, lambda p: p % 2 == 0), cfg,
                           out_dir=tmp.name)
-                res = run_dedup_incremental(pages, _CFG, out_dir=tmp.name)
-            elif variant == "resumed":
+                res = run_dedup_incremental(pages, cfg, out_dir=tmp.name)
+            elif kind == "resumed":
                 from nxsearch_ray.state.lineage import manifest_path
 
-                run_dedup(pages, _CFG, out_dir=tmp.name)
+                run_dedup(pages, cfg, out_dir=tmp.name)
                 for name in ("verified_pairs", "clusters"):
                     os.remove(manifest_path(tmp.name, name))
-                res = run_dedup(pages, _CFG, out_dir=tmp.name)
+                res = run_dedup(pages, cfg, out_dir=tmp.name)
             else:
-                run_dedup(pages, _CFG, out_dir=tmp.name)
+                run_dedup(pages, cfg, out_dir=tmp.name)
                 ids = _pages(sf_dir, include_html=False).select_columns(
                     ["page_id"]).to_pandas()["page_id"].to_numpy()
-                res = run_dedup_remove(ids[_removed(ids)], _CFG,
+                res = run_dedup_remove(ids[_removed(ids)], cfg,
                                        out_dir=tmp.name)
-                if variant == "readded":
+                if kind == "readded":
                     found = res.stats["removed_found"]
-                    res = run_dedup_incremental(pages, _CFG,
+                    res = run_dedup_incremental(pages, cfg,
                                                 out_dir=tmp.name)
                     res.stats["removed_found"] = found
         _DEDUP_CACHE[key] = (res, tmp)
     return _DEDUP_CACHE[key][0]
 
 
-def _graded_pages(sf_dir: str, variant: str):
+def _cfg(variant: str) -> PipelineConfig:
+    """The config a dedup variant runs at."""
+    return _HOT_CFG if variant in _HOT_VARIANTS else _CFG
+
+
+def _graded_pages(sf_dir: str, variant: str, include_html: bool = False):
     """The pages a dedup variant's result covers."""
-    pages = _pages(sf_dir, include_html=False)
-    if variant == "removed":
+    pages = _pages(sf_dir, include_html=include_html)
+    if _HOT_VARIANTS.get(variant, variant) == "removed":
         pages = _where(pages, lambda p: ~_removed(p))
     return pages
 
@@ -343,53 +364,6 @@ def q_pii_scrub(sf_dir: str):
         fn, batch_format="pyarrow")
 
 
-def q_decontaminate(sf_dir: str):
-    """Benchmark decontamination over documents (stages/decontam.py):
-    docs sharing any word 5-gram with the deterministic benchmark
-    slice (doc_id % 97 == 0) are flagged; broadcast gram-set
-    membership, map-only scan."""
-    from nxsearch_ray.stages.decontam import decontaminate
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                       columns=["doc_id", "text"])
-    return decontaminate(ds, n=5, benchmark_mod=97)
-
-
-def q_line_dedup(sf_dir: str):
-    """CCNet-style corpus-level line dedup over the pages table
-    (stages/linededup.py): census shuffle + broadcast boilerplate set
-    + key-disjoint reassembly."""
-    from nxsearch_ray.stages.linededup import line_dedup
-
-    return line_dedup(_pages(sf_dir, include_html=False))
-
-
-def q_url_canonical(sf_dir: str):
-    """URL canonicalization (stages/urlnorm.py): a deterministically
-    messied URL per page (uppercase scheme/host, www., default port,
-    shuffled query params, fragment) must collapse to canonical form;
-    the SQL oracle applies the identical rules."""
-    import pyarrow.compute as pc
-
-    from nxsearch_ray.stages.urlnorm import url_canonicalize
-
-    def mess_and_canon(t: pa.Table) -> pa.Table:
-        ids = t.column("page_id")
-        src = pc.struct_field(pc.extract_regex(
-            t.column("url"), r"^https://(?P<s>[^.]*)\."), "s")
-        messy = pc.binary_join_element_wise(
-            "HTTPS://WWW.", pc.utf8_upper(src),
-            ".EXAMPLE.ORG:443/doc/", pc.cast(ids, pa.string()),
-            "?b=", pc.cast(pc.bit_wise_and(ids, 3), pa.string()),
-            "&a=1&#frag", "")
-        return url_canonicalize(
-            pa.table({"page_id": ids, "url_messy": messy}),
-            url_col="url_messy")
-
-    return _pages(sf_dir, include_html=False).map_batches(
-        mess_and_canon, batch_format="pyarrow")
-
-
 def q_lang_counts(sf_dir: str):
     ds = _read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["lang"])
@@ -397,13 +371,6 @@ def q_lang_counts(sf_dir: str):
     return grouped(ds, ["lang"], lambda t, starts: pa.table(
         [t.column("lang").take(starts),
          np.diff(starts, append=t.num_rows)], schema=schema), schema)
-
-
-def q_ngram_jaccard(sf_dir: str):
-    from nxsearch_ray.stages.setsim import ngram_jaccard_pairs
-
-    return ngram_jaccard_pairs(_pages(sf_dir, include_html=False),
-                               n=3, threshold=0.5)
 
 
 def q_fingerprint(sf_dir: str):
@@ -604,6 +571,46 @@ def q_dedup_exact_verify(sf_dir: str, variant: str = "auto"):
 
     return _group_check(sf_dir, variant, add_key, ["h1", "h2"],
                         "cluster_is_component_min")
+
+
+def q_cluster_matches_full(sf_dir: str, variant: str):
+    """Full-recompute invariant over a dedup variant's clusters: one
+    ``(page_id, matches_full)`` row per graded page, true iff the
+    page's cluster id equals the one a fresh ``run_dedup`` at the
+    variant's config gives over the same pages (a page in no cluster
+    matches only a page in no cluster).  ``run_dedup_incremental`` and
+    ``run_dedup_remove`` claim exactly that equality, so the twin says
+    all true.
+
+    Plan: both clusters tables (duplicate pages only) broadcast as
+    sorted (page_id, cluster_id) arrays; one probe map over the graded
+    pages."""
+    import ray
+
+    from nxsearch_ray.pipelines.dedup import clusters_as_table, run_dedup
+    from nxsearch_ray.stages.join import sorted_lookup
+
+    def ids(res) -> tuple[np.ndarray, np.ndarray]:
+        ct = clusters_as_table(res)                     # page_id order
+        return (ct.column("page_id").to_numpy(),
+                ct.column("cluster_id").to_numpy())
+
+    full = run_dedup(_graded_pages(sf_dir, variant, include_html=True),
+                     _cfg(variant))
+    bcast = ray.put((ids(_dedup(sf_dir, variant)), ids(full)))
+
+    def probe(t: pa.Table) -> pa.Table:
+        pid = t.column("page_id").to_numpy()
+        cl = []
+        for pids, cids in ray.get(bcast):
+            j, hit = sorted_lookup(pids, pid)
+            c = np.full(len(pid), -1, np.int64)
+            c[hit] = cids[j[hit]]
+            cl.append(c)
+        return pa.table({"page_id": pid, "matches_full": cl[0] == cl[1]})
+
+    return _graded_pages(sf_dir, variant).select_columns(["page_id"]) \
+        .map_batches(probe, batch_format="pyarrow")
 
 
 def q_signatures_plain(sf_dir: str):
@@ -940,118 +947,6 @@ def q_corpus_planted_copies(sf_dir: str):
     return grouped(keyed, ["doc_id"], fn, schema)
 
 
-class _SeenGuard:
-    """One task-wave pass combining the Bloom probe (broadcast bitmap,
-    the 10^12-doc incremental-ingest path) with the exact membership
-    check (broadcast sorted url array — at scale this column is the
-    expensive join the Bloom filter exists to avoid; here it feeds the
-    no-false-negative invariant the oracle hashes).  Built once per
-    worker from the fetched ``(words, urls)``."""
-
-    def __init__(self, state: tuple, m_bits: int, k: int):
-        from nxsearch_ray.stages.bloom import bloom_probe
-
-        self._probe = bloom_probe
-        self.words, self.urls = state
-        self.m_bits = m_bits
-        self.k = k
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        from nxsearch_ray.stages.join import sorted_lookup
-
-        key = pc.replace_substring_regex(
-            t.column("url"), pattern="/(copy|tail)$", replacement="")
-        seen_bloom = self._probe(self.words, key, m_bits=self.m_bits,
-                                 k=self.k)
-        _, seen_exact = sorted_lookup(
-            self.urls, np.asarray(key.to_pylist(), dtype=np.str_))
-        return pa.table({
-            "page_id": t.column("page_id").cast(pa.int64()),
-            "seen_exact": pa.array(seen_exact),
-            "no_false_negative": pa.array(seen_bloom | ~seen_exact)})
-
-
-def q_url_seen_guard(sf_dir: str):
-    """Bloom-filter incremental-ingest guard (stages/bloom.py): the
-    'prior crawl' is every original page of an even doc (page_id % 8
-    == 0); every other page probes with its base url (copy/tail
-    suffix stripped).  The hashed output carries the exact membership
-    (SQL semi-join twin) plus the Bloom soundness invariant
-    seen_bloom OR NOT seen_exact — a false negative in the filter
-    emits false and hash-mismatches."""
-    import functools
-
-    import numpy as np
-    import ray
-
-    from nxsearch_ray.stages.bloom import bloom_build_sharded
-    from nxsearch_ray.stages.join import broadcast_map
-
-    m_bits, k = 1 << 21, 5
-    pages = _pages(sf_dir, include_html=False) \
-        .select_columns(["page_id", "url"])
-
-    def only_prior(t: pa.Table) -> pa.Table:
-        ids = t.column("page_id").to_numpy()
-        return t.filter(pa.array(ids % 8 == 0))
-
-    def only_probe(t: pa.Table) -> pa.Table:
-        ids = t.column("page_id").to_numpy()
-        return t.filter(pa.array(ids % 8 != 0))
-
-    prior = pages.map_batches(only_prior, batch_format="pyarrow")
-    # one shard: the whole filter is one broadcast bitmap
-    [bits_ref] = bloom_build_sharded(prior, "url", shards=1,
-                                     m_bits_per_shard=m_bits, k=k)
-
-    @ray.remote
-    def _collect(words, *blocks):
-        vals = [np.asarray(b.column("url").to_pylist(), dtype=np.str_)
-                for b in blocks if b.num_rows]
-        return words, (np.unique(np.concatenate(vals)) if vals
-                       else np.zeros(0, dtype="<U1"))
-
-    state_ref = _collect.remote(bits_ref, *prior.select_columns(["url"])
-                                .to_arrow_refs())
-    return broadcast_map(
-        pages.map_batches(only_probe, batch_format="pyarrow"), state_ref,
-        functools.partial(_SeenGuard, m_bits=m_bits, k=k))
-
-
-def q_url_cardinality(sf_dir: str):
-    """HyperLogLog distinct-count sketch (stages/hll.py): distinct
-    base urls estimated in ONE shuffle-free streaming pass (per-block
-    register partials, max-fold task tree).  The hashed output
-    carries the EXACT distinct count (computed via the exchange the
-    sketch exists to avoid — the invariant feed, like
-    url_seen_guard's exact column) plus a relative-error gate at
-    5 sigma of the 1.04/sqrt(m) HLL bound; a broken sketch flips the
-    bool and hash-mismatches."""
-    import pyarrow.compute as pc
-
-    from nxsearch_ray.stages.hll import hll_count
-
-    p = 12
-    pages = _pages(sf_dir, include_html=False) \
-        .select_columns(["page_id", "url"])
-
-    def base_key(t: pa.Table) -> pa.Table:
-        return pa.table({"key": pc.replace_substring_regex(
-            t.column("url"), pattern="/(copy|tail)$",
-            replacement="")})
-
-    keyed = pages.map_batches(base_key, batch_format="pyarrow")
-    est = hll_count(keyed, "key", p=p)
-    n_exact = grouped(keyed, ["key"], lambda t, starts: t.take(starts),
-                      pa.schema([("key", pa.string())])).count()
-    ok = abs(est / max(n_exact, 1) - 1.0) <= 5 * 1.04 / (1 << p) ** 0.5
-    return pa.table({"n_exact": pa.array([n_exact], type=pa.int64()),
-                     "rel_err_ok": pa.array([ok])})
-
-
 def q_bucket_census(sf_dir: str):
     """Candidate-bucket-size census (the skew-policy pre-pass, SURVEY
     §2.5 A2) over the SQL-mirrorable slice: ``filters=()`` signatures
@@ -1175,6 +1070,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
     ``dedup_clusters`` duplicated ``dedup_exact_verify`` +
     ``cluster_sizes`` (it still backs ``entry()``); the remaining tail
     entries are each pytest- or invariant-gated."""
+    invariant = {"dedup_pairs": q_dedup_pairs,
+                 "dedup_exact_verify": q_dedup_exact_verify,
+                 "cluster_sizes": q_cluster_sizes,
+                 "cluster_matches_full": q_cluster_matches_full}
     return {
         # ---- SQL-twinned (hash-graded) queries, one per operator ----
         "pages_build": q_pages_build,
@@ -1183,24 +1082,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_pairs": q_dedup_pairs,
         "dedup_exact_verify": q_dedup_exact_verify,
         "cluster_sizes": q_cluster_sizes,
-        # the same three invariants over every other dedup variant
-        **{f"{name}_{variant}": partial(fn, variant=variant)
-           for variant in _DEDUP_VARIANTS
-           for name, fn in (("dedup_pairs", q_dedup_pairs),
-                            ("dedup_exact_verify", q_dedup_exact_verify),
-                            ("cluster_sizes", q_cluster_sizes))},
+        # the same invariants over every other dedup variant
+        **{f"{name}_{variant}": partial(invariant[name], variant=variant)
+           for variant, name in _graded_variants()},
         "signatures_plain": q_signatures_plain,
         "doc_stats": q_doc_stats,
         "repetition_stats": q_repetition_stats,
-        "url_canonical": q_url_canonical,
-        "line_dedup": q_line_dedup,
         "pii_scrub": q_pii_scrub,
-        "decontaminate": q_decontaminate,
         "gopher_quality": q_gopher_quality,
         "url_blocklist": q_url_blocklist,
         "web_clean": q_web_clean,
         "lang_counts": q_lang_counts,
-        "ngram_jaccard": q_ngram_jaccard,
         "fingerprint": q_fingerprint,
         "langid": q_langid,
         "embedding_dups": q_embedding_dups,
@@ -1214,30 +1106,36 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "corpus_planted_copies": q_corpus_planted_copies,
         "canonicalize_plain": q_canonicalize_plain,
         "bucket_census": q_bucket_census,
-        "url_seen_guard": q_url_seen_guard,
-        "url_cardinality": q_url_cardinality,
         # ---- rows-only (no_oracle) queries, pytest/invariant-gated --
         "semantic_dedup_clustered": q_semantic_dedup_clustered,
     }
 
 
+def _graded_variants() -> list[tuple[str, str]]:
+    """``(variant, invariant)`` of every graded dedup run besides
+    ``auto``'s three, in registry order."""
+    return [(v, name) for v in _DEDUP_VARIANTS for name in _INVARIANTS] \
+        + [(v, name) for v in _HOT_VARIANTS for name in _HOT_INVARIANTS]
+
+
 def dedup_oracles() -> dict[str, str]:
-    """Twins of the three dedup invariants over every dedup variant
-    (see ``_dedup``).  Every variant but the removal covers all the
-    pages and gives the auto run's answers, so it shares its SQL; the
-    removal twin runs it over the pages that survive the removal."""
+    """Twins of the dedup invariants over every dedup variant (see
+    ``_dedup``).  Every variant but a removal covers all the pages and
+    gives the auto run's answers, so it shares its SQL; a removal's
+    twin runs it over the pages that survive the removal."""
     removed = "(SELECT * FROM pages WHERE (page_id // 4) % 10 <> 3) kept"
     out = {}
-    for variant in ("auto",) + _DEDUP_VARIANTS:
+    for variant, name in ([("auto", n) for n in _INVARIANTS]
+                          + _graded_variants()):
         suffix = "" if variant == "auto" else f"_{variant}"
-        pages = removed if variant == "removed" else "pages"
-        out.update({
+        pages = (removed if _HOT_VARIANTS.get(variant, variant)
+                 == "removed" else "pages")
+        out[f"{name}{suffix}"] = f"WITH {PAGES_CTE}" + {
             # every md5-identical page group must land in exactly one
             # cluster whose id is the component-min page id — the SQL
             # side predicts the invariant (n_clusters=1, flag=true);
             # the Ray side measures it against the actual clustering
-            f"dedup_exact_verify{suffix}": f"""
-WITH {PAGES_CTE}
+            "dedup_exact_verify": f"""
 SELECT min(page_id) AS group_min_page_id, count(*) AS n_pages,
        CAST(1 AS BIGINT) AS n_clusters,
        TRUE AS cluster_is_component_min
@@ -1245,8 +1143,7 @@ FROM {pages} GROUP BY text HAVING count(*) >= 2
 """,
             # planted-pair recall: every (orig, copy) exact pair and
             # (orig, tail) containment pair must be a verified pair
-            f"dedup_pairs{suffix}": f"""
-WITH {PAGES_CTE}
+            "dedup_pairs": f"""
 SELECT page_id - (page_id % 4) AS page_a, page_id AS page_b,
        variant, TRUE AS found
 FROM {pages} WHERE variant IN ('copy', 'tail')
@@ -1256,14 +1153,18 @@ FROM {pages} WHERE variant IN ('copy', 'tail')
             # containment included, stronger than dedup_exact_verify's
             # exact groups) sits in one cluster at least as large as
             # the group
-            f"cluster_sizes{suffix}": f"""
-WITH {PAGES_CTE}
+            "cluster_sizes": f"""
 SELECT min(page_id) AS group_min_page_id,
        count(*) AS n_pages,
        CAST(1 AS BIGINT) AS n_clusters,
        TRUE AS cluster_size_ok
 FROM {pages} GROUP BY page_id // 4 HAVING count(*) >= 2
-"""})
+""",
+            # every graded page keeps the cluster a full recompute
+            # over the same pages gives it
+            "cluster_matches_full": f"""
+SELECT page_id, TRUE AS matches_full FROM {pages}
+"""}[name]
     return out
 
 
@@ -1348,10 +1249,7 @@ FROM {out}
 
 
 def oracle_sql() -> dict[str, str]:
-    from nxsearch_ray.stages.decontam import decontaminate_sql
     from nxsearch_ray.stages.urlfilter import blocklist_sql
-    from nxsearch_ray.stages.linededup import line_dedup_sql
-    from nxsearch_ray.stages.urlnorm import url_canonicalize_sql
     from nxsearch_ray.stages.textstats import (_LANG_MARKERS, doc_stats_sql,
                                                gopher_filter_sql,
                                                repetition_stats_sql)
@@ -1429,21 +1327,7 @@ FROM tok
 """,
         "doc_stats": f"SELECT doc_id, {stats_select} FROM documents",
         "repetition_stats": repetition_stats_sql(),
-        "url_canonical": f"""
-WITH {PAGES_CTE},
-m AS (SELECT page_id,
-             'HTTPS://WWW.'
-               || upper(regexp_extract(url, '^https://([^.]*)\\.', 1))
-               || '.EXAMPLE.ORG:443/doc/' || page_id
-               || '?b=' || (page_id & 3) || '&a=1&#frag' AS url_messy
-      FROM pages)
-SELECT page_id, url_messy,
-       {url_canonicalize_sql("url_messy")} AS url_canon
-FROM m
-""",
-        "line_dedup": line_dedup_sql(PAGES_CTE),
         "pii_scrub": pii_scrub_oracle(),
-        "decontaminate": decontaminate_sql(n=5, benchmark_mod=97),
         "url_blocklist": blocklist_sql(_BLOCKLIST, PAGES_CTE),
         "web_clean": web_clean_oracle(),
         "gopher_quality": (
@@ -1455,24 +1339,6 @@ FROM m
             + " FROM documents"),
         "lang_counts": ("SELECT lang, count(*) AS n_docs FROM documents "
                         "GROUP BY lang"),
-        "ngram_jaccard": f"""
-WITH {PAGES_CTE},
-w AS (SELECT page_id, regexp_extract_all(text, '\\S+') AS ws FROM pages),
-g AS (SELECT page_id,
-             list_distinct(list_transform(
-               generate_series(1, greatest(len(ws)-2, 0)),
-               i -> ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2])) AS grams
-      FROM w),
-p AS (SELECT ga.page_id AS a, gb.page_id AS b,
-             len(list_intersect(ga.grams, gb.grams)) AS n_common,
-             len(ga.grams) AS size_a, len(gb.grams) AS size_b
-      FROM g ga JOIN g gb ON ga.page_id < gb.page_id)
-SELECT a, b, n_common, size_a, size_b,
-       n_common::DOUBLE / (size_a + size_b - n_common) AS jaccard
-FROM p
-WHERE n_common > 0
-  AND n_common::DOUBLE / (size_a + size_b - n_common) >= 0.5
-""",
         "fingerprint": "SELECT doc_id, md5(text) AS md5 FROM documents",
         "langid": f"""
 WITH t AS (SELECT doc_id, coalesce(text, '') AS text FROM documents),
@@ -1508,24 +1374,6 @@ SELECT a.vec_id AS a, b.vec_id AS b,
        list_cosine_similarity(a.v, b.v) AS cosine
 FROM e a JOIN e b ON a.vec_id < b.vec_id
 WHERE list_cosine_similarity(a.v, b.v) >= 0.45
-""",
-        "url_seen_guard": f"""
-WITH {PAGES_CTE},
-prior AS (SELECT url FROM pages WHERE page_id % 8 = 0),
-probe AS (SELECT page_id,
-                 regexp_replace(url, '/(copy|tail)$', '') AS key
-          FROM pages WHERE page_id % 8 <> 0)
-SELECT page_id,
-       key IN (SELECT url FROM prior) AS seen_exact,
-       true AS no_false_negative
-FROM probe
-""",
-        "url_cardinality": f"""
-WITH {PAGES_CTE}
-SELECT count(DISTINCT
-         regexp_replace(url, '/(copy|tail)$', ''))::BIGINT AS n_exact,
-       true AS rel_err_ok
-FROM pages
 """,
         "semantic_dedup": f"""
 WITH e AS (SELECT vec_id, embedding::DOUBLE[] AS v FROM embeddings),

@@ -192,8 +192,7 @@ def run_benchmarks() -> dict:
 
     qs = entry.queries()
     for name in ("extract_text", "exact_dedup", "doc_stats",
-                 "ngram_jaccard", "line_dedup", "repetition_stats",
-                 "pii_scrub", "decontaminate", "gopher_quality",
+                 "repetition_stats", "pii_scrub", "gopher_quality",
                  "url_blocklist", "web_clean", "semantic_dedup"):
         def runq(name=name):
             out = qs[name](SF_DIR)

@@ -23,28 +23,26 @@ from nxsearch_ray.stages.signatures import SignatureActor, list_column_numpy
 from nxsearch_ray.state.unionfind import UnionFind
 
 
-def oracle_clusters(pages: pa.Table, cfg: PipelineConfig
-                    ) -> tuple[dict[int, int], set[tuple[int, int]]]:
-    """(page_id → cluster_id, verified pair set) for a pages table
-    (must already have `text`; html not needed)."""
+def oracle_signatures(pages: pa.Table, cfg: PipelineConfig
+                      ) -> tuple[pa.Table, pa.Table]:
+    """(canonical rows, signature rows) of a pages table (must already
+    have `text`; html not needed)."""
     canon = CanonicalizeActor(cfg)(pages if "html" not in
                                    pages.column_names
                                    else pages.drop_columns(["html"]))
-    sigs = SignatureActor(cfg)(canon)
+    return canon, SignatureActor(cfg)(canon)
 
+
+def candidate_buckets(sigs: pa.Table, cfg: PipelineConfig
+                      ) -> dict[str, dict[int, list[int]]]:
+    """Every candidate bucket's member page ids, by source (exact,
+    minhash, simhash, suffix) and bucket key, before the skew policy."""
     pids = sigs.column("page_id").to_numpy()
-    n = len(pids)
     mh_flat, _ = list_column_numpy(sigs.column("minhash"))
-    mh = mh_flat.reshape(n, cfg.num_perms)
-    res_flat, _ = list_column_numpy(sigs.column("mh_res"), dtype=np.uint8)
-    mh_res = res_flat.reshape(n, cfg.num_perms)
+    mh = mh_flat.reshape(len(pids), cfg.num_perms)
     sim = sigs.column("simhash").to_numpy().astype(np.uint64)
-    bk_flat, bk_off = list_column_numpy(sigs.column("bottomk"),
-                                        dtype=np.uint32)
     an_flat, an_off = list_column_numpy(sigs.column("anchors"))
     seqh = sigs.column("seq_hash").to_numpy().astype(np.uint64)
-    tok_flat, tok_off = list_column_numpy(canon.column("token_ids"))
-    row = {int(p): i for i, p in enumerate(pids)}
 
     buckets: dict[str, dict[int, list[int]]] = {
         "exact": collections.defaultdict(list),
@@ -73,10 +71,29 @@ def oracle_clusters(pages: pa.Table, cfg: PipelineConfig
     for i, p in enumerate(pids):
         for a in an_flat[an_off[i]:an_off[i + 1]]:
             buckets["suffix"][int(a)].append(int(p))
+    return buckets
+
+
+def oracle_clusters(pages: pa.Table, cfg: PipelineConfig
+                    ) -> tuple[dict[int, int], set[tuple[int, int]]]:
+    """(page_id → cluster_id, verified pair set) for a pages table
+    (must already have `text`; html not needed)."""
+    canon, sigs = oracle_signatures(pages, cfg)
+
+    pids = sigs.column("page_id").to_numpy()
+    n = len(pids)
+    res_flat, _ = list_column_numpy(sigs.column("mh_res"), dtype=np.uint8)
+    mh_res = res_flat.reshape(n, cfg.num_perms)
+    sim = sigs.column("simhash").to_numpy().astype(np.uint64)
+    bk_flat, bk_off = list_column_numpy(sigs.column("bottomk"),
+                                        dtype=np.uint32)
+    an_off = list_column_numpy(sigs.column("anchors"))[1]
+    tok_flat, tok_off = list_column_numpy(canon.column("token_ids"))
+    row = {int(p): i for i, p in enumerate(pids)}
 
     pair_counts: dict[tuple[int, int], collections.Counter] = \
         collections.defaultdict(collections.Counter)
-    for source, bs in buckets.items():
+    for source, bs in candidate_buckets(sigs, cfg).items():
         skip = cfg.anchor_bucket_max if source == "suffix" else None
         for members in bs.values():
             a_arr, b_arr = pairs_within(

@@ -11,9 +11,9 @@ the lower triangle of the similarity matrix, drop rows whose max
 remaining similarity exceeds eps — with id order as the tie-break.
 
 Reference parity note: the reference engine (rmind/nxsearch) has no
-embedding operators; this stage extends the near-dedup tier family
-(pipelines/dedup.py MinHash tier, stages/setsim.py ngram tier) with
-the semantic tier a training-data pipeline needs.
+embedding operators; this stage extends the near-dedup tiers
+(pipelines/dedup.py: exact, MinHash, SimHash and suffix) with the
+semantic tier a training-data pipeline needs.
 
 Two plans, same output schema ``(id, dup_of, keep)``:
 

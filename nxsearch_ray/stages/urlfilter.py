@@ -6,10 +6,9 @@ Shape: the blocklist is a curated, fixed-size artifact (UT1/Dolma
 blocklists are a few million lines — MBs against a 100 TB corpus), so
 it broadcasts once via ``ray.put`` as a SORTED string array; every
 task extracts the registrable domain with one RE2 kernel and runs one
-``join.sorted_lookup`` membership probe.  Map-only, zero shuffles — the
-same broadcast-membership discipline as `stages.decontam` and
-`stages.linededup`, and the cheapest possible stage to run FIRST so
-blocked pages never reach extraction/canonicalization.
+``join.sorted_lookup`` membership probe.  Map-only, zero shuffles, and
+the cheapest possible stage to run FIRST so blocked pages never reach
+extraction/canonicalization.
 """
 
 from __future__ import annotations

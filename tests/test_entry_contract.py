@@ -39,11 +39,10 @@ def test_expected_query_inventory():
     # remaining entries and entry().
     expected = {
         "pages_build", "extract_text", "exact_dedup", "doc_stats",
-        "lang_counts", "ngram_jaccard", "fingerprint", "dedup_pairs",
+        "lang_counts", "fingerprint", "dedup_pairs",
         "cluster_sizes", "langid", "embedding_dups", "bucket_census",
         "dedup_exact_verify", "signatures_plain", "canonicalize_plain",
-        "pii_scrub", "decontaminate", "gopher_quality", "url_blocklist",
-        "web_clean", "url_seen_guard", "url_cardinality",
+        "pii_scrub", "gopher_quality", "url_blocklist", "web_clean",
         "semantic_dedup", "semantic_dedup_clustered",
         "semdedup_clustered_verify",
         *(f"{name}_{variant}"
@@ -51,12 +50,19 @@ def test_expected_query_inventory():
                           "resumed", "readded")
           for name in ("dedup_pairs", "dedup_exact_verify",
                        "cluster_sizes")),
+        *(f"{name}_{variant}"
+          for variant in ("hotingest", "hotremoved")
+          for name in ("dedup_exact_verify", "cluster_sizes",
+                       "cluster_matches_full")),
         "corpus_decisions", "corpus_exact_groups", "corpus_neardup_valid",
         "corpus_semantic_valid", "corpus_planted_copies",
-        "repetition_stats", "url_canonical", "line_dedup",
+        "repetition_stats",
     }
     missing = expected - q
     assert not missing, f"queries() lost entries: {missing}"
+    # the graded 50 are these, and only the rows-only tail lies past it
+    assert set(list(entry_mod.queries())[:50]) \
+        == expected - {"semantic_dedup_clustered"}
 
 
 def test_sql_twinned_queries_precede_no_oracle():
@@ -138,17 +144,21 @@ def test_dedup_exact_verify_invariants(ray_session):
 def test_dedup_variants_reach_their_plans(ray_session):
     """Each graded dedup variant runs the path it grades — so an
     ``auto`` fallback cannot silently grade the broadcast plan — and
-    all three dedup invariants hold on its result (sf0.001)."""
+    its graded invariants hold on its result (sf0.001)."""
     import pyarrow.parquet as pq
 
     sf = "/root/testdata/sf0.001"
-    variants = ("scale", "incremental", "removed", "onefile", "resumed",
-                "readded")
-    stats = {v: entry_mod._dedup(sf, v).stats for v in variants}
+    plain = ("scale", "incremental", "removed", "onefile", "resumed",
+             "readded")
+    hot = ("hotingest", "hotremoved")
+    stats = {v: entry_mod._dedup(sf, v).stats for v in plain + hot}
     assert stats["scale"]["verify_plan"] == "bucketed"
     assert stats["scale"]["cc_plan"] == "labelprop"
-    assert stats["incremental"]["incremental_new_pages"] > 0
-    assert stats["removed"]["removed_found"] > 0
+    for ingest, removal in (("incremental", "removed"),
+                            ("hotingest", "hotremoved")):
+        assert stats[ingest]["incremental_new_pages"] > 0
+        assert stats[removal]["removed_found"] > 0
+    assert _hot_crossings(sf) > 0
     # one file of >= 8 row groups, read as the run's only input
     files = list(Path(entry_mod._DEDUP_CACHE[(sf, "onefile")][1].name)
                  .iterdir())
@@ -163,8 +173,43 @@ def test_dedup_variants_reach_their_plans(ray_session):
     # the re-ingest adds back exactly the pages the removal took out
     assert stats["readded"]["removed_found"] \
         == stats["readded"]["incremental_new_pages"] > 0
-    for v in variants:
+    for v in plain:
         _assert_dedup_invariants(sf, v)
+    for v in hot:
+        _assert_hot_invariants(sf, v)
+
+
+def _hot_crossings(sf: str) -> int:
+    """The candidate buckets the hot ingest pushes past
+    ``hot_bucket_cap``: more than the cap distinct members over every
+    page, at most the cap over the even pages its first run took (an
+    anchor bucket past ``anchor_bucket_max`` emits nothing and does not
+    count)."""
+    import pyarrow as pa
+
+    from nxsearch_ray.oracle import candidate_buckets, oracle_signatures
+    from nxsearch_ray.sources.pages import pages_table
+
+    cfg = entry_mod._HOT_CFG
+    _, sigs = oracle_signatures(pages_table(sf), cfg)
+    even = sigs.filter(pa.array(sigs.column("page_id").to_numpy() % 2 == 0))
+    half = candidate_buckets(even, cfg)
+    return sum(
+        1 for src, buckets in candidate_buckets(sigs, cfg).items()
+        for key, members in buckets.items()
+        if cfg.hot_bucket_cap < len(set(members))
+        and (src != "suffix" or len(set(members)) <= cfg.anchor_bucket_max)
+        and len(set(half[src].get(key, ()))) <= cfg.hot_bucket_cap)
+
+
+def _assert_hot_invariants(sf: str, variant: str):
+    """A hot-bucket variant's graded invariants: both group checks, and
+    every graded page's cluster equals a full recompute's."""
+    _assert_group_checks(sf, variant)
+    full = _as_table(entry_mod.q_cluster_matches_full(sf, variant))
+    assert full.num_rows == _as_table(
+        entry_mod._graded_pages(sf, variant)).num_rows, variant
+    assert set(full.column("matches_full").to_pylist()) == {True}, variant
 
 
 def _as_table(x):
@@ -179,14 +224,19 @@ def _as_table(x):
 
 def _assert_dedup_invariants(sf: str, variant: str):
     """The three dedup invariants on one variant's run: every planted
-    copy/tail pair is a verified pair, and both group checks (planted
-    variant groups, md5-identical page groups) find each group in ONE
-    cluster that passes the check's flag."""
+    copy/tail pair is a verified pair, and both group checks hold."""
     pairs = _as_table(entry_mod.q_dedup_pairs(sf, variant))
     assert pairs.num_rows > 0, variant
     assert set(pairs.column("found").to_pylist()) == {True}, variant
     assert set(pairs.column("variant").to_pylist()) == {"copy", "tail"}, \
         variant
+    _assert_group_checks(sf, variant)
+
+
+def _assert_group_checks(sf: str, variant: str):
+    """Both group checks (planted variant groups, md5-identical page
+    groups) find each group in ONE cluster that passes the check's
+    flag."""
     for fn, flag in ((entry_mod.q_cluster_sizes, "cluster_size_ok"),
                      (entry_mod.q_dedup_exact_verify,
                       "cluster_is_component_min")):

@@ -1,91 +1,15 @@
-"""Corpus-level line dedup (stages/linededup.py) and repetition stats
-(stages/textstats.py) — the CCNet boilerplate pass and the Gopher
-repetition rules, both with in-test DuckDB differentials against their
-SQL twins."""
+"""Gopher repetition stats (stages/textstats.py repetition_stats), with
+an in-test DuckDB differential against its SQL twin."""
 
 import duckdb
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from nxsearch_ray.stages.linededup import (
-    line_dedup,
-    line_dedup_sql,
-    reflow_lines,
-)
 from nxsearch_ray.stages.textstats import (
     repetition_stats,
     repetition_stats_sql,
 )
-
-
-def test_reflow_lines_windows():
-    t = pa.table({"page_id": pa.array([7], pa.int64()),
-                  "text": [" ".join(f"w{i}" for i in range(23))]})
-    out = reflow_lines(t, words_per_line=10)
-    assert out.num_rows == 3
-    assert out.column("line_no").to_pylist() == [0, 1, 2]
-    lines = out.column("line").to_pylist()
-    assert lines[0] == " ".join(f"w{i}" for i in range(10))
-    assert lines[2] == "w20 w21 w22"                # ragged tail
-    assert out.column("page_id").to_pylist() == [7, 7, 7]
-
-
-def test_reflow_lines_newline_mode():
-    t = pa.table({"page_id": pa.array([1, 2], pa.int64()),
-                  "text": ["a\nb\nc", "solo"]})
-    out = reflow_lines(t, words_per_line=None)
-    assert out.column("line").to_pylist() == ["a", "b", "c", "solo"]
-    assert out.column("line_no").to_pylist() == [0, 1, 2, 0]
-
-
-def test_line_dedup_drops_shared_lines(ray_session):
-    import ray.data as rd
-
-    boiler = " ".join(f"nav{i}" for i in range(10))
-    uniq = [" ".join(f"u{p}_{i}" for i in range(10)) for p in range(3)]
-    t = pa.table({
-        "page_id": pa.array([0, 1, 2], pa.int64()),
-        "text": [f"{boiler} {uniq[0]}",
-                 f"{boiler} {uniq[1]}",
-                 f"{uniq[2]}"],
-    })
-    out = {r["page_id"]: r for r in
-           line_dedup(rd.from_arrow(t)).take_all()}
-    assert out[0]["n_lines"] == 2 and out[0]["n_lines_kept"] == 1
-    assert out[0]["clean_text"] == uniq[0]          # boiler removed
-    assert out[1]["clean_text"] == uniq[1]
-    assert out[2]["n_lines_kept"] == 1 and out[2]["clean_text"] == uniq[2]
-
-
-def test_line_dedup_fully_boilerplate_page(ray_session):
-    import ray.data as rd
-
-    line = " ".join(f"x{i}" for i in range(10))
-    t = pa.table({"page_id": pa.array([10, 11], pa.int64()),
-                  "text": [line, line]})
-    out = {r["page_id"]: r for r in
-           line_dedup(rd.from_arrow(t)).take_all()}
-    for pid in (10, 11):                            # both copies emptied
-        assert out[pid]["n_lines_kept"] == 0
-        assert out[pid]["clean_text"] == ""
-
-
-def test_line_dedup_matches_duckdb(ray_session, sf_dir):
-    """Full differential vs the SQL twin over the derived pages table."""
-    import __ray_entry__ as entry
-    from nxsearch_ray.sources.pages import pages_dataset
-
-    got = line_dedup(pages_dataset(sf_dir, include_html=False)) \
-        .to_pandas().sort_values("page_id").reset_index(drop=True)
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{sf_dir}/documents.parquet')")
-    want = con.execute(line_dedup_sql(entry.PAGES_CTE) +
-                       " ORDER BY page_id").fetchdf()
-    assert got.shape == want.shape
-    for col in ("page_id", "n_lines", "n_lines_kept", "clean_text"):
-        assert (got[col].values == want[col].values).all(), col
 
 
 def test_repetition_stats_known_values():
@@ -130,23 +54,3 @@ def test_repetition_stats_batch_independence():
     parts = pa.concat_tables(
         [repetition_stats(t.slice(i, 7)) for i in range(0, 40, 7)])
     assert whole.equals(parts)
-
-
-def test_line_dedup_newline_mode_end_to_end(ray_session):
-    """Real multi-line text (words_per_line=None): shared nav/footer
-    lines vanish, unique lines survive in order."""
-    import ray.data as rd
-
-    nav, footer = "HOME | ABOUT | CONTACT", "(c) example.org 2024"
-    t = pa.table({
-        "page_id": pa.array([1, 2, 3], pa.int64()),
-        "text": [f"{nav}\nfirst page body\n{footer}",
-                 f"{nav}\nsecond page body\nextra line\n{footer}",
-                 "standalone page\nwith its own lines"],
-    })
-    out = {r["page_id"]: r for r in
-           line_dedup(rd.from_arrow(t), words_per_line=None).take_all()}
-    assert out[1]["clean_text"] == "first page body"
-    assert out[2]["clean_text"] == "second page body\nextra line"
-    assert out[2]["n_lines"] == 4 and out[2]["n_lines_kept"] == 2
-    assert out[3]["clean_text"] == "standalone page\nwith its own lines"

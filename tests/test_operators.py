@@ -1,4 +1,4 @@
-"""Operator-level tests: sources, setsim, embedding dup pairs, text
+"""Operator-level tests: sources, embedding dup pairs, text
 stats, join, query probe, diagnostics."""
 
 from __future__ import annotations
@@ -58,142 +58,6 @@ def test_pages_from_text_files(ray_session, tmp_path):
               enumerate(t.column("url").to_pylist())}
     assert t.column("text")[by_url["a.txt"]].as_py() == "plain text doc"
     assert b"html doc" in t.column("html")[by_url["b.html"]].as_py()
-
-
-# ------------------------------------------------------------- setsim
-
-def test_ngram_set_definition():
-    from nxsearch_ray.stages.setsim import ngram_set
-
-    assert ngram_set("a b c d", 3) == {"a b c", "b c d"}
-    assert ngram_set("a b", 3) == set()
-
-
-def test_ngram_jaccard_matches_bruteforce(ray_session):
-    import ray.data as rd
-
-    from nxsearch_ray.stages.setsim import ngram_jaccard_pairs, ngram_set
-
-    texts = ["the quick brown fox jumps over the lazy dog",
-             "the quick brown fox jumps over the lazy cat",
-             "completely different words here now",
-             "the quick brown fox jumps over the lazy dog today"]
-    t = pa.table({"page_id": list(range(4)), "text": texts})
-    out = ngram_jaccard_pairs(rd.from_arrow(t), n=3, threshold=0.3)
-    got = pa.concat_tables(out.iter_batches(batch_size=100,
-                                            batch_format="pyarrow"))
-    pairs = {(r["a"], r["b"]): r["jaccard"]
-             for r in got.to_pylist()}
-    # brute force
-    grams = [ngram_set(x, 3) for x in texts]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            inter = len(grams[i] & grams[j])
-            if not inter:
-                continue
-            jac = inter / len(grams[i] | grams[j])
-            if jac >= 0.3:
-                assert pytest.approx(pairs[(i, j)]) == jac
-            else:
-                assert (i, j) not in pairs
-
-
-def test_count_cooccurrence_both_strategies(ray_session):
-    """Unit-test the exact-count pass's per-run strategy choice: a hot
-    boilerplate run (C(df,2) huge, candidate degrees tiny) must take
-    the adjacency-expansion branch while ordinary runs enumerate —
-    and the partial counts must be identical to brute force either
-    way.  Page ids sit above 2^32 to exercise the dense-rank mapping
-    (the adjacency is rank-keyed; partials carry ranks)."""
-    from nxsearch_ray.stages.setsim import _count_cooccurrence
-
-    BIG = 3 << 32  # global ids beyond uint32 range
-    # gram runs: hot run (key 100: docs 0..49), three ordinary runs —
-    # local index i is also doc BIG+i's dense rank
-    runs = {100: list(range(50)), 200: [0, 1, 2], 300: [1, 2],
-            400: [0, 2]}
-    keys, pids = [], []
-    for k in sorted(runs):
-        for p in runs[k]:
-            keys.append(k)
-            pids.append(BIG + p)
-    dfs = [len(runs[k]) for k in sorted(runs) for _ in runs[k]]
-    t = pa.table({"bucket_key": pa.array(keys, type=pa.uint64()),
-                  "page_id": pa.array(pids, type=pa.int64()),
-                  "df": pa.array(dfs, type=pa.int64())})
-    # candidate pairs as ranks (a < b), a-side CSR exactly as _build
-    # emits; ids maps rank -> global id over the endpoint universe
-    cand = [(0, 1), (0, 2), (1, 2)]
-    a = np.array([p[0] for p in cand], dtype=np.int64)
-    b = np.array([p[1] for p in cand], dtype=np.int64)
-    adj = {"nodes": np.array([0, 1], dtype=np.int64),
-           "offsets": np.array([0, 2, 3], dtype=np.int64),
-           "partners": np.array([1, 2, 2], dtype=np.int64),
-           "pair_keys": (a.astype(np.uint64) << np.uint64(32))
-           | b.astype(np.uint64),
-           "ids": BIG + np.array([0, 1, 2], dtype=np.int64),
-           "sizes": np.array([10, 10, 10], dtype=np.int64)}
-    # the hot run must choose expansion: C(50,2)=1225 >> sum(deg)=3
-    fn = _count_cooccurrence(adj)
-    got = fn(t)
-    counts = {(r["a"], r["b"]): r["cnt"] for r in got.to_pylist()}
-    expected = {}
-    for (x, y) in cand:
-        expected[(x, y)] = sum(1 for k in runs
-                               if x in runs[k] and y in runs[k])
-    assert counts == expected
-    # splitting into per-run blocks must sum to the same totals
-    parts = []
-    off = 0
-    for k in sorted(runs):
-        parts.append(fn(t.slice(off, len(runs[k]))))
-        off += len(runs[k])
-    summed: dict = {}
-    for p in parts:
-        for r in p.to_pylist():
-            summed[(r["a"], r["b"])] = summed.get((r["a"], r["b"]), 0) \
-                + r["cnt"]
-    assert summed == expected
-
-
-def test_ngram_jaccard_skewed_boilerplate(ray_session):
-    """End-to-end exactness on a skewed corpus: every doc shares a
-    boilerplate phrase (df = n_docs grams → the expansion branch and
-    the prefix filter's high-df ordering both engage) plus planted
-    near-dup pairs."""
-    import ray.data as rd
-
-    from nxsearch_ray.stages.setsim import ngram_jaccard_pairs, ngram_set
-
-    boiler = "terms of service apply all rights reserved"
-    texts = []
-    for i in range(30):
-        uniq = " ".join(f"w{i}x{j}" for j in range(6))
-        texts.append(f"{boiler} {uniq}")
-    # planted near-dups: same unique tail with one word changed
-    texts[10] = texts[0].replace("w0x5", "zz")
-    texts[21] = texts[20]
-    BIG = 5 << 32  # ids beyond uint32: end-to-end wide-id coverage
-    t = pa.table({"page_id": [BIG + i for i in range(30)],
-                  "text": texts})
-    out = ngram_jaccard_pairs(rd.from_arrow(t), n=3, threshold=0.3)
-    got = pa.concat_tables(out.iter_batches(batch_size=1000,
-                                            batch_format="pyarrow"))
-    pairs = {(r["a"], r["b"]): (r["n_common"], r["jaccard"])
-             for r in got.to_pylist()}
-    grams = [ngram_set(x, 3) for x in texts]
-    expected = {}
-    for i in range(30):
-        for j in range(i + 1, 30):
-            inter = len(grams[i] & grams[j])
-            jac = inter / len(grams[i] | grams[j]) if inter else 0.0
-            if jac >= 0.3:
-                expected[(BIG + i, BIG + j)] = inter
-    assert set(pairs) == set(expected)
-    for k, inter in expected.items():
-        assert pairs[k][0] == inter
-        assert pytest.approx(pairs[k][1]) == inter / (
-            len(grams[k[0] - BIG] | grams[k[1] - BIG]))
 
 
 # -------------------------------------------------- embedding dup pairs
@@ -356,52 +220,3 @@ def test_bucket_census(ray_session):
     exact_total = sum(r["bucket_size"] * r["n_buckets"]
                       for r in rows if r["source"] == "exact")
     assert exact_total == tbl.num_rows
-
-
-def test_ngram_jaccard_sharded_plan_equivalence(ray_session, monkeypatch):
-    """Forcing >=4 candidate shards (the a-endpoint sharding that
-    bounds every adjacency/count/finish task to ~1/S of the candidate
-    set, forced by shrinking ``SHARD_BUDGET_PAIRS``) must give
-    byte-identical results to the single-shard plan, over a corpus
-    with real duplicate structure."""
-    import ray.data as rd
-
-    from nxsearch_ray.stages import setsim
-    from nxsearch_ray.stages.setsim import ngram_jaccard_pairs
-
-    build = setsim.build_pair_adjacency_refs
-    shards = []
-
-    def counted(cand):
-        refs = build(cand)
-        shards.append(len(refs))
-        return refs
-
-    monkeypatch.setattr(setsim, "build_pair_adjacency_refs", counted)
-
-    rng = np.random.default_rng(11)
-    words = [f"w{i}" for i in range(40)]
-    texts = []
-    for i in range(60):
-        base = " ".join(rng.choice(words, size=12))
-        texts.append(base)
-        if i % 3 == 0:                      # planted near-dups
-            texts.append(base + " extra")
-    t = pa.table({"page_id": list(range(len(texts))), "text": texts})
-
-    def run(budget):
-        monkeypatch.setattr(setsim, "SHARD_BUDGET_PAIRS", budget)
-        out = ngram_jaccard_pairs(rd.from_arrow(t), n=3, threshold=0.4)
-        tb = pa.concat_tables(
-            b for b in out.iter_batches(batch_size=1 << 20,
-                                        batch_format="pyarrow")
-            if b.num_columns > 0)
-        order = np.lexsort((tb.column("b").to_numpy(),
-                            tb.column("a").to_numpy()))
-        return tb.take(pa.array(order, type=pa.int64()))
-
-    one = run(1 << 30)
-    many = run(16)
-    assert shards[0] == 1 and shards[1] >= 4
-    assert one.num_rows > 0          # the corpus must exercise pairs
-    assert many.equals(one)

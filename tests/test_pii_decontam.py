@@ -1,11 +1,10 @@
-"""PII scrub + benchmark decontamination operators.
+"""PII scrub, Gopher quality and URL blocklist operators.
 
 Python-oracle checks on hand-built rows plus a DuckDB differential at
 sf0.001 (the driver repeats the differential at sf0.01)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -106,74 +105,6 @@ def test_pii_oracle_differential(ray_session, sf_dir):
     assert r["n_ip"] == s["n_ip"]
     assert r["clean_text"] == s["clean_text"]
     assert all(n >= 1 for n in r["n_email"])  # injection really ran
-
-
-def test_decontaminate_python_oracle(ray_session, tmp_path):
-    """Tiny corpus with planted contamination vs a brute-force
-    python oracle."""
-    import pyarrow.parquet as pq
-
-    import ray.data
-
-    from nxsearch_ray.stages.decontam import decontaminate
-    from nxsearch_ray.stages.setsim import ngram_set
-
-    rng = np.random.default_rng(11)
-    vocab = [f"w{i}" for i in range(40)]
-    texts, ids = [], []
-    for d in range(120):
-        words = list(rng.choice(vocab, size=rng.integers(3, 30)))
-        texts.append(" ".join(words))
-        ids.append(d)
-    # plant: doc 1 copies a 5-gram from benchmark doc 0 (0 % 97 == 0)
-    bench_words = texts[0].split()
-    if len(bench_words) >= 5:
-        texts[1] = texts[1] + " " + " ".join(bench_words[:5])
-    tbl = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                    "text": texts})
-    path = tmp_path / "docs.parquet"
-    pq.write_table(tbl, path)
-
-    out = pa.concat_tables(
-        decontaminate(ray.data.read_parquet(str(path)), n=5,
-                      benchmark_mod=97)
-        .iter_batches(batch_format="pyarrow")).sort_by("doc_id")
-
-    bench_grams: set[str] = set()
-    for d, t in zip(ids, texts):
-        if d % 97 == 0:
-            bench_grams |= ngram_set(t, 5)
-    expect = {d: len(ngram_set(t, 5) & bench_grams)
-              for d, t in zip(ids, texts) if d % 97 != 0}
-    got = dict(zip(out.column("doc_id").to_pylist(),
-                   out.column("n_hits").to_pylist()))
-    assert got == expect
-    if len(bench_words) >= 5:
-        assert got[1] >= 1
-    assert out.column("contaminated").to_pylist() == \
-        [v > 0 for v in expect.values()]
-
-
-def test_decontaminate_oracle_differential(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as entrymod
-
-    ray_tbl = pa.concat_tables(
-        entrymod.q_decontaminate(sf_dir).iter_batches(
-            batch_format="pyarrow")).sort_by("doc_id")
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
-                f"read_parquet('{sf_dir}/documents.parquet')")
-    sql_tbl = con.execute(
-        entrymod.oracle_sql()["decontaminate"]).arrow() \
-        .sort_by("doc_id")
-    assert ray_tbl.column("doc_id").to_pylist() == \
-        sql_tbl.column("doc_id").to_pylist()
-    assert ray_tbl.column("n_hits").to_pylist() == \
-        sql_tbl.column("n_hits").to_pylist()
-    assert ray_tbl.column("contaminated").to_pylist() == \
-        sql_tbl.column("contaminated").to_pylist()
 
 
 def test_gopher_filter_rules():

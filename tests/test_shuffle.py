@@ -257,12 +257,8 @@ def _gram_census(ds, order: int):
 
 def test_grouped_censuses_match_counter(ray_session):
     """The censuses on ``grouped`` equal a plain-Python Counter on a
-    seeded table: a unigram and a trigram census (``_gram_census``)
-    and the boilerplate line census."""
-    import ray
+    seeded table: a unigram and a trigram census (``_gram_census``)."""
     import ray.data as rd
-
-    from nxsearch_ray.stages.linededup import boilerplate_keys, reflow_lines
 
     rng = np.random.default_rng(7)
     vocab = [f"w{k}" for k in range(40)] + ["Nav", "nav", "x:y"]
@@ -282,15 +278,6 @@ def test_grouped_censuses_match_counter(ray_session):
     assert census(_gram_census(ds, 3), ["w1", "w2", "w3"]) \
         == Counter(tuple(ws[i:i + 3]) for ws in toks
                    for i in range(len(ws) - 2))
-
-    lines = reflow_lines(t, words_per_line=3)
-    docs: dict = {}
-    for k, p in zip(lines.column("line_key").to_pylist(),
-                    lines.column("page_id").to_pylist()):
-        docs.setdefault(k, set()).add(p)
-    want = sorted(k for k, ps in docs.items() if len(ps) >= 2)
-    got = ray.get(boilerplate_keys(rd.from_arrow(lines).repartition(4)))
-    assert want and got.tolist() == want
 
 
 def test_no_sort_shuffle_call_sites():
