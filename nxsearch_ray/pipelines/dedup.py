@@ -51,9 +51,12 @@ read the page files (``shuffle.blocks`` lists the read's read tasks),
 and every later step is a wave of plain Ray tasks over block refs — a
 keyed exchange (stages/shuffle.py), a broadcast lookup or a per-block
 map (stages/join.broadcast_map / map_blocks) — that runs when it is
-called and hands on its output blocks; so is a checkpoint write, over
-the pinned blocks that downstream takes (a resumed stage is read in
-its consumers' tasks).  All hashing is seeded from the config; output
+called and hands on a ``shuffle.Blocks`` handle (its block refs and
+the ``(rows, bytes)`` its tasks returned beside them), not a Ray
+Dataset; so is a checkpoint write, over the pinned blocks that
+downstream takes (a resumed stage is read in its consumers' tasks).  A
+run builds no Ray Dataset, and the driver waits on a wave only where
+it needs a count.  All hashing is seeded from the config; output
 is invariant to parallelism and retries.
 """
 
@@ -62,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pyarrow as pa
+import ray
 
 from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.stages.cc import (
@@ -75,8 +79,8 @@ from nxsearch_ray.stages.pairs import (
     multi_candidate_pairs,
     union_pair_sources,
 )
-from nxsearch_ray.stages.shuffle import refs
-from nxsearch_ray.stages.signatures import canonsig_schema, canonsig_stage
+from nxsearch_ray.stages.shuffle import Blocks, refs, union
+from nxsearch_ray.stages.signatures import canonsig_stage
 from nxsearch_ray.stages.suffix import (
     build_token_index_ref,
     suffix_verify_broadcast,
@@ -91,8 +95,9 @@ from nxsearch_ray.state.lineage import (
     FINGERPRINT,
     input_fingerprint,
     is_complete,
-    load_stage,
+    id_hash,
     read_manifest,
+    read_stage,
     stage,
 )
 
@@ -105,19 +110,14 @@ STAR_EDGE_BYTES = 16
 
 @dataclass
 class DedupResult:
-    clusters: "object"            # Dataset: page_id, cluster_id
-    verified_pairs: "object"      # Dataset: a, b, source
+    # shuffle.Blocks handles (a read Dataset where a stage resumed)
+    clusters: "object"            # page_id, cluster_id
+    verified_pairs: "object"      # a, b, source
     stats: dict = field(default_factory=dict)
 
 
 def _pair_columns(t: pa.Table) -> pa.Table:
     return t.select(PAIR_SCHEMA.names)
-
-
-def _held(t: pa.Table) -> pa.Table:
-    """A block as it is: a wave of it holds a read in the object
-    store."""
-    return t
 
 
 def _split_direct(t: pa.Table) -> pa.Table:
@@ -213,8 +213,6 @@ def _verified_pairs(signatures, sig_bytes, cfg, verify_mode, stats):
     """signatures → candidates → verify → exact adjudication: the
     verified (a, b, source) pairs, for the ``verified_pairs`` stage to
     pin."""
-    import ray.data as rd
-
     candidates = stage(
         stats, "pairs",
         lambda: union_pair_sources(multi_candidate_pairs(signatures, cfg),
@@ -244,7 +242,7 @@ def _verified_pairs(signatures, sig_bytes, cfg, verify_mode, stats):
         exact = suffix_verify_broadcast(
             need_exact, build_token_index_ref(signatures), cfg)
     exact = map_blocks(exact, _pair_columns, PAIR_SCHEMA)
-    return rd.from_arrow_refs(refs(direct) + refs(exact))
+    return union(direct, exact)
 
 
 def _components(all_pairs, cc_mode, stats):
@@ -307,15 +305,12 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
         return run_dedup(pages_ds, cfg, out_dir=out_dir, **run_kw)
 
     def sig_factory():
-        import ray.data as rd
-
-        # held by a wave: writing the checkpoint clears the directory
-        # the prior read lists
-        prior = map_blocks(load_stage(out_dir, "signatures"), _held,
-                           canonsig_schema(cfg))
+        # held in the object store: writing the checkpoint clears the
+        # directory the prior rows are read from
+        prior = read_stage(out_dir, "signatures")
         new = canonsig_stage(anti_join(pages_ds, "page_id",
                                        id_set_ref(prior, ["page_id"])), cfg)
-        return rd.from_arrow_refs(refs(prior) + refs(new))
+        return union(prior, new)
 
     n_known = read_manifest(out_dir, "signatures")["rows"]
     result = _run(sig_factory, cfg, out_dir, input_fingerprint(pages_ds),
@@ -351,10 +346,8 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
     import hashlib
 
     import numpy as np
-    import ray
 
     from nxsearch_ray.stages.join import anti_join
-    from nxsearch_ray.state.lineage import id_hash
 
     cfg = cfg or PipelineConfig()
     if not is_complete(out_dir, "signatures", cfg):
@@ -366,12 +359,11 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
     if not isinstance(removed_ref, ray.ObjectRef):
         removed_ref = ray.put(np.unique(np.asarray(
             list(removed_page_ids), dtype=np.int64)))
-    n_requested, removed_hash = ray.get(ray.remote(
-        lambda a: (len(a), id_hash(a))).remote(removed_ref))
+    n_requested, removed_hash = ray.get(_count_and_hash.remote(removed_ref))
 
     def sig_factory():
-        surviving = anti_join(load_stage(out_dir, "signatures"), "page_id",
-                              removed_ref).materialize()
+        surviving = anti_join(read_stage(out_dir, "signatures"), "page_id",
+                              removed_ref)
         if surviving.count() == 0:
             # refuse loudly, and before stage writes anything: the
             # prior checkpoint stays as it was
@@ -392,13 +384,22 @@ def run_dedup_remove(removed_page_ids, cfg: PipelineConfig | None = None,
     return result
 
 
+@ray.remote
+def _count_and_hash(ids) -> tuple[int, int]:
+    return len(ids), id_hash(ids)
+
+
 def clusters_as_table(result: DedupResult) -> pa.Table:
+    """The clusters, sorted by page_id: a handle's blocks straight from
+    its refs, a resumed stage's read through Ray Data."""
     import numpy as np
 
     from nxsearch_ray.stages.cc import CLUSTER_SCHEMA
 
-    batches = list(result.clusters.iter_batches(batch_size=65536,
-                                                batch_format="pyarrow"))
+    clusters = result.clusters
+    batches = (ray.get(refs(clusters)) if isinstance(clusters, Blocks)
+               else list(clusters.iter_batches(batch_size=65536,
+                                               batch_format="pyarrow")))
     c = (pa.concat_tables(batches) if batches
          else CLUSTER_SCHEMA.empty_table())
     if c.num_rows == 0:

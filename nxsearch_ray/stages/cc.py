@@ -32,7 +32,10 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from nxsearch_ray.stages.join import sorted_lookup
+from nxsearch_ray.stages.join import map_blocks, sorted_lookup
+from nxsearch_ray.stages.shuffle import (Blocks, concat, exchange,
+                                         key_hash, refs, tree_fold,
+                                         with_meta)
 
 CLUSTER_SCHEMA = pa.schema([("page_id", pa.int64()),
                             ("cluster_id", pa.int64())])
@@ -59,8 +62,6 @@ def star_edges(pairs_ds):
     """The shared leaf: every pair block collapsed to star edges, one
     task per block (``join.map_blocks``), so ``count()`` is
     metadata."""
-    from nxsearch_ray.stages.join import map_blocks
-
     return map_blocks(pairs_ds, _star_edges, STAR_SCHEMA)
 
 
@@ -80,7 +81,7 @@ def cc_tree_unionfind(pairs_ds):
     (16 B/row).  ``run_dedup(cc_mode='auto')`` sizes the star edges
     after the leaf pass and switches to label propagation when they
     exceed the per-task byte budget — the 10^12-doc escape hatch.
-    Returns a Ray Dataset with CLUSTER_SCHEMA."""
+    Returns the ``shuffle.Blocks`` of CLUSTER_SCHEMA."""
     return _cc_tree_reduce(star_edges(pairs_ds))
 
 
@@ -92,42 +93,126 @@ def _merge_star(*blocks):
         else STAR_SCHEMA.empty_table()
 
 
-@ray.remote
-def _finish(t: pa.Table) -> pa.Table:
+@ray.remote(num_returns=2)
+def _finish(t: pa.Table):
     """The root's star edges → (page_id, cluster_id), with the min
-    nodes (labels) restored as members of their own cluster."""
+    nodes (labels) restored as members of their own cluster
+    (``with_meta``)."""
     if t.num_rows == 0:
-        return CLUSTER_SCHEMA.empty_table()
+        return with_meta(CLUSTER_SCHEMA.empty_table())
     node = t.column("a").to_numpy()
     lab = t.column("b").to_numpy()
     mins = np.unique(lab)
     nodes = np.concatenate([node, mins])
     labs = np.concatenate([lab, mins])
     order = np.argsort(nodes, kind="stable")
-    return pa.Table.from_arrays(
+    return with_meta(pa.Table.from_arrays(
         [pa.array(nodes[order]), pa.array(labs[order])],
-        schema=CLUSTER_SCHEMA)
+        schema=CLUSTER_SCHEMA))
 
 
 def _cc_tree_reduce(star_ds):
-    """Reduce a star-edge Dataset to the clusters table: its block refs
-    (``shuffle.blocks``) fold through ``tree_fold`` (``_star_edges``
-    over each group's concatenation), then ``_finish`` runs on the
-    root."""
-    import ray.data as rd
-
-    from nxsearch_ray.stages.shuffle import refs, tree_fold
-
+    """Reduce a star-edge input to the clusters table: its block refs
+    (``shuffle.refs``, pending) fold through ``tree_fold``
+    (``_star_edges`` over each group's concatenation), then ``_finish``
+    runs on the root."""
     parts = refs(star_ds)
     root = tree_fold(parts, _merge_star) if parts \
         else ray.put(STAR_SCHEMA.empty_table())
-    return rd.from_arrow_refs([_finish.remote(root)])
+    return Blocks.submit([_finish.remote(root)])
+
+
+def _to_edges(t: pa.Table) -> pa.Table:
+    """Per-block union-find combiner: collapse every component that
+    lives inside this block to a star around its min node BEFORE the
+    global iteration, so a chain whose edges share a block costs O(1)
+    global rounds instead of O(chain length), and emit each star edge
+    in both directions as (node, dst).  Vectorized (min-hooking
+    kernel) — no per-edge Python."""
+    star = _star_edges(t)
+    node = star.column("a").to_numpy()
+    root = star.column("b").to_numpy()
+    return pa.Table.from_arrays(
+        [pa.array(np.concatenate([node, root]), type=pa.int64()),
+         pa.array(np.concatenate([root, node]), type=pa.int64())],
+        names=["node", "dst"])
+
+
+@ray.remote(num_returns=2)
+def _prep(*pieces):
+    """One partition's pieces → its state: node-sorted edge arrays,
+    the sorted unique node ids, and initial labels = min(node, local
+    min neighbor).  Returns (state, labels0)."""
+    block = concat(pieces)
+    if block.num_rows == 0:
+        return None, np.empty(0, np.int64)
+    node = block.column("node").to_numpy()
+    dst = block.column("dst").to_numpy()
+    order = np.argsort(node, kind="stable")
+    node, dst = node[order], dst[order]
+    nodes, starts = np.unique(node, return_index=True)
+    local_min = np.minimum.reduceat(dst, starts)
+    labels = np.minimum(nodes, local_min)
+    eidx = np.searchsorted(nodes, node)   # edge row → node slot
+    return {"nodes": nodes, "eidx": eidx, "dst": dst}, labels
+
+
+@ray.remote
+def _round(state, labels, first, nblocks, *inbox):
+    """One BSP superstep: fold inbox minima into labels, emit the
+    changed labels along local out-edges grouped by destination block.
+    Returns (labels, changed_count, msg_0, ..., msg_B-1); each msg is a
+    2×k int64 array (dst ids, labels)."""
+    empty = np.empty((2, 0), dtype=np.int64)
+    if state is None:
+        return (labels, 0) + (empty,) * nblocks
+    nodes = state["nodes"]
+    lab = labels.copy()
+    for m in inbox:
+        if m is None or m.shape[1] == 0:
+            continue
+        # routing guarantees targets exist here; the mask is cheap
+        # insurance against a foreign id
+        pos, ok = sorted_lookup(nodes, m[0])
+        np.minimum.at(lab, pos[ok], m[1][ok])
+    changed_mask = lab != labels
+    changed = int(changed_mask.sum())
+    emit_mask = changed_mask if not first else \
+        np.ones(len(nodes), dtype=bool)
+    if not emit_mask.any():
+        return (lab, changed) + (empty,) * nblocks
+    eidx = state["eidx"]
+    sel = emit_mask[eidx]
+    dsel = state["dst"][sel]
+    lsel = lab[eidx[sel]]
+    dblk = (key_hash(pa.table({"node": dsel}), ["node"])
+            % np.uint64(nblocks)).astype(np.int64)
+    order = np.argsort(dblk, kind="stable")
+    dblk, dsel, lsel = dblk[order], dsel[order], lsel[order]
+    bounds = np.searchsorted(dblk, np.arange(nblocks + 1))
+    out = tuple(
+        np.stack([dsel[bounds[q]:bounds[q + 1]],
+                  lsel[bounds[q]:bounds[q + 1]]])
+        if bounds[q + 1] > bounds[q] else empty
+        for q in range(nblocks))
+    return (lab, changed) + out
+
+
+@ray.remote(num_returns=2)
+def _to_table(state, labels):
+    """A partition's final labels → its clusters block
+    (``with_meta``)."""
+    if state is None:
+        return with_meta(CLUSTER_SCHEMA.empty_table())
+    return with_meta(pa.Table.from_arrays(
+        [pa.array(state["nodes"]), pa.array(labels)],
+        schema=CLUSTER_SCHEMA))
 
 
 def cc_label_propagation(pairs_ds):
     """Distributed min-label propagation as a BSP loop over raw Ray
-    tasks (the Pregel pattern); returns a Ray Dataset with
-    CLUSTER_SCHEMA columns.
+    tasks (the Pregel pattern); returns the ``shuffle.Blocks`` of
+    CLUSTER_SCHEMA.
 
     Why raw tasks and not Dataset ops: an iterative algorithm run as
     per-round Dataset stages pays a plan compile and an executor
@@ -152,88 +237,10 @@ def cc_label_propagation(pairs_ds):
     batch messages per destination WORKER rather than per partition.
     Determinism: labels evolve by min() folds only, so the fixed point
     is independent of scheduling order."""
-    import ray
-
-    from nxsearch_ray.stages.shuffle import concat, exchange, key_hash
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        """Per-block union-find combiner: collapse every component
-        that lives inside this block to a star around its min node
-        BEFORE the global iteration, so a chain whose edges share a
-        block costs O(1) global rounds instead of O(chain length).
-        Vectorized (min-hooking kernel) — no per-edge Python."""
-        star = _star_edges(t)
-        node = star.column("a").to_numpy()
-        root = star.column("b").to_numpy()
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate([node, root]), type=pa.int64()),
-             pa.array(np.concatenate([root, node]), type=pa.int64())],
-            names=["node", "dst"])
-
-    parts = exchange([(pairs_ds, ["node"], to_edges)])[0]
-
-    @ray.remote
-    def _prep(*pieces):
-        """One partition's pieces → its state: node-sorted edge arrays,
-        the sorted unique node ids, and initial labels = min(node,
-        local min neighbor).  Returns (state, labels0)."""
-        block = concat(pieces)
-        if block.num_rows == 0:
-            return None, np.empty(0, np.int64)
-        node = block.column("node").to_numpy()
-        dst = block.column("dst").to_numpy()
-        order = np.argsort(node, kind="stable")
-        node, dst = node[order], dst[order]
-        nodes, starts = np.unique(node, return_index=True)
-        local_min = np.minimum.reduceat(dst, starts)
-        labels = np.minimum(nodes, local_min)
-        eidx = np.searchsorted(nodes, node)   # edge row → node slot
-        state = {"nodes": nodes, "eidx": eidx, "dst": dst}
-        return state, labels
-
-    preps = [_prep.options(num_returns=2).remote(*p) for p in parts]
+    parts = exchange([(pairs_ds, ["node"], _to_edges)])[0]
+    preps = [_prep.remote(*p) for p in parts]
     state_refs = [p[0] for p in preps]
     B = len(parts)
-
-    @ray.remote
-    def _round(state, labels, first, nblocks, *inbox):
-        """One BSP superstep: fold inbox minima into labels, emit the
-        changed labels along local out-edges grouped by destination
-        block.  Returns (labels, changed_count, msg_0, ..., msg_B-1);
-        each msg is a 2×k int64 array (dst ids, labels)."""
-        empty = np.empty((2, 0), dtype=np.int64)
-        if state is None:
-            return (labels, 0) + (empty,) * nblocks
-        nodes = state["nodes"]
-        lab = labels.copy()
-        for m in inbox:
-            if m is None or m.shape[1] == 0:
-                continue
-            # routing guarantees targets exist here; the mask is
-            # cheap insurance against a foreign id
-            pos, ok = sorted_lookup(nodes, m[0])
-            np.minimum.at(lab, pos[ok], m[1][ok])
-        changed_mask = lab != labels
-        changed = int(changed_mask.sum())
-        emit_mask = changed_mask if not first else \
-            np.ones(len(nodes), dtype=bool)
-        if not emit_mask.any():
-            return (lab, changed) + (empty,) * nblocks
-        eidx = state["eidx"]
-        sel = emit_mask[eidx]
-        dsel = state["dst"][sel]
-        lsel = lab[eidx[sel]]
-        dblk = (key_hash(pa.table({"node": dsel}), ["node"])
-                % np.uint64(nblocks)).astype(np.int64)
-        order = np.argsort(dblk, kind="stable")
-        dblk, dsel, lsel = dblk[order], dsel[order], lsel[order]
-        bounds = np.searchsorted(dblk, np.arange(nblocks + 1))
-        out = tuple(
-            np.stack([dsel[bounds[q]:bounds[q + 1]],
-                      lsel[bounds[q]:bounds[q + 1]]])
-            if bounds[q + 1] > bounds[q] else empty
-            for q in range(nblocks))
-        return (lab, changed) + out
 
     # round 0 bootstraps: every node announces its initial label
     # (labels0 from _prep); later rounds emit only changed labels
@@ -259,16 +266,5 @@ def cc_label_propagation(pairs_ds):
             # emission means its outboxes are empty → fixed point
             break
 
-    @ray.remote
-    def _to_table(state, labels):
-        if state is None:
-            return CLUSTER_SCHEMA.empty_table()
-        return pa.Table.from_arrays(
-            [pa.array(state["nodes"]), pa.array(labels)],
-            schema=CLUSTER_SCHEMA)
-
-    import ray.data as rd
-
-    tables = [_to_table.remote(state_refs[bi], label_refs[bi])
-              for bi in range(B)]
-    return rd.from_arrow_refs(tables)
+    return Blocks.submit(_to_table.remote(state_refs[bi], label_refs[bi])
+                         for bi in range(B))

@@ -28,7 +28,9 @@ broadcast instead: a key set (``id_set_ref``; ``semi_join`` /
 per-worker state).  ``broadcast_map`` is one wave of plain Ray tasks,
 as the exchange is, planned from the input's block row counts so that
 every CPU has work from the first task; ``map_blocks`` is the same wave
-without a broadcast object, the engine's per-block map.  Over a bare
+without a broadcast object, the engine's per-block map, and over a
+``shuffle.Blocks`` handle it chains one task on each pending block ref.
+Every wave returns a handle, not a Ray Dataset.  Over a bare
 read the parts are the read's read tasks (``shuffle.blocks``): each
 wave or build task reads its files itself, and a wave never cuts a
 read task.  Every membership probe of a sorted key array goes through
@@ -38,14 +40,15 @@ read task.  Every membership probe of a sorted key array goes through
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import pyarrow as pa
 import ray
 
-from nxsearch_ray.stages.shuffle import (as_arrow, blocks, concat,
-                                        exchange, is_read_task,
-                                        session_cpus)
+from nxsearch_ray.stages.shuffle import (Blocks, as_arrow, blocks,
+                                        concat, exchange, is_read_task,
+                                        pending, session_cpus, with_meta)
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                          ("source", pa.string())])
@@ -106,43 +109,45 @@ def anti_join(ds, key: str, key_values):
     return _key_filter(ds, key, key_values, False)
 
 
+@ray.remote
+def _ids(cols: list[str], *parts):
+    chunks = [t.column(c).to_numpy() for t in map(as_arrow, parts)
+              if t.num_rows for c in cols]
+    return (np.unique(np.concatenate(chunks)) if chunks
+            else np.empty(0, np.int64))
+
+
 def id_set_ref(ds, cols: list[str]):
     """ObjectRef to the sorted unique values of ``cols`` across ``ds``
     — the one builder of a broadcast key set (a semi/anti join's, 8 B
     per id, or any set a ``sorted_lookup`` probes).  It is built in ONE
-    remote task from the dataset's parts (``shuffle.blocks``: block
+    remote task from the dataset's parts (``shuffle.pending``: block
     refs, or a bare read's read tasks, read in that task), not in the
     calling process."""
-
-    @ray.remote
-    def _ids(*parts):
-        chunks = [t.column(c).to_numpy() for t in map(as_arrow, parts)
-                  if t.num_rows for c in cols]
-        return (np.unique(np.concatenate(chunks)) if chunks
-                else np.empty(0, np.int64))
-
-    return _ids.remote(*[part for part, _ in blocks(ds)])
+    return _ids.remote(list(cols), *pending(ds))
 
 
 # ---------------------------------------------------- broadcast lookups
+
+@ray.remote
+def _build(schema: pa.Schema, from_table, *parts):
+    parts = [t.select(schema.names) for t in map(as_arrow, parts)
+             if t.num_rows]
+    return from_table(pa.concat_tables(parts) if parts
+                      else schema.empty_table())
+
 
 def index_ref(ds, schema: pa.Schema, from_table):
     """ObjectRef to a lookup index ``from_table(table)`` over the
     ``schema`` columns of ``ds``, built in ONE remote task: the calling
     process never holds the index, it only hands the ref to the lookup
     tasks (which read it zero-copy from the object store).  The task
-    takes the dataset's parts (``shuffle.blocks``: block refs, or a bare
-    read's read tasks, read there) and selects the columns itself.
-    Empty input builds the index of ``schema.empty_table()``."""
-
-    @ray.remote
-    def _build(*parts):
-        parts = [t.select(schema.names) for t in map(as_arrow, parts)
-                 if t.num_rows]
-        return from_table(pa.concat_tables(parts) if parts
-                          else schema.empty_table())
-
-    return _build.remote(*[part for part, _ in blocks(ds)])
+    takes the dataset's parts (``shuffle.pending``: block refs, or a
+    bare read's read tasks, read there) and selects the columns itself.
+    Empty input builds the index of ``schema.empty_table()``.
+    ``from_table`` is a module-level function (or a partial of one), so
+    it ships by reference."""
+    return _build.remote(schema, from_table, *pending(ds))
 
 
 # per-worker-process state of the broadcast stages, one entry per call
@@ -225,14 +230,15 @@ def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
 def _batches(parts, pieces, batch_rows):
     """A wave task's rows, in order, as contiguous tables of
     ``batch_rows`` rows, the last holding the rest (one table without
-    ``batch_rows``, and at least one): a block ref's range is sliced, a
+    ``batch_rows``, and at least one): a block's range is sliced (a
+    length of None is the rest of the block), a
     read task's blocks are read one at a time (``shuffle.as_arrow``),
     so no more than a batch and one read block are held at once.  Each
     table is combined (a chunked one would leave the output chunked,
     and its checkpoint one Parquet row group per chunk)."""
     held, rows, given = [], 0, False
     for part, (start, n) in zip(parts, pieces):
-        for block in (part() if n is None else
+        for block in (part() if is_read_task(part) else
                       [as_arrow(part).slice(start, n)]):
             held.append(as_arrow(block))
             rows += held[-1].num_rows
@@ -245,21 +251,28 @@ def _batches(parts, pieces, batch_rows):
         yield concat(held).combine_chunks()
 
 
-@ray.remote
-def _wave_task(value, ref_box, build, batch_rows, pieces, *parts):
+@ray.remote(num_returns=2)
+def _wave_task(value, ref_box, build, schema, batch_rows, pieces, *parts):
     """One task of a wave: its row ranges in batches of ``batch_rows``
     (``_batches``; the task's rows split evenly into batches of at most
     ``batch_size``, so one batch unless a whole read task holds more),
     mapped through this worker's state — or, in a stateless wave
     (``ref_box`` ``[None]``), through ``build`` itself — their outputs
-    concatenated.  ``value`` is the broadcast object, resolved before
+    concatenated (``with_meta``).  No rows at all give
+    ``schema.empty_table()`` without a kernel call, when a ``schema``
+    is declared.  ``value`` is the broadcast object, resolved before
     the task starts (a ``ray.get`` inside it would block the worker,
     and Ray would start another); ``ref_box`` holds its ref unresolved,
     the state's key."""
+    batches = _batches(parts, pieces, batch_rows)
+    first = next(batches)       # empty only when every batch is
+    if schema is not None and first.num_rows == 0:
+        return with_meta(schema.empty_table())
     fn = build if ref_box[0] is None else _worker_state(
         _site(build), ref_box[0], value, build)
-    out = [fn(batch) for batch in _batches(parts, pieces, batch_rows)]
-    return out[0] if len(out) == 1 else pa.concat_tables(out).combine_chunks()
+    out = [fn(batch) for batch in itertools.chain([first], batches)]
+    return with_meta(out[0] if len(out) == 1
+                     else pa.concat_tables(out).combine_chunks())
 
 
 def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
@@ -273,43 +286,48 @@ def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
     With ``ref`` None the wave is stateless and ``build`` is the batch
     function itself (``map_blocks``).
 
-    The wave runs when called, as ``exchange`` does: it lists the
-    input's parts and row counts (``shuffle.blocks``: block refs of a
-    pinned or wave-made input, the read tasks of a bare read — no Ray
-    Data execution for either), cuts them into tasks (``_wave_plan``:
-    at least one per CPU while there are parts, a read task never cut)
-    and returns a materialized Dataset of one kernel output per task,
-    in input order.  No kernel call sees more than ``batch_size``
+    The wave runs when called, as ``exchange`` does, and returns the
+    ``Blocks`` of one kernel output per task, in input order.  Without
+    ``batch_size``, over a handle, it chains on the pending refs: one
+    task per block, no wait, a zero-row block mapped to
+    ``schema.empty_table()`` in its task.  Otherwise it lists the
+    input's parts and row counts (``shuffle.blocks``: a handle's refs,
+    waiting on their metadata, the read tasks of a bare read — no Ray
+    Data execution for either) and cuts them into tasks
+    (``_wave_plan``: at least one per CPU while there are parts, a read
+    task never cut).  No kernel call sees more than ``batch_size``
     rows.  A zero-row input returns one empty block of ``schema``, the
     kernel's declared output (zero-column when none is given), without
     calling the kernel."""
-    import ray.data as rd
-
+    if batch_size is None and isinstance(ds, Blocks) and ds.parts:
+        return Blocks.submit(
+            _wave_task.remote(ref, [ref], build, schema, None, [(0, None)],
+                              part) for part in ds.parts)
     parts = blocks(ds)
     rows = [m.num_rows for _, m in parts]
     plan = _wave_plan(rows, batch_size, session_cpus() if batch_size else 0,
                       whole=any(is_read_task(p) for p, _ in parts))
     if not plan:
-        return rd.from_arrow(pa.table({}) if schema is None
-                             else schema.empty_table())
+        return Blocks.of(pa.table({}) if schema is None
+                         else schema.empty_table())
 
     def even(task):     # a task's rows in equal batches of <= batch_size
         n = sum(rows[i] if k is None else k for i, _, k in task)
         return batch_size and -(-n // -(-n // batch_size))
 
-    return rd.from_arrow_refs([
-        _wave_task.remote(ref, [ref], build, even(task),
+    return Blocks.submit(
+        _wave_task.remote(ref, [ref], build, schema, even(task),
                           [(s, n) for _, s, n in task],
                           *[parts[i][0] for i, _, _ in task])
-        for task in plan])
+        for task in plan)
 
 
 def map_blocks(ds, fn, schema: pa.Schema):
     """The stateless wave: ``fn`` over every non-empty block of ``ds``,
     one plain task per block, outputs in input order — a ``map_batches``
     without Ray Data's executor (``broadcast_map`` with no broadcast
-    object).  ``fn`` returns ``schema``; an input with no rows gives one
-    empty block of it."""
+    object).  ``fn`` returns ``schema``, and so does a zero-row block
+    or input, without calling ``fn``."""
     return broadcast_map(ds, None, fn, schema=schema)
 
 
@@ -331,7 +349,8 @@ def _endpoint_ids(key: str, pairs: pa.Table) -> pa.Table:
 def _respond(key: str, n_asks: int, *pieces):
     """One partition: ``n_asks`` requests (one per pair block), then the
     right side's pieces → per request, the right rows its ids name
-    (ids with no right row are left out)."""
+    (ids with no right row are left out; an empty pair block's request
+    has no rows, and maybe not the ``key`` column)."""
     right = concat(pieces[n_asks:])
     if right.num_rows == 0:
         out = [right] * n_asks
@@ -341,19 +360,26 @@ def _respond(key: str, n_asks: int, *pieces):
         keys = keys[order]
         out = []
         for ask in pieces[:n_asks]:
-            pos, hit = sorted_lookup(keys, ask.column(key).to_numpy())
+            ids = (ask.column(key).to_numpy() if ask.num_rows
+                   else np.empty(0, np.int64))
+            pos, hit = sorted_lookup(keys, ids)
             out.append(right.take(order[pos[hit]]))
     return tuple(out) if n_asks > 1 else out[0]
 
 
-@ray.remote
-def _endpoint_task(kernel, right_schema: pa.Schema, pairs, *answers):
-    """One pair block → ``kernel(pairs, pages)``, ``pages`` its
-    partitions' answers concatenated (``right_schema`` when none has a
-    row)."""
+@ray.remote(num_returns=2)
+def _endpoint_task(kernel, right_schema: pa.Schema, schema: pa.Schema,
+                   pairs, *answers):
+    """One pair block → ``kernel(pairs, pages)`` (``with_meta``),
+    ``pages`` its partitions' answers concatenated (``right_schema``
+    when none has a row); a zero-row pair block → ``schema``'s empty
+    table."""
+    pairs = as_arrow(pairs)
+    if pairs.num_rows == 0:
+        return with_meta(schema.empty_table())
     pages = concat(answers)
-    return kernel(as_arrow(pairs), pages if pages.num_rows
-                  else right_schema.empty_table())
+    return with_meta(kernel(pairs, pages if pages.num_rows
+                            else right_schema.empty_table()))
 
 
 def endpoint_map(pairs_ds, right_ds, right_schema: pa.Schema, kernel,
@@ -372,18 +398,19 @@ def endpoint_map(pairs_ds, right_ds, right_schema: pa.Schema, kernel,
     right side's projected split on the key at the same P; one respond
     task per partition that looks every block's ids up in its right rows
     (``num_returns`` one per pair block); and one kernel task per pair
-    block that concatenates its P answers.  Returns a materialized
-    Dataset of one kernel output per non-empty pair block, in input
-    order; no non-empty block gives one empty block of ``schema``.  An
-    endpoint with no right row is not in ``pages``."""
-    import ray.data as rd
-
+    block that concatenates its P answers.  Returns the ``Blocks`` of
+    one kernel output per pair block, in input order (a zero-row block's
+    is ``schema``'s empty table; no block gives one).  A handle's pair
+    blocks are chained on pending, so only the right side's metadata is
+    waited for (P).  An endpoint with no right row is not in
+    ``pages``."""
     from nxsearch_ray.stages import shuffle
 
     key = right_schema.names[0]
-    pair_parts = [p for p, m in blocks(pairs_ds) if m.num_rows]
+    pair_parts = (pending(pairs_ds) if isinstance(pairs_ds, Blocks)
+                  else [p for p, m in blocks(pairs_ds) if m.num_rows])
     if not pair_parts:
-        return rd.from_arrow(schema.empty_table())
+        return Blocks.of(schema.empty_table())
     right = blocks(right_ds)
     P = shuffle.partition_width(sum(m.num_rows or 0 for _, m in right),
                                 sum(m.size_bytes or 0 for _, m in right))
@@ -401,10 +428,10 @@ def endpoint_map(pairs_ds, right_ds, right_schema: pa.Schema, kernel,
                               *[g[i] for g in gives]) for i in range(P)]
     if J == 1:
         answers = [[r] for r in answers]
-    return rd.from_arrow_refs([
-        _endpoint_task.remote(kernel, right_schema, part,
+    return Blocks.submit(
+        _endpoint_task.remote(kernel, right_schema, schema, part,
                               *[ans[j] for ans in answers])
-        for j, part in enumerate(pair_parts)])
+        for j, part in enumerate(pair_parts))
 
 
 def _attach_endpoints(key: str, pair_names: list[str],
@@ -458,17 +485,17 @@ def _project(names: list[str], t: pa.Table) -> pa.Table:
     return t.select(names)
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _join_partition(left_key: str, right_key: str, payload: pa.Schema,
                     out_schema: pa.Schema, how: str, n_left: int,
                     *pieces):
     """One partition's pieces (``n_left`` left, then right) → its
-    joined block: sort the right keys, ``sorted_lookup`` the left keys,
-    ``take`` the ``payload`` columns.  Either side may be empty (even
-    zero-column)."""
+    joined block (``with_meta``): sort the right keys,
+    ``sorted_lookup`` the left keys, ``take`` the ``payload`` columns.
+    Either side may be empty (even zero-column)."""
     left, right = concat(pieces[:n_left]), concat(pieces[n_left:])
     if left.num_rows == 0:
-        return out_schema.empty_table()
+        return with_meta(out_schema.empty_table())
     lk = left.column(left_key).to_numpy().astype(np.int64)
     if right.num_rows:
         rk = right.column(right_key).to_numpy().astype(np.int64)
@@ -483,9 +510,9 @@ def _join_partition(left_key: str, right_key: str, payload: pa.Schema,
     taken = right.select(payload.names).take(
         pa.array(rows, mask=~hit, type=pa.int64()))
     left_names = out_schema.names[:len(out_schema) - len(payload)]
-    return pa.Table.from_arrays(
+    return with_meta(pa.Table.from_arrays(
         left.select(left_names).columns + taken.columns,
-        names=out_schema.names).cast(out_schema)
+        names=out_schema.names).cast(out_schema))
 
 
 def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
@@ -499,14 +526,13 @@ def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
     side on ``right_key`` into the same P partitions
     (stages/shuffle.exchange), then one task per partition takes both
     sides' pieces and joins them (``_join_partition``).  The exchange
-    runs when called; the result is a Dataset of the P joined blocks.
+    runs when called; the result is the ``Blocks`` of the P joined
+    blocks.
 
     ``how='left'`` keeps unmatched left rows with null payload
     columns."""
     if how not in ("inner", "left"):
         raise ValueError(f"hash_join: unsupported how={how!r}")
-    import ray.data as rd
-
     payload = pa.schema([f for f in right_schema if f.name != right_key])
     out_schema = _joined_schema(left_schema, right_schema, right_key,
                                 right_suffix)
@@ -516,7 +542,7 @@ def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
         (left_ds, [left_key], functools.partial(_project, left_schema.names)),
         (right_ds, [right_key],
          functools.partial(_project, right_schema.names))])
-    return rd.from_arrow_refs([
+    return Blocks.submit(
         _join_partition.remote(left_key, right_key, payload, out_schema,
                                how, len(lt), *lt, *rt)
-        for lt, rt in zip(lefts, rights)])
+        for lt, rt in zip(lefts, rights))

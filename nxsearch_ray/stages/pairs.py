@@ -21,11 +21,14 @@ partition at once with array ops, and the tests hold the two equal.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.functions import hashing as H
+from nxsearch_ray.stages.join import PAIR_SCHEMA
 from nxsearch_ray.stages.signatures import list_column_numpy
 
 _U64 = np.uint64
@@ -52,6 +55,20 @@ def pairs_within(ids: np.ndarray, cap: int,
 
 
 SRC_NAMES = ("exact", "minhash", "simhash", "suffix")
+SIMHASH_CODE = SRC_NAMES.index("simhash")
+SUFFIX_CODE = SRC_NAMES.index("suffix")
+# pair rows carry the int8 source CODE, not the name: the pair stream is
+# the widest intermediate and strings triple its width.  aux = min over
+# the pair of the members' anchor counts for suffix rows (the
+# achievable hit bound union_pair_sources caps the co-occurrence
+# threshold at), 0 elsewhere; simhash pairs are Hamming-filtered in the
+# bucket scan (aux carries the fingerprint) and emit 0.
+SIGHTING_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                             ("src", pa.int8()), ("aux", pa.int64())])
+# source mask → "exact,minhash,..." (SRC_NAMES happens to be sorted)
+MASK_LUT = np.array(
+    [",".join(n for i, n in enumerate(SRC_NAMES) if m >> i & 1)
+     for m in range(1 << len(SRC_NAMES))], dtype=object)
 
 
 def explode_all(cfg_json: str):
@@ -60,75 +77,119 @@ def explode_all(cfg_json: str):
     single block map lets the whole candidate generation ride ONE
     exchange instead of four — the dominant shuffle of the pipeline.
     Band/chunk keys are salted by band/chunk index; seq/anchor keys are
-    salted by a source constant so buckets never mix across passes."""
-    cfg = PipelineConfig.from_json(cfg_json)
+    salted by a source constant so buckets never mix across passes.
+    The block map is ``_explode`` bound to the parsed config."""
+    return functools.partial(_explode, PipelineConfig.from_json(cfg_json))
+
+
+def _explode(cfg: PipelineConfig, batch: pa.Table) -> pa.Table:
     nchunks = cfg.simhash_hamming + 1
     width = cfg.simhash_bits // nchunks
+    page = batch.column("page_id").to_numpy()
+    ndocs = batch.num_rows
+    keys_out: list[np.ndarray] = []
+    page_out: list[np.ndarray] = []
+    src_out: list[np.ndarray] = []
+    aux_out: list[np.ndarray] = []
 
-    def fn(batch: pa.Table) -> pa.Table:
-        page = batch.column("page_id").to_numpy()
-        ndocs = batch.num_rows
-        keys_out: list[np.ndarray] = []
-        page_out: list[np.ndarray] = []
-        src_out: list[np.ndarray] = []
-        aux_out: list[np.ndarray] = []
+    def add(keys, pages, code, aux=None):
+        keys_out.append(keys)
+        page_out.append(pages)
+        src_out.append(np.full(len(keys), code, dtype=np.int8))
+        aux_out.append(np.zeros(len(keys), dtype=np.int64)
+                       if aux is None else aux.astype(np.int64))
 
-        def add(keys, pages, code, aux=None):
-            keys_out.append(keys)
-            page_out.append(pages)
-            src_out.append(np.full(len(keys), code, dtype=np.int8))
-            aux_out.append(np.zeros(len(keys), dtype=np.int64)
-                           if aux is None else aux.astype(np.int64))
+    # exact (src 0): seq_hash, salted
+    seqh = batch.column("seq_hash").to_numpy().astype(_U64)
+    add(H.splitmix64(seqh ^ _U64(0xE0)), page, 0)
 
-        # exact (src 0): seq_hash, salted
-        seqh = batch.column("seq_hash").to_numpy().astype(_U64)
-        add(H.splitmix64(seqh ^ _U64(0xE0)), page, 0)
+    # minhash bands (src 1)
+    sig_flat, _ = list_column_numpy(batch.column("minhash"))
+    sig = sig_flat.reshape(ndocs, cfg.num_perms)
+    bkeys = H.band_keys(sig, cfg.lsh_bands, cfg.lsh_rows, cfg.seed)
+    add(bkeys.reshape(-1), np.repeat(page, cfg.lsh_bands), 1)
 
-        # minhash bands (src 1)
-        sig_flat, _ = list_column_numpy(batch.column("minhash"))
-        sig = sig_flat.reshape(ndocs, cfg.num_perms)
-        bkeys = H.band_keys(sig, cfg.lsh_bands, cfg.lsh_rows, cfg.seed)
-        add(bkeys.reshape(-1), np.repeat(page, cfg.lsh_bands), 1)
+    # simhash chunks (src 2); aux = the full 64-bit fingerprint so the
+    # bucket scan can apply the TRUE Hamming test in-bucket.  A w-bit
+    # chunk key collides by pure chance between unrelated docs at rate
+    # ~n²/2^w per chunk — 8.5M of 8.6M candidate pairs at 520k pages
+    # (measured round 4) were such chance pairs, flooding the verify
+    # exchanges; at 10^12 docs the unfiltered pass is unusable.
+    # Filtering in-bucket emits only pairs at Hamming ≤
+    # cfg.simhash_hamming — exactly the rule verification enforces for
+    # this source.
+    sim = batch.column("simhash").to_numpy().astype(_U64)
+    ckeys = np.empty((ndocs, nchunks), dtype=_U64)
+    mask = _U64((1 << width) - 1)
+    for c in range(nchunks):
+        chunk = (sim >> _U64(c * width)) & mask
+        ckeys[:, c] = H.splitmix64(chunk ^ H.splitmix64(
+            np.array(c + 0x5151, dtype=_U64)))
+    add(ckeys.reshape(-1), np.repeat(page, nchunks), 2,
+        np.repeat(sim.view(np.int64), nchunks))
 
-        # simhash chunks (src 2); aux = the full 64-bit fingerprint so
-        # the bucket scan can apply the TRUE Hamming test in-bucket.
-        # A w-bit chunk key collides by pure chance between unrelated
-        # docs at rate ~n²/2^w per chunk — 8.5M of 8.6M candidate
-        # pairs at 520k pages (measured round 4) were such chance
-        # pairs, flooding the verify exchanges; at 10^12 docs the
-        # unfiltered pass is unusable.  Filtering in-bucket emits only
-        # pairs at Hamming ≤ cfg.simhash_hamming — exactly the rule
-        # verification enforces for this source.
-        sim = batch.column("simhash").to_numpy().astype(_U64)
-        ckeys = np.empty((ndocs, nchunks), dtype=_U64)
-        mask = _U64((1 << width) - 1)
-        for c in range(nchunks):
-            chunk = (sim >> _U64(c * width)) & mask
-            ckeys[:, c] = H.splitmix64(chunk ^ H.splitmix64(
-                np.array(c + 0x5151, dtype=_U64)))
-        add(ckeys.reshape(-1), np.repeat(page, nchunks), 2,
-            np.repeat(sim.view(np.int64), nchunks))
+    # anchors (src 3); aux = the emitting page's anchor count: a
+    # fully-contained small doc can share at most min(n_anchors_a,
+    # n_anchors_b) anchor buckets, so the co-occurrence threshold
+    # downstream must cap at that — a tail/copy of a <2-shingle doc is
+    # otherwise structurally unreachable by the containment pass (found
+    # at sf0.01: a 10-word doc's 5-word tail has ONE shingle).
+    a_flat, a_off = list_column_numpy(batch.column("anchors"))
+    counts = a_off[1:] - a_off[:-1]
+    add(H.splitmix64(a_flat ^ _U64(0xA3)),
+        np.repeat(page, counts), 3, np.repeat(counts, counts))
 
-        # anchors (src 3); aux = the emitting page's anchor count: a
-        # fully-contained small doc can share at most
-        # min(n_anchors_a, n_anchors_b) anchor buckets, so the
-        # co-occurrence threshold downstream must cap at that — a
-        # tail/copy of a <2-shingle doc is otherwise structurally
-        # unreachable by the containment pass (found at sf0.01:
-        # a 10-word doc's 5-word tail has ONE shingle).
-        a_flat, a_off = list_column_numpy(batch.column("anchors"))
-        counts = a_off[1:] - a_off[:-1]
-        add(H.splitmix64(a_flat ^ _U64(0xA3)),
-            np.repeat(page, counts), 3, np.repeat(counts, counts))
+    return pa.Table.from_arrays(
+        [pa.array(np.concatenate(keys_out), type=pa.uint64()),
+         pa.array(np.concatenate(page_out), type=pa.int64()),
+         pa.array(np.concatenate(src_out), type=pa.int8()),
+         pa.array(np.concatenate(aux_out), type=pa.int64())],
+        names=["bucket_key", "page_id", "src", "aux"])
 
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate(keys_out), type=pa.uint64()),
-             pa.array(np.concatenate(page_out), type=pa.int64()),
-             pa.array(np.concatenate(src_out), type=pa.int8()),
-             pa.array(np.concatenate(aux_out), type=pa.int64())],
-            names=["bucket_key", "page_id", "src", "aux"])
 
-    return fn
+def _candidate_runs(cap: int, skip_over: int, max_ham: int, t: pa.Table,
+                    starts: np.ndarray) -> pa.Table:
+    """The bucket scan of one sorted partition: the pairs of every
+    (bucket_key, src) run, ``pairs_within``'s policy applied to all runs
+    at once, simhash pairs filtered at Hamming ≤ ``max_ham``."""
+    # the rows of runs with ≥ 2 rows, each run sorted by page
+    counts = np.diff(starts, append=t.num_rows)
+    multi = counts >= 2
+    starts, counts = starts[multi], counts[multi]
+    rows = H._seg_arange(starts, counts)
+    ids = t.column("page_id").to_numpy()[rows]
+    auxs = t.column("aux").to_numpy()[rows]
+    code = t.column("src").to_numpy()[starts]
+    # each page's first row in its run: the sort is stable, so it is
+    # the page's first occurrence, the row whose aux counts
+    head = np.zeros(len(ids), dtype=bool)
+    head[np.cumsum(counts) - counts] = True
+    first = head.copy()
+    first[1:] |= ids[1:] != ids[:-1]
+    run = np.cumsum(head)[first] - 1
+    ids, auxs = ids[first], auxs[first]
+    # pairs_within's policy over every run at once, run r holding m[r]
+    # distinct pages from off[r]: anchor runs over skip_over emit
+    # nothing, runs up to cap every i<j pair, larger runs the sorted
+    # chain
+    m = np.bincount(run, minlength=len(counts))
+    off = np.cumsum(m) - m
+    emit = ~((code == SUFFIX_CODE) & (m > skip_over))
+    full, chain = emit & (m <= cap), emit & (m > cap)
+    ia, ib = H.seg_triu(off[full], m[full])
+    ic = H._seg_arange(off[chain], m[chain] - 1)
+    ia, ib = np.concatenate([ia, ic]), np.concatenate([ib, ic + 1])
+    pcode = code[run[ia]]
+    xa, xb = auxs[ia], auxs[ib]
+    is_sim = pcode == SIMHASH_CODE
+    ok = np.ones(len(ia), dtype=bool)
+    ok[is_sim] = H.hamming64(xa[is_sim].view(_U64),
+                             xb[is_sim].view(_U64)) <= max_ham
+    pair_aux = np.where(is_sim, 0, np.minimum(xa, xb))
+    return pa.Table.from_arrays(
+        [pa.array(ids[ia][ok]), pa.array(ids[ib][ok]),
+         pa.array(pcode[ok], type=pa.int8()),
+         pa.array(pair_aux[ok])], schema=SIGHTING_SCHEMA)
 
 
 def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
@@ -136,68 +197,49 @@ def multi_candidate_pairs(signatures_ds, cfg: PipelineConfig):
     explode_all, inside the exchange's split of each signature block →
     one run per (bucket_key, src) bucket, complete in its partition and
     sorted by page → pairs within every run from one vectorized scan
-    (``pairs_within``'s policy per run, the SimHash Hamming rule, each
-    page's first-occurrence aux), with no Python loop over runs.
-    Returns (a, b, src int8-code, aux) pairs."""
+    (``_candidate_runs``: ``pairs_within``'s policy per run, the SimHash
+    Hamming rule, each page's first-occurrence aux), with no Python
+    loop over runs.  Returns (a, b, src int8-code, aux) pairs."""
     from nxsearch_ray.stages.shuffle import grouped
 
-    cap, skip_over = cfg.hot_bucket_cap, cfg.anchor_bucket_max
-    SIMHASH_CODE = SRC_NAMES.index("simhash")
-    ANCHOR_CODE = SRC_NAMES.index("suffix")
-    max_ham = cfg.simhash_hamming
-    # pair rows carry the int8 source CODE, not the name: the pair
-    # stream is the widest intermediate and strings triple its width.
-    # aux = min over the pair of the members' anchor counts for suffix
-    # rows (the achievable hit bound union_pair_sources caps the
-    # co-occurrence threshold at), 0 elsewhere; simhash pairs are
-    # Hamming-filtered HERE (aux carries the fingerprint) and emit 0.
-    out_schema = pa.schema([
-        ("a", pa.int64()), ("b", pa.int64()), ("src", pa.int8()),
-        ("aux", pa.int64())])
-
-    def runs_fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        # the rows of runs with ≥ 2 rows, each run sorted by page
-        counts = np.diff(starts, append=t.num_rows)
-        multi = counts >= 2
-        starts, counts = starts[multi], counts[multi]
-        rows = H._seg_arange(starts, counts)
-        ids = t.column("page_id").to_numpy()[rows]
-        auxs = t.column("aux").to_numpy()[rows]
-        code = t.column("src").to_numpy()[starts]
-        # each page's first row in its run: the sort is stable, so it
-        # is the page's first occurrence, the row whose aux counts
-        head = np.zeros(len(ids), dtype=bool)
-        head[np.cumsum(counts) - counts] = True
-        first = head.copy()
-        first[1:] |= ids[1:] != ids[:-1]
-        run = np.cumsum(head)[first] - 1
-        ids, auxs = ids[first], auxs[first]
-        # pairs_within's policy over every run at once, run r holding
-        # m[r] distinct pages from off[r]: anchor runs over skip_over
-        # emit nothing, runs up to cap every i<j pair, larger runs the
-        # sorted chain
-        m = np.bincount(run, minlength=len(counts))
-        off = np.cumsum(m) - m
-        emit = ~((code == ANCHOR_CODE) & (m > skip_over))
-        full, chain = emit & (m <= cap), emit & (m > cap)
-        ia, ib = H.seg_triu(off[full], m[full])
-        ic = H._seg_arange(off[chain], m[chain] - 1)
-        ia, ib = np.concatenate([ia, ic]), np.concatenate([ib, ic + 1])
-        pcode = code[run[ia]]
-        xa, xb = auxs[ia], auxs[ib]
-        is_sim = pcode == SIMHASH_CODE
-        ok = np.ones(len(ia), dtype=bool)
-        ok[is_sim] = H.hamming64(xa[is_sim].view(_U64),
-                                 xb[is_sim].view(_U64)) <= max_ham
-        pair_aux = np.where(is_sim, 0, np.minimum(xa, xb))
-        return pa.Table.from_arrays(
-            [pa.array(ids[ia][ok]), pa.array(ids[ib][ok]),
-             pa.array(pcode[ok], type=pa.int8()),
-             pa.array(pair_aux[ok])], schema=out_schema)
-
-    return grouped(signatures_ds, ["bucket_key", "src"], runs_fn,
-                   out_schema, then_by=["page_id"],
+    return grouped(signatures_ds, ["bucket_key", "src"],
+                   functools.partial(_candidate_runs, cfg.hot_bucket_cap,
+                                     cfg.anchor_bucket_max,
+                                     cfg.simhash_hamming),
+                   SIGHTING_SCHEMA, then_by=["page_id"],
                    split_map=explode_all(cfg.to_json()))
+
+
+def _union_runs(min_suffix_hits: int, t: pa.Table,
+                starts: np.ndarray) -> pa.Table:
+    """One sorted partition's (a, b) runs → one row per pair with its
+    source set."""
+    a = t.column("a").to_numpy()
+    b = t.column("b").to_numpy()
+    src = t.column("src").to_numpy().astype(np.int32)
+    aux = t.column("aux").to_numpy().astype(np.int64)
+    bits = np.left_shift(1, src)
+    run_or = np.bitwise_or.reduceat(bits, starts)
+    suffix_hits = np.add.reduceat(
+        (src == SUFFIX_CODE).astype(np.int64), starts)
+    # the achievable-hit bound: a pair whose smaller side emitted only
+    # k < min_suffix_hits anchors can share at most k anchor buckets
+    # even under full containment — cap the threshold there (aux is ≥1
+    # on suffix rows; mask other sources' aux to 0 before the run max so
+    # only the suffix bound survives)
+    run_aux = np.maximum.reduceat(
+        np.where(src == SUFFIX_CODE, aux, 0), starts)
+    required = np.maximum(1, np.minimum(min_suffix_hits, run_aux))
+    suffix_bit = 1 << SUFFIX_CODE
+    final_mask = run_or & ~suffix_bit
+    final_mask |= np.where(suffix_hits >= required, suffix_bit, 0)
+    emit = final_mask != 0
+    s_emit = starts[emit]
+    names = MASK_LUT[final_mask[emit]]
+    return pa.Table.from_arrays(
+        [pa.array(a[s_emit]), pa.array(b[s_emit]),
+         pa.array(names.tolist(), type=pa.string())],
+        schema=PAIR_SCHEMA)
 
 
 def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):
@@ -209,44 +251,11 @@ def union_pair_sources(pairs_ds, *, min_suffix_hits: int = 1):
     doc-id-exists guard (reference src/core/nxs.c:505-511).
 
     ONE grouped scan on (a, b) (stages/shuffle.grouped), fully
-    vectorized over the runs: per-run source bitmask via
-    bitwise_or.reduceat, per-run suffix hit count via add.reduceat."""
+    vectorized over the runs (``_union_runs``): per-run source bitmask
+    via bitwise_or.reduceat, per-run suffix hit count via
+    add.reduceat."""
     from nxsearch_ray.stages.shuffle import grouped
 
-    SUFFIX_CODE = SRC_NAMES.index("suffix")
-    # mask → "exact,minhash,..." (SRC_NAMES happens to be sorted)
-    MASK_LUT = np.array(
-        [",".join(n for i, n in enumerate(SRC_NAMES) if m >> i & 1)
-         for m in range(1 << len(SRC_NAMES))], dtype=object)
-    out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                            ("source", pa.string())])
-
-    def runs_fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        a = t.column("a").to_numpy()
-        b = t.column("b").to_numpy()
-        src = t.column("src").to_numpy().astype(np.int32)
-        aux = t.column("aux").to_numpy().astype(np.int64)
-        bits = np.left_shift(1, src)
-        run_or = np.bitwise_or.reduceat(bits, starts)
-        suffix_hits = np.add.reduceat(
-            (src == SUFFIX_CODE).astype(np.int64), starts)
-        # the achievable-hit bound: a pair whose smaller side emitted
-        # only k < min_suffix_hits anchors can share at most k anchor
-        # buckets even under full containment — cap the threshold
-        # there (aux is ≥1 on suffix rows; mask other sources' aux to
-        # 0 before the run max so only the suffix bound survives)
-        run_aux = np.maximum.reduceat(
-            np.where(src == SUFFIX_CODE, aux, 0), starts)
-        required = np.maximum(1, np.minimum(min_suffix_hits, run_aux))
-        suffix_bit = 1 << SUFFIX_CODE
-        final_mask = run_or & ~suffix_bit
-        final_mask |= np.where(suffix_hits >= required, suffix_bit, 0)
-        emit = final_mask != 0
-        s_emit = starts[emit]
-        names = MASK_LUT[final_mask[emit]]
-        return pa.Table.from_arrays(
-            [pa.array(a[s_emit]), pa.array(b[s_emit]),
-             pa.array(names.tolist(), type=pa.string())],
-            schema=out_schema)
-
-    return grouped(pairs_ds, ["a", "b"], runs_fn, out_schema)
+    return grouped(pairs_ds, ["a", "b"],
+                   functools.partial(_union_runs, min_suffix_hits),
+                   PAIR_SCHEMA)

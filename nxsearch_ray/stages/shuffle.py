@@ -36,9 +36,20 @@ merge all-to-all and cost seconds per call at benchmark scale).
 ``tree_fold`` is the third primitive: an associative merge of many
 refs (Bloom and HLL partials, CC star edges) as a tree of tasks with
 at most eight inputs each.
+
+A wave hands on a ``Blocks`` handle, not a Ray Dataset: its block refs
+and, per block, a ref to the ``(rows, bytes)`` the task that made the
+block returned beside it (``num_returns=2``, ``with_meta``).  The next
+wave chains on the pending refs; the driver waits on the metadata only
+where it needs a count (an exchange's width, a batch cut, a stage
+record).  Building a Dataset costs a synchronous round trip to Ray
+Data's stats actor and one metadata task per block, so a handle builds
+one only for a caller that uses the Dataset API.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 import pyarrow as pa
@@ -66,6 +77,82 @@ def partition_width(n_rows: int, n_bytes: int) -> int:
     ``PARTITION_BYTES``."""
     return max(1, min(session_cpus(), n_rows),
                -(-n_bytes // PARTITION_BYTES))
+
+
+# a block's row count and bytes, as Ray Data's block metadata reports
+# them (``with_meta``)
+Meta = namedtuple("Meta", ["num_rows", "size_bytes"])
+
+
+def with_meta(t: pa.Table) -> tuple:
+    """A block-making task's two returns: the block and its
+    ``(rows, bytes)``.  The bytes are the stored block's ``nbytes``, the
+    figure Ray Data's metadata reads after the object store round trip:
+    Ray's Arrow serializer drops all-valid validity bitmaps and trims
+    each buffer to its slice, so the table is measured as that
+    serializer rebuilds it (zero-copy but for re-based offsets)."""
+    from ray._private.arrow_serialization import _arrow_table_reduce
+
+    rebuild, args = _arrow_table_reduce(t)
+    return t, (t.num_rows, rebuild(*args).nbytes)
+
+
+class Blocks:
+    """A wave's output: ``parts`` (block refs, in order) and ``meta``
+    (per block, a ref to its ``(rows, bytes)``).  ``count`` and
+    ``size_bytes`` read the metadata, ``to_arrow_refs`` the refs; any
+    other attribute is the Dataset API, answered by a Dataset of the
+    blocks that have rows, built on first use and cached."""
+
+    def __init__(self, parts, meta):
+        self.parts, self.meta, self._dataset = list(parts), list(meta), None
+
+    @classmethod
+    def submit(cls, outputs) -> "Blocks":
+        """The handle of ``(block ref, meta ref)`` task returns."""
+        outputs = list(outputs)
+        return cls([o[0] for o in outputs], [o[1] for o in outputs])
+
+    @classmethod
+    def of(cls, table: pa.Table) -> "Blocks":
+        """One block put from the driver (an empty wave's declared
+        output)."""
+        block, meta = with_meta(table)
+        return cls([ray.put(block)], [ray.put(meta)])
+
+    def count(self) -> int:
+        return sum(m.num_rows for _, m in blocks(self))
+
+    def size_bytes(self) -> int:
+        return sum(m.size_bytes for _, m in blocks(self))
+
+    def to_arrow_refs(self) -> list:
+        return list(self.parts)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_dataset": None}
+
+    def __getattr__(self, name):
+        # reached only for names the handle lacks: a dunder (copy and
+        # pickle probe for them) or a field read before the instance
+        # has its state must fail here, not recurse
+        if name.startswith("__") or name in ("parts", "meta", "_dataset"):
+            raise AttributeError(name)
+        if self._dataset is None:
+            import ray.data as rd
+
+            # without the zero-row blocks a chained wave keeps (Ray
+            # Data's own maps pass them on unmapped, and warn of their
+            # schema), but one, for the schema, when all are empty
+            full = [p for p, m in blocks(self) if m.num_rows]
+            self._dataset = rd.from_arrow_refs(full or self.parts[:1])
+        return getattr(self._dataset, name)
+
+
+def union(*handles) -> Blocks:
+    """The handles' blocks, in order, as one handle."""
+    return Blocks([p for h in handles for p in h.parts],
+                  [m for h in handles for m in h.meta])
 
 
 def adopt_hash_context(ds):
@@ -164,19 +251,21 @@ def _listed(ds) -> list | None:
 
 def blocks(ds) -> list:
     """``(part, metadata)`` of every block of ``ds``, in order, without
-    starting Ray Data's executor where it can: a Dataset that a task
-    wave returned (``from_arrow_refs``) or that a stage pinned lists
-    its block refs; a bare read lists its datasource's read tasks
-    (``ReadTask`` objects, with their metadata's row count and
-    estimated bytes), so the tasks that consume it read the files
-    themselves and nothing of the read enters the object store.  Any
-    other Dataset (a lazy map, a read with fewer read tasks than
-    session CPUs or with no row counts) runs here, once per call.
+    starting Ray Data's executor where it can: a ``Blocks`` handle
+    lists its refs with one ``ray.get`` of their ``(rows, bytes)``
+    (waiting for the tasks that make them), a pinned Dataset its block
+    refs; a bare read lists its datasource's read tasks (``ReadTask``
+    objects, with their metadata's row count and estimated bytes), so
+    the tasks that consume it read the files themselves and nothing of
+    the read enters the object store.  Any other Dataset (a lazy map, a
+    read with fewer read tasks than session CPUs or with no row counts)
+    runs here, once per call.
 
     Only task arguments may hold a part: every consuming task resolves
-    it with ``as_arrow``.  A read task is no object ref, so a part
-    never goes to ``from_arrow_refs``; ``refs`` lists the refs of a
-    Dataset that holds its blocks."""
+    it with ``as_arrow``.  A read task is no object ref; ``refs`` lists
+    the refs of an input that holds its blocks."""
+    if isinstance(ds, Blocks):
+        return [(p, Meta(*m)) for p, m in zip(ds.parts, ray.get(ds.meta))]
     parts = _listed(ds)
     if parts is None:
         parts = [b for bundle in ds.iter_internal_ref_bundles()
@@ -192,11 +281,19 @@ def is_read_task(part) -> bool:
     return isinstance(part, ReadTask)
 
 
+def pending(ds) -> list:
+    """The parts of ``ds`` as task arguments, for a task that needs no
+    count: a handle's refs without waiting for its tasks, else
+    ``blocks``' parts (refs or read tasks)."""
+    if isinstance(ds, Blocks):
+        return list(ds.parts)
+    return [part for part, _ in blocks(ds)]
+
+
 def refs(ds) -> list:
-    """The block refs of ``ds``, for ``from_arrow_refs`` (a union of
-    wave outputs); a ``TypeError`` when its ``blocks`` are read
-    tasks."""
-    parts = [part for part, _ in blocks(ds)]
+    """The block refs of ``ds`` (``pending``); a ``TypeError`` when its
+    parts are read tasks."""
+    parts = pending(ds)
     if any(is_read_task(p) for p in parts):
         raise TypeError("refs: a read's parts are read tasks, which "
                         "only task arguments may hold")
@@ -214,14 +311,14 @@ def concat(pieces) -> pa.Table:
     return pa.concat_tables(full, promote_options="default")
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _group(keys, then_by, fn, schema, *pieces):
     """One partition's pieces → ``fn(sorted partition, run starts)``;
-    an empty partition → ``schema.empty_table()``."""
+    an empty partition → ``schema.empty_table()`` (``with_meta``)."""
     t = concat(pieces)
     n = t.num_rows
     if n == 0:
-        return schema.empty_table()
+        return with_meta(schema.empty_table())
     t = t.take(pc.sort_indices(t, sort_keys=[
         (k, "ascending") for k in [*keys, *then_by]]))
     brk = np.zeros(n, dtype=bool)
@@ -232,7 +329,7 @@ def _group(keys, then_by, fn, schema, *pieces):
         if a.null_count:                 # null == null: one run
             ne = pc.and_not(ne, pc.and_(pc.is_null(a), pc.is_null(b)))
         brk[1:] |= ne.to_numpy()
-    return fn(t, np.flatnonzero(brk))
+    return with_meta(fn(t, np.flatnonzero(brk)))
 
 
 def exchange(sides):
@@ -272,14 +369,12 @@ def grouped(ds, keys, fn, schema, then_by=(), split_map=None):
     partition returns ``schema.empty_table()``, so ``fn`` never sees
     one; ``fn`` must return ``schema`` too.  ``split_map`` maps each
     block in the exchange's split, before the keys are read
-    (``exchange``).  Runs now and returns a materialized Dataset of one
-    block per partition."""
-    import ray.data as rd
-
+    (``exchange``).  Runs now and returns the ``Blocks`` of one block
+    per partition."""
     keys, then_by = list(keys), list(then_by)
-    return rd.from_arrow_refs([
+    return Blocks.submit(
         _group.remote(keys, then_by, fn, schema, *part)
-        for part in exchange([(ds, keys, split_map)])[0]])
+        for part in exchange([(ds, keys, split_map)])[0])
 
 
 def tree_fold(parts: list, merge_remote):

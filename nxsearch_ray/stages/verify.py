@@ -88,9 +88,9 @@ def build_signature_index_ref(sig_ds, cfg: PipelineConfig):
     task (stages/join.index_ref)."""
     from nxsearch_ray.stages.join import index_ref
 
-    P = cfg.num_perms
-    return index_ref(sig_ds, _sig_schema(P),
-                     lambda t: SignatureIndex.from_table(t, P))
+    return index_ref(sig_ds, _sig_schema(cfg.num_perms),
+                     functools.partial(SignatureIndex.from_table,
+                                       num_perms=cfg.num_perms))
 
 
 def _sig_schema(num_perms: int) -> pa.Schema:

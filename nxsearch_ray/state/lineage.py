@@ -47,7 +47,8 @@ from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.functions.hashing import content_hash128, splitmix64
 from nxsearch_ray.sources.io import read_parquet_clean
 from nxsearch_ray.stages.join import map_blocks
-from nxsearch_ray.stages.shuffle import as_arrow, blocks, concat, refs
+from nxsearch_ray.stages.shuffle import (Blocks, as_arrow, blocks, concat,
+                                         refs, with_meta)
 
 MANIFEST = "manifest.json"
 FINGERPRINT = "input_fingerprint"
@@ -116,8 +117,8 @@ def input_fingerprint(ds) -> str:
 
     if ds in _LINEAGE:
         return _LINEAGE[ds]
-    files = ds.input_files() if isinstance(ds._logical_plan.dag, Read) \
-        else []
+    files = ds.input_files() if not isinstance(ds, Blocks) \
+        and isinstance(ds._logical_plan.dag, Read) else []
     if files:
         h = hashlib.sha256()
         for path in sorted(files):
@@ -165,6 +166,20 @@ def load_stage(out_dir: str, stage: str):
                                  file_extensions=["parquet"])
 
 
+@ray.remote(num_returns=2)
+def _read_part(path: str):
+    return with_meta(pq.read_table(path))
+
+
+def read_stage(out_dir: str, stage: str) -> Blocks:
+    """A checkpoint held in the object store: one task per part file of
+    its manifest, read while the directory still holds it (a rewrite
+    of the same stage clears it), and no Ray Dataset."""
+    sdir = stage_dir(out_dir, stage)
+    return Blocks.submit(_read_part.remote(os.path.join(sdir, p["file"]))
+                         for p in read_manifest(out_dir, stage)["partitions"])
+
+
 @ray.remote
 def _write_part(path: str, *parts) -> dict:
     """Blocks → one Parquet part (``concat``: blocks of no rows give
@@ -179,10 +194,11 @@ def _write_part(path: str, *parts) -> dict:
 
 def write_stage(ds, out_dir: str, stage: str, cfg: PipelineConfig,
                 extra: dict | None = None) -> dict:
-    """Write a Dataset's blocks to the stage directory as one wave of
-    tasks, a part per block (``part-{i:05d}.parquet``; no rows: one
-    empty part of the widest block's schema, a wave's declared one),
-    then the manifest from their returns; returns the manifest."""
+    """Write the blocks of a handle (or a Dataset) to the stage
+    directory as one wave of tasks, a part per block
+    (``part-{i:05d}.parquet``; no rows: one empty part of the widest
+    block's schema, a wave's declared one), then the manifest from
+    their returns; returns the manifest."""
     sdir = stage_dir(out_dir, stage)
     t0 = time.monotonic()
     # Clear any previous attempt first: a crash mid-write or a config
@@ -214,14 +230,15 @@ def stage(stats: dict, name: str, factory, out_dir: str | None,
           params, fingerprint: str | None = None):
     """One stage boundary: resume-or-compute the stage ``name``, pinned
     either way, and append its record ``{stage, wall_s, rows, bytes,
-    resumed}`` to ``stats["stages"]``; returns the pinned dataset.
+    resumed}`` to ``stats["stages"]``; returns the pinned output.
 
-    A computed stage is ``factory()`` pinned (``materialize()``), with
-    or without ``out_dir``.  With ``out_dir`` it is a checkpoint:
-    ``factory`` is only called when it is absent/stale (another
-    ``params.config_hash()``, or another ``fingerprint`` when one is
-    given — it is then recorded in the manifest), the pinned blocks are
-    written, and a valid one is resumed as a read.  A resumed stage
+    A computed stage is the ``shuffle.Blocks`` handle ``factory()``
+    returns, pinned by the refs it holds, with or without ``out_dir``;
+    the record waits for its tasks' metadata.  With ``out_dir`` it is a
+    checkpoint: ``factory`` is only called when it is absent/stale
+    (another ``params.config_hash()``, or another ``fingerprint`` when
+    one is given — it is then recorded in the manifest), the pinned
+    blocks are written, and a valid one is resumed as a read.  A resumed stage
     never calls ``factory``, so nothing it would have run upstream
     leaves a record.  With a ``fingerprint``, the output's
     ``input_fingerprint`` is the stage's lineage.
@@ -231,10 +248,10 @@ def stage(stats: dict, name: str, factory, out_dir: str | None,
     ``total_byte_size`` — the quantity an in-memory ``size_bytes()``
     measures, not the smaller stored one; a manifest written before
     that figure was recorded holds only the stored bytes), a pinned
-    stage's from its blocks' metadata.  ``wall_s`` is the stage's own
-    time: a stage that ``factory`` runs inside it appends its own
-    record first, and that time is not counted twice, so a run's
-    records add up to its staged wall."""
+    stage's from the ``(rows, bytes)`` its tasks returned.  ``wall_s``
+    is the stage's own time: a stage that ``factory`` runs inside it
+    appends its own record first, and that time is not counted twice,
+    so a run's records add up to its staged wall."""
     records = stats.setdefault("stages", [])
     n_before = len(records)
     t0 = time.monotonic()
@@ -243,7 +260,7 @@ def stage(stats: dict, name: str, factory, out_dir: str | None,
     if resumed:
         ds, m = load_stage(out_dir, name), read_manifest(out_dir, name)
     else:
-        ds = factory().materialize()
+        ds = factory()
         m = out_dir and write_stage(ds, out_dir, name, params, fingerprint
                                     and {FINGERPRINT: fingerprint})
     if not m:

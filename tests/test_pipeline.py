@@ -167,6 +167,35 @@ def test_anchor_bucket_max_matches_oracle(ray_session, anchor_bucket_max):
     assert _cluster_dict(res) == labels
 
 
+def test_hot_bucket_chain_is_the_only_link(ray_session):
+    """Six byte-identical pages among unrelated ones at
+    ``hot_bucket_cap`` 3: every bucket the six share has more than 3
+    members, so the spanning chain over their sorted ids is their only
+    link.  They form one cluster, as in the oracle, and
+    ``verified_pairs`` holds exactly the chain's 5 consecutive-id
+    pairs."""
+    import numpy as np
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+
+    def text():
+        return " ".join(f"w{v}" for v in rng.integers(0, 10**6, 60))
+
+    dup, dup_ids, n = text(), [3, 7, 8, 20, 31, 40], 44
+    pages = pa.table({
+        "page_id": pa.array(range(n), pa.int64()),
+        "url": [f"https://h.example.org/{i}" for i in range(n)],
+        "text": [dup if i in dup_ids else text() for i in range(n)],
+        "lang": ["en"] * n})
+    cfg = PipelineConfig(hot_bucket_cap=3)
+    res = run_dedup(rd.from_arrow(pages), cfg)
+    labels, opairs = oracle_clusters(pages, cfg)
+    chain = set(zip(dup_ids, dup_ids[1:]))
+    assert _cluster_dict(res) == labels == {i: dup_ids[0] for i in dup_ids}
+    assert _pair_set(res) == opairs == chain
+
+
 def test_bucketed_plan_with_nothing_to_adjudicate(ray_session):
     """Exact copies of random pages and nothing borderline: no pair
     needs exact adjudication, so the bucketed suffix gather semi-joins

@@ -303,9 +303,10 @@ def test_other_consumers_over_a_bare_read(ray_session, tmp_path):
 
 def test_no_read_task_reaches_from_arrow_refs(ray_session, tmp_path):
     """A read task is no object ref: ``shuffle.refs`` refuses a read,
-    and no ``from_arrow_refs`` call in the engine takes ``blocks``
-    parts (the dedup union and the CC tree-reduce list through
-    ``refs``)."""
+    and no call in the engine that builds a handle of block refs
+    (``from_arrow_refs``, ``Blocks.submit``, ``Blocks``) takes
+    ``blocks`` parts (the dedup union and the CC tree-reduce list
+    through ``refs``)."""
     t = pa.table({"page_id": pa.array(np.arange(60), pa.int64())})
     read = _read(_write(tmp_path, t), None)
     _assert_read_tasks(read)
@@ -318,8 +319,9 @@ def test_no_read_task_reaches_from_arrow_refs(ray_session, tmp_path):
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "from_arrow_refs"):
+                    and (getattr(node.func, "attr", None)
+                         in ("from_arrow_refs", "submit")
+                         or getattr(node.func, "id", None) == "Blocks")):
                 sites += 1
                 hits += [f"{path.name}:{node.lineno}"
                          for sub in ast.walk(node)

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from nxsearch_ray.stages import shuffle
@@ -300,21 +301,65 @@ def test_no_sort_shuffle_call_sites():
     assert len(files) > 40 and not hits, hits
 
 
+def _count_dataset_work(monkeypatch) -> dict:
+    """Counters of Ray Data work from here on: executor runs
+    (``StreamingExecutor.execute``), Datasets built
+    (``Dataset.__init__``) and per-block metadata tasks submitted
+    (``get_table_block_metadata_schema``, which ``from_arrow_refs``
+    starts one of per block)."""
+    import ray.data as rd
+    import ray.data.read_api as read_api
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    n = {"executions": 0, "datasets": 0, "metadata_tasks": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kw):
+            n[key] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(StreamingExecutor, "execute",
+                        counting("executions", StreamingExecutor.execute))
+    monkeypatch.setattr(rd.Dataset, "__init__",
+                        counting("datasets", rd.Dataset.__init__))
+    cached = read_api.cached_remote_fn
+
+    class Counted:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def remote(self, *args, **kw):
+            n["metadata_tasks"] += 1
+            return self.fn.remote(*args, **kw)
+
+    def cached_remote_fn(fn, **kw):
+        out = cached(fn, **kw)
+        return Counted(out) if fn is get_table_block_metadata_schema \
+            else out
+
+    monkeypatch.setattr(read_api, "cached_remote_fn", cached_remote_fn)
+    return n
+
+
 def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
                                              monkeypatch):
     """No step of ``run_dedup`` over a bare Parquet read runs on Ray
-    Data's executor, on the auto plans and on the scale-path plans: the
-    signature wave's tasks read the files themselves (``shuffle.blocks``
-    lists the read's read tasks), and every later step is a plain task
-    wave over block refs.  With ``out_dir`` neither does a checkpoint
-    write, a wave of plain tasks over the pinned blocks.  Nor does an
-    incremental ingest into a prior run's ``out_dir`` (its prior
-    signatures are held by a wave, not unioned on the executor) or a
-    removal from it."""
+    Data's executor, builds a Ray Dataset or starts a block metadata
+    task, on the auto plans and on the scale-path plans: the signature
+    wave's tasks read the files themselves (``shuffle.blocks`` lists
+    the read's read tasks), and every later step is a plain task wave
+    over block refs that hands on a ``shuffle.Blocks`` handle, its
+    metadata returned by the tasks that made the blocks.  With
+    ``out_dir`` neither does a checkpoint write, a wave of plain tasks
+    over the pinned blocks.  Nor does an incremental ingest into a
+    prior run's ``out_dir`` (its prior signatures are read by plain
+    tasks, not unioned on the executor) or a removal from it.  The
+    caller's own read is built before the counting starts."""
     import pyarrow.parquet as pq
     import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor)
 
     from nxsearch_ray.config import PipelineConfig
     from nxsearch_ray.pipelines.dedup import (run_dedup,
@@ -329,22 +374,20 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     for i in range(4):
         pq.write_table(corpus.slice(i * per, per),
                        pages / f"part-{i}.parquet")
-    executions = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kw):
-        executions.append(1)
-        return execute(self, *args, **kw)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
     columns = ["page_id", "url", "warc_ts", "html", "lang"]
+
+    def read(path):
+        return rd.read_parquet(str(path), columns=columns)
+
+    n = _count_dataset_work(monkeypatch)
+    nothing = {"executions": 0, "datasets": 0, "metadata_tasks": 0}
     for plans in ({}, {"verify_mode": "bucketed", "cc_mode": "labelprop"}):
         for out_dir in (None, str(tmp_path / f"out{len(plans)}")):
-            executions.clear()
-            res = run_dedup(rd.read_parquet(str(pages), columns=columns),
-                            PipelineConfig(), out_dir=out_dir, **plans)
+            ds = read(pages)
+            n.update(nothing)
+            res = run_dedup(ds, PipelineConfig(), out_dir=out_dir, **plans)
             assert res.clusters.count() > 0
-            assert len(executions) == 0, (plans, out_dir)
+            assert n == nothing, (plans, out_dir)
 
     # the prior run: 3/4 of the pages, in as many files as CPUs
     prior = tmp_path / "prior"
@@ -354,16 +397,72 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
         pq.write_table(head.slice(i * (3 * per // 4), 3 * per // 4),
                        prior / f"part-{i}.parquet")
     out_dir = str(tmp_path / "incremental")
-    run_dedup(rd.read_parquet(str(prior), columns=columns),
-              PipelineConfig(), out_dir=out_dir)
-    executions.clear()
-    res = run_dedup_incremental(rd.read_parquet(str(pages), columns=columns),
-                                PipelineConfig(), out_dir=out_dir)
+    run_dedup(read(prior), PipelineConfig(), out_dir=out_dir)
+    ds = read(pages)
+    n.update(nothing)
+    res = run_dedup_incremental(ds, PipelineConfig(), out_dir=out_dir)
     assert res.stats["incremental_new_pages"] > 0
-    assert len(executions) == 0
+    assert n == nothing
 
-    executions.clear()
+    n.update(nothing)
     res = run_dedup_remove(corpus.column("page_id").to_pylist()[::9],
                            PipelineConfig(), out_dir=out_dir)
     assert res.stats["removed_found"] > 0
-    assert len(executions) == 0
+    assert n == nothing
+
+
+def test_blocks_answer_the_dataset_api(ray_session):
+    """A wave's ``Blocks`` handle answers the Dataset calls the traced
+    benchmark replay makes of a stage output (``materialize``,
+    ``count``, ``size_bytes``, ``stats``, ``union``, ``select_columns``,
+    ``map_batches``) through one Dataset it builds on first use; its
+    own ``count`` and ``size_bytes`` read the tasks' metadata and agree
+    with that Dataset's.  It pickles and copies (without the cached
+    Dataset), and a dunder or a field looked up on a handle with no
+    state raises ``AttributeError`` rather than recursing."""
+    import copy
+    import pickle
+
+    import ray
+
+    from nxsearch_ray.stages.join import map_blocks
+
+    def _flip(t: pa.Table) -> pa.Table:   # a closure: shipped by value
+        return t.set_column(0, "k", pc.negate(t.column("k")))
+
+    t = pa.table({"k": pa.array(np.arange(30) - 9, pa.int64()),
+                  "s": pa.array([f"x{i}" for i in range(30)])})
+    h = map_blocks(_dataset([t.slice(0, 12), t.slice(12)]), _flip,
+                   t.schema)
+    # a handle's wave chains on its refs, one task per block: a zero-row
+    # block (here zero-column too) becomes the declared schema's
+    h = map_blocks(shuffle.union(h, shuffle.Blocks.of(pa.table({}))),
+                   _flip, t.schema)
+    assert isinstance(h, shuffle.Blocks) and len(h.parts) == 3
+    assert ray.get(h.parts[2]).schema == t.schema
+    assert h.count() == 30 and h._dataset is None
+    with pytest.raises(AttributeError):
+        h.__array_interface__
+    assert h._dataset is None
+
+    mat = h.materialize()
+    assert mat.count() == h.count() == 30
+    assert mat.size_bytes() == h.size_bytes() > 0
+    assert isinstance(mat.stats(), str)
+    assert h.select_columns(["k"]).schema().names == ["k"]
+    assert h.union(h.select_columns(["k", "s"])).count() == 60
+    flipped = h.map_batches(_flip, batch_format="pyarrow")
+    assert sorted(r["k"] for r in flipped.take_all()) == sorted(
+        -k for k in t.column("k").to_pylist())
+    assert h.to_arrow_refs() == h.parts
+
+    assert h._dataset is not None
+    for twin in (pickle.loads(pickle.dumps(h)), copy.copy(h)):
+        assert twin._dataset is None and twin.count() == 30
+        assert pa.concat_tables(ray.get(twin.to_arrow_refs())).equals(
+            pa.concat_tables(ray.get(h.to_arrow_refs())))
+
+    bare = shuffle.Blocks.__new__(shuffle.Blocks)
+    for name in ("parts", "meta", "_dataset", "count_rows", "__setstate__"):
+        with pytest.raises(AttributeError):
+            getattr(bare, name)
