@@ -47,8 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 from nxsearch_ray.config import PipelineConfig
+from nxsearch_ray.stages.shuffle import concat, refs
 from nxsearch_ray.state.lineage import (StageParams, input_fingerprint,
                                         stage)
 
@@ -62,8 +64,9 @@ _CLEAN_SCHEMA = pa.schema([("page_id", pa.int64()),
 
 @dataclass
 class CorpusResult:
-    decisions: "object"        # Dataset: page_id, drop_tier, dup_of
-    clusters: "object"         # near-dup clusters (Dataset)
+    # shuffle.Blocks handles, computed or resumed
+    decisions: "object"        # page_id, drop_tier, dup_of
+    clusters: "object"         # near-dup clusters: page_id, cluster_id
     stats: dict = field(default_factory=dict)
 
 
@@ -164,17 +167,18 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
             ("embedding", pa.list_(pa.float32()))])
 
         def surv_factory():
-            # the cleaned pages minus the tier-2 drops (an anti-join on
-            # the broadcast drop ids, a few int64s per duplicate), then
-            # their embeddings by one inner join.  A page the clean
-            # tier removed is never a semantic representative.
+            # the cleaned pages' embeddings by one inner join (the pages
+            # cross it as their ids alone, projected in its split),
+            # minus the tier-2 drops (an anti-join on the broadcast drop
+            # ids, a few int64s per duplicate).  A page the clean tier
+            # removed is never a semantic representative.
             t2 = map_blocks(clusters_ds, t2_decide, t2_schema)
-            surv_ids = anti_join(clean.select_columns(["page_id"]),
-                                 "page_id", id_set_ref(t2, ["page_id"]))
-            return hash_join(
-                embeddings_ds, surv_ids, left_key="vec_id",
+            clean_emb = hash_join(
+                embeddings_ds, clean, left_key="vec_id",
                 right_key="page_id", left_schema=emb_schema,
                 right_schema=pa.schema([("page_id", pa.int64())]))
+            return anti_join(clean_emb, "vec_id",
+                             id_set_ref(t2, ["page_id"]))
 
         # the survivor embeddings are pinned BEFORE the semantic tier:
         # semdedup re-reads its input once per pass (census /
@@ -260,7 +264,4 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
 def decisions_as_table(result: CorpusResult) -> pa.Table:
     """Collect the (small) decision table, sorted by page_id."""
-    batches = list(result.decisions.iter_batches(batch_size=1 << 16,
-                                                 batch_format="pyarrow"))
-    return (pa.concat_tables(batches) if batches
-            else DECISION_SCHEMA.empty_table()).sort_by("page_id")
+    return concat(ray.get(refs(result.decisions))).sort_by("page_id")

@@ -54,7 +54,7 @@ map (stages/join.broadcast_map / map_blocks) — that runs when it is
 called and hands on a ``shuffle.Blocks`` handle (its block refs and
 the ``(rows, bytes)`` its tasks returned beside them), not a Ray
 Dataset; so is a checkpoint write, over the pinned blocks that
-downstream takes (a resumed stage is read in its consumers' tasks).  A
+downstream takes, and so is a resume, one read task per part file.  A
 run builds no Ray Dataset, and the driver waits on a wave only where
 it needs a count.  All hashing is seeded from the config; output
 is invariant to parallelism and retries.
@@ -79,7 +79,7 @@ from nxsearch_ray.stages.pairs import (
     multi_candidate_pairs,
     union_pair_sources,
 )
-from nxsearch_ray.stages.shuffle import Blocks, refs, union
+from nxsearch_ray.stages.shuffle import concat, refs, union
 from nxsearch_ray.stages.signatures import canonsig_stage
 from nxsearch_ray.stages.suffix import (
     build_token_index_ref,
@@ -110,7 +110,7 @@ STAR_EDGE_BYTES = 16
 
 @dataclass
 class DedupResult:
-    # shuffle.Blocks handles (a read Dataset where a stage resumed)
+    # shuffle.Blocks handles, computed or resumed
     clusters: "object"            # page_id, cluster_id
     verified_pairs: "object"      # a, b, source
     stats: dict = field(default_factory=dict)
@@ -390,19 +390,5 @@ def _count_and_hash(ids) -> tuple[int, int]:
 
 
 def clusters_as_table(result: DedupResult) -> pa.Table:
-    """The clusters, sorted by page_id: a handle's blocks straight from
-    its refs, a resumed stage's read through Ray Data."""
-    import numpy as np
-
-    from nxsearch_ray.stages.cc import CLUSTER_SCHEMA
-
-    clusters = result.clusters
-    batches = (ray.get(refs(clusters)) if isinstance(clusters, Blocks)
-               else list(clusters.iter_batches(batch_size=65536,
-                                               batch_format="pyarrow")))
-    c = (pa.concat_tables(batches) if batches
-         else CLUSTER_SCHEMA.empty_table())
-    if c.num_rows == 0:
-        return c
-    order = np.argsort(c.column("page_id").to_numpy(), kind="stable")
-    return c.take(pa.array(order, type=pa.int64()))
+    """The clusters, sorted by page_id, from the handle's refs."""
+    return concat(ray.get(refs(result.clusters))).sort_by("page_id")

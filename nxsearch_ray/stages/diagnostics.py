@@ -14,7 +14,8 @@ import numpy as np
 import pyarrow as pa
 
 from nxsearch_ray.config import PipelineConfig
-from nxsearch_ray.stages.shuffle import grouped
+from nxsearch_ray.stages.join import map_blocks
+from nxsearch_ray.stages.shuffle import grouped, refs
 
 
 def duplicate_page_ids(pages_ds, id_col: str = "page_id") -> pa.Table:
@@ -34,9 +35,9 @@ def duplicate_page_ids(pages_ds, id_col: str = "page_id") -> pa.Table:
         ids = t.column(id_col).to_numpy()[starts]
         return pa.table([ids[n >= 2], n[n >= 2]], schema=schema)
 
-    return pa.concat_tables(ray.get(grouped(
-        pages_ds.select_columns([id_col]), [id_col], dups, schema)
-        .to_arrow_refs()))
+    return pa.concat_tables(ray.get(refs(grouped(
+        pages_ds, [id_col], dups, schema,
+        split_map=lambda t: t.select([id_col])))))
 
 
 def census_over_keys(keyed_ds, names: tuple[str, ...]):
@@ -98,5 +99,6 @@ def bucket_census(signatures_ds, cfg: PipelineConfig):
             "src": t.column("src")})
 
     return census_over_keys(
-        signatures_ds.map_batches(explode, batch_format="pyarrow"),
+        map_blocks(signatures_ds, explode, pa.schema([
+            ("bucket_key", pa.int64()), ("src", pa.int8())])),
         SRC_NAMES)

@@ -19,8 +19,9 @@ Two plans, same output schema ``(id, dup_of, keep)``:
 
 * **exact** — global all-pairs via the blocked block-pair plan
   (``embedding_dup_pairs_blocked``): B·(B+1)/2 tasks each
-  hold two O(block_rows·dim) blocks, so memory is flat in corpus
-  size; the O(n²) work is inherent to exactness.  ``dup_of`` is one
+  hold two sides of at most block_rows rows, sliced from the input's
+  block refs, so memory is flat in corpus size; the O(n²) work is
+  inherent to exactness.  ``dup_of`` is one
   grouped min over the pair stream (``dup_map``); keep flags reach the
   full corpus through the partition-wise left hash join
   (stages/join.py:hash_join how='left') — no driver materialization,
@@ -30,8 +31,8 @@ Two plans, same output schema ``(id, dup_of, keep)``:
 * **clustered** — SemDeDup proper, the 100-TB plan: a deterministic
   spherical k-means coarse quantizer (``train_ivf_centroids_ref``,
   trained on a sample in one remote task)
-  assigns every vector to its nearest centroid in a streaming
-  map_batches; one grouped scan co-locates each cluster; the within-
+  assigns every vector to its nearest centroid inside each pass's
+  per-block task; one grouped scan co-locates each cluster; the within-
   cluster rule runs as a row-blocked matmul (memory
   O(block·cluster_size), never O(cluster_size²)).  Work drops to
   O(Σ n_c²) ≈ O(n²/nlist).  Approximate in exactly the paper's way —
@@ -62,16 +63,25 @@ still degenerate (all-identical directions) is quadratic by nature.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 
 from nxsearch_ray.functions.hashing import splitmix64
-from nxsearch_ray.stages.shuffle import grouped
+from nxsearch_ray.stages.join import _wave_plan, hash_join, map_blocks
+from nxsearch_ray.stages.shuffle import (Blocks, as_arrow, blocks, concat,
+                                         grouped, refs, with_meta)
 from nxsearch_ray.stages.signatures import list_column_numpy
 
 OUT_SCHEMA = pa.schema([("id", pa.int64()), ("dup_of", pa.int64()),
                         ("keep", pa.bool_())])
 DUP_SCHEMA = pa.schema([("b", pa.int64()), ("dup_of", pa.int64())])
+CENSUS_SCHEMA = pa.schema([("cluster", pa.int64()), ("n", pa.int64())])
+COSINE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                           ("cosine", pa.float64())])
 
 # the clustered plan's constants (a change to any of them changes the
 # decisions, so run_corpus's semdedup_decisions stage_version moves
@@ -109,6 +119,58 @@ def _first_of_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return order[new]
 
 
+@ray.remote
+def _train(emb_col: str, nlist: int, seed: int, sample_cap: int,
+           cluster, *parts) -> np.ndarray:
+    """``train_ivf_centroids_ref``'s k-means over the first
+    ``sample_cap`` rows of ``parts`` in order (only the rows of
+    ``cluster``, when it is not None: a hot cluster's sub-sample)."""
+    # per-block extraction, not one concatenated table: blocks can
+    # disagree on Arrow metadata (Parquet round trips rename the list
+    # child item->element)
+    mats, n = [], 0
+    for t in map(as_arrow, parts):
+        if cluster is not None and t.num_rows:
+            t = t.filter(pc.equal(t.column("cluster"), cluster))
+        t = t.slice(0, sample_cap - n)
+        if t.num_rows:
+            mats.append(_embedding_matrix(t, emb_col))
+            n += t.num_rows
+        if n == sample_cap:
+            break
+    if not mats:
+        return np.zeros((0, 0), dtype=np.float64)
+    mat = _normalize(np.vstack(mats))
+    n = len(mat)
+    k = min(nlist, n)
+    rank = np.argsort(splitmix64(
+        np.arange(n, dtype=np.uint64) ^ np.uint64(seed)))
+    # greedy farthest-point init, O(n·k·dim) via a running
+    # max-cos array; ties broken by sample order (deterministic)
+    idx = np.empty(k, dtype=np.int64)
+    idx[0] = rank[0]
+    best = mat @ mat[idx[0]]
+    for j in range(1, k):
+        idx[j] = int(best.argmin())
+        np.maximum(best, mat @ mat[idx[j]], out=best)
+    cent = mat[idx].copy()
+    for _ in range(KMEANS_ITERS):
+        sim = mat @ cent.T
+        assign = sim.argmax(axis=1)
+        sums = np.zeros_like(cent)
+        np.add.at(sums, assign, mat)
+        norms = np.linalg.norm(sums, axis=1, keepdims=True)
+        moved = norms[:, 0] > 0
+        cent[moved] = sums[moved] / norms[moved]
+        if not moved.all():
+            # reseed each empty cluster to the row currently
+            # farthest from its own best centroid (deterministic)
+            far = np.argsort(sim.max(axis=1), kind="stable")
+            dead = np.nonzero(~moved)[0]
+            cent[dead] = mat[far[:len(dead)]]
+    return cent
+
+
 def train_ivf_centroids_ref(emb_ds, nlist: int, *,
                             emb_col: str = "embedding",
                             seed: int = 42,
@@ -127,54 +189,47 @@ def train_ivf_centroids_ref(emb_ds, nlist: int, *,
     iterations assign by max cosine and re-normalize the mean; a
     cluster that comes back EMPTY is reseeded to the row farthest
     from the current centroid set instead of keeping a dead centroid.
-    Scale note: ``limit(sample_cap)`` streams only the blocks needed
-    for the sample — the full corpus is never materialized here."""
-    import ray
+    Scale note: the sample is the first ``sample_cap`` rows in block
+    order, and the blocks' row counts pick the blocks that hold it,
+    so the task reads only those."""
+    listed = [(p, m.num_rows) for p, m in blocks(emb_ds) if m.num_rows]
+    before = np.cumsum([0] + [n for _, n in listed])
+    return _train.remote(emb_col, nlist, seed, sample_cap, None, *[
+        p for (p, _), b in zip(listed, before) if b < sample_cap])
 
-    refs = emb_ds.select_columns([emb_col]).limit(sample_cap) \
-        .to_arrow_refs()
 
-    @ray.remote
-    def _train(*blocks):
-        # per-block extraction, not concat_tables: blocks can disagree
-        # on Arrow metadata (parquet round-trips rename the list child
-        # item->element, and filter(expr)+select_columns+limit lineages
-        # have been observed to emit the odd unprojected block)
-        mats = [_embedding_matrix(b, emb_col)
-                for b in blocks if b.num_rows]
-        if not mats:
-            return np.zeros((0, 0), dtype=np.float64)
-        mat = _normalize(np.vstack(mats))
-        n = len(mat)
-        k = min(nlist, n)
-        rank = np.argsort(splitmix64(
-            np.arange(n, dtype=np.uint64) ^ np.uint64(seed)))
-        # greedy farthest-point init, O(n·k·dim) via a running
-        # max-cos array; ties broken by sample order (deterministic)
-        idx = np.empty(k, dtype=np.int64)
-        idx[0] = rank[0]
-        best = mat @ mat[idx[0]]
-        for j in range(1, k):
-            idx[j] = int(best.argmin())
-            np.maximum(best, mat @ mat[idx[j]], out=best)
-        cent = mat[idx].copy()
-        for _ in range(KMEANS_ITERS):
-            sim = mat @ cent.T
-            assign = sim.argmax(axis=1)
-            sums = np.zeros_like(cent)
-            np.add.at(sums, assign, mat)
-            norms = np.linalg.norm(sums, axis=1, keepdims=True)
-            moved = norms[:, 0] > 0
-            cent[moved] = sums[moved] / norms[moved]
-            if not moved.all():
-                # reseed each empty cluster to the row currently
-                # farthest from its own best centroid (deterministic)
-                far = np.argsort(sim.max(axis=1), kind="stable")
-                dead = np.nonzero(~moved)[0]
-                cent[dead] = mat[far[:len(dead)]]
-        return cent
+@ray.remote(num_returns=2)
+def _block_pair(threshold: float, id_col: str, emb_col: str, ranges_i,
+                ranges_j, *parts):
+    """One block pair's ``(a, b, cosine)`` rows, ``a < b``, cosine at
+    least ``threshold`` (``with_meta``).  A side is its row ranges
+    ``(start, length)`` of its parts (side i's parts first); side j is
+    side i when ``ranges_j`` is empty."""
+    def side(ranges, ps):
+        return concat([as_arrow(p).slice(s, n)
+                       for p, (s, n) in zip(ps, ranges)])
 
-    return _train.remote(*refs)
+    bi = side(ranges_i, parts[:len(ranges_i)])
+    same = not ranges_j
+    bj = bi if same else side(ranges_j, parts[len(ranges_i):])
+    ids_i = bi.column(id_col).to_numpy()
+    ids_j = bj.column(id_col).to_numpy()
+    mi = _normalize(_embedding_matrix(bi, emb_col))
+    mj = _normalize(_embedding_matrix(bj, emb_col))
+    sims = mi @ mj.T
+    ii, jj = np.nonzero(sims >= threshold)
+    a, b = ids_i[ii], ids_j[jj]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    keep = lo < hi                       # drops self-pairs on same-block
+    lo, hi, cos = lo[keep], hi[keep], sims[ii, jj][keep]
+    if same and len(lo):
+        # same-block sims is symmetric: each pair surfaced twice
+        first = _first_of_pairs(lo, hi)
+        lo, hi, cos = lo[first], hi[first], cos[first]
+    return with_meta(pa.Table.from_arrays(
+        [pa.array(lo, type=pa.int64()), pa.array(hi, type=pa.int64()),
+         pa.array(cos, type=pa.float64())], schema=COSINE_SCHEMA))
 
 
 def embedding_dup_pairs_blocked(emb_ds, *, threshold: float = 0.9,
@@ -182,53 +237,25 @@ def embedding_dup_pairs_blocked(emb_ds, *, threshold: float = 0.9,
                                 emb_col: str = "embedding",
                                 block_rows: int = 8192):
     """Exact all-pairs cosine ≥ threshold — the distributed block-pair
-    plan: the corpus becomes B blocks pinned in the object store (one
-    repartition; the driver holds only refs), and B·(B+1)/2 remote
-    tasks each pull two blocks zero-copy and emit their pair fragment.
-    The O(n²) work is inherent to exactness, but no process ever holds
-    more than two blocks, so memory per task is O(block_rows·dim) at
-    any corpus size and the quadratic work spreads evenly across the
-    cluster."""
-    import ray
-    import ray.data as rd
-
-    out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                            ("cosine", pa.float64())])
-
-    n = emb_ds.count()
-    nblocks = max(1, -(-n // block_rows))
-    mat_refs = [r for r in emb_ds.select_columns([id_col, emb_col])
-                .repartition(nblocks).to_arrow_refs()]
-
-    @ray.remote
-    def block_pair(bi: pa.Table, bj: pa.Table, same: bool) -> pa.Table:
-        if bi.num_columns == 0 or bj.num_columns == 0 \
-                or bi.num_rows == 0 or bj.num_rows == 0:
-            return out_schema.empty_table()
-        ids_i = bi.column(id_col).to_numpy()
-        ids_j = bj.column(id_col).to_numpy()
-        mi = _normalize(_embedding_matrix(bi, emb_col))
-        mj = _normalize(_embedding_matrix(bj, emb_col))
-        sims = mi @ mj.T
-        ii, jj = np.nonzero(sims >= threshold)
-        a, b = ids_i[ii], ids_j[jj]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        keep = lo < hi                   # drops self-pairs on same-block
-        lo, hi, cos = lo[keep], hi[keep], sims[ii, jj][keep]
-        if same and len(lo):
-            # same-block sims is symmetric: each pair surfaced twice
-            first = _first_of_pairs(lo, hi)
-            lo, hi, cos = lo[first], hi[first], cos[first]
-        return pa.Table.from_arrays(
-            [pa.array(lo, type=pa.int64()),
-             pa.array(hi, type=pa.int64()),
-             pa.array(cos, type=pa.float64())], schema=out_schema)
-
-    result_refs = [block_pair.remote(mat_refs[i], mat_refs[j], i == j)
-                   for i in range(len(mat_refs))
-                   for j in range(i, len(mat_refs))]
-    return rd.from_arrow_refs(result_refs)
+    plan: the corpus's rows are cut into B sides of at most
+    ``block_rows`` rows each, as row ranges of its block refs (read from
+    the blocks' row counts; nothing is copied), and B·(B+1)/2 remote
+    tasks each slice two sides from their blocks and emit their pair
+    fragment.  The O(n²) work is inherent to exactness, but no process
+    ever holds more than two sides, so memory per task is
+    O(block_rows·dim) at any corpus size and the quadratic work spreads
+    evenly across the cluster."""
+    listed = blocks(emb_ds)
+    sides = _wave_plan([m.num_rows for _, m in listed], block_rows, 1)
+    if not sides:
+        return Blocks.of(COSINE_SCHEMA.empty_table())
+    parts = [[listed[i][0] for i, _, _ in sd] for sd in sides]
+    ranges = [[(s, n) for _, s, n in sd] for sd in sides]
+    return Blocks.submit(
+        _block_pair.remote(threshold, id_col, emb_col, ranges[i],
+                           [] if i == j else ranges[j], *parts[i],
+                           *([] if i == j else parts[j]))
+        for i in range(len(sides)) for j in range(i, len(sides)))
 
 
 def _det_argmax(mat32: np.ndarray, cent32: np.ndarray) -> np.ndarray:
@@ -281,8 +308,8 @@ def dup_map(pairs_ds):
             np.minimum.reduceat(t.column("a").to_numpy(), starts)],
             schema=DUP_SCHEMA)
 
-    return grouped(pairs_ds.select_columns(["a", "b"]), ["b"], fn,
-                   DUP_SCHEMA)
+    return grouped(pairs_ds, ["b"], fn, DUP_SCHEMA,
+                   split_map=lambda t: t.select(["a", "b"]))
 
 
 def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
@@ -291,28 +318,24 @@ def semantic_dedup_exact(emb_ds, *, eps: float = 0.4,
                          block_rows: int = 8192):
     """Exact plan: global pairs -> per-victim min -> partition-wise
     left join of keep flags onto the corpus ids."""
-    from nxsearch_ray.stages.join import hash_join
-
     pairs = embedding_dup_pairs_blocked(
         emb_ds, threshold=eps, id_col=id_col, emb_col=emb_col,
         block_rows=block_rows)
     # the dup map is pinned (grouped runs when called): two int64s per
-    # DROPPED doc, object-store resident — never on the driver
+    # DROPPED doc, object-store resident — never on the driver; the
+    # corpus crosses the join as its ids alone (projected in its split)
     joined = hash_join(
-        emb_ds.select_columns([id_col]), dup_map(pairs),
-        left_key=id_col, right_key="b",
+        emb_ds, dup_map(pairs), left_key=id_col, right_key="b",
         left_schema=pa.schema([(id_col, pa.int64())]),
         right_schema=DUP_SCHEMA, how="left")
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or t.num_columns == 0:
-            return OUT_SCHEMA.empty_table()
         ids = t.column(id_col).to_numpy()
         dup = np.asarray(t.column("dup_of_r").fill_null(-1).to_numpy(
             zero_copy_only=False), dtype=np.int64)
         return _finalize(ids, dup)
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return map_blocks(joined, finish, OUT_SCHEMA)
 
 
 def _cluster_rule(eps: float, id_col: str, emb_col: str,
@@ -461,29 +484,35 @@ def _cluster_rule(eps: float, id_col: str, emb_col: str,
     return fn
 
 
-def _cluster_census(assigned) -> dict[int, int]:
-    """{cluster: rows} from per-block ``value_counts`` partials — a
-    grouped count would exchange the whole table, embeddings included
-    (the label column is 1/70th of the bytes).  Each fetched
-    partial is bounded by the live cluster count, so the driver
-    combines at most ``n_blocks × n_clusters`` tiny rows."""
-    import pyarrow.compute as pc
-    import ray
+def _assign(id_col: str, emb_col: str, cent: np.ndarray, splits,
+            t: pa.Table) -> pa.Table:
+    """A block's ``(id, embedding, cluster)`` rows: each row's nearest
+    centroid of ``cent``, then, per resplit round ``(subc, stride)``,
+    a row of a split cluster c goes to ``c·stride`` plus its nearest
+    of c's sub-centroids ``subc[c]`` (every other row to
+    ``cluster·stride``) — recomputed by each pass that needs it."""
+    mat = _normalize(_embedding_matrix(t, emb_col, dtype=np.float32))
+    cl = _det_argmax(mat, cent)
+    for subc, stride in splits:
+        prev, cl = cl, cl * stride
+        for c, cm in subc.items():
+            rows = np.nonzero(prev == c)[0]
+            if len(rows):
+                cl[rows] += _det_argmax(mat[rows], cm)
+    return t.select([id_col, emb_col]).append_column(
+        "cluster", pa.array(cl))
 
-    def partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t.column("cluster"))
-        return pa.table({"cluster": vc.field("values"),
-                         "n": vc.field("counts").cast(pa.int64())})
 
-    tabs = [t for t in ray.get(
-        assigned.map_batches(partial, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
-    out: dict[int, int] = {}
-    for t in tabs:
-        for c, n in zip(t.column("cluster").to_pylist(),
-                        t.column("n").to_pylist()):
-            out[c] = out.get(c, 0) + n
-    return out
+def _census_part(assign, t: pa.Table) -> pa.Table:
+    vc = pc.value_counts(assign(t).column("cluster"))
+    return pa.table([vc.field("values"), vc.field("counts").cast(pa.int64())],
+                    schema=CENSUS_SCHEMA)
+
+
+def _only_hot(assign, emb_col: str, hot: pa.Array, t: pa.Table) -> pa.Table:
+    t = assign(t)
+    return t.select([emb_col, "cluster"]).filter(
+        pc.is_in(t.column("cluster"), value_set=hot))
 
 
 def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
@@ -491,34 +520,23 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
                              id_col: str = "vec_id",
                              emb_col: str = "embedding"):
     """Clustered plan (SemDeDup proper).  One sample-trained k-means,
-    one streaming assignment pass, a cluster-size census with second-
-    level k-means inside hot clusters (> ``HOT_CAP_FACTOR`` × mean;
-    see module docstring), one grouped scan, blocked in-cluster
-    matmuls.
-    Drops are a sound subset of the exact rule's.
+    a cluster-size census with second-level k-means inside hot
+    clusters (> ``HOT_CAP_FACTOR`` × mean; see module docstring), one
+    grouped scan, blocked in-cluster matmuls.  Drops are a sound
+    subset of the exact rule's.
 
-    The assignment pass is recomputed by the census / sub-train /
-    final passes rather than materialized: recompute here is a cheap
-    column-pruned read + one small matmul, while pinning an
-    (id, embedding, cluster) copy of the corpus in the object store
-    at 100 TB would be all spill traffic."""
-    import ray
-
+    Every pass is a task wave over the input's blocks: the census
+    (``map_blocks``), the pin of the hot clusters' rows (``map_blocks``)
+    and the grouped scan, whose split assigns each block's rows
+    (``_assign``).  The assignment is recomputed by each pass rather
+    than pinned: recompute here is one small matmul per block, while
+    pinning an (id, embedding, cluster) copy of the corpus in the
+    object store at 100 TB would be all spill traffic."""
     cent = ray.get(train_ivf_centroids_ref(
         emb_ds, nlist, emb_col=emb_col, seed=seed))  # (nlist, dim) — tiny
     if cent.size == 0:
-        return emb_ds.limit(0).map_batches(
-            lambda t: OUT_SCHEMA.empty_table(), batch_format="pyarrow")
+        return Blocks.of(OUT_SCHEMA.empty_table())
     cent = np.ascontiguousarray(cent, dtype=np.float32)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        mat = _normalize(
-            _embedding_matrix(batch, emb_col, dtype=np.float32))
-        cl = _det_argmax(mat, cent)
-        return batch.select([id_col, emb_col]).append_column(
-            "cluster", pa.array(cl))
-
-    assigned = emb_ds.map_batches(assign, batch_format="pyarrow")
 
     # RECURSIVE re-split: one sub-k-means round can leave a still-
     # hot subgroup (a bad local optimum before the farthest-point
@@ -527,11 +545,20 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
     # progress (a point mass of identical vectors, which k-means
     # cannot split and the identical-row collapse in _cluster_rule
     # handles for free), or the round cap is hit.  Each census /
-    # resplit is a streaming corpus pass — rounds beyond the first
-    # only happen when the previous one actually shrank the max.
+    # resplit is a corpus pass — rounds beyond the first only happen
+    # when the previous one actually shrank the max.
+    splits: list = []
     prev_max = None
     for _round in range(3):
-        sizes = _cluster_census(assigned)
+        assign = functools.partial(_assign, id_col, emb_col, cent,
+                                   tuple(splits))
+        # the census sums per-block value counts (a grouped count would
+        # exchange the embeddings too): n_blocks × n_clusters tiny rows
+        census = pa.concat_tables(ray.get(refs(map_blocks(
+            emb_ds, functools.partial(_census_part, assign),
+            CENSUS_SCHEMA)))).group_by("cluster").aggregate([("n", "sum")])
+        sizes = dict(zip(census["cluster"].to_pylist(),
+                         census["n_sum"].to_pylist()))
         mean = sum(sizes.values()) / max(len(sizes), 1)
         hot = {c: s for c, s in sizes.items()
                if s > HOT_CAP_FACTOR * mean and s > 1}
@@ -545,52 +572,24 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
         if prev_max is not None and cur_max >= 0.9 * prev_max:
             break
         prev_max = cur_max
-        # one corpus pass pins ONLY the hot clusters' rows (the
-        # hot fraction of the corpus, object-store resident); the
-        # per-cluster training filters then scan that subset
-        # instead of re-running read+assign once per hot cluster
-        hot_keys = pa.array(np.array(sorted(hot), dtype=np.int64))
-
-        def only_hot(t: pa.Table, keys=hot_keys) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return t.filter(pc.is_in(t.column("cluster"),
-                                     value_set=keys))
-
-        hot_ds = assigned.map_batches(
-            only_hot, batch_format="pyarrow").materialize()
+        # one corpus pass pins ONLY the hot clusters' rows (the hot
+        # fraction of the corpus, object-store resident); each hot
+        # cluster's train task filters its sub-sample from them
+        hot_rows = refs(map_blocks(emb_ds, functools.partial(
+            _only_hot, assign, emb_col,
+            pa.array(sorted(hot), pa.int64())), pa.schema([
+                (emb_col, pa.list_(pa.float32())),
+                ("cluster", pa.int64())])))
         sub_refs = {
-            c: train_ivf_centroids_ref(
-                hot_ds.filter(expr=f"cluster == {c}"),
-                int(np.ceil(s / mean)), emb_col=emb_col,
-                seed=seed + 1000003 * (c + 1) + 7919 * _round,
-                sample_cap=SUB_SAMPLE_CAP)
+            c: _train.remote(emb_col, int(np.ceil(s / mean)),
+                             seed + 1000003 * (c + 1) + 7919 * _round,
+                             SUB_SAMPLE_CAP, c, *hot_rows)
             for c, s in hot.items()}
-        subc = {c: np.ascontiguousarray(ray.get(r),
-                                        dtype=np.float32)
+        subc = {c: np.ascontiguousarray(ray.get(r), dtype=np.float32)
                 for c, r in sub_refs.items()}
         # disjoint relabel: cluster -> cluster*stride + sub_idx
         # (sub_idx 0 for cold clusters), stride fixed by the census
-        stride = 1 + max(len(m) for m in subc.values())
-
-        def resplit(batch: pa.Table, subc=subc,
-                    stride=stride) -> pa.Table:
-            cl = batch.column("cluster").to_numpy() * stride
-            mat = None
-            for c, cm in subc.items():
-                rows = np.nonzero(
-                    batch.column("cluster").to_numpy() == c)[0]
-                if not len(rows):
-                    continue
-                if mat is None:
-                    mat = _normalize(_embedding_matrix(
-                        batch, emb_col, dtype=np.float32))
-                cl[rows] += _det_argmax(mat[rows], cm)
-            return batch.drop_columns(["cluster"]).append_column(
-                "cluster", pa.array(cl))
-
-        assigned = assigned.map_batches(resplit,
-                                        batch_format="pyarrow")
+        splits.append((subc, 1 + max(len(m) for m in subc.values())))
 
     rule = _cluster_rule(eps, id_col, emb_col)
 
@@ -599,4 +598,6 @@ def semantic_dedup_clustered(emb_ds, *, eps: float = 0.4,
         return pa.concat_tables([rule(t.slice(i, j - i))
                                  for i, j in zip(starts, ends)])
 
-    return grouped(assigned, ["cluster"], per_cluster, OUT_SCHEMA)
+    return grouped(emb_ds, ["cluster"], per_cluster, OUT_SCHEMA,
+                   split_map=functools.partial(_assign, id_col, emb_col,
+                                               cent, tuple(splits)))

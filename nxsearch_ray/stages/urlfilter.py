@@ -13,9 +13,14 @@ extraction/canonicalization.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+
+from nxsearch_ray.stages.join import broadcast_map, sorted_lookup
 
 # host = everything between the scheme and the first /, :, ?, or #
 # (named group: pc.extract_regex requires one; DuckDB numbers it 1)
@@ -32,10 +37,8 @@ def extract_domain(urls) -> pa.Array:
 def mark_blocklisted(batch: pa.Table, blocked: np.ndarray, *,
                      url_col: str = "url") -> pa.Table:
     """Append (domain, blocked) columns; ``blocked`` is the SORTED
-    numpy array of blocklisted domain strings (ray.get of the
-    broadcast ref)."""
-    from nxsearch_ray.stages.join import sorted_lookup
-
+    numpy array of blocklisted domain strings (the broadcast
+    object)."""
     dom = extract_domain(batch.column(url_col))
     if isinstance(dom, pa.ChunkedArray):
         dom = dom.combine_chunks()
@@ -47,26 +50,25 @@ def mark_blocklisted(batch: pa.Table, blocked: np.ndarray, *,
                        pa.array(hit, type=pa.bool_()))
 
 
+def _blocklist_map(url_col: str, keep_blocked: bool, blocked: np.ndarray):
+    """The batch function of ``filter_blocklist`` over the broadcast
+    ``blocked`` array."""
+    def fn(t: pa.Table) -> pa.Table:
+        out = mark_blocklisted(t, blocked, url_col=url_col)
+        return out if keep_blocked else out.filter(
+            pc.invert(out.column("blocked")))
+    return fn
+
+
 def filter_blocklist(ds, blocklist, *, url_col: str = "url",
                      keep_blocked: bool = False):
-    """Pages Dataset → (page rows + domain/blocked columns), rows
-    whose domain is blocklisted dropped (or kept flagged with
-    ``keep_blocked=True`` for audit output)."""
-    import ray
-
-    blocked_ref = ray.put(np.asarray(sorted(set(blocklist)),
-                                     dtype=object))
-
-    def fn(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        out = mark_blocklisted(t, _ray.get(blocked_ref),
-                               url_col=url_col)
-        if not keep_blocked:
-            out = out.filter(pc.invert(out.column("blocked")))
-        return out
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+    """Pages → (page rows + domain/blocked columns), rows whose domain
+    is blocklisted dropped (or kept flagged with ``keep_blocked=True``
+    for audit output): one ``join.broadcast_map`` wave with the sorted
+    blocklist as its broadcast object."""
+    return broadcast_map(
+        ds, ray.put(np.asarray(sorted(set(blocklist)), dtype=object)),
+        functools.partial(_blocklist_map, url_col, keep_blocked))
 
 
 def blocklist_sql(blocklist, pages_cte: str, *,

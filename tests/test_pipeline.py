@@ -579,7 +579,9 @@ def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
     resume, and the clusters are those of the limited pages."""
     import json
 
-    from nxsearch_ray.state.lineage import load_stage
+    import ray
+
+    from nxsearch_ray.state.lineage import read_stage
 
     out = str(tmp_path / "fp")
     cfg = PipelineConfig()
@@ -591,14 +593,69 @@ def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
            for s in ("signatures", "verified_pairs", "clusters")}
     assert len(fps) == 1 and fps.pop().startswith("rows:100:")
 
-    ids = set(load_stage(out, "signatures").select_columns(["page_id"])
-              .to_pandas()["page_id"])
+    ids = {pid for t in ray.get(read_stage(out, "signatures").parts)
+           for pid in t.column("page_id").to_pylist()}
     assert len(ids) == 100
     keep = pa.array([pid in ids
                      for pid in corpus.column("page_id").to_pylist()])
     exp_labels, _ = oracle_clusters(corpus.filter(keep), cfg)
     assert _cluster_dict(r) == exp_labels
     shutil.rmtree(out, ignore_errors=True)
+
+
+def _in_memory_pages(seed: int):
+    import ray.data as rd
+
+    return rd.from_arrow(synth_pages(150, seed=seed).select(
+        ["page_id", "url", "warc_ts", "html", "lang"]))
+
+
+def test_resumed_clusters_outlive_a_rewrite(ray_session, tmp_path):
+    """A run that resumed every stage holds its clusters in the object
+    store: another input's run into the same ``out_dir`` rewrites the
+    checkpoints, and the resumed result still gives the first input's
+    clusters."""
+    out = str(tmp_path / "rewrite")
+    cfg = PipelineConfig()
+    want = clusters_as_table(run_dedup(_in_memory_pages(11), cfg,
+                                       out_dir=out))
+    r2 = run_dedup(_in_memory_pages(11), cfg, out_dir=out)
+    assert _resumed(r2) == {"signatures": True, "verified_pairs": True,
+                            "clusters": True}
+    r3 = run_dedup(_in_memory_pages(12), cfg, out_dir=out)
+    assert not any(_resumed(r3).values())
+    assert clusters_as_table(r2).equals(want)
+
+
+def test_resumed_decisions_outlive_a_rewrite(ray_session, tmp_path):
+    """The same for ``run_corpus``: its resumed decisions, semantic
+    tier included, are those of its own pages after another input's
+    run rewrites the ``out_dir``."""
+    import numpy as np
+    import ray.data as rd
+
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+
+    def run(seed):
+        pages = synth_pages(150, seed=seed)
+        mat = np.random.default_rng(seed).normal(
+            size=(pages.num_rows, 8)).astype(np.float32)
+        mat[1::5] = mat[::5][:len(mat[1::5])]     # planted copies
+        emb = pa.table({"vec_id": pages.column("page_id"),
+                        "embedding": pa.array(
+                            list(mat), type=pa.list_(pa.float32()))})
+        return run_corpus(rd.from_arrow(pages.select(
+            ["page_id", "url", "text"])), embeddings_ds=rd.from_arrow(emb),
+            out_dir=str(tmp_path / "corpus"), semdedup_nlist=4,
+            min_words=10, min_required_stopwords=0)
+
+    want = decisions_as_table(run(11))
+    assert 3 in want.column("drop_tier").to_pylist()
+    r2 = run(11)
+    assert all(r["resumed"] for r in r2.stats["stages"])
+    run(12)
+    assert decisions_as_table(r2).equals(want)
 
 
 def test_resume_rejects_changed_text_under_same_ids(ray_session,

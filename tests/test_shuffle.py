@@ -411,6 +411,72 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     assert n == nothing
 
 
+def test_no_dataset_execution_in_a_resume_or_run_corpus(ray_session,
+                                                       tmp_path,
+                                                       monkeypatch):
+    """The counters of ``test_no_dataset_execution_after_the_read``
+    read 0 executions and 0 Datasets, the collection included, for: a
+    ``run_dedup`` rerun that resumes every stage (``lineage.read_stage``
+    reads each checkpoint with plain tasks), and ``run_corpus`` over a
+    4-file bare read with embeddings (its semantic tier is task waves),
+    with a blocklist (one ``broadcast_map``), and with embeddings into
+    an ``out_dir``, resumed."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from nxsearch_ray.config import PipelineConfig
+    from nxsearch_ray.pipelines.corpus import (decisions_as_table,
+                                               run_corpus)
+    from nxsearch_ray.pipelines.dedup import clusters_as_table, run_dedup
+    from nxsearch_ray.sources.synth import synth_pages
+
+    corpus = synth_pages(150, seed=11)
+    rng = np.random.default_rng(3)
+    mat = rng.normal(size=(corpus.num_rows, 8)).astype(np.float32)
+    mat[1::5] = mat[::5][:len(mat[1::5])]
+    emb = pa.table({"vec_id": corpus.column("page_id"), "embedding":
+                    pa.array(list(mat), type=pa.list_(pa.float32()))})
+    per = -(-corpus.num_rows // 4)
+    for name, t in (("pages", corpus), ("emb", emb)):
+        (tmp_path / name).mkdir()
+        for i in range(4):
+            pq.write_table(t.slice(i * per, per),
+                           tmp_path / name / f"part-{i}.parquet")
+
+    def pages(columns=("page_id", "url", "warc_ts", "html", "lang")):
+        return rd.read_parquet(str(tmp_path / "pages"), columns=list(columns))
+
+    def embeddings():
+        return rd.read_parquet(str(tmp_path / "emb"))
+
+    n = _count_dataset_work(monkeypatch)
+    nothing = {"executions": 0, "datasets": 0, "metadata_tasks": 0}
+    out_dir = str(tmp_path / "dedup")
+    run_dedup(pages(), PipelineConfig(), out_dir=out_dir)
+    ds = pages()
+    n.update(nothing)
+    res = run_dedup(ds, PipelineConfig(), out_dir=out_dir)
+    assert all(r["resumed"] for r in res.stats["stages"])
+    assert clusters_as_table(res).num_rows > 0
+    assert n == nothing
+
+    kw = dict(min_words=10, min_required_stopwords=0, semdedup_nlist=4)
+    corpus_dir = str(tmp_path / "corpus")
+    for case in ({"embeddings_ds": True},
+                 {"blocklist": ("spam.example.net",)},
+                 {"embeddings_ds": True, "out_dir": corpus_dir},
+                 {"embeddings_ds": True, "out_dir": corpus_dir}):
+        ds = pages(("page_id", "url", "text"))
+        case = dict(case, embeddings_ds=case.get("embeddings_ds")
+                    and embeddings())
+        n.update(nothing)
+        res = run_corpus(ds, **case, **kw)
+        assert decisions_as_table(res).num_rows > 0
+        assert n == nothing, case
+    assert all(r["resumed"] for r in res.stats["stages"])
+    assert 3 in decisions_as_table(res).column("drop_tier").to_pylist()
+
+
 def test_blocks_answer_the_dataset_api(ray_session):
     """A wave's ``Blocks`` handle answers the Dataset calls the traced
     benchmark replay makes of a stage output (``materialize``,
