@@ -46,15 +46,16 @@ carries that run's input fingerprint, so a checkpoint of another input
 is never resumed; and ``signatures`` runs or resumes first in every
 run, so the checkpoint the next ingest or removal starts from holds
 the input of the stages after it.  No step runs on Ray Data's
-executor: over a bare Parquet read, the signature wave's own tasks
-read the page files (``shuffle.blocks`` lists the read's read tasks),
+executor: over an engine Parquet read (``sources.io.read_parquet_clean``,
+listed from the files' footers), the signature wave's own tasks read
+the page files (``shuffle.blocks`` lists them as ``ReadPart`` parts),
 and every later step is a wave of plain Ray tasks over block refs — a
 keyed exchange (stages/shuffle.py), a broadcast lookup or a per-block
 map (stages/join.broadcast_map / map_blocks) — that runs when it is
 called and hands on a ``shuffle.Blocks`` handle (its block refs and
 the ``(rows, bytes)`` its tasks returned beside them), not a Ray
 Dataset; so is a checkpoint write, over the pinned blocks that
-downstream takes, and so is a resume, one read task per part file.  A
+downstream takes, and so is a resume, one plain task per part file.  A
 run builds no Ray Dataset, and the driver waits on a wave only where
 it needs a count.  All hashing is seeded from the config; output
 is invariant to parallelism and retries.

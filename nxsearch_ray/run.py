@@ -41,7 +41,6 @@ PAGE_COLUMNS = ("page_id", "url", "warc_ts", "html", "text", "lang")
 
 def _load_pages(input_dir: str, cfg, out_dir: str | None = None):
     import pyarrow as pa
-    import ray.data as rd
 
     # WARC segments (file or dir of .warc/.warc.gz) ingest directly
     if input_dir.endswith((".warc", ".warc.gz")) or (
@@ -67,14 +66,16 @@ def _load_pages(input_dir: str, cfg, out_dir: str | None = None):
                                       file_extensions=["parquet"])
         return pages_from_warc(paths)
 
-    ds = rd.read_parquet(input_dir, file_extensions=["parquet"])
-    present = [c for c in PAGE_COLUMNS if c in ds.schema().names]
+    from nxsearch_ray.sources.io import read_parquet_clean
+
+    names = read_parquet_clean(input_dir,
+                               file_extensions=["parquet"]).schema().names
+    present = [c for c in PAGE_COLUMNS if c in names]
     if "url" not in present and "page_id" not in present:
         raise SystemExit("input needs a `url` or `page_id` column")
     if "html" not in present and "text" not in present:
         raise SystemExit("input needs an `html` or `text` column")
     # prune at the read: only the needed columns leave storage
-    from nxsearch_ray.sources.io import read_parquet_clean
     ds = read_parquet_clean(input_dir, columns=present,
                             file_extensions=["parquet"])
     if "page_id" not in present:

@@ -1,46 +1,97 @@
-"""Metadata-clean parquet reads.
+"""The engine's Parquet read.
 
-Parquet files written through pandas carry a ``b'pandas'`` schema
-metadata blob.  pyarrow schemas with metadata are UNHASHABLE
-(``hash(schema)`` raises ``unhashable type: 'dict'``), which makes Ray
-Data's block-schema deduplication log a warning per worker every time
-it coalesces read blocks into batches ("Failed to hash the schemas").
-Passing an explicit metadata-free schema to ``read_parquet`` keeps
-every downstream block metadata-free — no warning, and one less blob
-copied around with every block.
+``read_parquet_clean`` lists the input files and reads each footer once
+on the driver: the result is a ``stages/shuffle.Read``, one
+``ReadPart`` per file with its row count and bytes, and no task, no
+Ray Dataset and so no Ray Data stats actor or fragment sampling.  The
+tasks that consume it read their files themselves, one row group at a
+time.  Its schema is the first file's, of the selected ``columns``,
+without schema metadata: Parquet files written through pandas carry a
+``b'pandas'`` metadata blob, and pyarrow schemas with metadata are
+unhashable, which makes Ray Data's block-schema deduplication log a
+warning per worker ("Failed to hash the schemas").
+
+A caller that uses the Dataset API on the read gets
+``ray.data.read_parquet`` of the same arguments and that schema, built
+on first use.  The listing is the one that read makes: a directory is
+walked recursively and its files sorted; without ``file_extensions``,
+files and directories whose names start with ``.`` or ``_`` are
+skipped (pyarrow's dataset discovery), with it every file of a listed
+extension is kept, whatever its name.  Hive ``k=v`` directories raise:
+their partition columns are not in the files.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
+# the keywords the engine read takes: the listing's filter, and the cut
+# of Ray Data's own read (its Dataset API), which leaves the rows as
+# they are
+_ENGINE_KWARGS = frozenset({"file_extensions", "override_num_blocks"})
 
-def _schema_source(paths) -> str:
-    """One representative parquet file for footer-schema discovery."""
-    first = paths[0] if isinstance(paths, (list, tuple)) else paths
-    if os.path.isdir(first):
-        for root, _, files in sorted(os.walk(first)):
-            for f in sorted(files):
-                if f.endswith(".parquet"):
-                    return os.path.join(root, f)
-    return first
+
+def _listed_files(paths, file_extensions=None) -> list[str]:
+    """The files a read of ``paths`` reads, in read order."""
+    files = []
+    for path in [paths] if isinstance(paths, (str, os.PathLike)) else paths:
+        path = os.path.abspath(path)
+        if not os.path.isdir(path):
+            files.append(path)
+            continue
+        found = []
+        for root, dirs, names in os.walk(path):
+            for name in names:
+                rel = os.path.relpath(os.path.join(root, name), path)
+                if file_extensions is not None or not any(
+                        c.startswith((".", "_")) for c in rel.split(os.sep)):
+                    found.append(os.path.join(root, name))
+        files += sorted(found)
+    if file_extensions is not None:
+        ext = tuple(f".{e.lower()}" for e in file_extensions)
+        files = [f for f in files if f.lower().endswith(ext)]
+    if not files:
+        raise FileNotFoundError(f"no Parquet files under {paths}")
+    return files
 
 
 def read_parquet_clean(paths, *, columns=None, **kwargs):
-    """``ray.data.read_parquet`` with a metadata-stripped schema.
-
-    ``columns`` prunes at the read exactly like the stock reader; the
-    explicit schema covers just those fields (Ray validates block
-    schemas against it)."""
+    """The engine read of ``paths`` (a ``shuffle.Read``): per file its
+    footer's rows and the selected ``columns``' uncompressed bytes,
+    with a metadata-free schema of those columns.  ``file_extensions``
+    filters the listing; any other keyword but ``override_num_blocks``
+    (a ``filter``, a ``partitioning``, ...) changes what the files give,
+    so the call returns Ray Data's read instead, which the engine runs
+    once where it is consumed."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data
 
-    full = pq.read_schema(_schema_source(paths)).remove_metadata()
-    if columns:
-        schema = pa.schema([full.field(c) for c in columns])
-    else:
-        schema = full
-    return ray.data.read_parquet(
-        paths, schema=schema,
-        columns=list(columns) if columns else None, **kwargs)
+    from nxsearch_ray.stages.shuffle import Read, ReadPart
+
+    files = _listed_files(paths, kwargs.get("file_extensions"))
+    full = pq.read_schema(files[0]).remove_metadata()
+    schema = pa.schema([full.field(c) for c in columns]) if columns else full
+    columns = list(columns) if columns else None
+    dataset = functools.partial(ray.data.read_parquet, paths, schema=schema,
+                                columns=columns, **kwargs)
+    if set(kwargs) - _ENGINE_KWARGS:
+        return dataset()
+    hive = [f for f in files
+            if any("=" in c for c in os.path.dirname(f).split(os.sep))]
+    if hive:
+        raise ValueError(f"{hive[0]}: a k=v partition directory, whose "
+                         "partition columns the files do not hold")
+
+    def selected_bytes(md) -> int:
+        return sum(rg.column(j).total_uncompressed_size
+                   for rg in map(md.row_group, range(md.num_row_groups))
+                   for j in range(rg.num_columns)
+                   if rg.column(j).path_in_schema.split(".")[0]
+                   in schema.names)
+
+    footers = map(pq.read_metadata, files)
+    return Read([ReadPart(f, columns, schema) for f in files],
+                [(md.num_rows, selected_bytes(md)) for md in footers],
+                schema, dataset)

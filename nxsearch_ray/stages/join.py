@@ -30,10 +30,10 @@ as the exchange is, planned from the input's block row counts so that
 every CPU has work from the first task; ``map_blocks`` is the same wave
 without a broadcast object, the engine's per-block map, and over a
 ``shuffle.Blocks`` handle it chains one task on each pending block ref.
-Every wave returns a handle, not a Ray Dataset.  Over a bare
-read the parts are the read's read tasks (``shuffle.blocks``): each
-wave or build task reads its files itself, and a wave never cuts a
-read task.  Every membership probe of a sorted key array goes through
+Every wave returns a handle, not a Ray Dataset.  Over an engine
+read (``shuffle.Read``) the parts are its files (``shuffle.blocks``):
+each wave or build task reads its files itself, a row group at a time,
+and a wave never cuts a file.  Every membership probe of a sorted key array goes through
 ``sorted_lookup``.
 """
 
@@ -122,7 +122,7 @@ def id_set_ref(ds, cols: list[str]):
     — the one builder of a broadcast key set (a semi/anti join's, 8 B
     per id, or any set a ``sorted_lookup`` probes).  It is built in ONE
     remote task from the dataset's parts (``shuffle.pending``: block
-    refs, or a bare read's read tasks, read in that task), not in the
+    refs, or an engine read's files, read in that task), not in the
     calling process."""
     return _ids.remote(list(cols), *pending(ds))
 
@@ -143,7 +143,7 @@ def index_ref(ds, schema: pa.Schema, from_table):
     process never holds the index, it only hands the ref to the lookup
     tasks (which read it zero-copy from the object store).  The task
     takes the dataset's parts (``shuffle.pending``: block refs, or a
-    bare read's read tasks, read there) and selects the columns itself.
+    engine read's files, read there) and selects the columns itself.
     Empty input builds the index of ``schema.empty_table()``.
     ``from_table`` is a module-level function (or a partial of one), so
     it ships by reference."""
@@ -189,7 +189,7 @@ def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
     blocks.  Without it every non-empty block is one task, as a
     ``map_batches`` batch is one block.
 
-    ``whole`` blocks (read tasks, which a cut would read twice) are
+    ``whole`` blocks (a read's files, which a cut would read twice) are
     never cut, and their ranges have length None (all the rows the
     read gives): the same number of tasks (never more than blocks)
     each takes a run of whole blocks, a block going to the span its
@@ -232,8 +232,8 @@ def _batches(parts, pieces, batch_rows):
     ``batch_rows`` rows, the last holding the rest (one table without
     ``batch_rows``, and at least one): a block's range is sliced (a
     length of None is the rest of the block), a
-    read task's blocks are read one at a time (``shuffle.as_arrow``),
-    so no more than a batch and one read block are held at once.  Each
+    ``shuffle.ReadPart``'s row groups are read one at a time, so no
+    more than a batch and one row group are held at once.  Each
     table is combined (a chunked one would leave the output chunked,
     and its checkpoint one Parquet row group per chunk)."""
     held, rows, given = [], 0, False
@@ -255,7 +255,7 @@ def _batches(parts, pieces, batch_rows):
 def _wave_task(value, ref_box, build, schema, batch_rows, pieces, *parts):
     """One task of a wave: its row ranges in batches of ``batch_rows``
     (``_batches``; the task's rows split evenly into batches of at most
-    ``batch_size``, so one batch unless a whole read task holds more),
+    ``batch_size``, so one batch unless a whole file holds more),
     mapped through this worker's state — or, in a stateless wave
     (``ref_box`` ``[None]``), through ``build`` itself — their outputs
     concatenated (``with_meta``).  No rows at all give
@@ -292,10 +292,10 @@ def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
     task per block, no wait, a zero-row block mapped to
     ``schema.empty_table()`` in its task.  Otherwise it lists the
     input's parts and row counts (``shuffle.blocks``: a handle's refs,
-    waiting on their metadata, the read tasks of a bare read — no Ray
-    Data execution for either) and cuts them into tasks
-    (``_wave_plan``: at least one per CPU while there are parts, a read
-    task never cut).  No kernel call sees more than ``batch_size``
+    waiting on their metadata, an engine read's files with their
+    footers' counts — no Ray Data execution for either) and cuts them
+    into tasks (``_wave_plan``: at least one per CPU while there are
+    parts, a file never cut).  No kernel call sees more than ``batch_size``
     rows.  A zero-row input returns one empty block of ``schema``, the
     kernel's declared output (zero-column when none is given), without
     calling the kernel."""

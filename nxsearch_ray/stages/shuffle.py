@@ -13,9 +13,9 @@ where an exchange on Ray Data's hash-shuffle operator started a pool of
 aggregator actors — seconds of fixed cost per exchange at benchmark
 scale.  The exchange runs when called (it needs the input's parts and
 their metadata, ``blocks``), so its cost lands at the call site.  A
-part is a block ref, or, for a bare read, one of the read's read tasks,
-which the split task runs itself (``as_arrow``): no read runs on Ray
-Data's executor.  A per-block map (an explode, an edge map, a
+part is a block ref, or, for a bare Parquet read (``Read``), one of its
+files, which the split task reads itself (``as_arrow``): no read runs
+on Ray Data's executor.  A per-block map (an explode, an edge map, a
 projection) rides in the split rather than a wave of its own.  Its
 users:
 the partition-wise (Grace) hash join (stages/join.hash_join, two sides
@@ -42,9 +42,14 @@ and, per block, a ref to the ``(rows, bytes)`` the task that made the
 block returned beside it (``num_returns=2``, ``with_meta``).  The next
 wave chains on the pending refs; the driver waits on the metadata only
 where it needs a count (an exchange's width, a batch cut, a stage
-record).  Building a Dataset costs a synchronous round trip to Ray
-Data's stats actor and one metadata task per block, so a handle builds
-one only for a caller that uses the Dataset API.
+record).  The engine's input is a ``Read``
+(``sources.io.read_parquet_clean``): one ``ReadPart`` per Parquet file,
+listed with its row count and bytes from the file's footer on the
+driver, which the consuming task reads one row group at a time.
+Building a Dataset starts Ray Data's stats actor (a process of its
+own), costs a synchronous round trip to it and, for a read, fragment
+sampling tasks, so a handle builds one only for a caller that uses the
+Dataset API.
 """
 
 from __future__ import annotations
@@ -97,12 +102,31 @@ def with_meta(t: pa.Table) -> tuple:
     return t, (t.num_rows, rebuild(*args).nbytes)
 
 
-class Blocks:
+class _DatasetAPI:
+    """Any attribute a handle lacks is the Dataset API, answered by the
+    Dataset ``_build`` makes, built on first use and cached (a copy or
+    a pickle leaves it behind)."""
+
+    def __getstate__(self):
+        return {**self.__dict__, "_dataset": None}
+
+    def __getattr__(self, name):
+        # reached only for names the handle lacks: a dunder (copy and
+        # pickle probe for them) or a field read before the instance
+        # has its state must fail here, not recurse
+        if name.startswith("__") or name in ("parts", "meta", "_dataset"):
+            raise AttributeError(name)
+        if self._dataset is None:
+            self._dataset = self._build()
+        return getattr(self._dataset, name)
+
+
+class Blocks(_DatasetAPI):
     """A wave's output: ``parts`` (block refs, in order) and ``meta``
     (per block, a ref to its ``(rows, bytes)``).  ``count`` and
     ``size_bytes`` read the metadata, ``to_arrow_refs`` the refs; any
     other attribute is the Dataset API, answered by a Dataset of the
-    blocks that have rows, built on first use and cached."""
+    blocks that have rows."""
 
     def __init__(self, parts, meta):
         self.parts, self.meta, self._dataset = list(parts), list(meta), None
@@ -129,24 +153,85 @@ class Blocks:
     def to_arrow_refs(self) -> list:
         return list(self.parts)
 
-    def __getstate__(self):
-        return {**self.__dict__, "_dataset": None}
+    def _build(self):
+        import ray.data as rd
 
-    def __getattr__(self, name):
-        # reached only for names the handle lacks: a dunder (copy and
-        # pickle probe for them) or a field read before the instance
-        # has its state must fail here, not recurse
-        if name.startswith("__") or name in ("parts", "meta", "_dataset"):
-            raise AttributeError(name)
-        if self._dataset is None:
-            import ray.data as rd
+        # without the zero-row blocks a chained wave keeps (Ray Data's
+        # own maps pass them on unmapped, and warn of their schema),
+        # but one, for the schema, when all are empty
+        full = [p for p, m in blocks(self) if m.num_rows]
+        return rd.from_arrow_refs(full or self.parts[:1])
 
-            # without the zero-row blocks a chained wave keeps (Ray
-            # Data's own maps pass them on unmapped, and warn of their
-            # schema), but one, for the schema, when all are empty
-            full = [p for p, m in blocks(self) if m.num_rows]
-            self._dataset = rd.from_arrow_refs(full or self.parts[:1])
-        return getattr(self._dataset, name)
+
+class ReadPart(namedtuple("ReadPart", ["path", "columns", "schema"],
+                          defaults=(None, None))):
+    """One Parquet file, read where it is consumed: calling it yields
+    the file's row groups one at a time (``ParquetFile.read_row_group``),
+    of ``columns`` only and as ``schema`` (metadata-free) when given."""
+
+    def __call__(self):
+        import pyarrow.parquet as pq
+
+        with pq.ParquetFile(self.path) as f:
+            tables = (f.read_row_group(i, columns=self.columns)
+                      for i in range(f.num_row_groups))
+            for t in tables if f.num_row_groups else [f.schema_arrow
+                                                       .empty_table()]:
+                if self.schema is not None:
+                    t = t.replace_schema_metadata()
+                    t = t if t.schema == self.schema else t.cast(self.schema)
+                yield t
+
+
+@ray.remote(num_returns=2)
+def read_part(part: ReadPart, n: int = 1):
+    """One file into the object store, as ``n`` blocks of even row
+    spans, then their ``(rows, bytes)`` (``with_meta``):
+    ``num_returns`` is ``2 * n``.  A resumed checkpoint's parts and a
+    read of fewer files than session CPUs are read here."""
+    t = as_arrow(part)
+    cuts = [t.num_rows * i // n for i in range(n + 1)]
+    out = [with_meta(t.slice(lo, hi - lo)) for lo, hi in zip(cuts, cuts[1:])]
+    return (*(b for b, _ in out), *(m for _, m in out))
+
+
+class Read(_DatasetAPI):
+    """A bare Parquet read (``sources.io.read_parquet_clean``): per file
+    a ``ReadPart`` (``parts``) and the ``Meta`` its footer gives
+    (``meta``: rows, and the selected columns' uncompressed bytes),
+    listed on the driver with no task.  ``count``, ``size_bytes``,
+    ``schema`` and ``input_files`` read the listing; any other
+    attribute is the Dataset API, answered by Ray Data's read of the
+    same arguments (``dataset``, called on first use)."""
+
+    def __init__(self, parts, meta, schema: pa.Schema, dataset):
+        self.parts, self.meta = list(parts), [Meta(*m) for m in meta]
+        self._schema, self._build, self._dataset = schema, dataset, None
+
+    def count(self) -> int:
+        return sum(m.num_rows for m in self.meta)
+
+    def size_bytes(self) -> int:
+        return sum(m.size_bytes for m in self.meta)
+
+    def schema(self) -> pa.Schema:
+        return self._schema
+
+    def input_files(self) -> list:
+        return [p.path for p in self.parts]
+
+    def listed(self):
+        """What consumers take: the read itself while it has a file per
+        session CPU (a wave never cuts a file), else its files read
+        into the object store, one plain task each, cut into even
+        blocks so that there is a block per CPU for the wave to cut."""
+        if len(self.parts) >= session_cpus():
+            return self
+        n = -(-session_cpus() // max(len(self.parts), 1))
+        read = read_part.options(num_returns=2 * n)
+        outs = [read.remote(p, n) for p in self.parts]
+        return Blocks([b for o in outs for b in o[:n]],
+                      [m for o in outs for m in o[n:]])
 
 
 def union(*handles) -> Blocks:
@@ -188,15 +273,14 @@ def key_hash(t, keys) -> np.ndarray:
 
 def as_arrow(block) -> pa.Table:
     """A ``blocks`` part as an Arrow table, in the task that holds it:
-    a Ray Data block (Arrow, or pandas converted), or a read task run
-    here, its blocks concatenated (a zero-row file gives none: the
-    zero-column table)."""
+    a Ray Data block (Arrow, or pandas converted), or a ``ReadPart``
+    read here, its row groups concatenated."""
     if isinstance(block, pa.Table):
         return block
+    if is_read_task(block):
+        return concat(list(block()))
     from ray.data.block import BlockAccessor
 
-    if is_read_task(block):
-        return concat([as_arrow(b) for b in block()])
     return BlockAccessor.for_block(block).to_arrow()
 
 
@@ -220,83 +304,61 @@ def _split(block, keys, P, split_map=None):
     return pieces if P > 1 else pieces[0]
 
 
-def _listed(ds) -> list | None:
-    """``blocks(ds)`` when listing it needs no Ray Data execution, else
-    None: the block refs a pinned or wave-made Dataset holds, or the
-    read tasks of a bare ``Read`` that splits into at least one read
-    task per session CPU, each with a row count (a wave never cuts a
-    read task, so fewer would leave CPUs idle, and it plans by rows).
-    The read's parallelism is the one Ray Data's optimizer would pick,
-    so a Parquet read gives one read task per file (past
-    ``read_op_min_num_blocks`` files, several share one)."""
-    from ray.data._internal.logical.interfaces import SourceOperator
-    from ray.data._internal.logical.operators.read_operator import Read
-    from ray.data._internal.util import _autodetect_parallelism
-
-    dag = ds._logical_plan.dag
-    if isinstance(dag, Read):
-        ctx = ds.context
-        parallelism, _, _ = _autodetect_parallelism(
-            dag._parallelism, ctx.target_max_block_size, ctx,
-            dag._datasource_or_legacy_reader, dag._mem_size)
-        tasks = dag._datasource_or_legacy_reader.get_read_tasks(parallelism)
-        if (len(tasks) < session_cpus()
-                or any(t.metadata.num_rows is None for t in tasks)):
-            return None
-        return [(t, t.metadata) for t in tasks]
-    bundles = dag.output_data() if isinstance(dag, SourceOperator) else None
-    return None if bundles is None else [
-        b for bundle in bundles for b in bundle.blocks]
-
-
 def blocks(ds) -> list:
     """``(part, metadata)`` of every block of ``ds``, in order, without
     starting Ray Data's executor where it can: a ``Blocks`` handle
     lists its refs with one ``ray.get`` of their ``(rows, bytes)``
     (waiting for the tasks that make them), a pinned Dataset its block
-    refs; a bare read lists its datasource's read tasks (``ReadTask``
-    objects, with their metadata's row count and estimated bytes), so
-    the tasks that consume it read the files themselves and nothing of
-    the read enters the object store.  Any other Dataset (a lazy map, a
-    read with fewer read tasks than session CPUs or with no row counts)
-    runs here, once per call.
+    refs; a ``Read`` lists its ``ReadPart`` files with their footers'
+    ``Meta`` (``Read.listed``: when it has fewer files than session
+    CPUs, the refs of its files read into the object store), so the
+    tasks that consume it read the files themselves and nothing of the
+    read enters the object store.  Any other Dataset (a lazy map, Ray
+    Data's own read) runs here, once per call.
 
     Only task arguments may hold a part: every consuming task resolves
-    it with ``as_arrow``.  A read task is no object ref; ``refs`` lists
-    the refs of an input that holds its blocks."""
+    it with ``as_arrow``.  A ``ReadPart`` is no object ref; ``refs``
+    lists the refs of an input that holds its blocks."""
+    if isinstance(ds, Read):
+        ds = ds.listed()
+    if isinstance(ds, Read):
+        return list(zip(ds.parts, ds.meta))
     if isinstance(ds, Blocks):
         return [(p, Meta(*m)) for p, m in zip(ds.parts, ray.get(ds.meta))]
-    parts = _listed(ds)
-    if parts is None:
-        parts = [b for bundle in ds.iter_internal_ref_bundles()
-                 for b in bundle.blocks]
-    return parts
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    dag = ds._logical_plan.dag
+    bundles = dag.output_data() if isinstance(dag, SourceOperator) else None
+    if bundles is None:
+        bundles = ds.iter_internal_ref_bundles()
+    return [b for bundle in bundles for b in bundle.blocks]
 
 
 def is_read_task(part) -> bool:
-    """Whether a ``blocks`` part is a read task (read where it is
-    consumed) rather than a block ref."""
-    from ray.data.datasource import ReadTask
-
-    return isinstance(part, ReadTask)
+    """Whether a ``blocks`` part is a ``ReadPart`` (a file read where
+    it is consumed) rather than a block ref."""
+    return isinstance(part, ReadPart)
 
 
 def pending(ds) -> list:
     """The parts of ``ds`` as task arguments, for a task that needs no
-    count: a handle's refs without waiting for its tasks, else
-    ``blocks``' parts (refs or read tasks)."""
-    if isinstance(ds, Blocks):
+    count: a handle's refs without waiting for its tasks (a ``Read``'s
+    files, or the refs of the tasks that read them), else ``blocks``'
+    parts."""
+    if isinstance(ds, Read):
+        ds = ds.listed()
+    if isinstance(ds, (Blocks, Read)):
         return list(ds.parts)
     return [part for part, _ in blocks(ds)]
 
 
 def refs(ds) -> list:
     """The block refs of ``ds`` (``pending``); a ``TypeError`` when its
-    parts are read tasks."""
+    parts are ``ReadPart`` files."""
     parts = pending(ds)
     if any(is_read_task(p) for p in parts):
-        raise TypeError("refs: a read's parts are read tasks, which "
-                        "only task arguments may hold")
+        raise TypeError("refs: a read's parts are files, which only "
+                        "task arguments may hold")
     return parts
 
 

@@ -122,11 +122,13 @@ def exact_shingle_jaccard(ta: np.ndarray, tb: np.ndarray,
 
 
 def docs_shingle_jaccard(ia: np.ndarray, ib: np.ndarray, flat: np.ndarray,
-                         off: np.ndarray, k: int) -> np.ndarray:
+                         off: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """Exact k-shingle-set Jaccard of docs ``ia[i]`` and ``ib[i]`` (rows
     of the distinct docs ``flat``/``off``), value-identical to
     ``exact_shingle_jaccard`` per pair: the same shingle hashing, the
-    same integer set math and the same division.
+    same integer set math and the same division.  Returns ``(jaccard,
+    inter, cnt)``: per pair the Jaccard and the intersection's size,
+    per distinct doc its distinct shingle count.
 
     Each doc's sorted-unique shingle set is built once, however many
     pairs it is in.  A shingle's key is (doc, dense rank of its value),
@@ -150,7 +152,23 @@ def docs_shingle_jaccard(ia: np.ndarray, ib: np.ndarray, flat: np.ndarray,
     out = np.zeros(len(ia), dtype=np.float64)
     nz = union > 0
     out[nz] = inter[nz] / union[nz]
-    return out
+    return out, inter, cnt
+
+
+def run_ruled_out(ia: np.ndarray, ib: np.ndarray, lens: np.ndarray,
+                  inter: np.ndarray, cnt: np.ndarray, need: np.ndarray,
+                  k: int) -> np.ndarray:
+    """Per pair: whether the shingle counts alone show that docs
+    ``ia[i]`` and ``ib[i]`` share no run of ``need[i]`` tokens (a
+    q-gram count filter; Gravano et al., VLDB 2001).  A common run of
+    L ≥ k tokens covers L − k + 1 shingle positions of each doc, and
+    every shingle there is in the intersection, so each doc d keeps at
+    most its len_d − L other positions for its ``cnt[d] − inter``
+    shingles outside it.  Sound for hashed shingle sets too: a hash
+    collision only merges values.  Below k a run covers no shingle and
+    rules nothing out."""
+    return (need >= k) & ((cnt[ia] - inter > lens[ia] - need)
+                          | (cnt[ib] - inter > lens[ib] - need))
 
 
 def min_run(m: np.ndarray, thr: float) -> np.ndarray:
@@ -288,22 +306,26 @@ def adjudicate_docs(pairs: pa.Table, ia: np.ndarray, ib: np.ndarray,
     lcs_len -1, containment 0.0) OR its exact longest common token run
     over the shorter doc ≥ containment_threshold.  Row values and the
     decision equal ``exact_adjudicate``'s; rows it rejects are never
-    emitted, and their LCS is never computed."""
+    emitted, and their LCS is never computed: a pair whose shingle
+    counts rule out a run of the containment minimum (``run_ruled_out``)
+    is rejected without the probe."""
     if pairs.num_rows == 0:
         return SUFFIX_PAIR_SCHEMA.empty_table()
     off = np.asarray(off, dtype=np.int64)
     lens = np.diff(off)
     m = np.minimum(lens[ia], lens[ib])
-    jac = docs_shingle_jaccard(ia, ib, flat, off, cfg.shingle_k)
+    jac, inter, cnt = docs_shingle_jaccard(ia, ib, flat, off, cfg.shingle_k)
     passed = jac >= cfg.jaccard_threshold
     lcs = np.where(passed, -1, 0).astype(np.int32)
     con = np.zeros(len(m), dtype=np.float64)
-    probe = ~passed & (m > 0)
-    mp = m[probe]
-    need = np.maximum(min_run(mp, cfg.containment_threshold), 1)
-    run = docs_containment_lcs(ia[probe], ib[probe], flat, off, need)
+    full = m > 0
+    need = np.zeros(len(m), dtype=np.int64)
+    need[full] = np.maximum(min_run(m[full], cfg.containment_threshold), 1)
+    probe = ~passed & full & ~run_ruled_out(ia, ib, lens, inter, cnt, need,
+                                            cfg.shingle_k)
+    run = docs_containment_lcs(ia[probe], ib[probe], flat, off, need[probe])
     lcs[probe] = run
-    con[probe] = run / mp
+    con[probe] = run / m[probe]
     keep = (con >= cfg.containment_threshold) | passed
     out = pa.Table.from_arrays(
         [pairs.column("a"), pairs.column("b"),

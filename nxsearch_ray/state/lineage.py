@@ -47,8 +47,8 @@ import ray
 from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.functions.hashing import content_hash128, splitmix64
 from nxsearch_ray.stages.join import map_blocks
-from nxsearch_ray.stages.shuffle import (Blocks, as_arrow, blocks, concat,
-                                         refs, with_meta)
+from nxsearch_ray.stages.shuffle import (Blocks, Read, ReadPart, as_arrow,
+                                         blocks, concat, read_part, refs)
 
 MANIFEST = "manifest.json"
 FINGERPRINT = "input_fingerprint"
@@ -110,18 +110,15 @@ def id_hash(ids) -> int:
 def input_fingerprint(ds) -> str:
     """What a stage is computed from (a pages or an embeddings
     dataset).  A fingerprinted ``stage``'s output: its lineage, whether
-    it ran or resumed.  A plain file read: its sorted input files with
-    their sizes and mtimes.  Anything else (in-memory, derived,
-    ``limit``-ed, ...): its row count plus ``rows_hash`` of its rows."""
-    from ray.data._internal.logical.operators.read_operator import Read
-
+    it ran or resumed.  An engine read (``sources.io.read_parquet_clean``):
+    its sorted input files with their sizes and mtimes.  Anything else
+    (in-memory, derived, ``limit``-ed, Ray Data's own read, ...): its
+    row count plus ``rows_hash`` of its rows."""
     if ds in _LINEAGE:
         return _LINEAGE[ds]
-    files = ds.input_files() if not isinstance(ds, Blocks) \
-        and isinstance(ds._logical_plan.dag, Read) else []
-    if files:
+    if isinstance(ds, Read):
         h = hashlib.sha256()
-        for path in sorted(files):
+        for path in sorted(ds.input_files()):
             st = os.stat(path)
             h.update(f"{path}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
         return "files:" + h.hexdigest()[:32]
@@ -161,18 +158,16 @@ def rows_hash(t) -> int:
     return int(key_hash(t, [key, *cols]).sum(dtype=np.uint64))
 
 
-@ray.remote(num_returns=2)
-def _read_part(path: str):
-    return with_meta(pq.read_table(path))
-
-
 def read_stage(out_dir: str, stage: str) -> Blocks:
     """A checkpoint held in the object store: one task per part file of
-    its manifest, read while the directory still holds it (a rewrite
-    of the same stage clears it), and no Ray Dataset."""
+    its manifest (``shuffle.read_part``, the reader of an input with
+    fewer files than session CPUs), read while the directory still
+    holds it (a rewrite of the same stage clears it), and no Ray
+    Dataset."""
     sdir = stage_dir(out_dir, stage)
-    return Blocks.submit(_read_part.remote(os.path.join(sdir, p["file"]))
-                         for p in read_manifest(out_dir, stage)["partitions"])
+    return Blocks.submit(
+        read_part.remote(ReadPart(os.path.join(sdir, p["file"])))
+        for p in read_manifest(out_dir, stage)["partitions"])
 
 
 # the checkpoint read's former name, which perfbench's traced replay

@@ -248,19 +248,19 @@ def test_endpoint_map_all_empty_pair_side(ray_session):
 
 
 def test_endpoint_map_over_a_bare_parquet_read(ray_session, tmp_path):
-    """A right side that is a bare Parquet read (as a resumed
-    ``signatures`` checkpoint is): its read tasks run in the split
-    tasks, and pair_join over it gathers the same payloads."""
+    """A right side that is an engine Parquet read: its files are
+    read in the split tasks, and pair_join over it gathers the same
+    payloads."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
+    from nxsearch_ray.sources.io import read_parquet_clean
     from nxsearch_ray.stages.shuffle import blocks, is_read_task
 
     ids = [1, 2, 3, 5, 9, 11, 12, 14]
     for i in range(4):
         pq.write_table(_right(ids[2 * i:2 * i + 2]),
                        tmp_path / f"part-{i}.parquet")
-    read = rd.read_parquet(str(tmp_path))
+    read = read_parquet_clean(str(tmp_path))
     assert all(is_read_task(p) for p, _ in blocks(read))
     _check_delivery(PAIR_BLOCKS, [_right(ids)], right_ds=read)
     _check_pair_join(read)

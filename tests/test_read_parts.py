@@ -1,9 +1,9 @@
-"""A bare read's parts are read tasks (stages/shuffle.blocks): every
-consumer reads the files inside its own tasks and gives what it gives
-over the pinned read — the signature wave (whole read tasks, at most
-``batch_size`` rows per kernel call), the exchange and group-by, the
-broadcast builds and the anti-join — and no read task reaches
-``from_arrow_refs``."""
+"""An engine read's parts are its files (``sources.io.read_parquet_clean``,
+stages/shuffle.blocks): every consumer reads the files inside its own
+tasks and gives what it gives over the pinned read — the signature
+wave (whole files, at most ``batch_size`` rows per kernel call), the
+exchange and group-by, the broadcast builds and the anti-join — and no
+file part reaches ``from_arrow_refs``."""
 
 from __future__ import annotations
 
@@ -19,14 +19,14 @@ import pytest
 
 from nxsearch_ray.stages import join, shuffle
 
-N_FILES = 6      # at least one read task per CPU of the test session
+N_FILES = 6      # at least one file per CPU of the test session
 
 
 def _write(tmp_path, table, n_files=N_FILES, empty=()):
     """``table`` as ``n_files`` Parquet files, file i in ``empty`` with
     zero rows of the table's schema and the others holding its rows in
-    order, in row groups of 4 rows (so a read task reads a file as
-    several blocks); returns their directory."""
+    order, in row groups of 4 rows (so a file is read as several
+    blocks); returns their directory."""
     d = tmp_path / "parts"
     d.mkdir()
     full = [i for i in range(n_files) if i not in empty]
@@ -59,10 +59,10 @@ def pages():
 
 
 def _read(path, columns=("page_id", "html", "lang"), **kwargs):
-    import ray.data as rd
+    from nxsearch_ray.sources.io import read_parquet_clean
 
-    return rd.read_parquet(path, columns=columns and list(columns),
-                           **kwargs)
+    return read_parquet_clean(path, columns=columns and list(columns),
+                              **kwargs)
 
 
 def _assert_read_tasks(ds):
@@ -178,24 +178,22 @@ def test_all_empty_read(ray_session, tmp_path, pages):
         assert {tables[0].schema} == full
 
 
-def test_wave_task_reads_block_by_block():
-    """A wave task over a read task that reads its file as several
-    blocks maps contiguous batches of ``batch_size`` rows, each handed
-    on as soon as its rows are read: no more than a batch and one read
-    block are held at once."""
-    from ray.data.block import BlockMetadata
-    from ray.data.datasource import ReadTask
-
+def test_wave_task_reads_block_by_block(tmp_path, monkeypatch):
+    """A wave task over a file of several row groups maps contiguous
+    batches of ``batch_size`` rows, each handed on as soon as its rows
+    are read: no more than a batch and one row group are held at
+    once."""
     t = pa.table({"k": pa.array(np.arange(60), pa.int64())})
+    pq.write_table(t, tmp_path / "t.parquet", row_group_size=10)
     pulled = []
+    read_row_group = pq.ParquetFile.read_row_group
 
-    def read_fn():
-        for i in range(6):
-            pulled.append(i)
-            yield t.slice(10 * i, 10)
+    def recording(self, i, *args, **kwargs):
+        pulled.append(i)
+        return read_row_group(self, i, *args, **kwargs)
 
-    task = ReadTask(read_fn, BlockMetadata(
-        num_rows=60, size_bytes=None, input_files=None, exec_stats=None))
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", recording)
+    task = shuffle.ReadPart(str(tmp_path / "t.parquet"))
     seen = [(b.num_rows, len(pulled), b.column("k").num_chunks,
              b.column("k").to_pylist())
             for b in join._batches([task], [(0, None)], 25)]
@@ -209,10 +207,10 @@ def test_wave_task_reads_block_by_block():
 
 
 def test_fewer_read_tasks_than_cpus(ray_session, tmp_path, pages):
-    """One file in a 4-CPU session: ``blocks`` runs the read (a wave
-    over its one read task would leave three CPUs idle), so the wave
-    cuts its rows into one task per CPU; the signatures equal the
-    pinned read's."""
+    """One file in a 4-CPU session: ``blocks`` reads it into the object
+    store as a block per CPU, one plain task (a wave over the one file
+    would leave three CPUs idle), so the wave cuts its rows into one
+    task per CPU; the signatures equal the pinned read's."""
     import ray
 
     from nxsearch_ray.config import PipelineConfig
@@ -235,8 +233,9 @@ def test_fewer_read_tasks_than_cpus(ray_session, tmp_path, pages):
 
 
 def test_read_without_row_counts(ray_session, tmp_path, pages):
-    """A read with a ``filter`` declares no row counts, so ``blocks``
-    runs it; the signatures equal the pinned read's."""
+    """A read with a ``filter`` is Ray Data's read (its footers give no
+    row counts), so ``blocks`` runs it; the signatures equal the pinned
+    read's."""
     import pyarrow.dataset as pds
 
     from nxsearch_ray.config import PipelineConfig
@@ -302,7 +301,7 @@ def test_other_consumers_over_a_bare_read(ray_session, tmp_path):
 
 
 def test_no_read_task_reaches_from_arrow_refs(ray_session, tmp_path):
-    """A read task is no object ref: ``shuffle.refs`` refuses a read,
+    """A file part is no object ref: ``shuffle.refs`` refuses a read,
     and no call in the engine that builds a handle of block refs
     (``from_arrow_refs``, ``Blocks.submit``, ``Blocks``) takes
     ``blocks`` parts (the dedup union and the CC tree-reduce list

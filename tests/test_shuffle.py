@@ -346,25 +346,28 @@ def _count_dataset_work(monkeypatch) -> dict:
 
 def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
                                              monkeypatch):
-    """No step of ``run_dedup`` over a bare Parquet read runs on Ray
+    """No step of ``run_dedup`` over an engine Parquet read runs on Ray
     Data's executor, builds a Ray Dataset or starts a block metadata
-    task, on the auto plans and on the scale-path plans: the signature
-    wave's tasks read the files themselves (``shuffle.blocks`` lists
-    the read's read tasks), and every later step is a plain task wave
-    over block refs that hands on a ``shuffle.Blocks`` handle, its
-    metadata returned by the tasks that made the blocks.  With
-    ``out_dir`` neither does a checkpoint write, a wave of plain tasks
-    over the pinned blocks.  Nor does an incremental ingest into a
-    prior run's ``out_dir`` (its prior signatures are read by plain
-    tasks, not unioned on the executor) or a removal from it.  The
-    caller's own read is built before the counting starts."""
+    task, on the auto plans and on the scale-path plans, the read
+    itself included: ``read_parquet_clean`` lists the files from their
+    footers, the signature wave's tasks read the files themselves
+    (``shuffle.blocks`` lists them as ``ReadPart`` parts), and every
+    later step is a plain task wave over block refs that hands on a
+    ``shuffle.Blocks`` handle, its metadata returned by the tasks that
+    made the blocks.  With ``out_dir`` neither does a checkpoint write,
+    a wave of plain tasks over the pinned blocks.  Nor does an
+    incremental ingest into a prior run's ``out_dir`` (its prior
+    signatures are read by plain tasks, not unioned on the executor)
+    or a removal from it.  Nor does a read of fewer files than session
+    CPUs (one file of one row group, one file of eight), whose files
+    plain tasks read into the object store."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from nxsearch_ray.config import PipelineConfig
     from nxsearch_ray.pipelines.dedup import (run_dedup,
                                               run_dedup_incremental,
                                               run_dedup_remove)
+    from nxsearch_ray.sources.io import read_parquet_clean
     from nxsearch_ray.sources.synth import synth_pages
 
     corpus = synth_pages(200, seed=21)
@@ -377,15 +380,15 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     columns = ["page_id", "url", "warc_ts", "html", "lang"]
 
     def read(path):
-        return rd.read_parquet(str(path), columns=columns)
+        return read_parquet_clean(str(path), columns=columns)
 
     n = _count_dataset_work(monkeypatch)
     nothing = {"executions": 0, "datasets": 0, "metadata_tasks": 0}
     for plans in ({}, {"verify_mode": "bucketed", "cc_mode": "labelprop"}):
         for out_dir in (None, str(tmp_path / f"out{len(plans)}")):
-            ds = read(pages)
             n.update(nothing)
-            res = run_dedup(ds, PipelineConfig(), out_dir=out_dir, **plans)
+            res = run_dedup(read(pages), PipelineConfig(), out_dir=out_dir,
+                            **plans)
             assert res.clusters.count() > 0
             assert n == nothing, (plans, out_dir)
 
@@ -398,9 +401,9 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
                        prior / f"part-{i}.parquet")
     out_dir = str(tmp_path / "incremental")
     run_dedup(read(prior), PipelineConfig(), out_dir=out_dir)
-    ds = read(pages)
     n.update(nothing)
-    res = run_dedup_incremental(ds, PipelineConfig(), out_dir=out_dir)
+    res = run_dedup_incremental(read(pages), PipelineConfig(),
+                                out_dir=out_dir)
     assert res.stats["incremental_new_pages"] > 0
     assert n == nothing
 
@@ -410,6 +413,17 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     assert res.stats["removed_found"] > 0
     assert n == nothing
 
+    for groups in (1, 8):
+        one = tmp_path / f"one{groups}"
+        one.mkdir()
+        pq.write_table(corpus, one / "pages.parquet",
+                       row_group_size=-(-corpus.num_rows // groups))
+        assert pq.ParquetFile(one / "pages.parquet").num_row_groups == groups
+        n.update(nothing)
+        res = run_dedup(read(one), PipelineConfig())
+        assert res.clusters.count() > 0
+        assert n == nothing, groups
+
 
 def test_no_dataset_execution_in_a_resume_or_run_corpus(ray_session,
                                                        tmp_path,
@@ -418,16 +432,16 @@ def test_no_dataset_execution_in_a_resume_or_run_corpus(ray_session,
     read 0 executions and 0 Datasets, the collection included, for: a
     ``run_dedup`` rerun that resumes every stage (``lineage.read_stage``
     reads each checkpoint with plain tasks), and ``run_corpus`` over a
-    4-file bare read with embeddings (its semantic tier is task waves),
+    4-file engine read with embeddings (its semantic tier is task waves),
     with a blocklist (one ``broadcast_map``), and with embeddings into
     an ``out_dir``, resumed."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from nxsearch_ray.config import PipelineConfig
     from nxsearch_ray.pipelines.corpus import (decisions_as_table,
                                                run_corpus)
     from nxsearch_ray.pipelines.dedup import clusters_as_table, run_dedup
+    from nxsearch_ray.sources.io import read_parquet_clean
     from nxsearch_ray.sources.synth import synth_pages
 
     corpus = synth_pages(150, seed=11)
@@ -444,10 +458,11 @@ def test_no_dataset_execution_in_a_resume_or_run_corpus(ray_session,
                            tmp_path / name / f"part-{i}.parquet")
 
     def pages(columns=("page_id", "url", "warc_ts", "html", "lang")):
-        return rd.read_parquet(str(tmp_path / "pages"), columns=list(columns))
+        return read_parquet_clean(str(tmp_path / "pages"),
+                                  columns=list(columns))
 
     def embeddings():
-        return rd.read_parquet(str(tmp_path / "emb"))
+        return read_parquet_clean(str(tmp_path / "emb"))
 
     n = _count_dataset_work(monkeypatch)
     nothing = {"executions": 0, "datasets": 0, "metadata_tasks": 0}

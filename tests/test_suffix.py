@@ -254,3 +254,51 @@ def test_adjudicate_pairs_property(monkeypatch, weak_hash):
         assert {r["lcs_len"] for r in kept} == {need}
         assert _emitted(ids, docs, cfg) == kept
     assert n_contained > 50
+
+
+def test_count_bound_rules_out_only_short_runs(monkeypatch):
+    """Seeded property test of the shingle-count bound
+    (``suffix.run_ruled_out``): every pair it rules out has a scalar LCS
+    below the containment minimum ``need``, and both gathers emit the
+    rows of the unpruned kernel (the bound forced off).  The batches
+    are ``test_adjudicate_pairs_property``'s: repeats, pages shorter
+    than shingle_k, empty pages and runs around ``need``, with shingle_k
+    above ``need`` too."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from nxsearch_ray.config import PipelineConfig
+    from nxsearch_ray.stages import suffix as S
+
+    bound, calls = S.run_ruled_out, []
+
+    def recording(ia, ib, lens, inter, cnt, need, k):
+        out = bound(ia, ib, lens, inter, cnt, need, k)
+        calls.append((ia, ib, need, out))
+        return out
+
+    rng = np.random.default_rng(20261020)
+    n_pruned = n_pairs = 0
+    for trial in range(300):
+        cfg = replace(
+            PipelineConfig(),
+            shingle_k=int(rng.choice([1, 3, 5])),
+            containment_threshold=float(rng.choice(
+                [0.8, 0.55, 0.3, 0.95, 1.0])),
+            jaccard_threshold=float(rng.choice([0.5, 0.9])))
+        ids, docs = _random_batch(rng, cfg)
+        monkeypatch.setattr(S, "run_ruled_out",
+                            lambda ia, *_: np.zeros(len(ia), dtype=bool))
+        unpruned = _emitted(ids, docs, cfg)
+        monkeypatch.setattr(S, "run_ruled_out", recording)
+        calls.clear()
+        assert _emitted(ids, docs, cfg) == unpruned, (trial, cfg)
+        uniq = np.unique([p for pair in ids for p in pair])
+        for ia, ib, need, out in calls:
+            n_pairs += len(out)
+            for i in np.flatnonzero(out):
+                ta, tb = docs[uniq[ia[i]]], docs[uniq[ib[i]]]
+                assert lcs_tokens(ta.tolist(), tb.tolist()) < need[i]
+                n_pruned += 1
+    assert 0.2 * n_pairs < n_pruned < n_pairs
