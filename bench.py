@@ -289,8 +289,7 @@ def run_scaling_worker(ncpu: int, reps: int = 2) -> None:
     for _ in range(reps):
         t0 = time.monotonic()
         res = run_dedup(
-            read_parquet_clean(corpus, columns=cols,
-                            override_num_blocks=4 * ncpu), cfg,
+            read_parquet_clean(corpus, columns=cols), cfg,
             **_plan_kwargs())
         rows = clusters_as_table(res).num_rows
         walls.append(round(time.monotonic() - t0, 3))

@@ -12,24 +12,20 @@ unhashable, which makes Ray Data's block-schema deduplication log a
 warning per worker ("Failed to hash the schemas").
 
 A caller that uses the Dataset API on the read gets
-``ray.data.read_parquet`` of the same arguments and that schema, built
-on first use.  The listing is the one that read makes: a directory is
-walked recursively and its files sorted; without ``file_extensions``,
-files and directories whose names start with ``.`` or ``_`` are
-skipped (pyarrow's dataset discovery), with it every file of a listed
-extension is kept, whatever its name.  Hive ``k=v`` directories raise:
-their partition columns are not in the files.
+``ray.data.read_parquet`` of the listed files and that schema, built on
+first use, so both read the one listing.  A directory is walked
+recursively and its files sorted; files and directories whose names
+start with ``.`` or ``_`` are skipped (pyarrow's dataset discovery),
+with or without ``file_extensions``, which then keeps the files of a
+listed extension.  A file named in ``paths`` is read whatever its name.
+Hive ``k=v`` directories raise: their partition columns are not in the
+files.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-
-# the keywords the engine read takes: the listing's filter, and the cut
-# of Ray Data's own read (its Dataset API), which leaves the rows as
-# they are
-_ENGINE_KWARGS = frozenset({"file_extensions", "override_num_blocks"})
 
 
 def _listed_files(paths, file_extensions=None) -> list[str]:
@@ -42,11 +38,9 @@ def _listed_files(paths, file_extensions=None) -> list[str]:
             continue
         found = []
         for root, dirs, names in os.walk(path):
-            for name in names:
-                rel = os.path.relpath(os.path.join(root, name), path)
-                if file_extensions is not None or not any(
-                        c.startswith((".", "_")) for c in rel.split(os.sep)):
-                    found.append(os.path.join(root, name))
+            dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+            found += [os.path.join(root, name) for name in names
+                      if not name.startswith((".", "_"))]
         files += sorted(found)
     if file_extensions is not None:
         ext = tuple(f".{e.lower()}" for e in file_extensions)
@@ -56,33 +50,26 @@ def _listed_files(paths, file_extensions=None) -> list[str]:
     return files
 
 
-def read_parquet_clean(paths, *, columns=None, **kwargs):
+def read_parquet_clean(paths, *, columns=None, file_extensions=None):
     """The engine read of ``paths`` (a ``shuffle.Read``): per file its
     footer's rows and the selected ``columns``' uncompressed bytes,
     with a metadata-free schema of those columns.  ``file_extensions``
-    filters the listing; any other keyword but ``override_num_blocks``
-    (a ``filter``, a ``partitioning``, ...) changes what the files give,
-    so the call returns Ray Data's read instead, which the engine runs
-    once where it is consumed."""
+    filters the listing."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data
 
     from nxsearch_ray.stages.shuffle import Read, ReadPart
 
-    files = _listed_files(paths, kwargs.get("file_extensions"))
-    full = pq.read_schema(files[0]).remove_metadata()
-    schema = pa.schema([full.field(c) for c in columns]) if columns else full
-    columns = list(columns) if columns else None
-    dataset = functools.partial(ray.data.read_parquet, paths, schema=schema,
-                                columns=columns, **kwargs)
-    if set(kwargs) - _ENGINE_KWARGS:
-        return dataset()
+    files = _listed_files(paths, file_extensions)
     hive = [f for f in files
             if any("=" in c for c in os.path.dirname(f).split(os.sep))]
     if hive:
         raise ValueError(f"{hive[0]}: a k=v partition directory, whose "
                          "partition columns the files do not hold")
+    full = pq.read_schema(files[0]).remove_metadata()
+    schema = pa.schema([full.field(c) for c in columns]) if columns else full
+    columns = list(columns) if columns else None
 
     def selected_bytes(md) -> int:
         return sum(rg.column(j).total_uncompressed_size
@@ -94,4 +81,5 @@ def read_parquet_clean(paths, *, columns=None, **kwargs):
     footers = map(pq.read_metadata, files)
     return Read([ReadPart(f, columns, schema) for f in files],
                 [(md.num_rows, selected_bytes(md)) for md in footers],
-                schema, dataset)
+                schema, functools.partial(ray.data.read_parquet, files,
+                                          schema=schema, columns=columns))

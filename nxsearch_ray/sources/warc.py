@@ -154,7 +154,8 @@ def pages_from_warc(paths, *, lang: str = ""):
 
 def _ingest_name(path: str) -> str:
     """Stable output stem for one archive: basename + short path hash
-    (stems can repeat across directories)."""
+    (stems can repeat across directories).  A leading ``.`` or ``_`` is
+    dropped: the engine read skips such names under a directory."""
     import hashlib
 
     h = hashlib.md5(os.path.abspath(path).encode()).hexdigest()[:10]
@@ -163,7 +164,7 @@ def _ingest_name(path: str) -> str:
         if base.endswith(suf):
             base = base[:-len(suf)]
             break
-    return f"{base}-{h}"
+    return f"{base.lstrip('._')}-{h}"
 
 
 def _ingest_done(ingest_dir: str, path: str) -> bool:

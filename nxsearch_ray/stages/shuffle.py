@@ -175,8 +175,11 @@ class ReadPart(namedtuple("ReadPart", ["path", "columns", "schema"],
         with pq.ParquetFile(self.path) as f:
             tables = (f.read_row_group(i, columns=self.columns)
                       for i in range(f.num_row_groups))
-            for t in tables if f.num_row_groups else [f.schema_arrow
-                                                       .empty_table()]:
+            # a file of no row groups: its empty table, of the columns
+            empty = f.schema_arrow.empty_table()
+            if self.columns is not None:
+                empty = empty.select(self.columns)
+            for t in tables if f.num_row_groups else [empty]:
                 if self.schema is not None:
                     t = t.replace_schema_metadata()
                     t = t if t.schema == self.schema else t.cast(self.schema)
@@ -202,7 +205,7 @@ class Read(_DatasetAPI):
     listed on the driver with no task.  ``count``, ``size_bytes``,
     ``schema`` and ``input_files`` read the listing; any other
     attribute is the Dataset API, answered by Ray Data's read of the
-    same arguments (``dataset``, called on first use)."""
+    listed files (``dataset``, called on first use)."""
 
     def __init__(self, parts, meta, schema: pa.Schema, dataset):
         self.parts, self.meta = list(parts), [Meta(*m) for m in meta]

@@ -1,7 +1,9 @@
 """The engine read (``sources.io.read_parquet_clean``) against Ray Data's
 ``read_parquet`` of the same arguments: the same files, the same rows
 and the same metadata-free schema, and the same ``files:`` input
-fingerprint the stock read's ``input_files()`` gave."""
+fingerprint the stock read's ``input_files()`` gave.  The one listing
+rule the engine does not share: it skips ``.``- and ``_``-prefixed names
+under a directory with ``file_extensions`` too."""
 
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ def _table(n, start=0):
 @pytest.fixture(scope="module")
 def tree(tmp_path_factory):
     """A directory of every listing case: a pandas-metadata file, a
-    nested directory, an empty file, a file of several row groups,
-    ``_``- and ``.``-prefixed files and directories, and a file of
-    another extension."""
+    nested directory, an empty file, a file of no row groups, a file of
+    several row groups, ``_``- and ``.``-prefixed files and
+    directories, and a file of another extension."""
     root = tmp_path_factory.mktemp("engine_read") / "pages"
     (root / "nested" / "deeper").mkdir(parents=True)
     (root / "_hidden").mkdir()
@@ -40,6 +42,8 @@ def tree(tmp_path_factory):
     pq.write_table(_table(40, 100), root / "b-groups.parquet",
                    row_group_size=7)
     pq.write_table(_table(0), root / "c-empty.parquet")
+    pq.ParquetWriter(root / "c-no-groups.parquet", _table(0).schema).close()
+    assert pq.ParquetFile(root / "c-no-groups.parquet").num_row_groups == 0
     pq.write_table(_table(6, 200), root / "nested" / "d.parquet")
     pq.write_table(_table(4, 300), root / "nested" / "deeper" / "e.PARQUET")
     pq.write_table(_table(3, 400), root / "nested" / "f.pq")
@@ -48,6 +52,13 @@ def tree(tmp_path_factory):
                               "nested/_k.parquet"]):
         pq.write_table(_table(2, 500 + 10 * i), root / name)
     return root
+
+
+def _hidden(path, root) -> bool:
+    """Whether a file under the directory ``root`` has a ``.``- or
+    ``_``-prefixed name on its way down."""
+    rel = os.path.relpath(path, root)
+    return any(c.startswith((".", "_")) for c in rel.split(os.sep))
 
 
 def _files_digest(files) -> str:
@@ -83,6 +94,8 @@ CASES = [
     ("b-groups.parquet", {"columns": ["page_id", "html"]}),
     ("a-pandas.parquet", {}),
     ("c-empty.parquet", {}),
+    ("c-no-groups.parquet", {}),
+    ("c-no-groups.parquet", {"columns": ["lang", "page_id"]}),
     (["a-pandas.parquet", "b-groups.parquet", "nested/d.parquet",
       "_g.parquet"], {}),
 ]
@@ -105,6 +118,15 @@ def test_engine_read_matches_ray_data(ray_session, tree, where, kw):
              [str(tree / p) for p in where] if isinstance(where, list)
              else str(tree / where))
     stock = rd.read_parquet(paths, **kw)
+    under_dir = isinstance(paths, str) and os.path.isdir(paths)
+    files = [f for f in stock.input_files()
+             if not (under_dir and _hidden(f, paths))]
+    if files != stock.input_files():
+        # Ray Data 2.49 keeps these names under a directory when given
+        # file_extensions (it tests its exclude prefixes against a path
+        # that starts with "/"); the engine skips them always
+        stock = rd.read_parquet(files, columns=kw.get("columns"),
+                                schema=stock.schema().base_schema)
     read = read_parquet_clean(paths, **kw)
     assert isinstance(read, shuffle.Read) and read._dataset is None
 
@@ -145,6 +167,32 @@ def test_footer_bytes_are_the_selected_columns(tree):
     cut = read_parquet_clean(path, columns=["page_id", "vec"])
     assert cut.meta == [(40, chunks({"page_id", "vec"}))]
     assert 0 < cut.size_bytes() < full.size_bytes()
+
+
+def test_listing_skips_hidden_names(tree):
+    """Under a directory, ``.``- and ``_``-prefixed files and
+    directories are skipped with or without ``file_extensions``; a file
+    named in the paths is read whatever its name."""
+    from nxsearch_ray.sources.io import read_parquet_clean
+
+    for kw in ({}, {"file_extensions": ["parquet", "pq"]}):
+        files = read_parquet_clean(str(tree), **kw).input_files()
+        assert files and not any(_hidden(f, str(tree)) for f in files)
+    named = [str(tree / "_g.parquet"), str(tree / ".dot" / "j.parquet")]
+    assert read_parquet_clean(named).input_files() == named
+
+
+def test_read_takes_no_other_keyword(tree):
+    """The engine read has no second path: a keyword of Ray Data's read
+    it does not take (a ``filter``, a block count) is a ``TypeError``."""
+    import pyarrow.dataset as pds
+
+    from nxsearch_ray.sources.io import read_parquet_clean
+
+    for kw in ({"filter": pds.field("page_id") < 3},
+               {"override_num_blocks": 4}):
+        with pytest.raises(TypeError):
+            read_parquet_clean(str(tree), **kw)
 
 
 def test_listing_refuses_partition_directories(tmp_path):

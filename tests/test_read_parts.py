@@ -58,11 +58,10 @@ def pages():
     return synth_pages(60, seed=5)
 
 
-def _read(path, columns=("page_id", "html", "lang"), **kwargs):
+def _read(path, columns=("page_id", "html", "lang")):
     from nxsearch_ray.sources.io import read_parquet_clean
 
-    return read_parquet_clean(path, columns=columns and list(columns),
-                              **kwargs)
+    return read_parquet_clean(path, columns=columns and list(columns))
 
 
 def _assert_read_tasks(ds):
@@ -233,17 +232,20 @@ def test_fewer_read_tasks_than_cpus(ray_session, tmp_path, pages):
 
 
 def test_read_without_row_counts(ray_session, tmp_path, pages):
-    """A read with a ``filter`` is Ray Data's read (its footers give no
-    row counts), so ``blocks`` runs it; the signatures equal the pinned
-    read's."""
+    """Ray Data's read with a ``filter`` declares no row counts: it is
+    any other Dataset, so ``blocks`` runs it; the signatures equal the
+    pinned read's."""
     import pyarrow.dataset as pds
+    import ray.data as rd
 
     from nxsearch_ray.config import PipelineConfig
     from nxsearch_ray.stages.signatures import canonsig_stage
 
     ids = pages.column("page_id").to_pylist()
     cut = sorted(ids)[len(ids) // 2]
-    read = _read(_write(tmp_path, pages), filter=pds.field("page_id") < cut)
+    read = rd.read_parquet(_write(tmp_path, pages),
+                           columns=["page_id", "html", "lang"],
+                           filter=pds.field("page_id") < cut)
     parts = shuffle.blocks(read)
     assert not any(shuffle.is_read_task(p) for p, _ in parts)
     cfg = PipelineConfig()

@@ -192,3 +192,24 @@ def test_warc_ingest_file_granular_resume(ray_session, tmp_path):
     assert s3["parsed"] == 1 and s3["skipped"] == 2
     assert read_parquet_clean(
         idir, file_extensions=["parquet"]).count() == 11
+
+
+def test_ingest_of_a_hidden_named_archive_is_read(ray_session, tmp_path):
+    """An archive named ``_x`` or ``.x`` ingests under a stem the engine
+    read does not skip, so its pages are read back."""
+    from nxsearch_ray.sources.io import read_parquet_clean
+    from nxsearch_ray.sources.warc import ingest_warc_resumable
+
+    body = b"<html><body><p>%s</p></body></html>"
+    paths = []
+    for name in ["_under.warc.gz", ".dot.warc"]:
+        p = tmp_path / name
+        recs = [response_record(f"https://{name[1:4]}.example.org/{i}",
+                                "2024-04-01T00:00:00Z", body % b"x")
+                for i in range(2)]
+        p.write_bytes(warc_gz_bytes(recs) if name.endswith(".gz")
+                      else gzip.decompress(warc_gz_bytes(recs)))
+        paths.append(str(p))
+    idir = str(tmp_path / "ingest")
+    assert ingest_warc_resumable(paths, idir)["parsed"] == 2
+    assert read_parquet_clean(idir, file_extensions=["parquet"]).count() == 4

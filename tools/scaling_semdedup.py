@@ -51,8 +51,7 @@ def worker(ncpu: int, reps: int) -> None:
     for _ in range(reps):
         t0 = time.monotonic()
         out = semantic_dedup_clustered(
-            read_parquet_clean(corpus, columns=["vec_id", "embedding"],
-                               override_num_blocks=4 * ncpu),
+            read_parquet_clean(corpus, columns=["vec_id", "embedding"]),
             eps=0.95, nlist=64, seed=SEED).materialize()
         n_drop = out.filter(expr="dup_of >= 0").count()
         walls.append(round(time.monotonic() - t0, 3))
