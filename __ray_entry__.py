@@ -106,9 +106,9 @@ def _dedup(sf_dir: str, variant: str = "auto"):
       * ``removed`` — a full run, then ``run_dedup_remove`` of every
         ``_removed`` page;
       * ``onefile`` — ``run_dedup`` over the pages written as ONE
-        Parquet file of at least 8 row groups: in a session of two or
-        more CPUs that is fewer files than CPUs, so the read executes
-        once before the waves (``shuffle.blocks``);
+        Parquet file of at least 8 row groups: the read's parts are
+        row groups, so the waves plan it as they plan 8 files
+        (``join._wave_plan``);
       * ``resumed`` — a full run, then a rerun into the same
         ``out_dir`` after deleting the ``verified_pairs`` and
         ``clusters`` manifests, as if the run had died after

@@ -48,7 +48,7 @@ run, so the checkpoint the next ingest or removal starts from holds
 the input of the stages after it.  No step runs on Ray Data's
 executor: over an engine Parquet read (``sources.io.read_parquet_clean``,
 listed from the files' footers), the signature wave's own tasks read
-the page files (``shuffle.blocks`` lists them as ``ReadPart`` parts),
+and map its row groups (``shuffle.blocks`` lists them as ``ReadPart``s),
 and every later step is a wave of plain Ray tasks over block refs — a
 keyed exchange (stages/shuffle.py), a broadcast lookup or a per-block
 map (stages/join.broadcast_map / map_blocks) — that runs when it is

@@ -39,9 +39,21 @@ import time
 PAGE_COLUMNS = ("page_id", "url", "warc_ts", "html", "text", "lang")
 
 
-def _load_pages(input_dir: str, cfg, out_dir: str | None = None):
+def add_page_id(t):
+    """``t`` with ``page_id``: the full ``url``'s md5 prefix, like
+    ``pages_from_text_files`` — NOT ``hash_strings``, whose prefix cap
+    collides on long-common-prefix URLs."""
+    import hashlib
+
     import pyarrow as pa
 
+    ids = [int.from_bytes(hashlib.md5((u or "").encode()).digest()[:8],
+                          "big") >> 1 for u in t.column("url").to_pylist()]
+    return t.append_column(pa.field("page_id", pa.int64()),
+                           pa.array(ids, type=pa.int64()))
+
+
+def _load_pages(input_dir: str, cfg, out_dir: str | None = None):
     # WARC segments (file or dir of .warc/.warc.gz) ingest directly
     if input_dir.endswith((".warc", ".warc.gz")) or (
             os.path.isdir(input_dir) and any(
@@ -68,32 +80,19 @@ def _load_pages(input_dir: str, cfg, out_dir: str | None = None):
 
     from nxsearch_ray.sources.io import read_parquet_clean
 
-    names = read_parquet_clean(input_dir,
-                               file_extensions=["parquet"]).schema().names
-    present = [c for c in PAGE_COLUMNS if c in names]
+    # one listing: the column names and the pruned read both come from it
+    read = read_parquet_clean(input_dir, file_extensions=["parquet"])
+    present = [c for c in PAGE_COLUMNS if c in read.schema().names]
     if "url" not in present and "page_id" not in present:
         raise SystemExit("input needs a `url` or `page_id` column")
     if "html" not in present and "text" not in present:
         raise SystemExit("input needs an `html` or `text` column")
-    # prune at the read: only the needed columns leave storage
-    ds = read_parquet_clean(input_dir, columns=present,
-                            file_extensions=["parquet"])
+    # prune at the read: only the needed columns leave storage, and the
+    # ids are added in the tasks that read the pages
+    read = read.select_columns(present)
     if "page_id" not in present:
-        # full-string md5 prefix, like pages_from_text_files — NOT
-        # hash_strings, whose TOKEN_HASH_WIDTH prefix cap is tuned for
-        # tokens and collides on long-common-prefix URLs
-        def add_page_id(t: pa.Table) -> pa.Table:
-            import hashlib
-
-            ids = [int.from_bytes(
-                hashlib.md5((u or "").encode()).digest()[:8],
-                "big") >> 1 for u in t.column("url").to_pylist()]
-            return t.append_column(
-                pa.field("page_id", pa.int64()),
-                pa.array(ids, type=pa.int64()))
-
-        ds = ds.map_batches(add_page_id, batch_format="pyarrow")
-    return ds
+        read = read.map_batches(add_page_id, batch_format="pyarrow")
+    return read
 
 
 def main(argv=None) -> int:

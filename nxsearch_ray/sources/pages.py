@@ -110,21 +110,19 @@ def pages_from_documents(batch: pa.Table) -> pa.Table:
 
 
 def pages_dataset(sf_dir: str, *, include_html: bool = True):
-    """Ray Dataset of pages derived from {sf_dir}/documents.parquet.
-
-    Column pruning happens at the read; ``include_html=False`` skips the
-    html wrap for pipelines that start from extracted text.
-    """
-    import ray.data
-
+    """The pages derived from {sf_dir}/documents.parquet: an engine read
+    whose consuming tasks map their rows through ``pages_from_documents``
+    (``sources.io.read_parquet_clean``), pruned at the read;
+    ``include_html=False`` drops the html column after the derivation."""
     from nxsearch_ray.sources.io import read_parquet_clean
 
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text", "lang", "source"])
-    ds = ds.map_batches(pages_from_documents, batch_format="pyarrow")
+        columns=["doc_id", "text", "lang", "source"]).map_batches(
+            pages_from_documents, batch_format="pyarrow")
     if not include_html:
-        ds = ds.drop_columns(["html"])
+        ds = ds.select_columns([n for n in PAGES_SCHEMA.names
+                                if n != "html"])
     return ds
 
 

@@ -31,10 +31,11 @@ every CPU has work from the first task; ``map_blocks`` is the same wave
 without a broadcast object, the engine's per-block map, and over a
 ``shuffle.Blocks`` handle it chains one task on each pending block ref.
 Every wave returns a handle, not a Ray Dataset.  Over an engine
-read (``shuffle.Read``) the parts are its files (``shuffle.blocks``):
-each wave or build task reads its files itself, a row group at a time,
-and a wave never cuts a file.  Every membership probe of a sorted key array goes through
-``sorted_lookup``.
+read (``shuffle.Read``) the parts are its row groups
+(``shuffle.blocks``): each wave or build task reads, slices and maps
+its row groups itself, and a wave cuts a row group only when the read
+has fewer of them than the wave has tasks.  Every membership probe of
+a sorted key array goes through ``sorted_lookup``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from nxsearch_ray.stages.shuffle import (Blocks, as_arrow, blocks,
-                                        concat, exchange, is_read_task,
-                                        pending, session_cpus, with_meta)
+from nxsearch_ray.stages.shuffle import (Blocks, ReadPart, as_arrow,
+                                        blocks, concat, exchange, pending,
+                                        project, session_cpus, with_meta)
 
 PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                          ("source", pa.string())])
@@ -179,40 +180,36 @@ def _worker_state(site, ref, value, build):
 
 
 def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
-               whole: bool = False) -> list[list[tuple[int, int, int]]]:
-    """A broadcast wave's tasks, each a list of ``(block, start,
-    length)`` row ranges, contiguous and in input order.  With
-    ``batch_size`` the rows are cut into max(min(non-empty blocks,
-    ``cpus``), ⌈rows / ``batch_size``⌉) equal spans (never more spans
-    than rows), so every CPU has work from the first task and no task
-    holds more than ``batch_size`` rows; a span may cut or join
-    blocks.  Without it every non-empty block is one task, as a
-    ``map_batches`` batch is one block.
-
-    ``whole`` blocks (a read's files, which a cut would read twice) are
-    never cut, and their ranges have length None (all the rows the
-    read gives): the same number of tasks (never more than blocks)
-    each takes a run of whole blocks, a block going to the span its
-    middle row falls in, and no task is left without a block while
-    there are blocks to give.  A task may then hold more than
-    ``batch_size`` rows; ``_wave_task`` maps them in batches."""
+               groups: list[bool] | None = None
+               ) -> list[list[tuple[int, int, int]]]:
+    """A wave's tasks, each a list of ``(part, start, length)`` row
+    ranges, contiguous and in input order.  With ``batch_size`` the
+    rows are cut into max(``cpus``, ⌈rows / ``batch_size``⌉) equal
+    spans (never more than rows), so every CPU has work from the first
+    task.  One cut rule for every part: a span ends where its part is
+    cut for free, at any row of a block ref but only at the edges of a
+    row group (``groups[i]``), which each task that takes rows of it
+    reads whole.  So a span end inside a row group moves to its nearer
+    edge (the row group goes whole to the span its middle row falls
+    in; a span left empty is dropped), unless the parts hold fewer row
+    groups than spans.  A task may then hold more than ``batch_size``
+    rows; ``_wave_task`` maps them in batches.  Without ``batch_size``
+    every non-empty part is one task."""
     full = [i for i, n in enumerate(rows) if n]
     if batch_size is None or not full:
-        return [[(i, 0, None if whole else rows[i])] for i in full]
+        return [[(i, 0, rows[i])] for i in full]
+    groups = groups or [False] * len(rows)
     total = sum(rows)
-    n_tasks = min(total, max(min(len(full), cpus), -(-total // batch_size)))
-    if whole:
-        n_tasks = min(n_tasks, len(full))
-        plan, seen = [], 0
-        for k, i in enumerate(full):
-            middle = seen + rows[i] / 2
-            if (not plan or middle * n_tasks > total * len(plan)
-                    or len(full) - k <= n_tasks - len(plan)):
-                plan.append([])
-            plan[-1].append((i, 0, None))
-            seen += rows[i]
-        return plan
+    n_tasks = min(total, max(cpus, -(-total // batch_size)))
     bounds = [total * t // n_tasks for t in range(n_tasks + 1)]
+    if sum(1 if groups[i] else rows[i] for i in full) >= n_tasks:
+        starts = np.cumsum([0, *rows])
+        for t in range(1, n_tasks):
+            i = int(np.searchsorted(starts, bounds[t], side="right")) - 1
+            lo, hi = starts[i], starts[i + 1]
+            if groups[i] and lo < bounds[t]:
+                bounds[t] = int(hi if 2 * bounds[t] >= lo + hi else lo)
+        bounds = sorted(set(bounds))
     plan, i, pos = [], 0, 0
     for lo, hi in zip(bounds, bounds[1:]):
         pieces = []
@@ -230,23 +227,21 @@ def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
 def _batches(parts, pieces, batch_rows):
     """A wave task's rows, in order, as contiguous tables of
     ``batch_rows`` rows, the last holding the rest (one table without
-    ``batch_rows``, and at least one): a block's range is sliced (a
-    length of None is the rest of the block), a
-    ``shuffle.ReadPart``'s row groups are read one at a time, so no
-    more than a batch and one row group are held at once.  Each
-    table is combined (a chunked one would leave the output chunked,
-    and its checkpoint one Parquet row group per chunk)."""
+    ``batch_rows``, and at least one): each part's range is taken
+    (``shuffle.as_arrow``: a block's sliced, a ``shuffle.ReadPart``'s
+    row group read, sliced and mapped) only when the batches before it
+    are handed on, so no more than a batch and one part are held at
+    once.  Each table is combined (a chunked one would leave the output
+    chunked, and its checkpoint one Parquet row group per chunk)."""
     held, rows, given = [], 0, False
     for part, (start, n) in zip(parts, pieces):
-        for block in (part() if is_read_task(part) else
-                      [as_arrow(part).slice(start, n)]):
-            held.append(as_arrow(block))
-            rows += held[-1].num_rows
-            while batch_rows and rows >= batch_rows:
-                t = concat(held)
-                yield t.slice(0, batch_rows).combine_chunks()
-                held, rows = [t.slice(batch_rows)], rows - batch_rows
-                given = True
+        held.append(as_arrow(part, start, n))
+        rows += held[-1].num_rows
+        while batch_rows and rows >= batch_rows:
+            t = concat(held)
+            yield t.slice(0, batch_rows).combine_chunks()
+            held, rows = [t.slice(batch_rows)], rows - batch_rows
+            given = True
     if rows or not given:
         yield concat(held).combine_chunks()
 
@@ -255,7 +250,7 @@ def _batches(parts, pieces, batch_rows):
 def _wave_task(value, ref_box, build, schema, batch_rows, pieces, *parts):
     """One task of a wave: its row ranges in batches of ``batch_rows``
     (``_batches``; the task's rows split evenly into batches of at most
-    ``batch_size``, so one batch unless a whole file holds more),
+    ``batch_size``, so one batch unless whole row groups hold more),
     mapped through this worker's state — or, in a stateless wave
     (``ref_box`` ``[None]``), through ``build`` itself — their outputs
     concatenated (``with_meta``).  No rows at all give
@@ -292,12 +287,13 @@ def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
     task per block, no wait, a zero-row block mapped to
     ``schema.empty_table()`` in its task.  Otherwise it lists the
     input's parts and row counts (``shuffle.blocks``: a handle's refs,
-    waiting on their metadata, an engine read's files with their
+    waiting on their metadata, an engine read's row groups with their
     footers' counts — no Ray Data execution for either) and cuts them
-    into tasks (``_wave_plan``: at least one per CPU while there are
-    parts, a file never cut).  No kernel call sees more than ``batch_size``
-    rows.  A zero-row input returns one empty block of ``schema``, the
-    kernel's declared output (zero-column when none is given), without
+    into tasks (``_wave_plan``: at least one per CPU, a row group cut
+    only when there are fewer than tasks).  No kernel call sees more
+    than ``batch_size`` rows.  A zero-row input returns one empty block
+    of ``schema``, the kernel's declared output (zero-column when none
+    is given), without
     calling the kernel."""
     if batch_size is None and isinstance(ds, Blocks) and ds.parts:
         return Blocks.submit(
@@ -306,13 +302,13 @@ def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
     parts = blocks(ds)
     rows = [m.num_rows for _, m in parts]
     plan = _wave_plan(rows, batch_size, session_cpus() if batch_size else 0,
-                      whole=any(is_read_task(p) for p, _ in parts))
+                      [isinstance(p, ReadPart) for p, _ in parts])
     if not plan:
         return Blocks.of(pa.table({}) if schema is None
                          else schema.empty_table())
 
     def even(task):     # a task's rows in equal batches of <= batch_size
-        n = sum(rows[i] if k is None else k for i, _, k in task)
+        n = sum(k for _, _, k in task)
         return batch_size and -(-n // -(-n // batch_size))
 
     return Blocks.submit(
@@ -418,7 +414,7 @@ def endpoint_map(pairs_ds, right_ds, right_schema: pa.Schema, kernel,
     asks = [split.remote(p, [key], P, functools.partial(_endpoint_ids, key))
             for p in pair_parts]
     gives = [split.remote(p, [key], P,
-                          functools.partial(_project, right_schema.names))
+                          functools.partial(project, right_schema.names))
              for p, _ in right]
     if P == 1:
         asks, gives = [[r] for r in asks], [[r] for r in gives]
@@ -481,10 +477,6 @@ def _joined_schema(left_schema: pa.Schema, right_schema: pa.Schema,
         for f in right_schema if f.name != right_key])
 
 
-def _project(names: list[str], t: pa.Table) -> pa.Table:
-    return t.select(names)
-
-
 @ray.remote(num_returns=2)
 def _join_partition(left_key: str, right_key: str, payload: pa.Schema,
                     out_schema: pa.Schema, how: str, n_left: int,
@@ -539,9 +531,9 @@ def hash_join(left_ds, right_ds, *, left_key: str, right_key: str,
     # each side is projected to its schema's columns in the split, so
     # no other column crosses the exchange
     lefts, rights = exchange([
-        (left_ds, [left_key], functools.partial(_project, left_schema.names)),
+        (left_ds, [left_key], functools.partial(project, left_schema.names)),
         (right_ds, [right_key],
-         functools.partial(_project, right_schema.names))])
+         functools.partial(project, right_schema.names))])
     return Blocks.submit(
         _join_partition.remote(left_key, right_key, payload, out_schema,
                                how, len(lt), *lt, *rt)

@@ -206,7 +206,7 @@ def _block_pair(threshold: float, id_col: str, emb_col: str, ranges_i,
     ``(start, length)`` of its parts (side i's parts first); side j is
     side i when ``ranges_j`` is empty."""
     def side(ranges, ps):
-        return concat([as_arrow(p).slice(s, n)
+        return concat([as_arrow(p, s, n)
                        for p, (s, n) in zip(ps, ranges)])
 
     bi = side(ranges_i, parts[:len(ranges_i)])

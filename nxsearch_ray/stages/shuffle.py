@@ -14,9 +14,9 @@ aggregator actors — seconds of fixed cost per exchange at benchmark
 scale.  The exchange runs when called (it needs the input's parts and
 their metadata, ``blocks``), so its cost lands at the call site.  A
 part is a block ref, or, for a bare Parquet read (``Read``), one of its
-files, which the split task reads itself (``as_arrow``): no read runs
-on Ray Data's executor.  A per-block map (an explode, an edge map, a
-projection) rides in the split rather than a wave of its own.  Its
+row groups, which the split task reads itself (``as_arrow``): no read
+runs on Ray Data's executor.  A per-block map (an explode, an edge map,
+a projection) rides in the split rather than a wave of its own.  Its
 users:
 the partition-wise (Grace) hash join (stages/join.hash_join, two sides
 at one width, so partition i of each side holds the same keys) and
@@ -34,8 +34,8 @@ sort-shuffle ``groupby`` (which sorted through a sample-partition-
 merge all-to-all and cost seconds per call at benchmark scale).
 
 ``tree_fold`` is the third primitive: an associative merge of many
-refs (Bloom and HLL partials, CC star edges) as a tree of tasks with
-at most eight inputs each.
+refs as a tree of tasks with at most eight inputs each; CC's star
+edges (stages/cc.py) are its one user.
 
 A wave hands on a ``Blocks`` handle, not a Ray Dataset: its block refs
 and, per block, a ref to the ``(rows, bytes)`` the task that made the
@@ -43,22 +43,24 @@ block returned beside it (``num_returns=2``, ``with_meta``).  The next
 wave chains on the pending refs; the driver waits on the metadata only
 where it needs a count (an exchange's width, a batch cut, a stage
 record).  The engine's input is a ``Read``
-(``sources.io.read_parquet_clean``): one ``ReadPart`` per Parquet file,
-listed with its row count and bytes from the file's footer on the
-driver, which the consuming task reads one row group at a time.
-Building a Dataset starts Ray Data's stats actor (a process of its
-own), costs a synchronous round trip to it and, for a read, fragment
-sampling tasks, so a handle builds one only for a caller that uses the
-Dataset API.
+(``sources.io.read_parquet_clean``): one ``ReadPart`` per row group of
+its Parquet files, listed with its row count and bytes from the file's
+footer on the driver, which the consuming task reads, slices and maps
+through the read's row-local maps itself.  Building a Dataset starts
+Ray Data's stats actor (a process of its own), costs a synchronous
+round trip to it and, for a read, fragment sampling tasks, so a handle
+builds one only for a caller that uses the Dataset API.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 # a partition's byte target (Ray Data's default target block size):
@@ -163,78 +165,101 @@ class Blocks(_DatasetAPI):
         return rd.from_arrow_refs(full or self.parts[:1])
 
 
-class ReadPart(namedtuple("ReadPart", ["path", "columns", "schema"],
-                          defaults=(None, None))):
-    """One Parquet file, read where it is consumed: calling it yields
-    the file's row groups one at a time (``ParquetFile.read_row_group``),
-    of ``columns`` only and as ``schema`` (metadata-free) when given."""
+class ReadPart(namedtuple("ReadPart", ["path", "row_group", "schema",
+                                       "maps"], defaults=(None, None, ()))):
+    """One row group of a Parquet file (None: the whole file, as a
+    checkpoint's part is read), read where it is consumed: as
+    ``schema``'s columns (metadata-free) when given, sliced to the rows
+    asked for, then mapped through ``maps`` in order."""
 
-    def __call__(self):
-        import pyarrow.parquet as pq
-
+    def __call__(self, start: int = 0, length: int | None = None):
+        cols = None if self.schema is None else self.schema.names
         with pq.ParquetFile(self.path) as f:
-            tables = (f.read_row_group(i, columns=self.columns)
-                      for i in range(f.num_row_groups))
-            # a file of no row groups: its empty table, of the columns
-            empty = f.schema_arrow.empty_table()
-            if self.columns is not None:
-                empty = empty.select(self.columns)
-            for t in tables if f.num_row_groups else [empty]:
-                if self.schema is not None:
-                    t = t.replace_schema_metadata()
-                    t = t if t.schema == self.schema else t.cast(self.schema)
-                yield t
+            t = (f.read(columns=cols) if self.row_group is None
+                 else f.read_row_group(self.row_group, columns=cols))
+        t = t.slice(start, length)
+        if self.schema is not None:
+            t = t.replace_schema_metadata()
+            t = t if t.schema == self.schema else t.cast(self.schema)
+        for fn in self.maps:
+            t = fn(t)
+        return t
 
 
 @ray.remote(num_returns=2)
-def read_part(part: ReadPart, n: int = 1):
-    """One file into the object store, as ``n`` blocks of even row
-    spans, then their ``(rows, bytes)`` (``with_meta``):
-    ``num_returns`` is ``2 * n``.  A resumed checkpoint's parts and a
-    read of fewer files than session CPUs are read here."""
-    t = as_arrow(part)
-    cuts = [t.num_rows * i // n for i in range(n + 1)]
-    out = [with_meta(t.slice(lo, hi - lo)) for lo, hi in zip(cuts, cuts[1:])]
-    return (*(b for b, _ in out), *(m for _, m in out))
+def read_part(part: ReadPart):
+    """A resumed checkpoint's part file into the object store, then its
+    ``(rows, bytes)`` (``with_meta``)."""
+    return with_meta(part())
 
 
 class Read(_DatasetAPI):
-    """A bare Parquet read (``sources.io.read_parquet_clean``): per file
-    a ``ReadPart`` (``parts``) and the ``Meta`` its footer gives
-    (``meta``: rows, and the selected columns' uncompressed bytes),
-    listed on the driver with no task.  ``count``, ``size_bytes``,
-    ``schema`` and ``input_files`` read the listing; any other
-    attribute is the Dataset API, answered by Ray Data's read of the
-    listed files (``dataset``, called on first use)."""
+    """A bare Parquet read (``sources.io.read_parquet_clean``): per row
+    group of its files a ``ReadPart`` and its footer's ``Meta`` (rows,
+    and the uncompressed bytes of the ``read_schema`` columns its tasks
+    read).
+    ``map_batches(fn, batch_format="pyarrow")`` is a read whose tasks
+    map the rows they slice through the row-local ``fn``;
+    ``select_columns`` prunes what they read.  Any attribute it lacks
+    is the Dataset API, answered by Ray Data's read of the files,
+    mapped alike."""
 
-    def __init__(self, parts, meta, schema: pa.Schema, dataset):
-        self.parts, self.meta = list(parts), [Meta(*m) for m in meta]
-        self._schema, self._build, self._dataset = schema, dataset, None
+    def __init__(self, files, footers, schema: pa.Schema, maps=()):
+        self.files, self.footers, self.read_schema = files, footers, schema
+        self.maps, self._dataset = tuple(maps), None
+        self.parts, self.meta = [], []
+        for path, md in zip(files, footers):
+            for g in range(md.num_row_groups):
+                rg = md.row_group(g)
+                self.parts.append(ReadPart(path, g, schema, self.maps))
+                self.meta.append(Meta(rg.num_rows, sum(
+                    rg.column(j).total_uncompressed_size
+                    for j in range(rg.num_columns)
+                    if rg.column(j).path_in_schema.split(".")[0]
+                    in schema.names)))
 
     def count(self) -> int:
-        return sum(m.num_rows for m in self.meta)
+        if not self.maps:
+            return sum(m.num_rows for m in self.meta)
+        from nxsearch_ray.stages.join import map_blocks
+
+        # a mapped read's rows, counted as blocks of no columns
+        return map_blocks(self, functools.partial(project, []),
+                          pa.schema([])).count()
 
     def size_bytes(self) -> int:
         return sum(m.size_bytes for m in self.meta)
 
     def schema(self) -> pa.Schema:
-        return self._schema
+        t = self.read_schema.empty_table()
+        for fn in self.maps:
+            t = fn(t)
+        return t.schema
 
     def input_files(self) -> list:
-        return [p.path for p in self.parts]
+        return list(self.files)
 
-    def listed(self):
-        """What consumers take: the read itself while it has a file per
-        session CPU (a wave never cuts a file), else its files read
-        into the object store, one plain task each, cut into even
-        blocks so that there is a block per CPU for the wave to cut."""
-        if len(self.parts) >= session_cpus():
-            return self
-        n = -(-session_cpus() // max(len(self.parts), 1))
-        read = read_part.options(num_returns=2 * n)
-        outs = [read.remote(p, n) for p in self.parts]
-        return Blocks([b for o in outs for b in o[:n]],
-                      [m for o in outs for m in o[n:]])
+    def map_batches(self, fn, **kw):
+        if kw != {"batch_format": "pyarrow"}:
+            return _DatasetAPI.__getattr__(self, "map_batches")(fn, **kw)
+        return Read(self.files, self.footers, self.read_schema,
+                    (*self.maps, fn))
+
+    def select_columns(self, cols):
+        if self.maps:
+            return self.map_batches(functools.partial(project, list(cols)),
+                                    batch_format="pyarrow")
+        return Read(self.files, self.footers,
+                    pa.schema([self.read_schema.field(c) for c in cols]))
+
+    def _build(self):
+        import ray.data as rd
+
+        ds = rd.read_parquet(self.files, schema=self.read_schema,
+                             columns=self.read_schema.names)
+        for fn in self.maps:
+            ds = ds.map_batches(fn, batch_format="pyarrow")
+        return ds
 
 
 def union(*handles) -> Blocks:
@@ -274,17 +299,24 @@ def key_hash(t, keys) -> np.ndarray:
     return h
 
 
-def as_arrow(block) -> pa.Table:
-    """A ``blocks`` part as an Arrow table, in the task that holds it:
-    a Ray Data block (Arrow, or pandas converted), or a ``ReadPart``
-    read here, its row groups concatenated."""
-    if isinstance(block, pa.Table):
-        return block
-    if is_read_task(block):
-        return concat(list(block()))
-    from ray.data.block import BlockAccessor
+def as_arrow(block, start: int = 0, length: int | None = None
+             ) -> pa.Table:
+    """A ``blocks`` part as an Arrow table, in the task that holds it,
+    or its rows ``start`` to ``start + length``: a Ray Data block
+    (Arrow, or pandas converted), sliced, or a ``ReadPart`` read here,
+    sliced before its maps (its footer counted the rows that planned
+    the range)."""
+    if isinstance(block, ReadPart):
+        return block(start, length)
+    if not isinstance(block, pa.Table):
+        from ray.data.block import BlockAccessor
 
-    return BlockAccessor.for_block(block).to_arrow()
+        block = BlockAccessor.for_block(block).to_arrow()
+    return block.slice(start, length)
+
+
+def project(names: list[str], t: pa.Table) -> pa.Table:
+    return t.select(names)
 
 
 @ray.remote
@@ -312,18 +344,15 @@ def blocks(ds) -> list:
     starting Ray Data's executor where it can: a ``Blocks`` handle
     lists its refs with one ``ray.get`` of their ``(rows, bytes)``
     (waiting for the tasks that make them), a pinned Dataset its block
-    refs; a ``Read`` lists its ``ReadPart`` files with their footers'
-    ``Meta`` (``Read.listed``: when it has fewer files than session
-    CPUs, the refs of its files read into the object store), so the
-    tasks that consume it read the files themselves and nothing of the
+    refs; a ``Read`` lists its row groups, a ``ReadPart`` each, with
+    their footers' ``Meta`` (the rows before its maps), so the tasks
+    that consume it read the row groups themselves and nothing of the
     read enters the object store.  Any other Dataset (a lazy map, Ray
     Data's own read) runs here, once per call.
 
     Only task arguments may hold a part: every consuming task resolves
     it with ``as_arrow``.  A ``ReadPart`` is no object ref; ``refs``
     lists the refs of an input that holds its blocks."""
-    if isinstance(ds, Read):
-        ds = ds.listed()
     if isinstance(ds, Read):
         return list(zip(ds.parts, ds.meta))
     if isinstance(ds, Blocks):
@@ -337,19 +366,10 @@ def blocks(ds) -> list:
     return [b for bundle in bundles for b in bundle.blocks]
 
 
-def is_read_task(part) -> bool:
-    """Whether a ``blocks`` part is a ``ReadPart`` (a file read where
-    it is consumed) rather than a block ref."""
-    return isinstance(part, ReadPart)
-
-
 def pending(ds) -> list:
     """The parts of ``ds`` as task arguments, for a task that needs no
-    count: a handle's refs without waiting for its tasks (a ``Read``'s
-    files, or the refs of the tasks that read them), else ``blocks``'
-    parts."""
-    if isinstance(ds, Read):
-        ds = ds.listed()
+    count: a handle's refs without waiting for its tasks, a ``Read``'s
+    row groups, else ``blocks``' parts."""
     if isinstance(ds, (Blocks, Read)):
         return list(ds.parts)
     return [part for part, _ in blocks(ds)]
@@ -357,11 +377,11 @@ def pending(ds) -> list:
 
 def refs(ds) -> list:
     """The block refs of ``ds`` (``pending``); a ``TypeError`` when its
-    parts are ``ReadPart`` files."""
+    parts are ``ReadPart`` row groups."""
     parts = pending(ds)
-    if any(is_read_task(p) for p in parts):
-        raise TypeError("refs: a read's parts are files, which only "
-                        "task arguments may hold")
+    if any(isinstance(p, ReadPart) for p in parts):
+        raise TypeError("refs: a read's parts are row groups, which "
+                        "only task arguments may hold")
     return parts
 
 
@@ -444,9 +464,9 @@ def grouped(ds, keys, fn, schema, then_by=(), split_map=None):
 
 def tree_fold(parts: list, merge_remote):
     """Fold a non-empty list of ObjectRefs down to one through a tree
-    of ``merge_remote`` tasks (an associative merge: OR, max, a
-    star-edge re-collapse, ...).  The driver holds only task handles,
-    and no task takes more than eight inputs."""
+    of ``merge_remote`` tasks (an associative merge, as CC's star-edge
+    re-collapse).  The driver holds only task handles, and no task
+    takes more than eight inputs."""
     fan_in = 8
     while len(parts) > 1:
         parts = [merge_remote.remote(*parts[i:i + fan_in])

@@ -43,6 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
+from ray import cloudpickle
 
 from nxsearch_ray.config import PipelineConfig
 from nxsearch_ray.functions.hashing import content_hash128, splitmix64
@@ -111,7 +112,8 @@ def input_fingerprint(ds) -> str:
     """What a stage is computed from (a pages or an embeddings
     dataset).  A fingerprinted ``stage``'s output: its lineage, whether
     it ran or resumed.  An engine read (``sources.io.read_parquet_clean``):
-    its sorted input files with their sizes and mtimes.  Anything else
+    its sorted files with their sizes and mtimes, its columns and its
+    maps' pickles (a module-level function by name).  Anything else
     (in-memory, derived, ``limit``-ed, Ray Data's own read, ...): its
     row count plus ``rows_hash`` of its rows."""
     if ds in _LINEAGE:
@@ -121,6 +123,7 @@ def input_fingerprint(ds) -> str:
         for path in sorted(ds.input_files()):
             st = os.stat(path)
             h.update(f"{path}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
+        h.update(cloudpickle.dumps((ds.read_schema.names, ds.maps)))
         return "files:" + h.hexdigest()[:32]
 
     def part(t: pa.Table) -> pa.Table:
@@ -160,8 +163,7 @@ def rows_hash(t) -> int:
 
 def read_stage(out_dir: str, stage: str) -> Blocks:
     """A checkpoint held in the object store: one task per part file of
-    its manifest (``shuffle.read_part``, the reader of an input with
-    fewer files than session CPUs), read while the directory still
+    its manifest (``shuffle.read_part``), read while the directory still
     holds it (a rewrite of the same stage clears it), and no Ray
     Dataset."""
     sdir = stage_dir(out_dir, stage)

@@ -92,3 +92,50 @@ def test_cli_check_ids_rejects_duplicates(tmp_path):
               "--check-ids", "--num-cpus", "4"])
     assert r.returncode != 0
     assert "duplicate page ids" in r.stderr
+
+
+def test_cli_loader_adds_url_md5_ids(ray_session, tmp_path, monkeypatch):
+    """The CLI's loader over files with no ``page_id`` lists them once,
+    reads each footer once, and adds the md5-of-url ids in the tasks
+    that read the pages: the clusters equal the oracle's over the same
+    pages with those ids."""
+    import hashlib
+
+    import pyarrow as pa
+
+    from nxsearch_ray.config import PipelineConfig
+    from nxsearch_ray.oracle import oracle_clusters
+    from nxsearch_ray.pipelines.dedup import clusters_as_table, run_dedup
+    from nxsearch_ray.run import _load_pages
+    from nxsearch_ray.sources import io
+
+    t = synth_pages(200, seed=9).drop_columns(["page_id"])
+    inp = tmp_path / "pages"
+    inp.mkdir()
+    per = -(-t.num_rows // 4)
+    for i in range(4):
+        pq.write_table(t.slice(i * per, per), inp / f"part-{i}.parquet")
+    calls = {"listings": 0, "footers": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(io, "_listed_files",
+                        counted("listings", io._listed_files))
+    monkeypatch.setattr(pq, "read_metadata",
+                        counted("footers", pq.read_metadata))
+    cfg = PipelineConfig()
+    pages = _load_pages(str(inp), cfg)
+    assert calls == {"listings": 1, "footers": 4}
+
+    ids = [int.from_bytes(hashlib.md5(u.encode()).digest()[:8], "big") >> 1
+           for u in t.column("url").to_pylist()]
+    want, _ = oracle_clusters(
+        t.append_column("page_id", pa.array(ids, pa.int64())), cfg)
+    got = clusters_as_table(run_dedup(pages, cfg))
+    assert got.num_rows > 0
+    assert dict(zip(got.column("page_id").to_pylist(),
+                    got.column("cluster_id").to_pylist())) == want

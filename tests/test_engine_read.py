@@ -1,7 +1,7 @@
 """The engine read (``sources.io.read_parquet_clean``) against Ray Data's
 ``read_parquet`` of the same arguments: the same files, the same rows
-and the same metadata-free schema, and the same ``files:`` input
-fingerprint the stock read's ``input_files()`` gave.  The one listing
+and the same metadata-free schema, and the ``files:`` input fingerprint
+of the stock read's ``input_files()`` with its columns.  The one listing
 rule the engine does not share: it skips ``.``- and ``_``-prefixed names
 under a directory with ``file_extensions`` too."""
 
@@ -14,6 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from ray import cloudpickle
 
 
 def _table(n, start=0):
@@ -61,13 +62,15 @@ def _hidden(path, root) -> bool:
     return any(c.startswith((".", "_")) for c in rel.split(os.sep))
 
 
-def _files_digest(files) -> str:
+def _files_digest(files, columns) -> str:
     """The ``files:`` fingerprint ``lineage.input_fingerprint`` gave a
-    stock read from its ``input_files()``."""
+    stock read from its ``input_files()``, the read's ``columns``
+    folded in."""
     h = hashlib.sha256()
     for path in sorted(files):
         st = os.stat(path)
         h.update(f"{path}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
+    h.update(cloudpickle.dumps((columns, ())))
     return "files:" + h.hexdigest()[:32]
 
 
@@ -105,8 +108,9 @@ CASES = [
 def test_engine_read_matches_ray_data(ray_session, tree, where, kw):
     """The files, rows and schema of the engine read equal Ray Data's
     read of the same arguments; its own Dataset API is that read; its
-    ``input_fingerprint`` is the stock read's ``files:`` digest; and a
-    read of fewer files than session CPUs reads the same rows."""
+    ``input_fingerprint`` is the stock read's ``files:`` digest with
+    its columns; and its parts are its files' row groups, whatever the
+    session's CPUs."""
     import ray
     import ray.data as rd
 
@@ -131,7 +135,8 @@ def test_engine_read_matches_ray_data(ray_session, tree, where, kw):
     assert isinstance(read, shuffle.Read) and read._dataset is None
 
     assert sorted(read.input_files()) == sorted(stock.input_files())
-    assert input_fingerprint(read) == _files_digest(stock.input_files())
+    assert input_fingerprint(read) == _files_digest(
+        stock.input_files(), stock.schema().names)
     assert read.schema() == stock.schema().base_schema.remove_metadata()
     assert read.schema().metadata is None
     want = pa.concat_tables(
@@ -139,33 +144,36 @@ def test_engine_read_matches_ray_data(ray_session, tree, where, kw):
          if t.num_rows] or [read.schema().empty_table()])
     assert read.count() == want.num_rows == stock.count()
     assert _rows(read).equals(want.sort_by("page_id"))
-    expect_parts = len(read.input_files()) >= shuffle.session_cpus()
-    assert all(shuffle.is_read_task(p) for p in shuffle.pending(read)) \
-        == expect_parts
+    parts = shuffle.pending(read)
+    assert all(isinstance(p, shuffle.ReadPart) for p in parts)
+    assert len(parts) == sum(pq.ParquetFile(f).num_row_groups
+                             for f in read.input_files())
     assert read._dataset is None          # the engine built no Dataset
     assert read.materialize().count() == want.num_rows
     assert read._dataset is not None
 
 
 def test_footer_bytes_are_the_selected_columns(tree):
-    """Each part's bytes are its file's uncompressed column chunks of
-    the selected columns, so pruning a column drops its bytes."""
+    """Each part's bytes are its row group's uncompressed column chunks
+    of the selected columns, so pruning a column drops its bytes."""
     from nxsearch_ray.sources.io import read_parquet_clean
 
     path = str(tree / "b-groups.parquet")
     md = pq.ParquetFile(path).metadata
 
     def chunks(names):
-        return sum(md.row_group(g).column(j).total_uncompressed_size
-                   for g in range(md.num_row_groups)
-                   for j in range(md.num_columns)
-                   if md.row_group(g).column(j).path_in_schema
-                   .split(".")[0] in names)
+        return [(md.row_group(g).num_rows,
+                 sum(md.row_group(g).column(j).total_uncompressed_size
+                     for j in range(md.num_columns)
+                     if md.row_group(g).column(j).path_in_schema
+                     .split(".")[0] in names))
+                for g in range(md.num_row_groups)]
 
     full = read_parquet_clean(path)
-    assert full.meta == [(40, chunks({"page_id", "html", "lang", "vec"}))]
+    assert full.meta == chunks({"page_id", "html", "lang", "vec"})
+    assert full.count() == 40 and len(full.meta) == 6
     cut = read_parquet_clean(path, columns=["page_id", "vec"])
-    assert cut.meta == [(40, chunks({"page_id", "vec"}))]
+    assert cut.meta == chunks({"page_id", "vec"})
     assert 0 < cut.size_bytes() < full.size_bytes()
 
 

@@ -254,14 +254,14 @@ def test_endpoint_map_over_a_bare_parquet_read(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from nxsearch_ray.sources.io import read_parquet_clean
-    from nxsearch_ray.stages.shuffle import blocks, is_read_task
+    from nxsearch_ray.stages.shuffle import ReadPart, blocks
 
     ids = [1, 2, 3, 5, 9, 11, 12, 14]
     for i in range(4):
         pq.write_table(_right(ids[2 * i:2 * i + 2]),
                        tmp_path / f"part-{i}.parquet")
     read = read_parquet_clean(str(tmp_path))
-    assert all(is_read_task(p) for p, _ in blocks(read))
+    assert all(isinstance(p, ReadPart) for p, _ in blocks(read))
     _check_delivery(PAIR_BLOCKS, [_right(ids)], right_ds=read)
     _check_pair_join(read)
 

@@ -603,6 +603,51 @@ def test_resume_rejects_changed_input(ray_session, corpus, corpus_dir,
     shutil.rmtree(out, ignore_errors=True)
 
 
+def test_resume_rejects_another_column_selection(ray_session, tmp_path):
+    """Two reads of the same files that select other columns are other
+    inputs: a run over ``(page_id, html)``, then one over ``(page_id,
+    html, lang)`` into the same ``out_dir``, resumes nothing and gives
+    a fresh run's clusters (every other page is ``fr``, which changes
+    how it canonicalizes); and so is a read mapped through another
+    function."""
+    import pyarrow.parquet as pq
+
+    from nxsearch_ray.sources.io import read_parquet_clean
+    from nxsearch_ray.state.lineage import input_fingerprint
+
+    t = synth_pages(150, seed=5)
+    t = t.set_column(t.schema.get_field_index("lang"), "lang", pa.array(
+        ["fr" if i % 2 else "en" for i in range(t.num_rows)]))
+    (tmp_path / "pages").mkdir()
+    per = -(-t.num_rows // 4)
+    for i in range(4):
+        pq.write_table(t.slice(i * per, per),
+                       tmp_path / "pages" / f"part-{i}.parquet")
+
+    def read(*columns):
+        return read_parquet_clean(str(tmp_path / "pages"),
+                                  columns=["page_id", "html", *columns])
+
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig()
+    run_dedup(read(), cfg, out_dir=out)
+    r = run_dedup(read("lang"), cfg, out_dir=out)
+    assert _resumed(r) == dict.fromkeys(STAGES, False)
+    assert _cluster_dict(r) == _cluster_dict(run_dedup(read("lang"), cfg))
+    assert len({input_fingerprint(read().map_batches(
+        fn, batch_format="pyarrow")) for fn in (_first_row, _no_row)}
+        | {input_fingerprint(read())}) == 3
+    shutil.rmtree(out, ignore_errors=True)
+
+
+def _first_row(t: pa.Table) -> pa.Table:
+    return t.slice(0, 1)
+
+
+def _no_row(t: pa.Table) -> pa.Table:
+    return t.slice(0, 0)
+
+
 def _in_memory_pages(seed: int):
     import ray.data as rd
 

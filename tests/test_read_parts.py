@@ -1,9 +1,10 @@
-"""An engine read's parts are its files (``sources.io.read_parquet_clean``,
-stages/shuffle.blocks): every consumer reads the files inside its own
-tasks and gives what it gives over the pinned read — the signature
-wave (whole files, at most ``batch_size`` rows per kernel call), the
-exchange and group-by, the broadcast builds and the anti-join — and no
-file part reaches ``from_arrow_refs``."""
+"""An engine read's parts are its files' row groups
+(``sources.io.read_parquet_clean``, stages/shuffle.blocks): every
+consumer reads the row groups inside its own tasks and gives what it
+gives over the pinned read — the signature wave (a row group cut only
+when there are fewer than tasks, at most ``batch_size`` rows per
+kernel call), the exchange and group-by, the broadcast builds and the
+anti-join — and no row-group part reaches ``from_arrow_refs``."""
 
 from __future__ import annotations
 
@@ -66,31 +67,42 @@ def _read(path, columns=("page_id", "html", "lang")):
 
 def _assert_read_tasks(ds):
     parts = shuffle.blocks(ds)
-    assert parts and all(shuffle.is_read_task(p) for p, _ in parts)
+    assert parts and all(isinstance(p, shuffle.ReadPart)
+                         for p, _ in parts)
+
+
+def _groups(rows, batch_size, cpus):
+    """The wave plan of row-group parts of ``rows``."""
+    return join._wave_plan(rows, batch_size, cpus, [True] * len(rows))
 
 
 def test_wave_plan_never_cuts_a_read_task():
-    plan = join._wave_plan
-    # as many tasks as over block refs, each a run of whole files
-    assert plan([149] * 8, 1024, 2, whole=True) == [
-        [(i, 0, None) for i in range(4)],
-        [(i, 0, None) for i in range(4, 8)]]
-    assert plan([644] * 8, 1024, 2, whole=True) == [
-        [(0, 0, None)], [(1, 0, None), (2, 0, None)], [(3, 0, None)],
-        [(4, 0, None)], [(5, 0, None), (6, 0, None)], [(7, 0, None)]]
-    assert plan([10] * 8, 25, 2, whole=True) == [
-        [(0, 0, None), (1, 0, None)], [(2, 0, None), (3, 0, None)],
-        [(4, 0, None), (5, 0, None)], [(6, 0, None), (7, 0, None)]]
-    # no fewer tasks than CPUs while there are files
-    assert plan([1, 1, 1, 97], 1024, 4, whole=True) == [
-        [(i, 0, None)] for i in range(4)]
-    assert len(plan([10] * 8, 1024, 4, whole=True)) == 4
-    # a file over batch_size is one task, an empty file none
-    assert plan([0, 3000, 0, 5], 1024, 2, whole=True) == [
-        [(1, 0, None)], [(3, 0, None)]]
-    assert plan([3, 2], None, 8, whole=True) == [
-        [(0, 0, None)], [(1, 0, None)]]
-    assert plan([0, 0], 16, 2, whole=True) == []
+    """While a read has at least as many row groups as the wave has
+    tasks, no row group is cut: each goes whole to the span its middle
+    row falls in.  perfbench's inputs (8 files of one row group) keep
+    their layout: 6 tasks on ``webmix``'s 644-row groups, 2 on
+    ``templated``'s 149-row ones; block refs of the same rows are cut
+    into equal spans."""
+    def whole(*tasks, n):
+        return [[(i, 0, n) for i in task] for task in tasks]
+
+    assert _groups([149] * 8, 1024, 2) == whole(range(4), range(4, 8),
+                                                n=149)
+    assert _groups([644] * 8, 1024, 2) == whole(
+        [0], [1, 2], [3], [4], [5, 6], [7], n=644)
+    assert [sum(k for _, _, k in task) for task in
+            join._wave_plan([644] * 8, 1024, 2)] == [858, 859, 859] * 2
+    assert _groups([10] * 8, 25, 2) == whole([0, 1], [2, 3], [4, 5],
+                                             [6, 7], n=10)
+    assert len(_groups([10] * 8, 1024, 4)) == 4
+    # a span left with no rows is dropped; a row group over batch_size
+    # is one task, an empty one none
+    assert _groups([1, 1, 1, 97], 1024, 4) == [
+        [(0, 0, 1), (1, 0, 1), (2, 0, 1)], [(3, 0, 97)]]
+    assert _groups([0, 3000, 0, 5, 7], 1024, 2) == [
+        [(1, 0, 3000)], [(3, 0, 5), (4, 0, 7)]]
+    assert _groups([3, 2], None, 8) == [[(0, 0, 3)], [(1, 0, 2)]]
+    assert _groups([0, 0], 16, 2) == []
 
 
 def test_read_fed_signatures_equal_pinned(ray_session, tmp_path, pages):
@@ -110,9 +122,9 @@ def test_read_fed_signatures_equal_pinned(ray_session, tmp_path, pages):
 
 
 def test_read_task_over_batch_size(ray_session, tmp_path, pages):
-    """Files of more rows than ``batch_size``: every kernel call stays
-    within it (a recording kernel counts each call's rows), and the
-    signatures equal the pinned read's."""
+    """Row groups of more rows than ``batch_size``: every kernel call
+    stays within it (a recording kernel counts each call's rows), and
+    the signatures equal the pinned read's."""
     import ray
 
     from nxsearch_ray.config import PipelineConfig
@@ -120,10 +132,9 @@ def test_read_task_over_batch_size(ray_session, tmp_path, pages):
 
     read = _read(_write(tmp_path, pages))
     parts = shuffle.blocks(read)
-    assert len(list(parts[0][0]())) > 1       # several blocks per file
-    rows = [m.num_rows for _, m in parts]
-    cfg = PipelineConfig(batch_size=5)
-    assert min(rows) > cfg.batch_size
+    assert len(parts) > N_FILES            # several row groups per file
+    cfg = PipelineConfig(batch_size=3)
+    assert max(m.num_rows for _, m in parts) > cfg.batch_size
 
     def record(_):
         return lambda t: pa.table({"n": [t.num_rows]})
@@ -178,10 +189,12 @@ def test_all_empty_read(ray_session, tmp_path, pages):
 
 
 def test_wave_task_reads_block_by_block(tmp_path, monkeypatch):
-    """A wave task over a file of several row groups maps contiguous
-    batches of ``batch_size`` rows, each handed on as soon as its rows
-    are read: no more than a batch and one row group are held at
-    once."""
+    """A wave task over several row groups maps contiguous batches of
+    ``batch_size`` rows, each handed on as soon as its rows are read:
+    no more than a batch and one row group are held at once.  A cut
+    row group's task reads it and keeps its range."""
+    from nxsearch_ray.sources.io import read_parquet_clean
+
     t = pa.table({"k": pa.array(np.arange(60), pa.int64())})
     pq.write_table(t, tmp_path / "t.parquet", row_group_size=10)
     pulled = []
@@ -192,32 +205,42 @@ def test_wave_task_reads_block_by_block(tmp_path, monkeypatch):
         return read_row_group(self, i, *args, **kwargs)
 
     monkeypatch.setattr(pq.ParquetFile, "read_row_group", recording)
-    task = shuffle.ReadPart(str(tmp_path / "t.parquet"))
+    groups = shuffle.pending(read_parquet_clean(str(tmp_path)))
+    assert len(groups) == 6
+    assert all(isinstance(g, shuffle.ReadPart) for g in groups)
     seen = [(b.num_rows, len(pulled), b.column("k").num_chunks,
              b.column("k").to_pylist())
-            for b in join._batches([task], [(0, None)], 25)]
+            for b in join._batches(groups, [(0, 10)] * 6, 25)]
     assert [s[:3] for s in seen] == [(25, 3, 1), (25, 5, 1), (10, 6, 1)]
     assert [v for s in seen for v in s[3]] == list(range(60))
+    (cut,) = join._batches(groups[2:3], [(3, 4)], None)
+    assert cut.column("k").to_pylist() == [23, 24, 25, 26]
+    task = shuffle.ReadPart(str(tmp_path / "t.parquet"))     # whole file
     # block-ref ranges, and no batch_size: one batch
-    pulled.clear()
     assert [b.num_rows for b in join._batches(
         [t, task], [(5, 20), (0, None)], None)] == [80]
     assert [b.num_rows for b in join._batches([t], [(0, 25)], 25)] == [25]
 
 
 def test_fewer_read_tasks_than_cpus(ray_session, tmp_path, pages):
-    """One file in a 4-CPU session: ``blocks`` reads it into the object
-    store as a block per CPU, one plain task (a wave over the one file
-    would leave three CPUs idle), so the wave cuts its rows into one
-    task per CPU; the signatures equal the pinned read's."""
+    """One file of one row group in a 4-CPU session: the part is still
+    the row group (nothing is read before the wave), and the wave cuts
+    it into one task per CPU, each reading it and keeping its range;
+    the signatures equal the pinned read's.  With fewer row groups
+    than tasks the plan cuts them as it cuts block refs."""
     import ray
 
     from nxsearch_ray.config import PipelineConfig
     from nxsearch_ray.stages.signatures import canonsig_stage
 
-    read = _read(_write(tmp_path, pages, n_files=1))
+    assert _groups([100], 1024, 2) == [[(0, 0, 50)], [(0, 50, 50)]]
+    assert _groups([0, 3000, 0, 5], 1024, 2) == [
+        [(1, 0, 1001)], [(1, 1001, 1002)], [(1, 2003, 997), (3, 0, 5)]]
+    (tmp_path / "one").mkdir()
+    pq.write_table(pages, tmp_path / "one" / "pages.parquet")
+    read = _read(str(tmp_path / "one"))
     parts = shuffle.blocks(read)
-    assert not any(shuffle.is_read_task(p) for p, _ in parts)
+    assert len(parts) == 1 and isinstance(parts[0][0], shuffle.ReadPart)
 
     def record(_):
         return lambda t: pa.table({"n": [t.num_rows]})
@@ -247,7 +270,7 @@ def test_read_without_row_counts(ray_session, tmp_path, pages):
                            columns=["page_id", "html", "lang"],
                            filter=pds.field("page_id") < cut)
     parts = shuffle.blocks(read)
-    assert not any(shuffle.is_read_task(p) for p, _ in parts)
+    assert not any(isinstance(p, shuffle.ReadPart) for p, _ in parts)
     cfg = PipelineConfig()
     got = _sorted(canonsig_stage(read, cfg))
     assert got.num_rows == sum(p < cut for p in ids) > 0
@@ -303,7 +326,7 @@ def test_other_consumers_over_a_bare_read(ray_session, tmp_path):
 
 
 def test_no_read_task_reaches_from_arrow_refs(ray_session, tmp_path):
-    """A file part is no object ref: ``shuffle.refs`` refuses a read,
+    """A row-group part is no object ref: ``shuffle.refs`` refuses a read,
     and no call in the engine that builds a handle of block refs
     (``from_arrow_refs``, ``Blocks.submit``, ``Blocks``) takes
     ``blocks`` parts (the dedup union and the CC tree-reduce list

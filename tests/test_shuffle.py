@@ -345,22 +345,24 @@ def _count_dataset_work(monkeypatch) -> dict:
 
 
 def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
-                                             monkeypatch):
+                                             monkeypatch, sf_dir):
     """No step of ``run_dedup`` over an engine Parquet read runs on Ray
     Data's executor, builds a Ray Dataset or starts a block metadata
     task, on the auto plans and on the scale-path plans, the read
     itself included: ``read_parquet_clean`` lists the files from their
     footers, the signature wave's tasks read the files themselves
-    (``shuffle.blocks`` lists them as ``ReadPart`` parts), and every
-    later step is a plain task wave over block refs that hands on a
-    ``shuffle.Blocks`` handle, its metadata returned by the tasks that
-    made the blocks.  With ``out_dir`` neither does a checkpoint write,
-    a wave of plain tasks over the pinned blocks.  Nor does an
+    (``shuffle.blocks`` lists their row groups as ``ReadPart`` parts),
+    and every later step is a plain task wave over block refs that
+    hands on a ``shuffle.Blocks`` handle, its metadata returned by the
+    tasks that made the blocks.  With ``out_dir`` neither does a
+    checkpoint write, a wave of plain tasks over the pinned blocks.  Nor does an
     incremental ingest into a prior run's ``out_dir`` (its prior
     signatures are read by plain tasks, not unioned on the executor)
     or a removal from it.  Nor does a read of fewer files than session
-    CPUs (one file of one row group, one file of eight), whose files
-    plain tasks read into the object store."""
+    CPUs (one file of one row group, one file of eight), nor a mapped
+    read: ``pages_dataset``'s pages, derived in the wave's tasks, and
+    the CLI's pages of files with no ``page_id`` (``run._load_pages``),
+    whose ids those tasks add."""
     import pyarrow.parquet as pq
 
     from nxsearch_ray.config import PipelineConfig
@@ -423,6 +425,26 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
         res = run_dedup(read(one), PipelineConfig())
         assert res.clusters.count() > 0
         assert n == nothing, groups
+
+    from nxsearch_ray.run import _load_pages
+    from nxsearch_ray.sources.pages import pages_dataset, pages_table
+
+    no_ids = tmp_path / "no_ids"
+    no_ids.mkdir()
+    for i in range(4):
+        pq.write_table(corpus.slice(i * per, per).drop_columns(["page_id"]),
+                       no_ids / f"part-{i}.parquet")
+    for name, load in (("pages_dataset", lambda: pages_dataset(sf_dir)),
+                       ("_load_pages", lambda: _load_pages(
+                           str(no_ids), PipelineConfig()))):
+        n.update(nothing)
+        res = run_dedup(load(), PipelineConfig())
+        assert res.clusters.count() > 0
+        assert n == nothing, name
+    # a mapped read's count is its mapped rows, not its footers'
+    derived = pages_dataset(sf_dir)
+    assert derived.count() == pages_table(sf_dir).num_rows \
+        > sum(m.num_rows for m in derived.meta)
 
 
 def test_no_dataset_execution_in_a_resume_or_run_corpus(ray_session,

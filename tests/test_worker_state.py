@@ -234,7 +234,7 @@ def test_wave_plan_balances_rows():
     assert join._wave_plan([149] * 8, 1024, 2) == [
         [(i, 0, 149) for i in range(4)], [(i, 0, 149) for i in range(4, 8)]]
     assert join._wave_plan([0, 5, 0, 5], 1024, 4) == [
-        [(1, 0, 5)], [(3, 0, 5)]]
+        [(1, 0, 2)], [(1, 2, 3)], [(3, 0, 2)], [(3, 2, 3)]]
     assert join._wave_plan([10], 4, 2) == [
         [(0, 0, 3)], [(0, 3, 3)], [(0, 6, 4)]]
     assert join._wave_plan([3, 0, 2], None, 8) == [[(0, 0, 3)], [(2, 0, 2)]]
