@@ -34,8 +34,8 @@ Every wave returns a handle, not a Ray Dataset.  Over an engine
 read (``shuffle.Read``) the parts are its row groups
 (``shuffle.blocks``): each wave or build task reads, slices and maps
 its row groups itself, and a wave cuts a row group only when the read
-has fewer of them than the wave has tasks.  Every membership probe of
-a sorted key array goes through ``sorted_lookup``.
+has fewer of them than the session has CPUs.  Every membership probe
+of a sorted key array goes through ``sorted_lookup``.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def id_set_ref(ds, cols: list[str]):
     — the one builder of a broadcast key set (a semi/anti join's, 8 B
     per id, or any set a ``sorted_lookup`` probes).  It is built in ONE
     remote task from the dataset's parts (``shuffle.pending``: block
-    refs, or an engine read's files, read in that task), not in the
+    refs, or an engine read's row groups, read in that task), not in the
     calling process."""
     return _ids.remote(list(cols), *pending(ds))
 
@@ -143,8 +143,8 @@ def index_ref(ds, schema: pa.Schema, from_table):
     ``schema`` columns of ``ds``, built in ONE remote task: the calling
     process never holds the index, it only hands the ref to the lookup
     tasks (which read it zero-copy from the object store).  The task
-    takes the dataset's parts (``shuffle.pending``: block refs, or a
-    engine read's files, read there) and selects the columns itself.
+    takes the dataset's parts (``shuffle.pending``: block refs, or an
+    engine read's row groups, read there) and selects the columns itself.
     Empty input builds the index of ``schema.empty_table()``.
     ``from_table`` is a module-level function (or a partial of one), so
     it ships by reference."""
@@ -191,18 +191,23 @@ def _wave_plan(rows: list[int], batch_size: int | None, cpus: int,
     row group (``groups[i]``), which each task that takes rows of it
     reads whole.  So a span end inside a row group moves to its nearer
     edge (the row group goes whole to the span its middle row falls
-    in; a span left empty is dropped), unless the parts hold fewer row
-    groups than spans.  A task may then hold more than ``batch_size``
-    rows; ``_wave_task`` maps them in batches.  Without ``batch_size``
-    every non-empty part is one task."""
+    in; a span left empty is dropped).  A read of fewer row groups
+    than ``cpus`` is cut only to fill them: into ``cpus`` equal spans,
+    so a row group is read by at most ⌈``cpus`` / row groups⌉ + 1
+    tasks, never once per ``batch_size`` rows.  A task may then hold
+    more than ``batch_size`` rows; ``_wave_task`` maps them in
+    batches.  Without ``batch_size`` every non-empty part is one
+    task."""
     full = [i for i, n in enumerate(rows) if n]
     if batch_size is None or not full:
         return [[(i, 0, rows[i])] for i in full]
     groups = groups or [False] * len(rows)
     total = sum(rows)
-    n_tasks = min(total, max(cpus, -(-total // batch_size)))
+    snap = sum(1 if groups[i] else rows[i] for i in full) >= cpus
+    n_tasks = min(total, max(cpus, -(-total // batch_size)) if snap
+                  else cpus)
     bounds = [total * t // n_tasks for t in range(n_tasks + 1)]
-    if sum(1 if groups[i] else rows[i] for i in full) >= n_tasks:
+    if snap:
         starts = np.cumsum([0, *rows])
         for t in range(1, n_tasks):
             i = int(np.searchsorted(starts, bounds[t], side="right")) - 1
@@ -290,7 +295,7 @@ def broadcast_map(ds, ref, build, *, batch_size: int | None = None,
     waiting on their metadata, an engine read's row groups with their
     footers' counts — no Ray Data execution for either) and cuts them
     into tasks (``_wave_plan``: at least one per CPU, a row group cut
-    only when there are fewer than tasks).  No kernel call sees more
+    only when there are fewer than CPUs).  No kernel call sees more
     than ``batch_size`` rows.  A zero-row input returns one empty block
     of ``schema``, the kernel's declared output (zero-column when none
     is given), without

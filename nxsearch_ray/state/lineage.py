@@ -35,7 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pathlib
 import shutil
+import sys
 import time
 import weakref
 
@@ -113,9 +115,11 @@ def input_fingerprint(ds) -> str:
     dataset).  A fingerprinted ``stage``'s output: its lineage, whether
     it ran or resumed.  An engine read (``sources.io.read_parquet_clean``):
     its sorted files with their sizes and mtimes, its columns and its
-    maps' pickles (a module-level function by name).  Anything else
-    (in-memory, derived, ``limit``-ed, Ray Data's own read, ...): its
-    row count plus ``rows_hash`` of its rows."""
+    maps' pickles (a module-level function by name) and their modules'
+    sources, so an edit to a map or a helper in its module (an id
+    scheme) changes it; code a map imports from other modules does
+    not.  Anything else (in-memory, derived, ``limit``-ed, Ray Data's
+    own read, ...): its row count plus ``rows_hash`` of its rows."""
     if ds in _LINEAGE:
         return _LINEAGE[ds]
     if isinstance(ds, Read):
@@ -124,6 +128,10 @@ def input_fingerprint(ds) -> str:
             st = os.stat(path)
             h.update(f"{path}\t{st.st_size}\t{st.st_mtime_ns}\n".encode())
         h.update(cloudpickle.dumps((ds.read_schema.names, ds.maps)))
+        for fn in (getattr(f, "func", f) for f in ds.maps):
+            src = getattr(sys.modules.get(fn.__module__), "__file__", "")
+            if os.path.isfile(src or ""):
+                h.update(pathlib.Path(src).read_bytes())
         return "files:" + h.hexdigest()[:32]
 
     def part(t: pa.Table) -> pa.Table:

@@ -648,6 +648,44 @@ def _no_row(t: pa.Table) -> pa.Table:
     return t.slice(0, 0)
 
 
+def test_fingerprint_follows_a_map_code(tmp_path, monkeypatch):
+    """A read mapped through a module-level function pickles it by
+    name, so its fingerprint also folds in the function's code and
+    its module's source: an edit to either (an id scheme) changes it,
+    and an unchanged module gives it again."""
+    import importlib
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from nxsearch_ray.sources.io import read_parquet_clean
+    from nxsearch_ray.state.lineage import input_fingerprint
+
+    pq.write_table(pa.table({"k": [1, 2, 3]}), tmp_path / "t.parquet")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    src = tmp_path / "page_ids.py"
+
+    def fingerprint(body: str, helper: str = "") -> str:
+        src.write_text(f"def ids(t):\n    return {body}\n{helper}")
+        importlib.invalidate_caches()
+        mod = importlib.reload(sys.modules["page_ids"]) if (
+            "page_ids" in sys.modules) else importlib.import_module(
+                "page_ids")
+        return input_fingerprint(read_parquet_clean(
+            str(tmp_path / "t.parquet")).map_batches(
+                mod.ids, batch_format="pyarrow"))
+
+    try:
+        first = fingerprint("t.slice(0, 1)")
+        assert fingerprint("t.slice(0, 1)") == first
+        edits = {fingerprint("t.slice(0, 2)"),
+                 fingerprint("t.slice(0, 1)", "\ndef helper():\n    pass\n")}
+        assert first not in edits and len(edits) == 2
+    finally:
+        sys.modules.pop("page_ids", None)
+
+
 def _in_memory_pages(seed: int):
     import ray.data as rd
 

@@ -2,7 +2,7 @@
 (``sources.io.read_parquet_clean``, stages/shuffle.blocks): every
 consumer reads the row groups inside its own tasks and gives what it
 gives over the pinned read — the signature wave (a row group cut only
-when there are fewer than tasks, at most ``batch_size`` rows per
+when there are fewer than CPUs, at most ``batch_size`` rows per
 kernel call), the exchange and group-by, the broadcast builds and the
 anti-join — and no row-group part reaches ``from_arrow_refs``."""
 
@@ -101,6 +101,10 @@ def test_wave_plan_never_cuts_a_read_task():
         [(0, 0, 1), (1, 0, 1), (2, 0, 1)], [(3, 0, 97)]]
     assert _groups([0, 3000, 0, 5, 7], 1024, 2) == [
         [(1, 0, 3000)], [(3, 0, 5), (4, 0, 7)]]
+    # row groups of several batches each, at least one per CPU: each
+    # is one task, however many batches it holds
+    assert _groups([5000] * 8, 1024, 2) == whole(*[[i] for i in range(8)],
+                                                 n=5000)
     assert _groups([3, 2], None, 8) == [[(0, 0, 3)], [(1, 0, 2)]]
     assert _groups([0, 0], 16, 2) == []
 
@@ -234,8 +238,9 @@ def test_fewer_read_tasks_than_cpus(ray_session, tmp_path, pages):
     from nxsearch_ray.stages.signatures import canonsig_stage
 
     assert _groups([100], 1024, 2) == [[(0, 0, 50)], [(0, 50, 50)]]
-    assert _groups([0, 3000, 0, 5], 1024, 2) == [
-        [(1, 0, 1001)], [(1, 1001, 1002)], [(1, 2003, 997), (3, 0, 5)]]
+    assert _groups([3000, 5], 1024, 4) == [
+        [(0, 0, 751)], [(0, 751, 751)], [(0, 1502, 751)],
+        [(0, 2253, 747), (1, 0, 5)]]
     (tmp_path / "one").mkdir()
     pq.write_table(pages, tmp_path / "one" / "pages.parquet")
     read = _read(str(tmp_path / "one"))
@@ -252,6 +257,54 @@ def test_fewer_read_tasks_than_cpus(ray_session, tmp_path, pages):
     cfg = PipelineConfig()
     assert _sorted(canonsig_stage(read, cfg)).equals(
         _sorted(canonsig_stage(read.materialize(), cfg)))
+
+
+def test_row_groups_over_batch_size_are_read_once(ray_session, tmp_path):
+    """Row groups of several batches each: while the read has a row
+    group per CPU each is read by one task, and below that by at most
+    ⌈CPUs / row groups⌉ + 1 (one file of one row group: once per CPU)
+    — never once per ``batch_size`` rows.  A map that tags the rows of
+    each read with a token of its own counts every row group's reads;
+    no kernel call sees more than ``batch_size`` rows."""
+    import os
+
+    import ray
+
+    cpus, n, per = shuffle.session_cpus(), 40, 8
+
+    def tag(t):         # one token per read of a row group
+        return t.append_column("read", pa.array(
+            [os.urandom(8).hex()] * t.num_rows, pa.string()))
+
+    def record(_):
+        return lambda t: t.append_column(
+            "n", pa.array([t.num_rows] * t.num_rows, pa.int64()))
+
+    for n_files in (cpus + 2, cpus, cpus - 1, 1):
+        d = tmp_path / f"files-{n_files}"
+        d.mkdir()
+        for i in range(n_files):
+            pq.write_table(pa.table({"k": pa.array(
+                np.arange(i * n, (i + 1) * n), pa.int64())}),
+                d / f"part-{i}.parquet")
+        read = _read(str(d), None).map_batches(tag,
+                                               batch_format="pyarrow")
+        assert [m.num_rows for _, m in shuffle.blocks(read)] == [n] * n_files
+        out = pa.concat_tables(ray.get(join.broadcast_map(
+            read, ray.put(0), record, batch_size=per).to_arrow_refs()))
+        assert sorted(out.column("k").to_pylist()) == list(
+            range(n_files * n))
+        assert max(out.column("n").to_pylist()) <= per
+        reads = Counter(g for g, _ in {
+            (k // n, r) for k, r in zip(out.column("k").to_pylist(),
+                                        out.column("read").to_pylist())})
+        assert sorted(reads) == list(range(n_files))
+        if n_files >= cpus:
+            assert set(reads.values()) == {1}, reads
+        elif n_files == 1:
+            assert reads == {0: cpus}
+        else:
+            assert max(reads.values()) <= -(-cpus // n_files) + 1, reads
 
 
 def test_read_without_row_counts(ray_session, tmp_path, pages):
