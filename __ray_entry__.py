@@ -5,8 +5,8 @@ nothing here (or in the library) may call ``ray.init``/``ray.shutdown``.
 
 ``queries()`` exposes one entry per implemented operator/pipeline from
 SURVEY.md §2 plus the training-data operators (dedup variants, the
-composed corpus job, semantic dedup, text stats).  Where the semantics
-are expressible in ANSI SQL, ``oracle_sql()`` carries the
+composed corpus job, semantic dedup, the cleaning passes).  Where the
+semantics are expressible in ANSI SQL, ``oracle_sql()`` carries the
 DuckDB-equivalent query over the same parquet tables; the `pages`
 table (north-rule input shape) is derived from `documents` by a
 deterministic, SQL-reproducible CTE (see nxsearch_ray/sources/pages.py)
@@ -59,18 +59,21 @@ pages AS (
 """
 
 _CFG = PipelineConfig()
-# the graded dedup runs besides ``auto`` (see _dedup)
-_DEDUP_VARIANTS = ("scale", "incremental", "removed", "onefile",
-                   "resumed", "readded")
 # the hot-bucket variants: each runs its base variant at _HOT_CFG
 _HOT_VARIANTS = {"hotingest": "incremental", "hotremoved": "removed"}
 _HOT_CFG = _CFG.with_(hot_bucket_cap=3)
-# the invariants graded over each dedup variant; a hot variant's chain
-# may drop a planted pair's direct edge while the pair stays in one
-# cluster, so it is graded on equality with a full recompute instead
+# the invariants graded over each dedup run (see _dedup); a hot
+# variant's chain may drop a planted pair's direct edge while the pair
+# stays in one cluster, so it is graded on equality with a full
+# recompute instead; the CLI run is graded both ways
 _INVARIANTS = ("dedup_pairs", "dedup_exact_verify", "cluster_sizes")
 _HOT_INVARIANTS = ("dedup_exact_verify", "cluster_sizes",
                    "cluster_matches_full")
+_GRADED = {
+    **dict.fromkeys(("auto", "scale", "incremental", "removed", "onefile",
+                     "resumed", "readded"), _INVARIANTS),
+    **dict.fromkeys(_HOT_VARIANTS, _HOT_INVARIANTS),
+    "cli": (*_INVARIANTS, "cluster_matches_full")}
 # (sf_dir, variant) -> (DedupResult, its TemporaryDirectory or None)
 _DEDUP_CACHE: dict[tuple[str, str], tuple] = {}
 
@@ -109,6 +112,10 @@ def _dedup(sf_dir: str, variant: str = "auto"):
         Parquet file of at least 8 row groups: the read's parts are
         row groups, so the waves plan it as they plan 8 files
         (``join._wave_plan``);
+      * ``cli`` — the same file in the paper's schema (no ``page_id``,
+        no ``variant``), loaded as the CLI loads it
+        (``run._load_pages``, which adds ``run.add_page_id``'s md5 url
+        ids in the read's tasks), then ``run_dedup``;
       * ``resumed`` — a full run, then a rerun into the same
         ``out_dir`` after deleting the ``verified_pairs`` and
         ``clusters`` manifests, as if the run had died after
@@ -143,15 +150,19 @@ def _dedup(sf_dir: str, variant: str = "auto"):
                             cc_mode="labelprop")
         else:
             tmp = tempfile.TemporaryDirectory(prefix=f"dedup_{variant}_")
-            if kind == "onefile":
+            if kind in ("onefile", "cli"):
                 import pyarrow.parquet as pq
 
+                from nxsearch_ray.run import _load_pages
                 from nxsearch_ray.sources.pages import pages_table
 
                 t = pages_table(sf_dir)
+                if kind == "cli":
+                    t = t.drop_columns(["page_id", "variant"])
                 pq.write_table(t, os.path.join(tmp.name, "pages.parquet"),
                                row_group_size=max(1, t.num_rows // 8))
-                res = run_dedup(_read_parquet(tmp.name), cfg)
+                res = run_dedup(_load_pages(tmp.name) if kind == "cli"
+                                else _read_parquet(tmp.name), cfg)
             elif kind == "incremental":
                 run_dedup(_where(pages, lambda p: p % 2 == 0), cfg,
                           out_dir=tmp.name)
@@ -184,11 +195,39 @@ def _cfg(variant: str) -> PipelineConfig:
 
 
 def _graded_pages(sf_dir: str, variant: str, include_html: bool = False):
-    """The pages a dedup variant's result covers."""
+    """The pages a dedup variant's result covers, each with the id that
+    variant's run gives it (``page_id``) and its planted original's id
+    (``orig_id``; an original's is its own), so a planted group is the
+    pages that share ``orig_id``.  The one place that knows a variant's
+    id scheme: the CLI run's ids are ``run.add_page_id``'s md5 of the
+    url, and the original's url is the page's without its ``/copy`` or
+    ``/tail`` suffix; every other run keeps the sf ids ``doc_id·4+k``."""
     pages = _pages(sf_dir, include_html=include_html)
-    if _HOT_VARIANTS.get(variant, variant) == "removed":
+    kind = _HOT_VARIANTS.get(variant, variant)
+    if kind == "removed":
         pages = _where(pages, lambda p: ~_removed(p))
-    return pages
+    return pages.map_batches(_url_ids if kind == "cli" else _sf_ids,
+                             batch_format="pyarrow")
+
+
+def _sf_ids(t: pa.Table) -> pa.Table:
+    """``t`` with ``orig_id``: the planted original of ``doc_id·4+k``
+    is ``doc_id·4``."""
+    pid = t.column("page_id").to_numpy()
+    return t.append_column("orig_id", pa.array(pid - pid % 4))
+
+
+def _url_ids(t: pa.Table) -> pa.Table:
+    """``t`` with the CLI's url ids as ``page_id`` and its original's
+    url id as ``orig_id``."""
+    import pyarrow.compute as pc
+
+    from nxsearch_ray.run import add_page_id
+
+    orig = pc.replace_substring_regex(t.column("url"), "/(copy|tail)$", "")
+    orig_id = add_page_id(pa.table({"url": orig})).column("page_id")
+    return add_page_id(t.drop_columns(["page_id"])) \
+        .append_column("orig_id", orig_id)
 
 
 # ------------------------------------------------------------------
@@ -260,25 +299,6 @@ def _content_groups(keyed, n_col: str, sum_cols: tuple = ()):
                for c in sum_cols], schema=schema)
 
     return grouped(keyed, ["h1", "h2"], fn, schema)
-
-
-def q_doc_stats(sf_dir: str):
-    from nxsearch_ray.stages.textstats import doc_stats
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return ds.map_batches(doc_stats, batch_format="pyarrow") \
-        .drop_columns(["text"])
-
-
-def q_repetition_stats(sf_dir: str):
-    """Gopher-style repetition fractions per document
-    (stages/textstats.py repetition_stats; SQL twin alongside)."""
-    from nxsearch_ray.stages.textstats import repetition_stats
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return ds.map_batches(repetition_stats, batch_format="pyarrow")
 
 
 _BLOCKLIST = ("src1.example.org", "src4.example.org",
@@ -373,15 +393,6 @@ def q_lang_counts(sf_dir: str):
          np.diff(starts, append=t.num_rows)], schema=schema), schema)
 
 
-def q_fingerprint(sf_dir: str):
-    from nxsearch_ray.stages.textstats import fingerprint
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return ds.map_batches(fingerprint, batch_format="pyarrow") \
-        .select_columns(["doc_id", "md5"])
-
-
 # sandbox embeddings are near-random (max pairwise cos ≈ 0.51 at
 # sf0.01): the dup threshold is set low so the parity check is non-empty
 _EMB_DUP_THR = 0.45
@@ -401,62 +412,75 @@ def q_dedup_pairs(sf_dir: str, variant: str = "auto"):
     (doc_id%7==0, byte-identical — the exact pass must pair it with
     its original) and a ``tail`` variant (doc_id%11==0, first 5 words
     dropped — the containment/suffix path must pair it).  One row per
-    planted pair with ``found``; the SQL twin enumerates the same
-    pairs with TRUE, so any recall regression breaks the value hash.
+    planted pair ``(page_a, page_b)``, the original's id and the
+    page's (``_graded_pages``), with ``found``; the SQL twin enumerates
+    the same pairs with TRUE, so any recall regression breaks the
+    value hash.
 
-    Plan: pair keys are packed per block and sorted in ONE remote task
-    (``join.id_set_ref``; verified pairs are a small fraction of the
-    corpus) and broadcast; planted pairs stream out of pages in
-    ``map_batches`` with a vectorized ``join.sorted_lookup`` probe.
-    At 10^12 docs (page ids past 2^31) the broadcast probe becomes a
-    bucketed hash join on (a, b) — the verify_pairs_bucketed shape."""
+    Plan: the verified pairs are sorted into one structured ``(a, b)``
+    array in ONE remote task (``join.index_ref``; verified pairs are a
+    small fraction of the corpus) and broadcast; planted pairs stream
+    out of the pages in ``map_batches`` with a vectorized
+    ``_pairs_found`` probe."""
+    import pyarrow.compute as pc
     import ray
 
-    from nxsearch_ray.stages.join import id_set_ref, sorted_lookup
+    from nxsearch_ray.stages.join import PAIR_SCHEMA, index_ref
 
-    def pack(t: pa.Table) -> pa.Table:
-        return pa.table({"k": t.column("a").to_numpy()
-                         * (np.int64(1) << 32) + t.column("b").to_numpy()})
-
-    bcast = id_set_ref(_dedup(sf_dir, variant).verified_pairs
-                       .map_batches(pack, batch_format="pyarrow"), ["k"])
+    keys = index_ref(_dedup(sf_dir, variant).verified_pairs, PAIR_SCHEMA,
+                     _pair_keys)
     out_schema = pa.schema([("page_a", pa.int64()),
                             ("page_b", pa.int64()),
                             ("variant", pa.string()),
                             ("found", pa.bool_())])
 
     def probe(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        m = pc.is_in(t.column("variant"),
-                     value_set=pa.array(["copy", "tail"]))
-        t = t.filter(m)
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        keys = ray.get(bcast)
+        t = t.filter(pc.is_in(t.column("variant"),
+                              value_set=pa.array(["copy", "tail"])))
+        a = t.column("orig_id").to_numpy()
         b = t.column("page_id").to_numpy()
-        a = b - (b & 3)
-        # a < b always: a = b&~3
-        _, found = sorted_lookup(keys, a * (np.int64(1) << 32) + b)
-        return pa.table({
-            "page_a": pa.array(a, type=pa.int64()),
-            "page_b": pa.array(b, type=pa.int64()),
-            "variant": t.column("variant"),
-            "found": pa.array(found)})
+        return pa.table([a, b, t.column("variant"),
+                         _pairs_found(ray.get(keys), a, b)],
+                        schema=out_schema)
 
     return _graded_pages(sf_dir, variant) \
-        .select_columns(["page_id", "variant"]) \
+        .select_columns(["page_id", "orig_id", "variant"]) \
         .map_batches(probe, batch_format="pyarrow")
 
 
-def _group_check(sf_dir: str, variant: str,
-                 add_keys: Callable[[pa.Table], pa.Table],
-                 keys: list[str], flag: str):
-    """One group check of a dedup run's clusters: pages grouped by
-    ``keys`` (``add_keys`` maps a page block to ``page_id`` plus the
-    key columns), one row per group of >= 2 pages with its min page
-    id, its size, the number of clusters it spans (a page missing
-    from the clusters counts as its own) and one per-group ``flag``:
+_PAIR_DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
+
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unordered pairs ``{a, b}`` as a structured ``(min, max)``
+    array: whole ids, so no pair aliases another, at any id width."""
+    out = np.empty(len(a), _PAIR_DTYPE)
+    out["a"], out["b"] = np.minimum(a, b), np.maximum(a, b)
+    return out
+
+
+def _pair_keys(t: pa.Table) -> np.ndarray:
+    """``t``'s ``(a, b)`` pairs, sorted: the probe set of
+    ``_pairs_found``."""
+    return np.sort(_pairs(t.column("a").to_numpy(),
+                          t.column("b").to_numpy()))
+
+
+def _pairs_found(keys: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """Whether each pair ``{a[i], b[i]}`` is one of ``keys``."""
+    from nxsearch_ray.stages.join import sorted_lookup
+
+    return sorted_lookup(keys, _pairs(a, b))[1]
+
+
+def _group_check(sf_dir: str, variant: str, keyed, keys: list[str],
+                 flag: str):
+    """One group check of a dedup run's clusters: the graded pages
+    ``keyed`` (``page_id`` plus the key columns) grouped by ``keys``,
+    one row per group of >= 2 pages with its min page id, its size,
+    the number of clusters it spans (a page missing from the clusters
+    counts as its own) and one per-group ``flag``:
       * ``cluster_size_ok`` — the group's smallest cluster holds at
         least as many pages as the group;
       * ``cluster_is_component_min`` — every member's cluster id is
@@ -522,8 +546,6 @@ def _group_check(sf_dir: str, variant: str,
             np.add.reduceat(runs.astype(np.int64), starts)[dup],
             ok[dup]], schema=out_schema)
 
-    keyed = _graded_pages(sf_dir, variant) \
-        .map_batches(add_keys, batch_format="pyarrow")
     return grouped(keyed, keys, check, out_schema)
 
 
@@ -531,18 +553,16 @@ def q_cluster_sizes(sf_dir: str, variant: str = "auto"):
     """Planted-group cluster-size invariant (the successor of the
     rows-only top-20 listing, which any user gets from one
     ``value_counts`` over ``dedup_clusters``): every planted variant
-    group {orig, copy?, tail?} — pages sharing ``page_id // 4``, the
-    SQL-derivable duplicate groups INCLUDING near-dup tails, stronger
-    than ``dedup_exact_verify``'s exact-only groups — must sit in ONE
-    cluster (``n_clusters`` = 1) whose total size is at least the
-    group size (``cluster_size_ok``: the cluster may legitimately be
-    bigger via genuine cross-doc near-dups, never smaller)."""
-    def add_grp(t: pa.Table) -> pa.Table:
-        pid = t.column("page_id").to_numpy()
-        return pa.table({"page_id": t.column("page_id"),
-                         "grp": pa.array(pid >> 2, type=pa.int64())})
-
-    return _group_check(sf_dir, variant, add_grp, ["grp"],
+    group {orig, copy?, tail?} — pages sharing ``orig_id``
+    (``_graded_pages``), the SQL-derivable duplicate groups INCLUDING
+    near-dup tails, stronger than ``dedup_exact_verify``'s exact-only
+    groups — must sit in ONE cluster (``n_clusters`` = 1) whose total
+    size is at least the group size (``cluster_size_ok``: the cluster
+    may legitimately be bigger via genuine cross-doc near-dups, never
+    smaller)."""
+    keyed = _graded_pages(sf_dir, variant) \
+        .select_columns(["page_id", "orig_id"])
+    return _group_check(sf_dir, variant, keyed, ["orig_id"],
                         "cluster_size_ok")
 
 
@@ -554,22 +574,13 @@ def q_dedup_exact_verify(sf_dir: str, variant: str = "auto"):
     (``n_clusters`` = 1), and the pipeline's cluster ids are
     component-minimum page ids (``cluster_is_component_min``).  A
     clustering regression breaks the value hash.  Groups are keyed by
-    the vectorized 128-bit content hash (content_hash128) and
-    identified in the output by their min page id, so the SQL twin
-    groups by ``text`` itself — no hash parity needed and no per-row
-    Python anywhere."""
-    from nxsearch_ray.functions.hashing import (content_hash128,
-                                                string_buffers)
-
-    def add_key(t: pa.Table) -> pa.Table:
-        offs, data = string_buffers(t.column("text"))
-        h1, h2 = content_hash128(offs, data)
-        return pa.table({
-            "page_id": t.column("page_id"),
-            "h1": pa.array(h1, type=pa.int64()),
-            "h2": pa.array(h2, type=pa.int64())})
-
-    return _group_check(sf_dir, variant, add_key, ["h1", "h2"],
+    the vectorized 128-bit content hash (``_text_key``) and identified
+    in the output by their min page id, so the SQL twin groups by
+    ``text`` itself — no hash parity needed and no per-row Python
+    anywhere."""
+    keyed = _graded_pages(sf_dir, variant).map_batches(
+        _text_key, batch_format="pyarrow")
+    return _group_check(sf_dir, variant, keyed, ["h1", "h2"],
                         "cluster_is_component_min")
 
 
@@ -579,8 +590,9 @@ def q_cluster_matches_full(sf_dir: str, variant: str):
     page's cluster id equals the one a fresh ``run_dedup`` at the
     variant's config gives over the same pages (a page in no cluster
     matches only a page in no cluster).  ``run_dedup_incremental`` and
-    ``run_dedup_remove`` claim exactly that equality, so the twin says
-    all true.
+    ``run_dedup_remove`` claim exactly that equality, and so does the
+    CLI's load of the paper's schema against the same pages derived
+    from ``documents``, so the twin says all true.
 
     Plan: both clusters tables (duplicate pages only) broadcast as
     sorted (page_id, cluster_id) arrays; one probe map over the graded
@@ -645,15 +657,6 @@ def q_canonicalize_plain(sf_dir: str):
              t.column("n_unique").cast(pa.int64())],
             names=["doc_id", "doc_len", "n_unique"]),
         batch_format="pyarrow")
-
-
-def q_langid(sf_dir: str):
-    from nxsearch_ray.stages.textstats import LangIdActor
-
-    ds = _read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return ds.map_batches(LangIdActor(), batch_format="pyarrow") \
-        .drop_columns(["text"])
 
 
 def q_embedding_dups(sf_dir: str):
@@ -1079,22 +1082,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pages_build": q_pages_build,
         "extract_text": q_extract_text,
         "exact_dedup": q_exact_dedup,
-        "dedup_pairs": q_dedup_pairs,
-        "dedup_exact_verify": q_dedup_exact_verify,
-        "cluster_sizes": q_cluster_sizes,
-        # the same invariants over every other dedup variant
-        **{f"{name}_{variant}": partial(invariant[name], variant=variant)
-           for variant, name in _graded_variants()},
+        # the dedup invariants over every dedup variant (see _dedup)
+        **{query: partial(invariant[name], variant=variant)
+           for query, variant, name in _graded_variants()},
         "signatures_plain": q_signatures_plain,
-        "doc_stats": q_doc_stats,
-        "repetition_stats": q_repetition_stats,
         "pii_scrub": q_pii_scrub,
         "gopher_quality": q_gopher_quality,
         "url_blocklist": q_url_blocklist,
         "web_clean": q_web_clean,
         "lang_counts": q_lang_counts,
-        "fingerprint": q_fingerprint,
-        "langid": q_langid,
         "embedding_dups": q_embedding_dups,
         "semantic_dedup": q_semantic_dedup,
         "semdedup_clustered_verify": q_semdedup_clustered_verify,
@@ -1111,26 +1107,32 @@ def queries() -> dict[str, Callable[[str], Any]]:
     }
 
 
-def _graded_variants() -> list[tuple[str, str]]:
-    """``(variant, invariant)`` of every graded dedup run besides
-    ``auto``'s three, in registry order."""
-    return [(v, name) for v in _DEDUP_VARIANTS for name in _INVARIANTS] \
-        + [(v, name) for v in _HOT_VARIANTS for name in _HOT_INVARIANTS]
+def _graded_variants() -> list[tuple[str, str, str]]:
+    """``(query, variant, invariant)`` of every graded dedup run, in
+    registry order; ``auto``'s queries carry no variant suffix."""
+    return [(name if v == "auto" else f"{name}_{v}", v, name)
+            for v, names in _GRADED.items() for name in names]
 
 
 def dedup_oracles() -> dict[str, str]:
     """Twins of the dedup invariants over every dedup variant (see
-    ``_dedup``).  Every variant but a removal covers all the pages and
-    gives the auto run's answers, so it shares its SQL; a removal's
-    twin runs it over the pages that survive the removal."""
-    removed = "(SELECT * FROM pages WHERE (page_id // 4) % 10 <> 3) kept"
+    ``_dedup``), over the SQL mirror of ``_graded_pages``.  Every
+    variant but a removal and the CLI run covers all the pages with
+    the sf ids and gives the auto run's answers, so it shares its SQL; a
+    removal's twin runs it over the pages that survive the removal, and
+    the CLI run's over the pages with ``run.add_page_id``'s url ids."""
+    # (graded pages, original's id, planted-group key) per id scheme
+    sf = ("pages", "page_id - (page_id % 4)", "page_id // 4")
+    removed = ("(SELECT * FROM pages WHERE (page_id // 4) % 10 <> 3) kept",
+               *sf[1:])
+    cli = (f"""(SELECT {_url_id_sql("url")} AS page_id,
+        {_url_id_sql("regexp_replace(url, '/(copy|tail)$', '')")} AS orig_id,
+        text, variant FROM pages) cli""", "orig_id", "orig_id")
     out = {}
-    for variant, name in ([("auto", n) for n in _INVARIANTS]
-                          + _graded_variants()):
-        suffix = "" if variant == "auto" else f"_{variant}"
-        pages = (removed if _HOT_VARIANTS.get(variant, variant)
-                 == "removed" else "pages")
-        out[f"{name}{suffix}"] = f"WITH {PAGES_CTE}" + {
+    for query, variant, name in _graded_variants():
+        kind = _HOT_VARIANTS.get(variant, variant)
+        pages, orig, grp = {"removed": removed, "cli": cli}.get(kind, sf)
+        out[query] = f"WITH {PAGES_CTE}" + {
             # every md5-identical page group must land in exactly one
             # cluster whose id is the component-min page id — the SQL
             # side predicts the invariant (n_clusters=1, flag=true);
@@ -1144,21 +1146,21 @@ FROM {pages} GROUP BY text HAVING count(*) >= 2
             # planted-pair recall: every (orig, copy) exact pair and
             # (orig, tail) containment pair must be a verified pair
             "dedup_pairs": f"""
-SELECT page_id - (page_id % 4) AS page_a, page_id AS page_b,
+SELECT {orig} AS page_a, page_id AS page_b,
        variant, TRUE AS found
 FROM {pages} WHERE variant IN ('copy', 'tail')
 """,
-            # planted-group clustering: each page_id//4 variant group
-            # with >= 2 pages (copy AND tail variants — near-dup
-            # containment included, stronger than dedup_exact_verify's
-            # exact groups) sits in one cluster at least as large as
-            # the group
+            # planted-group clustering: each variant group (the pages
+            # of one original) with >= 2 pages (copy AND tail variants
+            # — near-dup containment included, stronger than
+            # dedup_exact_verify's exact groups) sits in one cluster at
+            # least as large as the group
             "cluster_sizes": f"""
 SELECT min(page_id) AS group_min_page_id,
        count(*) AS n_pages,
        CAST(1 AS BIGINT) AS n_clusters,
        TRUE AS cluster_size_ok
-FROM {pages} GROUP BY page_id // 4 HAVING count(*) >= 2
+FROM {pages} GROUP BY {grp} HAVING count(*) >= 2
 """,
             # every graded page keeps the cluster a full recompute
             # over the same pages gives it
@@ -1166,6 +1168,11 @@ FROM {pages} GROUP BY page_id // 4 HAVING count(*) >= 2
 SELECT page_id, TRUE AS matches_full FROM {pages}
 """}[name]
     return out
+
+
+def _url_id_sql(url: str) -> str:
+    """``run.add_page_id`` of the url expression ``url``, in DuckDB."""
+    return f"(('0x' || substr(md5({url}), 1, 16))::UBIGINT >> 1)::BIGINT"
 
 
 def _clean_sql() -> str:
@@ -1249,17 +1256,9 @@ FROM {out}
 
 
 def oracle_sql() -> dict[str, str]:
+    from nxsearch_ray.stages.textstats import gopher_filter_sql
     from nxsearch_ray.stages.urlfilter import blocklist_sql
-    from nxsearch_ray.stages.textstats import (_LANG_MARKERS, doc_stats_sql,
-                                               gopher_filter_sql,
-                                               repetition_stats_sql)
 
-    markers_values = ", ".join(
-        f"('{w}', '{lang}')"
-        for lang, ws in _LANG_MARKERS.items() for w in ws)
-    stats = doc_stats_sql("text")
-    stats_select = ", ".join(f"{expr} AS {name}"
-                             for name, expr in stats.items())
     return {
         "pages_build": f"""
 WITH {PAGES_CTE}
@@ -1325,8 +1324,6 @@ SELECT doc_id,
        END::BIGINT AS num_shingles
 FROM tok
 """,
-        "doc_stats": f"SELECT doc_id, {stats_select} FROM documents",
-        "repetition_stats": repetition_stats_sql(),
         "pii_scrub": pii_scrub_oracle(),
         "url_blocklist": blocklist_sql(_BLOCKLIST, PAGES_CTE),
         "web_clean": web_clean_oracle(),
@@ -1339,28 +1336,6 @@ FROM tok
             + " FROM documents"),
         "lang_counts": ("SELECT lang, count(*) AS n_docs FROM documents "
                         "GROUP BY lang"),
-        "fingerprint": "SELECT doc_id, md5(text) AS md5 FROM documents",
-        "langid": f"""
-WITH t AS (SELECT doc_id, coalesce(text, '') AS text FROM documents),
-words AS (SELECT doc_id,
-                 unnest(string_split_regex(lower(text), '\\s+')) AS w
-          FROM t),
-markers(w, lang) AS (VALUES {markers_values}),
-votes AS (SELECT doc_id, lang, count(*) AS c
-          FROM words JOIN markers USING (w) GROUP BY doc_id, lang),
-best AS (SELECT doc_id, lang,
-                row_number() OVER (PARTITION BY doc_id
-                                   ORDER BY c DESC, lang DESC) AS rn
-         FROM votes)
-SELECT t.doc_id,
-       CASE WHEN regexp_matches(t.text,
-                 '[\\p{{Han}}\\p{{Hiragana}}\\p{{Katakana}}]')
-            THEN 'zh'
-            WHEN b.lang IS NOT NULL THEN b.lang
-            ELSE 'und' END AS lang_pred
-FROM t LEFT JOIN (SELECT doc_id, lang FROM best WHERE rn = 1) b
-USING (doc_id)
-""",
         "canonicalize_plain": f"""
 SELECT doc_id,
        len({_sql_tokens('text')}) AS doc_len,

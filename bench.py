@@ -191,9 +191,9 @@ def run_benchmarks() -> dict:
     import __ray_entry__ as entry
 
     qs = entry.queries()
-    for name in ("extract_text", "exact_dedup", "doc_stats",
-                 "repetition_stats", "pii_scrub", "gopher_quality",
-                 "url_blocklist", "web_clean", "semantic_dedup"):
+    for name in ("extract_text", "exact_dedup", "pii_scrub",
+                 "gopher_quality", "url_blocklist", "web_clean",
+                 "semantic_dedup"):
         def runq(name=name):
             out = qs[name](SF_DIR)
             if hasattr(out, "materialize"):

@@ -16,8 +16,6 @@ space, which is exactly what MinHash needs (min over a random permutation).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 _U64 = np.uint64
@@ -418,9 +416,3 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = np.asarray(a, dtype=_U64) ^ np.asarray(b, dtype=_U64)
     by = x.reshape(-1, 1).view(np.uint8)
     return _POPCNT8[by].sum(axis=1).astype(np.int64).reshape(np.shape(x))
-
-
-def md5_hex(s: str) -> str:
-    """md5 hex digest — DuckDB-reproducible content hash (``md5(text)``),
-    used wherever an oracle SQL must recompute the same key."""
-    return hashlib.md5(s.encode("utf-8")).hexdigest()

@@ -12,8 +12,10 @@ equivalent is a module runnable under ``ray job submit``:
 
 Input: a Parquet directory of Common-Crawl-style pages
 ``(url, warc_ts, html|text, lang[, page_id])`` — the north-rule input
-shape.  A missing ``page_id`` is derived as a seeded 64-bit hash of
-``url`` (the reference's caller-assigned doc id, made deterministic).
+shape.  A missing ``page_id`` is derived from ``url``: the first 8
+bytes of its md5 digest, big-endian, shifted right by 1 so the id is a
+non-negative int64 (``add_page_id``; the reference's caller-assigned
+doc id, made deterministic).
 
 Output layout under ``--output`` (all resumable, manifest-gated):
     signatures/  verified_pairs/  clusters/   stage checkpoints
@@ -40,9 +42,11 @@ PAGE_COLUMNS = ("page_id", "url", "warc_ts", "html", "text", "lang")
 
 
 def add_page_id(t):
-    """``t`` with ``page_id``: the full ``url``'s md5 prefix, like
-    ``pages_from_text_files`` — NOT ``hash_strings``, whose prefix cap
-    collides on long-common-prefix URLs."""
+    """``t`` with ``page_id``: the full ``url``'s md5 prefix (8 bytes,
+    big-endian) shifted right by 1, in SQL ``(('0x' ||
+    substr(md5(url), 1, 16))::UBIGINT >> 1)::BIGINT`` — NOT
+    ``hash_strings``, whose prefix cap collides on long-common-prefix
+    URLs."""
     import hashlib
 
     import pyarrow as pa
@@ -53,7 +57,7 @@ def add_page_id(t):
                            pa.array(ids, type=pa.int64()))
 
 
-def _load_pages(input_dir: str, cfg, out_dir: str | None = None):
+def _load_pages(input_dir: str, out_dir: str | None = None):
     # WARC segments (file or dir of .warc/.warc.gz) ingest directly
     if input_dir.endswith((".warc", ".warc.gz")) or (
             os.path.isdir(input_dir) and any(
@@ -189,7 +193,7 @@ def main(argv=None) -> int:
             with open(args.blocklist) as f:
                 blocklist = tuple(line.strip() for line in f
                                   if line.strip())
-        pages = _load_pages(args.input, cfg, out_dir=args.output)
+        pages = _load_pages(args.input, out_dir=args.output)
         result = run_corpus(pages, cfg, embeddings_ds=emb,
                             blocklist=blocklist,
                             min_words=args.min_words,
@@ -206,7 +210,7 @@ def main(argv=None) -> int:
                 ids = [int(line) for line in f if line.strip()]
             result = run_dedup_remove(ids, cfg, **run_kw)
         else:
-            pages = _load_pages(args.input, cfg, out_dir=args.output)
+            pages = _load_pages(args.input, out_dir=args.output)
             if args.check_ids:
                 from nxsearch_ray.stages.diagnostics import (
                     duplicate_page_ids)

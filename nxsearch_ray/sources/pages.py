@@ -126,51 +126,6 @@ def pages_dataset(sf_dir: str, *, include_html: bool = True):
     return ds
 
 
-def pages_from_text_files(paths, *, lang: str = "en"):
-    """Ingest raw text/HTML files as a pages Dataset — the analogue of
-    the reference's file/dir ingest CLI (reference
-    src/utils/benchmark.c:72-109 `index_file`/`index_dir`, doc_id =
-    running counter; here page_id = stable hash of the path).
-
-    Files are read distributed (`read_binary_files`); `.html` payloads
-    go through the extraction stage downstream, plain text is used
-    as-is.
-    """
-    import hashlib
-
-    import ray.data
-
-    ds = ray.data.read_binary_files(paths, include_paths=True)
-
-    def to_pages(t: pa.Table) -> pa.Table:
-        paths_col = t.column("path").to_pylist()
-        payloads = t.column("bytes").to_pylist()
-        page_ids, urls, htmls, texts = [], [], [], []
-        for p, raw in zip(paths_col, payloads):
-            page_ids.append(int.from_bytes(
-                hashlib.md5(p.encode()).digest()[:8], "big") >> 1)
-            urls.append("file://" + p)
-            if p.endswith((".html", ".htm")):
-                htmls.append(raw)
-                texts.append("")
-            else:
-                htmls.append(b"")
-                texts.append(raw.decode("utf-8", errors="replace"))
-        n = len(paths_col)
-        ts = pa.array(np.zeros(n, dtype=np.int64)).cast(
-            pa.timestamp("us"))
-        return pa.Table.from_arrays(
-            [pa.array(page_ids, type=pa.int64()),
-             pa.array(urls, type=pa.string()), ts,
-             pa.array(htmls, type=pa.binary()),
-             pa.array(texts, type=pa.string()),
-             pa.array([lang] * n, type=pa.string()),
-             pa.array(["file"] * n, type=pa.string())],
-            schema=PAGES_SCHEMA)
-
-    return ds.map_batches(to_pages, batch_format="pyarrow")
-
-
 def pages_table(sf_dir: str) -> pa.Table:
     """Driver-side pyarrow variant (tests / oracles only — not the
     distributed path)."""

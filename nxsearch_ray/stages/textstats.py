@@ -1,11 +1,12 @@
-"""Text-analysis operators for training-data pipelines: token counting,
-quality scoring, language ID, fingerprinting.
+"""The Gopher quality rules (Rae et al. 2021, appendix A1), the
+standard web-corpus document filter that ``run_corpus``'s clean tier
+applies, as one vectorized boolean stage over Arrow batches.
 
-All vectorized `map_batches` transforms over Arrow batches.  Where an
-operator is meant to be SQL-verifiable (driver oracle), the defining
-regex / word list lives HERE as the single source of truth and the
-matching DuckDB SQL fragment is generated next to it — the Python and
-SQL sides can then never drift apart.
+The defining regexes and word list live HERE as the single source of
+truth, and the matching DuckDB SQL fragment (``gopher_filter_sql``) is
+generated next to them, so the Python and SQL sides cannot drift apart.
+Every regex is shared verbatim by Python, RE2 and DuckDB, so keep them
+RE2-safe: no lookaround, no backrefs.
 """
 
 from __future__ import annotations
@@ -14,183 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# ------------------------------------------------------------------
-# shared definitions (Python regex ≡ RE2 ≡ DuckDB regex — keep RE2-safe:
-# no lookaround, no backrefs)
 WORD_RE = r"\S+"
-DIGIT_RE = "[0-9]"
-UPPER_RE = "[A-Z]"
-PUNCT_RE = "[.,;:!?]"
-# GPT-2-flavoured sub-word pattern, modified to be RE2-compatible
-# (original has a negative lookahead): contractions, letter runs,
-# digit runs, symbol runs.
-BPE_RE = r"'(?:s|t|re|ve|m|ll|d)| ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+"
-
-# tiny fixed stopword probe list for the quality score (deliberately
-# small so the SQL oracle can inline it; the full NLTK list drives the
-# canonicalization filter instead)
-QUALITY_STOPWORDS = ("the", "a", "and", "of", "to", "in", "is",
-                     "for", "on", "with", "as", "by")
-
-
-def doc_stats(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
-    """Per-document stats: token/char counts, ratios, quality score.
-
-    Column-for-column reproducible by `doc_stats_sql()`."""
-    text = batch.column(text_col)
-    n_chars = pc.utf8_length(text)
-    n_tokens = pc.count_substring_regex(text, WORD_RE)
-    n_digits = pc.count_substring_regex(text, DIGIT_RE)
-    n_upper = pc.count_substring_regex(text, UPPER_RE)
-    n_punct = pc.count_substring_regex(text, PUNCT_RE)
-    n_bpe = pc.count_substring_regex(text, BPE_RE)
-
-    nt = n_tokens.to_numpy().astype(np.float64)
-    nc = n_chars.to_numpy().astype(np.float64)
-    safe_nt = np.maximum(nt, 1.0)
-    safe_nc = np.maximum(nc, 1.0)
-
-    # whitespace-stripped char count for avg word length
-    stripped = pc.utf8_length(
-        pc.replace_substring_regex(text, pattern=r"\s", replacement=""))
-    avg_word_len = stripped.to_numpy().astype(np.float64) / safe_nt
-
-    # stopword hits from the small probe list (lowercased whole words)
-    low = pc.utf8_lower(text)
-    sw_pat = r"\b(?:" + "|".join(QUALITY_STOPWORDS) + r")\b"
-    n_stop = pc.count_substring_regex(low, sw_pat)
-    stop_ratio = n_stop.to_numpy().astype(np.float64) / safe_nt
-
-    digit_ratio = n_digits.to_numpy().astype(np.float64) / safe_nc
-    punct_ratio = n_punct.to_numpy().astype(np.float64) / safe_nc
-
-    # quality score: bounded, monotone in "looks like prose"
-    quality = (
-        np.minimum(nt / 64.0, 1.0) * 0.4
-        + np.minimum(stop_ratio * 4.0, 1.0) * 0.3
-        + (1.0 - np.minimum(digit_ratio * 10.0, 1.0)) * 0.2
-        + (1.0 - np.minimum(punct_ratio * 10.0, 1.0)) * 0.1)
-
-    out = batch
-    for name, arr in [
-        ("n_chars", n_chars.cast(pa.int64())),
-        ("n_tokens", n_tokens.cast(pa.int64())),
-        ("n_bpe_tokens", n_bpe.cast(pa.int64())),
-        ("avg_word_len", pa.array(avg_word_len)),
-        ("digit_ratio", pa.array(digit_ratio)),
-        ("punct_ratio", pa.array(punct_ratio)),
-        ("stop_ratio", pa.array(stop_ratio)),
-        ("quality", pa.array(quality)),
-    ]:
-        out = out.append_column(name, arr)
-    return out
-
-
-def doc_stats_sql(text_expr: str = "text") -> dict[str, str]:
-    """DuckDB expressions mirroring doc_stats, keyed by output column."""
-    t = text_expr
-    nt = f"greatest(len(regexp_extract_all({t}, '{WORD_RE}')), 1)"
-    nc = f"greatest(length({t}), 1)"
-    sw = "|".join(QUALITY_STOPWORDS)
-    n_stop = (f"len(regexp_extract_all(lower({t}), "
-              f"'\\b(?:{sw})\\b'))")
-    digit_ratio = f"(len(regexp_extract_all({t}, '{DIGIT_RE}'))::DOUBLE / {nc})"
-    punct_ratio = f"(len(regexp_extract_all({t}, '{PUNCT_RE}'))::DOUBLE / {nc})"
-    stop_ratio = f"({n_stop}::DOUBLE / {nt})"
-    ntokens_f = f"len(regexp_extract_all({t}, '{WORD_RE}'))::DOUBLE"
-    return {
-        "n_chars": f"length({t})",
-        "n_tokens": f"len(regexp_extract_all({t}, '{WORD_RE}'))",
-        "n_bpe_tokens": f"len(regexp_extract_all({t}, $bpe${BPE_RE}$bpe$))",
-        "avg_word_len": (f"(length(regexp_replace({t}, '\\s', '', 'g'))"
-                         f"::DOUBLE / {nt})"),
-        "digit_ratio": digit_ratio,
-        "punct_ratio": punct_ratio,
-        "stop_ratio": stop_ratio,
-        "quality": (
-            f"(least({ntokens_f} / 64.0, 1.0) * 0.4"
-            f" + least({stop_ratio} * 4.0, 1.0) * 0.3"
-            f" + (1.0 - least({digit_ratio} * 10.0, 1.0)) * 0.2"
-            f" + (1.0 - least({punct_ratio} * 10.0, 1.0)) * 0.1)"),
-    }
-
-
-# ------------------------------------------------------------------
-# language identification (heuristic — no SQL oracle; rows-only check)
-
-_LANG_MARKERS: dict[str, tuple[str, ...]] = {
-    "en": ("the", "and", "of", "to", "is", "that", "it", "for"),
-    "de": ("der", "die", "und", "das", "ist", "nicht", "mit", "ein"),
-    "fr": ("le", "la", "les", "et", "est", "une", "que", "pour"),
-    "es": ("el", "la", "los", "las", "es", "una", "que", "por"),
-    "it": ("il", "che", "della", "sono", "anche", "gli", "nel", "più"),
-    "pt": ("não", "uma", "com", "mais", "como", "dos", "são", "pelo"),
-    "nl": ("het", "een", "van", "niet", "zijn", "voor", "naar", "ook"),
-    "ru": ("и", "не", "что", "это", "как", "для", "его", "она"),
-}
-
-
-class LangIdActor:
-    """Marker-word voting + CJK charset check — fully vectorized:
-    Arrow kernels (utf8_lower, count_substring_regex, split, index_in)
-    plus one np.add.at vote scatter; no per-document Python.
-
-    Tie-break matches the original dict-max semantics (highest vote,
-    then lexicographically largest language code)."""
-
-    def __init__(self):
-        import pyarrow.compute as pc  # noqa: F401 (warm import)
-
-        # languages in DESCENDING code order so np.argmax's first-max
-        # picks the lexicographically largest code on vote ties
-        self.langs = sorted(_LANG_MARKERS, reverse=True)
-        vocab: list[str] = []
-        lang_of: list[int] = []
-        for i, lang in enumerate(self.langs):
-            for w in _LANG_MARKERS[lang]:
-                vocab.append(w)
-                lang_of.append(i)
-        self.vocab = pa.array(vocab, type=pa.string())
-        self.lang_of = np.asarray(lang_of, dtype=np.int64)
-        self.cjk_pat = r"[\p{Han}\p{Hiragana}\p{Katakana}]"
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        texts = pc.fill_null(batch.column("text"), "")
-        ndocs = len(texts)
-        cjk = pc.greater(
-            pc.count_substring_regex(texts, self.cjk_pat), 0) \
-            .to_numpy(zero_copy_only=False)
-        words = pc.split_pattern_regex(pc.utf8_lower(texts), r"\s+")
-        if isinstance(words, pa.ChunkedArray):
-            words = words.combine_chunks()
-        flat = words.flatten()
-        off = words.offsets.to_numpy().astype(np.int64)
-        counts = off[1:] - off[:-1]
-        doc_of = np.repeat(np.arange(ndocs, dtype=np.int64), counts)
-        midx = pc.fill_null(pc.index_in(flat, value_set=self.vocab),
-                            -1).to_numpy(zero_copy_only=False)
-        hit = midx >= 0
-        votes = np.zeros((ndocs, len(self.langs)), dtype=np.int64)
-        np.add.at(votes, (doc_of[hit], self.lang_of[midx[hit]]), 1)
-        best = np.argmax(votes, axis=1)
-        best_votes = votes[np.arange(ndocs), best]
-        lang_arr = np.array(self.langs, dtype=object)
-        preds = np.where(cjk, "zh",
-                         np.where(best_votes > 0, lang_arr[best],
-                                  "und"))
-        return batch.append_column(
-            "lang_pred", pa.array(preds.tolist(), type=pa.string()))
-
-
-# ------------------------------------------------------------------
-# fingerprinting
-
-# ------------------------------------------------------------------
-# Gopher quality rules (Rae et al. 2021, appendix A1) — the standard
-# web-corpus document filter, as one vectorized boolean stage.
-
 GOPHER_REQUIRED_STOPWORDS = ("the", "be", "to", "of", "and",
                              "that", "have", "with")
 GOPHER_BULLET_RE = r"(?m)^[ \t]*[-*•]"
@@ -307,131 +132,3 @@ def gopher_filter_sql(text_expr: str = "text", *,
                  f" AND {ell} <= 0.3 AND {alpha} >= 0.8"
                  f" AND ({req}) >= {min_required_stopwords})"),
     }
-
-
-def fingerprint(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
-    """Content fingerprints: md5 hex (SQL-reproducible) + a 64-bit
-    rolling hash over the raw bytes (vectorized polynomial hash)."""
-    import hashlib
-
-    from nxsearch_ray.functions.hashing import sequence_hashes
-
-    texts = batch.column(text_col).to_pylist()
-    md5s = [hashlib.md5((t or "").encode()).hexdigest() for t in texts]
-    enc = [(t or "").encode() for t in texts]
-    lens = np.fromiter((len(b) for b in enc), dtype=np.int64,
-                       count=len(enc))
-    flat = np.frombuffer(b"".join(enc), dtype=np.uint8).astype(np.uint64)
-    offsets = np.zeros(len(enc) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    roll = sequence_hashes(flat, offsets)
-    out = batch.append_column("md5", pa.array(md5s, type=pa.string()))
-    return out.append_column("rolling64", pa.array(roll, type=pa.uint64()))
-
-
-# ------------------------------------------------------------------
-# repetition statistics (Gopher-style quality rules)
-
-def _per_key_reduce(keys: np.ndarray, n_docs: int):
-    """Group doc-scoped keys (doc_idx<<32 | code) and reduce.
-
-    Returns (per-doc max group size, per-doc distinct group count) as
-    float64 arrays of length n_docs (zeros where a doc has no keys).
-    One np.unique + two reduceat passes — no Python per doc."""
-    max_cnt = np.zeros(n_docs, dtype=np.float64)
-    n_distinct = np.zeros(n_docs, dtype=np.float64)
-    if len(keys) == 0:
-        return max_cnt, n_distinct
-    uk, cnt = np.unique(keys, return_counts=True)
-    docs = (uk >> 32).astype(np.int64)
-    starts = np.r_[0, np.flatnonzero(np.diff(docs)) + 1]
-    doc_of_run = docs[starts]
-    max_cnt[doc_of_run] = np.maximum.reduceat(cnt, starts)
-    n_distinct[doc_of_run] = np.diff(np.r_[starts, len(uk)])
-    return max_cnt, n_distinct
-
-
-def repetition_stats(batch: pa.Table, *, text_col: str = "text",
-                     id_col: str = "doc_id") -> pa.Table:
-    """Per-document repetition fractions — the Gopher repetition rules
-    (Rae et al. 2021, table A1) at word/bigram granularity:
-
-      * ``top_word_frac``   — occurrences of the most frequent word
-        over total words;
-      * ``dup_word_frac``   — fraction of word occurrences that are
-        repeats (1 − distinct/total);
-      * ``top_bigram_frac`` / ``dup_bigram_frac`` — same over adjacent
-        word pairs.
-
-    Splits on a single space, exactly like the SQL twin
-    (`repetition_stats_sql`), so the DuckDB oracle reproduces every
-    column bit-for-bit (integer counts divided as float64).  Fully
-    vectorized: one dictionary-encode for word ids, packed int64
-    doc-scoped keys, np.unique + reduceat — no per-document Python."""
-    text = batch.column(text_col)
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    parts = pc.split_pattern(text, " ")
-    offsets = parts.offsets.to_numpy()
-    n_docs = len(parts)
-    counts = np.diff(offsets)                      # words per doc (>=1)
-    doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
-    codes = pc.dictionary_encode(parts.values).indices.to_numpy() \
-        .astype(np.int64)
-
-    wkey = (doc_idx << 32) | codes
-    max_w, dist_w = _per_key_reduce(wkey, n_docs)
-
-    same = doc_idx[:-1] == doc_idx[1:]
-    pair = ((codes[:-1] << 32) | codes[1:])[same]
-    _, pair_code = np.unique(pair, return_inverse=True)
-    bkey = (doc_idx[:-1][same] << 32) | pair_code
-    max_b, dist_b = _per_key_reduce(bkey, n_docs)
-
-    n_words = counts.astype(np.float64)
-    n_bigrams = np.maximum(counts - 1, 0).astype(np.float64)
-    safe_b = np.maximum(n_bigrams, 1.0)
-    return pa.table({
-        id_col: batch.column(id_col),
-        "n_words": pa.array(counts, type=pa.int64()),
-        "top_word_frac": max_w / n_words,
-        "dup_word_frac": (n_words - dist_w) / n_words,
-        "top_bigram_frac": max_b / safe_b,
-        "dup_bigram_frac": (n_bigrams - dist_b) / safe_b,
-    })
-
-
-def repetition_stats_sql(table: str = "documents",
-                         id_col: str = "doc_id") -> str:
-    """DuckDB query mirroring `repetition_stats` column-for-column."""
-    return f"""
-WITH w AS (
-  SELECT {id_col},
-         unnest(string_split(text, ' ')) AS w,
-         unnest(range(1, len(string_split(text, ' ')) + 1)) AS pos
-  FROM {table}),
-base AS (SELECT {id_col}, len(string_split(text, ' ')) AS n_words
-         FROM {table}),
-wc AS (SELECT {id_col}, w, count(*) AS c FROM w GROUP BY 1, 2),
-wagg AS (SELECT {id_col}, max(c) AS max_w, count(*) AS nd_w
-         FROM wc GROUP BY 1),
-bi AS (SELECT {id_col}, w,
-              lead(w) OVER (PARTITION BY {id_col} ORDER BY pos) AS w2
-       FROM w),
-bc AS (SELECT {id_col}, w, w2, count(*) AS c
-       FROM bi WHERE w2 IS NOT NULL GROUP BY 1, 2, 3),
-bagg AS (SELECT {id_col}, max(c) AS max_b, count(*) AS nd_b,
-                sum(c) AS n_b
-         FROM bc GROUP BY 1)
-SELECT b.{id_col}, b.n_words,
-       wagg.max_w::DOUBLE / b.n_words AS top_word_frac,
-       (b.n_words - wagg.nd_w)::DOUBLE / b.n_words AS dup_word_frac,
-       CASE WHEN coalesce(bagg.n_b, 0) = 0 THEN 0.0
-            ELSE bagg.max_b::DOUBLE / bagg.n_b END AS top_bigram_frac,
-       CASE WHEN coalesce(bagg.n_b, 0) = 0 THEN 0.0
-            ELSE (bagg.n_b - bagg.nd_b)::DOUBLE / bagg.n_b
-            END AS dup_bigram_frac
-FROM base b
-JOIN wagg USING ({id_col})
-LEFT JOIN bagg USING ({id_col})
-"""

@@ -128,7 +128,7 @@ def test_cli_loader_adds_url_md5_ids(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(pq, "read_metadata",
                         counted("footers", pq.read_metadata))
     cfg = PipelineConfig()
-    pages = _load_pages(str(inp), cfg)
+    pages = _load_pages(str(inp))
     assert calls == {"listings": 1, "footers": 4}
 
     ids = [int.from_bytes(hashlib.md5(u.encode()).digest()[:8], "big") >> 1

@@ -38,9 +38,9 @@ def test_expected_query_inventory():
     # verdict task 2); their machinery is still covered by the
     # remaining entries and entry().
     expected = {
-        "pages_build", "extract_text", "exact_dedup", "doc_stats",
-        "lang_counts", "fingerprint", "dedup_pairs",
-        "cluster_sizes", "langid", "embedding_dups", "bucket_census",
+        "pages_build", "extract_text", "exact_dedup",
+        "lang_counts", "dedup_pairs",
+        "cluster_sizes", "embedding_dups", "bucket_census",
         "dedup_exact_verify", "signatures_plain", "canonicalize_plain",
         "pii_scrub", "gopher_quality", "url_blocklist", "web_clean",
         "semantic_dedup", "semantic_dedup_clustered",
@@ -54,9 +54,11 @@ def test_expected_query_inventory():
           for variant in ("hotingest", "hotremoved")
           for name in ("dedup_exact_verify", "cluster_sizes",
                        "cluster_matches_full")),
+        *(f"{name}_cli" for name in ("dedup_pairs", "dedup_exact_verify",
+                                     "cluster_sizes",
+                                     "cluster_matches_full")),
         "corpus_decisions", "corpus_exact_groups", "corpus_neardup_valid",
         "corpus_semantic_valid", "corpus_planted_copies",
-        "repetition_stats",
     }
     missing = expected - q
     assert not missing, f"queries() lost entries: {missing}"
@@ -149,7 +151,7 @@ def test_dedup_variants_reach_their_plans(ray_session):
 
     sf = "/root/testdata/sf0.001"
     plain = ("scale", "incremental", "removed", "onefile", "resumed",
-             "readded")
+             "readded", "cli")
     hot = ("hotingest", "hotremoved")
     stats = {v: entry_mod._dedup(sf, v).stats for v in plain + hot}
     assert stats["scale"]["verify_plan"] == "bucketed"
@@ -159,11 +161,18 @@ def test_dedup_variants_reach_their_plans(ray_session):
         assert stats[ingest]["incremental_new_pages"] > 0
         assert stats[removal]["removed_found"] > 0
     assert _hot_crossings(sf) > 0
-    # one file of >= 8 row groups, read as the run's only input
-    files = list(Path(entry_mod._DEDUP_CACHE[(sf, "onefile")][1].name)
-                 .iterdir())
-    assert len(files) == 1
-    assert pq.ParquetFile(files[0]).metadata.num_row_groups >= 8
+    # one file of >= 8 row groups, read as the run's only input; the
+    # CLI's has the paper's schema, and its run's ids are url md5s
+    for v in ("onefile", "cli"):
+        files = list(Path(entry_mod._DEDUP_CACHE[(sf, v)][1].name)
+                     .iterdir())
+        assert len(files) == 1
+        f = pq.ParquetFile(files[0])
+        assert f.metadata.num_row_groups >= 8
+        assert ("page_id" in f.schema_arrow.names) == (v == "onefile")
+    cli_ids = _as_table(entry_mod.q_cluster_matches_full(sf, "cli")) \
+        .column("page_id").to_numpy()
+    assert cli_ids.max() >= 1 << 32
     # signatures resumes; the stages whose manifests were lost rerun
     resumed = {r["stage"]: r["resumed"]
                for r in stats["resumed"]["stages"]}
@@ -176,7 +185,24 @@ def test_dedup_variants_reach_their_plans(ray_session):
     for v in plain:
         _assert_dedup_invariants(sf, v)
     for v in hot:
-        _assert_hot_invariants(sf, v)
+        _assert_group_checks(sf, v)
+    for v in hot + ("cli",):
+        _assert_matches_full(sf, v)
+
+
+def test_pair_probe_takes_whole_ids():
+    """The planted-pair probe of ``dedup_pairs`` compares whole ids: a
+    verified pair ``(1, 2^32 + 100)`` does not find ``(2, 100)``, which
+    a key packed as ``a·2^32 + b`` would alias; order within a pair
+    does not matter."""
+    import numpy as np
+    import pyarrow as pa
+
+    big = (1 << 32) + 100
+    keys = entry_mod._pair_keys(pa.table({"a": [1, 5], "b": [big, 3]}))
+    found = entry_mod._pairs_found(keys, np.array([2, 1, 3, 1]),
+                                   np.array([100, big, 5, 100]))
+    assert found.tolist() == [False, True, True, False]
 
 
 def _hot_crossings(sf: str) -> int:
@@ -202,10 +228,8 @@ def _hot_crossings(sf: str) -> int:
         and len(set(half[src].get(key, ()))) <= cfg.hot_bucket_cap)
 
 
-def _assert_hot_invariants(sf: str, variant: str):
-    """A hot-bucket variant's graded invariants: both group checks, and
-    every graded page's cluster equals a full recompute's."""
-    _assert_group_checks(sf, variant)
+def _assert_matches_full(sf: str, variant: str):
+    """Every graded page's cluster equals a full recompute's."""
     full = _as_table(entry_mod.q_cluster_matches_full(sf, variant))
     assert full.num_rows == _as_table(
         entry_mod._graded_pages(sf, variant)).num_rows, variant

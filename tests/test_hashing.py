@@ -192,11 +192,25 @@ def test_hamming64():
 
 
 def test_md5_matches_duckdb():
-    import duckdb
+    """The CLI's url ids (``run.add_page_id``) equal the DuckDB
+    expression the oracles derive them with, on ASCII and non-ASCII
+    urls, including digests whose top bit the shift clears."""
+    import hashlib
 
-    s = "hello wörld"
-    [(d,)] = duckdb.sql("select md5(?)", params=[s]).fetchall()
-    assert d == H.md5_hex(s)
+    import duckdb
+    import pyarrow as pa
+
+    from nxsearch_ray.run import add_page_id
+
+    urls = [f"https://src{i}.example.org/doc/{i}/copy" for i in range(32)] \
+        + ["https://ex.org/wörld", "https://例え.jp/ページ?q=ü", ""]
+    assert any(hashlib.md5(u.encode()).digest()[0] >= 0x80 for u in urls)
+    got = add_page_id(pa.table({"url": urls})).column("page_id").to_pylist()
+    want = [duckdb.sql(
+        "SELECT (('0x' || substr(md5(url), 1, 16))::UBIGINT >> 1)"
+        "::BIGINT FROM (SELECT ?::VARCHAR AS url)",
+        params=[u]).fetchone()[0] for u in urls]
+    assert got == want
 
 
 def test_content_hash128_full_content_and_slices():

@@ -1,5 +1,5 @@
-"""Operator-level tests: sources, embedding dup pairs, text
-stats, join, query probe, diagnostics."""
+"""Operator-level tests: sources, embedding dup pairs, join, query
+probe, diagnostics."""
 
 from __future__ import annotations
 
@@ -41,23 +41,6 @@ def test_extract_text_roundtrip():
     out = extract_text(t.drop_columns(["text"]).append_column(
         "text", pa.array([""] * t.num_rows)))
     assert out.column("text").to_pylist() == original
-
-
-def test_pages_from_text_files(ray_session, tmp_path):
-    from nxsearch_ray.sources.pages import pages_from_text_files
-
-    (tmp_path / "a.txt").write_text("plain text doc")
-    (tmp_path / "b.html").write_text(
-        "<html><head><title>t</title></head><body><p>html doc"
-        "</p></body></html>")
-    ds = pages_from_text_files(str(tmp_path))
-    t = pa.concat_tables(ds.iter_batches(batch_size=100,
-                                         batch_format="pyarrow"))
-    assert t.num_rows == 2
-    by_url = {u.split("/")[-1]: i for i, u in
-              enumerate(t.column("url").to_pylist())}
-    assert t.column("text")[by_url["a.txt"]].as_py() == "plain text doc"
-    assert b"html doc" in t.column("html")[by_url["b.html"]].as_py()
 
 
 # -------------------------------------------------- embedding dup pairs
@@ -126,50 +109,6 @@ def test_embedding_dup_blocked_matches_broadcast(ray_session):
         want = _dup_pairs_oracle(t, thr)
         assert got == pytest.approx(want, abs=1e-12)
         assert planted <= set(got)
-
-
-# ---------------------------------------------------------- text stats
-
-def test_doc_stats_values():
-    from nxsearch_ray.stages.textstats import doc_stats
-
-    t = pa.table({"text": ["Hello World 123, test!", ""]})
-    out = doc_stats(t)
-    row = out.to_pylist()[0]
-    assert row["n_tokens"] == 4
-    assert row["n_chars"] == 22
-    assert 0 <= row["quality"] <= 1
-    empty = out.to_pylist()[1]
-    assert empty["n_tokens"] == 0
-
-
-def test_langid():
-    from nxsearch_ray.stages.textstats import LangIdActor
-
-    actor = LangIdActor()
-    t = pa.table({"text": [
-        "the cat and the dog sat for a while that it is",
-        "der hund und die katze ist nicht mit ein",
-        "el perro es una cosa que por las casas",
-        "中文网页内容测试",
-        "il gatto che dorme sono anche gli animali nel prato",
-        "não sei como dizer mais dos outros são pelo menos",
-        "het is een huis van niet zijn voor de stad ook",
-        "и вот не знаю что это как для него она",
-    ]})
-    assert actor(t).column("lang_pred").to_pylist() == \
-        ["en", "de", "es", "zh", "it", "pt", "nl", "ru"]
-
-
-def test_fingerprint_deterministic():
-    from nxsearch_ray.stages.textstats import fingerprint
-
-    t = pa.table({"text": ["abc", "abd", "abc"]})
-    out = fingerprint(t)
-    md5 = out.column("md5").to_pylist()
-    roll = out.column("rolling64").to_pylist()
-    assert md5[0] == md5[2] != md5[1]
-    assert roll[0] == roll[2] != roll[1]
 
 
 # ----------------------------------------------------------------- join

@@ -435,8 +435,7 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
         pq.write_table(corpus.slice(i * per, per).drop_columns(["page_id"]),
                        no_ids / f"part-{i}.parquet")
     for name, load in (("pages_dataset", lambda: pages_dataset(sf_dir)),
-                       ("_load_pages", lambda: _load_pages(
-                           str(no_ids), PipelineConfig()))):
+                       ("_load_pages", lambda: _load_pages(str(no_ids)))):
         n.update(nothing)
         res = run_dedup(load(), PipelineConfig())
         assert res.clusters.count() > 0

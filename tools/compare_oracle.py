@@ -20,8 +20,8 @@ import duckdb
 import pandas as pd
 import pyarrow as pa
 
-TABLES = ("region nation customer supplier part orders lineitem events "
-          "documents embeddings").split()
+# the tables the twins read
+TABLES = ("documents", "embeddings")
 
 
 def to_pandas(obj) -> pd.DataFrame:
