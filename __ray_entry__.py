@@ -245,12 +245,12 @@ def q_pages_build(sf_dir: str):
 
 
 def q_extract_text(sf_dir: str):
-    from nxsearch_ray.stages.html_extract import extract_stage
+    from nxsearch_ray.stages.html_extract import extract_text
 
-    # drop the source text first: extraction must reproduce it from
-    # html alone (the byte-identical invariant)
-    ds = _pages(sf_dir).drop_columns(["text", "variant"])
-    return extract_stage(ds).select_columns(["page_id", "url", "text"])
+    # read no source text: extraction must reproduce it from html
+    # alone (the byte-identical invariant)
+    return _pages(sf_dir).select_columns(["page_id", "url", "html"]) \
+        .map_batches(extract_text, batch_format="pyarrow")
 
 
 def q_exact_dedup(sf_dir: str):
@@ -956,8 +956,8 @@ def q_bucket_census(sf_dir: str):
     of the plain ``documents`` table, three deterministic sources —
     the raw per-band census is NOT SQL-predictable (real LSH band
     collisions between unequal shingle sets, ~p^4 per band at Jaccard
-    p: 554 size-2 buckets at sf0.001; it stays available as the
-    ungraded skew diagnostic ``diagnostics.bucket_census``):
+    p: 554 size-2 buckets at sf0.001; ``census_over_keys`` over
+    ``pairs.explode_all``'s keys gives it, ungraded):
 
     - ``exact``: bucket = full token sequence (seq_hash) — the exact
       pass's group-size histogram;

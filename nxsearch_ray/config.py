@@ -22,9 +22,8 @@ DEFAULT_FILTERS = ("normalizer", "stopwords", "stemmer")
 @dataclass(frozen=True)
 class PipelineConfig:
     # --- canonicalization (reference-parity section) ---
-    lang: str = "en"                     # ISO 639-1, like params["lang"]
+    lang: str = "en"                     # ISO 639-1, like params["lang"]; a row's non-empty `lang` wins
     filters: tuple[str, ...] = DEFAULT_FILTERS
-    lang_column: str = "lang"            # per-row language override column ("" = use `lang`)
     # plugin files (.py, or .lua with lupa) registered under their file
     # stem in every worker before pipelines build — the analogue of the
     # reference's $NXS_BASEDIR/filters/*.lua scan
@@ -83,8 +82,9 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, s: str) -> "PipelineConfig":
         d = json.loads(s)
-        # retired key: a config.json written by older code still loads
-        d.pop("canonicalize_concurrency", None)
+        # retired keys: a config.json written by older code still loads
+        for key in ("canonicalize_concurrency", "lang_column"):
+            d.pop(key, None)
         d["filters"] = tuple(d["filters"])
         d["plugin_files"] = tuple(d.get("plugin_files", ()))
         return cls(**d)

@@ -76,21 +76,19 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                blocklist: tuple[str, ...] = (),
                min_words: int = 20,
                min_required_stopwords: int = 1,
-               scrub: bool = True,
                semdedup_eps: float = 0.93,
                semdedup_nlist: int = 64,
-               seed: int = 42,
-               verify_mode: str = "auto",
-               cc_mode: str = "auto") -> CorpusResult:
+               seed: int = 42) -> CorpusResult:
     """Run the composed corpus pipeline over a pages Dataset
     (columns ``page_id, url, text`` at minimum).  ``embeddings_ds``
     is an optional ``(vec_id, embedding: list<float>)`` Dataset keyed
-    by page id; without it the semantic tier is skipped."""
+    by page id; without it the semantic tier is skipped.  The near-dup
+    tier runs ``run_dedup`` on its auto plans."""
     import os
 
     from nxsearch_ray.pipelines.dedup import run_dedup
-    from nxsearch_ray.stages.join import (anti_join, hash_join, id_set_ref,
-                                          map_blocks)
+    from nxsearch_ray.stages.join import (anti_join, hash_join, index_ref,
+                                          map_blocks, unique_ids)
     from nxsearch_ray.stages.pii import scrub_pii
     from nxsearch_ray.stages.textstats import gopher_filter
     from nxsearch_ray.stages.urlfilter import filter_blocklist
@@ -109,7 +107,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
         stage="clean_pages", blocklist=sorted(blocklist),
         min_words=min_words,
         min_required_stopwords=min_required_stopwords,
-        scrub=scrub, cfg=cfg.config_hash(), version=1)
+        cfg=cfg.config_hash(), version=1)
 
     def clean_factory():
         ds = pages_ds
@@ -121,9 +119,8 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                               min_required_stopwords=(
                                   min_required_stopwords))
             t = t.filter(t.column("keep"))
-            text = t.column("text")
-            if scrub and t.num_rows:
-                text = scrub_pii(t).column("clean_text")
+            text = (scrub_pii(t).column("clean_text") if t.num_rows
+                    else t.column("text"))
             return pa.table({"page_id": t.column("page_id"),
                              "url": t.column("url"),
                              "text": text}, schema=_CLEAN_SCHEMA)
@@ -136,8 +133,7 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
 
     # ---------------- stage 2: near-dup (the flagship) ----------
     ndir = os.path.join(out_dir, "neardup") if out_dir else None
-    nd = run_dedup(clean, cfg, out_dir=ndir, verify_mode=verify_mode,
-                   cc_mode=cc_mode)
+    nd = run_dedup(clean, cfg, out_dir=ndir)
     clusters_ds = nd.clusters       # page_id, cluster_id (= comp min)
     stats["stages"] += nd.stats.pop("stages")
     stats.update(nd.stats)
@@ -177,8 +173,8 @@ def run_corpus(pages_ds, cfg: PipelineConfig | None = None, *,
                 embeddings_ds, clean, left_key="vec_id",
                 right_key="page_id", left_schema=emb_schema,
                 right_schema=pa.schema([("page_id", pa.int64())]))
-            return anti_join(clean_emb, "vec_id",
-                             id_set_ref(t2, ["page_id"]))
+            return anti_join(clean_emb, "vec_id", index_ref(
+                t2, pa.schema([("page_id", pa.int64())]), unique_ids))
 
         # the survivor embeddings are pinned BEFORE the semantic tier:
         # semdedup re-reads its input once per pass (census /

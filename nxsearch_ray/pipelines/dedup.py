@@ -298,7 +298,7 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
     (8 B/doc; the driver never holds it); beyond single-node memory
     the anti-join needs a partitioned form: both id sets exchanged on
     page_id, as stages/join.hash_join does."""
-    from nxsearch_ray.stages.join import anti_join, id_set_ref
+    from nxsearch_ray.stages.join import anti_join, index_ref, unique_ids
 
     cfg = cfg or PipelineConfig()
     if not is_complete(out_dir, "signatures", cfg):
@@ -309,8 +309,9 @@ def run_dedup_incremental(pages_ds, cfg: PipelineConfig | None = None,
         # held in the object store: writing the checkpoint clears the
         # directory the prior rows are read from
         prior = read_stage(out_dir, "signatures")
-        new = canonsig_stage(anti_join(pages_ds, "page_id",
-                                       id_set_ref(prior, ["page_id"])), cfg)
+        known = index_ref(prior, pa.schema([("page_id", pa.int64())]),
+                          unique_ids)
+        new = canonsig_stage(anti_join(pages_ds, "page_id", known), cfg)
         return union(prior, new)
 
     n_known = read_manifest(out_dir, "signatures")["rows"]

@@ -15,9 +15,15 @@ Input: a Parquet directory of Common-Crawl-style pages
 shape.  A missing ``page_id`` is derived from ``url``: the first 8
 bytes of its md5 digest, big-endian, shifted right by 1 so the id is a
 non-negative int64 (``add_page_id``; the reference's caller-assigned
-doc id, made deterministic).
+doc id, made deterministic).  A ``.warc``/``.warc.gz`` file, or a
+directory of them, is first ingested into Parquet under
+``<output>/ingest_warc/``, one task per archive, resumable per archive
+(``sources.warc.ingest_warc_resumable``), and that Parquet is the input.
+Both plans are the auto plans: verify by the bytes of the pinned
+signatures, connected components by the bytes of the star edges.
 
 Output layout under ``--output`` (all resumable, manifest-gated):
+    ingest_warc/                              WARC input only
     signatures/  verified_pairs/  clusters/   stage checkpoints
     metrics.json                              run stats + stage records
 A re-run with the same config resumes from the completed stages;
@@ -58,31 +64,28 @@ def add_page_id(t):
 
 
 def _load_pages(input_dir: str, out_dir: str | None = None):
+    from nxsearch_ray.sources.io import read_parquet_clean
+
     # WARC segments (file or dir of .warc/.warc.gz) ingest directly
     if input_dir.endswith((".warc", ".warc.gz")) or (
             os.path.isdir(input_dir) and any(
                 f.endswith((".warc", ".warc.gz"))
                 for f in os.listdir(input_dir))):
-        from nxsearch_ray.sources.warc import (ingest_warc_resumable,
-                                               pages_from_warc)
+        from nxsearch_ray.sources.warc import ingest_warc_resumable
 
+        if out_dir is None:
+            raise ValueError("a WARC input is ingested under out_dir, "
+                             "and none was given")
         paths = [input_dir] if os.path.isfile(input_dir) else [
             os.path.join(input_dir, f)
             for f in sorted(os.listdir(input_dir))
             if f.endswith((".warc", ".warc.gz"))]
-        if out_dir is not None:
-            # file-granular resumable ingest: a run killed mid-ingest
-            # skips archives whose completion sidecar already landed
-            from nxsearch_ray.sources.io import read_parquet_clean
-
-            ingest_dir = os.path.join(out_dir, "ingest_warc")
-            stats = ingest_warc_resumable(paths, ingest_dir)
-            print(json.dumps({"warc_ingest": stats}))
-            return read_parquet_clean(ingest_dir,
-                                      file_extensions=["parquet"])
-        return pages_from_warc(paths)
-
-    from nxsearch_ray.sources.io import read_parquet_clean
+        # file-granular resumable ingest: a run killed mid-ingest
+        # skips archives whose completion sidecar already landed
+        ingest_dir = os.path.join(out_dir, "ingest_warc")
+        stats = ingest_warc_resumable(paths, ingest_dir)
+        print(json.dumps({"warc_ingest": stats}))
+        return read_parquet_clean(ingest_dir, file_extensions=["parquet"])
 
     # one listing: the column names and the pruned read both come from it
     read = read_parquet_clean(input_dir, file_extensions=["parquet"])
@@ -104,7 +107,8 @@ def main(argv=None) -> int:
         prog="python -m nxsearch_ray.run", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--input", required=True,
-                   help="Parquet directory of pages")
+                   help="Parquet directory of pages, or WARC "
+                        "archive(s)")
     p.add_argument("--output", required=True,
                    help="output/checkpoint directory")
     p.add_argument("--config",
@@ -129,14 +133,6 @@ def main(argv=None) -> int:
                         "minimum (0 disables)")
     p.add_argument("--semdedup-eps", type=float, default=0.93,
                    help="corpus pipeline: SemDeDup cosine threshold")
-    p.add_argument("--verify-mode", default="auto",
-                   choices=["auto", "broadcast", "bucketed"],
-                   help="verify/suffix plan; auto picks by the bytes "
-                        "of the pinned signatures")
-    p.add_argument("--cc-mode", default="auto",
-                   choices=["auto", "tree", "labelprop"],
-                   help="connected-components plan; auto picks by the "
-                        "bytes of the star edges")
     p.add_argument("--incremental", action="store_true",
                    help="append-only ingest against existing checkpoints")
     p.add_argument("--remove-ids", metavar="FILE",
@@ -175,8 +171,6 @@ def main(argv=None) -> int:
         cfg = PipelineConfig()
 
     t0 = time.monotonic()
-    run_kw = dict(out_dir=args.output, verify_mode=args.verify_mode,
-                  cc_mode=args.cc_mode)
     if args.pipeline == "corpus":
         from nxsearch_ray.pipelines.corpus import (decisions_as_table,
                                                    run_corpus)
@@ -198,7 +192,8 @@ def main(argv=None) -> int:
                             blocklist=blocklist,
                             min_words=args.min_words,
                             min_required_stopwords=args.min_stopwords,
-                            semdedup_eps=args.semdedup_eps, **run_kw)
+                            semdedup_eps=args.semdedup_eps,
+                            out_dir=args.output)
         tiers = decisions_as_table(result).column("drop_tier").to_numpy()
         counts = {"n_decisions": len(tiers),
                   "n_kept": int((tiers == 0).sum()),
@@ -208,7 +203,7 @@ def main(argv=None) -> int:
         if args.remove_ids:
             with open(args.remove_ids) as f:
                 ids = [int(line) for line in f if line.strip()]
-            result = run_dedup_remove(ids, cfg, **run_kw)
+            result = run_dedup_remove(ids, cfg, out_dir=args.output)
         else:
             pages = _load_pages(args.input, out_dir=args.output)
             if args.check_ids:
@@ -223,9 +218,10 @@ def main(argv=None) -> int:
                         "duplicate doc ids are rejected, like the "
                         "reference's nxs_index_add guard")
             if args.incremental:
-                result = run_dedup_incremental(pages, cfg, **run_kw)
+                result = run_dedup_incremental(pages, cfg,
+                                               out_dir=args.output)
             else:
-                result = run_dedup(pages, cfg, **run_kw)
+                result = run_dedup(pages, cfg, out_dir=args.output)
         counts = {"n_cluster_rows": clusters_as_table(result).num_rows}
     wall = round(time.monotonic() - t0, 3)
 

@@ -15,12 +15,14 @@ convention) — Python's gzip handles concatenated members
 transparently, so both layouts decode with one code path.
 
 Scale shape: one WARC file (CommonCrawl segments are ~1 GB) is the
-distribution unit — `ray.data.read_binary_files` assigns files to
-tasks, each task parses its file's records into pages rows, and
-everything downstream streams.  Record parsing is inherently
-sequential per file (records are length-prefixed), which is exactly
-the granularity web-archive pipelines shard at; finer sharding would
-require a gzip-member index sidecar (documented, not needed here).
+distribution unit — ``ingest_warc_resumable`` runs one plain Ray task
+per archive, which parses its records into pages rows and writes them
+as one Parquet file, and the pipeline reads that Parquet back as an
+engine read (``sources.io.read_parquet_clean``).  Record parsing is
+inherently sequential per file (records are length-prefixed), which is
+exactly the granularity web-archive pipelines shard at; finer sharding
+would require a gzip-member index sidecar (documented, not needed
+here).
 
 Only ``WARC-Type: response`` records become pages (requests/metadata
 are skipped, like every WARC consumer); the HTTP response head is
@@ -133,23 +135,6 @@ def warc_bytes_to_pages(buf: bytes, *, lang: str = "") -> pa.Table:
          pa.array([lang] * n, type=pa.string()),
          pa.array(["warc"] * n, type=pa.string())],
         schema=PAGES_SCHEMA)
-
-
-def pages_from_warc(paths, *, lang: str = ""):
-    """WARC file(s) → pages Dataset (one parse task per file; see the
-    module docstring for why file granularity is the right shard)."""
-    import ray.data
-
-    ds = ray.data.read_binary_files(paths, include_paths=True)
-
-    def to_pages(t: pa.Table) -> pa.Table:
-        tables = [warc_bytes_to_pages(b, lang=lang)
-                  for b in t.column("bytes").to_pylist()]
-        return pa.concat_tables(tables) if tables else \
-            PAGES_SCHEMA.empty_table()
-
-    return ds.map_batches(to_pages, batch_format="pyarrow",
-                          batch_size=1)
 
 
 def _ingest_name(path: str) -> str:

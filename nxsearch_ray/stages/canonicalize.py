@@ -139,10 +139,8 @@ class CanonicalizeActor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         self._trim()
         lang_default = self.cfg.lang
-        lang_col = (batch.column(self.cfg.lang_column).to_pylist()
-                    if self.cfg.lang_column and
-                    self.cfg.lang_column in batch.column_names
-                    else None)
+        lang_col = (batch.column("lang").to_pylist()
+                    if "lang" in batch.column_names else None)
         texts = batch.column("text").to_pylist()
 
         codes: list[int] = []

@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from nxsearch_ray.config import PipelineConfig
-from nxsearch_ray.stages.join import map_blocks
 from nxsearch_ray.stages.shuffle import grouped, refs
 
 
@@ -80,25 +78,3 @@ def census_over_keys(keyed_ds, names: tuple[str, ...]):
                    hist_schema)
     return grouped(hist, ["src", "bucket_size"], finish, out_schema)
 
-
-def bucket_census(signatures_ds, cfg: PipelineConfig):
-    """:func:`census_over_keys` over the real candidate buckets of
-    ``explode_all`` (all four passes) — the deterministic skew-policy
-    census for the actual banding keys.  NOTE: the minhash rows here
-    include genuine LSH band collisions between unequal shingle sets
-    (~p^4 per band at Jaccard p), so this census is a diagnostic, not
-    SQL-predictable."""
-    from nxsearch_ray.stages.pairs import SRC_NAMES, explode_all
-
-    def explode(t: pa.Table) -> pa.Table:
-        t = explode_all(cfg.to_json())(t)
-        return pa.table({
-            # int64 view of the uint64 bucket keys, the census's key type
-            "bucket_key": pa.array(
-                t.column("bucket_key").to_numpy().view(np.int64)),
-            "src": t.column("src")})
-
-    return census_over_keys(
-        map_blocks(signatures_ds, explode, pa.schema([
-            ("bucket_key", pa.int64()), ("src", pa.int8())])),
-        SRC_NAMES)

@@ -40,9 +40,3 @@ def extract_text(batch: pa.Table) -> pa.Table:
         pa.field("text", pa.string()), extracted)
     return out
 
-
-def extract_stage(ds, *, batch_size: int = 512):
-    """Small batches: html-bearing rows are wide (guide: object-store
-    pressure ⇒ lower batch_size for binary-heavy stages)."""
-    return ds.map_batches(extract_text, batch_format="pyarrow",
-                          batch_size=batch_size)

@@ -22,10 +22,10 @@ bucketed verify and suffix tiers and ``pair_join`` run on it.
 This is the engine's join operator (the distributed analogue of the
 reference's token→term hash-lookup semi-join ``tokenset_resolve``,
 reference src/core/tokenizer.c:160-199).  Small-side joins use a
-broadcast instead: a key set (``id_set_ref``; ``semi_join`` /
-``anti_join``) or a lookup index built once and read by every task
+broadcast instead: a lookup index built once and read by every task
 (``index_ref`` + ``broadcast_map``, which also holds every stage's
-per-worker state).  ``broadcast_map`` is one wave of plain Ray tasks,
+per-worker state), such as ``anti_join``'s key set (``unique_ids``).
+``broadcast_map`` is one wave of plain Ray tasks,
 as the exchange is, planned from the input's block row counts so that
 every CPU has work from the first task; ``map_blocks`` is the same wave
 without a broadcast object, the engine's per-block map, and over a
@@ -71,64 +71,41 @@ def sorted_lookup(keys: np.ndarray, values
     return pos, keys[pos] == values
 
 
-def _key_probe(key: str, keep_matches: bool, keys: np.ndarray):
-    """The filter of a semi (``keep_matches``) or anti join against the
-    sorted key set ``keys``."""
+def _anti_probe(key: str, keys: np.ndarray):
+    """The filter of an anti join against the sorted key set ``keys``."""
     def fn(t: pa.Table) -> pa.Table:
         ids = t.column(key).to_numpy().astype(np.int64)
-        _, hit = sorted_lookup(keys, ids)
-        return t.filter(pa.array(hit if keep_matches else ~hit))
+        return t.filter(pa.array(~sorted_lookup(keys, ids)[1]))
     return fn
-
-
-def _key_filter(ds, key: str, key_values, keep_matches: bool):
-    """Shared body of semi/anti join: broadcast the key SET once
-    (`ray.put`) and filter every block in one ``broadcast_map`` wave,
-    which hands each task the set as a resolved argument — no shuffle
-    (the reference's AND-NOT bitmap algebra analogue, reference
-    src/query/search.c:165-167, as a broadcast filter).
-
-    ``key_values`` may also be an ``ObjectRef`` to a SORTED UNIQUE
-    int64 array built off-driver (the driver then never holds the
-    set) — ``id_set_ref`` builds one."""
-    if not isinstance(key_values, ray.ObjectRef):
-        key_values = ray.put(np.unique(np.asarray(key_values,
-                                                  dtype=np.int64)))
-    return broadcast_map(ds, key_values,
-                         functools.partial(_key_probe, key, keep_matches))
-
-
-def semi_join(ds, key: str, key_values):
-    """Rows of ``ds`` whose ``key`` appears in ``key_values``."""
-    return _key_filter(ds, key, key_values, True)
 
 
 def anti_join(ds, key: str, key_values):
     """Rows of ``ds`` whose ``key`` does NOT appear in ``key_values``
     — e.g. removing already-clustered docs on resume (SURVEY.md §2.4
-    J4)."""
-    return _key_filter(ds, key, key_values, False)
+    J4).  The key SET is broadcast once (`ray.put`) and every block is
+    filtered in one ``broadcast_map`` wave, which hands each task the
+    set as a resolved argument — no shuffle (the reference's AND-NOT
+    bitmap algebra analogue, reference src/query/search.c:165-167, as a
+    broadcast filter).
 
-
-@ray.remote
-def _ids(cols: list[str], *parts):
-    chunks = [t.column(c).to_numpy() for t in map(as_arrow, parts)
-              if t.num_rows for c in cols]
-    return (np.unique(np.concatenate(chunks)) if chunks
-            else np.empty(0, np.int64))
-
-
-def id_set_ref(ds, cols: list[str]):
-    """ObjectRef to the sorted unique values of ``cols`` across ``ds``
-    — the one builder of a broadcast key set (a semi/anti join's, 8 B
-    per id, or any set a ``sorted_lookup`` probes).  It is built in ONE
-    remote task from the dataset's parts (``shuffle.pending``: block
-    refs, or an engine read's row groups, read in that task), not in the
-    calling process."""
-    return _ids.remote(list(cols), *pending(ds))
+    ``key_values`` may also be an ``ObjectRef`` to a SORTED UNIQUE
+    int64 array built off-driver (the driver then never holds the
+    set): ``index_ref(ds, schema, unique_ids)`` builds one."""
+    if not isinstance(key_values, ray.ObjectRef):
+        key_values = ray.put(np.unique(np.asarray(key_values,
+                                                  dtype=np.int64)))
+    return broadcast_map(ds, key_values,
+                         functools.partial(_anti_probe, key))
 
 
 # ---------------------------------------------------- broadcast lookups
+
+def unique_ids(t: pa.Table) -> np.ndarray:
+    """The sorted unique values of ``t``'s one column: the
+    ``from_table`` of a broadcast key set (8 B per id), which
+    ``anti_join`` or any ``sorted_lookup`` probes."""
+    return np.unique(t.column(0).to_numpy())
+
 
 @ray.remote
 def _build(schema: pa.Schema, from_table, *parts):

@@ -3,16 +3,17 @@ every output block carries the join's schema, inner and left joins
 match a row-by-row reference, and empty or zero-column partitions on
 either side are harmless.  The endpoint delivery (endpoint_map, and
 pair_join on it) hands each pair block exactly its distinct
-endpoints' rows, each once.  Also the broadcast key-set joins
-(semi_join / anti_join) and their one probe, sorted_lookup."""
+endpoints' rows, each once.  Also the broadcast key-set join
+(anti_join), its key set (index_ref of unique_ids) and its one probe,
+sorted_lookup."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from nxsearch_ray.stages.join import (anti_join, endpoint_map, hash_join,
-                                      id_set_ref, pair_join, semi_join,
-                                      sorted_lookup)
+                                      index_ref, pair_join, sorted_lookup,
+                                      unique_ids)
 
 LIST = pa.list_(pa.uint64())
 FIXED = pa.list_(pa.uint8(), 4)
@@ -371,10 +372,9 @@ def test_sorted_lookup_edges():
 @pytest.mark.parametrize("as_ref", [False, True])
 def test_key_filters_against_empty_key_set(ray_session, as_ref):
     """An empty key set (e.g. no pair needs exact adjudication): the
-    semi-join keeps no row, the anti-join keeps every row."""
+    anti-join keeps every row."""
     ds = _dataset([_left([4, 1, 7]), _left([2])])
-    keys = (id_set_ref(_dataset([_left([])]), ["k"]) if as_ref
-            else [])
-    assert semi_join(ds, "k", keys).count() == 0
+    keys = (index_ref(_dataset([_left([])]), pa.schema([("k", pa.int64())]),
+                      unique_ids) if as_ref else [])
     assert sorted(r["k"] for r in anti_join(ds, "k", keys).take_all()) \
         == [1, 2, 4, 7]

@@ -139,17 +139,25 @@ def test_hash_join_correct(ray_session):
 # ----------------------------------------------------------- diagnostics
 
 def test_bucket_census(ray_session):
+    """The census over the real candidate buckets of ``explode_all``
+    (all four passes)."""
     import ray.data as rd
 
     from nxsearch_ray.sources.synth import synth_pages
-    from nxsearch_ray.stages.diagnostics import bucket_census
+    from nxsearch_ray.stages.diagnostics import census_over_keys
+    from nxsearch_ray.stages.pairs import SRC_NAMES, explode_all
     from nxsearch_ray.stages.signatures import canonsig_stage
 
     cfg = PipelineConfig()
     tbl = synth_pages(200, seed=13)
-    sigs = canonsig_stage(
-        rd.from_arrow(tbl.drop_columns(["html"])), cfg).materialize()
-    out = bucket_census(sigs, cfg)
+    sigs = pa.concat_tables(canonsig_stage(
+        rd.from_arrow(tbl.drop_columns(["html"])), cfg).iter_batches(
+            batch_format="pyarrow")).combine_chunks()
+    keys = explode_all(cfg.to_json())(sigs)
+    out = census_over_keys(rd.from_arrow(pa.table({
+        # int64 view of the uint64 bucket keys, the census's key type
+        "bucket_key": keys.column("bucket_key").to_numpy().view(np.int64),
+        "src": keys.column("src")})), SRC_NAMES)
     got = pa.concat_tables(out.iter_batches(batch_size=10000,
                                             batch_format="pyarrow"))
     rows = got.to_pylist()

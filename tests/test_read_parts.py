@@ -371,7 +371,8 @@ def test_other_consumers_over_a_bare_read(ray_session, tmp_path):
     for ds in (read, pinned):
         built = ray.get(join.index_ref(ds, t.schema, identity))
         assert _rows([built]) == want
-        ids = ray.get(join.id_set_ref(ds, ["k"]))
+        ids = ray.get(join.index_ref(ds, pa.schema([t.schema.field("k")]),
+                                     join.unique_ids))
         assert ids.tolist() == list(range(37))
         kept = ray.get(join.anti_join(ds, "k", [0, 5, 36]).to_arrow_refs())
         assert _rows(kept) == _rows([t.filter(pa.array(

@@ -362,7 +362,8 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
     CPUs (one file of one row group, one file of eight), nor a mapped
     read: ``pages_dataset``'s pages, derived in the wave's tasks, and
     the CLI's pages of files with no ``page_id`` (``run._load_pages``),
-    whose ids those tasks add."""
+    whose ids those tasks add.  Nor does the CLI's WARC input, ingested
+    by plain tasks, one per archive, and read back as Parquet."""
     import pyarrow.parquet as pq
 
     from nxsearch_ray.config import PipelineConfig
@@ -428,14 +429,24 @@ def test_no_dataset_execution_after_the_read(ray_session, tmp_path,
 
     from nxsearch_ray.run import _load_pages
     from nxsearch_ray.sources.pages import pages_dataset, pages_table
+    from nxsearch_ray.sources.warc import response_record, warc_gz_bytes
 
     no_ids = tmp_path / "no_ids"
     no_ids.mkdir()
+    warc = tmp_path / "warc"
+    warc.mkdir()
     for i in range(4):
-        pq.write_table(corpus.slice(i * per, per).drop_columns(["page_id"]),
+        part = corpus.slice(i * per, per)
+        pq.write_table(part.drop_columns(["page_id"]),
                        no_ids / f"part-{i}.parquet")
+        (warc / f"seg-{i}.warc.gz").write_bytes(warc_gz_bytes([
+            response_record(url, "2024-01-01T00:00:00Z", html)
+            for url, html in zip(part.column("url").to_pylist(),
+                                 part.column("html").to_pylist())]))
     for name, load in (("pages_dataset", lambda: pages_dataset(sf_dir)),
-                       ("_load_pages", lambda: _load_pages(str(no_ids)))):
+                       ("_load_pages", lambda: _load_pages(str(no_ids))),
+                       ("warc", lambda: _load_pages(
+                           str(warc), str(tmp_path / "warc_out")))):
         n.update(nothing)
         res = run_dedup(load(), PipelineConfig())
         assert res.clusters.count() > 0

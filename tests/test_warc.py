@@ -9,7 +9,6 @@ import pyarrow as pa
 import pytest
 
 from nxsearch_ray.sources.warc import (
-    pages_from_warc,
     parse_warc,
     record_bytes,
     response_record,
@@ -60,23 +59,29 @@ def test_parse_rejects_malformed():
         parse_warc(ok[:-6])
 
 
-def test_pages_from_warc_ray_ingest(ray_session, tmp_path):
+def test_warc_ingest_read(ray_session, tmp_path):
+    """The CLI's WARC input: ingested under ``out_dir`` and read back
+    as an engine read of the ingested Parquet; there is no other
+    path."""
+    from nxsearch_ray.run import _load_pages
+    from nxsearch_ray.stages.html_extract import extract_text
+
     p = tmp_path / "seg-00000.warc.gz"
     p.write_bytes(warc_gz_bytes(_sample_records()))
-    ds = pages_from_warc([str(p)])
-    t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
+    read = _load_pages(str(p), out_dir=str(tmp_path / "out"))
+    t = pa.concat_tables([part() for part in read.parts])
     assert t.num_rows == 2
     assert set(t.column("variant").to_pylist()) == {"warc"}
     ids = t.column("page_id").to_pylist()
     assert len(set(ids)) == 2 and all(i >= 0 for i in ids)
 
-    # the extraction stage consumes the html payload downstream
-    from nxsearch_ray.stages.html_extract import extract_stage
-
-    text = pa.concat_tables(
-        extract_stage(ds).iter_batches(batch_format="pyarrow")) \
-        .column("text").to_pylist()
+    # the extraction consumes the html payload downstream
+    text = extract_text(t).column("text").to_pylist()
     assert sorted(text) == ["alpha beta", "gamma delta"]
+
+    # with no out_dir to ingest into, a WARC input is an error
+    with pytest.raises(ValueError, match="out_dir"):
+        _load_pages(str(tmp_path))
 
 
 def test_warc_page_id_stable_across_recrawl():

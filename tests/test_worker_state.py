@@ -140,6 +140,7 @@ def test_memo_codes_give_the_token_hashes(monkeypatch):
 def test_from_json_drops_retired_concurrency_key():
     d = json.loads(PipelineConfig(shingle_k=7).to_json())
     d["canonicalize_concurrency"] = 4
+    d["lang_column"] = "lang"
     assert PipelineConfig.from_json(json.dumps(d)) == \
         PipelineConfig(shingle_k=7)
 
